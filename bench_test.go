@@ -1,6 +1,6 @@
 // Benchmark harness: one bench per table and figure of the paper's
-// evaluation section (see DESIGN.md's experiment index), plus ablation
-// benches for the design choices DESIGN.md calls out. Paper-facing
+// evaluation section, plus ablation benches for the design choices
+// ARCHITECTURE.md's Designs 1–10 describe. Paper-facing
 // quantities are emitted through b.ReportMetric; EXPERIMENTS.md records
 // the paper-vs-measured comparison for each exhibit.
 //
@@ -476,7 +476,7 @@ func BenchmarkEq3_PartSizeFit(b *testing.B) {
 	}
 }
 
-// --- Ablations (design choices called out in DESIGN.md) -------------------
+// --- Ablations (design choices, see ARCHITECTURE.md) -----------------------
 
 // BenchmarkAblationDistributionMapping compares per-task imbalance across
 // the three decomposition strategies on the same hierarchy.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"amrproxyio/internal/grid"
 )
@@ -59,7 +60,10 @@ func (mf *MultiFab) dataBoxIndex() *grid.BoxIndex {
 
 // ForEachFAB runs fn over every FAB in parallel using a worker pool. fn
 // receives the box index and the FAB. This is the compute-parallelism
-// analogue of AMReX's MFIter loop.
+// analogue of AMReX's MFIter loop. Workers, the caller among them, claim
+// FAB indices from a shared atomic counter: no per-FAB channel handoff,
+// so a loop over many small FABs does not stall on goroutine wakeups
+// when other processes hold the CPUs.
 func (mf *MultiFab) ForEachFAB(fn func(idx int, fab *FAB)) {
 	n := len(mf.FABs)
 	if n == 0 {
@@ -75,21 +79,21 @@ func (mf *MultiFab) ForEachFAB(fn func(idx int, fab *FAB)) {
 		}
 		return
 	}
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i, mf.FABs[i])
+		}
+	}
 	var wg sync.WaitGroup
-	work := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				fn(i, mf.FABs[i])
-			}
+			run()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
+	run()
 	wg.Wait()
 }
 

@@ -104,11 +104,27 @@ func PlanCacheStats() (hits, misses uint64) {
 // (srcIdx, dstIdx) wire order of the distributed exchange, since each
 // src/dst box pair overlaps in at most one rectangle — so grouping
 // preserves ascending srcIdx within each destination and no sort is
-// needed.
+// needed. The groups are a counting sort into one backing array, each
+// capped at its own length, rather than one growing slice per FAB.
 func finishCopyPlan(pairs []copyPair, nDst int) *copyPlan {
-	byDst := make([][]copyPair, nDst)
+	start := make([]int, nDst+1)
 	for _, p := range pairs {
-		byDst[p.dstIdx] = append(byDst[p.dstIdx], p)
+		start[p.dstIdx+1]++
+	}
+	for d := 0; d < nDst; d++ {
+		start[d+1] += start[d]
+	}
+	grouped := make([]copyPair, len(pairs))
+	fill := append([]int(nil), start[:nDst]...)
+	for _, p := range pairs {
+		grouped[fill[p.dstIdx]] = p
+		fill[p.dstIdx]++
+	}
+	byDst := make([][]copyPair, nDst)
+	for d := range byDst {
+		if start[d] < start[d+1] {
+			byDst[d] = grouped[start[d]:start[d+1]:start[d+1]]
+		}
 	}
 	return &copyPlan{pairs: pairs, byDst: byDst}
 }
@@ -129,7 +145,10 @@ func fillBoundaryPlan(ba BoxArray, nghost int) *copyPlan {
 // pairs emerge in (srcIdx, dstIdx) order with no post-sort.
 func computeFillBoundaryPlan(ba BoxArray, nghost int) *copyPlan {
 	idx := ba.Index()
-	var pairs []copyPair
+	// A box of a 2-D tiling borders at most eight same-size neighbors;
+	// sizing for that skips the regrowth of the pair list, and a wider
+	// fan-out still appends past it.
+	pairs := make([]copyPair, 0, 8*ba.Len())
 	var scratch []int
 	for si, b := range ba.Boxes {
 		sg := b.Grow(nghost)

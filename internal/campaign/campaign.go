@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"amrproxyio/internal/core"
+	"amrproxyio/internal/driver"
 	"amrproxyio/internal/faults"
 	"amrproxyio/internal/inputs"
 	"amrproxyio/internal/iosim"
@@ -64,7 +65,7 @@ type Case struct {
 	// CLIs); callers handing Run a custom filesystem configure it there.
 	Storage Storage `json:"storage,omitempty"`
 	// ComputeSeconds models the compute phase between time steps on the
-	// filesystem clocks (sim/surrogate Options.StepSeconds): bursts are
+	// filesystem clocks (driver.Options.StepSeconds): bursts are
 	// separated by compute gaps that an asynchronous burst-buffer drain
 	// overlaps. 0 keeps the historical back-to-back bursts.
 	ComputeSeconds float64 `json:"compute_seconds,omitempty"`
@@ -168,7 +169,7 @@ func (c Case) FSConfig(withTopology bool) iosim.Config {
 	}
 	cfg.Storage = string(c.Storage)
 	if c.Storage == StorageBB || c.Storage == StorageTiered {
-		cfg.BurstBuffer = iosim.DefaultBurstBuffer(maxi(1, c.Nodes))
+		cfg.BurstBuffer = iosim.DefaultBurstBuffer(max(1, c.Nodes))
 	}
 	if c.Aggregation != nil {
 		cfg.Aggregation = *c.Aggregation
@@ -244,53 +245,37 @@ func (r Result) TotalBytes() int64 {
 // shared across cases; pass a fresh one to isolate ledgers).
 func Run(c Case, fs *iosim.FileSystem) (Result, error) {
 	start := time.Now()
-	cfg := c.Inputs()
 	res := Result{Case: c, Engine: c.engineFor()}
 	if err := c.Validate(); err != nil {
 		return res, err
 	}
-	strat, err := c.Dist.strategy()
+	// Validate has vetted the strategy and left only the two engines.
+	strat, _ := c.Dist.strategy()
+	out := driver.Options{Remap: c.Remap, StepSeconds: c.ComputeSeconds, Mitigate: c.Mitigate}
+	var d *driver.Driver
+	var err error
+	if res.Engine == EngineHydro {
+		opts := sim.DefaultOptions()
+		opts.Options, opts.Dist = out, strat
+		var s *sim.Sim
+		if s, err = sim.New(c.Inputs(), opts, fs); err == nil {
+			d = s.Driver
+		}
+	} else {
+		opts := surrogate.DefaultOptions()
+		opts.Options, opts.Dist = out, strat
+		var r *surrogate.Runner
+		if r, err = surrogate.New(c.Inputs(), opts, fs); err == nil {
+			d = r.Driver
+		}
+	}
+	if err == nil {
+		err = d.Run()
+	}
 	if err != nil {
 		return res, fmt.Errorf("campaign %s: %w", c.Name, err)
 	}
-	switch res.Engine {
-	case EngineHydro:
-		opts := sim.DefaultOptions()
-		opts.Dist = strat
-		opts.Remap = c.Remap
-		opts.StepSeconds = c.ComputeSeconds
-		opts.Mitigate = c.Mitigate
-		s, err := sim.New(cfg, opts, fs)
-		if err != nil {
-			return res, fmt.Errorf("campaign %s: %w", c.Name, err)
-		}
-		if err := s.Run(); err != nil {
-			return res, fmt.Errorf("campaign %s: %w", c.Name, err)
-		}
-		res.Records = s.Records()
-		res.NPlots = s.NPlots()
-		res.SimTime = s.Time
-		res.Mitigation = s.Mitigation()
-	case EngineSurrogate:
-		opts := surrogate.DefaultOptions()
-		opts.Dist = strat
-		opts.Remap = c.Remap
-		opts.StepSeconds = c.ComputeSeconds
-		opts.Mitigate = c.Mitigate
-		r, err := surrogate.New(cfg, opts, fs)
-		if err != nil {
-			return res, fmt.Errorf("campaign %s: %w", c.Name, err)
-		}
-		if err := r.Run(); err != nil {
-			return res, fmt.Errorf("campaign %s: %w", c.Name, err)
-		}
-		res.Records = r.Records()
-		res.NPlots = r.NPlots()
-		res.SimTime = r.Time
-		res.Mitigation = r.Mitigation()
-	default:
-		return res, fmt.Errorf("campaign %s: unknown engine %q", c.Name, res.Engine)
-	}
+	res.Records, res.NPlots, res.SimTime, res.Mitigation = d.Records(), d.NPlots(), d.SimTime(), d.Mitigation()
 	res.Wall = time.Since(start)
 	return res, nil
 }
@@ -508,18 +493,4 @@ func LoadResult(path string) (Result, error) {
 		return r, fmt.Errorf("campaign: unmarshal %s: %w", path, err)
 	}
 	return r, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -30,15 +30,15 @@ func TestPaperCampaignMatchesTableIII(t *testing.T) {
 		if err := c.Inputs().Validate(); err != nil {
 			t.Errorf("%s: invalid inputs: %v", c.Name, err)
 		}
-		minCell = mini(minCell, c.NCell)
-		maxCell = maxi(maxCell, c.NCell)
-		minStep = mini(minStep, c.MaxStep)
-		maxStep = maxi(maxStep, c.MaxStep)
-		minPlot = mini(minPlot, c.PlotInt)
-		maxPlot = maxi(maxPlot, c.PlotInt)
-		minProcs = mini(minProcs, c.NProcs)
-		maxProcs = maxi(maxProcs, c.NProcs)
-		maxNodes = maxi(maxNodes, c.Nodes)
+		minCell = min(minCell, c.NCell)
+		maxCell = max(maxCell, c.NCell)
+		minStep = min(minStep, c.MaxStep)
+		maxStep = max(maxStep, c.MaxStep)
+		minPlot = min(minPlot, c.PlotInt)
+		maxPlot = max(maxPlot, c.PlotInt)
+		minProcs = min(minProcs, c.NProcs)
+		maxProcs = max(maxProcs, c.NProcs)
+		maxNodes = max(maxNodes, c.Nodes)
 		if c.CFL < minCFL {
 			minCFL = c.CFL
 		}

@@ -62,7 +62,7 @@ func PaperCampaign() []Case {
 		for _, cfl := range []float64{0.3, 0.5, 0.6} {
 			for _, ml := range []int{2, 3} {
 				add(Case{NCell: n, MaxLevel: ml, MaxStep: 1000, PlotInt: 20,
-					CFL: cfl, NProcs: maxi(1, n/32), Nodes: 1, Engine: EngineAuto})
+					CFL: cfl, NProcs: max(1, n/32), Nodes: 1, Engine: EngineAuto})
 			}
 		}
 	}
@@ -71,7 +71,7 @@ func PaperCampaign() []Case {
 		for _, cfl := range []float64{0.3, 0.4, 0.6} {
 			for _, ml := range []int{2, 4} {
 				add(Case{NCell: n, MaxLevel: ml, MaxStep: 400, PlotInt: 20,
-					CFL: cfl, NProcs: n / 16, Nodes: maxi(1, n/256), Engine: EngineAuto})
+					CFL: cfl, NProcs: n / 16, Nodes: max(1, n/256), Engine: EngineAuto})
 			}
 		}
 	}
@@ -79,10 +79,10 @@ func PaperCampaign() []Case {
 	for _, n := range []int{1024, 2048, 4096, 8192} {
 		for _, cfl := range []float64{0.4, 0.5} {
 			add(Case{NCell: n, MaxLevel: 3, MaxStep: 100, PlotInt: 10,
-				CFL: cfl, NProcs: mini(1024, n/16), Nodes: mini(512, n/64), Engine: EngineAuto})
+				CFL: cfl, NProcs: min(1024, n/16), Nodes: min(512, n/64), Engine: EngineAuto})
 		}
 		add(Case{NCell: n, MaxLevel: 2, MaxStep: 40, PlotInt: 1,
-			CFL: 0.5, NProcs: mini(1024, n/16), Nodes: mini(512, n/64), Engine: EngineAuto})
+			CFL: 0.5, NProcs: min(1024, n/16), Nodes: min(512, n/64), Engine: EngineAuto})
 	}
 	// Summit-scale (cases 43-47): the paper's largest configurations.
 	add(Case{NCell: 16384, MaxLevel: 2, MaxStep: 40, PlotInt: 5,
@@ -114,18 +114,4 @@ func QuickCampaign() []Case {
 		out = append(out, q)
 	}
 	return out
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

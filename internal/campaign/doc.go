@@ -7,10 +7,11 @@
 //
 // Each case runs on one of two engines: the real hydrodynamics solver
 // (internal/sim) at laptop-tractable sizes, or the analytic surrogate
-// (internal/surrogate) at Summit scale — with the same meshing and I/O
-// pipeline either way. EngineAuto picks by mesh size (HydroCellLimit);
-// any other unknown engine name is an error rather than a silent
-// fallback. Results carry the full Eq. (2) output ledger and serialize
+// (internal/surrogate) at Summit scale — with the same meshing and the
+// same output loop (internal/driver) either way, so Run differs between
+// engines only in the constructor. EngineAuto picks by mesh size
+// (HydroCellLimit); any other unknown engine name is an error rather
+// than a silent fallback. Results carry the full Eq. (2) output ledger and serialize
 // to JSON for the reporting and benchmark layers.
 //
 // # RunAll's serial-equivalence contract

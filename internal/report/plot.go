@@ -1,7 +1,7 @@
 // Package report renders the paper's tables and figures from campaign
 // ledgers: ASCII scatter/line plots for terminals, CSV series for external
 // plotting, and formatted tables. One exported function per paper exhibit
-// keeps the mapping auditable (see DESIGN.md's experiment index).
+// keeps the mapping auditable.
 package report
 
 import (

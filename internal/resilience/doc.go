@@ -4,7 +4,7 @@
 // paying for them.
 //
 // Three composable policies live behind a JSON Policy (threaded as
-// campaign.Case.Mitigate, sim/surrogate Options.Mitigate, and the
+// campaign.Case.Mitigate, driver.Options.Mitigate, and the
 // -mitigate CLI flags):
 //
 //   - Adaptive checkpoint cadence: an online censored-MLE MTBF estimate

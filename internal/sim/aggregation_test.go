@@ -5,14 +5,15 @@ import (
 
 	"amrproxyio/internal/amr"
 	"amrproxyio/internal/grid"
+	"amrproxyio/internal/hydro"
 	"amrproxyio/internal/iosim"
 )
 
-// TestRemapFoldsLoadsOntoAggregators mirrors the surrogate-engine
-// regression pin on the hydro engine's remapTargets: with 1/node
-// aggregation the per-rank loads [10 10 1 1] must fold onto the
-// aggregator ranks ([20 0 2 0]) before LPT balancing — unfolded, LPT
-// ties round-robin, declines, and both aggregators co-locate on target 0.
+// TestRemapFoldsLoadsOntoAggregators pins the hydro engine's plot path
+// to the driver's aggregation-folded remap: with 1/node aggregation the
+// per-rank loads [10 10 1 1] must fold onto the aggregator ranks
+// ([20 0 2 0]) before LPT balancing — unfolded, LPT ties round-robin,
+// declines, and both aggregators co-locate on target 0.
 func TestRemapFoldsLoadsOntoAggregators(t *testing.T) {
 	topo := iosim.Topology{Nodes: 2, RanksPerNode: 2, Targets: 2}
 	boxes := []grid.Box{
@@ -38,24 +39,31 @@ func TestRemapFoldsLoadsOntoAggregators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Levels = []*Level{{BA: amr.NewBoxArray(boxes), DM: amr.DistributionMapping{Owner: owner}}}
-	if err := s.remapTargets(); err != nil {
+	ba := amr.NewBoxArray(boxes)
+	dm := amr.DistributionMapping{Owner: owner}
+	lev := &Level{Geom: s.Levels[0].Geom, BA: ba, DM: dm, State: amr.NewMultiFab(ba, dm, hydro.NCons, nGhost)}
+	s.initLevelData(lev)
+	s.Levels = []*Level{lev}
+	if err := s.WritePlot(); err != nil {
 		t.Fatal(err)
 	}
 
-	fs.BeginBurst(4)
-	for rank := 0; rank < 4; rank++ {
-		if _, err := fs.WriteSize(rank, "plt/Cell_D", 10, iosim.Labels{}); err != nil {
-			t.Fatal(err)
+	// Every file the plot writes lands on its writer's aggregator
+	// placement: ranks 0 and 1 (node 0) on target 0, ranks 2 and 3
+	// (node 1) on target 1. Directory records carry no target.
+	want := []int{0, 0, 1, 1}
+	files := 0
+	for _, rec := range fs.Ledger() {
+		if rec.Target < 0 {
+			continue
+		}
+		files++
+		if rec.Target != want[rec.Rank] {
+			t.Fatalf("rank %d wrote %s to target %d, want %d (folded remap must separate the aggregators)",
+				rec.Rank, rec.Path, rec.Target, want[rec.Rank])
 		}
 	}
-	fs.EndBurst()
-
-	want := []int{0, 0, 1, 1}
-	for i, rec := range fs.Ledger() {
-		if rec.Target != want[i] {
-			t.Fatalf("rank %d wrote to target %d, want %d (folded remap must separate the aggregators)",
-				rec.Rank, rec.Target, want[i])
-		}
+	if files == 0 {
+		t.Fatal("plot wrote no files")
 	}
 }

@@ -4,31 +4,20 @@ import (
 	"fmt"
 
 	"amrproxyio/internal/amr"
+	"amrproxyio/internal/driver"
 	"amrproxyio/internal/hydro"
 	"amrproxyio/internal/inputs"
 	"amrproxyio/internal/iosim"
 	"amrproxyio/internal/plotfile"
 )
 
-// Checkpoint-restart integration: the driver writes checkpoints on the
-// amr.check_int cadence (same N-to-N pattern as plotfiles, carrying the
-// conserved state) and can resume exactly from one.
+// Checkpoint-restart integration: the driver writes checkpoints of the
+// conserved state (same N-to-N pattern as plotfiles) when the adaptive
+// mitigation cadence calls for one, and a run can resume exactly from
+// any checkpoint.
 
-// ShouldCheckpoint reports whether the current step is a checkpoint step.
-// Step 0 is excluded: a fresh run's initial state is reproducible from the
-// inputs file, matching AMReX's default behavior.
-func (s *Sim) ShouldCheckpoint() bool {
-	return s.Cfg.CheckInt > 0 && s.Step > 0 && s.Step%s.Cfg.CheckInt == 0
-}
-
-// WriteCheckpoint emits a checkpoint of the conserved state. Like
-// WritePlot it runs the inter-burst layout reorganization first when
-// Opts.Remap is set — checkpoints move the same per-rank volumes.
-func (s *Sim) WriteCheckpoint() error {
-	if s.fs == nil {
-		return fmt.Errorf("sim: no filesystem configured")
-	}
-	s.remapTargets()
+// CheckpointSpec assembles the conserved state into a checkpoint spec.
+func (s *Sim) CheckpointSpec() plotfile.CheckpointSpec {
 	spec := plotfile.CheckpointSpec{
 		Root:   fmt.Sprintf("%s%05d", s.Cfg.CheckFile, s.Step),
 		Time:   s.Time,
@@ -46,21 +35,8 @@ func (s *Sim) WriteCheckpoint() error {
 			State:    lev.State,
 		})
 	}
-	recs, err := plotfile.WriteCheckpoint(s.fs, spec)
-	if err != nil {
-		return err
-	}
-	s.checkpointRecords = append(s.checkpointRecords, recs...)
-	s.nCheckpoints++
-	return nil
+	return spec
 }
-
-// CheckpointRecords returns the checkpoint output ledger (kept separate
-// from plot records: the paper's analysis covers plot files only).
-func (s *Sim) CheckpointRecords() []plotfile.OutputRecord { return s.checkpointRecords }
-
-// NCheckpoints returns how many checkpoints were written.
-func (s *Sim) NCheckpoints() int { return s.nCheckpoints }
 
 // Restore builds a Sim from a checkpoint directory previously written
 // through a RealDisk filesystem. The configuration must match the original
@@ -77,7 +53,8 @@ func Restore(dir string, cfg inputs.CastroInputs, opts Options, fs *iosim.FileSy
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{Cfg: cfg, Opts: opts, fs: fs, Step: rs.Step, Time: rs.Time, LastDt: rs.LastDt}
+	s := &Sim{Cfg: cfg, Opts: opts, Step: rs.Step, Time: rs.Time, LastDt: rs.LastDt}
+	s.Driver = driver.New(s, cfg, opts.Options, fs)
 	for _, lev := range rs.Levels {
 		state := plotfile.FillMultiFabFromRestart(lev, hydro.NCons, nGhost)
 		s.Levels = append(s.Levels, &Level{
@@ -94,44 +71,6 @@ func Restore(dir string, cfg inputs.CastroInputs, opts Options, fs *iosim.FileSy
 	}
 	s.fillPatchAll()
 	return s, nil
-}
-
-// RunWithCheckpoints is Run plus checkpoint output on the check_int
-// cadence. When the mitigation policy owns the cadence
-// (AdaptiveCheckpoint), the fixed schedule stands down and checkpoints
-// land on the engine's Young/Daly retiming instead.
-func (s *Sim) RunWithCheckpoints() error {
-	if s.ShouldPlot() && s.fs != nil {
-		if err := s.maybePlot(); err != nil {
-			return err
-		}
-	}
-	for s.Step < s.Cfg.MaxStep {
-		if s.Cfg.StopTime > 0 && s.Time >= s.Cfg.StopTime {
-			break
-		}
-		s.Advance()
-		if s.Cfg.RegridInt > 0 && s.Step%s.Cfg.RegridInt == 0 && s.Cfg.MaxLevel > 0 {
-			if err := s.Regrid(); err != nil {
-				return err
-			}
-		}
-		if s.ShouldPlot() && s.fs != nil {
-			if err := s.maybePlot(); err != nil {
-				return err
-			}
-		}
-		if s.engine.Adaptive() {
-			if err := s.maybeAdaptiveCheckpoint(); err != nil {
-				return err
-			}
-		} else if s.ShouldCheckpoint() && s.fs != nil {
-			if err := s.writeCheckpointTracked(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // StateDigest summarizes the conserved state for exact comparison in

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"amrproxyio/internal/iosim"
+	"amrproxyio/internal/plotfile"
 )
 
 func realFS(t *testing.T) (*iosim.FileSystem, string) {
@@ -18,35 +19,9 @@ func realFS(t *testing.T) (*iosim.FileSystem, string) {
 	return iosim.New(cfg, dir), dir
 }
 
-func TestCheckpointCadence(t *testing.T) {
-	cfg := smallCfg()
-	cfg.MaxStep = 12
-	cfg.CheckInt = 4
-	cfg.PlotInt = 0
-	fs, _ := realFS(t)
-	s, err := New(cfg, DefaultOptions(), fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunWithCheckpoints(); err != nil {
-		t.Fatal(err)
-	}
-	if s.NCheckpoints() != 3 { // steps 4, 8, 12
-		t.Errorf("checkpoints = %d, want 3", s.NCheckpoints())
-	}
-	if len(s.CheckpointRecords()) == 0 {
-		t.Error("no checkpoint records")
-	}
-	// Plot records stay separate (none were requested).
-	if len(s.Records()) != 0 {
-		t.Error("plot records polluted by checkpoints")
-	}
-}
-
 func TestCheckpointRestartExactResume(t *testing.T) {
 	cfg := smallCfg()
 	cfg.MaxStep = 10
-	cfg.CheckInt = 6
 	cfg.PlotInt = 0
 	cfg.RegridInt = 2
 
@@ -78,7 +53,7 @@ func TestCheckpointRestartExactResume(t *testing.T) {
 			}
 		}
 	}
-	if err := first.WriteCheckpoint(); err != nil {
+	if _, err := plotfile.WriteCheckpoint(fs, first.CheckpointSpec()); err != nil {
 		t.Fatal(err)
 	}
 	chkDir := filepath.Join(dir, fmt.Sprintf("%s%05d", cfg.CheckFile, 6))
@@ -139,17 +114,19 @@ func TestRestoreRejectsBadInputs(t *testing.T) {
 func TestCheckpointBytesMirrorNtoN(t *testing.T) {
 	cfg := smallCfg()
 	cfg.MaxStep = 4
-	cfg.CheckInt = 4
 	cfg.PlotInt = 0
 	fs, _ := realFS(t)
 	s, err := New(cfg, DefaultOptions(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunWithCheckpoints(); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	recs := s.CheckpointRecords()
+	recs, err := plotfile.WriteCheckpoint(fs, s.CheckpointSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(recs) == 0 {
 		t.Fatal("no checkpoint records")
 	}

@@ -1,13 +1,13 @@
-// Package sim is the Castro-like AMR driver: it owns the level hierarchy,
-// runs the time-step loop with CFL control, regrids on the configured
-// cadence, and emits plotfiles on the plot_int cadence — producing exactly
-// the (timestep, level, task) output hierarchy the paper measures (its
-// Eq. 2).
+// Package sim is the Castro-like hydro engine: it owns the level
+// hierarchy, advances it with CFL control, and regrids it from gradient
+// tags. The embedded internal/driver runs the time-step loop and emits
+// plotfiles on the plot_int cadence — producing exactly the (timestep,
+// level, task) output hierarchy the paper measures (its Eq. 2).
 //
-// Differences from Castro are documented in DESIGN.md; the load-bearing
-// one is non-subcycled time stepping (all levels advance with the finest
-// stable dt), which leaves the plotfile structure and sizes untouched
-// because plots are scheduled on coarse-level step counts.
+// The load-bearing difference from Castro is non-subcycled time stepping
+// (all levels advance with the finest stable dt), which leaves the
+// plotfile structure and sizes untouched because plots are scheduled on
+// coarse-level step counts.
 package sim
 
 import (
@@ -15,12 +15,12 @@ import (
 	"math"
 
 	"amrproxyio/internal/amr"
+	"amrproxyio/internal/driver"
 	"amrproxyio/internal/grid"
 	"amrproxyio/internal/hydro"
 	"amrproxyio/internal/inputs"
 	"amrproxyio/internal/iosim"
 	"amrproxyio/internal/plotfile"
-	"amrproxyio/internal/resilience"
 	"amrproxyio/internal/sedov"
 )
 
@@ -33,8 +33,11 @@ var PlotVarNames = []string{
 	"pressure", "x_velocity", "y_velocity", "MachNumber", "Temp", "soundspeed",
 }
 
-// Options collects the knobs beyond the Castro inputs file.
+// Options collects the knobs beyond the Castro inputs file; the embedded
+// driver.Options are the output-side ones (remap, compute phase,
+// mitigation policy).
 type Options struct {
+	driver.Options
 	Dist         amr.DistStrategy
 	TagThreshold float64 // relative density-gradient refinement threshold
 	ErrorBuf     int     // tag buffer cells (amr.n_error_buf)
@@ -45,26 +48,6 @@ type Options struct {
 	// Reflux enables the Berger–Colella coarse-fine flux correction,
 	// keeping the composite solution conservative as Castro does.
 	Reflux bool
-	// Remap enables the inter-burst layout reorganization (Wan et al.):
-	// before every plot/checkpoint burst the rank→storage-target mapping
-	// is rebuilt from the hierarchy's per-rank load via
-	// amr.RemapToTargets. A no-op unless the filesystem's Topology models
-	// storage targets.
-	Remap bool
-	// StepSeconds models the compute phase between time steps on the
-	// filesystem clocks: after each Advance, every rank's clock moves
-	// forward by this much, so bursts are separated by compute gaps and
-	// an asynchronous burst-buffer drain (iosim Storage "bb"/"bb+gpfs")
-	// overlaps compute the way the paper's runs do. 0 (the default)
-	// keeps the historical clocks byte-identical.
-	StepSeconds float64
-	// Mitigate enables the closed-loop fault-mitigation policy engine
-	// (internal/resilience): adaptive checkpoint cadence, target
-	// quarantine, and degraded-mode output, driven between bursts by the
-	// run's own fault events. A nil or zero policy (or a filesystem
-	// without a fault injector) builds no engine and keeps every path
-	// byte-identical.
-	Mitigate *resilience.Policy
 }
 
 // DefaultOptions mirrors the Castro Sedov problem setup.
@@ -89,8 +72,10 @@ type Level struct {
 	State *amr.MultiFab
 }
 
-// Sim is the running simulation.
+// Sim is the running simulation. The embedded driver runs it (Run) and
+// owns its output ledger (WritePlot, Records, NPlots, Mitigation).
 type Sim struct {
+	*driver.Driver
 	Cfg  inputs.CastroInputs
 	Opts Options
 
@@ -98,17 +83,6 @@ type Sim struct {
 	Step   int
 	Time   float64
 	LastDt float64
-
-	fs      *iosim.FileSystem
-	records []plotfile.OutputRecord
-	nPlots  int
-
-	checkpointRecords []plotfile.OutputRecord
-	nCheckpoints      int
-
-	// engine is the between-burst mitigation engine; nil (the common
-	// case) disables mitigation with zero overhead.
-	engine *resilience.Engine
 }
 
 const nGhost = 2 // MUSCL-Hancock stencil width
@@ -121,8 +95,8 @@ func New(cfg inputs.CastroInputs, opts Options, fs *iosim.FileSystem) (*Sim, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{Cfg: cfg, Opts: opts, fs: fs}
-	s.engine = resilience.ForFileSystem(opts.Mitigate, fs, cfg.NProcs)
+	s := &Sim{Cfg: cfg, Opts: opts}
+	s.Driver = driver.New(s, cfg, opts.Options, fs)
 	dom := grid.NewBox(grid.IV(0, 0), grid.IV(cfg.NCell[0]-1, cfg.NCell[1]-1))
 	g0 := grid.NewGeom(dom, cfg.ProbLo, cfg.ProbHi)
 	ba0 := amr.SingleBoxArray(dom, cfg.MaxGridSize, cfg.BlockingFactor)
@@ -177,12 +151,6 @@ func (s *Sim) initLevelData(l *Level) {
 
 // FinestLevel returns the index of the finest active level.
 func (s *Sim) FinestLevel() int { return len(s.Levels) - 1 }
-
-// Records returns all plotfile output records accumulated so far.
-func (s *Sim) Records() []plotfile.OutputRecord { return s.records }
-
-// NPlots returns how many plotfiles have been written.
-func (s *Sim) NPlots() int { return s.nPlots }
 
 // fillPatchLevel fills ghosts of level l (coarse levels must already be
 // patched).
@@ -382,70 +350,10 @@ func (s *Sim) Regrid() error {
 }
 
 // ShouldPlot reports whether the current step is a plot step.
-func (s *Sim) ShouldPlot() bool {
-	return s.Cfg.PlotInt > 0 && s.Step%s.Cfg.PlotInt == 0
-}
+func (s *Sim) ShouldPlot() bool { return driver.PlotStep(s.Cfg, s.Step) }
 
-// WritePlot emits a plotfile for the current state through the filesystem
-// model and accumulates the output records.
-func (s *Sim) WritePlot() error {
-	if s.fs == nil {
-		return fmt.Errorf("sim: no filesystem configured")
-	}
-	if err := s.remapTargets(); err != nil {
-		return err
-	}
-	spec := s.PlotSpec()
-	recs, err := plotfile.Write(s.fs, spec)
-	if err != nil {
-		return err
-	}
-	s.records = append(s.records, recs...)
-	s.nPlots++
-	return nil
-}
-
-// remapTargets reorganizes the rank→storage-target layout for the
-// upcoming I/O burst (Opts.Remap): each rank's load is the cell count it
-// owns across all levels — proportional to the bytes it is about to
-// write — and amr.RemapToTargets balances that fan-in across the
-// topology's targets. Without target modeling the remap is nil and
-// Retarget keeps the round-robin placement.
-func (s *Sim) remapTargets() error {
-	avoid := s.engine.AvoidTargets()
-	if (!s.Opts.Remap && len(avoid) == 0) || s.fs == nil {
-		return nil
-	}
-	var owner []int
-	var loads []int64
-	for _, lev := range s.Levels {
-		for i, b := range lev.BA.Boxes {
-			owner = append(owner, lev.DM.Owner[i])
-			loads = append(loads, b.NumPts())
-		}
-	}
-	topo := s.fs.Config().Topology
-	s.engine.ScaleLoads(topo, s.Cfg.NProcs, owner, loads)
-	// With two-phase aggregation active only aggregator ranks open files:
-	// fold each owner onto its aggregator before balancing, else the
-	// remap spreads fan-in across member ranks that never write and
-	// double-counts their load against the aggregator's target.
-	if am := s.fs.Config().Aggregation.AggregatorMap(topo, s.Cfg.NProcs); am != nil {
-		for i, o := range owner {
-			if o >= 0 && o < len(am) {
-				owner[i] = am[o]
-			}
-		}
-	}
-	m := amr.RemapToTargetsAvoiding(amr.DistributionMapping{Owner: owner}, topo, loads, avoid)
-	// The remap covers ranks up to the highest box owner; Retarget
-	// validates full burst coverage, so pad box-less top ranks with
-	// their round-robin placement.
-	for r := len(m); m != nil && r < s.Cfg.NProcs; r++ {
-		m = append(m, r%topo.Targets)
-	}
-	return s.fs.Retarget(m)
-}
+// Progress reports the step count and simulated time (driver.Model).
+func (s *Sim) Progress() (int, float64) { return s.Step, s.Time }
 
 // PlotSpec assembles the current hierarchy into a plotfile spec with the
 // derived plot variables computed.
@@ -501,55 +409,4 @@ func (s *Sim) derivePlotData(lev *Level) *amr.MultiFab {
 		}
 	})
 	return out
-}
-
-// Run executes the whole simulation: plot at step 0, then advance,
-// regridding every regrid_int steps and plotting every plot_int steps,
-// until max_step or stop_time. Plotting can be disabled with PlotInt<=0.
-func (s *Sim) Run() error {
-	if s.ShouldPlot() && s.fs != nil {
-		if err := s.maybePlot(); err != nil {
-			return err
-		}
-	}
-	for s.Step < s.Cfg.MaxStep {
-		if s.Cfg.StopTime > 0 && s.Time >= s.Cfg.StopTime {
-			break
-		}
-		s.Advance()
-		s.advanceClocks()
-		if s.Cfg.RegridInt > 0 && s.Step%s.Cfg.RegridInt == 0 && s.Cfg.MaxLevel > 0 {
-			if err := s.Regrid(); err != nil {
-				return err
-			}
-		}
-		if s.ShouldPlot() && s.fs != nil {
-			if err := s.maybePlot(); err != nil {
-				return err
-			}
-		}
-		if err := s.maybeAdaptiveCheckpoint(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// advanceClocks applies Options.StepSeconds of compute time to every
-// rank's filesystem clock — the inter-burst gap asynchronous storage
-// drains overlap with.
-func (s *Sim) advanceClocks() {
-	if s.Opts.StepSeconds <= 0 || s.fs == nil {
-		return
-	}
-	for r := 0; r < s.Cfg.NProcs; r++ {
-		s.fs.AdvanceClock(r, s.Opts.StepSeconds)
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,13 +8,12 @@ import (
 	"amrproxyio/internal/iosim"
 )
 
-// TestRemapFoldsLoadsOntoAggregators is the regression pin for the
-// remap × aggregation interaction: with two-phase aggregation active
-// only aggregator ranks open files, so RemapToTargets must balance the
-// folded per-aggregator loads. Left unfolded, the heavy node's load
-// splits across its two member ranks, LPT cannot beat round-robin
-// (11/11 vs 11/11), and both aggregators co-locate on target 0 carrying
-// 22 of the 22 load units; folded ([20 0 2 0]) the aggregators separate.
+// TestRemapFoldsLoadsOntoAggregators pins the surrogate engine's plot
+// path to the driver's aggregation-folded remap: with two-phase
+// aggregation only aggregator ranks open files, so the per-rank loads
+// [10 10 1 1] must fold onto the aggregators ([20 0 2 0]) before LPT
+// balancing. Folded, the aggregators separate onto the two targets;
+// unfolded, LPT ties round-robin and both land on target 0.
 func TestRemapFoldsLoadsOntoAggregators(t *testing.T) {
 	topo := iosim.Topology{Nodes: 2, RanksPerNode: 2, Targets: 2}
 	// Ranks 0 and 1 (node 0) own 10 cells each; ranks 2 and 3 (node 1)
@@ -26,14 +25,6 @@ func TestRemapFoldsLoadsOntoAggregators(t *testing.T) {
 		{Lo: grid.IntVect{X: 1, Y: 2}, Hi: grid.IntVect{X: 1, Y: 2}},
 	}
 	owner := []int{0, 1, 2, 3}
-
-	// The unfolded layout is the regression shape: per-rank loads
-	// [10 10 1 1] tie LPT with round-robin, the remap declines, and the
-	// round-robin placement leaves both 1/node aggregators (ranks 0 and
-	// 2) on target 0.
-	if m := amr.RemapToTargets(amr.DistributionMapping{Owner: owner}, topo, []int64{10, 10, 1, 1}); m != nil {
-		t.Fatalf("unfolded remap = %v, expected LPT to decline the round-robin tie", m)
-	}
 
 	fscfg := iosim.DefaultConfig()
 	fscfg.JitterSigma = 0
@@ -48,26 +39,26 @@ func TestRemapFoldsLoadsOntoAggregators(t *testing.T) {
 	}
 	r.BAs = []amr.BoxArray{amr.NewBoxArray(boxes)}
 	r.DMs = []amr.DistributionMapping{{Owner: owner}}
-	if err := r.remapTargets(); err != nil {
+	if err := r.WritePlot(); err != nil {
 		t.Fatal(err)
 	}
 
-	fs.BeginBurst(4)
-	for rank := 0; rank < 4; rank++ {
-		if _, err := fs.WriteSize(rank, "plt/Cell_D", 10, iosim.Labels{}); err != nil {
-			t.Fatal(err)
+	// Every file the plot writes lands on its writer's aggregator
+	// placement: ranks 0 and 1 (node 0) on target 0, ranks 2 and 3
+	// (node 1) on target 1. Directory records carry no target.
+	want := []int{0, 0, 1, 1}
+	files := 0
+	for _, rec := range fs.Ledger() {
+		if rec.Target < 0 {
+			continue
+		}
+		files++
+		if rec.Target != want[rec.Rank] {
+			t.Fatalf("rank %d wrote %s to target %d, want %d (folded remap must separate the aggregators)",
+				rec.Rank, rec.Path, rec.Target, want[rec.Rank])
 		}
 	}
-	fs.EndBurst()
-
-	// Folded loads [20 0 2 0] beat round-robin (20/2 vs 22/0), so the
-	// heavy aggregator keeps target 0 and the light one moves to target
-	// 1 — every rank's write lands on its aggregator's placement.
-	want := []int{0, 0, 1, 1}
-	for i, rec := range fs.Ledger() {
-		if rec.Target != want[i] {
-			t.Fatalf("rank %d wrote to target %d, want %d (folded remap must separate the aggregators)",
-				rec.Rank, rec.Target, want[i])
-		}
+	if files == 0 {
+		t.Fatal("plot wrote no files")
 	}
 }

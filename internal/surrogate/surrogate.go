@@ -9,9 +9,10 @@
 // size-only mode, so ledger entries are byte-exact for the structure the
 // hierarchy would produce, while no field memory is ever allocated.
 //
-// DESIGN.md documents this as the substitution for the paper's Summit runs:
-// at these scales the measured quantity (bytes per step/level/task) depends
-// on grid counts, not field values.
+// This is the substitution for the paper's Summit runs: at these scales
+// the measured quantity (bytes per step/level/task) depends on grid
+// counts, not field values. The run loop and every output burst belong
+// to the embedded internal/driver, exactly as for the hydro engine.
 //
 // A Runner is single-threaded (its rank parallelism lives inside the
 // plotfile writer's SPMD goroutines), but independent Runners share no
@@ -28,28 +29,21 @@ import (
 	"math"
 
 	"amrproxyio/internal/amr"
+	"amrproxyio/internal/driver"
 	"amrproxyio/internal/grid"
+	"amrproxyio/internal/hydro"
 	"amrproxyio/internal/inputs"
 	"amrproxyio/internal/iosim"
 	"amrproxyio/internal/plotfile"
-	"amrproxyio/internal/resilience"
 	"amrproxyio/internal/sedov"
 	"amrproxyio/internal/sim"
 )
 
-// Options tunes the surrogate's tagging and time-step model.
+// Options tunes the surrogate's tagging and time-step model; the
+// embedded driver.Options are the output-side knobs shared with sim.
 type Options struct {
+	driver.Options
 	Dist amr.DistStrategy
-	// Remap enables the inter-burst layout reorganization (Wan et al.):
-	// before each dump the rank→storage-target mapping is rebuilt from
-	// the hierarchy's per-rank cell load via amr.RemapToTargets. A no-op
-	// unless the filesystem's Topology models storage targets.
-	Remap bool
-	// StepSeconds models the compute phase between time steps on the
-	// filesystem clocks (see sim.Options.StepSeconds): with an
-	// asynchronous storage tier (iosim Storage "bb"/"bb+gpfs") the
-	// burst-buffer drain overlaps these gaps. 0 keeps historical clocks.
-	StepSeconds float64
 	// Blast supplies the analytic front r(t).
 	Blast sedov.Params
 	// Center of the blast in physical coordinates.
@@ -64,13 +58,6 @@ type Options struct {
 	// SignalFactor converts the shock speed into the dt-limiting signal
 	// speed (shock + post-shock acoustics).
 	SignalFactor float64
-	// Mitigate enables the closed-loop fault-mitigation policy engine
-	// (internal/resilience), exactly as sim.Options.Mitigate does: shed
-	// plots under fault pressure, quarantine failing targets, and write
-	// Young/Daly-retimed (size-only) checkpoints. A nil or zero policy —
-	// or a filesystem without a fault injector — builds no engine and
-	// keeps every path byte-identical.
-	Mitigate *resilience.Policy
 }
 
 // DefaultOptions mirrors the solver's refinement behavior.
@@ -84,8 +71,11 @@ func DefaultOptions() Options {
 	}
 }
 
-// Runner evolves the surrogate hierarchy through time.
+// Runner evolves the surrogate hierarchy through time. The embedded
+// driver runs it (Run) and owns its output ledger (WritePlot, Records,
+// NPlots, Mitigation).
 type Runner struct {
+	*driver.Driver
 	Cfg  inputs.CastroInputs
 	Opts Options
 
@@ -96,17 +86,6 @@ type Runner struct {
 	Step   int
 	Time   float64
 	LastDt float64
-
-	fs      *iosim.FileSystem
-	records []plotfile.OutputRecord
-	nPlots  int
-
-	checkpointRecords []plotfile.OutputRecord
-	nCheckpoints      int
-
-	// engine is the between-burst mitigation engine; nil (the common
-	// case) disables mitigation with zero overhead.
-	engine *resilience.Engine
 }
 
 // New builds the surrogate at its starting time (front at roughly the
@@ -115,8 +94,8 @@ func New(cfg inputs.CastroInputs, opts Options, fs *iosim.FileSystem) (*Runner, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runner{Cfg: cfg, Opts: opts, fs: fs}
-	r.engine = resilience.ForFileSystem(opts.Mitigate, fs, cfg.NProcs)
+	r := &Runner{Cfg: cfg, Opts: opts}
+	r.Driver = driver.New(r, cfg, opts.Options, fs)
 	dom := grid.NewBox(grid.IV(0, 0), grid.IV(cfg.NCell[0]-1, cfg.NCell[1]-1))
 	g := grid.NewGeom(dom, cfg.ProbLo, cfg.ProbHi)
 	r.Geoms = []grid.Geom{g}
@@ -128,7 +107,7 @@ func New(cfg inputs.CastroInputs, opts Options, fs *iosim.FileSystem) (*Runner, 
 	// initial hierarchy is non-trivial, as in the solver's t=0 state.
 	dxF := r.Geoms[len(r.Geoms)-1].CellSize[0]
 	r.Time = opts.Blast.TimeAtRadius(4 * dxF)
-	if err := r.buildHierarchy(); err != nil {
+	if err := r.Regrid(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -137,17 +116,9 @@ func New(cfg inputs.CastroInputs, opts Options, fs *iosim.FileSystem) (*Runner, 
 // FinestLevel returns the highest level index with grids.
 func (r *Runner) FinestLevel() int { return len(r.BAs) - 1 }
 
-// Records returns accumulated plot output records.
-func (r *Runner) Records() []plotfile.OutputRecord { return r.records }
-
-// NPlots returns the number of plot dumps performed.
-func (r *Runner) NPlots() int { return r.nPlots }
-
-// Rebuild regenerates the hierarchy for the runner's current time — the
-// public regrid entry point for callers driving the runner manually. The
-// only error source is an unknown distribution strategy, which New
-// already rejects, so a validated Runner never fails here.
-func (r *Runner) Rebuild() error { return r.buildHierarchy() }
+// Rebuild is Regrid under the name callers driving the runner by hand
+// use.
+func (r *Runner) Rebuild() error { return r.Regrid() }
 
 // ExchangeTraffic returns the per-rank-pair ghost-exchange volume the
 // current hierarchy would generate with the given stencil width and
@@ -165,8 +136,10 @@ func (r *Runner) ExchangeTraffic(nghost, ncomp int) []iosim.PairBytes {
 	return sim.MergeExchangeTraffic(perLevel)
 }
 
-// buildHierarchy regenerates every level's BoxArray for the current time.
-func (r *Runner) buildHierarchy() error {
+// Regrid regenerates every level's BoxArray for the current time. The
+// only error source is an unknown distribution strategy, which New
+// already rejects, so a validated Runner never fails here.
+func (r *Runner) Regrid() error {
 	cfg := r.Cfg
 	dom0 := r.Geoms[0].Domain
 	ba0 := amr.SingleBoxArray(dom0, cfg.MaxGridSize, cfg.BlockingFactor)
@@ -282,121 +255,45 @@ func (r *Runner) Advance() {
 }
 
 // ShouldPlot mirrors the solver's plot cadence.
-func (r *Runner) ShouldPlot() bool {
-	return r.Cfg.PlotInt > 0 && r.Step%r.Cfg.PlotInt == 0
-}
+func (r *Runner) ShouldPlot() bool { return driver.PlotStep(r.Cfg, r.Step) }
 
-// WritePlot emits a size-only plotfile for the current hierarchy.
-func (r *Runner) WritePlot() error {
-	if r.fs == nil {
-		return fmt.Errorf("surrogate: no filesystem configured")
-	}
-	if err := r.remapTargets(); err != nil {
-		return err
-	}
-	spec := plotfile.Spec{
+// Progress reports the step count and simulated time (driver.Model).
+func (r *Runner) Progress() (int, float64) { return r.Step, r.Time }
+
+// PlotSpec describes a size-only plotfile of the current hierarchy.
+func (r *Runner) PlotSpec() plotfile.Spec {
+	return plotfile.Spec{
 		Root:     fmt.Sprintf("%s%05d", r.Cfg.PlotFile, r.Step),
 		VarNames: sim.PlotVarNames,
 		Time:     r.Time,
 		Step:     r.Step,
 		NProcs:   r.Cfg.NProcs,
+		Levels:   r.levels(),
 	}
+}
+
+// CheckpointSpec describes a size-only checkpoint of the current
+// hierarchy: the conserved state's volume (hydro.NCons components)
+// through the same N-to-N writer as plots, with no field memory —
+// exactly how the solver's checkpoints price, at surrogate scale.
+func (r *Runner) CheckpointSpec() plotfile.CheckpointSpec {
+	return plotfile.CheckpointSpec{
+		Root:     fmt.Sprintf("%s%05d", r.Cfg.CheckFile, r.Step),
+		Time:     r.Time,
+		Step:     r.Step,
+		LastDt:   r.LastDt,
+		NComp:    hydro.NCons,
+		NProcs:   r.Cfg.NProcs,
+		SizeOnly: true,
+		Levels:   r.levels(),
+	}
+}
+
+// levels is the hierarchy as data-free plotfile levels.
+func (r *Runner) levels() []plotfile.LevelSpec {
+	levels := make([]plotfile.LevelSpec, len(r.BAs))
 	for l := range r.BAs {
-		spec.Levels = append(spec.Levels, plotfile.LevelSpec{
-			Geom:     r.Geoms[l],
-			BA:       r.BAs[l],
-			DM:       r.DMs[l],
-			RefRatio: r.Cfg.RefRatioAt(l),
-		})
+		levels[l] = plotfile.LevelSpec{Geom: r.Geoms[l], BA: r.BAs[l], DM: r.DMs[l], RefRatio: r.Cfg.RefRatioAt(l)}
 	}
-	recs, err := plotfile.Write(r.fs, spec)
-	if err != nil {
-		return err
-	}
-	r.records = append(r.records, recs...)
-	r.nPlots++
-	return nil
-}
-
-// Run executes the surrogate: plot at step 0, advance with regridding
-// every regrid_int steps, plot every plot_int steps, until max_step or
-// stop_time.
-func (r *Runner) Run() error {
-	if r.ShouldPlot() && r.fs != nil {
-		if err := r.maybePlot(); err != nil {
-			return err
-		}
-	}
-	for r.Step < r.Cfg.MaxStep {
-		if r.Cfg.StopTime > 0 && r.Time >= r.Cfg.StopTime {
-			break
-		}
-		r.Advance()
-		r.advanceClocks()
-		if r.Cfg.RegridInt > 0 && r.Step%r.Cfg.RegridInt == 0 {
-			if err := r.buildHierarchy(); err != nil {
-				return err
-			}
-		}
-		if r.ShouldPlot() && r.fs != nil {
-			if err := r.maybePlot(); err != nil {
-				return err
-			}
-		}
-		if err := r.maybeAdaptiveCheckpoint(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// remapTargets reorganizes the rank→storage-target layout for the
-// upcoming dump (Opts.Remap): per-rank load is the cell count each rank
-// owns across all levels, and amr.RemapToTargets balances that fan-in
-// across the topology's targets. Without target modeling the remap is
-// nil and Retarget keeps the round-robin placement.
-func (r *Runner) remapTargets() error {
-	avoid := r.engine.AvoidTargets()
-	if (!r.Opts.Remap && len(avoid) == 0) || r.fs == nil {
-		return nil
-	}
-	var owner []int
-	var loads []int64
-	for l := range r.BAs {
-		for i, b := range r.BAs[l].Boxes {
-			owner = append(owner, r.DMs[l].Owner[i])
-			loads = append(loads, b.NumPts())
-		}
-	}
-	topo := r.fs.Config().Topology
-	r.engine.ScaleLoads(topo, r.Cfg.NProcs, owner, loads)
-	// With two-phase aggregation active only aggregator ranks open files:
-	// fold each owner onto its aggregator before balancing, else the
-	// remap spreads fan-in across member ranks that never write and
-	// double-counts their load against the aggregator's target.
-	if am := r.fs.Config().Aggregation.AggregatorMap(topo, r.Cfg.NProcs); am != nil {
-		for i, o := range owner {
-			if o >= 0 && o < len(am) {
-				owner[i] = am[o]
-			}
-		}
-	}
-	m := amr.RemapToTargetsAvoiding(amr.DistributionMapping{Owner: owner}, topo, loads, avoid)
-	// Pad box-less top ranks with their round-robin placement so the map
-	// covers the full burst width Retarget validates against.
-	for rk := len(m); m != nil && rk < r.Cfg.NProcs; rk++ {
-		m = append(m, rk%topo.Targets)
-	}
-	return r.fs.Retarget(m)
-}
-
-// advanceClocks applies Options.StepSeconds of compute time to every
-// rank's filesystem clock after a step.
-func (r *Runner) advanceClocks() {
-	if r.Opts.StepSeconds <= 0 || r.fs == nil {
-		return
-	}
-	for rk := 0; rk < r.Cfg.NProcs; rk++ {
-		r.fs.AdvanceClock(rk, r.Opts.StepSeconds)
-	}
+	return levels
 }

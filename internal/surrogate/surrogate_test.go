@@ -62,7 +62,7 @@ func TestFrontGrowsRefinedRegion(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		r.Advance()
 	}
-	r.buildHierarchy()
+	r.Regrid()
 	cells1 := r.BAs[1].NumPts()
 	if cells1 <= cells0 {
 		t.Errorf("refined cells did not grow: %d -> %d", cells0, cells1)
@@ -197,7 +197,7 @@ func TestHigherCFLWidensBand(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			r.Advance()
 		}
-		r.buildHierarchy()
+		r.Regrid()
 		return r.BAs[1].NumPts()
 	}
 	low, high := run(0.3), run(0.6)
