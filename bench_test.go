@@ -1,8 +1,7 @@
 // Benchmark harness: one bench per table and figure of the paper's
 // evaluation section, plus ablation benches for the design choices
 // ARCHITECTURE.md's Designs 1–10 describe. Paper-facing
-// quantities are emitted through b.ReportMetric; EXPERIMENTS.md records
-// the paper-vs-measured comparison for each exhibit.
+// quantities are emitted through b.ReportMetric.
 //
 // Run everything:
 //
@@ -452,8 +451,7 @@ func BenchmarkListing1_Translation(b *testing.B) {
 
 // BenchmarkEq3_PartSizeFit fits the Eq. 3 factor f across the pivot
 // matrix and reports its range (paper: 23-25 with ~20 plot variables;
-// this implementation writes 10, so f lands proportionally lower —
-// see EXPERIMENTS.md).
+// this implementation writes 10, so f lands proportionally lower).
 func BenchmarkEq3_PartSizeFit(b *testing.B) {
 	results := pivotResults(b)
 	for i := 0; i < b.N; i++ {

@@ -77,6 +77,7 @@ func TestFuzzSmokePresent(t *testing.T) {
 		"-fuzz=FuzzParse -fuzztime=20s -run '^$' ./internal/faults/",
 		"-fuzz=FuzzParse -fuzztime=20s -run '^$' ./internal/resilience/",
 		"-fuzz=FuzzParseAggregation -fuzztime=20s -run '^$' ./internal/iosim/",
+		"-fuzz=FuzzDecodeBatch -fuzztime=20s -run '^$' ./internal/serve/",
 	} {
 		if !strings.Contains(ci, want) {
 			t.Errorf("CI fuzz smoke missing %q", want)

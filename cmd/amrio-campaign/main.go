@@ -27,34 +27,36 @@
 //
 // -dist expands every selected case into the distribution-mapping
 // cross-product (one run per named strategy) and, after the sweep,
-// prints a per-base-case DistReport comparing burst skew, stragglers,
-// and per-target fan-in across strategies. -remap additionally turns on
-// the inter-burst layout reorganization (amr.RemapToTargets): before
-// every dump the rank→storage-target placement is rebalanced to the
+// prints a DistReport comparing burst skew, stragglers, and per-target
+// fan-in across strategies. -remap additionally turns on the
+// inter-burst layout reorganization (amr.RemapToTargets): before every
+// dump the rank→storage-target placement is rebalanced to the
 // hierarchy's per-rank load (effective with -topology, which models the
 // targets being rebalanced).
 //
 // -storage expands every selected case into the storage-tier
 // cross-product ("gpfs" single-tier, "bb" node-local burst buffer,
-// "bb+gpfs" tiered) and prints a per-base-case StorageReport comparing
-// burst walls, per-tier byte splits, buffer occupancy, drain tails, and
-// stall stragglers. -bbcap overrides the per-node burst-buffer capacity
+// "bb+gpfs" tiered) and prints a StorageReport comparing burst walls,
+// per-tier byte splits, buffer occupancy, drain tails, and stall
+// stragglers. -bbcap overrides the per-node burst-buffer capacity
 // in bytes (default: Summit's 1.6 TB NVMe) — shrink it to watch bursts
-// fill the buffer and stall at the drain rate. The two sweeps compose:
-// -dist a,b -storage x,y runs the full strategy × tier matrix (the
-// storage comparison groups per dist-sweep member; the dist table is
-// printed only for pure -dist sweeps).
+// fill the buffer and stall at the drain rate.
 //
 // -aggregation expands every selected case into the two-phase
 // aggregation cross-product (iosim.AggregationSpec grammar:
 // "all" | "K/node", with "+sif" and "+async" options; the reserved word
-// "direct" is the no-aggregation baseline) and prints a per-base-case
+// "direct" is the no-aggregation baseline) and prints an
 // AggregationReport comparing fan-in (ranks → writers), the
 // gather/open/write duration split, and the wall-time crossover across
-// layouts. The sweep composes with -dist and -storage (the aggregation
-// comparison groups per storage-sweep member; the storage table is
-// printed only for aggregation-free sweeps). Unknown specs are rejected
-// before any case runs.
+// layouts. Unknown specs are rejected before any case runs.
+//
+// The sweep flags compose: each is one axis of a single cross-product
+// (-dist, then -storage, then -aggregation, then the -mitigate pair),
+// members named "<case>_<dist>_<storage>_<layout>_<mitigate>". The
+// reports print one comparison per swept axis per combination of the
+// other axes, titled by the base case plus those axes' variant names:
+// -dist a,b -storage x,y prints a storage table per strategy and a
+// distribution-mapping table per storage stack.
 //
 // -faults installs a deterministic fault-injection plan (inline JSON or
 // a path to a JSON file; see internal/faults) on every selected case:
@@ -94,6 +96,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -112,40 +115,49 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "amrio-campaign:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	quick := flag.Bool("quick", true, "run the scaled-down campaign")
-	filter := flag.String("filter", "", "only run cases whose name contains this substring")
-	outdir := flag.String("outdir", "", "save per-case result JSONs here")
-	parallel := flag.Int("parallel", 0, "worker-pool size (0 = all cores, 1 = serial)")
-	topology := flag.Bool("topology", false,
+// run parses args and runs the sweep (or the service), writing every
+// report to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("amrio-campaign", flag.ContinueOnError)
+	quick := flags.Bool("quick", true, "run the scaled-down campaign")
+	filter := flags.String("filter", "", "only run cases whose name contains this substring")
+	outdir := flags.String("outdir", "", "save per-case result JSONs here")
+	parallel := flags.Int("parallel", 0, "worker-pool size (0 = all cores, 1 = serial)")
+	topology := flags.Bool("topology", false,
 		"model per-link contention (node NIC caps + NSD fan-in) instead of one aggregate pool")
-	dist := flag.String("dist", "",
+	dist := flags.String("dist", "",
 		"comma-separated distribution-mapping strategies to sweep (roundrobin,knapsack,sfc); expands every case")
-	remap := flag.Bool("remap", false,
+	remap := flags.Bool("remap", false,
 		"reorganize the rank->target layout between bursts (amr.RemapToTargets; effective with -topology)")
-	storage := flag.String("storage", "",
+	storage := flags.String("storage", "",
 		"comma-separated storage-tier stacks to sweep (gpfs,bb,bb+gpfs); expands every case")
-	bbcap := flag.Float64("bbcap", 0,
+	bbcap := flags.Float64("bbcap", 0,
 		"per-node burst-buffer capacity in bytes for bb/bb+gpfs sweeps (0 = Summit's 1.6e12)")
-	aggregation := flag.String("aggregation", "",
+	aggregation := flags.String("aggregation", "",
 		"comma-separated aggregation specs to sweep (direct,all,K/node with +sif/+async options); expands every case")
-	faultsArg := flag.String("faults", "",
+	faultsArg := flags.String("faults", "",
 		"fault-injection plan for every case: inline JSON or a path to a JSON file (see internal/faults)")
-	mitigateArg := flag.String("mitigate", "",
+	mitigateArg := flags.String("mitigate", "",
 		"mitigation policy sweep: 'default' enables all policies, or inline JSON / a path to a JSON policy file (see internal/resilience)")
-	serveAddr := flag.String("serve", "",
+	serveAddr := flags.String("serve", "",
 		"serve mode: listen on this address (e.g. :8080) for JSON case batches instead of running a sweep")
-	caseTimeout := flag.Duration("case-timeout", 0,
+	caseTimeout := flags.Duration("case-timeout", 0,
 		"serve mode: per-case wall-clock bound (0 = unbounded)")
-	cacheSize := flag.Int("cache", 0,
+	cacheSize := flags.Int("cache", 0,
 		"serve mode: memoization LRU capacity (0 = default)")
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	if *serveAddr != "" {
 		return runServe(*serveAddr, serve.Options{
@@ -160,7 +172,7 @@ func run() error {
 	// capacity flow into the model would silently select the Summit
 	// default (or a degenerate buffer) instead of what was asked for.
 	var bbcapSet bool
-	flag.Visit(func(f *flag.Flag) {
+	flags.Visit(func(f *flag.Flag) {
 		if f.Name == "bbcap" {
 			bbcapSet = true
 		}
@@ -187,74 +199,47 @@ func run() error {
 		}
 	}
 
-	var cases []campaign.Case
+	var bases []campaign.Case
 	for _, c := range all {
 		if *filter == "" || strings.Contains(c.Name, *filter) {
-			cases = append(cases, c)
+			c.Remap = *remap
+			c.Faults = plan
+			bases = append(bases, c)
 		}
 	}
 
-	var dists []campaign.Dist
-	baseCases := cases
-	if *dist != "" {
-		for _, name := range strings.Split(*dist, ",") {
-			d, err := campaign.ParseDist(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			dists = append(dists, d)
+	// The sweep: one axis per sweep flag, in flag order, with the
+	// mitigation pair innermost so each member's unmitigated and mitigated
+	// runs share every other setting and the fault plan.
+	var axes []campaign.Axis
+	for _, f := range []struct{ axis, list string }{
+		{"dist", *dist}, {"storage", *storage}, {"aggregation", *aggregation},
+	} {
+		if f.list == "" {
+			continue
 		}
-		cases = campaign.SweepDist(cases, dists...)
-	}
-	var storages []campaign.Storage
-	storageBases := cases // storage grouping nests inside the dist sweep
-	if *storage != "" {
-		for _, name := range strings.Split(*storage, ",") {
-			s, err := campaign.ParseStorage(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			storages = append(storages, s)
-		}
-		cases = campaign.SweepStorage(cases, storages...)
-	}
-	var aggVariants []campaign.AggregationVariant
-	aggBases := cases // aggregation grouping nests inside the storage sweep
-	if *aggregation != "" {
-		aggVariants, err = campaign.ParseAggregationVariants(*aggregation)
+		ax, err := campaign.ParseAxis(f.axis, f.list)
 		if err != nil {
 			return err
 		}
-		cases = campaign.SweepAggregation(cases, aggVariants...)
+		axes = append(axes, ax)
 	}
-	if *remap {
-		for i := range cases {
-			cases[i].Remap = true
-		}
-	}
-	if plan != nil {
-		for i := range cases {
-			cases[i].Faults = plan
-		}
-	}
-	// The mitigation sweep nests innermost: each (dist × storage) member
-	// becomes an unmitigated/mitigated pair under the same fault plan.
-	mitBases := cases
 	if policy != nil {
-		cases = campaign.SweepMitigate(cases,
-			campaign.MitigateVariant{Name: "nomitigate"},
-			campaign.MitigateVariant{Name: "mitigate", Policy: policy})
+		axes = append(axes, campaign.Axis{Name: "mitigate", Variants: []campaign.Variant{
+			{Name: "nomitigate", Apply: func(c *campaign.Case) { c.Mitigate = nil }},
+			{Name: "mitigate", Apply: func(c *campaign.Case) { c.Mitigate = policy }},
+		}})
 	}
+	cases := campaign.Cross(bases, axes...)
 	for _, c := range cases {
 		if err := c.Validate(); err != nil {
 			return err
 		}
 	}
 
-	// Ledgers are retained per case while its summary is computed, then
-	// freed; the sweeps keep only the compact summary rows.
-	keepLedgers := *topology || len(dists) > 0 || len(storages) > 0 ||
-		len(aggVariants) > 0 || plan != nil || policy != nil
+	// Ledgers are retained per case while its summaries are computed, then
+	// freed; the sweep keeps only the compact folds and summary rows.
+	keepLedgers := *topology || len(axes) > 0 || plan != nil
 	var mu sync.Mutex
 	ledgers := map[string]*iosim.FileSystem{}
 	results, err := campaign.RunAll(cases, *parallel, func(c campaign.Case) *iosim.FileSystem {
@@ -274,11 +259,9 @@ func run() error {
 		return err
 	}
 	var linkReports []string
-	distSums := map[string]report.DistSummary{}
-	storageSums := map[string]report.StorageSummary{}
-	aggSums := map[string]report.AggregationSummary{}
+	folds := make([]*report.SummaryFold, len(cases))
 	var resilSums []report.ResilienceSummary
-	mitSums := map[string]report.MitigationSummary{}
+	mitSums := make([]report.MitigationSummary, len(cases))
 	for i, res := range results {
 		c := cases[i]
 		line := fmt.Sprintf("%-18s %-9s %9s in %8v (%d plots)",
@@ -293,20 +276,9 @@ func run() error {
 						fmt.Sprintf("%s:\n%s", c.Name, report.TopologyReport(ledger)))
 				}
 			}
-			// Only for pure -dist sweeps: a composed -storage sweep
-			// renames the cases, so the dist table below never renders
-			// and the summaries would be dead work.
-			if len(dists) > 0 && len(storages) == 0 {
-				distSums[c.Name] = report.SummarizeDist(string(c.Dist), ledger)
-			}
-			// Like the dist table, the flat storage table only renders
-			// for aggregation-free sweeps: a composed -aggregation sweep
-			// renames the cases again.
-			if len(storages) > 0 && len(aggVariants) == 0 {
-				storageSums[c.Name] = report.SummarizeStorage(string(c.Storage), ledger)
-			}
-			if len(aggVariants) > 0 {
-				aggSums[c.Name] = report.SummarizeAggregation(c.Name, ledger)
+			folds[i] = report.NewSummaryFold()
+			for _, r := range ledger {
+				folds[i].Consume(r)
 			}
 			if plan != nil {
 				resilSums = append(resilSums, report.ResilienceSummary{
@@ -315,7 +287,7 @@ func run() error {
 				})
 			}
 			if policy != nil {
-				mitSums[c.Name] = report.MitigationSummary{
+				mitSums[i] = report.MitigationSummary{
 					Name:    c.Name,
 					Outcome: resilience.Evaluate(c.Name, c.Faults, ledger, fs.FaultEvents(), res.Mitigation),
 				}
@@ -326,7 +298,7 @@ func run() error {
 			fs.Reset()
 			delete(ledgers, c.Name)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 		if *outdir != "" {
 			if err := res.Save(filepath.Join(*outdir, c.Name+".json")); err != nil {
 				return err
@@ -334,87 +306,71 @@ func run() error {
 		}
 	}
 	for _, r := range linkReports {
-		fmt.Println()
-		fmt.Print(r)
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, r)
 	}
-	// The distribution-mapping comparison: one DistReport per base case,
-	// strategies side by side with deltas against the first. (With a
-	// composed -storage sweep the dist members were expanded further, so
-	// the flat dist table is only rendered for pure -dist sweeps.)
-	if len(dists) > 0 && len(storages) == 0 {
-		for _, base := range baseCases {
-			var sums []report.DistSummary
-			for _, d := range dists {
-				if s, ok := distSums[campaign.SweepName(base.Name, d)]; ok {
-					sums = append(sums, s)
-				}
+	// One comparison per swept axis per combination of the other axes:
+	// the group's members differ only along the axis, and the group is
+	// labelled by its base case plus the other axes' variant names. The
+	// mitigation groups are the unmitigated/mitigated pairs of one table.
+	var pairs []report.MitigationPair
+	for k, ax := range axes {
+		others := append(append([]campaign.Axis{}, axes[:k]...), axes[k+1:]...)
+		labels := campaign.Cross(bases, others...)
+		for g, members := range campaign.Groups(len(bases), axes, k) {
+			if ax.Name == "mitigate" {
+				pairs = append(pairs, report.MitigationPair{Base: labels[g].Name,
+					Unmitigated: mitSums[members[0]], Mitigated: mitSums[members[1]]})
+				continue
 			}
-			if len(sums) > 0 {
-				fmt.Println()
-				fmt.Printf("%s distribution-mapping comparison:\n%s", base.Name, report.DistReport(sums))
+			cmp := comparisons[ax.Name]
+			names := make([]string, len(members))
+			groupFolds := make([]*report.SummaryFold, len(members))
+			for v, m := range members {
+				names[v], groupFolds[v] = ax.Variants[v].Name, folds[m]
 			}
-		}
-	}
-	// The aggregation comparison: one AggregationReport per (possibly
-	// dist/storage-expanded) base case, layouts side by side with fan-in
-	// and wall deltas against the first — the crossover table.
-	if len(aggVariants) > 0 {
-		for _, base := range aggBases {
-			var sums []report.AggregationSummary
-			for _, v := range aggVariants {
-				if s, ok := aggSums[campaign.SweepAggregationName(base.Name, v.Name)]; ok {
-					s.Name = v.Name
-					sums = append(sums, s)
-				}
-			}
-			if len(sums) > 0 {
-				fmt.Println()
-				fmt.Printf("%s aggregation comparison:\n%s", base.Name, report.AggregationReport(sums))
-			}
-		}
-	}
-	// The storage-tier comparison: one StorageReport per (possibly
-	// dist-expanded) base case, stacks side by side with wall deltas
-	// against the first.
-	if len(storages) > 0 && len(aggVariants) == 0 {
-		for _, base := range storageBases {
-			var sums []report.StorageSummary
-			for _, s := range storages {
-				if sum, ok := storageSums[campaign.SweepStorageName(base.Name, s)]; ok {
-					sums = append(sums, sum)
-				}
-			}
-			if len(sums) > 0 {
-				fmt.Println()
-				fmt.Printf("%s storage-tier comparison:\n%s", base.Name, report.StorageReport(sums))
-			}
+			fmt.Fprintf(stdout, "\n%s %s:\n%s", labels[g].Name, cmp.title, cmp.table(names, groupFolds))
 		}
 	}
 	// The recovery-cost comparison: what the injected plan cost each
 	// case in lost work, restart reads, and degraded forward progress.
 	if len(resilSums) > 0 {
-		fmt.Println()
-		fmt.Printf("resilience under injected faults:\n%s", report.ResilienceReport(resilSums))
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "resilience under injected faults:\n%s", report.ResilienceReport(resilSums))
 	}
-	// The mitigation comparison: unmitigated vs. mitigated per base
-	// case, with the forward-progress delta line the CI gate checks.
-	if policy != nil {
-		var pairs []report.MitigationPair
-		for _, base := range mitBases {
-			un, okU := mitSums[campaign.SweepMitigateName(base.Name, "nomitigate")]
-			mit, okM := mitSums[campaign.SweepMitigateName(base.Name, "mitigate")]
-			if okU && okM {
-				pairs = append(pairs, report.MitigationPair{Base: base.Name, Unmitigated: un, Mitigated: mit})
-			}
-		}
-		if len(pairs) > 0 {
-			fmt.Println()
-			fmt.Printf("mitigation comparison:\n%s", report.MitigationReport(pairs))
-		}
+	// The mitigation comparison, with the forward-progress delta line the
+	// CI gate checks.
+	if len(pairs) > 0 {
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "mitigation comparison:\n%s", report.MitigationReport(pairs))
 	}
-	fmt.Println()
-	fmt.Println(report.TableIII(results))
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, report.TableIII(results))
 	return nil
+}
+
+// comparison is one swept axis's table: its title and its renderer over
+// a group's variant names and summary folds.
+type comparison struct {
+	title string
+	table func(names []string, folds []*report.SummaryFold) string
+}
+
+var comparisons = map[string]comparison{
+	"dist":        {"distribution-mapping comparison", table((*report.SummaryFold).Dist, report.DistReport)},
+	"storage":     {"storage-tier comparison", table((*report.SummaryFold).Storage, report.StorageReport)},
+	"aggregation": {"aggregation comparison", table((*report.SummaryFold).Aggregation, report.AggregationReport)},
+}
+
+// table summarizes each fold under its variant name and renders the rows.
+func table[S any](summarize func(*report.SummaryFold, string) S, render func([]S) string) func([]string, []*report.SummaryFold) string {
+	return func(names []string, folds []*report.SummaryFold) string {
+		sums := make([]S, len(folds))
+		for i, f := range folds {
+			sums[i] = summarize(f, names[i])
+		}
+		return render(sums)
+	}
 }
 
 // runServe runs the campaign service until SIGTERM/SIGINT, then drains:

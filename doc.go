@@ -75,7 +75,7 @@
 //	internal/report    table/figure renderers
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation section; EXPERIMENTS.md records paper-vs-measured
-// for each. ARCHITECTURE.md maps the package graph and the load-bearing
-// designs. Start with examples/quickstart.
+// the paper's evaluation section, and cmd/amrio-report renders them from
+// saved or fresh campaign runs. ARCHITECTURE.md maps the package graph
+// and the load-bearing designs. Start with examples/quickstart.
 package amrproxyio

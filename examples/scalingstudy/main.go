@@ -12,20 +12,19 @@
 // mesh-exchange traffic is priced on the same topology, so compute and
 // I/O traffic share one contention model.
 //
-// The closing sections are the experiment sweeps: one Summit-scale case
-// swept across roundrobin/knapsack/sfc placements (campaign.SweepDist +
-// report.DistReport), the inter-burst layout reorganization (Wan et al.,
-// amr.RemapToTargets) rebalancing the rank→target fan-in of the
-// round-robin placement, and the storage-tier sweep
-// (campaign.SweepStorage + report.StorageReport — the amrio-campaign
+// The closing sections are the experiment sweeps, each a campaign.Axis
+// expanded by campaign.Cross: one Summit-scale case swept across
+// roundrobin/knapsack/sfc placements (report.DistReport), the
+// inter-burst layout reorganization (Wan et al., amr.RemapToTargets)
+// rebalancing the rank→target fan-in of the round-robin placement, and
+// the storage-tier sweep (report.StorageReport — the amrio-campaign
 // -storage flag): the same 512-rank bursts priced against the Alpine
 // GPFS, the node-local NVMe burst buffer, and the tiered stack, showing
 // per-tier bytes, buffer fill, drain-compute overlap, and stall
 // stragglers. The final section is the two-phase aggregation crossover
-// (campaign.SweepAggregation + report.AggregationReport — the
-// -aggregation flag): the same bursts as direct, 2-per-node, and
-// 1-per-node collectives on GPFS and on the tiered stack, where the
-// winning layout flips with the storage stack.
+// (report.AggregationReport — the -aggregation flag): the same bursts as
+// direct, 2-per-node, and 1-per-node collectives on GPFS and on the
+// tiered stack, where the winning layout flips with the storage stack.
 //
 //	go run ./examples/scalingstudy
 package main
@@ -138,18 +137,20 @@ func main() {
 		NProcs: 1024, Nodes: 512, Engine: campaign.EngineSurrogate,
 	}
 	fmt.Println("\nDistribution-mapping sweep (32768^2, 1024 ranks, per-link model):")
-	var runs []report.DistRun
-	for _, c := range campaign.SweepDist([]campaign.Case{distCase}) {
+	dists := axis("dist", "roundrobin,knapsack,sfc")
+	var distNames []string
+	var distSums []report.DistSummary
+	var distBursts [][]iosim.BurstStat
+	for i, c := range campaign.Cross([]campaign.Case{distCase}, dists) {
 		cfg := iosim.DefaultConfig()
 		cfg.Topology = c.Topology()
-		fs := iosim.New(cfg, "")
-		if _, err := campaign.Run(c, fs); err != nil {
-			log.Fatal(err)
-		}
-		runs = append(runs, report.DistRun{Dist: string(c.Dist), Ledger: fs.Ledger()})
+		ledger := run(c, cfg)
+		distNames = append(distNames, dists.Variants[i].Name)
+		distSums = append(distSums, report.SummarizeDist(dists.Variants[i].Name, ledger))
+		distBursts = append(distBursts, iosim.BurstStats(ledger))
 	}
-	fmt.Print(report.DistReportRuns(runs))
-	fmt.Println(report.FigDistSkew(runs).Render())
+	fmt.Print(report.DistReport(distSums))
+	fmt.Println(report.FigDistSkew(distNames, distBursts).Render())
 
 	// The inter-burst layout reorganization (Wan et al.) on top of the
 	// round-robin placement: amr.RemapToTargets rebalances the
@@ -160,12 +161,8 @@ func main() {
 	remapped.Remap = true
 	remapCfg := iosim.DefaultConfig()
 	remapCfg.Topology = remapped.Topology()
-	remapFS := iosim.New(remapCfg, "")
-	if _, err := campaign.Run(remapped, remapFS); err != nil {
-		log.Fatal(err)
-	}
-	before := report.SummarizeDist("roundrobin", runs[0].Ledger)
-	after := report.SummarizeDist("roundrobin+remap", remapFS.Ledger())
+	before := distSums[0]
+	after := report.SummarizeDist("roundrobin+remap", run(remapped, remapCfg))
 	fmt.Printf("inter-burst remap: max target fan-in %s -> %s (imbalance %.3f -> %.3f)\n",
 		report.HumanBytes(before.MaxTargetBytes), report.HumanBytes(after.MaxTargetBytes),
 		before.TargetImbalance, after.TargetImbalance)
@@ -183,20 +180,22 @@ func main() {
 		ComputeSeconds: 0.5,
 	}
 	fmt.Println("\nStorage-tier sweep (16384^2, 512 ranks, per-link model):")
-	var storageRuns []report.StorageRun
-	for _, c := range campaign.SweepStorage([]campaign.Case{storageCase}) {
+	stacks := axis("storage", "gpfs,bb,bb+gpfs")
+	var stackNames []string
+	var storageSums []report.StorageSummary
+	var storageBursts [][]iosim.BurstStat
+	for i, c := range campaign.Cross([]campaign.Case{storageCase}, stacks) {
 		cfg := c.FSConfig(true)
 		cfg.PerWriterBandwidth = 1e8 // congested GPFS streams throttle the tiered drain
 		cfg.BurstBuffer.NodeCapacity = 6.4e7
 		cfg.BurstBuffer.DrainBandwidth = 8e8
-		fs := iosim.New(cfg, "")
-		if _, err := campaign.Run(c, fs); err != nil {
-			log.Fatal(err)
-		}
-		storageRuns = append(storageRuns, report.StorageRun{Storage: string(c.Storage), Ledger: fs.Ledger()})
+		ledger := run(c, cfg)
+		stackNames = append(stackNames, stacks.Variants[i].Name)
+		storageSums = append(storageSums, report.SummarizeStorage(stacks.Variants[i].Name, ledger))
+		storageBursts = append(storageBursts, iosim.BurstStats(ledger))
 	}
-	fmt.Print(report.StorageReportRuns(storageRuns))
-	fmt.Println(report.FigBBFill(storageRuns).Render())
+	fmt.Print(report.StorageReport(storageSums))
+	fmt.Println(report.FigBBFill(stackNames, storageBursts).Render())
 
 	// Resilience demo (the amrio-campaign -faults flag): the tiered
 	// 512-rank case run fault-free and under an injected plan — an NSD
@@ -213,19 +212,21 @@ func main() {
 		Seed:        17,
 	}
 	fmt.Println("\nResilience sweep (16384^2, 512 ranks, bb+gpfs, injected faults):")
+	tiered := storageCase
+	tiered.Storage = campaign.StorageTiered
+	faulted := campaign.Axis{Name: "faults", Variants: []campaign.Variant{
+		{Name: "nofault", Apply: func(c *campaign.Case) { c.Faults = nil }},
+		{Name: "faults", Apply: func(c *campaign.Case) { c.Faults = plan }},
+	}}
 	var resilSums []report.ResilienceSummary
-	for _, v := range []campaign.FaultVariant{{Name: "nofault"}, {Name: "faults", Plan: plan}} {
-		c := storageCase
-		c.Storage = campaign.StorageTiered
-		c.Faults = v.Plan
-		c.Name = campaign.SweepFaultsName(storageCase.Name, v.Name)
+	for _, c := range campaign.Cross([]campaign.Case{tiered}, faulted) {
 		fs := iosim.New(c.FSConfig(true), "")
 		if _, err := campaign.Run(c, fs); err != nil {
 			log.Fatal(err)
 		}
 		resilSums = append(resilSums, report.ResilienceSummary{
 			Name:       c.Name,
-			Resilience: faults.Analyze(v.Plan, fs.Ledger(), fs.FaultEvents()),
+			Resilience: faults.Analyze(c.Faults, fs.Ledger(), fs.FaultEvents()),
 		})
 	}
 	fmt.Print(report.ResilienceReport(resilSums))
@@ -237,17 +238,14 @@ func main() {
 	// degraded-mode plot shedding under fault pressure. The pair report
 	// prices what the loop buys: forward progress up, storm seconds down.
 	fmt.Println("\nMitigation comparison (16384^2, 512 ranks, bb+gpfs, default policy):")
-	mitCase := storageCase
-	mitCase.Storage = campaign.StorageTiered
+	mitCase := tiered
 	mitCase.Faults = plan
+	mitigated := campaign.Axis{Name: "mitigate", Variants: []campaign.Variant{
+		{Name: "nomitigate", Apply: func(c *campaign.Case) { c.Mitigate = nil }},
+		{Name: "mitigate", Apply: func(c *campaign.Case) { c.Mitigate = resilience.DefaultPolicy() }},
+	}}
 	var mitSums [2]report.MitigationSummary
-	for i, v := range []campaign.MitigateVariant{
-		{Name: "nomitigate"},
-		{Name: "mitigate", Policy: resilience.DefaultPolicy()},
-	} {
-		c := mitCase
-		c.Mitigate = v.Policy
-		c.Name = campaign.SweepMitigateName(mitCase.Name, v.Name)
+	for i, c := range campaign.Cross([]campaign.Case{mitCase}, mitigated) {
 		fs := iosim.New(c.FSConfig(true), "")
 		res, err := campaign.Run(c, fs)
 		if err != nil {
@@ -275,21 +273,38 @@ func main() {
 		MaxStep: 6, PlotInt: 2, CFL: 0.5,
 		NProcs: 512, Nodes: 128, Engine: campaign.EngineSurrogate,
 	}
+	layouts := axis("aggregation", "direct,2/node,1/node")
 	for _, storage := range []campaign.Storage{campaign.StorageGPFS, campaign.StorageTiered} {
 		fmt.Printf("\nAggregation crossover (8192^2, 512 ranks, %s):\n", storage)
+		stack := aggCase
+		stack.Storage = storage
 		var aggSums []report.AggregationSummary
-		for _, c := range campaign.SweepAggregation([]campaign.Case{aggCase}) {
-			c.Storage = storage
+		for _, c := range campaign.Cross([]campaign.Case{stack}, layouts) {
 			cfg := c.FSConfig(true)
 			cfg.JitterSigma = 0
 			cfg.OpenLatency = 0.005      // a metadata-server round trip per open
 			cfg.PerWriterBandwidth = 1e8 // congested per-stream GPFS caps
-			fs := iosim.New(cfg, "")
-			if _, err := campaign.Run(c, fs); err != nil {
-				log.Fatal(err)
-			}
-			aggSums = append(aggSums, report.SummarizeAggregation(c.Name, fs.Ledger()))
+			aggSums = append(aggSums, report.SummarizeAggregation(c.Name, run(c, cfg)))
 		}
 		fmt.Print(report.AggregationReport(aggSums))
 	}
+}
+
+// axis parses one sweep axis, exiting on a malformed list.
+func axis(name, list string) campaign.Axis {
+	ax, err := campaign.ParseAxis(name, list)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return ax
+}
+
+// run executes one case on a fresh filesystem built from cfg and returns
+// its ledger.
+func run(c campaign.Case, cfg iosim.Config) []iosim.WriteRecord {
+	fs := iosim.New(cfg, "")
+	if _, err := campaign.Run(c, fs); err != nil {
+		log.Fatal(err)
+	}
+	return fs.Ledger()
 }

@@ -250,10 +250,12 @@ func TestStorageTierSweep512Ranks(t *testing.T) {
 	}
 	sums := map[campaign.Storage]report.StorageSummary{}
 	var ordered []report.StorageSummary
-	for _, s := range campaign.AllStorages() {
-		c := base
-		c.Storage = s
-		c.Name = campaign.SweepStorageName(base.Name, s)
+	stacks, err := campaign.ParseAxis("storage", "gpfs,bb,bb+gpfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range campaign.Cross([]campaign.Case{base}, stacks) {
+		s := c.Storage
 		cfg := c.FSConfig(true)
 		cfg.JitterSigma = 0
 		// A DataWarp-style per-job allocation instead of the whole 1.6 TB

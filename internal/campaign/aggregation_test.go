@@ -12,65 +12,6 @@ import (
 	"amrproxyio/internal/report"
 )
 
-// TestSweepAggregation pins the sweep expansion and its composition with
-// the storage sweep: variants vary fastest, names follow
-// campaign.SweepAggregationName, and specs land on the right members.
-func TestSweepAggregation(t *testing.T) {
-	base := []campaign.Case{campaign.Case4()}
-	sw := campaign.SweepAggregation(base)
-	if len(sw) != 3 {
-		t.Fatalf("default sweep size = %d, want 3", len(sw))
-	}
-	wantNames := []string{"case4_direct", "case4_2per-node", "case4_1per-node"}
-	for i, c := range sw {
-		if c.Name != wantNames[i] {
-			t.Errorf("member %d name = %q, want %q", i, c.Name, wantNames[i])
-		}
-	}
-	if sw[0].Aggregation != nil {
-		t.Errorf("direct member carries a spec: %+v", sw[0].Aggregation)
-	}
-	if sw[2].Aggregation == nil || sw[2].Aggregation.Aggregators != "1/node" {
-		t.Errorf("1per-node member spec = %+v", sw[2].Aggregation)
-	}
-
-	composed := campaign.SweepAggregation(campaign.SweepStorage(base, campaign.StorageGPFS, campaign.StorageTiered),
-		campaign.AggregationVariant{Name: "direct"},
-		campaign.AggregationVariant{Name: "1per-node", Spec: &iosim.AggregationSpec{Aggregators: "1/node"}})
-	if len(composed) != 4 {
-		t.Fatalf("composed sweep size = %d, want 4", len(composed))
-	}
-	if composed[3].Name != campaign.SweepAggregationName(campaign.SweepStorageName("case4", campaign.StorageTiered), "1per-node") {
-		t.Errorf("composed name = %q", composed[3].Name)
-	}
-	for _, c := range composed {
-		if err := c.Validate(); err != nil {
-			t.Errorf("composed member %s invalid: %v", c.Name, err)
-		}
-	}
-}
-
-// TestParseAggregationVariants covers the CLI list grammar, including
-// the reserved "direct" baseline and the rejection paths the
-// amrio-campaign flag parser relies on.
-func TestParseAggregationVariants(t *testing.T) {
-	vs, err := campaign.ParseAggregationVariants("direct,all,2/node,1/node+sif+async")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vs) != 4 || vs[0].Spec != nil || vs[0].Name != "direct" {
-		t.Fatalf("variants = %+v", vs)
-	}
-	if vs[3].Name != "1per-node-sif-async" || vs[3].Spec.Layout != iosim.LayoutSIF || !vs[3].Spec.Async {
-		t.Fatalf("option variant = %+v spec %+v", vs[3], vs[3].Spec)
-	}
-	for _, bad := range []string{"bogus", "0/node", "all,-1/node", "1/node+hdf5"} {
-		if _, err := campaign.ParseAggregationVariants(bad); err == nil {
-			t.Errorf("campaign.ParseAggregationVariants accepted %q", bad)
-		}
-	}
-}
-
 // TestCaseValidateAggregation: malformed specs are rejected by
 // Case.Validate with the case name attached, and unknown JSON fields
 // inside a case file's aggregation object fail the decode (the CLI's
@@ -130,15 +71,19 @@ func TestAggregationCrossover512(t *testing.T) {
 		Name: "xover", NCell: 8192, MaxLevel: 2, MaxStep: 6, PlotInt: 2,
 		CFL: 0.5, NProcs: 512, Nodes: 128, Engine: campaign.EngineSurrogate,
 	}
-	variants := []campaign.AggregationVariant{
-		{Name: "direct"},
-		{Name: "2per-node", Spec: &iosim.AggregationSpec{Aggregators: "2/node"}},
-		{Name: "1per-node", Spec: &iosim.AggregationSpec{Aggregators: "1/node"}},
+	stacks, err := campaign.ParseAxis("storage", "gpfs,bb+gpfs")
+	if err != nil {
+		t.Fatal(err)
 	}
-	cases := campaign.SweepAggregation(campaign.SweepStorage([]campaign.Case{base}, campaign.StorageGPFS, campaign.StorageTiered), variants...)
+	layouts, err := campaign.ParseAxis("aggregation", "direct,2/node,1/node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	axes := []campaign.Axis{stacks, layouts}
+	cases := campaign.Cross([]campaign.Case{base}, axes...)
 
-	ledgers := map[string][]iosim.WriteRecord{}
-	for _, c := range cases {
+	ledgers := make([][]iosim.WriteRecord, len(cases))
+	for i, c := range cases {
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +91,7 @@ func TestAggregationCrossover512(t *testing.T) {
 		if _, err := campaign.Run(c, fs); err != nil {
 			t.Fatal(err)
 		}
-		ledgers[c.Name] = fs.Ledger()
+		ledgers[i] = fs.Ledger()
 	}
 
 	// The all-ranks identity pin at full scale: the explicit "all" spec
@@ -158,16 +103,15 @@ func TestAggregationCrossover512(t *testing.T) {
 	if _, err := campaign.Run(pin, fs); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fs.Ledger(), ledgers[campaign.SweepAggregationName(campaign.SweepStorageName("xover", campaign.StorageGPFS), "direct")]) {
+	if !reflect.DeepEqual(fs.Ledger(), ledgers[0]) { // xover_gpfs_direct
 		t.Fatal("all-ranks spec is not byte-identical to the direct 512-rank run")
 	}
 
 	sums := map[campaign.Storage][]report.AggregationSummary{}
-	for _, s := range []campaign.Storage{campaign.StorageGPFS, campaign.StorageTiered} {
-		for _, v := range variants {
-			name := campaign.SweepAggregationName(campaign.SweepStorageName("xover", s), v.Name)
-			sum := report.SummarizeAggregation(v.Name, ledgers[name])
-			sums[s] = append(sums[s], sum)
+	for _, group := range campaign.Groups(1, axes, 1) {
+		s := cases[group[0]].Storage
+		for v, m := range group {
+			sums[s] = append(sums[s], report.SummarizeAggregation(layouts.Variants[v].Name, ledgers[m]))
 		}
 	}
 

@@ -9,9 +9,8 @@ import (
 // Distribution-mapping experiments: the paper's Table III campaigns hold
 // the AMReX distribution mapping fixed, but under the per-link topology
 // model placement is the dominant knob for burst skew. A Case carries a
-// Dist name (JSON round-tripped like the engine), SweepDist expands a
-// case list into the strategy cross-product, and report.DistReport
-// renders the per-strategy comparison.
+// Dist name (JSON round-tripped like the engine), ParseAxis("dist", …)
+// sweeps it, and report.DistReport renders the per-strategy comparison.
 
 // Dist names a distribution-mapping strategy on a Case. The empty string
 // selects the engines' historical knapsack default.
@@ -54,36 +53,4 @@ func (d Dist) strategy() (amr.DistStrategy, error) {
 		return amr.DistKnapsack, nil
 	}
 	return amr.ParseDistStrategy(string(d))
-}
-
-// SweepDist expands cases into the strategy × topology cross-product:
-// every case, which carries its own Summit topology shape (Nodes,
-// NProcs), times every strategy, named "<case>_<dist>". No explicit
-// dists means all three. The expansion preserves case order —
-// strategies vary fastest — so results group naturally per base case.
-func SweepDist(cases []Case, dists ...Dist) []Case {
-	if len(dists) == 0 {
-		dists = AllDists()
-	}
-	out := make([]Case, 0, len(cases)*len(dists))
-	for _, c := range cases {
-		for _, d := range dists {
-			v := c
-			v.Dist = d
-			v.Name = SweepName(c.Name, d)
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// SweepName is the name SweepDist gives the (base case, strategy) member
-// of a sweep — exported so consumers grouping sweep results back onto
-// their base cases never re-derive the convention by hand.
-func SweepName(base string, d Dist) string {
-	suffix := string(d)
-	if suffix == "" {
-		suffix = "default"
-	}
-	return fmt.Sprintf("%s_%s", base, suffix)
 }

@@ -61,33 +61,6 @@ func TestParseDist(t *testing.T) {
 	}
 }
 
-func TestSweepDist(t *testing.T) {
-	base := []Case{Case4(), Case27()}
-	out := SweepDist(base)
-	if len(out) != len(base)*3 {
-		t.Fatalf("sweep length = %d, want %d", len(out), len(base)*3)
-	}
-	// Strategies vary fastest, names carry the suffix, topology shape and
-	// everything else is preserved.
-	if out[0].Name != "case4_roundrobin" || out[1].Name != "case4_knapsack" || out[2].Name != "case4_sfc" {
-		t.Fatalf("names = %s, %s, %s", out[0].Name, out[1].Name, out[2].Name)
-	}
-	for i, c := range out {
-		b := base[i/3]
-		if c.Nodes != b.Nodes || c.NProcs != b.NProcs || c.NCell != b.NCell {
-			t.Fatalf("case %d lost its shape: %+v", i, c)
-		}
-		if c.Dist != AllDists()[i%3] {
-			t.Fatalf("case %d dist = %q", i, c.Dist)
-		}
-	}
-	// Explicit subset.
-	two := SweepDist(base[:1], DistKnapsack, DistSFC)
-	if len(two) != 2 || two[0].Dist != DistKnapsack || two[1].Dist != DistSFC {
-		t.Fatalf("subset sweep = %+v", two)
-	}
-}
-
 // distFixture is a refined case small enough for the hydro engine; the
 // refined levels give the strategies different per-rank placements.
 func distFixture(engine Engine) Case {

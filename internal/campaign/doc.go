@@ -41,9 +41,10 @@
 //
 // Case.Dist selects the decomposition strategy ("roundrobin",
 // "knapsack", "sfc"; empty keeps the engines' knapsack default) and is
-// rejected by Run when unknown, like an unknown engine. SweepDist
-// expands a case list into the strategy cross-product for placement
-// studies; report.DistReport renders the per-strategy comparison.
+// rejected by Run when unknown, like an unknown engine. Placement
+// studies sweep it as an Axis (ParseAxis("dist", …)) expanded by Cross
+// into the strategy cross-product; Groups pivots the members back into
+// one report.DistReport per combination of the other swept axes.
 // Case.Remap additionally enables the inter-burst layout reorganization
 // (amr.RemapToTargets → iosim.FileSystem.Retarget), which rebalances
 // the rank→storage-target fan-in before every dump — effective only

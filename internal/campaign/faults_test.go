@@ -1,7 +1,7 @@
 package campaign
 
 // Tests for the fault-injection campaign surface: Case validation of
-// plans and compute time, the SweepFaults expansion, RunAll's panic
+// plans and compute time, RunAll's panic
 // recovery and per-case timeout, and the 512-rank resilience
 // integration (non-zero lost-work/failover/restart-read deltas under an
 // injected plan).
@@ -49,32 +49,6 @@ func TestValidateRejections(t *testing.T) {
 	good.ComputeSeconds = 0.5
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid faulted case rejected: %v", err)
-	}
-}
-
-func TestSweepFaults(t *testing.T) {
-	cases := []Case{{Name: "a"}, {Name: "b"}}
-	out := SweepFaults(cases)
-	if len(out) != 4 {
-		t.Fatalf("default sweep produced %d cases, want 4", len(out))
-	}
-	wantNames := []string{"a_nofault", "a_faults", "b_nofault", "b_faults"}
-	for i, c := range out {
-		if c.Name != wantNames[i] {
-			t.Errorf("member %d named %q, want %q", i, c.Name, wantNames[i])
-		}
-	}
-	if out[0].Faults != nil || out[1].Faults == nil {
-		t.Fatal("default variants: member 0 must be fault-free, member 1 faulted")
-	}
-
-	// Composes with the storage sweep the way dist and storage compose.
-	composed := SweepFaults(SweepStorage([]Case{{Name: "c"}}, StorageBB))
-	if len(composed) != 2 || composed[0].Name != SweepFaultsName(SweepStorageName("c", StorageBB), "nofault") {
-		t.Fatalf("composed sweep = %+v", composed)
-	}
-	if composed[1].Storage != StorageBB || composed[1].Faults == nil {
-		t.Fatal("composed member lost its storage or plan")
 	}
 }
 

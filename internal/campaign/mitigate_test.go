@@ -9,50 +9,6 @@ import (
 	"amrproxyio/internal/resilience"
 )
 
-func TestSweepMitigateNaming(t *testing.T) {
-	cases := []Case{
-		{Name: "a", NCell: 64, MaxLevel: 1, MaxStep: 2, PlotInt: 1, CFL: 0.5, NProcs: 2},
-		{Name: "b", NCell: 64, MaxLevel: 1, MaxStep: 2, PlotInt: 1, CFL: 0.5, NProcs: 2},
-	}
-	out := SweepMitigate(cases)
-	wantNames := []string{"a_nomitigate", "a_mitigate", "b_nomitigate", "b_mitigate"}
-	if len(out) != len(wantNames) {
-		t.Fatalf("sweep produced %d cases, want %d", len(out), len(wantNames))
-	}
-	for i, want := range wantNames {
-		if out[i].Name != want {
-			t.Errorf("case %d named %q, want %q", i, out[i].Name, want)
-		}
-	}
-	// Variants vary fastest; the unmitigated member carries no policy, the
-	// mitigated member the default policy; everything else is inherited.
-	if out[0].Mitigate != nil || out[2].Mitigate != nil {
-		t.Errorf("nomitigate members carry a policy")
-	}
-	if out[1].Mitigate == nil || out[3].Mitigate == nil {
-		t.Errorf("mitigate members lost their policy")
-	}
-	if out[1].NCell != 64 || out[1].NProcs != 2 {
-		t.Errorf("sweep member dropped base fields: %+v", out[1])
-	}
-	if got := SweepMitigateName("base", ""); got != "base_nomitigate" {
-		t.Errorf("empty variant named %q", got)
-	}
-
-	// Composes with SweepFaults: the (fault plan x policy) matrix.
-	plan := &faults.Plan{Events: []faults.Event{{Kind: faults.KindTargetOutage, Start: 0, End: 5, Target: 0}}}
-	matrix := SweepMitigate(SweepFaults(cases[:1], FaultVariant{Name: "outage", Plan: plan}))
-	if len(matrix) != 2 {
-		t.Fatalf("matrix has %d members, want 2", len(matrix))
-	}
-	if matrix[1].Faults == nil || matrix[1].Mitigate == nil {
-		t.Fatalf("matrix member lost the plan or the policy: %+v", matrix[1])
-	}
-	if matrix[1].Name != "a_outage_mitigate" {
-		t.Errorf("matrix member named %q", matrix[1].Name)
-	}
-}
-
 // TestZeroPolicyByteIdentical is the no-regression property pin: a case
 // run with Mitigate == nil and the same case run with a present-but-zero
 // Policy must produce byte-identical ledgers, fault-event streams, and
@@ -69,10 +25,7 @@ func TestZeroPolicyByteIdentical(t *testing.T) {
 			{Kind: faults.KindBBLoss, Start: 0.3, Node: 0},
 		}},
 	}
-	for _, storage := range AllStorages() {
-		c := base
-		c.Storage = storage
-		c.Name = SweepStorageName(base.Name, storage)
+	for _, c := range Cross([]Case{base}, mustAxis(t, "storage", "gpfs,bb,bb+gpfs")) {
 		run := func(p *resilience.Policy) ([]iosim.WriteRecord, []iosim.FaultEvent, []iosim.BurstStat, *resilience.Stats) {
 			m := c
 			m.Mitigate = p

@@ -9,8 +9,8 @@ import (
 // Storage-tier experiments: the paper characterizes the same bursts
 // against Summit's node-local NVMe burst buffers and the Alpine GPFS, so
 // a Case carries a Storage name (JSON round-tripped like the engine and
-// dist), SweepStorage expands a case list into the tier cross-product,
-// and report.StorageReport renders the per-tier comparison.
+// dist), ParseAxis("storage", …) sweeps it, and report.StorageReport
+// renders the per-tier comparison.
 
 // Storage names an iosim storage-model stack on a Case. The empty string
 // selects the historical single-tier "gpfs" pricing.
@@ -41,37 +41,4 @@ func ParseStorage(name string) (Storage, error) {
 		return "", fmt.Errorf("campaign: %w", err)
 	}
 	return Storage(k), nil
-}
-
-// SweepStorage expands cases into the storage-tier cross-product: every
-// case times every named tier stack, named "<case>_<storage>". No
-// explicit storages means all three (gpfs, bb, bb+gpfs). Like SweepDist,
-// the expansion preserves case order — storages vary fastest — so
-// results group naturally per base case; the two sweeps compose
-// (SweepStorage(SweepDist(cases))) into the full strategy × tier matrix.
-func SweepStorage(cases []Case, storages ...Storage) []Case {
-	if len(storages) == 0 {
-		storages = AllStorages()
-	}
-	out := make([]Case, 0, len(cases)*len(storages))
-	for _, c := range cases {
-		for _, s := range storages {
-			v := c
-			v.Storage = s
-			v.Name = SweepStorageName(c.Name, s)
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// SweepStorageName is the name SweepStorage gives the (base case, tier)
-// member of a sweep — exported so consumers grouping sweep results back
-// onto their base cases never re-derive the convention by hand.
-func SweepStorageName(base string, s Storage) string {
-	suffix := string(s)
-	if suffix == "" {
-		suffix = "default"
-	}
-	return fmt.Sprintf("%s_%s", base, suffix)
 }

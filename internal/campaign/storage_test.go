@@ -100,37 +100,6 @@ func TestParseStorageNames(t *testing.T) {
 	}
 }
 
-func TestSweepStorage(t *testing.T) {
-	base := []Case{Case4(), Case27()}
-	swept := SweepStorage(base)
-	if len(swept) != len(base)*3 {
-		t.Fatalf("swept %d cases, want %d", len(swept), len(base)*3)
-	}
-	// Case order preserved, storages vary fastest, names follow the
-	// exported convention.
-	for i, c := range swept {
-		b := base[i/3]
-		s := AllStorages()[i%3]
-		if c.Storage != s || c.Name != SweepStorageName(b.Name, s) {
-			t.Errorf("swept[%d] = %q/%q, want %q/%q", i, c.Name, c.Storage, SweepStorageName(b.Name, s), s)
-		}
-		if c.NCell != b.NCell || c.Nodes != b.Nodes {
-			t.Errorf("swept[%d] lost its base shape", i)
-		}
-	}
-	// Explicit subset and default naming.
-	two := SweepStorage(base[:1], StorageDefault, StorageBB)
-	if len(two) != 2 || two[0].Name != "case4_default" || two[1].Name != "case4_bb" {
-		t.Errorf("explicit sweep = %+v", two)
-	}
-	// The dist and storage sweeps compose into the full matrix.
-	matrix := SweepStorage(SweepDist(base[:1], DistRoundRobin, DistSFC), StorageGPFS, StorageBB)
-	if len(matrix) != 4 || matrix[3].Name != "case4_sfc_bb" ||
-		matrix[3].Dist != DistSFC || matrix[3].Storage != StorageBB {
-		t.Errorf("composed sweep = %+v", matrix)
-	}
-}
-
 // TestFSConfigStorage pins the Case→iosim wiring: burst-buffer cases get
 // the Summit NVMe spec sized to their node count, default cases keep the
 // historical configuration, and the topology rides the flag.

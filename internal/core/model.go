@@ -136,7 +136,7 @@ const (
 // 8-byte words MACSio must request per L0 cell to reproduce the AMReX
 // step; the paper's f ≈ 23-25 for Castro's derive_plot_vars=ALL output
 // (~20+ variables); this implementation writes 10 plot variables, so the
-// same fit lands proportionally lower — see EXPERIMENTS.md.
+// same fit lands proportionally lower.
 func FitF(step0Bytes int64, nx, ny int, match FMatch) float64 {
 	denom := 8 * float64(nx) * float64(ny)
 	f := float64(step0Bytes) / denom

@@ -13,13 +13,6 @@ import (
 // crossover). AggregationReport renders the side-by-side comparison with
 // deltas against the first layout, the way StorageReport compares tiers.
 
-// AggregationRun pairs an aggregation-layout name with the ledger its
-// run produced.
-type AggregationRun struct {
-	Name   string
-	Ledger []iosim.WriteRecord
-}
-
 // AggregationSummary is the per-layout reduction of one run's ledger.
 type AggregationSummary struct {
 	Name   string
@@ -93,15 +86,6 @@ func AggregationReport(sums []AggregationSummary) string {
 		out += fmt.Sprintf("crossover: %q beats the %q baseline on this stack\n", winner, base.Name)
 	}
 	return out
-}
-
-// AggregationReportRuns is AggregationReport over raw ledgers.
-func AggregationReportRuns(runs []AggregationRun) string {
-	sums := make([]AggregationSummary, 0, len(runs))
-	for _, r := range runs {
-		sums = append(sums, SummarizeAggregation(r.Name, r.Ledger))
-	}
-	return AggregationReport(sums)
 }
 
 // BestAggregation names the layout with the smallest total burst wall;

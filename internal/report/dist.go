@@ -12,12 +12,6 @@ import (
 // per-target fan-in on the per-link topology model. DistReport renders
 // the side-by-side comparison with deltas against the first strategy.
 
-// DistRun pairs a strategy name with the ledger its run produced.
-type DistRun struct {
-	Dist   string
-	Ledger []iosim.WriteRecord
-}
-
 // DistSummary is the per-strategy reduction of one run's ledger — the
 // placement-sensitive quantities the comparison table shows. Ledgers
 // written under the aggregate model (no link labels) leave the topology
@@ -95,24 +89,16 @@ func DistReport(sums []DistSummary) string {
 	return out
 }
 
-// DistReportRuns is DistReport over raw ledgers.
-func DistReportRuns(runs []DistRun) string {
-	sums := make([]DistSummary, 0, len(runs))
-	for _, r := range runs {
-		sums = append(sums, SummarizeDist(r.Dist, r.Ledger))
-	}
-	return DistReport(sums)
-}
-
 // FigDistSkew plots the per-burst link skew of each strategy — the
-// placement-driven tail the aggregate bandwidth number hides. Bursts are
-// indexed in step order on the x axis.
-func FigDistSkew(runs []DistRun) *Plot {
+// placement-driven tail the aggregate bandwidth number hides. series[i]
+// is strategy labels[i]'s burst stats; bursts are indexed in step order
+// on the x axis.
+func FigDistSkew(labels []string, series [][]iosim.BurstStat) *Plot {
 	p := NewPlot("Per-burst link skew by distribution mapping", "burst", "link-skew")
-	for _, r := range runs {
+	for s, bursts := range series {
 		var xs, ys []float64
 		i := 0
-		for _, b := range iosim.BurstStats(r.Ledger) {
+		for _, b := range bursts {
 			if b.Nodes == 0 {
 				continue
 			}
@@ -120,7 +106,7 @@ func FigDistSkew(runs []DistRun) *Plot {
 			ys = append(ys, b.LinkSkew)
 			i++
 		}
-		p.Add(r.Dist, xs, ys)
+		p.Add(labels[s], xs, ys)
 	}
 	return p
 }

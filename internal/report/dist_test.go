@@ -84,16 +84,22 @@ func TestDistReport(t *testing.T) {
 	}
 }
 
+// TestDistReportRunsAndFig renders one sweep's runs as the comparison
+// table and as the per-burst skew figure.
 func TestDistReportRunsAndFig(t *testing.T) {
-	runs := []DistRun{
-		{Dist: "roundrobin", Ledger: distLedger(4)},
-		{Dist: "knapsack", Ledger: distLedger(1)},
+	labels := []string{"roundrobin", "knapsack"}
+	ledgers := [][]iosim.WriteRecord{distLedger(4), distLedger(1)}
+	var sums []DistSummary
+	var series [][]iosim.BurstStat
+	for i, l := range ledgers {
+		sums = append(sums, SummarizeDist(labels[i], l))
+		series = append(series, iosim.BurstStats(l))
 	}
-	out := DistReportRuns(runs)
+	out := DistReport(sums)
 	if !strings.Contains(out, "knapsack") {
 		t.Errorf("runs report:\n%s", out)
 	}
-	fig := FigDistSkew(runs)
+	fig := FigDistSkew(labels, series)
 	render := fig.Render()
 	for _, want := range []string{"link skew", "roundrobin", "knapsack"} {
 		if !strings.Contains(render, want) {

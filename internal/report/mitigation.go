@@ -7,10 +7,11 @@ import (
 )
 
 // Mitigation reporting: the same faulted case run with and without a
-// resilience.Policy (SweepMitigate) produces different retry-storm,
-// lost-work, and forward-progress numbers. MitigationReport renders the
-// side-by-side comparison plus the per-pair deltas the CI smoke gate
-// checks.
+// resilience.Policy (a two-variant campaign.Axis over Case.Mitigate)
+// produces different retry-storm, lost-work, and forward-progress
+// numbers. MitigationReport renders the side-by-side comparison plus the
+// per-pair deltas the CI smoke gate checks; each pair is one group of
+// campaign.Groups along that axis.
 
 // MitigationSummary pairs a config name with its evaluated mitigation
 // outcome.

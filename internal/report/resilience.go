@@ -7,9 +7,9 @@ import (
 )
 
 // Resilience reporting: the same case run under different fault plans
-// (SweepFaults) produces different lost-work, failover, and restart-read
-// costs. ResilienceReport renders the side-by-side comparison the way
-// StorageReport compares tier stacks.
+// (a campaign.Axis over Case.Faults) produces different lost-work,
+// failover, and restart-read costs. ResilienceReport renders the
+// side-by-side comparison the way StorageReport compares tier stacks.
 
 // ResilienceSummary pairs a config name with its analyzed recovery
 // model.

@@ -12,12 +12,6 @@ import (
 // StorageReport renders the side-by-side comparison with deltas against
 // the first stack, the way DistReport compares placements.
 
-// StorageRun pairs a storage stack name with the ledger its run produced.
-type StorageRun struct {
-	Storage string
-	Ledger  []iosim.WriteRecord
-}
-
 // StorageSummary is the per-stack reduction of one run's ledger.
 // Ledgers written under a single-tier model (no tier labels) leave the
 // burst-buffer fields zero.
@@ -101,24 +95,16 @@ func StorageReport(sums []StorageSummary) string {
 	return out
 }
 
-// StorageReportRuns is StorageReport over raw ledgers.
-func StorageReportRuns(runs []StorageRun) string {
-	sums := make([]StorageSummary, 0, len(runs))
-	for _, r := range runs {
-		sums = append(sums, SummarizeStorage(r.Storage, r.Ledger))
-	}
-	return StorageReport(sums)
-}
-
 // FigBBFill plots each stack's per-burst peak buffer occupancy — the
-// fill-and-drain sawtooth the single-tier wall number hides. Bursts are
-// indexed in step order on the x axis.
-func FigBBFill(runs []StorageRun) *Plot {
+// fill-and-drain sawtooth the single-tier wall number hides. series[i]
+// is stack labels[i]'s burst stats; bursts are indexed in step order on
+// the x axis.
+func FigBBFill(labels []string, series [][]iosim.BurstStat) *Plot {
 	p := NewPlot("Per-burst burst-buffer occupancy by storage stack", "burst", "peak fill")
-	for _, r := range runs {
+	for s, bursts := range series {
 		var xs, ys []float64
 		i := 0
-		for _, b := range iosim.BurstStats(r.Ledger) {
+		for _, b := range bursts {
 			if b.BBBytes == 0 && b.SpillBytes == 0 {
 				continue
 			}
@@ -126,7 +112,7 @@ func FigBBFill(runs []StorageRun) *Plot {
 			ys = append(ys, b.MaxBBFill)
 			i++
 		}
-		p.Add(r.Storage, xs, ys)
+		p.Add(labels[s], xs, ys)
 	}
 	return p
 }

@@ -78,12 +78,15 @@ func TestSummarizeStorage(t *testing.T) {
 }
 
 func TestStorageReport(t *testing.T) {
-	runs := []StorageRun{
-		{Storage: "gpfs", Ledger: storageLedger(t, iosim.StorageGPFS)},
-		{Storage: "bb", Ledger: storageLedger(t, iosim.StorageBB)},
-		{Storage: "bb+gpfs", Ledger: storageLedger(t, iosim.StorageTiered)},
+	labels := []string{"gpfs", "bb", "bb+gpfs"}
+	var sums []StorageSummary
+	var series [][]iosim.BurstStat
+	for _, s := range labels {
+		ledger := storageLedger(t, s)
+		sums = append(sums, SummarizeStorage(s, ledger))
+		series = append(series, iosim.BurstStats(ledger))
 	}
-	out := StorageReportRuns(runs)
+	out := StorageReport(sums)
 	for _, want := range []string{"storage", "bb-bytes", "spill", "stall-ranks", "drain", "overlap",
 		"gpfs", "bb+gpfs"} {
 		if !strings.Contains(out, want) {
@@ -98,7 +101,7 @@ func TestStorageReport(t *testing.T) {
 		t.Error("no wall deltas rendered")
 	}
 
-	solo := StorageReport([]StorageSummary{SummarizeStorage("gpfs", runs[0].Ledger)})
+	solo := StorageReport(sums[:1])
 	if !strings.Contains(solo, "single-tier runs only") {
 		t.Errorf("single-tier report lacks the hint:\n%s", solo)
 	}
@@ -106,7 +109,7 @@ func TestStorageReport(t *testing.T) {
 		t.Error("empty report text changed")
 	}
 
-	fig := FigBBFill(runs)
+	fig := FigBBFill(labels, series)
 	if fig == nil || !strings.Contains(fig.Render(), "occupancy") {
 		t.Error("FigBBFill render missing")
 	}

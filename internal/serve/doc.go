@@ -5,7 +5,8 @@
 // Data flow:
 //
 //	POST /run  —  JSON array of campaign.Case
-//	   │ strict decode (unknown fields → 400), CheckBatch (invalid or
+//	   │ bounded body (over MaxCases × 4 KiB → 413), strict decode
+//	   │ (unknown fields → 400), CheckBatch (invalid or
 //	   │ name-conflicting batches → 400), batch semaphore (concurrency
 //	   │ limit; waits, honoring request cancellation)
 //	   ▼

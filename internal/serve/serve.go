@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -39,6 +41,14 @@ const (
 	DefaultMaxCases   = 256
 	DefaultMaxBatches = 4
 )
+
+// perCaseBytes is one case's share of the /run body limit, which is
+// MaxCases × perCaseBytes (1 MiB at the default). A case with every
+// field set, the largest example fault plan (examples/faultplans, 231 B),
+// a full mitigation policy and an aggregation spec encodes to 776 B, or
+// 1449 B indented four spaces, so no legal batch of at most MaxCases
+// such cases reaches the limit, while a hostile body stops at it.
+const perCaseBytes = 4 << 10
 
 // Server owns the memoizing executor and the service counters. Create
 // with New; serve its Handler.
@@ -94,9 +104,9 @@ type CaseLine struct {
 // decodeBatch reads a strict JSON case batch. DisallowUnknownFields is
 // the service's input contract (and the jsonstrict vet gate's): a typo
 // in a case field must 400, not silently run a default.
-func decodeBatch(r *http.Request) ([]campaign.Case, error) {
+func decodeBatch(body io.Reader) ([]campaign.Case, error) {
 	var cases []campaign.Case
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cases); err != nil {
 		return nil, fmt.Errorf("decode batch: %w", err)
@@ -109,9 +119,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	cases, err := decodeBatch(r)
+	cases, err := decodeBatch(http.MaxBytesReader(w, r.Body, int64(s.opts.MaxCases)*perCaseBytes))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	if len(cases) == 0 {

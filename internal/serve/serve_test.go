@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -166,6 +167,86 @@ func TestServeRejectsBadBatches(t *testing.T) {
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /run: status = %d, want 405", getResp.StatusCode)
 	}
+}
+
+// TestServeBodyLimit pins the /run body bound at MaxCases × perCaseBytes:
+// a legal batch padded to exactly the limit still streams, and one byte
+// more is refused with 413 before anything is decoded into cases.
+func TestServeBodyLimit(t *testing.T) {
+	s := New(Options{MaxCases: 1, Parallel: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	batch, err := json.Marshal([]campaign.Case{fastCase("limit", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Leading whitespace is legal JSON and makes the decoder read every
+	// byte before the batch completes.
+	padded := func(size int) string {
+		return strings.Repeat(" ", size-len(batch)) + string(batch)
+	}
+	post := func(body string) *http.Response {
+		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	resp := post(padded(perCaseBytes + 1))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("one byte over the limit: status = %d, want 413", resp.StatusCode)
+	}
+	resp = post(padded(perCaseBytes))
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("batch at the limit: status = %d, want 200", resp.StatusCode)
+	}
+	if lines := readLines(t, resp); len(lines) != 1 || lines[0].Error != "" || lines[0].Output == nil {
+		t.Errorf("batch at the limit streamed %+v", lines)
+	}
+}
+
+// FuzzDecodeBatch: no input panics the strict batch decoder, and any
+// batch it accepts re-encodes and decodes to the same cases. "Same" is
+// equal encodings: an empty list ("events":[]) and an absent one decode
+// to empty and nil slices, which every consumer treats alike.
+func FuzzDecodeBatch(f *testing.F) {
+	valid, err := json.Marshal([]campaign.Case{fastCase("a", 1), fastCase("b", 2)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(valid),
+		`[{"name":"f","n_cell":64,"nprocs":4,"storage":"bb+gpfs",
+		  "faults":{"events":[{"kind":"target-outage","start":0.05,"end":1,"target":0}],"mtbf_seconds":20,"seed":7},
+		  "mitigate":{"quarantine":true,"shed_pressure":0.5},
+		  "aggregation":{"aggregators":"2/node","layout":"sif","async":true}}]`,
+		`[]`, `null`, `{not json`, `[{"name":"x","bogus_field":1}]`,
+		`[{"name":"e","faults":{"events":[]}}]`,
+		`[{"aggregation":{"aggregators":"all","writers":3}}]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cases, err := decodeBatch(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(cases)
+		if err != nil {
+			t.Fatalf("accepted batch does not re-encode: %v", err)
+		}
+		again, err := decodeBatch(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded batch rejected: %v\n%s", err, enc)
+		}
+		if encAgain, err := json.Marshal(again); err != nil || !bytes.Equal(enc, encAgain) {
+			t.Fatalf("round trip changed the batch (%v):\n%s\n%s", err, enc, encAgain)
+		}
+	})
 }
 
 // TestServeStreamsIncrementally pins the NDJSON contract: with a slow
