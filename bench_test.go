@@ -717,21 +717,16 @@ func BenchmarkPlotfileWrite(b *testing.B) {
 // iteration.
 func BenchmarkCampaignExecutor(b *testing.B) {
 	cases := campaign.QuickCampaign()[:12]
-	newFS := func(campaign.Case) *iosim.FileSystem {
-		cfg := iosim.DefaultConfig()
-		cfg.JitterSigma = 0
-		return iosim.New(cfg, "")
-	}
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		serial, err := campaign.RunAll(cases, 1, newFS)
+		serial, err := campaign.RunAll(cases, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		serialWall := time.Since(t0)
 
 		t0 = time.Now()
-		parallel, err := campaign.RunAll(cases, 4, newFS)
+		parallel, err := campaign.RunAll(cases, 4, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

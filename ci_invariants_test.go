@@ -1,8 +1,9 @@
 // CI-shape invariants: the workflow file is code the compiler never
-// sees, so these tests pin the properties the analyzer-suite PR
-// established — the race gate covers the whole module (no enumerated
-// package list to rot), the amrio-vet gate exists and runs through the
-// real vet protocol, and the third-party gates stay version-pinned.
+// sees, so these tests pin its load-bearing properties — the race gate
+// covers the whole module (no enumerated package list to rot), the
+// amrio-vet gate exists and runs through the real vet protocol, the
+// benchmark's exact outputs are verified, and the third-party gates stay
+// version-pinned.
 package amrproxyio_test
 
 import (
@@ -82,5 +83,23 @@ func TestFuzzSmokePresent(t *testing.T) {
 		if !strings.Contains(ci, want) {
 			t.Errorf("CI fuzz smoke missing %q", want)
 		}
+	}
+}
+
+// TestBenchVerifyPresent: every benchmark workload runs in CI with its
+// outputs checked against the goldens (amrio-bench exits non-zero on any
+// failed op, and a golden mismatch is one). Timing comparisons against a
+// committed baseline stay out: a hosted runner is not the baseline host,
+// so its timings would flag noise.
+func TestBenchVerifyPresent(t *testing.T) {
+	ci := readCI(t)
+	if !strings.Contains(ci, "\n  bench-verify:\n") {
+		t.Error("CI has no bench-verify job")
+	}
+	if !strings.Contains(ci, "go run ./cmd/amrio-bench -seed 1 -seconds 1 -trace-dir /tmp/bench -out /tmp/bench/result.json") {
+		t.Error("CI does not run amrio-bench over all workloads at seed 1")
+	}
+	if strings.Contains(ci, "amrio-bench -compare") {
+		t.Error("CI runs the timing -compare; hosted runners are not the baseline host")
 	}
 }

@@ -1,6 +1,8 @@
 // Command amrio-campaign executes the paper's Table III parameter study
 // and persists each run's output ledger to JSON for the model and report
-// tools.
+// tools. Every case runs on an uncached campaign.Executor and is reduced
+// to its report rows as it completes, from the run's one fold; no write
+// ledger is kept.
 //
 // Usage:
 //
@@ -40,7 +42,10 @@
 // per-tier byte splits, buffer occupancy, drain tails, and stall
 // stragglers. -bbcap overrides the per-node burst-buffer capacity
 // in bytes (default: Summit's 1.6 TB NVMe) — shrink it to watch bursts
-// fill the buffer and stall at the drain rate.
+// fill the buffer and stall at the drain rate. It sets every case's
+// bb_capacity field (campaign.Case.BBCapacity, the same field a -serve
+// client submits), so 0 keeps the default and a negative or non-finite
+// value is rejected before any case runs.
 //
 // -aggregation expands every selected case into the two-phase
 // aggregation cross-product (iosim.AggregationSpec grammar:
@@ -102,13 +107,11 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"amrproxyio/internal/campaign"
 	"amrproxyio/internal/faults"
-	"amrproxyio/internal/iosim"
 	"amrproxyio/internal/report"
 	"amrproxyio/internal/resilience"
 	"amrproxyio/internal/serve"
@@ -168,18 +171,6 @@ func run(args []string, stdout io.Writer) error {
 		})
 	}
 
-	// An explicit -bbcap must be positive: letting 0 or a negative
-	// capacity flow into the model would silently select the Summit
-	// default (or a degenerate buffer) instead of what was asked for.
-	var bbcapSet bool
-	flags.Visit(func(f *flag.Flag) {
-		if f.Name == "bbcap" {
-			bbcapSet = true
-		}
-	})
-	if bbcapSet && *bbcap <= 0 {
-		return fmt.Errorf("-bbcap must be positive, got %g", *bbcap)
-	}
 	plan, err := faults.Load(*faultsArg)
 	if err != nil {
 		return err
@@ -203,6 +194,7 @@ func run(args []string, stdout io.Writer) error {
 	for _, c := range all {
 		if *filter == "" || strings.Contains(c.Name, *filter) {
 			c.Remap = *remap
+			c.BBCapacity = *bbcap
 			c.Faults = plan
 			bases = append(bases, c)
 		}
@@ -237,77 +229,56 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// Ledgers are retained per case while its summaries are computed, then
-	// freed; the sweep keeps only the compact folds and summary rows.
-	keepLedgers := *topology || len(axes) > 0 || plan != nil
-	var mu sync.Mutex
-	ledgers := map[string]*iosim.FileSystem{}
-	results, err := campaign.RunAll(cases, *parallel, func(c campaign.Case) *iosim.FileSystem {
-		cfg := c.FSConfig(*topology)
-		if *bbcap > 0 {
-			cfg.BurstBuffer.NodeCapacity = *bbcap
-		}
-		fs := iosim.New(cfg, "")
-		if keepLedgers {
-			mu.Lock()
-			ledgers[c.Name] = fs
-			mu.Unlock()
-		}
-		return fs
-	})
+	// Every case runs on an uncached executor and is reduced to its report
+	// rows in the per-case hook, as it completes: no ledger, filesystem or
+	// fold outlives its case.
+	reports := make([]caseReport, len(cases))
+	results, err := campaign.RunAll(cases, *parallel, campaign.NewExecutor(0, *topology),
+		campaign.WithOutputs(func(i int, out campaign.CaseOutput, red *campaign.Reduction, err error) {
+			if err != nil {
+				return
+			}
+			c, fold, r := cases[i], red.Fold, &reports[i]
+			if *topology {
+				r.link = "  [" + report.LinkSummary(fold.Bursts()) + "]"
+				// A narrowed sweep gets the full per-node decomposition too.
+				if len(cases) <= 4 {
+					r.topology = fmt.Sprintf("%s:\n%s", c.Name, report.TopologyReport(fold))
+				}
+			}
+			r.dist = report.SummarizeDist("", fold)
+			r.storage = report.SummarizeStorage("", fold)
+			r.aggregation = report.SummarizeAggregation("", fold)
+			if plan != nil {
+				r.resilience = faults.Analyze(plan, fold, red.Faults)
+			}
+			if policy != nil {
+				r.mitigation = report.MitigationSummary{Name: c.Name,
+					Outcome: resilience.Evaluate(c.Name, c.Faults, fold, red.Faults, out.Result.Mitigation)}
+			}
+		}))
 	if err != nil {
 		return err
 	}
-	var linkReports []string
-	folds := make([]*report.SummaryFold, len(cases))
 	var resilSums []report.ResilienceSummary
-	mitSums := make([]report.MitigationSummary, len(cases))
 	for i, res := range results {
 		c := cases[i]
-		line := fmt.Sprintf("%-18s %-9s %9s in %8v (%d plots)",
-			c.Name, res.Engine, report.HumanBytes(res.TotalBytes()), res.Wall.Round(1e6), res.NPlots)
-		if fs := ledgers[c.Name]; fs != nil {
-			ledger := fs.Ledger()
-			if *topology {
-				line += "  [" + report.LinkSummary(ledger) + "]"
-				// A narrowed sweep gets the full per-node decomposition too.
-				if len(cases) <= 4 {
-					linkReports = append(linkReports,
-						fmt.Sprintf("%s:\n%s", c.Name, report.TopologyReport(ledger)))
-				}
-			}
-			folds[i] = report.NewSummaryFold()
-			for _, r := range ledger {
-				folds[i].Consume(r)
-			}
-			if plan != nil {
-				resilSums = append(resilSums, report.ResilienceSummary{
-					Name:       c.Name,
-					Resilience: faults.Analyze(plan, ledger, fs.FaultEvents()),
-				})
-			}
-			if policy != nil {
-				mitSums[i] = report.MitigationSummary{
-					Name:    c.Name,
-					Outcome: resilience.Evaluate(c.Name, c.Faults, ledger, fs.FaultEvents(), res.Mitigation),
-				}
-			}
-			// Each case's ledger is only needed for its own summaries;
-			// free it now so a large sweep doesn't hold every case's
-			// write records until process exit.
-			fs.Reset()
-			delete(ledgers, c.Name)
+		fmt.Fprintf(stdout, "%-18s %-9s %9s in %8v (%d plots)%s\n",
+			c.Name, res.Engine, report.HumanBytes(res.TotalBytes()), res.Wall.Round(1e6), res.NPlots, reports[i].link)
+		if plan != nil {
+			resilSums = append(resilSums, report.ResilienceSummary{Name: c.Name, Resilience: reports[i].resilience})
 		}
-		fmt.Fprintln(stdout, line)
 		if *outdir != "" {
 			if err := res.Save(filepath.Join(*outdir, c.Name+".json")); err != nil {
 				return err
 			}
 		}
 	}
-	for _, r := range linkReports {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, r)
+	for _, r := range reports {
+		if r.topology != "" {
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, r.topology)
+		}
 	}
 	// One comparison per swept axis per combination of the other axes:
 	// the group's members differ only along the axis, and the group is
@@ -320,16 +291,16 @@ func run(args []string, stdout io.Writer) error {
 		for g, members := range campaign.Groups(len(bases), axes, k) {
 			if ax.Name == "mitigate" {
 				pairs = append(pairs, report.MitigationPair{Base: labels[g].Name,
-					Unmitigated: mitSums[members[0]], Mitigated: mitSums[members[1]]})
+					Unmitigated: reports[members[0]].mitigation, Mitigated: reports[members[1]].mitigation})
 				continue
 			}
 			cmp := comparisons[ax.Name]
 			names := make([]string, len(members))
-			groupFolds := make([]*report.SummaryFold, len(members))
+			group := make([]caseReport, len(members))
 			for v, m := range members {
-				names[v], groupFolds[v] = ax.Variants[v].Name, folds[m]
+				names[v], group[v] = ax.Variants[v].Name, reports[m]
 			}
-			fmt.Fprintf(stdout, "\n%s %s:\n%s", labels[g].Name, cmp.title, cmp.table(names, groupFolds))
+			fmt.Fprintf(stdout, "\n%s %s:\n%s", labels[g].Name, cmp.title, cmp.table(names, group))
 		}
 	}
 	// The recovery-cost comparison: what the injected plan cost each
@@ -349,27 +320,48 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
+// caseReport is one case reduced to everything the sweep prints about
+// it, computed from the case's fold as the case completes. The
+// comparison rows are unnamed until a group names them for its variants.
+type caseReport struct {
+	link, topology string
+	dist           report.DistSummary
+	storage        report.StorageSummary
+	aggregation    report.AggregationSummary
+	resilience     faults.Resilience
+	mitigation     report.MitigationSummary
+}
+
 // comparison is one swept axis's table: its title and its renderer over
-// a group's variant names and summary folds.
+// a group's variant names and member reports.
 type comparison struct {
 	title string
-	table func(names []string, folds []*report.SummaryFold) string
+	table func(names []string, group []caseReport) string
 }
 
 var comparisons = map[string]comparison{
-	"dist":        {"distribution-mapping comparison", table((*report.SummaryFold).Dist, report.DistReport)},
-	"storage":     {"storage-tier comparison", table((*report.SummaryFold).Storage, report.StorageReport)},
-	"aggregation": {"aggregation comparison", table((*report.SummaryFold).Aggregation, report.AggregationReport)},
+	"dist": {"distribution-mapping comparison", table(func(r caseReport, v string) report.DistSummary {
+		r.dist.Dist = v
+		return r.dist
+	}, report.DistReport)},
+	"storage": {"storage-tier comparison", table(func(r caseReport, v string) report.StorageSummary {
+		r.storage.Storage = v
+		return r.storage
+	}, report.StorageReport)},
+	"aggregation": {"aggregation comparison", table(func(r caseReport, v string) report.AggregationSummary {
+		r.aggregation.Name = v
+		return r.aggregation
+	}, report.AggregationReport)},
 }
 
-// table summarizes each fold under its variant name and renders the rows.
-func table[S any](summarize func(*report.SummaryFold, string) S, render func([]S) string) func([]string, []*report.SummaryFold) string {
-	return func(names []string, folds []*report.SummaryFold) string {
-		sums := make([]S, len(folds))
-		for i, f := range folds {
-			sums[i] = summarize(f, names[i])
+// table names each member's row for its variant and renders the rows.
+func table[S any](row func(caseReport, string) S, render func([]S) string) func([]string, []caseReport) string {
+	return func(names []string, group []caseReport) string {
+		rows := make([]S, len(group))
+		for i, r := range group {
+			rows[i] = row(r, names[i])
 		}
-		return render(sums)
+		return render(rows)
 	}
 }
 

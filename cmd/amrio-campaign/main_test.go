@@ -8,22 +8,31 @@ import (
 	"testing"
 )
 
-// caseLine matches the per-case progress lines, which carry wall clock.
-var caseLine = regexp.MustCompile(`(?m)^.* \(\d+ plots\).*$\n?`)
+// caseLine matches the per-case progress lines; wallClock matches the
+// one field in them that is not deterministic.
+var (
+	caseLine  = regexp.MustCompile(`(?m)^.* \(\d+ plots\).*$\n?`)
+	wallClock = regexp.MustCompile(` in +\S+ \(`)
+)
 
-// sections splits a run's stdout into blank-line-separated sections,
-// drops the per-case lines, and maps each remaining section's SHA-256 to
-// its first line (for failure messages).
+// sections splits a run's stdout into blank-line-separated sections and
+// maps each section's SHA-256 to its first line (for failure messages).
+// Each per-case line is hashed on its own with its wall clock masked,
+// and the section around it is hashed without it.
 func sections(out string) map[string]string {
 	got := map[string]string{}
-	for _, sec := range strings.Split(out, "\n\n") {
-		sec = strings.Trim(caseLine.ReplaceAllString(sec, ""), "\n")
-		if sec == "" {
-			continue
-		}
-		sum := sha256.Sum256([]byte(sec))
-		title, _, _ := strings.Cut(sec, "\n")
+	add := func(s string) {
+		sum := sha256.Sum256([]byte(s))
+		title, _, _ := strings.Cut(s, "\n")
 		got[hex.EncodeToString(sum[:])] = title
+	}
+	for _, line := range caseLine.FindAllString(out, -1) {
+		add(wallClock.ReplaceAllString(strings.TrimSuffix(line, "\n"), " in - ("))
+	}
+	for _, sec := range strings.Split(out, "\n\n") {
+		if sec = strings.Trim(caseLine.ReplaceAllString(sec, ""), "\n"); sec != "" {
+			add(sec)
+		}
 	}
 	return got
 }
@@ -33,17 +42,25 @@ func sections(out string) map[string]string {
 // hand-nested grouping became one Axis cross-product; every one of them
 // must still print. The added digests are the comparison tables the old
 // grouping silently dropped from composed sweeps (a nested member name
-// never matched the hand-built key); nothing else may appear.
+// never matched the hand-built key). The line digests pin the per-case
+// lines, link summary included, as printed when every case's rows were
+// still reduced from its retained ledger. Nothing else may appear.
 func TestCLIOutputPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		args   []string
+		lines  []string
 		parent []string
 		added  []string
 	}{
 		{
 			name: "storage sweep",
 			args: []string{"-quick", "-filter", "case4_div8", "-storage", "gpfs,bb,bb+gpfs", "-bbcap", "2e7", "-parallel", "2"},
+			lines: []string{
+				"caafc45ba4ea2df17201f47bb2f8962fe9182c877467ce37f662040747f8c153", // case4_div8_gpfs per-case line
+				"b237a891e0bcbd65aed07558d7957753b13b00f3f4270b7ed136c2b85a2c9229", // case4_div8_bb per-case line
+				"e910b97ce30741c73ba0d267ba192b5238365e927ef901ef36622e347824289a", // case4_div8_bb+gpfs per-case line
+			},
 			parent: []string{
 				"1ead91cf9eb2cf9de0c9ceea7def9e1abcdbe1af05c99c127bfcadccf6a0b6c4", // case4_div8 storage-tier comparison
 				"bf88696dedf68107a64331c8b4d87d30aee219ba28358f7ee58db34875b9ac50", // Table III
@@ -52,6 +69,11 @@ func TestCLIOutputPinned(t *testing.T) {
 		{
 			name: "aggregation sweep",
 			args: []string{"-quick", "-filter", "case10", "-topology", "-aggregation", "direct,2/node,1/node"},
+			lines: []string{
+				"11c47e458241d33a060d34c7bb35f3894be3fdfcad47036a68104ec93e8adba8", // case10_div8_direct per-case line
+				"24ddd00e9234a5824844562015b5e049f3a855af08d38902556d58ec7294fd86", // case10_div8_2per-node per-case line
+				"83fc40bcac9b4581f7cebcbd7f42472aff705505933f1ffd8418fb2cb5ad11a7", // case10_div8_1per-node per-case line
+			},
 			parent: []string{
 				"adeb24ef73d959563fc7f264627a56cf3b2af545b58aadfad29b52a9893fe5f4", // case10_div8_direct link report
 				"d264b68dbeece689a701168606e268c7379a5647824511ee3b89dc7c9a0572e1", // case10_div8_2per-node link report
@@ -64,6 +86,9 @@ func TestCLIOutputPinned(t *testing.T) {
 			name: "fault plan",
 			args: []string{"-quick", "-filter", "case10", "-topology", "-storage", "bb+gpfs", "-faults",
 				`{"events":[{"kind":"target-outage","start":0.05,"end":1,"target":0},{"kind":"rank-interrupt","start":2,"rank":1}],"mtbf_seconds":20,"seed":7}`},
+			lines: []string{
+				"0e985d7d0fad470e33e90ad773e68e4e2a57e94f507b8da9b570c55ddb599087", // case10_div8_bb+gpfs per-case line
+			},
 			parent: []string{
 				"b8b768bf019b4f82efbe0cfb12a50b70dd511a4867214bc4245edfef9dedb982", // case10_div8_bb+gpfs link report
 				"c9a8ee604d232460fb143e21088e8ac279a414855d45396a122436224bc7bc25", // case10_div8 storage-tier comparison
@@ -75,6 +100,10 @@ func TestCLIOutputPinned(t *testing.T) {
 			name: "mitigated fault plan",
 			args: []string{"-quick", "-filter", "case10", "-topology", "-storage", "bb+gpfs",
 				"-faults", "../../examples/faultplans/target-outage.json", "-mitigate", "default"},
+			lines: []string{
+				"c2849a1d9c700c3f624736ef5b7a47fa9f69ae74190e59185a5a74a5e41015dd", // case10_div8_bb+gpfs_nomitigate per-case line
+				"238c760eecbc1d497f8e5e96885b02248172f5c193a003cbebbba8525667cf8e", // case10_div8_bb+gpfs_mitigate per-case line
+			},
 			parent: []string{
 				"3dd8a6c6d73740ef81e6219a617d9a227822ae1f766e3628ae898140e8504489", // case10_div8_bb+gpfs_nomitigate link report
 				"b823aecc1285ddcc5f911b536995ddb4796e4274b4cd3a43d33fddc90f3fcf41", // case10_div8_bb+gpfs_mitigate link report
@@ -90,6 +119,11 @@ func TestCLIOutputPinned(t *testing.T) {
 		{
 			name: "dist sweep",
 			args: []string{"-quick", "-filter", "case10", "-topology", "-dist", "roundrobin,knapsack,sfc"},
+			lines: []string{
+				"dff2198f7d3f5fff0a4d2217801770fb06421e20056160da9dd2523c99b86673", // case10_div8_roundrobin per-case line
+				"48c10f0f62600a15addff6b06f4871875e7755c99f1bffb773bc976a89a4f15e", // case10_div8_knapsack per-case line
+				"0361371417aa9393d56ba3eaf9d365e0f7a8b37374abec8cb21ca7392bc12d77", // case10_div8_sfc per-case line
+			},
 			parent: []string{
 				"78880e633af98034753e795cca412a903b69627977074520fa046783ec6ef9d8", // case10_div8_roundrobin link report
 				"45d8f1632b105db91cd5c2430c3968fbe05b3946d9e34065b2f311fab9d7490e", // case10_div8_knapsack link report
@@ -101,6 +135,12 @@ func TestCLIOutputPinned(t *testing.T) {
 		{
 			name: "dist x storage sweep",
 			args: []string{"-quick", "-filter", "case10", "-topology", "-dist", "roundrobin,sfc", "-storage", "gpfs,bb"},
+			lines: []string{
+				"10f9846921c64f152b693b565ff95fb066e358f53ec7d46a03640adfdc7f8c40", // case10_div8_roundrobin_gpfs per-case line
+				"87058f8e8e89a3aab1bf0e3edfb72611b56248401721894685b87ccb9d0b7cfd", // case10_div8_roundrobin_bb per-case line
+				"4b200c6ecd574a7dc43d27a468873a0e5e8b18e4abf602dc9d60970005d205e5", // case10_div8_sfc_gpfs per-case line
+				"71fdf85441f26920c15829575282b56a7315b0e4220d8353d3e35cce4a4594cf", // case10_div8_sfc_bb per-case line
+			},
 			parent: []string{
 				"10bbe3a5c879f49302f80020f3842cd7f7294489e0d3a1d3ec859f56dda89dd5", // case10_div8_roundrobin_gpfs link report
 				"fa6694b9200241e4ef430223f91d2e6f2dfbf193fceecf213ceae61a426b613a", // case10_div8_roundrobin_bb link report
@@ -123,7 +163,7 @@ func TestCLIOutputPinned(t *testing.T) {
 			}
 			got := sections(out.String())
 			want := map[string]bool{}
-			for _, d := range append(append([]string{}, tc.parent...), tc.added...) {
+			for _, d := range append(append(append([]string{}, tc.lines...), tc.parent...), tc.added...) {
 				want[d] = true
 				if _, ok := got[d]; !ok {
 					t.Errorf("section %s… no longer printed", d[:12])

@@ -1,8 +1,11 @@
-// Command amrio-model applies the paper's analytical model: it calibrates
-// the Eq. 3 part_size factor and the dataset_growth kernel against a
-// measured run (a result JSON from amrio-campaign, or a fresh quick run of
-// the pivot case) and emits the translated MACSio command line (Listing 1)
-// plus the Fig. 9 calibration convergence.
+// Command amrio-model runs the paper's methodology loop (its Fig. 1) on
+// one measured run — a result JSON from amrio-campaign, or a fresh quick
+// run of the pivot case. It calibrates the Eq. 3 part_size factor and
+// the dataset_growth kernel against the run and emits the translated
+// MACSio command line (Listing 1); then it runs the MACSio proxy and
+// compares the bytes each dump writes with the bytes each plot wrote
+// (the Fig. 10 procedure); last comes the Fig. 9 calibration
+// convergence.
 //
 // Usage:
 //
@@ -16,8 +19,11 @@ import (
 
 	"amrproxyio/internal/campaign"
 	"amrproxyio/internal/core"
+	"amrproxyio/internal/inputs"
 	"amrproxyio/internal/iosim"
+	"amrproxyio/internal/macsio"
 	"amrproxyio/internal/report"
+	"amrproxyio/internal/stats"
 )
 
 func main() {
@@ -41,12 +47,11 @@ func run() error {
 		}
 	} else {
 		fmt.Println("no -result given; running a scaled case4 pivot now...")
-		fs := iosim.New(iosim.DefaultConfig(), "")
-		var err error
-		res, err = campaign.Run(campaign.Case4().Scaled(8), fs)
+		out, err := campaign.NewExecutor(0, false).RunCase(campaign.Case4().Scaled(8), 0)
 		if err != nil {
 			return err
 		}
+		res = out.Result
 	}
 
 	cfg := res.Case.Inputs()
@@ -66,11 +71,47 @@ func run() error {
 	fmt.Println(report.Listing1(tr, cfg.NProcs))
 
 	_, perStep := core.PerStepBytes(res.Records)
+	if err := replay(cfg, res, perStep); err != nil {
+		return err
+	}
+
 	fig9 := report.Fig9(perStep, tr.Trace, tr.Kernel.Base)
 	if *csv {
 		fmt.Println(fig9.CSV())
 	} else {
 		fmt.Println(fig9.Render())
 	}
+	return nil
+}
+
+// replay runs the MACSio proxy for the measured run and compares it
+// with the run step by step. Eq. 3 is fitted against on-disk bytes here
+// (core.MatchFileBytes divides out MACSio's JSON textual inflation), so
+// the proxy's files match the run's in aggregate; the paper's own
+// f ≈ 23-25 above uses the nominal part_size semantics instead.
+func replay(cfg inputs.CastroInputs, res campaign.Result, measured []int64) error {
+	opts := core.DefaultTranslateOptions()
+	opts.Match = core.MatchFileBytes
+	tr, err := core.Translate(cfg, res.Records, opts)
+	if err != nil {
+		return err
+	}
+	recs, err := macsio.Run(iosim.New(iosim.DefaultConfig(), ""), tr.MACSio)
+	if err != nil {
+		return err
+	}
+	proxy := macsio.BytesPerStep(recs)
+	fmt.Printf("proxy replay (f = %.2f fitted to file bytes, part_size = %d), AMReX measured vs MACSio proxy:\n",
+		tr.F, tr.MACSio.PartSize)
+	var meas, prox []float64
+	for k := 0; k < len(measured) && k < len(proxy); k++ {
+		meas = append(meas, float64(measured[k]))
+		prox = append(prox, float64(proxy[k]))
+		fmt.Printf("  step %2d  castro %10s   macsio %10s   ratio %.3f\n",
+			k, report.HumanBytes(measured[k]), report.HumanBytes(proxy[k]),
+			float64(proxy[k])/float64(measured[k]))
+	}
+	fmt.Printf("proxy fidelity: MAPE %.2f%%  Pearson %.4f\n\n",
+		stats.MAPE(meas, prox), stats.Pearson(meas, prox))
 	return nil
 }

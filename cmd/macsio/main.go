@@ -196,23 +196,25 @@ func run() error {
 		report.HumanBytes(macsio.TotalBytes(recs)), len(recs))
 
 	if verbose {
+		ledger := fs.Ledger()
+		fold := iosim.Fold(ledger)
 		fmt.Println()
-		fmt.Println(report.Fig3(fs.Ledger()))
-		fmt.Println(report.BurstReport(fs.Ledger()))
+		fmt.Println(report.Fig3(ledger))
+		fmt.Println(report.BurstReport(ledger))
 		if nodes > 0 {
-			fmt.Println(report.TopologyReport(fs.Ledger()))
+			fmt.Println(report.TopologyReport(fold))
 		}
-		fmt.Println(iosim.Characterize(fs.Ledger()).Render())
+		fmt.Println(fold.Profile().Render())
 		if plan != nil {
 			sum := report.ResilienceSummary{
 				Name:       "macsio",
-				Resilience: faults.Analyze(plan, fs.Ledger(), fs.FaultEvents()),
+				Resilience: faults.Analyze(plan, fold, fs.FaultEvents()),
 			}
 			fmt.Printf("resilience under injected faults:\n%s",
 				report.ResilienceReport([]report.ResilienceSummary{sum}))
 		}
 		if eng != nil {
-			out := resilience.Evaluate("macsio", plan, fs.Ledger(), fs.FaultEvents(), eng.Stats())
+			out := resilience.Evaluate("macsio", plan, fold, fs.FaultEvents(), eng.Stats())
 			fmt.Printf("mitigation summary:\n%s",
 				report.MitigationTable([]report.MitigationSummary{{Name: "macsio", Outcome: out}}))
 		}

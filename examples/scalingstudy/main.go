@@ -114,7 +114,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("I/O bursts on the same topology: %s\n", report.LinkSummary(tfs.Ledger()))
+	fmt.Printf("I/O bursts on the same topology: %s\n", report.LinkSummary(iosim.BurstStats(tfs.Ledger())))
 
 	// Fig. 11: the 8192^2 per-step series against the calibrated kernel.
 	fmt.Println("\nFig. 11 comparison (8192^2, kernel model vs surrogate measurement):")
@@ -144,10 +144,10 @@ func main() {
 	for i, c := range campaign.Cross([]campaign.Case{distCase}, dists) {
 		cfg := iosim.DefaultConfig()
 		cfg.Topology = c.Topology()
-		ledger := run(c, cfg)
+		fold := run(c, cfg)
 		distNames = append(distNames, dists.Variants[i].Name)
-		distSums = append(distSums, report.SummarizeDist(dists.Variants[i].Name, ledger))
-		distBursts = append(distBursts, iosim.BurstStats(ledger))
+		distSums = append(distSums, report.SummarizeDist(dists.Variants[i].Name, fold))
+		distBursts = append(distBursts, fold.Bursts())
 	}
 	fmt.Print(report.DistReport(distSums))
 	fmt.Println(report.FigDistSkew(distNames, distBursts).Render())
@@ -189,10 +189,10 @@ func main() {
 		cfg.PerWriterBandwidth = 1e8 // congested GPFS streams throttle the tiered drain
 		cfg.BurstBuffer.NodeCapacity = 6.4e7
 		cfg.BurstBuffer.DrainBandwidth = 8e8
-		ledger := run(c, cfg)
+		fold := run(c, cfg)
 		stackNames = append(stackNames, stacks.Variants[i].Name)
-		storageSums = append(storageSums, report.SummarizeStorage(stacks.Variants[i].Name, ledger))
-		storageBursts = append(storageBursts, iosim.BurstStats(ledger))
+		storageSums = append(storageSums, report.SummarizeStorage(stacks.Variants[i].Name, fold))
+		storageBursts = append(storageBursts, fold.Bursts())
 	}
 	fmt.Print(report.StorageReport(storageSums))
 	fmt.Println(report.FigBBFill(stackNames, storageBursts).Render())
@@ -226,7 +226,7 @@ func main() {
 		}
 		resilSums = append(resilSums, report.ResilienceSummary{
 			Name:       c.Name,
-			Resilience: faults.Analyze(c.Faults, fs.Ledger(), fs.FaultEvents()),
+			Resilience: faults.Analyze(c.Faults, iosim.Fold(fs.Ledger()), fs.FaultEvents()),
 		})
 	}
 	fmt.Print(report.ResilienceReport(resilSums))
@@ -253,7 +253,7 @@ func main() {
 		}
 		mitSums[i] = report.MitigationSummary{
 			Name:    c.Name,
-			Outcome: resilience.Evaluate(c.Name, plan, fs.Ledger(), fs.FaultEvents(), res.Mitigation),
+			Outcome: resilience.Evaluate(c.Name, plan, iosim.Fold(fs.Ledger()), fs.FaultEvents(), res.Mitigation),
 		}
 	}
 	fmt.Print(report.MitigationReport([]report.MitigationPair{{
@@ -300,11 +300,14 @@ func axis(name, list string) campaign.Axis {
 }
 
 // run executes one case on a fresh filesystem built from cfg and returns
-// its ledger.
-func run(c campaign.Case, cfg iosim.Config) []iosim.WriteRecord {
+// its finished fold.
+func run(c campaign.Case, cfg iosim.Config) *iosim.CharacterizeFold {
+	fold := iosim.NewCharacterizeFold()
 	fs := iosim.New(cfg, "")
+	fs.Attach(fold)
 	if _, err := campaign.Run(c, fs); err != nil {
 		log.Fatal(err)
 	}
-	return fs.Ledger()
+	fs.FlushConsumers()
+	return fold
 }

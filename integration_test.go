@@ -269,7 +269,7 @@ func TestStorageTierSweep512Ranks(t *testing.T) {
 		if _, err := campaign.Run(c, fs); err != nil {
 			t.Fatal(err)
 		}
-		sum := report.SummarizeStorage(string(s), fs.Ledger())
+		sum := report.SummarizeStorage(string(s), iosim.Fold(fs.Ledger()))
 		sums[s] = sum
 		ordered = append(ordered, sum)
 	}

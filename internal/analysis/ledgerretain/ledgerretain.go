@@ -3,9 +3,11 @@
 // Design 10's memory claim — O(bursts) per case instead of O(writes) —
 // holds only while those paths fold records as they are produced; one
 // convenient Ledger() call rematerializes millions of WriteRecords and
-// silently reverts the subsystem to batch mode. The batch paths that
-// legitimately reduce retained ledgers (the CLIs, iosim itself, tests
-// pinning fold == batch) are out of scope.
+// silently reverts the subsystem to batch mode. The sweep CLI
+// (amrio-campaign) is in scope: it reads every report off the Executor's
+// per-case fold. The batch paths that legitimately reduce retained
+// ledgers (the single-run CLIs and examples, iosim itself, tests pinning
+// fold == batch) are out of scope.
 package ledgerretain
 
 import (
@@ -16,13 +18,14 @@ import (
 )
 
 // Packages scopes the analyzer to the streaming paths: the serve
-// service, the memoizing campaign executor, and the report folds. The
-// analyzer's own fixture tree is included so the golden tests run it
+// service, the campaign executor, the report rows, and the sweep CLI.
+// The analyzer's own fixture tree is included so the golden tests run it
 // against real compiling code.
 var Packages = []string{
 	"amrproxyio/internal/serve",
 	"amrproxyio/internal/campaign",
 	"amrproxyio/internal/report",
+	"amrproxyio/cmd/amrio-campaign",
 	"amrproxyio/internal/analysis/ledgerretain",
 	"amrproxyio/internal/analysis/vet", // the driver's known-bad smoke fixture
 }

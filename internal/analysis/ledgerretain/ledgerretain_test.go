@@ -18,9 +18,12 @@ func TestFlaggedAndAllowedCases(t *testing.T) {
 }
 
 func TestScopeCoversStreamingPaths(t *testing.T) {
-	// The scope is part of the contract: serve and the memoizing
-	// campaign executor must never materialize a ledger.
-	for _, pkg := range []string{"amrproxyio/internal/serve", "amrproxyio/internal/campaign", "amrproxyio/internal/report"} {
+	// The scope is part of the contract: serve, the campaign executor and
+	// the sweep CLI must never materialize a ledger.
+	for _, pkg := range []string{
+		"amrproxyio/internal/serve", "amrproxyio/internal/campaign",
+		"amrproxyio/internal/report", "amrproxyio/cmd/amrio-campaign",
+	} {
 		found := false
 		for _, p := range ledgerretain.Packages {
 			if p == pkg {

@@ -111,7 +111,7 @@ func TestAggregationCrossover512(t *testing.T) {
 	for _, group := range campaign.Groups(1, axes, 1) {
 		s := cases[group[0]].Storage
 		for v, m := range group {
-			sums[s] = append(sums[s], report.SummarizeAggregation(layouts.Variants[v].Name, ledgers[m]))
+			sums[s] = append(sums[s], report.SummarizeAggregation(layouts.Variants[v].Name, iosim.Fold(ledgers[m])))
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -61,9 +62,16 @@ type Case struct {
 	// prices writes with ("gpfs" | "bb" | "bb+gpfs"). The empty string
 	// keeps the historical single-tier model; unknown names are rejected
 	// by Validate, like unknown engines and dists. The selection takes
-	// effect through FSConfig (RunAll's default filesystems and the
-	// CLIs); callers handing Run a custom filesystem configure it there.
+	// effect through FSConfig (the Executor's filesystems); callers
+	// handing Run a custom filesystem configure it there.
 	Storage Storage `json:"storage,omitempty"`
+	// BBCapacity overrides the per-node burst-buffer capacity in bytes
+	// of the "bb" and "bb+gpfs" stacks (amrio-campaign -bbcap); shrink it
+	// to watch bursts fill the buffer and stall at the drain rate. 0
+	// keeps Summit's 1.6 TB NVMe; negative and non-finite values are
+	// rejected by Validate. It takes effect through FSConfig, like
+	// Storage.
+	BBCapacity float64 `json:"bb_capacity,omitempty"`
 	// ComputeSeconds models the compute phase between time steps on the
 	// filesystem clocks (driver.Options.StepSeconds): bursts are
 	// separated by compute gaps that an asynchronous burst-buffer drain
@@ -109,6 +117,9 @@ func (c Case) Validate() error {
 	}
 	if c.ComputeSeconds < 0 {
 		return fmt.Errorf("campaign %s: negative compute_seconds %g", c.Name, c.ComputeSeconds)
+	}
+	if !(c.BBCapacity >= 0) || math.IsInf(c.BBCapacity, 1) {
+		return fmt.Errorf("campaign %s: bb_capacity %g must be a finite number of bytes >= 0", c.Name, c.BBCapacity)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return fmt.Errorf("campaign %s: %w", c.Name, err)
@@ -159,9 +170,10 @@ func (c Case) Topology() iosim.Topology {
 // FSConfig derives the iosim configuration the case runs against: the
 // default Summit-flavored model, the per-link topology when withTopology
 // is set, and the case's storage-tier stack — burst-buffer cases get the
-// Summit NVMe spec sized to the case's node count. RunAll's default
-// filesystems and the CLIs build from this, so Case.Storage takes effect
-// without every call site re-deriving the wiring.
+// Summit NVMe spec sized to the case's node count, with BBCapacity
+// overriding the per-node capacity. The Executor builds every filesystem
+// from this, so the filesystem is a function of the case (and the
+// executor's topology flag) alone.
 func (c Case) FSConfig(withTopology bool) iosim.Config {
 	cfg := iosim.DefaultConfig()
 	if withTopology {
@@ -170,6 +182,9 @@ func (c Case) FSConfig(withTopology bool) iosim.Config {
 	cfg.Storage = string(c.Storage)
 	if c.Storage == StorageBB || c.Storage == StorageTiered {
 		cfg.BurstBuffer = iosim.DefaultBurstBuffer(max(1, c.Nodes))
+		if c.BBCapacity > 0 {
+			cfg.BurstBuffer.NodeCapacity = c.BBCapacity
+		}
 	}
 	if c.Aggregation != nil {
 		cfg.Aggregation = *c.Aggregation
@@ -285,29 +300,20 @@ type RunOption func(*runOptions)
 
 type runOptions struct {
 	caseTimeout time.Duration
-	executor    *Executor
-	onOutput    func(i int, out CaseOutput, err error)
-}
-
-// WithExecutor routes every case through a memoizing Executor: repeated
-// configurations (same canonical fingerprint) are served from its LRU
-// instead of the simulator, and concurrent duplicates within the batch
-// share one simulation. The executor's withTopology setting decides the
-// FSConfig, so WithExecutor supersedes RunAll's newFS argument (pass
-// nil). The serve layer and warm sweeps build on this.
-func WithExecutor(e *Executor) RunOption {
-	return func(o *runOptions) { o.executor = e }
+	onOutput    func(i int, out CaseOutput, red *Reduction, err error)
 }
 
 // WithOutputs registers a per-case completion hook: called once per
 // case, from the worker goroutine that finished it, with the case's
-// index, its output, and its error. Completion order is whatever the
-// pool produces — the hook is for streaming consumers (the serve
-// layer's NDJSON writer) that want results as they land rather than
-// when the whole batch returns. Without WithExecutor the output carries
-// only the Result (no streamed folds, never Cached). The hook must be
+// index, its output, the Reduction of a fresh simulation (nil for a
+// case served from the cache, joined onto another caller's run, or
+// failed), and its error. Completion order is whatever the pool produces
+// — the hook is for streaming consumers (the serve layer's NDJSON
+// writer, amrio-campaign's report rows) that reduce results as they land
+// rather than when the whole batch returns. The Reduction is never
+// cached: read what you need before the hook returns. The hook must be
 // safe for concurrent calls when parallelism > 1.
-func WithOutputs(fn func(i int, out CaseOutput, err error)) RunOption {
+func WithOutputs(fn func(i int, out CaseOutput, red *Reduction, err error)) RunOption {
 	return func(o *runOptions) { o.onOutput = fn }
 }
 
@@ -335,16 +341,17 @@ func AbandonedInFlight() int {
 	return int(abandonedInFlight.Load())
 }
 
-// RunAll executes cases concurrently on up to parallelism workers and
-// returns one Result per case, in case order. Each case gets its own
-// FileSystem from newFS (nil selects a fresh ModelOnly DefaultConfig
-// filesystem per case), so ledgers are isolated and the results —
-// records, plot counts, simulated times — are identical to running the
-// cases serially; only wall-clock changes. parallelism < 1 selects
-// GOMAXPROCS workers. All cases run even if some fail; a panicking case
-// is recovered into its own error Result instead of killing the pool,
-// and the returned error joins every per-case failure.
-func RunAll(cases []Case, parallelism int, newFS func(Case) *iosim.FileSystem, opts ...RunOption) ([]Result, error) {
+// RunAll executes cases concurrently on up to parallelism workers,
+// every case through the executor e (nil selects NewExecutor(0, false):
+// uncached, aggregate model), and returns one Result per case, in case
+// order. Each simulation gets its own filesystem built from the case's
+// FSConfig, so the results — records, plot counts, simulated times — are
+// identical to running the cases serially; only wall-clock changes.
+// parallelism < 1 selects GOMAXPROCS workers. All cases run even if some
+// fail; a panicking case is recovered into its own error Result instead
+// of killing the pool, and the returned error joins every per-case
+// failure.
+func RunAll(cases []Case, parallelism int, e *Executor, opts ...RunOption) ([]Result, error) {
 	if len(cases) == 0 {
 		return nil, nil
 	}
@@ -352,17 +359,13 @@ func RunAll(cases []Case, parallelism int, newFS func(Case) *iosim.FileSystem, o
 	for _, o := range opts {
 		o(&opt)
 	}
+	if e == nil {
+		e = NewExecutor(0, false)
+	}
 	if parallelism < 1 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > len(cases) {
-		parallelism = len(cases)
-	}
-	if newFS == nil {
-		newFS = func(c Case) *iosim.FileSystem {
-			return iosim.New(c.FSConfig(false), "")
-		}
-	}
+	parallelism = min(parallelism, len(cases))
 	results := make([]Result, len(cases))
 	errs := make([]error, len(cases))
 	next := make(chan int)
@@ -372,16 +375,10 @@ func RunAll(cases []Case, parallelism int, newFS func(Case) *iosim.FileSystem, o
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				var out CaseOutput
-				if opt.executor != nil {
-					out, errs[i] = opt.executor.RunCase(cases[i], opt.caseTimeout)
-					results[i] = out.Result
-				} else {
-					results[i], errs[i] = runCase(cases[i], newFS, opt.caseTimeout)
-					out = CaseOutput{Result: results[i]}
-				}
+				out, red, err := e.execute(cases[i], opt.caseTimeout)
+				results[i], errs[i] = out.Result, err
 				if opt.onOutput != nil {
-					opt.onOutput(i, out, errs[i])
+					opt.onOutput(i, out, red, err)
 				}
 			}
 		}()
@@ -392,69 +389,6 @@ func RunAll(cases []Case, parallelism int, newFS func(Case) *iosim.FileSystem, o
 	close(next)
 	wg.Wait()
 	return results, errors.Join(errs...)
-}
-
-// runCase runs one pool member defensively: Validate rejects bad cases
-// before a filesystem is built (healthy siblings still run), panics are
-// recovered into error Results, and an optional timeout abandons stuck
-// cases.
-func runCase(c Case, newFS func(Case) *iosim.FileSystem, timeout time.Duration) (Result, error) {
-	if err := c.Validate(); err != nil {
-		return Result{Case: c, Engine: c.engineFor()}, err
-	}
-	return runBounded(c.Name, timeout,
-		func() (Result, error) { return Run(c, newFS(c)) },
-		func() Result { return Result{Case: c, Engine: c.engineFor()} },
-		func() Result { return Result{Case: c, Engine: c.engineFor(), Abandoned: true} })
-}
-
-// runBounded is the shared defensive envelope for anything that runs a
-// case: panics are recovered into onPanic's fallback value, and with
-// timeout > 0 a case still running after the deadline returns
-// onTimeout's fallback while the stuck goroutine is counted in
-// AbandonedInFlight until it finishes. runCase and the memoizing
-// Executor both run inside it.
-func runBounded[T any](name string, timeout time.Duration, work func() (T, error), onPanic, onTimeout func() T) (T, error) {
-	run := func() (out T, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				out = onPanic()
-				err = fmt.Errorf("campaign %s: panic: %v", name, r)
-			}
-		}()
-		return work()
-	}
-	if timeout <= 0 {
-		return run()
-	}
-	// The result travels through a buffered channel rather than shared
-	// variables: after a timeout the abandoned goroutine's send must not
-	// race the caller.
-	type outcome struct {
-		out T
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		out, err := run()
-		done <- outcome{out, err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case o := <-done:
-		return o.out, o.err
-	case <-timer.C:
-		// Count the goroutine we are abandoning, and drain its (exactly
-		// one, buffered) send when it eventually finishes so the count
-		// returns to zero instead of leaking silently.
-		abandonedInFlight.Add(1)
-		go func() {
-			<-done
-			abandonedInFlight.Add(-1)
-		}()
-		return onTimeout(), fmt.Errorf("campaign %s: case timed out after %s", name, timeout)
-	}
 }
 
 // Observation reduces a result to the feature tuple the predictive-sizing

@@ -16,10 +16,11 @@
 //
 // # RunAll's serial-equivalence contract
 //
-// Cases are independent — each owns a private iosim.FileSystem, and the
-// solver, surrogate, and plotfile writer share no mutable state across
-// runs — so RunAll executes the sweep on a worker pool, one worker per
-// core by default. Its contract: for any parallelism (including 1) and
+// Cases are independent — each simulation owns a private
+// iosim.FileSystem, and the solver, surrogate, and plotfile writer share
+// no mutable state across runs — so RunAll executes the sweep on a
+// worker pool, one worker per core by default, every case through an
+// Executor. Its contract: for any parallelism (including 1) and
 // any worker scheduling, the returned Results — records, plot counts,
 // simulated times, and each case's iosim ledger — are identical to
 // running the cases serially in case order. Only wall-clock time
@@ -34,8 +35,9 @@
 // Case.Topology derives the Summit-like per-link contention topology for
 // a case (NProcs ranks packed onto Nodes nodes, Alpine NSD fan-in); pass
 // it in an iosim.Config to model per-node NIC caps instead of one
-// aggregate bandwidth pool. The default filesystem (newFS == nil) keeps
-// the aggregate model, preserving historical ledgers.
+// aggregate bandwidth pool. An Executor built without the topology flag
+// (RunAll's nil default) keeps the aggregate model, preserving
+// historical ledgers.
 //
 // # Distribution-mapping experiments
 //
@@ -64,18 +66,23 @@
 // and fails if perturbing it doesn't change the fingerprint, so new
 // fields cannot silently alias cache entries.
 //
-// Executor wraps Run with an LRU memo keyed by fingerprint:
-// RunCase(c, timeout) returns a cached CaseOutput (result, burst stats,
-// and I/O profile, Cached=true) for a repeated configuration, and
-// coalesces concurrent identical cases into a single simulation
-// (single-flight; joiners get the same output). Simulations run against
-// a streaming CharacterizeFold — the executor never materializes a
-// ledger. Errors are never cached; timeouts use the same
-// abandon-and-account machinery as runCase (AbandonedInFlight).
-// RunAll(..., WithExecutor(e)) routes the worker pool through the memo,
-// WithOutputs streams each case's CaseOutput as it completes (the
-// service layer's NDJSON seam), and CheckBatch rejects batches that
-// reuse a case name for a different configuration before any work runs.
+// Executor is the one way a case runs. Each simulation gets a fresh
+// filesystem from Case.FSConfig and streams into one
+// iosim.CharacterizeFold — the executor never materializes a ledger —
+// under a defensive envelope (Validate, panic recovery, an optional
+// timeout that abandons the stuck goroutine and counts it in
+// AbandonedInFlight). A caching executor adds an LRU memo keyed by
+// fingerprint: RunCase(c, timeout) returns a cached CaseOutput (result,
+// burst stats, and I/O profile, Cached=true) for a repeated
+// configuration, and coalesces concurrent identical cases into a single
+// simulation (single-flight; joiners get the same output). Errors are
+// never cached; capacity 0 caches nothing. RunAll runs its worker pool
+// on an executor, and WithOutputs hands each case's CaseOutput — plus,
+// for a fresh simulation, its finished fold and fault events (the
+// Reduction, never cached) — to a per-case hook as it completes: the
+// service layer's NDJSON seam and amrio-campaign's report rows. Each run
+// has one fold. CheckBatch rejects batches that reuse a case name for a
+// different configuration before any work runs.
 // The campaign HTTP service built on these seams lives in
 // internal/serve.
 package campaign

@@ -4,11 +4,11 @@ import (
 	"fmt"
 
 	"amrproxyio/internal/campaign"
-	"amrproxyio/internal/iosim"
 )
 
-// ExampleRunAll executes a small sweep on the worker pool. Ledgers and
-// results are identical at any parallelism (RunAll's serial-equivalence
+// ExampleRunAll executes a small sweep on the worker pool, every case on
+// an uncached executor against its per-link contention model. Results
+// are identical at any parallelism (RunAll's serial-equivalence
 // contract), so the output is deterministic even though the two cases
 // run concurrently.
 func ExampleRunAll() {
@@ -18,11 +18,7 @@ func ExampleRunAll() {
 		{Name: "tiny64", NCell: 64, MaxLevel: 1, MaxStep: 8, PlotInt: 4,
 			CFL: 0.5, NProcs: 2, Nodes: 1, Engine: campaign.EngineHydro},
 	}
-	results, err := campaign.RunAll(cases, 2, func(c campaign.Case) *iosim.FileSystem {
-		cfg := iosim.DefaultConfig()
-		cfg.Topology = c.Topology() // per-link contention model
-		return iosim.New(cfg, "")
-	})
+	results, err := campaign.RunAll(cases, 2, campaign.NewExecutor(0, true))
 	if err != nil {
 		fmt.Println("error:", err)
 		return

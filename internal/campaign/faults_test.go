@@ -54,17 +54,15 @@ func TestValidateRejections(t *testing.T) {
 
 func TestRunAllRecoversPanics(t *testing.T) {
 	cases := runAllCases()[:3]
-	// A filesystem factory that panics for one case: iosim.New panics on
-	// storage names that bypassed validation.
-	poisoned := func(c Case) *iosim.FileSystem {
+	// An executor whose simulation panics for one case.
+	e := NewExecutor(0, false)
+	e.run = func(c Case, fs *iosim.FileSystem) (Result, error) {
 		if c.Name == cases[1].Name {
-			cfg := iosim.DefaultConfig()
-			cfg.Storage = "nvme"
-			return iosim.New(cfg, "")
+			panic("poisoned case")
 		}
-		return newModelFS(c)
+		return Run(c, fs)
 	}
-	results, err := RunAll(cases, 2, poisoned)
+	results, err := RunAll(cases, 2, e)
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("RunAll error = %v, want a recovered panic", err)
 	}
@@ -89,15 +87,16 @@ func TestRunAllCaseTimeout(t *testing.T) {
 		{Name: "to_stall", NCell: 1024, MaxLevel: 2, MaxStep: 4, PlotInt: 2, CFL: 0.5, NProcs: 4, Engine: EngineSurrogate},
 		{Name: "to_fast", NCell: 1024, MaxLevel: 2, MaxStep: 4, PlotInt: 2, CFL: 0.5, NProcs: 4, Engine: EngineSurrogate},
 	}
-	// Stall one case's filesystem construction past the timeout; the
-	// sibling must still finish.
-	slow := func(c Case) *iosim.FileSystem {
+	// Stall one case's simulation past the timeout; the sibling must
+	// still finish.
+	e := NewExecutor(0, false)
+	e.run = func(c Case, fs *iosim.FileSystem) (Result, error) {
 		if c.Name == cases[0].Name {
 			time.Sleep(2 * time.Second)
 		}
-		return newModelFS(c)
+		return Run(c, fs)
 	}
-	results, err := RunAll(cases, 2, slow, WithCaseTimeout(250*time.Millisecond))
+	results, err := RunAll(cases, 2, e, WithCaseTimeout(250*time.Millisecond))
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("RunAll error = %v, want a timeout", err)
 	}
@@ -109,7 +108,7 @@ func TestRunAllCaseTimeout(t *testing.T) {
 	}
 
 	// Without the option (or with a generous bound) everything passes.
-	if _, err := RunAll(cases, 2, newModelFS, WithCaseTimeout(time.Minute)); err != nil {
+	if _, err := RunAll(cases, 2, nil, WithCaseTimeout(time.Minute)); err != nil {
 		t.Fatalf("generous timeout failed: %v", err)
 	}
 }
@@ -149,7 +148,7 @@ func TestResilienceIntegration512(t *testing.T) {
 		if res.NPlots == 0 {
 			t.Fatal("no plots written")
 		}
-		return faults.Analyze(p, fs.Ledger(), fs.FaultEvents())
+		return faults.Analyze(p, iosim.Fold(fs.Ledger()), fs.FaultEvents())
 	}
 
 	clean := run(nil)

@@ -8,15 +8,17 @@ import (
 	"amrproxyio/internal/faults"
 	"amrproxyio/internal/iosim"
 	"amrproxyio/internal/report"
+	"amrproxyio/internal/resilience"
 )
 
-// Fold-vs-batch equivalence pins (Design 10): the same case run twice —
-// once retaining the full ledger and reducing after the fact, once
-// streaming into attached folds with the ledger dropped burst by burst —
-// must produce DeepEqual characterizations, burst stats, and report
-// summaries, across every storage stack, with and without topology,
-// aggregation, and fault injection. The streaming run's filesystem must
-// finish with an empty ledger: that emptiness is the memory claim.
+// Fold-vs-batch equivalence pins (Design 10): the same case run once
+// retaining the full ledger and folding it after the fact, and once
+// streaming into the fold with the ledger dropped burst by burst (by
+// hand and on the Executor), must produce DeepEqual characterizations,
+// burst stats, and every report row read off the fold, across every
+// storage stack, with and without topology, aggregation, and fault
+// injection. The streaming run's filesystem must finish with an empty
+// ledger: that emptiness is the memory claim.
 
 type foldVariant struct {
 	name string
@@ -56,10 +58,17 @@ func foldVariants() []foldVariant {
 	}
 }
 
-// runBoth executes the case through the batch and streaming paths and
-// returns the streamed folds plus the batch ledger.
-func runBoth(t *testing.T, c campaign.Case, topo bool) (
-	char *iosim.CharacterizeFold, sum *report.SummaryFold, ledger []iosim.WriteRecord) {
+// run is one execution of a case reduced to its fold and fault events.
+type run struct {
+	fold   *iosim.CharacterizeFold
+	events []iosim.FaultEvent
+}
+
+// runBoth executes the case through the batch path (full ledger, folded
+// after the fact), a hand-built streaming filesystem, and the Executor
+// that amrio-campaign and serve run every case on, and returns the
+// three runs plus the batch ledger.
+func runBoth(t *testing.T, c campaign.Case, topo bool) (batch, stream, exec run, ledger []iosim.WriteRecord) {
 	t.Helper()
 
 	batchFS := iosim.New(c.FSConfig(topo), "")
@@ -70,22 +79,73 @@ func runBoth(t *testing.T, c campaign.Case, topo bool) (
 	if len(ledger) == 0 {
 		t.Fatal("batch run produced no records — variant exercises nothing")
 	}
+	batch = run{iosim.Fold(ledger), batchFS.FaultEvents()}
 
 	streamFS := iosim.New(c.FSConfig(topo), "") // RetainAuto + consumers → drop
-	char = iosim.NewCharacterizeFold()
-	sum = report.NewSummaryFold()
-	streamFS.Attach(char, sum)
+	stream.fold = iosim.NewCharacterizeFold()
+	streamFS.Attach(stream.fold)
 	if _, err := campaign.Run(c, streamFS); err != nil {
 		t.Fatal(err)
 	}
 	streamFS.FlushConsumers()
+	stream.events = streamFS.FaultEvents()
 	if got := len(streamFS.Ledger()); got != 0 {
 		t.Errorf("streaming run retained %d records; RetainAuto with consumers must drop them", got)
 	}
 	if streamFS.TotalBytes() != batchFS.TotalBytes() {
 		t.Errorf("TotalBytes diverged: stream %d, batch %d", streamFS.TotalBytes(), batchFS.TotalBytes())
 	}
-	return char, sum, ledger
+
+	if _, err := campaign.RunAll([]campaign.Case{c}, 1, campaign.NewExecutor(0, topo),
+		campaign.WithOutputs(func(_ int, _ campaign.CaseOutput, red *campaign.Reduction, err error) {
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			exec = run{red.Fold, red.Faults}
+		})); err != nil {
+		t.Fatal(err)
+	}
+	return batch, stream, exec, ledger
+}
+
+// checkRows requires every row a report reads off a fold — profile,
+// bursts, the placement/storage/aggregation rows, the topology report
+// and link summary, the recovery and mitigation models — to be DeepEqual
+// between the streamed fold (and the Executor's) and the batch fold fed
+// from the slice.
+func checkRows(t *testing.T, c campaign.Case, batch, stream, exec run, ledger []iosim.WriteRecord) {
+	t.Helper()
+	if got, want := stream.fold.Profile(), iosim.Characterize(ledger); !reflect.DeepEqual(got, want) {
+		t.Errorf("characterization fold != batch\nfold:  %+v\nbatch: %+v", got, want)
+	}
+	if got, want := stream.fold.Bursts(), iosim.BurstStats(ledger); !reflect.DeepEqual(got, want) {
+		t.Errorf("burst stats fold != batch\nfold:  %+v\nbatch: %+v", got, want)
+	}
+	rows := func(r run) map[string]any {
+		return map[string]any{
+			"profile":     r.fold.Profile(),
+			"dist":        report.SummarizeDist("d", r.fold),
+			"storage":     report.SummarizeStorage("s", r.fold),
+			"aggregation": report.SummarizeAggregation("a", r.fold),
+			"topology":    report.TopologyReport(r.fold),
+			"link":        report.LinkSummary(r.fold.Bursts()),
+			"resilience":  faults.Analyze(c.Faults, r.fold, r.events),
+			"mitigation":  resilience.Evaluate(c.Name, c.Faults, r.fold, r.events, nil),
+		}
+	}
+	want := rows(batch)
+	for arm, r := range map[string]run{"stream": stream, "executor": exec} {
+		if r.fold == nil {
+			t.Errorf("%s arm produced no fold", arm)
+			continue
+		}
+		for name, got := range rows(r) {
+			if !reflect.DeepEqual(got, want[name]) {
+				t.Errorf("%s %s row != batch\nfold:  %+v\nbatch: %+v", arm, name, got, want[name])
+			}
+		}
+	}
 }
 
 func TestFoldEquivalenceSurrogate(t *testing.T) {
@@ -102,23 +162,8 @@ func TestFoldEquivalenceSurrogate(t *testing.T) {
 			if err := c.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			char, sum, ledger := runBoth(t, c, v.topo)
-
-			if got, want := char.Profile(), iosim.Characterize(ledger); !reflect.DeepEqual(got, want) {
-				t.Errorf("characterization fold != batch\nfold:  %+v\nbatch: %+v", got, want)
-			}
-			if got, want := char.Bursts(), iosim.BurstStats(ledger); !reflect.DeepEqual(got, want) {
-				t.Errorf("burst stats fold != batch\nfold:  %+v\nbatch: %+v", got, want)
-			}
-			if got, want := sum.Dist("d"), report.SummarizeDist("d", ledger); !reflect.DeepEqual(got, want) {
-				t.Errorf("dist summary fold != batch\nfold:  %+v\nbatch: %+v", got, want)
-			}
-			if got, want := sum.Storage("s"), report.SummarizeStorage("s", ledger); !reflect.DeepEqual(got, want) {
-				t.Errorf("storage summary fold != batch\nfold:  %+v\nbatch: %+v", got, want)
-			}
-			if got, want := sum.Aggregation("a"), report.SummarizeAggregation("a", ledger); !reflect.DeepEqual(got, want) {
-				t.Errorf("aggregation summary fold != batch\nfold:  %+v\nbatch: %+v", got, want)
-			}
+			batch, stream, exec, ledger := runBoth(t, c, v.topo)
+			checkRows(t, c, batch, stream, exec, ledger)
 		})
 	}
 }
@@ -140,13 +185,8 @@ func TestFoldEquivalenceHydro(t *testing.T) {
 			t.Parallel()
 			c := base
 			v.mut(&c)
-			char, sum, ledger := runBoth(t, c, v.topo)
-			if got, want := char.Profile(), iosim.Characterize(ledger); !reflect.DeepEqual(got, want) {
-				t.Errorf("characterization fold != batch\nfold:  %+v\nbatch: %+v", got, want)
-			}
-			if got, want := sum.Storage("s"), report.SummarizeStorage("s", ledger); !reflect.DeepEqual(got, want) {
-				t.Errorf("storage summary fold != batch\nfold:  %+v\nbatch: %+v", got, want)
-			}
+			batch, stream, exec, ledger := runBoth(t, c, v.topo)
+			checkRows(t, c, batch, stream, exec, ledger)
 		})
 	}
 }

@@ -10,15 +10,17 @@ import (
 	"amrproxyio/internal/iosim"
 )
 
-// Memoizing case executor (Design 10): sweeps and the serve layer hit
-// the same configurations over and over (the Hercule lesson — result
-// reuse, not raw bandwidth, dominates at scale). The Executor keys an
-// LRU cache of completed CaseOutputs by canonical Fingerprint, with
-// single-flight de-duplication so concurrent requests for the same
-// configuration run one simulation and share the result. Cases run
-// through streaming folds (RetainAuto + attached consumers drops the
-// ledger burst by burst), so a cached entry holds per-step aggregates,
-// not millions of records.
+// The case executor (Design 10) is the one way a campaign case runs.
+// Sweeps and the serve layer hit the same configurations over and over
+// (the Hercule lesson — result reuse, not raw bandwidth, dominates at
+// scale), so a caching Executor keys an LRU of completed CaseOutputs by
+// canonical Fingerprint, with single-flight de-duplication so concurrent
+// requests for the same configuration run one simulation and share the
+// result; capacity 0 runs every case fresh. Each simulation streams into
+// one iosim.CharacterizeFold (RetainAuto + an attached consumer drops
+// the ledger burst by burst), so a cached entry holds per-step
+// aggregates, not millions of records, and the fold itself goes only to
+// RunAll's per-case hook.
 
 // CaseOutput is one memoizable unit of work: the run result plus the
 // streamed reductions every report path needs, keyed by fingerprint.
@@ -51,13 +53,21 @@ func (s ExecStats) HitRate() float64 {
 	return 0
 }
 
-// memoEntry is one LRU slot. The stored canon guards against a
-// (cosmically unlikely, but cheap to rule out) SHA-256 collision and
-// against an injected test digest colliding on purpose.
+// Reduction is a fresh simulation's finished per-run state: the
+// characterization fold every report row reads (bursts, profile, and
+// the placement, storage, aggregation, topology and recovery rows), and
+// the fault-event stream the recovery models replay. RunAll hands it to
+// the WithOutputs hook and drops it; it is never part of a CaseOutput or
+// the cache.
+type Reduction struct {
+	Fold   *iosim.CharacterizeFold
+	Faults []iosim.FaultEvent
+}
+
+// memoEntry is one LRU slot.
 type memoEntry struct {
-	fp    string
-	canon Case
-	out   CaseOutput
+	fp  string
+	out CaseOutput
 }
 
 // flight is one in-progress computation other callers can join.
@@ -84,24 +94,22 @@ type Executor struct {
 	abandoned atomic.Uint64
 	inFlight  atomic.Int64
 
-	// digest is Fingerprint unless a test injects a colliding stand-in.
-	digest func(Case, bool) (string, error)
+	// run is Run unless a test injects a panicking or stalling stand-in.
+	run func(Case, *iosim.FileSystem) (Result, error)
 }
 
-// NewExecutor returns an executor caching up to capacity outputs.
-// capacity < 1 selects a default sized for sweep workloads. withTopology
-// selects the FSConfig every case runs against (and salts the keys).
+// NewExecutor returns an executor caching up to capacity outputs;
+// capacity < 1 caches nothing, so every case simulates and every caller
+// gets its own Reduction. withTopology selects the FSConfig every case
+// runs against (and salts the keys).
 func NewExecutor(capacity int, withTopology bool) *Executor {
-	if capacity < 1 {
-		capacity = 1024
-	}
 	return &Executor{
 		topo:    withTopology,
-		cap:     capacity,
+		cap:     max(capacity, 0),
 		lru:     list.New(),
 		byFP:    map[string]*list.Element{},
 		flights: map[string]*flight{},
-		digest:  Fingerprint,
+		run:     Run,
 	}
 }
 
@@ -122,38 +130,35 @@ func (e *Executor) Stats() ExecStats {
 }
 
 // RunCase executes one case through the cache: a hit returns the stored
-// output with Cached set; a miss simulates under the usual defensive
-// envelope (Validate, panic recovery, optional timeout) and stores the
-// output on success. Concurrent misses on the same fingerprint share a
-// single simulation. timeout <= 0 disables the per-case bound.
+// output with Cached set; a miss simulates under the defensive envelope
+// (Validate, panic recovery, optional timeout) and stores the output on
+// success. Concurrent misses on the same fingerprint share a single
+// simulation. timeout <= 0 disables the per-case bound.
 func (e *Executor) RunCase(c Case, timeout time.Duration) (CaseOutput, error) {
+	out, _, err := e.execute(c, timeout)
+	return out, err
+}
+
+// execute is RunCase that also returns a fresh simulation's Reduction
+// (nil on a hit, a join, or an error).
+func (e *Executor) execute(c Case, timeout time.Duration) (CaseOutput, *Reduction, error) {
 	if err := c.Validate(); err != nil {
-		return CaseOutput{Result: Result{Case: c, Engine: c.engineFor()}}, err
+		return CaseOutput{Result: Result{Case: c, Engine: c.engineFor()}}, nil, err
 	}
-	fp, err := e.digest(c, e.topo)
+	fp, err := Fingerprint(c, e.topo)
 	if err != nil {
-		return CaseOutput{Result: Result{Case: c, Engine: c.engineFor()}}, err
+		return CaseOutput{Result: Result{Case: c, Engine: c.engineFor()}}, nil, err
 	}
 
 	e.mu.Lock()
 	if el, ok := e.byFP[fp]; ok {
-		ent := el.Value.(*memoEntry)
-		if !equivalent(ent.canon, c) {
-			// Fingerprint collision between distinct configurations:
-			// serving the stored result would be silently wrong. Fail
-			// loudly instead; with SHA-256 this is test-injection only.
-			e.mu.Unlock()
-			e.errs.Add(1)
-			return CaseOutput{Result: Result{Case: c, Engine: c.engineFor()}, Fingerprint: fp},
-				fmt.Errorf("campaign %s: fingerprint collision on %s", c.Name, fp[:12])
-		}
 		e.lru.MoveToFront(el)
-		out := ent.out
+		out := el.Value.(*memoEntry).out
 		e.mu.Unlock()
 		e.hits.Add(1)
 		out.Cached = true
 		out.Result.Case.Name = c.Name // keep the caller's row label
-		return out, nil
+		return out, nil, nil
 	}
 	if f, ok := e.flights[fp]; ok {
 		e.mu.Unlock()
@@ -161,30 +166,34 @@ func (e *Executor) RunCase(c Case, timeout time.Duration) (CaseOutput, error) {
 		if f.err != nil {
 			// The computing caller reported the failure; joiners surface
 			// it too but don't double-count it in the error stats.
-			return f.out, f.err
+			return f.out, nil, f.err
 		}
 		e.hits.Add(1)
 		out := f.out
 		out.Cached = true
 		out.Result.Case.Name = c.Name
-		return out, nil
+		return out, nil, nil
 	}
 	f := &flight{done: make(chan struct{})}
-	e.flights[fp] = f
+	if e.cap > 0 {
+		e.flights[fp] = f // an uncached executor never shares a run
+	}
 	e.mu.Unlock()
 
 	e.misses.Add(1)
 	e.inFlight.Add(1)
-	out, err := e.simulate(c, fp, timeout)
+	out, red, err := e.simulate(c, fp, timeout)
 	e.inFlight.Add(-1)
 
 	f.out, f.err = out, err
-	e.mu.Lock()
-	delete(e.flights, fp)
-	if err == nil {
-		e.insert(fp, c, out)
+	if e.cap > 0 {
+		e.mu.Lock()
+		delete(e.flights, fp)
+		if err == nil {
+			e.insert(fp, out)
+		}
+		e.mu.Unlock()
 	}
-	e.mu.Unlock()
 	close(f.done)
 
 	if err != nil {
@@ -193,43 +202,71 @@ func (e *Executor) RunCase(c Case, timeout time.Duration) (CaseOutput, error) {
 		}
 		e.errs.Add(1)
 	}
-	return out, err
+	return out, red, err
 }
 
-// simulate is the uncached path: one fresh filesystem with streaming
-// folds attached, run under the shared defensive envelope.
-func (e *Executor) simulate(c Case, fp string, timeout time.Duration) (CaseOutput, error) {
-	work := func() (CaseOutput, error) {
-		char := iosim.NewCharacterizeFold()
+// simulate is the uncached path: one fresh filesystem with the
+// characterization fold attached, run inside the defensive envelope. A
+// panic is recovered into an error output; with timeout > 0 a case still
+// running after the deadline returns an Abandoned error output while its
+// goroutine, which Go cannot preempt, is counted in AbandonedInFlight
+// until it finishes.
+func (e *Executor) simulate(c Case, fp string, timeout time.Duration) (CaseOutput, *Reduction, error) {
+	failed := CaseOutput{Result: Result{Case: c, Engine: c.engineFor()}, Fingerprint: fp}
+	type outcome struct {
+		out CaseOutput
+		red *Reduction
+		err error
+	}
+	work := func() (o outcome) {
+		defer func() {
+			if r := recover(); r != nil {
+				o = outcome{failed, nil, fmt.Errorf("campaign %s: panic: %v", c.Name, r)}
+			}
+		}()
+		fold := iosim.NewCharacterizeFold()
 		fs := iosim.New(c.FSConfig(e.topo), "")
-		fs.Attach(char) // RetainAuto + consumer: records drop burst by burst
-		res, err := Run(c, fs)
+		fs.Attach(fold) // RetainAuto + consumer: records drop burst by burst
+		res, err := e.run(c, fs)
 		if err != nil {
-			return CaseOutput{Result: res, Fingerprint: fp}, err
+			return outcome{CaseOutput{Result: res, Fingerprint: fp}, nil, err}
 		}
 		fs.FlushConsumers()
-		return CaseOutput{
-			Result:      res,
-			Bursts:      char.Bursts(),
-			Profile:     char.Profile(),
-			Fingerprint: fp,
-		}, nil
+		out := CaseOutput{Result: res, Bursts: fold.Bursts(), Profile: fold.Profile(), Fingerprint: fp}
+		return outcome{out, &Reduction{Fold: fold, Faults: fs.FaultEvents()}, nil}
 	}
-	fallback := func(abandoned bool) CaseOutput {
-		return CaseOutput{
-			Result:      Result{Case: c, Engine: c.engineFor(), Abandoned: abandoned},
-			Fingerprint: fp,
-		}
+	if timeout <= 0 {
+		o := work()
+		return o.out, o.red, o.err
 	}
-	return runBounded(c.Name, timeout, work,
-		func() CaseOutput { return fallback(false) },
-		func() CaseOutput { return fallback(true) })
+	// The outcome travels through a buffered channel rather than shared
+	// variables: after a timeout the abandoned goroutine's send must not
+	// race the caller.
+	done := make(chan outcome, 1)
+	go func() { done <- work() }()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case o := <-done:
+		return o.out, o.red, o.err
+	case <-timer.C:
+		// Count the goroutine we are abandoning, and drain its (exactly
+		// one, buffered) send when it eventually finishes so the count
+		// returns to zero instead of leaking silently.
+		abandonedInFlight.Add(1)
+		go func() {
+			<-done
+			abandonedInFlight.Add(-1)
+		}()
+		failed.Result.Abandoned = true
+		return failed, nil, fmt.Errorf("campaign %s: case timed out after %s", c.Name, timeout)
+	}
 }
 
 // insert stores an output, evicting from the LRU tail. Caller holds mu.
-func (e *Executor) insert(fp string, canon Case, out CaseOutput) {
+func (e *Executor) insert(fp string, out CaseOutput) {
 	out.Cached = false
-	e.byFP[fp] = e.lru.PushFront(&memoEntry{fp: fp, canon: canon, out: out})
+	e.byFP[fp] = e.lru.PushFront(&memoEntry{fp: fp, out: out})
 	for e.lru.Len() > e.cap {
 		el := e.lru.Back()
 		e.lru.Remove(el)
@@ -261,13 +298,4 @@ func CheckBatch(cases []Case, withTopology bool) error {
 		byName[c.Name] = fp
 	}
 	return nil
-}
-
-// equivalent reports whether two cases are the same configuration under
-// the fingerprint canon — the collision guard's ground truth. It
-// compares the same normalized encodings the fingerprint hashes.
-func equivalent(a, b Case) bool {
-	fa, erra := Fingerprint(a, false)
-	fb, errb := Fingerprint(b, false)
-	return erra == nil && errb == nil && fa == fb
 }

@@ -148,26 +148,6 @@ func TestExecutorLRUEviction(t *testing.T) {
 	}
 }
 
-func TestExecutorCollisionGuard(t *testing.T) {
-	e := NewExecutor(4, false)
-	e.digest = func(Case, bool) (string, error) { return strings.Repeat("f0", 32), nil }
-	a := memoCase("a", 1)
-	b := memoCase("b", 2) // different config, same injected digest
-	if _, err := e.RunCase(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RunCase(b, 0); err == nil || !strings.Contains(err.Error(), "fingerprint collision") {
-		t.Errorf("colliding digest served the wrong result: err = %v", err)
-	}
-	// The equivalent case still hits despite the degenerate digest.
-	a2 := a
-	a2.Name = "a2"
-	out, err := e.RunCase(a2, 0)
-	if err != nil || !out.Cached {
-		t.Errorf("equivalent case under colliding digest: out.Cached=%v err=%v", out.Cached, err)
-	}
-}
-
 func TestExecutorErrorsNotCached(t *testing.T) {
 	e := NewExecutor(4, false)
 	bad := memoCase("bad", 1)
@@ -249,14 +229,20 @@ func TestRunAllWithExecutorAndOutputs(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := map[int]CaseOutput{}
-	results, err := RunAll(cases, 2, nil,
-		WithExecutor(e),
-		WithOutputs(func(i int, out CaseOutput, err error) {
+	reduced := 0
+	results, err := RunAll(cases, 2, e,
+		WithOutputs(func(i int, out CaseOutput, red *Reduction, err error) {
 			if err != nil {
 				t.Error(err)
 			}
+			if (red != nil) == out.Cached {
+				t.Errorf("case %d: Cached=%v but Reduction=%v; only fresh simulations carry one", i, out.Cached, red)
+			}
 			mu.Lock()
 			seen[i] = out
+			if red != nil {
+				reduced++
+			}
 			mu.Unlock()
 		}))
 	if err != nil {
@@ -281,5 +267,46 @@ func TestRunAllWithExecutorAndOutputs(t *testing.T) {
 	// de-duplicated via cache or single-flight), 1 hit.
 	if st.Misses != 2 || st.Hits != 1 {
 		t.Errorf("stats = %+v, want 2 misses / 1 hit", st)
+	}
+	if reduced != 2 {
+		t.Errorf("%d hook calls carried a Reduction, want one per simulation (2)", reduced)
+	}
+}
+
+// TestExecutorUncached: capacity 0 caches nothing and shares nothing, so
+// every case — duplicates included — simulates and hands the hook its
+// own finished fold, whose bursts and profile are the output's.
+func TestExecutorUncached(t *testing.T) {
+	e := NewExecutor(0, false)
+	a := memoCase("a", 1)
+	dup := a
+	dup.Name = "a-dup"
+	cases := []Case{a, dup, a}
+	var mu sync.Mutex
+	reds := map[int]*Reduction{}
+	_, err := RunAll(cases, 3, e, WithOutputs(func(i int, out CaseOutput, red *Reduction, err error) {
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if out.Cached || red == nil {
+			t.Errorf("case %d: Cached=%v Reduction=%v, want a fresh simulation", i, out.Cached, red)
+			return
+		}
+		if !reflect.DeepEqual(red.Fold.Bursts(), out.Bursts) || !reflect.DeepEqual(red.Fold.Profile(), out.Profile) {
+			t.Errorf("case %d: the output's reductions are not its fold's", i)
+		}
+		mu.Lock()
+		reds[i] = red
+		mu.Unlock()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reds) != 3 || reds[0] == reds[1] || reds[0] == reds[2] {
+		t.Errorf("got %d distinct reductions, want 3", len(reds))
+	}
+	if st := e.Stats(); st.Misses != 3 || st.Hits != 0 || st.Size != 0 || st.Cap != 0 {
+		t.Errorf("stats = %+v, want 3 misses, no hits, nothing cached", st)
 	}
 }

@@ -1,15 +1,13 @@
 package campaign
 
-// Tests for the concurrent campaign executor: results (including the full
-// output ledgers) must be identical to the serial loop at any
+// Tests for the concurrent campaign worker pool: results (including the
+// full plot ledgers) must be identical to the serial loop at any
 // parallelism, and per-case failures must not abort sibling cases.
 
 import (
 	"errors"
 	"strings"
 	"testing"
-
-	"amrproxyio/internal/iosim"
 )
 
 // runAllCases is a small but heterogeneous slice of the sweep: hydro and
@@ -25,19 +23,13 @@ func runAllCases() []Case {
 	}
 }
 
-func newModelFS(Case) *iosim.FileSystem {
-	cfg := iosim.DefaultConfig()
-	cfg.JitterSigma = 0
-	return iosim.New(cfg, "")
-}
-
 func TestRunAllMatchesSerial(t *testing.T) {
 	cases := runAllCases()
-	serial, err := RunAll(cases, 1, newModelFS)
+	serial, err := RunAll(cases, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunAll(cases, 4, newModelFS)
+	parallel, err := RunAll(cases, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +57,7 @@ func TestRunAllMatchesSerial(t *testing.T) {
 
 func TestRunAllDefaults(t *testing.T) {
 	cases := runAllCases()[:2]
-	// parallelism <= 0 (GOMAXPROCS) and nil newFS both take defaults.
+	// parallelism <= 0 (GOMAXPROCS) and a nil executor both take defaults.
 	results, err := RunAll(cases, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +81,7 @@ func TestRunAllCollectsErrors(t *testing.T) {
 		{Name: "ra_bad", NCell: 32, MaxLevel: 2, MaxStep: 40, PlotInt: 10, CFL: 0.5, NProcs: 2, Engine: Engine("nonsense")},
 		runAllCases()[4],
 	}
-	results, err := RunAll(cases, 2, newModelFS)
+	results, err := RunAll(cases, 2, nil)
 	if err == nil {
 		t.Fatal("bad engine did not error")
 	}

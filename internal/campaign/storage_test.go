@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,9 +11,9 @@ import (
 )
 
 // TestCaseValidateTable is the consolidated rejection table: every
-// unknown-name class goes through the one Validate used by Run, RunAll,
-// and the amrio-campaign flag parser, with the offending name in the
-// message.
+// unknown-name and out-of-range class goes through the one Validate used
+// by Run, RunAll, and the amrio-campaign flag parser, with the offending
+// value in the message.
 func TestCaseValidateTable(t *testing.T) {
 	valid := Case{Name: "v", NCell: 32, MaxStep: 1, PlotInt: 1, CFL: 0.5, NProcs: 2}
 	tests := []struct {
@@ -29,6 +30,10 @@ func TestCaseValidateTable(t *testing.T) {
 		{"unknown dist", func(c *Case) { c.Dist = "zorder" }, `"zorder"`},
 		{"unknown storage", func(c *Case) { c.Storage = "nvme" }, `unknown storage model "nvme"`},
 		{"storage typo", func(c *Case) { c.Storage = "gpfs+bb" }, `"gpfs+bb"`},
+		{"bb capacity", func(c *Case) { c.Storage, c.BBCapacity = StorageBB, 2e7 }, ""},
+		{"negative bb capacity", func(c *Case) { c.BBCapacity = -1 }, "bb_capacity -1"},
+		{"NaN bb capacity", func(c *Case) { c.BBCapacity = math.NaN() }, "bb_capacity NaN"},
+		{"infinite bb capacity", func(c *Case) { c.BBCapacity = math.Inf(1) }, "bb_capacity +Inf"},
 	}
 	for _, tc := range tests {
 		c := valid
@@ -119,6 +124,17 @@ func TestFSConfigStorage(t *testing.T) {
 	if got.BurstBuffer.NodeCapacity != iosim.SummitBBNodeCapacity {
 		t.Errorf("bb capacity = %g, want Summit default", got.BurstBuffer.NodeCapacity)
 	}
+	// BBCapacity overrides the per-node capacity of the buffer stacks and
+	// leaves the single-tier stack untouched.
+	c.BBCapacity = 2e7
+	if got := c.FSConfig(false); got.BurstBuffer.NodeCapacity != 2e7 {
+		t.Errorf("bb_capacity FSConfig capacity = %g, want 2e7", got.BurstBuffer.NodeCapacity)
+	}
+	gpfs := c
+	gpfs.Storage = StorageGPFS
+	if got := gpfs.FSConfig(false); got.BurstBuffer != (iosim.BurstBuffer{}) {
+		t.Errorf("gpfs FSConfig with bb_capacity = %+v", got.BurstBuffer)
+	}
 	// Node-less cases fall back to the 1-node degenerate spec.
 	c.Nodes = 0
 	if got := c.FSConfig(false); got.BurstBuffer.Nodes != 1 {
@@ -126,10 +142,10 @@ func TestFSConfigStorage(t *testing.T) {
 	}
 }
 
-// TestRunAllDefaultFSHonorsStorage: RunAll's default filesystems build
+// TestRunAllDefaultFSHonorsStorage: the Executor builds every filesystem
 // from FSConfig, so a Case.Storage selection produces tier-labeled
-// ledgers without a custom newFS — verified indirectly by comparing a
-// default run against an explicit FSConfig run.
+// ledgers through RunAll — verified indirectly by comparing a RunAll run
+// against an explicit FSConfig run.
 func TestRunAllDefaultFSHonorsStorage(t *testing.T) {
 	c := Case{Name: "bbcase", NCell: 32, MaxLevel: 0, MaxStep: 2, PlotInt: 1,
 		CFL: 0.5, NProcs: 2, Nodes: 1, Engine: EngineHydro, Storage: StorageBB}

@@ -64,10 +64,10 @@ type checkpoint struct {
 }
 
 // Analyze replays a plan's interrupt schedule against a finished run's
-// ledger and fault-event stream. It is post-hoc and deterministic: the
-// same (plan, records, events) triple always yields the same
-// Resilience, with MTBF interrupts drawn from plan.Seed.
-func Analyze(plan *Plan, records []iosim.WriteRecord, events []iosim.FaultEvent) Resilience {
+// fold and fault-event stream. It is post-hoc and deterministic: the
+// same (plan, run, events) triple always yields the same Resilience,
+// with MTBF interrupts drawn from plan.Seed.
+func Analyze(plan *Plan, run *iosim.CharacterizeFold, events []iosim.FaultEvent) Resilience {
 	var r Resilience
 	for _, e := range events {
 		r.FaultWrites++
@@ -79,19 +79,13 @@ func Analyze(plan *Plan, records []iosim.WriteRecord, events []iosim.FaultEvent)
 	}
 
 	// Recovery timeline: when each checkpoint burst completed, and what
-	// it cost to write (= what it costs to read back).
-	ends := map[int]float64{}
-	for _, rec := range records {
-		if end := rec.Start + rec.Duration; end > ends[rec.Labels.Step] {
-			ends[rec.Labels.Step] = end
-		}
-		if end := rec.Start + rec.Duration; end > r.Makespan {
-			r.Makespan = end
-		}
-	}
+	// it cost to write (= what it costs to read back). Every record
+	// belongs to a burst, so the latest burst end is the makespan.
 	var ckpts []checkpoint
-	for _, b := range iosim.BurstStats(records) {
-		ckpts = append(ckpts, checkpoint{end: ends[b.Step], wall: b.WallSeconds})
+	for _, b := range run.Bursts() {
+		end := run.StepSpan(b.Step).End
+		ckpts = append(ckpts, checkpoint{end: end, wall: b.WallSeconds})
+		r.Makespan = max(r.Makespan, end)
 	}
 	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i].end < ckpts[j].end })
 	r.Checkpoints = len(ckpts)

@@ -40,7 +40,7 @@ func TestAnalyzeInterruptTimeline(t *testing.T) {
 		{Kind: KindRankInterrupt, Start: 1, Rank: 0},
 		{Kind: KindRankInterrupt, Start: 4, Rank: 0},
 	}}
-	r := Analyze(plan, records, nil)
+	r := Analyze(plan, iosim.Fold(records), nil)
 	if r.Checkpoints != 2 || r.Interrupts != 2 {
 		t.Fatalf("checkpoints/interrupts = %d/%d, want 2/2", r.Checkpoints, r.Interrupts)
 	}
@@ -67,7 +67,7 @@ func TestAnalyzeFaultEventAggregation(t *testing.T) {
 		{Kind: KindTargetOutage, Rank: 0, Seconds: 2.1, Retries: 3, FailoverTarget: 1},
 		{Kind: KindNICDegrade, Rank: 1, Seconds: 0.5, FailoverTarget: -1},
 	}
-	r := Analyze(nil, []iosim.WriteRecord{rec(0, 0, 0, 1)}, events)
+	r := Analyze(nil, iosim.Fold([]iosim.WriteRecord{rec(0, 0, 0, 1)}), events)
 	if r.FaultWrites != 2 || r.Retries != 3 || r.Failovers != 1 {
 		t.Fatalf("aggregates = %+v", r)
 	}
@@ -88,8 +88,8 @@ func TestAnalyzeMTBFDeterministic(t *testing.T) {
 		records = append(records, rec(0, step, float64(step), 0.9))
 	}
 	plan := &Plan{MTBFSeconds: 5, Seed: 11}
-	a := Analyze(plan, records, nil)
-	b := Analyze(plan, records, nil)
+	a := Analyze(plan, iosim.Fold(records), nil)
+	b := Analyze(plan, iosim.Fold(records), nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("Analyze is not deterministic for a fixed seed")
 	}
@@ -99,15 +99,15 @@ func TestAnalyzeMTBFDeterministic(t *testing.T) {
 	if a.YoungIntervalSeconds <= 0 {
 		t.Fatal("MTBF plan reported no Young interval")
 	}
-	if Analyze(&Plan{MTBFSeconds: 5, Seed: 12}, records, nil).Interrupts == a.Interrupts &&
-		reflect.DeepEqual(Analyze(&Plan{MTBFSeconds: 5, Seed: 12}, records, nil), a) {
+	if Analyze(&Plan{MTBFSeconds: 5, Seed: 12}, iosim.Fold(records), nil).Interrupts == a.Interrupts &&
+		reflect.DeepEqual(Analyze(&Plan{MTBFSeconds: 5, Seed: 12}, iosim.Fold(records), nil), a) {
 		t.Fatal("different seeds produced identical analyses (seed is ignored)")
 	}
 }
 
 // TestAnalyzeZeroInputs: nil plan, empty ledger.
 func TestAnalyzeZeroInputs(t *testing.T) {
-	r := Analyze(nil, nil, nil)
+	r := Analyze(nil, iosim.Fold(nil), nil)
 	if !reflect.DeepEqual(r, Resilience{}) {
 		t.Fatalf("Analyze(nil, nil, nil) = %+v, want zero", r)
 	}

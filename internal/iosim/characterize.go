@@ -92,8 +92,15 @@ type Characterization struct {
 // finalizes it on Profile(). State is O(steps + ranks + distinct write
 // sizes), never O(writes) — the exact percentiles come from a size
 // multiset (size → count), and every order-sensitive float accumulator
-// (gather/open time) is keyed per rank and finalized in sorted-rank
-// order so stream order and batch order produce bit-identical profiles.
+// (gather/open/write time, node busy time) is keyed per rank and
+// finalized in sorted-rank order so stream order and batch order produce
+// bit-identical results.
+//
+// It is also the one per-run reduction every report reads: besides the
+// profile and the bursts it keeps the per-step span, per-target bytes
+// and per-node load that the placement, storage, aggregation, topology
+// and recovery rows are computed from (StepSpan, TargetBytes, Nodes,
+// DurationSplit).
 type CharacterizeFold struct {
 	n int // records consumed (0 distinguishes the zero profile)
 	c Characterization
@@ -107,51 +114,98 @@ type CharacterizeFold struct {
 	// UniqueFiles by one.
 	files     map[uint64]struct{}
 	ranks     map[int]int64
-	writers   map[int]bool
+	split     map[int]*rankSplit
 	nodes     map[int]int64
 	targets   map[int]int64
 	links     map[burstLink]int64
 	sizeCount map[int64]int // write-size multiset for exact percentiles
 
-	gatherByRank map[int]float64
-	openByRank   map[int]float64
+	// targetBytes counts every record carrying a target label and
+	// nodeBusy every record carrying a node label, directory records
+	// included: the per-link report rows.
+	targetBytes map[int]int64
+	nodeBusy    map[nodeRank]float64
 
-	endMax    float64
-	stepStart map[int]float64 // earliest record start per step
+	endMax float64
+	steps  map[int]*StepSpan
 
 	bursts *BurstFold
+}
+
+// rankSplit is one rank's data-record duration split and whether it
+// paid a file open.
+type rankSplit struct {
+	gather, open, write float64
+	writer              bool
+}
+
+// nodeRank keys one rank's records on one node.
+type nodeRank struct{ node, rank int }
+
+// StepSpan is one step's simulated extent: the earliest record start
+// and the latest record end.
+type StepSpan struct{ Start, End float64 }
+
+// NodeLoad is one compute node's share of a topology-labeled run.
+type NodeLoad struct {
+	Bytes       int64   // data bytes the node's ranks wrote
+	BusySeconds float64 // record seconds on the node, directory records included
 }
 
 // NewCharacterizeFold returns an empty fold.
 func NewCharacterizeFold() *CharacterizeFold {
 	f := &CharacterizeFold{
-		files:        map[uint64]struct{}{},
-		ranks:        map[int]int64{},
-		writers:      map[int]bool{},
-		nodes:        map[int]int64{},
-		targets:      map[int]int64{},
-		links:        map[burstLink]int64{},
-		sizeCount:    map[int64]int{},
-		gatherByRank: map[int]float64{},
-		openByRank:   map[int]float64{},
-		stepStart:    map[int]float64{},
-		bursts:       NewBurstFold(),
+		files:       map[uint64]struct{}{},
+		ranks:       map[int]int64{},
+		split:       map[int]*rankSplit{},
+		nodes:       map[int]int64{},
+		targets:     map[int]int64{},
+		links:       map[burstLink]int64{},
+		sizeCount:   map[int64]int{},
+		targetBytes: map[int]int64{},
+		nodeBusy:    map[nodeRank]float64{},
+		steps:       map[int]*StepSpan{},
+		bursts:      NewBurstFold(),
 	}
 	f.c.SizeHistogram = map[int]int{}
 	f.c.MinWrite = math.MaxInt64
 	return f
 }
 
+// Fold feeds a materialized ledger through a fresh fold: the batch form
+// of every reduction the fold offers.
+func Fold(records []WriteRecord) *CharacterizeFold {
+	f := NewCharacterizeFold()
+	for _, r := range records {
+		f.Consume(r)
+	}
+	return f
+}
+
 // Consume folds one record into the profile.
 func (f *CharacterizeFold) Consume(r WriteRecord) {
 	f.n++
-	if end := r.Start + r.Duration; end > f.endMax {
+	end := r.Start + r.Duration
+	if end > f.endMax {
 		f.endMax = end
 	}
-	if s, ok := f.stepStart[r.Labels.Step]; !ok || r.Start < s {
-		f.stepStart[r.Labels.Step] = r.Start
+	if sp := f.steps[r.Labels.Step]; sp == nil {
+		f.steps[r.Labels.Step] = &StepSpan{Start: r.Start, End: end}
+	} else {
+		if r.Start < sp.Start {
+			sp.Start = r.Start
+		}
+		if end > sp.End {
+			sp.End = end
+		}
 	}
 	f.bursts.Consume(r)
+	if r.Target >= 0 {
+		f.targetBytes[r.Target] += r.Bytes
+	}
+	if r.Node >= 0 {
+		f.nodeBusy[nodeRank{r.Node, r.Rank}] += r.Duration
+	}
 	if r.Dir {
 		f.c.DirOps++
 		return
@@ -162,11 +216,19 @@ func (f *CharacterizeFold) Consume(r WriteRecord) {
 	h.Write([]byte(r.Path))
 	f.files[h.Sum64()] = struct{}{}
 	f.ranks[r.Rank] += r.Bytes
-	if r.OpenSeconds > 0 {
-		f.writers[r.Rank] = true
+	sp := f.split[r.Rank]
+	if sp == nil {
+		sp = &rankSplit{}
+		f.split[r.Rank] = sp
 	}
-	f.gatherByRank[r.Rank] += r.GatherSeconds
-	f.openByRank[r.Rank] += r.OpenSeconds
+	sp.gather += r.GatherSeconds
+	sp.open += r.OpenSeconds
+	if rest := r.Duration - r.GatherSeconds - r.OpenSeconds; rest > 0 {
+		sp.write += rest
+	}
+	if r.OpenSeconds > 0 {
+		sp.writer = true
+	}
 	if r.Node >= 0 {
 		f.nodes[r.Node] += r.Bytes
 		if r.Target >= 0 {
@@ -204,7 +266,11 @@ func (f *CharacterizeFold) Profile() Characterization {
 	c := f.c
 	c.UniqueFiles = len(f.files)
 	c.Ranks = len(f.ranks)
-	c.Writers = len(f.writers)
+	for _, sp := range f.split {
+		if sp.writer {
+			c.Writers++
+		}
+	}
 	c.NodesUsed = len(f.nodes)
 	c.TargetsUsed = len(f.targets)
 	c.LinksUsed = len(f.links)
@@ -219,20 +285,7 @@ func (f *CharacterizeFold) Profile() Characterization {
 	c.P95Write = f.percentile((c.TotalWrites * 95) / 100)
 
 	c.RankImbalance = bytesImbalance(f.ranks)
-
-	// Per-rank gather/open subtotals summed in sorted-rank order: the
-	// per-rank subsequences are order-identical between stream and batch
-	// feeds, so the totals are too (see the maprangefloat analyzer for
-	// why an unordered float sum would not be).
-	gatherRanks := make([]int, 0, len(f.gatherByRank))
-	for r := range f.gatherByRank {
-		gatherRanks = append(gatherRanks, r)
-	}
-	sort.Ints(gatherRanks)
-	for _, r := range gatherRanks {
-		c.GatherSeconds += f.gatherByRank[r]
-		c.OpenSeconds += f.openByRank[r]
-	}
+	c.GatherSeconds, c.OpenSeconds, _ = f.DurationSplit()
 
 	bursts := f.bursts.Stats()
 	c.Bursts = len(bursts)
@@ -258,7 +311,7 @@ func (f *CharacterizeFold) Profile() Characterization {
 		// Inter-arrival from the earliest record start per burst step.
 		var ordered []float64
 		for _, b := range bursts {
-			ordered = append(ordered, f.stepStart[b.Step])
+			ordered = append(ordered, f.steps[b.Step].Start)
 		}
 		sort.Float64s(ordered)
 		var gaps float64
@@ -271,6 +324,68 @@ func (f *CharacterizeFold) Profile() Characterization {
 		c.AggregateBandwith = float64(c.TotalBytes) / f.endMax
 	}
 	return c
+}
+
+// DurationSplit returns the data records' intra-node gather, file-open
+// and write-phase seconds (each record's duration minus its gather and
+// open time, when positive), each summed over per-rank subtotals in
+// sorted-rank order: the per-rank subsequences are order-identical
+// between stream and batch feeds, so the totals are too (see the
+// maprangefloat analyzer for why an unordered float sum would not be).
+func (f *CharacterizeFold) DurationSplit() (gather, open, write float64) {
+	ranks := make([]int, 0, len(f.split))
+	for r := range f.split {
+		ranks = append(ranks, r)
+	}
+	sort.Ints(ranks)
+	for _, r := range ranks {
+		sp := f.split[r]
+		gather += sp.gather
+		open += sp.open
+		write += sp.write
+	}
+	return gather, open, write
+}
+
+// StepSpan returns step's simulated extent (the zero span for a step no
+// record carried).
+func (f *CharacterizeFold) StepSpan(step int) StepSpan {
+	if sp := f.steps[step]; sp != nil {
+		return *sp
+	}
+	return StepSpan{}
+}
+
+// TargetBytes returns the bytes per storage target over every record
+// carrying a target label. The map is the fold's own; treat it as
+// read-only.
+func (f *CharacterizeFold) TargetBytes() map[int]int64 {
+	return f.targetBytes
+}
+
+// Nodes returns the load of every compute node a record was labeled
+// with, or an empty map under the aggregate model. Each node's busy
+// seconds are summed over its ranks in sorted order, so stream and batch
+// feeds agree bit for bit.
+func (f *CharacterizeFold) Nodes() map[int]NodeLoad {
+	keys := make([]nodeRank, 0, len(f.nodeBusy))
+	for k := range f.nodeBusy {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].node != keys[j].node {
+			return keys[i].node < keys[j].node
+		}
+		return keys[i].rank < keys[j].rank
+	})
+	out := map[int]NodeLoad{}
+	for _, k := range keys {
+		l := out[k.node]
+		l.Bytes = f.nodes[k.node]
+		l.BusySeconds += f.nodeBusy[k]
+		out[k.node] = l
+	}
+	return out
 }
 
 // percentile returns the idx-th (0-based) smallest write size from the
@@ -298,11 +413,7 @@ func (f *CharacterizeFold) percentile(idx int) int64 {
 // Characterize computes the profile from ledger records: the streaming
 // fold fed from a slice.
 func Characterize(records []WriteRecord) Characterization {
-	f := NewCharacterizeFold()
-	for _, r := range records {
-		f.Consume(r)
-	}
-	return f.Profile()
+	return Fold(records).Profile()
 }
 
 // bytesImbalance returns max/mean over a byte-count map (0 when empty).

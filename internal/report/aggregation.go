@@ -36,16 +36,23 @@ type AggregationSummary struct {
 	WriteSeconds  float64
 }
 
-// SummarizeAggregation reduces a ledger to its AggregationSummary.
-// Directory (metadata) records are excluded from the fan-in counts and
-// the duration split — they go to the metadata service, not a data
-// target — but still shape the burst walls, like everywhere else.
-func SummarizeAggregation(name string, ledger []iosim.WriteRecord) AggregationSummary {
-	f := NewSummaryFold()
-	for _, r := range ledger {
-		f.Consume(r)
+// SummarizeAggregation reads a run's AggregationSummary off its finished
+// fold. Directory (metadata) records are excluded from the fan-in counts
+// and the duration split — they go to the metadata service, not a data
+// target, and carry no target label — but still shape the burst walls,
+// like everywhere else.
+func SummarizeAggregation(name string, f *iosim.CharacterizeFold) AggregationSummary {
+	p := f.Profile()
+	s := AggregationSummary{
+		Name: name, Bytes: p.TotalBytes,
+		Ranks: p.Ranks, Writers: p.Writers, Targets: len(f.TargetBytes()),
 	}
-	return f.Aggregation(name)
+	s.GatherSeconds, s.OpenSeconds, s.WriteSeconds = f.DurationSplit()
+	for _, b := range f.Bursts() {
+		s.Bursts++
+		s.WallSeconds += b.WallSeconds
+	}
+	return s
 }
 
 // AggregationReport renders the per-layout comparison table. The first

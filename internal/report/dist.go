@@ -32,14 +32,43 @@ type DistSummary struct {
 	TargetImbalance float64 // max/mean bytes per target (1 = balanced)
 }
 
-// SummarizeDist reduces a ledger to its DistSummary: the streaming
-// SummaryFold fed from a slice.
-func SummarizeDist(dist string, ledger []iosim.WriteRecord) DistSummary {
-	f := NewSummaryFold()
-	for _, r := range ledger {
-		f.Consume(r)
+// SummarizeDist reads a run's DistSummary off its finished fold.
+func SummarizeDist(dist string, f *iosim.CharacterizeFold) DistSummary {
+	s := DistSummary{Dist: dist, Bytes: f.Profile().TotalBytes}
+	linked := 0
+	for _, b := range f.Bursts() {
+		s.Bursts++
+		s.WallSeconds += b.WallSeconds
+		s.Stragglers += b.Stragglers
+		if b.Nodes == 0 {
+			continue
+		}
+		linked++
+		s.MeanLinkSkew += b.LinkSkew
+		if b.LinkSkew > s.MaxLinkSkew {
+			s.MaxLinkSkew = b.LinkSkew
+		}
+		if b.NodeSkew > s.MaxNodeSkew {
+			s.MaxNodeSkew = b.NodeSkew
+		}
 	}
-	return f.Dist(dist)
+	if linked > 0 {
+		s.MeanLinkSkew /= float64(linked)
+	}
+	if targets := f.TargetBytes(); len(targets) > 0 {
+		s.TargetsUsed = len(targets)
+		var total int64
+		for _, b := range targets {
+			total += b
+			if b > s.MaxTargetBytes {
+				s.MaxTargetBytes = b
+			}
+		}
+		if mean := float64(total) / float64(len(targets)); mean > 0 {
+			s.TargetImbalance = float64(s.MaxTargetBytes) / mean
+		}
+	}
+	return s
 }
 
 // DistReport renders the per-strategy comparison table. The first

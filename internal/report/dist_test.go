@@ -29,7 +29,7 @@ func distLedger(heavy float64) []iosim.WriteRecord {
 }
 
 func TestSummarizeDist(t *testing.T) {
-	s := SummarizeDist("roundrobin", distLedger(3))
+	s := SummarizeDist("roundrobin", iosim.Fold(distLedger(3)))
 	if s.Dist != "roundrobin" || s.Bursts != 2 {
 		t.Fatalf("summary = %+v", s)
 	}
@@ -48,15 +48,15 @@ func TestSummarizeDist(t *testing.T) {
 	for i := range plain {
 		plain[i].Node, plain[i].Target = -1, -1
 	}
-	if p := SummarizeDist("knapsack", plain); p.MaxLinkSkew != 0 || p.TargetsUsed != 0 {
+	if p := SummarizeDist("knapsack", iosim.Fold(plain)); p.MaxLinkSkew != 0 || p.TargetsUsed != 0 {
 		t.Errorf("aggregate summary carries topology fields: %+v", p)
 	}
 }
 
 func TestDistReport(t *testing.T) {
 	sums := []DistSummary{
-		SummarizeDist("roundrobin", distLedger(4)),
-		SummarizeDist("sfc", distLedger(2)),
+		SummarizeDist("roundrobin", iosim.Fold(distLedger(4))),
+		SummarizeDist("sfc", iosim.Fold(distLedger(2))),
 	}
 	out := DistReport(sums)
 	for _, want := range []string{"roundrobin", "sfc", "link-skew", "dwall", "dskew", "tgt-imb"} {
@@ -75,7 +75,7 @@ func TestDistReport(t *testing.T) {
 	for i := range plain {
 		plain[i].Node, plain[i].Target = -1, -1
 	}
-	noTopo := DistReport([]DistSummary{SummarizeDist("roundrobin", plain)})
+	noTopo := DistReport([]DistSummary{SummarizeDist("roundrobin", iosim.Fold(plain))})
 	if !strings.Contains(noTopo, "aggregate model") {
 		t.Errorf("missing aggregate note:\n%s", noTopo)
 	}
@@ -92,7 +92,7 @@ func TestDistReportRunsAndFig(t *testing.T) {
 	var sums []DistSummary
 	var series [][]iosim.BurstStat
 	for i, l := range ledgers {
-		sums = append(sums, SummarizeDist(labels[i], l))
+		sums = append(sums, SummarizeDist(labels[i], iosim.Fold(l)))
 		series = append(series, iosim.BurstStats(l))
 	}
 	out := DistReport(sums)

@@ -36,15 +36,30 @@ type StorageSummary struct {
 	OverlapSeconds float64
 }
 
-// SummarizeStorage reduces a ledger to its StorageSummary. Drain overlap
-// needs burst timing, so the ledger must carry the usual Start/Duration
-// fields (any FileSystem ledger does).
-func SummarizeStorage(storage string, ledger []iosim.WriteRecord) StorageSummary {
-	f := NewSummaryFold()
-	for _, r := range ledger {
-		f.Consume(r)
+// SummarizeStorage reads a run's StorageSummary off its finished fold.
+// Drain overlap comes from the fold's per-step spans: each burst's drain
+// tail is hidden under the gap to the next burst's first write.
+func SummarizeStorage(storage string, f *iosim.CharacterizeFold) StorageSummary {
+	s := StorageSummary{Storage: storage, Bytes: f.Profile().TotalBytes}
+	bursts := f.Bursts()
+	for i, b := range bursts {
+		s.Bursts++
+		s.WallSeconds += b.WallSeconds
+		s.BBBytes += b.BBBytes
+		s.SpillBytes += b.SpillBytes
+		if b.MaxBBFill > s.MaxBBFill {
+			s.MaxBBFill = b.MaxBBFill
+		}
+		s.StallSeconds += b.StallSeconds
+		s.StallRanks += b.StallRanks
+		s.DrainSeconds += b.DrainSeconds
+		if b.DrainSeconds > 0 && i+1 < len(bursts) {
+			if gap := f.StepSpan(bursts[i+1].Step).Start - f.StepSpan(b.Step).End; gap > 0 {
+				s.OverlapSeconds += min(gap, b.DrainSeconds)
+			}
+		}
 	}
-	return f.Storage(storage)
+	return s
 }
 
 // StorageReport renders the per-stack comparison table. The first

@@ -43,7 +43,7 @@ func storageLedger(t *testing.T, storage string) []iosim.WriteRecord {
 }
 
 func TestSummarizeStorage(t *testing.T) {
-	gpfs := SummarizeStorage("gpfs", storageLedger(t, iosim.StorageGPFS))
+	gpfs := SummarizeStorage("gpfs", iosim.Fold(storageLedger(t, iosim.StorageGPFS)))
 	if gpfs.Bursts != 2 || gpfs.Bytes != 300 {
 		t.Fatalf("gpfs summary = %+v", gpfs)
 	}
@@ -56,7 +56,7 @@ func TestSummarizeStorage(t *testing.T) {
 		t.Errorf("gpfs wall = %g, want 15", gpfs.WallSeconds)
 	}
 
-	bb := SummarizeStorage("bb", storageLedger(t, iosim.StorageBB))
+	bb := SummarizeStorage("bb", iosim.Fold(storageLedger(t, iosim.StorageBB)))
 	if bb.BBBytes != 100 || bb.SpillBytes != 200 {
 		t.Errorf("bb tier bytes = %d/%d, want 100/200", bb.BBBytes, bb.SpillBytes)
 	}
@@ -83,7 +83,7 @@ func TestStorageReport(t *testing.T) {
 	var series [][]iosim.BurstStat
 	for _, s := range labels {
 		ledger := storageLedger(t, s)
-		sums = append(sums, SummarizeStorage(s, ledger))
+		sums = append(sums, SummarizeStorage(s, iosim.Fold(ledger)))
 		series = append(series, iosim.BurstStats(ledger))
 	}
 	out := StorageReport(sums)

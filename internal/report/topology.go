@@ -13,26 +13,12 @@ import (
 // number hides.
 
 // TopologyReport renders per-node and per-target aggregations plus a
-// per-burst link-skew table from a topology-labeled ledger. Ledgers
-// written under the aggregate model (no Node labels) produce a short
-// explanatory note instead.
-func TopologyReport(ledger []iosim.WriteRecord) string {
-	nodeBytes := map[int]int64{}
-	nodeSecs := map[int]float64{}
-	targetBytes := map[int]int64{}
-	labeled := false
-	for _, r := range ledger {
-		if r.Node < 0 {
-			continue
-		}
-		labeled = true
-		nodeBytes[r.Node] += r.Bytes
-		nodeSecs[r.Node] += r.Duration
-		if r.Target >= 0 {
-			targetBytes[r.Target] += r.Bytes
-		}
-	}
-	if !labeled {
+// per-burst link-skew table from a run's finished fold. Runs under the
+// aggregate model (no Node labels) produce a short explanatory note
+// instead.
+func TopologyReport(f *iosim.CharacterizeFold) string {
+	nodes := f.Nodes()
+	if len(nodes) == 0 {
 		return "topology report: ledger carries no link labels (aggregate model; " +
 			"set iosim.Config.Topology to enable the per-link contention model)\n"
 	}
@@ -41,16 +27,16 @@ func TopologyReport(ledger []iosim.WriteRecord) string {
 	sb.WriteString("Per-link I/O decomposition (topology model)\n")
 
 	var nodeRows [][]string
-	for _, n := range SortedIntKeys(nodeBytes) {
+	for _, n := range SortedIntKeys(nodes) {
 		nodeRows = append(nodeRows, []string{
 			fmt.Sprintf("%d", n),
-			HumanBytes(nodeBytes[n]),
-			fmt.Sprintf("%.4gs", nodeSecs[n]),
+			HumanBytes(nodes[n].Bytes),
+			fmt.Sprintf("%.4gs", nodes[n].BusySeconds),
 		})
 	}
 	sb.WriteString(Table([]string{"node", "bytes", "busy"}, nodeRows))
 
-	if len(targetBytes) > 0 {
+	if targetBytes := f.TargetBytes(); len(targetBytes) > 0 {
 		// Targets can be numerous (Alpine has 77); summarize the extremes.
 		keys := SortedIntKeys(targetBytes)
 		var min, max int64 = -1, 0
@@ -71,7 +57,7 @@ func TopologyReport(ledger []iosim.WriteRecord) string {
 	}
 
 	var burstRows [][]string
-	for _, b := range iosim.BurstStats(ledger) {
+	for _, b := range f.Bursts() {
 		if b.Nodes == 0 {
 			continue
 		}
@@ -92,15 +78,15 @@ func TopologyReport(ledger []iosim.WriteRecord) string {
 	return sb.String()
 }
 
-// LinkSummary reduces a topology-labeled ledger to one line: worst
-// per-burst link skew, worst node skew, and total stragglers — the
-// compact per-case form amrio-campaign prints for a sweep. Unlabeled
-// ledgers return "aggregate model".
-func LinkSummary(ledger []iosim.WriteRecord) string {
+// LinkSummary reduces a run's bursts to one line: worst per-burst link
+// skew, worst node skew, and total stragglers — the compact per-case
+// form amrio-campaign prints for a sweep. Bursts without link labels
+// return "aggregate model".
+func LinkSummary(bursts []iosim.BurstStat) string {
 	var maxLink, maxNode float64
 	stragglers := 0
 	labeled := false
-	for _, b := range iosim.BurstStats(ledger) {
+	for _, b := range bursts {
 		if b.Nodes == 0 {
 			continue
 		}
@@ -118,25 +104,4 @@ func LinkSummary(ledger []iosim.WriteRecord) string {
 	}
 	return fmt.Sprintf("link-skew %.3f  node-skew %.3f  stragglers %d",
 		maxLink, maxNode, stragglers)
-}
-
-// FigLinks plots per-node cumulative bytes from a topology-labeled
-// ledger — the distribution-mapping companion to Fig. 8's per-task view.
-func FigLinks(ledger []iosim.WriteRecord) *Plot {
-	p := NewPlot("Per-node output bytes (topology model)", "node", "bytes")
-	nodeBytes := map[int]int64{}
-	for _, r := range ledger {
-		if r.Node >= 0 {
-			nodeBytes[r.Node] += r.Bytes
-		}
-	}
-	nodes := SortedIntKeys(nodeBytes)
-	xs := make([]float64, len(nodes))
-	ys := make([]float64, len(nodes))
-	for i, n := range nodes {
-		xs[i] = float64(n)
-		ys[i] = float64(nodeBytes[n])
-	}
-	p.Add("bytes", xs, ys)
-	return p
 }

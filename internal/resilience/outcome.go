@@ -58,8 +58,8 @@ type Outcome struct {
 // Evaluate computes the mitigation outcome for a finished run. stats
 // may be nil (no engine ran). Deterministic: a pure function of its
 // arguments.
-func Evaluate(name string, plan *faults.Plan, records []iosim.WriteRecord, events []iosim.FaultEvent, stats *Stats) Outcome {
-	o := Outcome{Name: name, Resilience: faults.Analyze(plan, records, events)}
+func Evaluate(name string, plan *faults.Plan, run *iosim.CharacterizeFold, events []iosim.FaultEvent, stats *Stats) Outcome {
+	o := Outcome{Name: name, Resilience: faults.Analyze(plan, run, events)}
 	if stats != nil {
 		o.Stats = *stats
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestEvaluateFaultFree(t *testing.T) {
-	o := Evaluate("clean", nil, nil, nil, nil)
+	o := Evaluate("clean", nil, iosim.Fold(nil), nil, nil)
 	if o.ForwardProgress != 1 {
 		t.Errorf("fault-free forward progress = %g, want 1", o.ForwardProgress)
 	}
@@ -27,7 +27,7 @@ func TestEvaluateSeparatesMitigatedStorms(t *testing.T) {
 		{Kind: faults.KindTargetOutage, Rank: 0, Target: 0, Start: 2.5, Seconds: 0, Retries: 0, FailoverTarget: 1, Mitigated: true},
 		{Kind: faults.KindNICDegrade, Rank: 1, Node: 0, Start: 0, Seconds: 0.4},
 	}
-	o := Evaluate("run", nil, records, events, &Stats{QuarantinedTargets: 1})
+	o := Evaluate("run", nil, iosim.Fold(records), events, &Stats{QuarantinedTargets: 1})
 
 	// Only the unmitigated storm counts toward retry-storm time.
 	if o.RetryStormSeconds != 2.1 {
@@ -53,7 +53,7 @@ func TestEvaluateSeparatesMitigatedStorms(t *testing.T) {
 	unmit[1].Mitigated = false
 	unmit[1].Seconds = 2.1
 	unmit[1].Retries = 3
-	worse := Evaluate("run", nil, records, unmit, nil)
+	worse := Evaluate("run", nil, iosim.Fold(records), unmit, nil)
 	if worse.ForwardProgress >= o.ForwardProgress {
 		t.Errorf("unmitigated FP %g >= mitigated %g", worse.ForwardProgress, o.ForwardProgress)
 	}

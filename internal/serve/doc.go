@@ -10,10 +10,12 @@
 //	   │ name-conflicting batches → 400), batch semaphore (concurrency
 //	   │ limit; waits, honoring request cancellation)
 //	   ▼
-//	campaign.RunAll + WithExecutor(memoizing LRU, single-flight)
-//	            + WithCaseTimeout + WithOutputs
+//	campaign.RunAll on the server's Executor (memoizing LRU,
+//	            single-flight) + WithCaseTimeout + WithOutputs
 //	   │ each case: fingerprint lookup → cache hit, or one simulation
-//	   │ streamed through iosim folds (the ledger is never retained)
+//	   │ streamed through its one iosim.CharacterizeFold (the ledger is
+//	   │ never retained; the fold itself is dropped once the output is
+//	   │ built, so neither a line nor the cache carries it)
 //	   ▼
 //	NDJSON response — one line per case, flushed as it completes, in
 //	completion order (each line carries the case index and name)

@@ -14,9 +14,9 @@ import (
 )
 
 // Options tunes the service. The zero value serves with sweep-sized
-// defaults: all-cores workers per batch, a 1024-entry cache, batches up
-// to DefaultMaxCases cases, DefaultMaxBatches concurrent batches, no
-// per-case timeout, aggregate (topology-free) filesystems.
+// defaults: all-cores workers per batch, a DefaultCacheSize-entry cache,
+// batches up to DefaultMaxCases cases, DefaultMaxBatches concurrent
+// batches, no per-case timeout, aggregate (topology-free) filesystems.
 type Options struct {
 	// Parallel is the per-batch worker-pool size (campaign.RunAll
 	// semantics: <1 selects all cores).
@@ -29,7 +29,9 @@ type Options struct {
 	// MaxBatches caps concurrently running batches; excess requests wait
 	// for a slot (honoring cancellation). <1 selects DefaultMaxBatches.
 	MaxBatches int
-	// CacheSize caps the executor's LRU; <1 selects the executor default.
+	// CacheSize caps the executor's LRU; <1 selects DefaultCacheSize. (A
+	// service always caches: campaign.NewExecutor's capacity 0, which
+	// runs every case fresh, is for one-shot sweeps.)
 	CacheSize int
 	// Topology runs every case against its per-link topology model
 	// instead of the aggregate pool (and salts the cache keys).
@@ -40,14 +42,16 @@ type Options struct {
 const (
 	DefaultMaxCases   = 256
 	DefaultMaxBatches = 4
+	DefaultCacheSize  = 1024
 )
 
 // perCaseBytes is one case's share of the /run body limit, which is
 // MaxCases × perCaseBytes (1 MiB at the default). A case with every
 // field set, the largest example fault plan (examples/faultplans, 231 B),
-// a full mitigation policy and an aggregation spec encodes to 776 B, or
-// 1449 B indented four spaces, so no legal batch of at most MaxCases
-// such cases reaches the limit, while a hostile body stops at it.
+// a full mitigation policy, an aggregation spec and a 13-digit
+// bb_capacity encodes to 804 B, or 1487 B indented four spaces, so no
+// legal batch of at most MaxCases such cases reaches the limit, while a
+// hostile body stops at it.
 const perCaseBytes = 4 << 10
 
 // Server owns the memoizing executor and the service counters. Create
@@ -70,6 +74,9 @@ func New(opts Options) *Server {
 	}
 	if opts.MaxBatches < 1 {
 		opts.MaxBatches = DefaultMaxBatches
+	}
+	if opts.CacheSize < 1 {
+		opts.CacheSize = DefaultCacheSize
 	}
 	return &Server{
 		opts:  opts,
@@ -168,10 +175,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// lock orders the lines and keeps the flushes whole.
 	var mu sync.Mutex
 	enc := json.NewEncoder(w)
-	_, err = campaign.RunAll(cases, s.opts.Parallel, nil,
-		campaign.WithExecutor(s.exec),
+	_, err = campaign.RunAll(cases, s.opts.Parallel, s.exec,
 		campaign.WithCaseTimeout(s.opts.CaseTimeout),
-		campaign.WithOutputs(func(i int, out campaign.CaseOutput, err error) {
+		campaign.WithOutputs(func(i int, out campaign.CaseOutput, _ *campaign.Reduction, err error) {
 			line := CaseLine{Index: i, Name: cases[i].Name, Cached: out.Cached}
 			if err != nil {
 				line.Error = err.Error()

@@ -44,7 +44,7 @@ func TestMitigation512Ranks(t *testing.T) {
 		if len(fs.FaultEvents()) == 0 {
 			t.Fatalf("%s: plan injected no faults; the comparison is vacuous", name)
 		}
-		return resilience.Evaluate(name, c.Faults, fs.Ledger(), fs.FaultEvents(), res.Mitigation)
+		return resilience.Evaluate(name, c.Faults, iosim.Fold(fs.Ledger()), fs.FaultEvents(), res.Mitigation)
 	}
 	unmit := run(nil, "mit512_nomitigate")
 	mit := run(resilience.DefaultPolicy(), "mit512_mitigate")
@@ -112,7 +112,7 @@ func TestMitigationMacsioQuarantine(t *testing.T) {
 		if _, err := macsio.RunMitigated(fs, cfg, eng); err != nil {
 			t.Fatal(err)
 		}
-		return fs.FaultEvents(), resilience.Evaluate("macsio", plan, fs.Ledger(), fs.FaultEvents(), eng.Stats())
+		return fs.FaultEvents(), resilience.Evaluate("macsio", plan, iosim.Fold(fs.Ledger()), fs.FaultEvents(), eng.Stats())
 	}
 	evs, unmit := run(false)
 	for i, ev := range evs {
