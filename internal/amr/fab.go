@@ -47,6 +47,16 @@ func (f *FAB) index(i, j, comp int) int {
 	return comp*f.nx*f.ny + (j-f.DataBox.Lo.Y)*f.nx + (i - f.DataBox.Lo.X)
 }
 
+// Offset is the flat index of (i, j, comp) in Data; callers must stay
+// inside DataBox. With Strides it lets a kernel walk a row or a column,
+// ghosts included, straight through the backing array.
+func (f *FAB) Offset(i, j, comp int) int { return f.index(i, j, comp) }
+
+// Strides returns the steps through Data between vertically adjacent
+// cells (dj) and between components of one cell (dcomp); horizontally
+// adjacent cells are one apart.
+func (f *FAB) Strides() (dj, dcomp int) { return f.nx, f.nx * f.ny }
+
 // At returns the value at cell (i,j) of component comp.
 func (f *FAB) At(i, j, comp int) float64 { return f.Data[f.index(i, j, comp)] }
 

@@ -162,22 +162,27 @@ func AverageDown(crse, fine *MultiFab, ratio int) {
 // paper's Listing 2 boundary flags (castro.lo_bc = 2 2, hi_bc = 2 2).
 func FillOutflowBC(mf *MultiFab, domain grid.Box) {
 	mf.ForEachFAB(func(_ int, f *FAB) {
-		if domain.ContainsBox(f.DataBox) {
+		db := f.DataBox
+		if domain.ContainsBox(db) {
 			return
 		}
-		for c := 0; c < f.NComp; c++ {
-			for j := f.DataBox.Lo.Y; j <= f.DataBox.Hi.Y; j++ {
-				for i := f.DataBox.Lo.X; i <= f.DataBox.Hi.X; i++ {
-					if domain.Contains(grid.IntVect{X: i, Y: j}) {
-						continue
-					}
-					si := clamp(i, domain.Lo.X, domain.Hi.X)
-					sj := clamp(j, domain.Lo.Y, domain.Hi.Y)
-					// Clamp also into this FAB's data box so the source is
-					// locally available (valid for boxes touching the wall).
-					si = clamp(si, f.DataBox.Lo.X, f.DataBox.Hi.X)
-					sj = clamp(sj, f.DataBox.Lo.Y, f.DataBox.Hi.Y)
-					f.Set(i, j, c, f.At(si, sj, c))
+		_, dc := f.Strides()
+		for j := db.Lo.Y; j <= db.Hi.Y; j++ {
+			inside := j >= domain.Lo.Y && j <= domain.Hi.Y
+			// The source is clamped into the domain, then into this FAB's
+			// data box so it is locally available (valid for boxes
+			// touching the wall). Either way it lies inside the domain,
+			// so no fill reads another fill's result.
+			sj := clamp(clamp(j, domain.Lo.Y, domain.Hi.Y), db.Lo.Y, db.Hi.Y)
+			for i := db.Lo.X; i <= db.Hi.X; i++ {
+				if inside && i >= domain.Lo.X && i <= domain.Hi.X {
+					i = domain.Hi.X // skip the row's in-domain run
+					continue
+				}
+				si := clamp(clamp(i, domain.Lo.X, domain.Hi.X), db.Lo.X, db.Hi.X)
+				dst, src := f.index(i, j, 0), f.index(si, sj, 0)
+				for c := 0; c < f.NComp; c++ {
+					f.Data[dst+c*dc] = f.Data[src+c*dc]
 				}
 			}
 		}

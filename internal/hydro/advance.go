@@ -16,9 +16,13 @@ import (
 // sx = max(|u| + c)/dx. The CFL time step is cfl / max(sx + sy) (the
 // standard 2D corner-transport bound Castro uses).
 func MaxSignalSpeed(f *amr.FAB, dx, dy, gamma float64) (sx, sy float64) {
-	for j := f.ValidBox.Lo.Y; j <= f.ValidBox.Hi.Y; j++ {
-		for i := f.ValidBox.Lo.X; i <= f.ValidBox.Hi.X; i++ {
-			w := ToPrim(consAt(f, i, j), gamma)
+	vb := f.ValidBox
+	_, dc := f.Strides()
+	d := f.Data
+	for j := vb.Lo.Y; j <= vb.Hi.Y; j++ {
+		row := f.Offset(vb.Lo.X, j, IRho)
+		for x := row; x < row+vb.Size().X; x++ {
+			w := ToPrim(Cons{Rho: d[x], Mx: d[x+IMx*dc], My: d[x+IMy*dc], E: d[x+IEner*dc]}, gamma)
 			c := SoundSpeed(w, gamma)
 			if v := (math.Abs(w.U) + c) / dx; v > sx {
 				sx = v
@@ -40,58 +44,105 @@ func consAt(f *amr.FAB, i, j int) Cons {
 	}
 }
 
-func setCons(f *amr.FAB, i, j int, c Cons) {
-	f.Set(i, j, IRho, c.Rho)
-	f.Set(i, j, IMx, c.Mx)
-	f.Set(i, j, IMy, c.My)
-	f.Set(i, j, IEner, c.E)
+// Workspace is the scratch one FAB's sweeps reuse: the primitive pencil,
+// its interface fluxes, and the captured flux field refluxing reads. The
+// zero value is ready to use. Buffers grow to the largest box swept and
+// are then reused, so a Workspace kept beside its FAB makes every sweep
+// after the first allocation-free, until a regrid replaces the FAB.
+type Workspace struct {
+	w    []Prim
+	flux []Cons
+	ff   FluxField
+}
+
+// resize returns s with length n, reallocating only when it is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Sweep advances every valid cell of f by dt along direction dir (0 = x,
+// 1 = y) with cell width h; two filled ghost cells are required. Each
+// pencil is read straight from the FAB's backing array with the sweep
+// direction's momentum as the solver's "u", so the y sweep needs no
+// rotated copy. With capture, Sweep records the interface fluxes the
+// update used and returns them, valid until the Workspace's next
+// capturing sweep; otherwise it returns nil.
+func (ws *Workspace) Sweep(f *amr.FAB, dir int, dt, h, gamma float64, capture bool) *FluxField {
+	vb := f.ValidBox
+	dj, dc := f.Strides()
+	n, pencils := vb.Size().X, vb.Size().Y // cells per pencil, pencils
+	along, across := 1, dj                 // Data steps along a pencil and between pencils
+	mn, mt := IMx*dc, IMy*dc               // normal and transverse momentum planes
+	if dir == 1 {
+		n, pencils = pencils, n
+		along, across = dj, 1
+		mn, mt = mt, mn
+	}
+	ws.w, ws.flux = resize(ws.w, n+4), resize(ws.flux, n+1)
+	w, flux := ws.w, ws.flux
+	var ff *FluxField
+	if capture {
+		ws.ff = FluxField{Valid: vb, Dir: dir, nFace: n + 1, Data: resize(ws.ff.Data, (n+1)*pencils)}
+		ff = &ws.ff
+	}
+	// x indexes a cell's density (plane IRho is 0); x+mn, x+mt and x+eo
+	// its momenta and energy.
+	d, eo := f.Data, IEner*dc
+	dtOverDx := dt / h
+	first := f.Offset(vb.Lo.X, vb.Lo.Y, IRho) - 2*along
+	for p := 0; p < pencils; p++ {
+		o := first + p*across
+		for k := range w {
+			x := o + k*along
+			w[k] = ToPrim(Cons{Rho: d[x], Mx: d[x+mn], My: d[x+mt], E: d[x+eo]}, gamma)
+		}
+		interfaceFluxes(w, flux, dtOverDx, gamma)
+		if ff != nil {
+			faces := ff.Data[p*(n+1) : (p+1)*(n+1)]
+			for k, c := range flux {
+				if dir == 1 {
+					c.Mx, c.My = c.My, c.Mx // store un-rotated
+				}
+				faces[k] = c
+			}
+		}
+		// float64() rounds each increment before the add, so a target
+		// that fuses multiply-adds updates exactly as a stored dU would.
+		for k := 0; k < n; k++ {
+			x := o + (k+2)*along
+			c := enforceFloors(Cons{
+				Rho: d[x] + float64(dtOverDx*(flux[k].Rho-flux[k+1].Rho)),
+				Mx:  d[x+mn] + float64(dtOverDx*(flux[k].Mx-flux[k+1].Mx)),
+				My:  d[x+mt] + float64(dtOverDx*(flux[k].My-flux[k+1].My)),
+				E:   d[x+eo] + float64(dtOverDx*(flux[k].E-flux[k+1].E)),
+			}, gamma)
+			d[x], d[x+mn], d[x+mt], d[x+eo] = c.Rho, c.Mx, c.My, c.E
+		}
+	}
+	return ff
+}
+
+// Flux returns the field the last capturing Sweep recorded, or nil if no
+// sweep has captured.
+func (ws *Workspace) Flux() *FluxField {
+	if ws.ff.Data == nil {
+		return nil
+	}
+	return &ws.ff
 }
 
 // SweepX advances every valid cell of the FAB by dt using x-direction
-// fluxes. Two filled ghost cells are required.
+// fluxes, with a one-off Workspace. Two filled ghost cells are required.
 func SweepX(f *amr.FAB, dt, dx, gamma float64) {
-	vb := f.ValidBox
-	n := vb.Size().X
-	row := make([]Prim, n+4)
-	for j := vb.Lo.Y; j <= vb.Hi.Y; j++ {
-		for i := 0; i < n+4; i++ {
-			row[i] = ToPrim(consAt(f, vb.Lo.X-2+i, j), gamma)
-		}
-		dU := Sweep1D(row, dt/dx, gamma)
-		for i := 0; i < n; i++ {
-			c := consAt(f, vb.Lo.X+i, j)
-			c.Rho += dU[i].Rho
-			c.Mx += dU[i].Mx
-			c.My += dU[i].My
-			c.E += dU[i].E
-			setCons(f, vb.Lo.X+i, j, enforceFloors(c, gamma))
-		}
-	}
+	new(Workspace).Sweep(f, 0, dt, dx, gamma, false)
 }
 
-// SweepY advances every valid cell by dt using y-direction fluxes. The
-// row is built along y with velocities rotated so the 1D solver sees the
-// sweep direction as "u".
+// SweepY is SweepX along y.
 func SweepY(f *amr.FAB, dt, dy, gamma float64) {
-	vb := f.ValidBox
-	n := vb.Size().Y
-	row := make([]Prim, n+4)
-	for i := vb.Lo.X; i <= vb.Hi.X; i++ {
-		for j := 0; j < n+4; j++ {
-			w := ToPrim(consAt(f, i, vb.Lo.Y-2+j), gamma)
-			row[j] = Prim{Rho: w.Rho, U: w.V, V: w.U, P: w.P} // rotate
-		}
-		dU := Sweep1D(row, dt/dy, gamma)
-		for j := 0; j < n; j++ {
-			c := consAt(f, i, vb.Lo.Y+j)
-			// Rotate the update back: dU.Mx is the y-momentum update.
-			c.Rho += dU[j].Rho
-			c.My += dU[j].Mx
-			c.Mx += dU[j].My
-			c.E += dU[j].E
-			setCons(f, i, vb.Lo.Y+j, enforceFloors(c, gamma))
-		}
-	}
+	new(Workspace).Sweep(f, 1, dt, dy, gamma, false)
 }
 
 // enforceFloors keeps density and internal energy positive after an

@@ -8,6 +8,11 @@
 // The solver's job in this reproduction is to move the blast wave the way
 // Castro does so the AMR hierarchy — and therefore the I/O workload the
 // paper measures — evolves realistically.
+//
+// Workspace.Sweep is the one update kernel: it reads each pencil straight
+// from the FAB's backing array, and keeps its scratch and captured fluxes
+// in the Workspace, so a Workspace kept per FAB sweeps without allocating.
+// SweepX and SweepY wrap it for one-off callers.
 package hydro
 
 import "math"
@@ -77,8 +82,11 @@ func Mach(w Prim, gamma float64) float64 {
 }
 
 // FluxX returns the x-direction Euler flux of a primitive state.
-func FluxX(w Prim, gamma float64) Cons {
-	c := ToCons(w, gamma)
+func FluxX(w Prim, gamma float64) Cons { return fluxOf(w, ToCons(w, gamma)) }
+
+// fluxOf is FluxX given the state's conserved form c = ToCons(w), for
+// callers that need both and should run the EOS once.
+func fluxOf(w Prim, c Cons) Cons {
 	return Cons{
 		Rho: c.Mx,
 		Mx:  c.Mx*w.U + w.P,

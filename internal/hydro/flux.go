@@ -1,14 +1,10 @@
 package hydro
 
-import (
-	"amrproxyio/internal/amr"
-	"amrproxyio/internal/grid"
-)
+import "amrproxyio/internal/grid"
 
-// Flux-recording sweep variants. Refluxing (the Berger–Colella coarse-fine
-// flux correction Castro applies) needs the interface fluxes each sweep
-// actually used, so these wrappers run the same MUSCL-Hancock + HLLC
-// update as SweepX/SweepY while returning the face flux fields.
+// Captured face fluxes. Refluxing (the Berger–Colella coarse-fine flux
+// correction Castro applies) needs the interface fluxes each sweep
+// actually used, so a capturing Workspace.Sweep records them here.
 
 // FluxField stores the fluxes of one FAB's directional sweep.
 // For an x-sweep over valid box [lo, hi]:
@@ -23,23 +19,7 @@ type FluxField struct {
 	Valid grid.Box
 	Dir   int // 0 = x faces, 1 = y faces
 	nFace int // faces per pencil (nx+1 or ny+1)
-	nRow  int // pencils (ny or nx)
 	Data  []Cons
-}
-
-// newFluxField allocates a zeroed field for a box sweep.
-func newFluxField(valid grid.Box, dir int) *FluxField {
-	s := valid.Size()
-	var nFace, nRow int
-	if dir == 0 {
-		nFace, nRow = s.X+1, s.Y
-	} else {
-		nFace, nRow = s.Y+1, s.X
-	}
-	return &FluxField{
-		Valid: valid, Dir: dir, nFace: nFace, nRow: nRow,
-		Data: make([]Cons, nFace*nRow),
-	}
 }
 
 // AtX returns the x-face flux at face coordinate fx (cells fx-1 | fx) and
@@ -66,79 +46,4 @@ func (ff *FluxField) ContainsYFace(i, fy int) bool {
 	return ff.Dir == 1 &&
 		fy >= ff.Valid.Lo.Y && fy <= ff.Valid.Hi.Y+1 &&
 		i >= ff.Valid.Lo.X && i <= ff.Valid.Hi.X
-}
-
-// SweepXWithFlux is SweepX plus flux capture.
-func SweepXWithFlux(f *amr.FAB, dt, dx, gamma float64) *FluxField {
-	vb := f.ValidBox
-	n := vb.Size().X
-	ff := newFluxField(vb, 0)
-	row := make([]Prim, n+4)
-	for j := vb.Lo.Y; j <= vb.Hi.Y; j++ {
-		for i := 0; i < n+4; i++ {
-			row[i] = ToPrim(consAt(f, vb.Lo.X-2+i, j), gamma)
-		}
-		dU, flux := sweep1DWithFlux(row, dt/dx, gamma)
-		base := (j - vb.Lo.Y) * ff.nFace
-		copy(ff.Data[base:base+n+1], flux)
-		for i := 0; i < n; i++ {
-			c := consAt(f, vb.Lo.X+i, j)
-			c.Rho += dU[i].Rho
-			c.Mx += dU[i].Mx
-			c.My += dU[i].My
-			c.E += dU[i].E
-			setCons(f, vb.Lo.X+i, j, enforceFloors(c, gamma))
-		}
-	}
-	return ff
-}
-
-// SweepYWithFlux is SweepY plus flux capture (fluxes stored un-rotated).
-func SweepYWithFlux(f *amr.FAB, dt, dy, gamma float64) *FluxField {
-	vb := f.ValidBox
-	n := vb.Size().Y
-	ff := newFluxField(vb, 1)
-	row := make([]Prim, n+4)
-	for i := vb.Lo.X; i <= vb.Hi.X; i++ {
-		for j := 0; j < n+4; j++ {
-			w := ToPrim(consAt(f, i, vb.Lo.Y-2+j), gamma)
-			row[j] = Prim{Rho: w.Rho, U: w.V, V: w.U, P: w.P}
-		}
-		dU, flux := sweep1DWithFlux(row, dt/dy, gamma)
-		base := (i - vb.Lo.X) * ff.nFace
-		for k := 0; k <= n; k++ {
-			// Un-rotate: the 1D solver's Mx is the sweep-direction
-			// momentum flux (y here), its My the transverse (x).
-			ff.Data[base+k] = Cons{Rho: flux[k].Rho, Mx: flux[k].My, My: flux[k].Mx, E: flux[k].E}
-		}
-		for j := 0; j < n; j++ {
-			c := consAt(f, i, vb.Lo.Y+j)
-			c.Rho += dU[j].Rho
-			c.My += dU[j].Mx
-			c.Mx += dU[j].My
-			c.E += dU[j].E
-			setCons(f, i, vb.Lo.Y+j, enforceFloors(c, gamma))
-		}
-	}
-	return ff
-}
-
-// sweep1DWithFlux mirrors Sweep1D but also returns the n+1 interface
-// fluxes used for the update.
-func sweep1DWithFlux(w []Prim, dtOverDx, gamma float64) ([]Cons, []Cons) {
-	n := len(w) - 4
-	if n <= 0 {
-		return nil, nil
-	}
-	flux := interfaceFluxes(w, dtOverDx, gamma)
-	dU := make([]Cons, n)
-	for i := 0; i < n; i++ {
-		dU[i] = Cons{
-			Rho: dtOverDx * (flux[i].Rho - flux[i+1].Rho),
-			Mx:  dtOverDx * (flux[i].Mx - flux[i+1].Mx),
-			My:  dtOverDx * (flux[i].My - flux[i+1].My),
-			E:   dtOverDx * (flux[i].E - flux[i+1].E),
-		}
-	}
-	return dU, flux
 }

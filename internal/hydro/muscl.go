@@ -2,11 +2,10 @@ package hydro
 
 import "math"
 
-// MUSCL-Hancock 1D sweep: slope-limited linear reconstruction, a half
-// time-step predictor using the cell's own face fluxes, then HLLC fluxes
-// at each interface. The sweep operates on a row of primitive states with
-// two ghost cells on each end and returns the conservative update for the
-// interior cells.
+// MUSCL-Hancock reconstruction along one pencil: slope-limited linear
+// reconstruction, a half time-step predictor using the cell's own face
+// fluxes, then HLLC fluxes at each interface. A pencil is a row of
+// primitive states with two ghost cells on each end.
 
 // minmodP applies the minmod limiter componentwise to primitive slopes.
 func minmodP(a, b Prim) Prim {
@@ -47,58 +46,33 @@ func floorP(w Prim) Prim {
 	return w
 }
 
-// interfaceFluxes computes the n+1 interior interface fluxes for a row of
-// n cells with 2 ghosts per side: MUSCL slopes, Hancock half-step
-// predictor, HLLC at each face. Interface k (k = 0..n) sits between cells
-// k+1 and k+2 in w-index space.
-func interfaceFluxes(w []Prim, dtOverDx, gamma float64) []Cons {
-	n := len(w) - 4
-	// Limited slopes for cells 1..len-2 (needs one neighbor each side).
-	slopes := make([]Prim, len(w))
-	for i := 1; i < len(w)-1; i++ {
-		slopes[i] = minmodP(subP(w[i+1], w[i]), subP(w[i], w[i-1]))
-	}
-	// Face states with Hancock half-step for cells 1..len-2.
-	type faces struct{ L, R Prim }
-	fs := make([]faces, len(w))
-	for i := 1; i < len(w)-1; i++ {
-		wl := floorP(addScaledP(w[i], -0.5, slopes[i]))
-		wr := floorP(addScaledP(w[i], +0.5, slopes[i]))
-		fl := FluxX(wl, gamma)
-		fr := FluxX(wr, gamma)
-		// Evolve both faces by half a step with the internal flux
-		// difference, in conserved variables.
-		cl := ToCons(wl, gamma)
-		crr := ToCons(wr, gamma)
-		half := 0.5 * dtOverDx
-		cl = Cons{cl.Rho + half*(fl.Rho-fr.Rho), cl.Mx + half*(fl.Mx-fr.Mx), cl.My + half*(fl.My-fr.My), cl.E + half*(fl.E-fr.E)}
-		crr = Cons{crr.Rho + half*(fl.Rho-fr.Rho), crr.Mx + half*(fl.Mx-fr.Mx), crr.My + half*(fl.My-fr.My), crr.E + half*(fl.E-fr.E)}
-		fs[i] = faces{L: ToPrim(cl, gamma), R: ToPrim(crr, gamma)}
-	}
-	flux := make([]Cons, n+1)
-	for k := 0; k <= n; k++ {
-		flux[k] = HLLCFlux(fs[k+1].R, fs[k+2].L, gamma)
-	}
-	return flux
+// hancock returns the left and right face states of cell w with limited
+// slope s, both evolved by half a step (half = dt/(2dx)) with the cell's
+// internal flux difference, in conserved variables.
+func hancock(w, s Prim, half, gamma float64) (l, r Prim) {
+	wl := floorP(addScaledP(w, -0.5, s))
+	wr := floorP(addScaledP(w, +0.5, s))
+	cl, cr := ToCons(wl, gamma), ToCons(wr, gamma)
+	fl, fr := fluxOf(wl, cl), fluxOf(wr, cr)
+	cl = Cons{cl.Rho + half*(fl.Rho-fr.Rho), cl.Mx + half*(fl.Mx-fr.Mx), cl.My + half*(fl.My-fr.My), cl.E + half*(fl.E-fr.E)}
+	cr = Cons{cr.Rho + half*(fl.Rho-fr.Rho), cr.Mx + half*(fl.Mx-fr.Mx), cr.My + half*(fl.My-fr.My), cr.E + half*(fl.E-fr.E)}
+	return ToPrim(cl, gamma), ToPrim(cr, gamma)
 }
 
-// Sweep1D advances one row. w has n+4 entries (2 ghosts each side); the
-// returned dU has n entries: the conservative increments for interior
-// cells given dtOverDx = dt/dx.
-func Sweep1D(w []Prim, dtOverDx, gamma float64) []Cons {
-	n := len(w) - 4
-	if n <= 0 {
-		return nil
-	}
-	flux := interfaceFluxes(w, dtOverDx, gamma)
-	dU := make([]Cons, n)
-	for i := 0; i < n; i++ {
-		dU[i] = Cons{
-			Rho: dtOverDx * (flux[i].Rho - flux[i+1].Rho),
-			Mx:  dtOverDx * (flux[i].Mx - flux[i+1].Mx),
-			My:  dtOverDx * (flux[i].My - flux[i+1].My),
-			E:   dtOverDx * (flux[i].E - flux[i+1].E),
+// interfaceFluxes fills flux[k], k = 0..n, for a pencil w of n cells with
+// two ghosts per side: face k sits between cells k+1 and k+2 in w-index
+// space. One pass computes each cell's slope and face states and prices
+// the face to its left as soon as both sides exist, so nothing beyond w
+// and flux is stored.
+func interfaceFluxes(w []Prim, flux []Cons, dtOverDx, gamma float64) {
+	half := 0.5 * dtOverDx
+	shock := shockFactor(gamma)
+	var prevR Prim // right face state of cell i-1
+	for i := 1; i < len(w)-1; i++ {
+		l, r := hancock(w[i], minmodP(subP(w[i+1], w[i]), subP(w[i], w[i-1])), half, gamma)
+		if i > 1 {
+			flux[i-2] = hllc(prevR, l, gamma, shock)
 		}
+		prevR = r
 	}
-	return dU
 }

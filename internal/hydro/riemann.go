@@ -10,6 +10,15 @@ import "math"
 // HLLCFlux returns the interface flux between left and right primitive
 // states.
 func HLLCFlux(l, r Prim, gamma float64) Cons {
+	return hllc(l, r, gamma, shockFactor(gamma))
+}
+
+// shockFactor is (γ+1)/(2γ), the coefficient of Toro's shock-speed
+// correction; the sweep kernel computes it once per sweep, not per face.
+func shockFactor(gamma float64) float64 { return (gamma + 1) / (2 * gamma) }
+
+// hllc is HLLCFlux with the shock factor supplied.
+func hllc(l, r Prim, gamma, shock float64) Cons {
 	cl := SoundSpeed(l, gamma)
 	cr := SoundSpeed(r, gamma)
 
@@ -20,8 +29,8 @@ func HLLCFlux(l, r Prim, gamma float64) Cons {
 	if pStar < smallPres {
 		pStar = smallPres
 	}
-	ql := waveSpeedFactor(pStar, l.P, gamma)
-	qr := waveSpeedFactor(pStar, r.P, gamma)
+	ql := waveSpeedFactor(pStar, l.P, shock)
+	qr := waveSpeedFactor(pStar, r.P, shock)
 	sl := l.U - cl*ql
 	sr := r.U + cr*qr
 
@@ -50,18 +59,18 @@ func HLLCFlux(l, r Prim, gamma float64) Cons {
 
 // waveSpeedFactor sharpens the acoustic estimate inside shocks (Toro eq.
 // 10.59-10.60).
-func waveSpeedFactor(pStar, p, gamma float64) float64 {
+func waveSpeedFactor(pStar, p, shock float64) float64 {
 	if pStar <= p {
 		return 1
 	}
-	return math.Sqrt(1 + (gamma+1)/(2*gamma)*(pStar/p-1))
+	return math.Sqrt(1 + shock*(pStar/p-1))
 }
 
 // hllcSide evaluates the HLLC flux using the star state on side k
 // (either left with speed s=sl or right with s=sr) and contact speed sm.
 func hllcSide(w Prim, s, sm float64, gamma float64) Cons {
 	u := ToCons(w, gamma)
-	f := FluxX(w, gamma)
+	f := fluxOf(w, u)
 	factor := w.Rho * (s - w.U) / (s - sm)
 	eStar := u.E/w.Rho + (sm-w.U)*(sm+w.P/(w.Rho*(s-w.U)))
 	uStar := Cons{

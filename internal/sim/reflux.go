@@ -20,11 +20,11 @@ import (
 // and the mirror sign for a LEFT-face boundary (similarly in y).
 
 // refluxX applies the x-direction correction between levels l and l+1,
-// given both levels' captured flux fields (indexed like the FABs). The
+// from the flux fields both levels' Workspaces captured in the sweep. The
 // covered-cell test and the fine-flux owner search both go through spatial
 // indexes built once per call, so the per-cell work is O(1) instead of a
 // scan over every fine box.
-func (s *Sim) refluxX(l int, dt float64, crseFlux, fineFlux []*hydro.FluxField) {
+func (s *Sim) refluxX(l int, dt float64) {
 	crse, fine := s.Levels[l], s.Levels[l+1]
 	ratio := s.Cfg.RefRatioAt(l)
 	coveredIdx := fine.BA.Coarsen(ratio).Index()
@@ -40,16 +40,16 @@ func (s *Sim) refluxX(l int, dt float64, crseFlux, fineFlux []*hydro.FluxField) 
 				}
 				// Right face adjacent to fine region.
 				if i+1 <= crse.Geom.Domain.Hi.X && coveredIdx.Contains(grid.IV(i+1, j)) {
-					fc := crseFlux[ci].AtX(i+1, j)
-					ffAvg, ok := fineXFaceAvg(fineIdx, fineFlux, (i+1)*ratio, j, ratio)
+					fc := crse.work[ci].Flux().AtX(i+1, j)
+					ffAvg, ok := fineXFaceAvg(fineIdx, fine.work, (i+1)*ratio, j, ratio)
 					if ok {
 						applyCorrection(cf, i, j, dt/dx, sub(fc, ffAvg))
 					}
 				}
 				// Left face adjacent to fine region.
 				if i-1 >= crse.Geom.Domain.Lo.X && coveredIdx.Contains(grid.IV(i-1, j)) {
-					fc := crseFlux[ci].AtX(i, j)
-					ffAvg, ok := fineXFaceAvg(fineIdx, fineFlux, i*ratio, j, ratio)
+					fc := crse.work[ci].Flux().AtX(i, j)
+					ffAvg, ok := fineXFaceAvg(fineIdx, fine.work, i*ratio, j, ratio)
 					if ok {
 						applyCorrection(cf, i, j, dt/dx, sub(ffAvg, fc))
 					}
@@ -60,7 +60,7 @@ func (s *Sim) refluxX(l int, dt float64, crseFlux, fineFlux []*hydro.FluxField) 
 }
 
 // refluxY mirrors refluxX for y faces.
-func (s *Sim) refluxY(l int, dt float64, crseFlux, fineFlux []*hydro.FluxField) {
+func (s *Sim) refluxY(l int, dt float64) {
 	crse, fine := s.Levels[l], s.Levels[l+1]
 	ratio := s.Cfg.RefRatioAt(l)
 	coveredIdx := fine.BA.Coarsen(ratio).Index()
@@ -75,15 +75,15 @@ func (s *Sim) refluxY(l int, dt float64, crseFlux, fineFlux []*hydro.FluxField) 
 					continue
 				}
 				if j+1 <= crse.Geom.Domain.Hi.Y && coveredIdx.Contains(grid.IV(i, j+1)) {
-					fc := crseFlux[ci].AtY(i, j+1)
-					ffAvg, ok := fineYFaceAvg(fineIdx, fineFlux, i, (j+1)*ratio, ratio)
+					fc := crse.work[ci].Flux().AtY(i, j+1)
+					ffAvg, ok := fineYFaceAvg(fineIdx, fine.work, i, (j+1)*ratio, ratio)
 					if ok {
 						applyCorrection(cf, i, j, dt/dy, sub(fc, ffAvg))
 					}
 				}
 				if j-1 >= crse.Geom.Domain.Lo.Y && coveredIdx.Contains(grid.IV(i, j-1)) {
-					fc := crseFlux[ci].AtY(i, j)
-					ffAvg, ok := fineYFaceAvg(fineIdx, fineFlux, i, j*ratio, ratio)
+					fc := crse.work[ci].Flux().AtY(i, j)
+					ffAvg, ok := fineYFaceAvg(fineIdx, fine.work, i, j*ratio, ratio)
 					if ok {
 						applyCorrection(cf, i, j, dt/dy, sub(ffAvg, fc))
 					}
@@ -114,13 +114,13 @@ func fineFaceOwner(fineIdx *grid.BoxIndex, a, b grid.IntVect) int {
 
 // fineXFaceAvg averages the ratio fine x-fluxes across the coarse face at
 // fine face coordinate fx, coarse row j.
-func fineXFaceAvg(fineIdx *grid.BoxIndex, fineFlux []*hydro.FluxField, fx, j, ratio int) (hydro.Cons, bool) {
+func fineXFaceAvg(fineIdx *grid.BoxIndex, fine []hydro.Workspace, fx, j, ratio int) (hydro.Cons, bool) {
 	var sum hydro.Cons
 	found := 0
 	for fj := j * ratio; fj < (j+1)*ratio; fj++ {
 		fi := fineFaceOwner(fineIdx, grid.IV(fx-1, fj), grid.IV(fx, fj))
 		if fi >= 0 {
-			ff := fineFlux[fi]
+			ff := fine[fi].Flux()
 			if ff != nil && ff.ContainsXFace(fx, fj) {
 				sum = add(sum, ff.AtX(fx, fj))
 				found++
@@ -136,13 +136,13 @@ func fineXFaceAvg(fineIdx *grid.BoxIndex, fineFlux []*hydro.FluxField, fx, j, ra
 
 // fineYFaceAvg averages the ratio fine y-fluxes across the coarse face at
 // coarse column i, fine face coordinate fy.
-func fineYFaceAvg(fineIdx *grid.BoxIndex, fineFlux []*hydro.FluxField, i, fy, ratio int) (hydro.Cons, bool) {
+func fineYFaceAvg(fineIdx *grid.BoxIndex, fine []hydro.Workspace, i, fy, ratio int) (hydro.Cons, bool) {
 	var sum hydro.Cons
 	found := 0
 	for fi2 := i * ratio; fi2 < (i+1)*ratio; fi2++ {
 		fbi := fineFaceOwner(fineIdx, grid.IV(fi2, fy-1), grid.IV(fi2, fy))
 		if fbi >= 0 {
-			ff := fineFlux[fbi]
+			ff := fine[fbi].Flux()
 			if ff != nil && ff.ContainsYFace(fi2, fy) {
 				sum = add(sum, ff.AtY(fi2, fy))
 				found++

@@ -96,8 +96,8 @@ func TestRefluxDoesNotChangeSingleLevelRuns(t *testing.T) {
 }
 
 func TestFluxSweepsMatchPlainSweeps(t *testing.T) {
-	// SweepXWithFlux/SweepYWithFlux must produce bit-identical states to
-	// SweepX/SweepY; only the flux capture differs.
+	// A capturing Workspace.Sweep must produce bit-identical states to a
+	// plain one; only the flux capture differs.
 	cfg := smallCfg()
 	cfg.MaxLevel = 1
 	mk := func() *Sim {
@@ -116,7 +116,7 @@ func TestFluxSweepsMatchPlainSweeps(t *testing.T) {
 		dx := a.Levels[li].Geom.CellSize[0]
 		for idx, f := range a.Levels[li].State.FABs {
 			hydro.SweepX(f, dt, dx, ga)
-			hydro.SweepXWithFlux(b.Levels[li].State.FABs[idx], dt, dx, ga)
+			new(hydro.Workspace).Sweep(b.Levels[li].State.FABs[idx], 0, dt, dx, ga, true)
 		}
 	}
 	for li := range a.Levels {
@@ -147,7 +147,7 @@ func TestFluxTelescoping(t *testing.T) {
 	dx := lev.Geom.CellSize[0]
 	f := lev.State.FABs[0]
 	before := f.Sum(hydro.IRho)
-	ff := hydro.SweepXWithFlux(f, dt, dx, g)
+	ff := new(hydro.Workspace).Sweep(f, 0, dt, dx, g, true)
 	after := f.Sum(hydro.IRho)
 
 	var boundary float64

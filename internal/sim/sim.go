@@ -70,6 +70,19 @@ type Level struct {
 	BA    amr.BoxArray
 	DM    amr.DistributionMapping
 	State *amr.MultiFab
+
+	// work is one sweep Workspace per FAB: the pencil scratch and the
+	// captured fluxes every Advance reuses until a regrid replaces the
+	// level.
+	work []hydro.Workspace
+}
+
+// workspaces returns the level's per-FAB Workspaces, made on first use.
+func (l *Level) workspaces() []hydro.Workspace {
+	if len(l.work) != len(l.State.FABs) {
+		l.work = make([]hydro.Workspace, len(l.State.FABs))
+	}
+	return l.work
 }
 
 // Sim is the running simulation. The embedded driver runs it (Run) and
@@ -214,18 +227,18 @@ func (s *Sim) Advance() {
 	g := s.Opts.Blast.Gamma
 
 	s.fillPatchAll()
-	fluxes := s.sweepAll(dt, g, 0)
+	s.sweepAll(dt, g, 0)
 	if s.Opts.Reflux {
 		for l := 0; l < len(s.Levels)-1; l++ {
-			s.refluxX(l, dt, fluxes[l], fluxes[l+1])
+			s.refluxX(l, dt)
 		}
 	}
 
 	s.fillPatchAll()
-	fluxes = s.sweepAll(dt, g, 1)
+	s.sweepAll(dt, g, 1)
 	if s.Opts.Reflux {
 		for l := 0; l < len(s.Levels)-1; l++ {
-			s.refluxY(l, dt, fluxes[l], fluxes[l+1])
+			s.refluxY(l, dt)
 		}
 	}
 
@@ -235,27 +248,17 @@ func (s *Sim) Advance() {
 	s.LastDt = dt
 }
 
-// sweepAll advances every level in direction dir (0=x, 1=y), capturing
-// per-FAB flux fields when refluxing is enabled (nil entries otherwise).
-func (s *Sim) sweepAll(dt, gamma float64, dir int) [][]*hydro.FluxField {
-	fluxes := make([][]*hydro.FluxField, len(s.Levels))
-	for li, lev := range s.Levels {
+// sweepAll advances every level in direction dir (0=x, 1=y) through the
+// levels' Workspaces, which capture the face fluxes when refluxing is
+// enabled.
+func (s *Sim) sweepAll(dt, gamma float64, dir int) {
+	for _, lev := range s.Levels {
 		h := lev.Geom.CellSize[dir]
-		fluxes[li] = make([]*hydro.FluxField, len(lev.State.FABs))
+		work := lev.workspaces()
 		lev.State.ForEachFAB(func(idx int, f *amr.FAB) {
-			switch {
-			case s.Opts.Reflux && dir == 0:
-				fluxes[li][idx] = hydro.SweepXWithFlux(f, dt, h, gamma)
-			case s.Opts.Reflux && dir == 1:
-				fluxes[li][idx] = hydro.SweepYWithFlux(f, dt, h, gamma)
-			case dir == 0:
-				hydro.SweepX(f, dt, h, gamma)
-			default:
-				hydro.SweepY(f, dt, h, gamma)
-			}
+			work[idx].Sweep(f, dir, dt, h, gamma, s.Opts.Reflux)
 		})
 	}
-	return fluxes
 }
 
 func (s *Sim) averageDownAll() {
