@@ -260,20 +260,25 @@ func TestEnforceNesting(t *testing.T) {
 func TestTagGradient(t *testing.T) {
 	dom := grid.NewBox(grid.IV(0, 0), grid.IV(31, 31))
 	ba := SingleBoxArray(dom, 16, 8)
-	mf := NewMultiFab(ba, MustDistribute(ba, 1, DistRoundRobin), 1, 1)
-	// Step function at i = 16: gradient cells there should tag.
+	mf := NewMultiFab(ba, MustDistribute(ba, 1, DistRoundRobin), 2, 1)
+	// Component 0 steps at i = 16, component 1 at j = 16: gradient cells
+	// there should tag.
 	mf.ForEachFAB(func(_ int, f *FAB) {
 		for j := f.DataBox.Lo.Y; j <= f.DataBox.Hi.Y; j++ {
 			for i := f.DataBox.Lo.X; i <= f.DataBox.Hi.X; i++ {
-				v := 1.0
+				v, w := 1.0, 1.0
 				if i >= 16 {
 					v = 2.0
 				}
+				if j >= 16 {
+					w = 2.0
+				}
 				f.Set(i, j, 0, v)
+				f.Set(i, j, 1, w)
 			}
 		}
 	})
-	tags := TagGradient(mf, 0, 0.3)
+	tags := TagGradient(mf, []int{0}, 0.3)
 	if tags.Len() == 0 {
 		t.Fatal("no tags on a step discontinuity")
 	}
@@ -282,9 +287,20 @@ func TestTagGradient(t *testing.T) {
 			t.Errorf("unexpected tag at %v", p)
 		}
 	}
+	// Both components tag into one set: the union of the two steps.
+	both := TagGradient(mf, []int{0, 1}, 0.3)
+	if want := 2*32 + 2*32 - 4; both.Len() != want {
+		t.Errorf("two-component tags = %d cells, want %d", both.Len(), want)
+	}
+	for _, p := range both.Points() {
+		if p.X != 15 && p.X != 16 && p.Y != 15 && p.Y != 16 {
+			t.Errorf("unexpected two-component tag at %v", p)
+		}
+	}
 	// Smooth field: no tags.
 	mf.FillConst(0, 1.0)
-	if got := TagGradient(mf, 0, 0.3); got.Len() != 0 {
+	mf.FillConst(1, 1.0)
+	if got := TagGradient(mf, []int{0, 1}, 0.3); got.Len() != 0 {
 		t.Errorf("constant field tagged %d cells", got.Len())
 	}
 }

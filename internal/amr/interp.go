@@ -24,28 +24,42 @@ const (
 	InterpCellConsLinear
 )
 
-// coarseLookup is the view of coarse data an interpolator needs. It
-// returns the value of comp at coarse cell (i,j), clamping to the nearest
-// available cell so lookups just outside the coarse valid union still work
-// (e.g. against the physical boundary, where outflow BCs make the clamped
-// value correct).
+// coarseLookup is the view of coarse data the per-point interpolation
+// path needs. It returns the value of comp at coarse cell (i,j), clamping
+// to the nearest available cell so lookups just outside the coarse valid
+// union still work (e.g. against the physical boundary, where outflow BCs
+// make the clamped value correct).
 type coarseLookup func(i, j, comp int) float64
 
-// interpCell computes one fine-cell value from the coarse field.
+// interpCell computes one fine-cell value from the coarse field, one
+// lookup per stencil point.
 func interpCell(kind InterpKind, look coarseLookup, fi, fj, comp, ratio int) float64 {
 	ci, cj := floorDiv(fi, ratio), floorDiv(fj, ratio)
 	v := look(ci, cj, comp)
 	if kind == InterpPiecewiseConstant {
 		return v
 	}
-	// Limited central slopes in each direction.
-	sx := minmod(look(ci+1, cj, comp)-v, v-look(ci-1, cj, comp))
-	sy := minmod(look(ci, cj+1, comp)-v, v-look(ci, cj-1, comp))
-	// Offset of the fine cell center from the coarse cell center, in
-	// coarse-cell units: (local + 0.5)/ratio - 0.5.
-	ox := (float64(fi-ci*ratio)+0.5)/float64(ratio) - 0.5
-	oy := (float64(fj-cj*ratio)+0.5)/float64(ratio) - 0.5
+	return interpLinear(v, look(ci-1, cj, comp), look(ci+1, cj, comp),
+		look(ci, cj-1, comp), look(ci, cj+1, comp),
+		fineOffset(fi-ci*ratio, ratio), fineOffset(fj-cj*ratio, ratio))
+}
+
+// interpLinear is the limited-linear prolongation of coarse value v with
+// left/right neighbours xl, xr and bottom/top neighbours yb, yt, to a
+// fine cell offset (ox, oy) from the coarse center. Both interpolation
+// paths evaluate this one expression, so a cell's value does not depend
+// on which path computed it.
+func interpLinear(v, xl, xr, yb, yt, ox, oy float64) float64 {
+	sx := minmod(xr-v, v-xl)
+	sy := minmod(yt-v, v-yb)
 	return v + sx*ox + sy*oy
+}
+
+// fineOffset is the offset of the center of the fine cell at position
+// local (0..ratio-1) inside its coarse parent from the parent's center, in
+// coarse-cell units: (local + 0.5)/ratio - 0.5.
+func fineOffset(local, ratio int) float64 {
+	return (float64(local)+0.5)/float64(ratio) - 0.5
 }
 
 func minmod(a, b float64) float64 {
@@ -69,24 +83,81 @@ func floorDiv(a, b int) int {
 // InterpRegion fills region (in fine index space) of the fine FAB from the
 // coarse MultiFab. The coarse MultiFab should have its ghost cells filled
 // (FillBoundary + physical BCs) so slope stencils are valid near box
-// edges.
+// edges, and its valid boxes must be disjoint, as a level's always are.
+//
+// Each fine row is walked in runs. A run is a stretch of fine cells whose
+// coarse parents have their whole stencil (the parent, plus its four
+// neighbours for InterpCellConsLinear) inside one coarse FAB's valid box:
+// that FAB is found with one index probe per run and read straight from
+// its backing array. Only a stencil that straddles a FAB seam or leaves
+// the valid union (the domain ring) goes through the per-point clamped
+// lookup.
 func InterpRegion(fine *FAB, crse *MultiFab, region grid.Box, ratio int, kind InterpKind) {
-	look := makeClampedLookup(crse)
-	for c := 0; c < fine.NComp; c++ {
-		for j := region.Lo.Y; j <= region.Hi.Y; j++ {
-			for i := region.Lo.X; i <= region.Hi.X; i++ {
-				fine.Set(i, j, c, interpCell(kind, look, i, j, c, ratio))
+	validIdx := crse.BA.Index()
+	reach := 1 // stencil half-width in coarse cells
+	if kind == InterpPiecewiseConstant {
+		reach = 0
+	}
+	var look coarseLookup // made on the first stencil the direct path cannot take
+	for j := region.Lo.Y; j <= region.Hi.Y; j++ {
+		cj := floorDiv(j, ratio)
+		oy := fineOffset(j-cj*ratio, ratio)
+		for i := region.Lo.X; i <= region.Hi.X; {
+			ci := floorDiv(i, ratio)
+			if fi := validIdx.Owner(grid.IntVect{X: ci, Y: cj}); fi >= 0 {
+				src := crse.FABs[fi]
+				vb := src.ValidBox
+				if ci-reach >= vb.Lo.X && ci+reach <= vb.Hi.X && cj-reach >= vb.Lo.Y && cj+reach <= vb.Hi.Y {
+					// Every parent up to vb.Hi.X-reach keeps its stencil in vb.
+					end := min(region.Hi.X, (vb.Hi.X-reach+1)*ratio-1)
+					interpRun(fine, src, i, end, j, cj, oy, ratio, kind)
+					i = end + 1
+					continue
+				}
+			}
+			if look == nil {
+				look = makeClampedLookup(crse)
+			}
+			for end := min(region.Hi.X, (ci+1)*ratio-1); i <= end; i++ {
+				for c := 0; c < fine.NComp; c++ {
+					fine.Set(i, j, c, interpCell(kind, look, i, j, c, ratio))
+				}
 			}
 		}
 	}
 }
 
-// makeClampedLookup builds a coarseLookup over the MultiFab's valid+ghost
-// data, preferring valid data, then ghost data, then clamping to the
-// nearest covered cell. The valid and ghost probes go through the spatial
-// indexes (both cached on the MultiFab), so a lookup is O(1); only the
-// rare clamp fallback — a point outside every data box, i.e. beyond the
-// physical boundary's ghost ring — scans the box list.
+// interpRun fills fine cells i0..i1 of row j, every component, from the
+// coarse FAB src, which holds the whole stencil of each cell's parent in
+// its valid box. cj is the parents' row and oy the row's fine offset.
+func interpRun(fine, src *FAB, i0, i1, j, cj int, oy float64, ratio int, kind InterpKind) {
+	sj, _ := src.Strides()
+	d := src.Data
+	for c := 0; c < fine.NComp; c++ {
+		ci := floorDiv(i0, ratio)
+		local := i0 - ci*ratio
+		s := src.Offset(ci, cj, c)
+		out := fine.Offset(i0, j, c)
+		for k := out; k <= out+i1-i0; k++ {
+			v := d[s]
+			if kind != InterpPiecewiseConstant {
+				v = interpLinear(v, d[s-1], d[s+1], d[s-sj], d[s+sj], fineOffset(local, ratio), oy)
+			}
+			fine.Data[k] = v
+			if local++; local == ratio {
+				local, s = 0, s+1
+			}
+		}
+	}
+}
+
+// makeClampedLookup builds the per-point coarseLookup over the MultiFab's
+// valid+ghost data, preferring valid data, then ghost data, then clamping
+// to the nearest covered cell. It is InterpRegion's slow path, taken only
+// where a stencil straddles a FAB seam or the domain ring: each lookup
+// costs one or two spatial-index probes, and the rare clamp fallback — a
+// point outside every data box, i.e. beyond the physical boundary's ghost
+// ring — scans the box list.
 func makeClampedLookup(mf *MultiFab) coarseLookup {
 	validIdx := mf.BA.Index()
 	dataIdx := mf.dataBoxIndex()

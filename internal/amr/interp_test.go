@@ -2,6 +2,7 @@ package amr
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"amrproxyio/internal/grid"
@@ -189,5 +190,60 @@ func TestFillPatchLevel0NoCoarse(t *testing.T) {
 	}
 	if got := f.At(8, 0, 0); got != 3 {
 		t.Errorf("exchange ghost = %g", got)
+	}
+}
+
+// probeInterpRegion is the per-cell interpolation loop InterpRegion
+// replaced: every stencil point of every fine cell and component goes
+// through the clamped index lookup.
+func probeInterpRegion(fine *FAB, crse *MultiFab, region grid.Box, ratio int, kind InterpKind) {
+	look := makeClampedLookup(crse)
+	for c := 0; c < fine.NComp; c++ {
+		for j := region.Lo.Y; j <= region.Hi.Y; j++ {
+			for i := region.Lo.X; i <= region.Hi.X; i++ {
+				fine.Set(i, j, c, interpCell(kind, look, i, j, c, ratio))
+			}
+		}
+	}
+}
+
+// TestInterpRegionMatchesProbe checks the direct-read InterpRegion bit for
+// bit against the per-point probe loop, on seeded random coarse tilings:
+// abutting boxes (seams), holes, domains off the origin, and fine regions
+// reaching onto and past the domain ring, at ratios 2 and 4 with both
+// stencils.
+func TestInterpRegionMatchesProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for iter := 0; iter < 200; iter++ {
+		ratio := 2 + 2*rng.Intn(2)
+		kind := InterpKind(rng.Intn(2))
+		lo := grid.IV(rng.Intn(41)-20, rng.Intn(41)-20)
+		cdom := grid.BoxFromSize(lo, grid.IV(rng.Intn(40)+8, rng.Intn(40)+8))
+		keep := 1.0
+		if iter%3 == 0 {
+			keep = 0.7 // holes: stencils that leave the valid union
+		}
+		crse := randomMultiFab(rng, randomTiling(rng, cdom, keep), rng.Intn(3)+1, rng.Intn(3))
+		// The fine box is the refined domain grown past the coarse data,
+		// so random regions cover the interior, seams, ring and beyond.
+		fbox := cdom.Refine(ratio).Grow(3 * ratio)
+		for q := 0; q < 4; q++ {
+			a := grid.IV(fbox.Lo.X+rng.Intn(fbox.Size().X), fbox.Lo.Y+rng.Intn(fbox.Size().Y))
+			b := grid.IV(fbox.Lo.X+rng.Intn(fbox.Size().X), fbox.Lo.Y+rng.Intn(fbox.Size().Y))
+			region := grid.NewBox(a.Min(b), a.Max(b))
+			got, want := NewFAB(region, crse.NComp, 1), NewFAB(region, crse.NComp, 1)
+			for k := range got.Data {
+				got.Data[k] = rng.Float64()
+			}
+			copy(want.Data, got.Data)
+			InterpRegion(got, crse, region, ratio, kind)
+			probeInterpRegion(want, crse, region, ratio, kind)
+			for k := range want.Data {
+				if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) {
+					t.Fatalf("iter %d (ratio %d, kind %d, region %v): offset %d = %v, probe loop %v",
+						iter, ratio, kind, region, k, got.Data[k], want.Data[k])
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"sort"
+
 	"amrproxyio/internal/amr"
 	"amrproxyio/internal/grid"
 	"amrproxyio/internal/hydro"
@@ -19,78 +21,173 @@ import (
 //
 // and the mirror sign for a LEFT-face boundary (similarly in y).
 
-// refluxX applies the x-direction correction between levels l and l+1,
-// from the flux fields both levels' Workspaces captured in the sweep. The
-// covered-cell test and the fine-flux owner search both go through spatial
-// indexes built once per call, so the per-cell work is O(1) instead of a
-// scan over every fine box.
-func (s *Sim) refluxX(l int, dt float64) {
-	crse, fine := s.Levels[l], s.Levels[l+1]
-	ratio := s.Cfg.RefRatioAt(l)
-	coveredIdx := fine.BA.Coarsen(ratio).Index()
-	fineIdx := fine.BA.Index()
-	dx := crse.Geom.CellSize[0]
+// refluxFace is one coarse-fine face a reflux pass corrects: a face of
+// uncovered coarse cell (i, j), of coarse FAB fab, whose other side is
+// covered by the fine level.
+type refluxFace struct {
+	fab, i, j int
+	face      int  // coarse face coordinate along the sweep direction
+	lo        bool // the face is the cell's left (x) or bottom (y) face
+	owners    int  // start of the face's ratio fine-FAB indices in faceList.owners
+}
 
-	for ci, cf := range crse.State.FABs {
-		vb := cf.ValidBox
-		for j := vb.Lo.Y; j <= vb.Hi.Y; j++ {
-			for i := vb.Lo.X; i <= vb.Hi.X; i++ {
-				if coveredIdx.Contains(grid.IV(i, j)) {
-					continue // under the fine level; average-down owns it
+// faceList holds the coarse-fine faces between a fine level and its
+// coarser parent, per sweep direction, with the fine FAB owning each of
+// a face's ratio fine sub-faces resolved once. It lives on the fine Level
+// and is rebuilt when the parent's BoxArray changes; a regrid that
+// changes the fine BoxArray replaces the fine Level, list and all.
+type faceList struct {
+	crse   uint64 // fingerprint of the parent BoxArray the list was built on
+	byDir  [2][]refluxFace
+	owners []int
+}
+
+// refluxFaces returns the level's face list against its parent crse,
+// building it on first use and whenever crse's BoxArray changes.
+func (l *Level) refluxFaces(crse *Level, ratio int) *faceList {
+	fp := crse.State.BA.Fingerprint()
+	if l.faces == nil || l.faces.crse != fp {
+		l.faces = buildFaceList(crse, l, ratio)
+		l.faces.crse = fp
+	}
+	return l.faces
+}
+
+// buildFaceList finds the coarse-fine faces from the edges of the
+// coarsened fine boxes: an uncovered coarse cell borders the fine level
+// across a face exactly when it sits just outside the low or high edge
+// of some coarsened box. Each direction's list is ordered as a scan of
+// the coarse FABs would meet the faces — FAB by FAB, row-major, a cell's
+// right (top) face before its left (bottom) one — so a cell with a face
+// on each side takes its two corrections in that order. A face is kept
+// only when every fine sub-face has an owner.
+func buildFaceList(crse, fine *Level, ratio int) *faceList {
+	covered := fine.State.BA.Coarsen(ratio)
+	coveredIdx := covered.Index()
+	crseIdx := crse.State.BA.Index()
+	fineIdx := fine.State.BA.Index()
+	dom := crse.Geom.Domain
+	fl := &faceList{}
+	for dir := range fl.byDir {
+		var cand []refluxFace
+		for _, cb := range covered.Boxes {
+			lo, hi := cb.Lo.X, cb.Hi.X
+			plo, phi := cb.Lo.Y, cb.Hi.Y
+			dlo, dhi := dom.Lo.X, dom.Hi.X
+			if dir == 1 {
+				lo, hi, plo, phi, dlo, dhi = cb.Lo.Y, cb.Hi.Y, cb.Lo.X, cb.Hi.X, dom.Lo.Y, dom.Hi.Y
+			}
+			for p := plo; p <= phi; p++ {
+				// The cell below the box's low edge corrects its high
+				// face; the one above the high edge, its low face. The
+				// covered neighbour must lie in the domain.
+				if lo <= dhi {
+					cand = appendFace(cand, dir, lo-1, p, lo, false, crseIdx, coveredIdx)
 				}
-				// Right face adjacent to fine region.
-				if i+1 <= crse.Geom.Domain.Hi.X && coveredIdx.Contains(grid.IV(i+1, j)) {
-					fc := crse.work[ci].Flux().AtX(i+1, j)
-					ffAvg, ok := fineXFaceAvg(fineIdx, fine.work, (i+1)*ratio, j, ratio)
-					if ok {
-						applyCorrection(cf, i, j, dt/dx, sub(fc, ffAvg))
-					}
-				}
-				// Left face adjacent to fine region.
-				if i-1 >= crse.Geom.Domain.Lo.X && coveredIdx.Contains(grid.IV(i-1, j)) {
-					fc := crse.work[ci].Flux().AtX(i, j)
-					ffAvg, ok := fineXFaceAvg(fineIdx, fine.work, i*ratio, j, ratio)
-					if ok {
-						applyCorrection(cf, i, j, dt/dx, sub(ffAvg, fc))
-					}
+				if hi >= dlo {
+					cand = appendFace(cand, dir, hi+1, p, hi+1, true, crseIdx, coveredIdx)
 				}
 			}
 		}
+		sort.Slice(cand, func(a, b int) bool {
+			x, y := cand[a], cand[b]
+			switch {
+			case x.fab != y.fab:
+				return x.fab < y.fab
+			case x.j != y.j:
+				return x.j < y.j
+			case x.i != y.i:
+				return x.i < y.i
+			}
+			return !x.lo && y.lo
+		})
+		faces := cand[:0]
+		var prev refluxFace
+		for k, f := range cand {
+			if k > 0 && f == prev {
+				continue // two coarsened boxes share the edge
+			}
+			prev = f
+			if f.owners = fl.appendOwners(fineIdx, dir, f, ratio); f.owners >= 0 {
+				faces = append(faces, f)
+			}
+		}
+		fl.byDir[dir] = faces
+	}
+	return fl
+}
+
+// appendFace appends the face at coordinate face of the cell at position
+// at along direction dir, pencil p, if that cell is an uncovered valid
+// coarse cell.
+func appendFace(cand []refluxFace, dir, at, p, face int, lo bool, crseIdx, coveredIdx *grid.BoxIndex) []refluxFace {
+	c := grid.IV(at, p)
+	if dir == 1 {
+		c = grid.IV(p, at)
+	}
+	fab := crseIdx.Owner(c)
+	if fab < 0 || coveredIdx.Contains(c) {
+		return cand
+	}
+	return append(cand, refluxFace{fab: fab, i: c.X, j: c.Y, face: face, lo: lo, owners: -1})
+}
+
+// appendOwners records the fine FAB owning each of f's ratio sub-faces
+// and returns where they start in fl.owners, or -1 (recording nothing)
+// if some sub-face has no fine owner.
+func (fl *faceList) appendOwners(fineIdx *grid.BoxIndex, dir int, f refluxFace, ratio int) int {
+	start := len(fl.owners)
+	ff := f.face * ratio
+	for k := 0; k < ratio; k++ {
+		a, b := grid.IV(ff-1, f.j*ratio+k), grid.IV(ff, f.j*ratio+k)
+		if dir == 1 {
+			a, b = grid.IV(f.i*ratio+k, ff-1), grid.IV(f.i*ratio+k, ff)
+		}
+		o := fineFaceOwner(fineIdx, a, b)
+		if o < 0 {
+			fl.owners = fl.owners[:start]
+			return -1
+		}
+		fl.owners = append(fl.owners, o)
+	}
+	return start
+}
+
+// reflux applies the direction-dir correction between levels l and l+1,
+// from the flux fields both levels' Workspaces captured in the sweep, by
+// walking the fine level's face list: no index probe per coarse cell.
+func (s *Sim) reflux(l, dir int, dt float64) {
+	crse, fine := s.Levels[l], s.Levels[l+1]
+	ratio := s.Cfg.RefRatioAt(l)
+	fl := fine.refluxFaces(crse, ratio)
+	scale := dt / crse.Geom.CellSize[dir]
+	inv := 1.0 / float64(ratio)
+	for _, f := range fl.byDir[dir] {
+		p := f.j // the face's pencil: its row for x, its column for y
+		if dir == 1 {
+			p = f.i
+		}
+		fc := faceFlux(crse.work[f.fab].Flux(), dir, f.face, p)
+		var sum hydro.Cons
+		for k, o := range fl.owners[f.owners : f.owners+ratio] {
+			sum = add(sum, faceFlux(fine.work[o].Flux(), dir, f.face*ratio, p*ratio+k))
+		}
+		avg := hydro.Cons{Rho: sum.Rho * inv, Mx: sum.Mx * inv, My: sum.My * inv, E: sum.E * inv}
+		d := sub(fc, avg)
+		if f.lo {
+			d = sub(avg, fc)
+		}
+		applyCorrection(crse.State.FABs[f.fab], f.i, f.j, scale, d)
 	}
 }
 
-// refluxY mirrors refluxX for y faces.
-func (s *Sim) refluxY(l int, dt float64) {
-	crse, fine := s.Levels[l], s.Levels[l+1]
-	ratio := s.Cfg.RefRatioAt(l)
-	coveredIdx := fine.BA.Coarsen(ratio).Index()
-	fineIdx := fine.BA.Index()
-	dy := crse.Geom.CellSize[1]
-
-	for ci, cf := range crse.State.FABs {
-		vb := cf.ValidBox
-		for j := vb.Lo.Y; j <= vb.Hi.Y; j++ {
-			for i := vb.Lo.X; i <= vb.Hi.X; i++ {
-				if coveredIdx.Contains(grid.IV(i, j)) {
-					continue
-				}
-				if j+1 <= crse.Geom.Domain.Hi.Y && coveredIdx.Contains(grid.IV(i, j+1)) {
-					fc := crse.work[ci].Flux().AtY(i, j+1)
-					ffAvg, ok := fineYFaceAvg(fineIdx, fine.work, i, (j+1)*ratio, ratio)
-					if ok {
-						applyCorrection(cf, i, j, dt/dy, sub(fc, ffAvg))
-					}
-				}
-				if j-1 >= crse.Geom.Domain.Lo.Y && coveredIdx.Contains(grid.IV(i, j-1)) {
-					fc := crse.work[ci].Flux().AtY(i, j)
-					ffAvg, ok := fineYFaceAvg(fineIdx, fine.work, i, j*ratio, ratio)
-					if ok {
-						applyCorrection(cf, i, j, dt/dy, sub(ffAvg, fc))
-					}
-				}
-			}
-		}
+// faceFlux returns the captured flux through the face at coordinate face
+// along direction dir, in pencil p (a row for x faces, a column for y).
+func faceFlux(ff *hydro.FluxField, dir, face, p int) hydro.Cons {
+	if dir == 0 {
+		return ff.AtX(face, p)
 	}
+	return ff.AtY(p, face)
 }
 
 // fineFaceOwner resolves which flux field holds an x- or y-face. A face at
@@ -110,50 +207,6 @@ func fineFaceOwner(fineIdx *grid.BoxIndex, a, b grid.IntVect) int {
 	default:
 		return ob
 	}
-}
-
-// fineXFaceAvg averages the ratio fine x-fluxes across the coarse face at
-// fine face coordinate fx, coarse row j.
-func fineXFaceAvg(fineIdx *grid.BoxIndex, fine []hydro.Workspace, fx, j, ratio int) (hydro.Cons, bool) {
-	var sum hydro.Cons
-	found := 0
-	for fj := j * ratio; fj < (j+1)*ratio; fj++ {
-		fi := fineFaceOwner(fineIdx, grid.IV(fx-1, fj), grid.IV(fx, fj))
-		if fi >= 0 {
-			ff := fine[fi].Flux()
-			if ff != nil && ff.ContainsXFace(fx, fj) {
-				sum = add(sum, ff.AtX(fx, fj))
-				found++
-			}
-		}
-	}
-	if found != ratio {
-		return hydro.Cons{}, false
-	}
-	inv := 1.0 / float64(ratio)
-	return hydro.Cons{Rho: sum.Rho * inv, Mx: sum.Mx * inv, My: sum.My * inv, E: sum.E * inv}, true
-}
-
-// fineYFaceAvg averages the ratio fine y-fluxes across the coarse face at
-// coarse column i, fine face coordinate fy.
-func fineYFaceAvg(fineIdx *grid.BoxIndex, fine []hydro.Workspace, i, fy, ratio int) (hydro.Cons, bool) {
-	var sum hydro.Cons
-	found := 0
-	for fi2 := i * ratio; fi2 < (i+1)*ratio; fi2++ {
-		fbi := fineFaceOwner(fineIdx, grid.IV(fi2, fy-1), grid.IV(fi2, fy))
-		if fbi >= 0 {
-			ff := fine[fbi].Flux()
-			if ff != nil && ff.ContainsYFace(fi2, fy) {
-				sum = add(sum, ff.AtY(fi2, fy))
-				found++
-			}
-		}
-	}
-	if found != ratio {
-		return hydro.Cons{}, false
-	}
-	inv := 1.0 / float64(ratio)
-	return hydro.Cons{Rho: sum.Rho * inv, Mx: sum.Mx * inv, My: sum.My * inv, E: sum.E * inv}, true
 }
 
 func add(a, b hydro.Cons) hydro.Cons {

@@ -75,6 +75,9 @@ type Level struct {
 	// captured fluxes every Advance reuses until a regrid replaces the
 	// level.
 	work []hydro.Workspace
+	// faces is the coarse-fine face list refluxing this level's parent
+	// walks, made on first use (nil on level 0).
+	faces *faceList
 }
 
 // workspaces returns the level's per-FAB Workspaces, made on first use.
@@ -230,7 +233,7 @@ func (s *Sim) Advance() {
 	s.sweepAll(dt, g, 0)
 	if s.Opts.Reflux {
 		for l := 0; l < len(s.Levels)-1; l++ {
-			s.refluxX(l, dt)
+			s.reflux(l, 0, dt)
 		}
 	}
 
@@ -238,7 +241,7 @@ func (s *Sim) Advance() {
 	s.sweepAll(dt, g, 1)
 	if s.Opts.Reflux {
 		for l := 0; l < len(s.Levels)-1; l++ {
-			s.refluxY(l, dt)
+			s.reflux(l, 1, dt)
 		}
 	}
 
@@ -269,17 +272,17 @@ func (s *Sim) averageDownAll() {
 
 // makeFineBoxArray produces the BoxArray for level l+1 from tags on level
 // l, including tags that keep the current level l+2 nested, clipped for
-// proper nesting inside level l.
+// proper nesting inside level l. It patches level l's ghosts for the
+// tagging stencil, and only level l: callers tag levels in order 0..l, so
+// each coarser level was patched by an earlier call and has not changed
+// since (FillPatch writes only ghost cells).
 func (s *Sim) makeFineBoxArray(l int) amr.BoxArray {
 	lev := s.Levels[l]
-	s.fillPatchLevelChain(l)
+	s.fillPatchLevel(l)
 	// Castro's Sedov setup tags on density and pressure gradients; the
 	// energy field stands in for pressure (they are proportional at rest,
 	// and both steepen at the shock).
-	tags := amr.TagGradient(lev.State, hydro.IRho, s.Opts.TagThreshold)
-	for _, p := range amr.TagGradient(lev.State, hydro.IEner, s.Opts.TagThreshold).Points() {
-		tags.Add(p)
-	}
+	tags := amr.TagGradient(lev.State, []int{hydro.IRho, hydro.IEner}, s.Opts.TagThreshold)
 	// Keep the existing grandchild level covered.
 	if l+2 < len(s.Levels) {
 		ratioProd := s.Cfg.RefRatioAt(l) * s.Cfg.RefRatioAt(l+1)
@@ -300,14 +303,6 @@ func (s *Sim) makeFineBoxArray(l int) amr.BoxArray {
 	return ba
 }
 
-// fillPatchLevelChain patches levels 0..l in order (needed before tagging
-// level l).
-func (s *Sim) fillPatchLevelChain(l int) {
-	for k := 0; k <= l; k++ {
-		s.fillPatchLevel(k)
-	}
-}
-
 // Regrid rebuilds every level above 0 from fresh tags, carrying data over
 // from the old hierarchy where it overlaps and interpolating from the
 // coarser level elsewhere. The only error source is an unknown
@@ -318,6 +313,8 @@ func (s *Sim) Regrid() error {
 		if l >= len(s.Levels) {
 			break
 		}
+		// Tagging patches level l, which is also what interpolating the
+		// new level l+1 from it needs.
 		ba := s.makeFineBoxArray(l)
 		if ba.Len() == 0 {
 			s.Levels = s.Levels[:l+1]
@@ -334,22 +331,38 @@ func (s *Sim) Regrid() error {
 			DM:    dm,
 			State: amr.NewMultiFab(ba, dm, hydro.NCons, nGhost),
 		}
-		// Fill new level: interpolate everything from the (already
-		// regridded) coarse level, then overwrite with old same-level data
-		// where it exists.
-		s.fillPatchLevel(l)
-		fine.State.ForEachFAB(func(_ int, f *amr.FAB) {
-			amr.InterpRegion(f, s.Levels[l].State, f.ValidBox, ratio, s.Opts.Interp)
-		})
+		var old *amr.MultiFab
 		if l+1 < len(s.Levels) {
-			s.Levels[l+1].State.CopyInto(fine.State)
+			old = s.Levels[l+1].State
 			s.Levels[l+1] = fine
 		} else {
 			s.Levels = append(s.Levels, fine)
 		}
+		fillRegridded(fine.State, s.Levels[l].State, old, ratio, s.Opts.Interp)
 	}
 	s.averageDownAll()
 	return nil
+}
+
+// fillRegridded fills a regridded level's state dst: old same-level data
+// wherever old's valid boxes reach (CopyInto, ghosts included), and
+// interpolation from the (already regridded) coarse level crse over the
+// rest of each new valid box. Interpolating only that complement gives
+// the same floats as interpolating the whole box and letting CopyInto
+// overwrite it. old is nil for a level that did not exist before.
+func fillRegridded(dst, crse, old *amr.MultiFab, ratio int, kind amr.InterpKind) {
+	dst.ForEachFAB(func(_ int, f *amr.FAB) {
+		if old == nil {
+			amr.InterpRegion(f, crse, f.ValidBox, ratio, kind)
+			return
+		}
+		for _, r := range old.BA.Complement(f.ValidBox) {
+			amr.InterpRegion(f, crse, r, ratio, kind)
+		}
+	})
+	if old != nil {
+		old.CopyInto(dst)
+	}
 }
 
 // ShouldPlot reports whether the current step is a plot step.

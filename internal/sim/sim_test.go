@@ -263,7 +263,7 @@ func TestRegridPreservesCoverage(t *testing.T) {
 	}
 	// After regrid, high-gradient cells on level 0 must be covered by
 	// level 1 (up to the clustering efficiency slack).
-	s.fillPatchLevelChain(0)
+	s.fillPatchLevel(0)
 	if s.FinestLevel() < 1 {
 		t.Fatal("refinement vanished")
 	}
