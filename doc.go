@@ -23,17 +23,17 @@
 // campaigns scale to thousands-of-boxes Summit-class decompositions with
 // per-step cost linear, not quadratic, in box count.
 //
-// The I/O pipeline is parallel end to end, mirroring the workload it
-// models. The iosim ledger is sharded by rank — each simulated rank
-// appends to a private segment and clock with no shared lock, and burst
-// contention is an atomic bandwidth snapshot taken at BeginBurst — so
-// write throughput scales with rank goroutines. The plotfile encoders
-// are allocation-frugal (one exact-size buffer per Cell_D file, strconv
-// builders for ASCII metadata, byte-identical to the original encoders
-// by pinned equivalence tests), the mpisim mailbox buckets pending
-// messages by (src, tag) for O(1) receive matching, and campaign.RunAll
-// executes independent sweep cases on a worker pool with ledgers
-// identical to the serial loop.
+// The iosim ledger is sharded by rank — each simulated rank appends to
+// a private segment and clock with no shared lock, and burst contention
+// is an atomic bandwidth snapshot taken at BeginBurst — so a write's
+// price depends only on its rank, that rank's clock and its size. The
+// plotfile, checkpoint and MACSio writers therefore price each N-to-N
+// burst in one rank-major loop on the caller's goroutine, with no rank
+// goroutines or barriers. The plotfile encoders are allocation-frugal
+// (one exact-size buffer per Cell_D file, strconv builders for ASCII
+// metadata, byte-identical to the original encoders by pinned
+// equivalence tests), and campaign.RunAll executes independent sweep
+// cases on a worker pool with ledgers identical to the serial loop.
 //
 // Contention is distribution-mapping-aware: an iosim.Topology places
 // ranks on compute nodes (per-node NIC caps) and fans their files into
@@ -58,7 +58,8 @@
 //
 //	internal/grid      index-space geometry (boxes, Morton codes,
 //	                   BoxIndex spatial hash)
-//	internal/mpisim    simulated MPI (SPMD ranks, collectives)
+//	internal/mpisim    simulated MPI (SPMD ranks, collectives) for
+//	                   amr's distributed ghost fill
 //	internal/iosim     parallel filesystem model + write ledger
 //	internal/inputs    AMReX inputs-file parser, Castro configuration
 //	internal/stats     OLS, golden-section minimization, error metrics

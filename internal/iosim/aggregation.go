@@ -384,7 +384,7 @@ func (m *aggModel) BeginBurst(n int) {
 		return
 	}
 	// Pure function of (topology, spec, n), like the per-link snapshot:
-	// repeated SPMD BeginBurst(n) calls reuse the published table.
+	// repeated BeginBurst(n) calls reuse the published table.
 	if snap := m.snap.Load(); snap != nil && len(snap.write) == n {
 		return
 	}

@@ -81,9 +81,8 @@ func (fs *FileSystem) retains(haveConsumers bool) bool {
 
 // drainConsumers feeds every record produced since the previous drain to
 // the attached consumers, ascending rank, program order within a rank.
-// Concurrent callers (MACSio's per-rank EndBurst) serialize on the drain
-// mutex: the first caller drains everything, the rest find the
-// watermarks already advanced. Records are copied out under the shard
+// Concurrent callers serialize on the drain mutex: the first caller
+// drains everything, the rest find the watermarks already advanced. Records are copied out under the shard
 // lock (append into a reused buffer — no size-unbounded make, per the
 // lockedalloc contract) and fed with no shard lock held.
 func (fs *FileSystem) drainConsumers() {

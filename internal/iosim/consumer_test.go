@@ -154,9 +154,9 @@ func TestLedgerReturnsUnfedTailOnly(t *testing.T) {
 }
 
 func TestConcurrentEndBurstDrainsOnce(t *testing.T) {
-	// MACSio ends the burst from every rank goroutine between barriers.
-	// The drain must deliver each record exactly once regardless of how
-	// many concurrent EndBurst calls race.
+	// A concurrent writer may end a burst from several goroutines at
+	// once. The drain must deliver each record exactly once regardless
+	// of how many concurrent EndBurst calls race.
 	fs := modelFS()
 	rec := &recordingConsumer{}
 	fs.Attach(rec)

@@ -18,21 +18,27 @@
 //
 // # Sharded ledger architecture
 //
-// The FileSystem is written to concurrently by every simulated rank
-// goroutine of an mpisim SPMD program, so its hot path is sharded by
-// rank: each rank owns a private ledger segment and clock, guarded by a
-// per-shard mutex that is uncontended in SPMD use (only rank r's
-// goroutine writes through rank r). No global lock is taken per write.
-// Burst contention is a bandwidth snapshot taken once at BeginBurst and
-// read atomically by every write, instead of a shared-lock acquisition
-// per write.
+// The FileSystem's hot path is sharded by rank: each rank owns a private
+// ledger segment and clock, guarded by a per-shard mutex. The plotfile
+// and MACSio writers price a whole burst on one goroutine, rank by rank,
+// so the mutexes are uncontended; they keep the FileSystem safe for
+// concurrent writers, which may issue different ranks' writes from
+// different goroutines. No global lock is taken per write. Burst
+// contention is a bandwidth snapshot taken once at BeginBurst and read
+// atomically by every write, instead of a shared-lock acquisition per
+// write.
 //
 // # Determinism guarantee
 //
 // Ledger, TotalBytes and Clock merge or read the shards on demand. The
 // merged ledger order is a contract callers may rely on: ascending rank,
-// then each rank's own program order — independent of goroutine
-// scheduling, worker-pool size, or wall-clock interleaving. Every
+// then each rank's own program order — independent of the order in which
+// different ranks' writes arrive, goroutine scheduling, worker-pool size,
+// or wall-clock interleaving. Within a burst, that arrival order changes
+// no record, consumer-feed entry or fault event either
+// (TestBurstLedgerIndependentOfRankOrder): this is what lets a writer
+// price a burst rank-major on one goroutine instead of running one
+// goroutine per rank. Every
 // quantity derived from the ledger (BurstStats, Characterize, the
 // campaign figures) is therefore bit-reproducible across runs, and a
 // parallel campaign's ledgers are byte-identical to a serial one's.
@@ -77,10 +83,10 @@
 //
 //   - A model may snapshot cross-rank contention state only at
 //     BeginBurst (which must be idempotent for repeated calls with the
-//     same writer count — MACSio's SPMD loop issues one per rank).
+//     same writer count).
 //   - Price runs with the writing rank's shard lock held; per-write
 //     state must be a function of (rank, rank's clock, write size) so
-//     ledgers are independent of goroutine interleaving. The burst
+//     ledgers are independent of the order ranks' writes arrive in. The burst
 //     buffer achieves this by statically partitioning each node's
 //     capacity, fill bandwidth, and drain bandwidth across its ranks.
 //   - Retarget layers over tiers the same way it layers over the
@@ -125,9 +131,8 @@
 // (Topology, spec, writer count), so aggregated ledgers obey the same
 // determinism guarantee; the "all" spec is the identity and is pinned
 // byte-identical to the direct path across all storage stacks. The
-// gather phase is priced here, not routed through mpisim collectives —
-// it is a timing model, and keeping it out of the message schedule
-// preserves the SPMD ledger pins.
+// gather phase is priced here, as a timing model: no message moves, so
+// a burst stays one rank-major sequence of writes.
 //
 // # Streaming ledger consumers
 //

@@ -49,9 +49,9 @@ type FaultEvent struct {
 // FaultInjector prices writes on behalf of the installed StorageModel
 // when fault injection is enabled. Implementations live in internal/faults
 // and are installed via Config.Faults; nil disables injection with zero
-// overhead. The SPMD calling contract matches StorageModel's: BeginBurst
-// may be invoked once per rank per burst, Price runs concurrently from
-// many rank goroutines (under rank's shard lock), EndBurst/Reset only run
+// overhead. The calling contract matches StorageModel's: within a burst
+// the result may not depend on the order different ranks' calls arrive
+// in, Price runs under rank's shard lock, EndBurst/Reset only run
 // between bursts.
 type FaultInjector interface {
 	// BeginBurst mirrors StorageModel.BeginBurst (called right after it).

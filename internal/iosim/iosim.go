@@ -153,8 +153,9 @@ type WriteRecord struct {
 }
 
 // shard is one rank's private slice of the filesystem state. Its mutex is
-// uncontended on the hot path (a rank's writes come from that rank's
-// goroutine); it exists so merges and cross-rank reads are race-free.
+// uncontended on the hot path (the burst writers issue every rank's
+// writes from one goroutine); it exists so concurrent writers, merges and
+// cross-rank reads are race-free.
 type shard struct {
 	mu      sync.Mutex
 	records []WriteRecord
@@ -343,8 +344,8 @@ func (fs *FileSystem) BeginBurst(n int) {
 // EndBurst marks the end of the current burst. It is also the streaming
 // drain point: every record produced since the previous drain is fed to
 // the attached consumers (consumer.go) — the burst's writes are complete
-// here (the writers barrier before ending), so consumers see whole
-// bursts in deterministic rank-major order.
+// here (a writer ends a burst after its last write), so consumers see
+// whole bursts in deterministic rank-major order.
 func (fs *FileSystem) EndBurst() {
 	fs.model.EndBurst()
 	if inj := fs.cfg.Faults; inj != nil {

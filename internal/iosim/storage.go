@@ -32,7 +32,7 @@ import (
 // Determinism contract: a model may snapshot cross-rank contention state
 // only at BeginBurst; per-write state must be a function of (rank, the
 // rank's clock, the write size) so ledgers are reproducible no matter
-// how rank goroutines interleave. The burst-buffer models honor this by
+// in which order the ranks' writes arrive. The burst-buffer models honor this by
 // statically partitioning each node's capacity, fill bandwidth, and
 // drain bandwidth across its ranks — rank r's occupancy never depends on
 // when rank s wrote.
@@ -179,12 +179,16 @@ type WriteCost struct {
 	Mitigated string
 }
 
-// StorageModel prices data transfers for a FileSystem. Implementations
-// must be safe for the SPMD calling pattern: BeginBurst may be invoked
-// once per rank per burst with the same writer count (idempotent
-// snapshot), Price is called concurrently from many rank goroutines
-// (with rank's shard lock held, so per-rank state needs no further
-// ordering), and EndBurst/Retarget/Reset only run between bursts.
+// StorageModel prices data transfers for a FileSystem. Within a burst,
+// calls for different ranks may arrive in any order — rank by rank on
+// one goroutine, as the plotfile and MACSio writers issue them, or
+// interleaved from many goroutines — and the ledger, the consumer feed
+// and the fault events must come out the same for every order that
+// keeps each rank's own calls in program order
+// (TestBurstLedgerIndependentOfRankOrder pins this for every stack).
+// Price runs with rank's shard lock held, so per-rank state needs no
+// further ordering; BeginBurst must be idempotent for repeated calls with
+// the same writer count; EndBurst/Retarget/Reset only run between bursts.
 type StorageModel interface {
 	// Name returns the selection name the model was built from.
 	Name() string
@@ -301,9 +305,9 @@ func (m *topologyModel) BeginBurst(n int) {
 	m.aggregateModel.BeginBurst(n)
 	if t := m.fs.topology(); t.Enabled() && n > 0 {
 		// The snapshot is a pure function of (topology, n) — Retarget
-		// invalidates it — so repeated BeginBurst(n) calls — MACSio's
-		// SPMD loop issues one per rank per dump — reuse the published
-		// table instead of recomputing the O(n) shares n times per burst.
+		// invalidates it — so repeated BeginBurst(n) calls, one per
+		// burst of the same width, reuse the published table instead of
+		// recomputing the O(n) shares.
 		if snap := m.link.Load(); snap == nil || len(snap.perRank) != n {
 			m.fs.rpn.Store(int64(t.ranksPerNode(n)))
 			m.link.Store(t.snapshot(m.cfg, n))

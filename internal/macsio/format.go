@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Encoders for the data files. The miftmpl/json encoder emits real JSON
@@ -106,22 +107,30 @@ func encodeJSONFile(rank, step, nvals, varsPerPart int, metaSize int64) []byte {
 	return buf.Bytes()
 }
 
+// jsonFileSize is len(encodeJSONFile(...)) for rank < 100000 and
+// step < 1000, computed without rendering anything.
 func jsonFileSize(nvals, varsPerPart int, metaSize int64) int64 {
-	// Header is rank/step-independent in width (fixed-width ids).
-	size := int64(len(jsonHeader(0, 0)))
-	counts := varCounts(nvals, varsPerPart)
-	for v, n := range counts {
-		if v > 0 {
-			size++ // comma between vars
+	varsPerPart = max(varsPerPart, 1)
+	base, rem := nvals/varsPerPart, nvals%varsPerPart
+	size := int64(jsonHeaderLen+len(jsonFooter)+varsPerPart-1) + metaSize // commas between vars
+	for v := 0; v < varsPerPart; v++ {
+		// jsonVarOpen's id is %03d; its width grows past var999.
+		size += int64(jsonVarOpenLen + max(3, decimalLen(v)) + len(jsonVarClose))
+		n := int64(base)
+		if v < rem {
+			n++
 		}
-		size += int64(len(jsonVarOpen(v))) + int64(len(jsonVarClose))
 		if n > 0 {
-			size += int64(n)*jsonValueWidth + int64(n-1) // values + commas
+			size += n*jsonValueWidth + n - 1 // values + commas
 		}
 	}
-	size += int64(len(jsonFooter))
-	return size + metaSize
+	return size
 }
+
+var (
+	jsonHeaderLen  = len(jsonHeader(0, 0))
+	jsonVarOpenLen = len(jsonVarOpen(0)) - 3 // without the id digits
+)
 
 // encodeBinaryFile approximates HDF5/silo output: a fixed-size header per
 // file, a small per-variable header, then raw little-endian doubles.
@@ -153,12 +162,8 @@ func encodeBinaryFile(iface Interface, rank, step, nvals, varsPerPart int, metaS
 }
 
 func binaryFileSize(_ Interface, nvals, varsPerPart int, metaSize int64) int64 {
-	counts := varCounts(nvals, varsPerPart)
-	size := int64(binFileHeader)
-	for _, n := range counts {
-		size += binVarHeader + int64(n)*8
-	}
-	return size + metaSize
+	vars := int64(max(varsPerPart, 1)) // varCounts splits all nvals among them
+	return binFileHeader + vars*binVarHeader + int64(nvals)*8 + metaSize
 }
 
 // appendMeta pads the buffer with exactly metaSize bytes of annotation.
@@ -176,17 +181,31 @@ func appendMeta(buf *bytes.Buffer, metaSize int64) {
 // EncodeRootMeta renders the per-step root metadata file (Fig. 3's
 // macsio_json_root_NNN.json): a task index with per-task nominal sizes.
 func EncodeRootMeta(cfg Config, step int) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, `{"macsio_root":{"step":"%03d","nprocs":%d,"interface":%q,"mode":%q,"dataset_growth":%.6f,"tasks":[`,
-		step, cfg.NProcs, ifaceToken(cfg.Interface), string(cfg.FileMode), cfg.DatasetGrowth)
+	b := make([]byte, 0, 160+48*cfg.NProcs)
+	b = append(b, `{"macsio_root":{"step":"`...)
+	b = appendZeroPadded(b, step, 3)
+	b = append(b, `","nprocs":`...)
+	b = strconv.AppendInt(b, int64(cfg.NProcs), 10)
+	b = append(b, `,"interface":`...)
+	b = strconv.AppendQuote(b, ifaceToken(cfg.Interface))
+	b = append(b, `,"mode":`...)
+	b = strconv.AppendQuote(b, string(cfg.FileMode))
+	b = append(b, `,"dataset_growth":`...)
+	b = strconv.AppendFloat(b, cfg.DatasetGrowth, 'f', 6, 64)
+	b = append(b, `,"tasks":[`...)
 	for r := 0; r < cfg.NProcs; r++ {
 		if r > 0 {
-			buf.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&buf, `{"task":%d,"parts":%d,"nominal_bytes":%d}`, r, cfg.partsForRank(r), cfg.NominalBytes(r, step))
+		b = append(b, `{"task":`...)
+		b = strconv.AppendInt(b, int64(r), 10)
+		b = append(b, `,"parts":`...)
+		b = strconv.AppendInt(b, int64(cfg.partsForRank(r)), 10)
+		b = append(b, `,"nominal_bytes":`...)
+		b = strconv.AppendInt(b, cfg.NominalBytes(r, step), 10)
+		b = append(b, '}')
 	}
-	buf.WriteString("]}}\n")
-	return buf.Bytes()
+	return append(b, "]}}\n"...)
 }
 
 // JSONInflation returns the measured ratio of encoded JSON bytes to the

@@ -6,23 +6,19 @@
 //
 // A run produces the paper's Fig. 3 layout: one data file per task per
 // dump step named macsio_<iface>_<task>_<step> plus a root metadata file
-// per step, written through the iosim filesystem model under simulated MPI
-// so contention and burst behavior are modeled the same way as the AMReX
-// side.
-//
-// Every rank goroutine writes straight into its own iosim ledger shard;
-// the per-dump BeginBurst calls (one per rank, between the same barriers)
-// are idempotent snapshots of the contended bandwidth, so the N-to-N dump
-// takes no shared lock anywhere on the write path.
+// per step, written through the iosim filesystem model. Each dump is one
+// burst priced rank by rank on the caller's goroutine, the same sequence
+// the plotfile writer uses, so contention and burst behavior are modeled
+// the same way as the AMReX side and the proxy-vs-application comparison
+// isolates the bytes.
 package macsio
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"strconv"
 
 	"amrproxyio/internal/iosim"
-	"amrproxyio/internal/mpisim"
 	"amrproxyio/internal/resilience"
 )
 
@@ -159,65 +155,50 @@ func Run(fs *iosim.FileSystem, cfg Config) ([]DumpRecord, error) {
 // RunMitigated is Run with a closed-loop resilience engine observing
 // between dumps. MACSio's dumps are checkpoints — never shed — and the
 // dump count is fixed by the command line, so the only policy with a
-// seam here is target quarantine: after each dump, rank 0 observes the
-// fault-event stream and installs the circuit-breaker set before the
-// next dump's writes start. The extra barrier that publishes the
-// quarantine set to all ranks exists only on the mitigated path; a nil
-// engine reproduces Run's historical barrier sequence exactly, keeping
-// unmitigated runs byte-identical.
-//
-// Determinism: rank 0 observes at a full barrier — every rank has
-// advanced its clock for the step and no writes are in flight — so the
-// observation (and the breaker set each dump's writes see) is a pure
-// function of deterministic state under any goroutine interleaving.
+// seam here is target quarantine. Each dump advances every rank's clock
+// by compute_time, lets eng (if any) observe the fault-event stream and
+// install its breaker set, then writes one burst: ranks 0..NProcs-1 in
+// turn, rank 0's root metadata right after its own data file. Records
+// come out in (step, rank) order.
 func RunMitigated(fs *iosim.FileSystem, cfg Config, eng *resilience.Engine) ([]DumpRecord, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	perRank := make([][]DumpRecord, cfg.NProcs)
-	err := mpisim.Run(cfg.NProcs, func(c *mpisim.Comm) error {
-		rank := c.Rank()
-		for step := 0; step < cfg.NumDumps; step++ {
-			if cfg.ComputeTime > 0 {
+	out := make([]DumpRecord, 0, cfg.NumDumps*cfg.NProcs)
+	for step := 0; step < cfg.NumDumps; step++ {
+		if cfg.ComputeTime > 0 {
+			for rank := 0; rank < cfg.NProcs; rank++ {
 				fs.AdvanceClock(rank, cfg.ComputeTime)
 			}
-			c.Barrier() // dumps are synchronized bursts
-			if eng != nil {
-				if rank == 0 {
-					eng.Observe(fs)
-				}
-				c.Barrier() // writes wait for the installed quarantine set
-			}
-			fs.BeginBurst(cfg.NProcs)
+		}
+		if eng != nil {
+			eng.Observe(fs)
+		}
+		var err error
+		if out, err = writeDump(fs, cfg, step, out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
 
-			nbytes, err := writeRankDump(fs, cfg, rank, step)
-			if err != nil {
-				return err
-			}
-			if rank == 0 {
-				if err := writeRootMeta(fs, cfg, step); err != nil {
-					return err
-				}
-			}
-			perRank[rank] = append(perRank[rank], DumpRecord{Step: step, Rank: rank, Bytes: nbytes})
-			c.Barrier()
-			fs.EndBurst()
+// writeDump writes one dump step as a single burst and appends each
+// rank's record to out.
+func writeDump(fs *iosim.FileSystem, cfg Config, step int, out []DumpRecord) ([]DumpRecord, error) {
+	fs.BeginBurst(cfg.NProcs)
+	defer fs.EndBurst()
+	for rank := 0; rank < cfg.NProcs; rank++ {
+		nbytes, err := writeRankDump(fs, cfg, rank, step)
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []DumpRecord
-	for _, rr := range perRank {
-		out = append(out, rr...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Step != out[j].Step {
-			return out[i].Step < out[j].Step
+		if rank == 0 { // the per-step root metadata file
+			if _, err := fs.Write(0, rootPath(cfg, step), EncodeRootMeta(cfg, step), iosim.Labels{Step: step}); err != nil {
+				return nil, err
+			}
 		}
-		return out[i].Rank < out[j].Rank
-	})
+		out = append(out, DumpRecord{Step: step, Rank: rank, Bytes: nbytes})
+	}
 	return out, nil
 }
 
@@ -247,31 +228,43 @@ func writeRankDump(fs *iosim.FileSystem, cfg Config, rank, step int) (int64, err
 	return int64(len(data)), nil
 }
 
-// writeRootMeta writes the per-step root metadata file (rank 0 only).
-func writeRootMeta(fs *iosim.FileSystem, cfg Config, step int) error {
-	path := rootPath(cfg, step)
-	data := EncodeRootMeta(cfg, step)
-	_, err := fs.Write(0, path, data, iosim.Labels{Step: step, Level: 0})
-	return err
-}
-
 // dataPath names a rank's data file following the paper's Fig. 3:
 // macsio_json_{taskID}_{stepID}.json (MIF) or a single shared file (SIF).
 func dataPath(cfg Config, rank, step int) string {
-	iface := ifaceToken(cfg.Interface)
-	ext := ifaceExt(cfg.Interface)
-	if cfg.FileMode == ModeSIF {
-		return fmt.Sprintf("macsio_%s_%03d.%s", iface, step, ext)
+	var buf [48]byte // fits every interface: one allocation, the string
+	b := append(buf[:0], "macsio_"...)
+	b = append(append(b, ifaceToken(cfg.Interface)...), '_')
+	if cfg.FileMode != ModeSIF {
+		group := rank
+		if cfg.MIFFiles > 0 && cfg.MIFFiles < cfg.NProcs {
+			group = rank % cfg.MIFFiles
+		}
+		b = append(appendZeroPadded(b, group, 5), '_')
 	}
-	group := rank
-	if cfg.MIFFiles > 0 && cfg.MIFFiles < cfg.NProcs {
-		group = rank % cfg.MIFFiles
-	}
-	return fmt.Sprintf("macsio_%s_%05d_%03d.%s", iface, group, step, ext)
+	b = append(appendZeroPadded(b, step, 3), '.')
+	return string(append(b, ifaceExt(cfg.Interface)...))
 }
 
 func rootPath(cfg Config, step int) string {
 	return fmt.Sprintf("macsio_%s_root_%03d.%s", ifaceToken(cfg.Interface), step, ifaceExt(cfg.Interface))
+}
+
+// appendZeroPadded appends v >= 0 zero-padded to width digits, matching
+// fmt's %0<width>d.
+func appendZeroPadded(dst []byte, v, width int) []byte {
+	for n := decimalLen(v); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(v), 10)
+}
+
+// decimalLen returns the number of decimal digits of v >= 0.
+func decimalLen(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 func ifaceToken(i Interface) string {

@@ -333,3 +333,31 @@ func TestCommandLineRoundTrip(t *testing.T) {
 		t.Errorf("growth round trip: %g", parsed.DatasetGrowth)
 	}
 }
+
+// TestMacsioDumpAllocations is the allocation gate for a size-only MACSio
+// run: about one allocation per dump record — its data-file path — plus
+// the root metadata file per dump, and nothing that scales with a
+// goroutine or a message per rank.
+func TestMacsioDumpAllocations(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NProcs = 512
+	cfg.NumDumps = 4
+	cfg.SizeOnly = true
+	fsCfg := iosim.DefaultConfig()
+	fsCfg.RetainLedger = iosim.RetainNone
+	fs := iosim.New(fsCfg, "")
+	recs, err := Run(fs, cfg) // grows the shard table once
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Run(fs, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perRecord := allocs / float64(len(recs))
+	t.Logf("%.0f allocations for %d records (%.2f per record)", allocs, len(recs), perRecord)
+	if perRecord > 2 {
+		t.Errorf("size-only Run allocates %.2f objects per record, want <= 2", perRecord)
+	}
+}

@@ -1,8 +1,16 @@
 // Package mpisim is an in-process message-passing runtime that stands in
 // for MPI on Summit in the paper's experiments. Each simulated rank runs as
 // a goroutine executing the same SPMD function; ranks communicate through
-// tagged point-to-point messages and the collectives the AMR driver and the
-// plotfile/MACSio writers need (barrier, broadcast, reduce, gather, scan).
+// tagged point-to-point messages and collectives (barrier, broadcast,
+// reduce, gather, scan).
+//
+// Its user in the library is amr.FillBoundaryDistributed, the ghost-cell
+// exchange whose messages really move between ranks. The burst writers
+// (plotfile, checkpoint, MACSio) do not use it: an I/O burst moves no
+// message between ranks, and iosim prices each rank's writes from that
+// rank's clock alone, so they price a burst in one rank-major loop. The
+// benchmark harness (cmd/amrio-bench) still times an mpisim world per
+// burst from outside.
 //
 // # Semantics
 //
@@ -37,6 +45,5 @@
 // same model the write ledger uses. The same division of labor holds
 // for two-phase I/O aggregation: the intra-node gather is priced inside
 // iosim's burst model (iosim.AggregationSpec), not routed through
-// mpisim.Gather, so enabling it never perturbs an SPMD program's
-// message schedule or the ledger pins that depend on it.
+// mpisim.Gather.
 package mpisim

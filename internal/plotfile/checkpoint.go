@@ -11,7 +11,6 @@ import (
 	"amrproxyio/internal/amr"
 	"amrproxyio/internal/grid"
 	"amrproxyio/internal/iosim"
-	"amrproxyio/internal/mpisim"
 )
 
 // Checkpoint-restart output. The paper (§III.A) notes that "AMReX also
@@ -42,9 +41,10 @@ type CheckpointSpec struct {
 	SizeOnly bool
 }
 
-// WriteCheckpoint emits the checkpoint through fs. Unless spec.SizeOnly,
-// State must be non-nil on every level — a restartable checkpoint always
-// carries data.
+// WriteCheckpoint emits the checkpoint through fs in the same plain
+// sequence as Write: rank 0's directories and Header, then every rank's
+// Cell_D files rank-major. Unless spec.SizeOnly, State must be non-nil
+// on every level — a restartable checkpoint always carries data.
 func WriteCheckpoint(fs *iosim.FileSystem, spec CheckpointSpec) ([]OutputRecord, error) {
 	if spec.NProcs < 1 || len(spec.Levels) == 0 {
 		return nil, fmt.Errorf("plotfile: bad checkpoint spec (nprocs=%d levels=%d)", spec.NProcs, len(spec.Levels))
@@ -56,63 +56,23 @@ func WriteCheckpoint(fs *iosim.FileSystem, spec CheckpointSpec) ([]OutputRecord,
 			}
 		}
 	}
-	labels := func(level int) iosim.Labels {
-		return iosim.Labels{Step: spec.Step, Level: level}
-	}
-	results := make([][]OutputRecord, spec.NProcs)
 	fs.BeginBurst(spec.NProcs)
 	defer fs.EndBurst()
 
-	err := mpisim.Run(spec.NProcs, func(c *mpisim.Comm) error {
-		rank := c.Rank()
-		if rank == 0 {
-			if err := fs.Mkdir(0, spec.Root, labels(0)); err != nil {
-				return err
-			}
-			hdr := encodeCheckpointHeader(spec)
-			if _, err := fs.Write(0, spec.Root+"/Header", []byte(hdr), labels(0)); err != nil {
-				return err
-			}
-			for l := range spec.Levels {
-				if err := fs.Mkdir(0, levelDir(spec.Root, l), labels(l)); err != nil {
-					return err
-				}
-			}
-		}
-		c.Barrier()
-		for l, lev := range spec.Levels {
-			owned := lev.DM.RankBoxes(rank)
-			if len(owned) == 0 {
-				continue
-			}
-			path := CellDPath(spec.Root, l, rank)
-			var nbytes int64
-			if spec.SizeOnly {
-				nbytes = CellDBytes(lev.BA, owned, spec.NComp)
-				if _, err := fs.WriteSize(rank, path, nbytes, labels(l)); err != nil {
-					return err
-				}
-			} else {
-				data := encodeCellD(lev, owned, spec.NComp)
-				if _, err := fs.Write(rank, path, data, labels(l)); err != nil {
-					return err
-				}
-				nbytes = int64(len(data))
-			}
-			results[rank] = append(results[rank], OutputRecord{
-				Step: spec.Step, Level: l, Rank: rank, Bytes: nbytes,
-			})
-		}
-		return nil
-	})
-	if err != nil {
+	labels := iosim.Labels{Step: spec.Step}
+	if err := fs.Mkdir(0, spec.Root, labels); err != nil {
 		return nil, err
 	}
-	var out []OutputRecord
-	for _, rr := range results {
-		out = append(out, rr...)
+	if _, err := fs.Write(0, spec.Root+"/Header", []byte(encodeCheckpointHeader(spec)), labels); err != nil {
+		return nil, err
 	}
-	return out, nil
+	for l := range spec.Levels {
+		labels.Level = l
+		if err := fs.Mkdir(0, levelDir(spec.Root, l), labels); err != nil {
+			return nil, err
+		}
+	}
+	return writeCellDs(fs, spec.Root, spec.Step, spec.Levels, spec.NProcs, spec.NComp, spec.SizeOnly)
 }
 
 // encodeCheckpointHeader writes everything restart needs: time state plus

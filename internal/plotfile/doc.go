@@ -7,13 +7,16 @@
 //
 // # Writer
 //
-// The writer runs as an SPMD program under mpisim (rank 0 writes the
-// metadata, every rank writes its own Cell_D file after a barrier, the
-// same ordering AMReX's plotfile path performs) and routes all bytes
-// through the iosim filesystem model, labeling each record with
+// A dump is one iosim burst priced in one plain sequence on the caller's
+// goroutine: rank 0's metadata (directories, Header, job_info, Cell_H),
+// then every rank's Cell_D files in rank-major order — AMReX's ordering,
+// where ranks write data only once the directory structure exists. No
+// rank goroutines or barriers are needed: iosim prices each write from
+// its rank, that rank's clock and the size alone, so the order in which
+// ranks are visited changes no record. Every record is labeled with
 // (step, level) so the analysis layer can reconstruct the paper's Eq. (2)
-// hierarchy of output sizes. Checkpoint output (checkpoint.go) reuses the
-// same machinery for the conserved state and restarts exactly from it.
+// hierarchy of output sizes. Checkpoint output (checkpoint.go) is the
+// same sequence for the conserved state and restarts exactly from it.
 //
 // A size-only path (a LevelSpec with nil State) produces byte-for-byte
 // identical ledger entries without materializing field data — CellDBytes

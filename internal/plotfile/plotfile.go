@@ -4,13 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"amrproxyio/internal/amr"
 	"amrproxyio/internal/grid"
 	"amrproxyio/internal/iosim"
-	"amrproxyio/internal/mpisim"
 )
 
 // FormatVersion is the first line of every Header.
@@ -51,6 +50,12 @@ type OutputRecord struct {
 // Write emits the full plotfile through fs, returning the per-(level,rank)
 // records. If every LevelSpec has non-nil State the actual FAB data is
 // serialized; otherwise sizes are modeled exactly.
+//
+// The burst is one plain sequence on the caller's goroutine: rank 0's
+// metadata (the directories, Header, job_info and every Cell_H), then
+// each rank's Cell_D files in rank-major order. Every write's price
+// depends only on its rank, that rank's clock and the size, so visiting
+// ranks in turn yields the ledger a concurrent writer would.
 func Write(fs *iosim.FileSystem, spec Spec) ([]OutputRecord, error) {
 	if spec.NProcs < 1 {
 		return nil, fmt.Errorf("plotfile: nprocs = %d", spec.NProcs)
@@ -58,87 +63,98 @@ func Write(fs *iosim.FileSystem, spec Spec) ([]OutputRecord, error) {
 	if len(spec.Levels) == 0 {
 		return nil, fmt.Errorf("plotfile: no levels")
 	}
-	type rankRec struct {
-		level int
-		rank  int
-		bytes int64
-	}
-	results := make([][]rankRec, spec.NProcs)
-	labels := func(level int) iosim.Labels {
-		return iosim.Labels{Step: spec.Step, Level: level}
-	}
-
 	fs.BeginBurst(spec.NProcs)
 	defer fs.EndBurst()
 
-	err := mpisim.Run(spec.NProcs, func(c *mpisim.Comm) error {
-		rank := c.Rank()
-		if rank == 0 {
-			if err := fs.Mkdir(0, spec.Root, labels(0)); err != nil {
-				return err
-			}
-			hdr := EncodeHeader(spec)
-			if _, err := fs.Write(0, spec.Root+"/Header", []byte(hdr), labels(0)); err != nil {
-				return err
-			}
-			ji := encodeJobInfo(spec)
-			if _, err := fs.Write(0, spec.Root+"/job_info", []byte(ji), labels(0)); err != nil {
-				return err
-			}
-			for l := range spec.Levels {
-				if err := fs.Mkdir(0, levelDir(spec.Root, l), labels(l)); err != nil {
-					return err
-				}
-				ch := EncodeCellH(spec, l)
-				path := levelDir(spec.Root, l) + "/Cell_H"
-				if _, err := fs.Write(0, path, []byte(ch), labels(l)); err != nil {
-					return err
-				}
-			}
-		}
-		// All ranks wait for the directory structure before writing data,
-		// the same barrier AMReX's plotfile path performs.
-		c.Barrier()
-
-		for l, lev := range spec.Levels {
-			owned := lev.DM.RankBoxes(rank)
-			if len(owned) == 0 {
-				continue // the paper's "file only when the task has data"
-			}
-			path := CellDPath(spec.Root, l, rank)
-			var nbytes int64
-			if lev.State != nil {
-				data := encodeCellD(lev, owned, spec.NComp())
-				if _, err := fs.Write(rank, path, data, labels(l)); err != nil {
-					return err
-				}
-				nbytes = int64(len(data))
-			} else {
-				nbytes = CellDBytes(lev.BA, owned, spec.NComp())
-				if _, err := fs.WriteSize(rank, path, nbytes, labels(l)); err != nil {
-					return err
-				}
-			}
-			results[rank] = append(results[rank], rankRec{level: l, rank: rank, bytes: nbytes})
-		}
-		return nil
-	})
+	if err := writePlotMeta(fs, spec); err != nil {
+		return nil, err
+	}
+	out, err := writeCellDs(fs, spec.Root, spec.Step, spec.Levels, spec.NProcs, spec.NComp(), false)
 	if err != nil {
 		return nil, err
 	}
-	var out []OutputRecord
-	for _, rr := range results {
-		for _, r := range rr {
-			out = append(out, OutputRecord{Step: spec.Step, Level: r.level, Rank: r.rank, Bytes: r.bytes})
+	slices.SortStableFunc(out, func(a, b OutputRecord) int { return a.Level - b.Level })
+	return out, nil
+}
+
+// writePlotMeta writes rank 0's share of a plotfile: the root and level
+// directories, Header, job_info and each level's Cell_H.
+func writePlotMeta(fs *iosim.FileSystem, spec Spec) error {
+	labels := iosim.Labels{Step: spec.Step}
+	if err := fs.Mkdir(0, spec.Root, labels); err != nil {
+		return err
+	}
+	if _, err := fs.Write(0, spec.Root+"/Header", []byte(EncodeHeader(spec)), labels); err != nil {
+		return err
+	}
+	if _, err := fs.Write(0, spec.Root+"/job_info", []byte(encodeJobInfo(spec)), labels); err != nil {
+		return err
+	}
+	for l := range spec.Levels {
+		labels.Level = l
+		if err := fs.Mkdir(0, levelDir(spec.Root, l), labels); err != nil {
+			return err
+		}
+		if _, err := fs.Write(0, levelDir(spec.Root, l)+"/Cell_H", []byte(EncodeCellH(spec, l)), labels); err != nil {
+			return err
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Level != out[j].Level {
-			return out[i].Level < out[j].Level
+	return nil
+}
+
+// writeCellDs writes every rank's Cell_D files, rank-major and each
+// rank's levels in ascending order, and returns one record per file in
+// that order. A rank writes a level's file only when it owns boxes there
+// (the paper's "file only when the task has data"). A level is encoded
+// from its State unless sizeOnly is set or it has none, in which case
+// the identical file is priced through WriteSize at its exact size.
+func writeCellDs(fs *iosim.FileSystem, root string, step int, levels []LevelSpec, nprocs, ncomp int, sizeOnly bool) ([]OutputRecord, error) {
+	sizes := make([][]int64, len(levels))
+	for l, lev := range levels {
+		if sizeOnly || lev.State == nil {
+			sizes[l] = rankCellDBytes(lev, nprocs, ncomp)
 		}
-		return out[i].Rank < out[j].Rank
-	})
+	}
+	out := make([]OutputRecord, 0, nprocs*len(levels))
+	for rank := 0; rank < nprocs; rank++ {
+		for l, lev := range levels {
+			labels := iosim.Labels{Step: step, Level: l}
+			var nbytes int64
+			var err error
+			if sizes[l] != nil {
+				if nbytes = sizes[l][rank]; nbytes == 0 {
+					continue
+				}
+				_, err = fs.WriteSize(rank, CellDPath(root, l, rank), nbytes, labels)
+			} else {
+				owned := lev.DM.RankBoxes(rank)
+				if len(owned) == 0 {
+					continue
+				}
+				data := encodeCellD(lev, owned, ncomp)
+				nbytes = int64(len(data))
+				_, err = fs.Write(rank, CellDPath(root, l, rank), data, labels)
+			}
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, OutputRecord{Step: step, Level: l, Rank: rank, Bytes: nbytes})
+		}
+	}
 	return out, nil
+}
+
+// rankCellDBytes is CellDBytes for every rank's owned boxes at a level,
+// in one pass over the boxes instead of one per rank; 0 means the rank
+// owns nothing there (every FAB record has a header, so none is empty).
+func rankCellDBytes(lev LevelSpec, nprocs, ncomp int) []int64 {
+	out := make([]int64, nprocs)
+	for i, bx := range lev.BA.Boxes {
+		if o := lev.DM.Owner[i]; o >= 0 && o < nprocs {
+			out[o] += fabBytes(bx, ncomp)
+		}
+	}
+	return out
 }
 
 // levelDir names the per-level subdirectory: "<root>/Level_<l>".
@@ -153,8 +169,8 @@ func levelDir(root string, level int) string {
 // CellDPath names the Cell_D file rank writes at a level:
 // "<root>/Level_<l>/Cell_D_<rank %05d>".
 func CellDPath(root string, level, rank int) string {
-	b := make([]byte, 0, len(root)+32)
-	b = append(b, root...)
+	var buf [64]byte // the usual path fits: one allocation, the string
+	b := append(buf[:0], root...)
 	b = append(b, "/Level_"...)
 	b = strconv.AppendInt(b, int64(level), 10)
 	b = append(b, "/Cell_D_"...)

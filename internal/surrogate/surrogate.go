@@ -14,9 +14,9 @@
 // counts, not field values. The run loop and every output burst belong
 // to the embedded internal/driver, exactly as for the hydro engine.
 //
-// A Runner is single-threaded (its rank parallelism lives inside the
-// plotfile writer's SPMD goroutines), but independent Runners share no
-// state: campaign.RunAll executes many surrogate cases concurrently, each
+// A Runner is single-threaded (the plotfile writer prices every rank's
+// files in one loop on the Runner's goroutine), but independent Runners
+// share no state: campaign.RunAll executes many surrogate cases concurrently, each
 // against its own iosim.FileSystem, with ledgers identical to serial
 // execution. The size-only write path is allocation-free per box —
 // plotfile.CellDBytes computes exact FAB record sizes without rendering

@@ -1,7 +1,8 @@
 // Structural invariant: the output sequence (shed → remap → burst →
 // observe → compute-phase clocks → adaptive checkpoint) lives once, in
 // internal/driver. These tests parse the engines' source so a second
-// copy cannot grow back in either of them unnoticed.
+// copy cannot grow back in either of them unnoticed, and the burst
+// writers' source so an SPMD world cannot come back into a burst.
 package amrproxyio_test
 
 import (
@@ -18,9 +19,16 @@ import (
 // internal/surrogate.
 func engineFiles(t *testing.T) map[string]*ast.File {
 	t.Helper()
+	return parseDirs(t, 4, "internal/sim", "internal/surrogate")
+}
+
+// parseDirs parses the non-test Go files of dirs, failing unless it finds
+// at least min of them (a guard that parsed nothing would check nothing).
+func parseDirs(t *testing.T, min int, dirs ...string) map[string]*ast.File {
+	t.Helper()
 	files := map[string]*ast.File{}
 	fset := token.NewFileSet()
-	for _, dir := range []string{"internal/sim", "internal/surrogate"} {
+	for _, dir := range dirs {
 		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
@@ -40,10 +48,23 @@ func engineFiles(t *testing.T) map[string]*ast.File {
 			files[p] = f
 		}
 	}
-	if len(files) < 4 {
-		t.Fatalf("parsed only %d engine files; the guard would check nothing", len(files))
+	if len(files) < min {
+		t.Fatalf("parsed only %d files in %v; the guard would check nothing", len(files), dirs)
 	}
 	return files
+}
+
+// TestBurstWritersRunNoSPMDWorld: the plotfile, checkpoint and MACSio
+// writers price a burst rank by rank on the caller's goroutine, so
+// neither package may import the SPMD runtime back.
+func TestBurstWritersRunNoSPMDWorld(t *testing.T) {
+	for path, f := range parseDirs(t, 5, "internal/plotfile", "internal/macsio") {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"amrproxyio/internal/mpisim"` {
+				t.Errorf("%s imports internal/mpisim; a burst is one rank-major loop", path)
+			}
+		}
+	}
 }
 
 // TestEnginesDoNotEmitOutput: only the driver retargets, advances
