@@ -755,33 +755,6 @@ func BenchmarkCampaignExecutor(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedFilesystem drives 64 concurrent rank goroutines through
-// one FileSystem — the mpisim write pattern — measuring ledger-append
-// throughput of the sharded hot path.
-func BenchmarkShardedFilesystem(b *testing.B) {
-	const ranks, writes = 64, 200
-	for i := 0; i < b.N; i++ {
-		fs := benchFS()
-		fs.BeginBurst(ranks)
-		var wg sync.WaitGroup
-		for r := 0; r < ranks; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				for w := 0; w < writes; w++ {
-					fs.WriteSize(rank, "plt/Cell_D", 1<<20, iosim.Labels{Step: w})
-				}
-			}(r)
-		}
-		wg.Wait()
-		fs.EndBurst()
-		if got := len(fs.Ledger()); got != ranks*writes {
-			b.Fatalf("ledger len = %d", got)
-		}
-	}
-	b.ReportMetric(float64(ranks*writes)*float64(b.N)/b.Elapsed().Seconds(), "writes/s")
-}
-
 // BenchmarkDistribute sweeps the three distribution strategies over a
 // 1024-box level — the per-regrid cost of every placement experiment.
 func BenchmarkDistribute(b *testing.B) {

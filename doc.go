@@ -23,13 +23,13 @@
 // campaigns scale to thousands-of-boxes Summit-class decompositions with
 // per-step cost linear, not quadratic, in box count.
 //
-// The iosim ledger is sharded by rank — each simulated rank appends to
-// a private segment and clock with no shared lock, and burst contention
-// is an atomic bandwidth snapshot taken at BeginBurst — so a write's
-// price depends only on its rank, that rank's clock and its size. The
-// plotfile, checkpoint and MACSio writers therefore price each N-to-N
-// burst in one rank-major loop on the caller's goroutine, with no rank
-// goroutines or barriers. The plotfile encoders are allocation-frugal
+// An iosim.FileSystem has a single writer: each simulated rank appends
+// to its own ledger segment and clock, and burst contention is a
+// bandwidth snapshot taken at BeginBurst, so a write's price depends
+// only on its rank, that rank's clock and its size. The plotfile,
+// checkpoint and MACSio writers therefore price each N-to-N burst in one
+// rank-major loop on the caller's goroutine, with no rank goroutines,
+// barriers or locks. The plotfile encoders are allocation-frugal
 // (one exact-size buffer per Cell_D file, strconv builders for ASCII
 // metadata, byte-identical to the original encoders by pinned
 // equivalence tests), and campaign.RunAll executes independent sweep
@@ -58,8 +58,8 @@
 //
 //	internal/grid      index-space geometry (boxes, Morton codes,
 //	                   BoxIndex spatial hash)
-//	internal/mpisim    simulated MPI (SPMD ranks, collectives) for
-//	                   amr's distributed ghost fill
+//	internal/mpisim    simulated MPI (SPMD ranks, collectives), used
+//	                   only by the benchmark harness
 //	internal/iosim     parallel filesystem model + write ledger
 //	internal/inputs    AMReX inputs-file parser, Castro configuration
 //	internal/stats     OLS, golden-section minimization, error metrics

@@ -80,3 +80,43 @@ func TestFillBoundaryTrafficCachedPerMapping(t *testing.T) {
 		t.Errorf("TotalTraffic: local-inclusive %d < wire-only %d", withLocal, wireOnly)
 	}
 }
+
+// exchangeVolume is the off-rank byte volume of one ghost exchange on
+// (ba, dm).
+func exchangeVolume(ba BoxArray, dm DistributionMapping, nghost, ncomp int) int64 {
+	return TotalTraffic(FillBoundaryTraffic(ba, dm, nghost, ncomp), false)
+}
+
+func TestExchangeVolume(t *testing.T) {
+	dom := grid.NewBox(grid.IV(0, 0), grid.IV(15, 15))
+	ba := SingleBoxArray(dom, 8, 8)
+	// All boxes on one rank: zero off-rank volume.
+	if v := exchangeVolume(ba, MustDistribute(ba, 1, DistRoundRobin), 2, 2); v != 0 {
+		t.Errorf("single-rank volume = %d", v)
+	}
+	// Spread over 4 ranks: every neighbor overlap crosses ranks, and the
+	// volume is the naive all-pairs reference's off-rank total.
+	dm := MustDistribute(ba, 4, DistRoundRobin)
+	var want int64
+	for pair, bytes := range naivePairTraffic(ba, dm, 2, 2) {
+		if pair[0] != pair[1] {
+			want += bytes
+		}
+	}
+	if v := exchangeVolume(ba, dm, 2, 2); v <= 0 || v != want {
+		t.Errorf("4-rank volume = %d, naive %d", v, want)
+	}
+}
+
+func TestExchangeVolumeDependsOnMapping(t *testing.T) {
+	// SFC keeps neighbors on the same rank more often than round-robin on
+	// a regular grid, so its off-rank exchange volume must not exceed
+	// round-robin's.
+	dom := grid.NewBox(grid.IV(0, 0), grid.IV(63, 63))
+	ba := SingleBoxArray(dom, 8, 8) // 64 boxes
+	rr := exchangeVolume(ba, MustDistribute(ba, 8, DistRoundRobin), 1, 1)
+	sfc := exchangeVolume(ba, MustDistribute(ba, 8, DistSFC), 1, 1)
+	if sfc > rr {
+		t.Errorf("SFC volume %d > round-robin volume %d", sfc, rr)
+	}
+}

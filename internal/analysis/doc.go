@@ -39,13 +39,6 @@
 // type must go through a DisallowUnknownFields decoder, or the type must
 // define its own strict UnmarshalJSON.
 //
-// 5. Non-blocking shard sections (lockedalloc). iosim's ledger is
-// sharded per rank so concurrent writes never contend; that only holds
-// if the critical sections stay short. Blocking calls (host I/O,
-// channel waits, sleeps), nested shard locks, and size-unbounded
-// allocations under a shard mutex reintroduce the serialization point
-// the sharding removed — or deadlock the rank-major merge.
-//
 // # Running the suite
 //
 // The analyzers ship as cmd/amrio-vet, which speaks the `go vet

@@ -16,7 +16,6 @@ import (
 	"amrproxyio/internal/analysis/boxarraylit"
 	"amrproxyio/internal/analysis/jsonstrict"
 	"amrproxyio/internal/analysis/ledgerretain"
-	"amrproxyio/internal/analysis/lockedalloc"
 	"amrproxyio/internal/analysis/maprangefloat"
 	"amrproxyio/internal/analysis/nondeterm"
 )
@@ -28,7 +27,6 @@ func Analyzers() []*analysis.Analyzer {
 		boxarraylit.Analyzer,
 		jsonstrict.Analyzer,
 		ledgerretain.Analyzer,
-		lockedalloc.Analyzer,
 		maprangefloat.Analyzer,
 		nondeterm.Analyzer,
 	}

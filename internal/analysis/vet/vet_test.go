@@ -11,7 +11,7 @@ import (
 // TestSuiteRegistersAllAnalyzers pins the suite roster: every invariant
 // analyzer must be wired into the driver, with unique names.
 func TestSuiteRegistersAllAnalyzers(t *testing.T) {
-	want := []string{"boxarraylit", "jsonstrict", "ledgerretain", "lockedalloc", "maprangefloat", "nondeterm"}
+	want := []string{"boxarraylit", "jsonstrict", "ledgerretain", "maprangefloat", "nondeterm"}
 	got := vet.Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

@@ -182,8 +182,7 @@ func TestResilienceIntegration512(t *testing.T) {
 }
 
 // TestFaultedRunDeterministic: the same faulted 512-rank case run twice
-// (concurrent rank goroutines inside the engine) produces byte-identical
-// ledgers and fault-event streams.
+// produces byte-identical ledgers and fault-event streams.
 func TestFaultedRunDeterministic(t *testing.T) {
 	c := Case{
 		Name: "det", NCell: 2048, MaxLevel: 2, MaxStep: 6, PlotInt: 2,

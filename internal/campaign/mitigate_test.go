@@ -57,7 +57,7 @@ func TestZeroPolicyByteIdentical(t *testing.T) {
 }
 
 // TestMitigatedRunDeterministic512: the mitigated 512-rank case run twice
-// (concurrent rank goroutines, engine observes between bursts) produces
+// (the engine observes between bursts) produces
 // byte-identical ledgers and fault-event streams — the closed loop must
 // not introduce schedule-dependent decisions.
 func TestMitigatedRunDeterministic512(t *testing.T) {

@@ -36,11 +36,12 @@
 // into YoungInterval.
 //
 // Determinism contract: Plan.Injector implements iosim.FaultInjector,
-// which is consulted under each rank's shard lock with the rank's own
+// which the FileSystem's single writer consults with each rank's own
 // simulated clock. The injector resolves its schedule purely against
 // (rank, start, the BeginBurst snapshot) — never wall clock, never
 // another rank's progress — so ledgers and FaultEvent streams are
-// byte-identical across runs regardless of goroutine interleaving. The
+// byte-identical across runs and across the order of the ranks' writes
+// within a burst. The
 // zero plan (nil, or no events and no MTBF) is property-test-pinned
 // byte-identical to the fault-free stack.
 package faults

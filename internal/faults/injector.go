@@ -1,8 +1,7 @@
 package faults
 
 import (
-	"sync"
-	"sync/atomic"
+	"maps"
 
 	"amrproxyio/internal/iosim"
 )
@@ -17,17 +16,14 @@ type Injector struct {
 
 	// quar holds the quarantine map the resilience engine installed
 	// between bursts (iosim.Quarantiner): target → breaker-open-until
-	// second. Published atomically because Price reads it from many rank
-	// goroutines; only ever swapped between bursts, so every write in a
+	// second. Only ever replaced between bursts, so every write in a
 	// burst sees the same map (determinism contract).
-	quar atomic.Pointer[map[int]float64]
+	quar map[int]float64
 
 	// dropped tracks which (bb-loss event, rank) pairs have already paid
 	// the backlog-replay cost — the partition is only lost once per
-	// window. Only rank's own goroutine queries rank's keys, so the map
-	// is deterministic under any interleaving; the mutex just keeps the
-	// map itself race-free.
-	mu      sync.Mutex
+	// window. Only rank's own writes query rank's keys, so the map is
+	// deterministic in any order of the ranks' writes.
 	dropped map[dropKey]bool
 }
 
@@ -63,10 +59,8 @@ func (in *Injector) EndBurst() {}
 // Reset implements iosim.FaultInjector: lost partitions become lossable
 // again and installed quarantines are cleared.
 func (in *Injector) Reset() {
-	in.mu.Lock()
 	in.dropped = map[dropKey]bool{}
-	in.mu.Unlock()
-	in.quar.Store(nil)
+	in.quar = nil
 }
 
 // Plan returns a copy of the injector's validated fault plan. The
@@ -81,25 +75,13 @@ func (in *Injector) Targets() int { return in.targets }
 // map (target → open-until second). Must only be called between bursts;
 // the map is copied so the caller may keep mutating its own.
 func (in *Injector) Quarantine(until map[int]float64) {
-	if len(until) == 0 {
-		in.quar.Store(nil)
-		return
-	}
-	cp := make(map[int]float64, len(until))
-	for tgt, t := range until {
-		cp[tgt] = t
-	}
-	in.quar.Store(&cp)
+	in.quar = maps.Clone(until)
 }
 
 // quarantined reports whether a breaker is open for target at time t.
 func (in *Injector) quarantined(target int, t float64) bool {
-	p := in.quar.Load()
-	if p == nil || target < 0 {
-		return false
-	}
-	until, ok := (*p)[target]
-	return ok && t < until
+	until, ok := in.quar[target]
+	return ok && target >= 0 && t < until
 }
 
 // matchNode reports whether the event covers a write from node
@@ -118,8 +100,6 @@ func matchTarget(e Event, target int) bool {
 // rank) pair.
 func (in *Injector) firstDrop(event, rank int) bool {
 	key := dropKey{event, rank}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	if in.dropped[key] {
 		return false
 	}
@@ -153,10 +133,9 @@ func (in *Injector) failover(target int, t float64) int {
 	return -1
 }
 
-// Price implements iosim.FaultInjector. It runs under rank's shard lock
-// with rank's simulated clock; everything it consults is a pure
-// function of (rank, start, the plan, the BeginBurst snapshot), which
-// is the determinism contract.
+// Price implements iosim.FaultInjector. It runs with rank's simulated
+// clock; everything it consults is a pure function of (rank, start, the
+// plan, the BeginBurst snapshot), which is the determinism contract.
 //
 // Event priority per write: an active bb-loss on the write's node (and
 // a buffer-capable model) reprices the transfer through the backing

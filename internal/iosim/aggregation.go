@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Two-phase collective aggregation. The paper's Summit/Alpine measurements
@@ -35,7 +33,7 @@ import (
 // BeginBurst snapshot — per-rank sender counts and bandwidths are a pure
 // function of (topology, spec, writer count) — and each rank's gather time
 // depends only on (rank, its own write size), never on another rank's
-// progress, so ledgers are reproducible under any goroutine interleaving.
+// progress, so ledgers are reproducible in any order of the ranks' writes.
 
 // Aggregator-placement and file-layout names accepted by
 // AggregationSpec.Aggregators / .Layout.
@@ -356,11 +354,9 @@ type aggModel struct {
 	base StorageModel
 	spec AggregationSpec
 
-	snap atomic.Pointer[aggSnapshot]
+	snap *aggSnapshot
 
-	// Async staging state, mirroring bbModel: the map is guarded by mu,
-	// each entry is rank-private under rank's shard lock.
-	mu    sync.Mutex
+	// Async staging state, mirroring bbModel: each entry is rank-private.
 	ranks map[int]*bbRank
 }
 
@@ -385,7 +381,7 @@ func (m *aggModel) BeginBurst(n int) {
 	}
 	// Pure function of (topology, spec, n), like the per-link snapshot:
 	// repeated BeginBurst(n) calls reuse the published table.
-	if snap := m.snap.Load(); snap != nil && len(snap.write) == n {
+	if m.snap != nil && len(m.snap.write) == n {
 		return
 	}
 	p := m.fs.aggPlanFor(n)
@@ -452,23 +448,23 @@ func (m *aggModel) BeginBurst(n int) {
 			snap.absorb[r] = plane / g
 		}
 	}
-	m.snap.Store(snap)
+	m.snap = snap
 }
 
 func (m *aggModel) EndBurst() {
 	m.base.EndBurst()
-	m.snap.Store(nil)
+	m.snap = nil
 }
 
 func (m *aggModel) Bandwidth(rank int) float64 {
-	if snap := m.snap.Load(); snap != nil && rank < len(snap.write) {
-		return snap.write[rank]
+	if m.snap != nil && rank < len(m.snap.write) {
+		return m.snap.write[rank]
 	}
 	return m.base.Bandwidth(rank)
 }
 
 func (m *aggModel) Price(rank int, start float64, nbytes int64) WriteCost {
-	snap := m.snap.Load()
+	snap := m.snap
 	if snap == nil || rank >= len(snap.write) {
 		// Writers outside the declared burst fall back to the base
 		// stack, matching the per-link snapshot's semantics.
@@ -486,16 +482,8 @@ func (m *aggModel) Price(rank int, start float64, nbytes int64) WriteCost {
 // stalls the writer through to the storage stack (TierGPFS), which is
 // what bounds staging memory.
 func (m *aggModel) stage(snap *aggSnapshot, rank int, start float64, nbytes int64) WriteCost {
-	m.mu.Lock()
-	st := m.ranks[rank]
-	if st == nil {
-		st = &bbRank{}
-		m.ranks[rank] = st
-	}
-	m.mu.Unlock()
+	st := rankState(m.ranks, rank)
 	capR, b, d := snap.stageCap[rank], snap.absorb[rank], snap.write[rank]
-	// st is rank-private from here on (Price runs under rank's shard
-	// lock; staging shares are statically partitioned).
 	if dt := start - st.last; dt > 0 {
 		st.occ -= dt * d
 		if st.occ < 0 {
@@ -520,13 +508,11 @@ func (m *aggModel) stage(snap *aggSnapshot, rank int, start float64, nbytes int6
 
 func (m *aggModel) Retarget() {
 	m.base.Retarget()
-	m.snap.Store(nil)
+	m.snap = nil
 }
 
 func (m *aggModel) Reset() {
 	m.base.Reset()
-	m.snap.Store(nil)
-	m.mu.Lock()
+	m.snap = nil
 	m.ranks = map[int]*bbRank{}
-	m.mu.Unlock()
 }

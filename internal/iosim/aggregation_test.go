@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -247,47 +246,6 @@ func TestAggregationAsyncStaging(t *testing.T) {
 	}
 	if rec[1].Tier != TierGPFS || math.Abs(rec[1].StallSeconds-140) > 1e-12 {
 		t.Errorf("overflowing record = %+v, want TierGPFS stall 140", rec[1])
-	}
-}
-
-// TestAggregationConcurrentDeterministic pins the gather-phase
-// determinism contract: concurrent rank goroutines produce the same
-// ledger on every run (run under -race in CI).
-func TestAggregationConcurrentDeterministic(t *testing.T) {
-	for _, spec := range []AggregationSpec{
-		{Aggregators: "2/node"},
-		{Aggregators: "1/node", Async: true},
-	} {
-		run := func() []WriteRecord {
-			cfg := DefaultConfig()
-			cfg.Topology = Topology{Nodes: 2, RanksPerNode: 4, Targets: 3, TargetBandwidth: 1e9}
-			cfg.Aggregation = spec
-			fs := New(cfg, "")
-			const ranks = 8
-			for step := 0; step < 3; step++ {
-				fs.BeginBurst(ranks)
-				var wg sync.WaitGroup
-				for r := 0; r < ranks; r++ {
-					wg.Add(1)
-					go func(rank int) {
-						defer wg.Done()
-						for i := 0; i < 10; i++ {
-							if _, err := fs.WriteSize(rank, "w", int64(1000*(3+rank+i)), Labels{Step: step}); err != nil {
-								t.Error(err)
-							}
-						}
-					}(r)
-				}
-				wg.Wait()
-				fs.EndBurst()
-				fs.AdvanceClock(0, 0.01)
-			}
-			return fs.Ledger()
-		}
-		a, b := run(), run()
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("spec %+v: aggregated ledger differs across concurrent runs", spec)
-		}
 	}
 }
 

@@ -46,8 +46,8 @@ func orderTestBurst() [][]burstOp {
 
 // orderTestConfig prices an 8-rank burst on two nodes and three targets
 // with jitter on, through the given stack and aggregation spec, with a
-// target outage and a burst-buffer loss injected.
-func orderTestConfig(t *testing.T, storage, agg string) iosim.Config {
+// target outage, a burst-buffer loss and any extra events injected.
+func orderTestConfig(t *testing.T, storage, agg string, extra ...faults.Event) iosim.Config {
 	t.Helper()
 	cfg := iosim.DefaultConfig()
 	cfg.JitterSigma = 0.3
@@ -67,10 +67,10 @@ func orderTestConfig(t *testing.T, storage, agg string) iosim.Config {
 		}
 		cfg.Aggregation = spec
 	}
-	plan := &faults.Plan{Events: []faults.Event{
+	plan := &faults.Plan{Events: append([]faults.Event{
 		{Kind: faults.KindTargetOutage, Start: 0, End: 50, Target: 0},
 		{Kind: faults.KindBBLoss, Start: 0.001, End: 100, Node: 1},
-	}}
+	}, extra...)}
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,46 +92,50 @@ type burstResult struct {
 	faults []iosim.FaultEvent
 }
 
-// runBurstInOrder issues ops as one burst, taking each call from the rank
-// order yields next; each rank's own calls keep their program order.
-func runBurstInOrder(t *testing.T, cfg iosim.Config, ops [][]burstOp, order []int) burstResult {
+// runBurstInOrder issues ops once in each of bursts consecutive bursts
+// (steps 10, 11, ...), taking each call from the rank order yields next;
+// each rank's own calls keep their program order. Between bursts every
+// rank computes for a rank-dependent AdvanceClock gap.
+func runBurstInOrder(t *testing.T, cfg iosim.Config, ops [][]burstOp, order []int, bursts int) burstResult {
 	t.Helper()
 	fs := iosim.New(cfg, "")
 	rec := &feedRecorder{}
 	fs.Attach(rec)
-	next := make([]int, len(ops))
-	fs.BeginBurst(len(ops))
-	for _, r := range order {
-		op := ops[r][next[r]]
-		next[r]++
-		var err error
-		switch {
-		case op.dir:
-			err = fs.Mkdir(op.rank, op.path, iosim.Labels{Step: 10})
-		case op.data:
-			_, err = fs.Write(op.rank, op.path, make([]byte, op.bytes), iosim.Labels{Step: 10})
-		default:
-			_, err = fs.WriteSize(op.rank, op.path, op.bytes, iosim.Labels{Step: 10})
+	for b := 0; b < bursts; b++ {
+		if b > 0 {
+			for r := range ops {
+				fs.AdvanceClock(r, 0.0005*float64(1+r%3))
+			}
 		}
-		if err != nil {
-			t.Fatal(err)
+		labels := iosim.Labels{Step: 10 + b}
+		next := make([]int, len(ops))
+		fs.BeginBurst(len(ops))
+		for _, r := range order {
+			op := ops[r][next[r]]
+			next[r]++
+			var err error
+			switch {
+			case op.dir:
+				err = fs.Mkdir(op.rank, op.path, labels)
+			case op.data:
+				_, err = fs.Write(op.rank, op.path, make([]byte, op.bytes), labels)
+			default:
+				_, err = fs.WriteSize(op.rank, op.path, op.bytes, labels)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
+		fs.EndBurst()
 	}
-	fs.EndBurst()
 	fs.FlushConsumers()
 	return burstResult{ledger: fs.Ledger(), feed: rec.recs, faults: fs.FaultEvents()}
 }
 
-// TestBurstLedgerIndependentOfRankOrder pins the contract the plotfile
-// and MACSio writers rely on when they price a burst rank by rank on one
-// goroutine: within a burst, the order in which ranks' calls arrive —
-// rank-major, reversed, or any interleaving that keeps each rank's own
-// program order — changes neither the ledger, nor the consumer feed, nor
-// the fault events. It holds on every storage stack, with the topology,
-// two-phase aggregation, fault injection and jitter all on.
-func TestBurstLedgerIndependentOfRankOrder(t *testing.T) {
-	ops := orderTestBurst()
-	var rankMajor, reversed, shuffled []int
+// rankOrders returns the rank-major call order of ops, its reverse by
+// rank, and a seeded interleaving, each keeping every rank's own calls in
+// program order.
+func rankOrders(ops [][]burstOp) (rankMajor, reversed, shuffled []int) {
 	for r := range ops {
 		for range ops[r] {
 			rankMajor = append(rankMajor, r)
@@ -148,12 +152,25 @@ func TestBurstLedgerIndependentOfRankOrder(t *testing.T) {
 	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
+	return rankMajor, reversed, shuffled
+}
+
+// TestBurstLedgerIndependentOfRankOrder pins the contract the plotfile
+// and MACSio writers rely on when they price a burst rank by rank on one
+// goroutine: within a burst, the order in which ranks' calls arrive —
+// rank-major, reversed, or any interleaving that keeps each rank's own
+// program order — changes neither the ledger, nor the consumer feed, nor
+// the fault events. It holds on every storage stack, with the topology,
+// two-phase aggregation, fault injection and jitter all on.
+func TestBurstLedgerIndependentOfRankOrder(t *testing.T) {
+	ops := orderTestBurst()
+	rankMajor, reversed, shuffled := rankOrders(ops)
 
 	for _, storage := range []string{iosim.StorageDefault, iosim.StorageGPFS, iosim.StorageBB, iosim.StorageTiered} {
 		for _, agg := range []string{"", "1/node+sif"} {
 			t.Run(fmt.Sprintf("storage=%q/agg=%q", storage, agg), func(t *testing.T) {
 				cfg := orderTestConfig(t, storage, agg)
-				want := runBurstInOrder(t, cfg, ops, rankMajor)
+				want := runBurstInOrder(t, cfg, ops, rankMajor, 1)
 				kinds := map[string]bool{}
 				for _, ev := range want.faults {
 					kinds[ev.Kind] = true
@@ -167,7 +184,70 @@ func TestBurstLedgerIndependentOfRankOrder(t *testing.T) {
 					t.Fatalf("burst misses a mechanism: fault kinds %v, stalled %v", kinds, stalled)
 				}
 				for name, order := range map[string][]int{"reversed": reversed, "shuffled": shuffled} {
-					got := runBurstInOrder(t, orderTestConfig(t, storage, agg), ops, order)
+					got := runBurstInOrder(t, orderTestConfig(t, storage, agg), ops, order, 1)
+					if !reflect.DeepEqual(got.ledger, want.ledger) {
+						t.Errorf("%s: Ledger() differs from rank-major", name)
+					}
+					if !reflect.DeepEqual(got.feed, want.feed) {
+						t.Errorf("%s: consumer feed differs from rank-major", name)
+					}
+					if !reflect.DeepEqual(got.faults, want.faults) {
+						t.Errorf("%s: FaultEvents() differ from rank-major", name)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBurstSequenceIndependentOfRankOrder extends the rank-order contract
+// across bursts: three bursts with compute gaps between them, so
+// burst-buffer occupancy and async staging carry over and drain between
+// bursts, with a NIC degradation injected beside the outage and buffer
+// loss, under async staging and a narrow gather plane. Reversed and
+// shuffled call orders within every burst must reproduce the rank-major
+// ledger, consumer feed and fault events exactly.
+func TestBurstSequenceIndependentOfRankOrder(t *testing.T) {
+	const bursts = 3
+	ops := orderTestBurst()
+	rankMajor, reversed, shuffled := rankOrders(ops)
+	nic := faults.Event{Kind: faults.KindNICDegrade, Start: 0, End: 100, Node: 1, Factor: 0.5}
+	aggs := []iosim.AggregationSpec{
+		{Aggregators: "1/node", Async: true, StagingCapacity: 2e6},
+		{Aggregators: "2/node", GatherBandwidth: 1e9},
+	}
+	for _, storage := range []string{iosim.StorageDefault, iosim.StorageGPFS, iosim.StorageBB, iosim.StorageTiered} {
+		for _, spec := range aggs {
+			t.Run(fmt.Sprintf("storage=%q/agg=%s", storage, spec.Token()), func(t *testing.T) {
+				config := func() iosim.Config {
+					cfg := orderTestConfig(t, storage, "", nic)
+					cfg.Aggregation = spec
+					return cfg
+				}
+				want := runBurstInOrder(t, config(), ops, rankMajor, bursts)
+				kinds := map[string]bool{}
+				for _, ev := range want.faults {
+					kinds[ev.Kind] = true
+				}
+				tiers := map[iosim.Tier]bool{}
+				for _, r := range want.ledger {
+					tiers[r.Tier] = true
+				}
+				bb := storage == iosim.StorageBB || storage == iosim.StorageTiered
+				staged := spec.Async && !bb
+				switch {
+				case !kinds[faults.KindTargetOutage] || !kinds[faults.KindNICDegrade]:
+					t.Fatalf("bursts miss a fault kind: %v", kinds)
+				case bb && (!kinds[faults.KindBBLoss] || !tiers[iosim.TierBB]):
+					t.Fatalf("burst-buffer bursts miss a mechanism: fault kinds %v, tiers %v", kinds, tiers)
+				case staged && !tiers[iosim.TierStage]:
+					t.Fatalf("async bursts never staged: tiers %v", tiers)
+				}
+				if n := len(want.feed); n != bursts*len(rankMajor) {
+					t.Fatalf("consumer feed has %d records, want %d", n, bursts*len(rankMajor))
+				}
+				for name, order := range map[string][]int{"reversed": reversed, "shuffled": shuffled} {
+					got := runBurstInOrder(t, config(), ops, order, bursts)
 					if !reflect.DeepEqual(got.ledger, want.ledger) {
 						t.Errorf("%s: Ledger() differs from rank-major", name)
 					}

@@ -1,7 +1,5 @@
 package iosim
 
-import "sync"
-
 // Streaming ledger consumption (Design 10): instead of materializing the
 // full WriteRecord ledger and reducing it after the run, consumers fold
 // records as bursts complete. A 512-rank, many-step case holds millions
@@ -20,10 +18,9 @@ import "sync"
 // (fold_equiv tests) exact rather than approximate.
 
 // LedgerConsumer folds the write stream as it is produced. Consume is
-// called once per record, from the goroutine that ends the burst; Flush
-// marks end-of-stream (FlushConsumers). Implementations need no internal
-// locking: the FileSystem serializes all Consume and Flush calls under
-// its drain mutex.
+// called once per record, from the FileSystem's writer as it ends the
+// burst; Flush marks end-of-stream (FlushConsumers). A consumer must not
+// call back into the FileSystem that feeds it.
 type LedgerConsumer interface {
 	Consume(WriteRecord)
 	Flush()
@@ -47,24 +44,12 @@ const (
 	RetainNone
 )
 
-// consumers is the FileSystem's streaming state. It lives in its own
-// struct so iosim.go's hot path stays untouched: EndBurst makes one
-// cheap no-consumer check before taking any lock.
-type consumerState struct {
-	mu   sync.Mutex // serializes drains; feed order is rank-major per drain
-	subs []LedgerConsumer
-	buf  []WriteRecord // reused drain copy buffer (fed outside shard locks)
-}
-
 // Attach subscribes consumers to the write stream. Attach before the
 // first write: records produced earlier are still delivered (the first
 // drain covers them), but the retention decision for RetainAuto is read
 // at each drain, so attaching mid-run flips retention mid-ledger.
-// Attach must not race with an in-flight burst.
 func (fs *FileSystem) Attach(consumers ...LedgerConsumer) {
-	fs.consumers.mu.Lock()
-	fs.consumers.subs = append(fs.consumers.subs, consumers...)
-	fs.consumers.mu.Unlock()
+	fs.subs = append(fs.subs, consumers...)
 }
 
 // retains reports whether drained records stay in the shards.
@@ -80,47 +65,36 @@ func (fs *FileSystem) retains(haveConsumers bool) bool {
 }
 
 // drainConsumers feeds every record produced since the previous drain to
-// the attached consumers, ascending rank, program order within a rank.
-// Concurrent callers serialize on the drain mutex: the first caller
-// drains everything, the rest find the watermarks already advanced. Records are copied out under the shard
-// lock (append into a reused buffer — no size-unbounded make, per the
-// lockedalloc contract) and fed with no shard lock held.
+// the attached consumers straight from the shards, ascending rank,
+// program order within a rank, then advances each shard's watermark or
+// truncates it.
 func (fs *FileSystem) drainConsumers() {
-	cs := &fs.consumers
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	retain := fs.retains(len(cs.subs) > 0)
-	if len(cs.subs) == 0 && retain {
+	retain := fs.retains(len(fs.subs) > 0)
+	if len(fs.subs) == 0 && retain {
 		return // nothing to feed, nothing to drop
 	}
-	shards := *fs.shards.Load()
-	for _, s := range shards {
-		s.mu.Lock()
-		cs.buf = append(cs.buf[:0], s.records[s.fed:]...)
+	for i := range fs.shards {
+		s := &fs.shards[i]
+		for _, r := range s.records[s.fed:] {
+			for _, c := range fs.subs {
+				c.Consume(r)
+			}
+		}
 		if retain {
 			s.fed = len(s.records)
 		} else {
 			s.records = s.records[:0]
 			s.fed = 0
 		}
-		s.mu.Unlock()
-		for _, r := range cs.buf {
-			for _, c := range cs.subs {
-				c.Consume(r)
-			}
-		}
 	}
 }
 
 // FlushConsumers drains any records not yet delivered (writes outside a
 // burst, or after the last EndBurst) and signals end-of-stream to every
-// attached consumer. Call it once, after the run's last write; like
-// Reset, it must not race with in-flight writers.
+// attached consumer. Call it once, after the run's last write.
 func (fs *FileSystem) FlushConsumers() {
 	fs.drainConsumers()
-	fs.consumers.mu.Lock()
-	defer fs.consumers.mu.Unlock()
-	for _, c := range fs.consumers.subs {
+	for _, c := range fs.subs {
 		c.Flush()
 	}
 }

@@ -2,7 +2,6 @@ package iosim
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -150,49 +149,6 @@ func TestLedgerReturnsUnfedTailOnly(t *testing.T) {
 	fs.FlushConsumers()
 	if got := len(fs.Ledger()); got != 0 {
 		t.Errorf("ledger holds %d records after FlushConsumers, want 0", got)
-	}
-}
-
-func TestConcurrentEndBurstDrainsOnce(t *testing.T) {
-	// A concurrent writer may end a burst from several goroutines at
-	// once. The drain must deliver each record exactly once regardless
-	// of how many concurrent EndBurst calls race.
-	fs := modelFS()
-	rec := &recordingConsumer{}
-	fs.Attach(rec)
-	const ranks = 8
-	for step := 0; step < 5; step++ {
-		fs.BeginBurst(ranks)
-		var wg sync.WaitGroup
-		for rank := 0; rank < ranks; rank++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				if _, err := fs.WriteSize(rank, "m/f.dat", 100, Labels{Step: step}); err != nil {
-					t.Error(err)
-				}
-			}(rank)
-		}
-		wg.Wait() // barrier: no writes in flight during the racing EndBursts
-		var eg sync.WaitGroup
-		for i := 0; i < ranks; i++ {
-			eg.Add(1)
-			go func() { defer eg.Done(); fs.EndBurst() }()
-		}
-		eg.Wait()
-	}
-	fs.FlushConsumers()
-	if len(rec.records) != 5*ranks {
-		t.Fatalf("consumer saw %d records, want %d", len(rec.records), 5*ranks)
-	}
-	seen := map[int]int{}
-	for _, r := range rec.records {
-		seen[r.Labels.Step]++
-	}
-	for step := 0; step < 5; step++ {
-		if seen[step] != ranks {
-			t.Errorf("step %d delivered %d times, want %d", step, seen[step], ranks)
-		}
 	}
 }
 

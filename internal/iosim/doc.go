@@ -16,36 +16,35 @@
 //   - RealDisk: data is also written to the host filesystem so plotfile
 //     round-trip tests and external tooling can read it.
 //
-// # Sharded ledger architecture
+// # Single writer
 //
-// The FileSystem's hot path is sharded by rank: each rank owns a private
-// ledger segment and clock, guarded by a per-shard mutex. The plotfile
-// and MACSio writers price a whole burst on one goroutine, rank by rank,
-// so the mutexes are uncontended; they keep the FileSystem safe for
-// concurrent writers, which may issue different ranks' writes from
-// different goroutines. No global lock is taken per write. Burst
-// contention is a bandwidth snapshot taken once at BeginBurst and read
-// atomically by every write, instead of a shared-lock acquisition per
-// write.
+// A FileSystem has a single writer, like bytes.Buffer: one goroutine
+// calls its methods, and separate filesystems are independent, so it
+// takes no locks. Each rank owns a ledger segment and clock in the
+// FileSystem; burst contention is a bandwidth snapshot taken once at
+// BeginBurst and read by every write. The plotfile, checkpoint and
+// MACSio writers price a whole burst rank by rank on the caller's
+// goroutine, and campaign.RunAll gives each case its own FileSystem. The
+// race detector in CI is what shows that no caller shares one across
+// goroutines.
 //
 // # Determinism guarantee
 //
-// Ledger, TotalBytes and Clock merge or read the shards on demand. The
-// merged ledger order is a contract callers may rely on: ascending rank,
-// then each rank's own program order — independent of the order in which
-// different ranks' writes arrive, goroutine scheduling, worker-pool size,
-// or wall-clock interleaving. Within a burst, that arrival order changes
-// no record, consumer-feed entry or fault event either
-// (TestBurstLedgerIndependentOfRankOrder): this is what lets a writer
-// price a burst rank-major on one goroutine instead of running one
-// goroutine per rank. Every
-// quantity derived from the ledger (BurstStats, Characterize, the
-// campaign figures) is therefore bit-reproducible across runs, and a
-// parallel campaign's ledgers are byte-identical to a serial one's.
-// Records carry Start timestamps for callers that want time ordering
-// instead. Jitter is a pure function of (Seed, rank, path) — an inline
-// FNV-1a hash, no shared RNG state — so it survives resharding and
-// concurrency unchanged.
+// Ledger, TotalBytes and Clock merge or read the per-rank segments on
+// demand. The merged ledger order is a contract callers may rely on:
+// ascending rank, then each rank's own program order — independent of
+// the order in which different ranks' writes arrive. Within a burst, and
+// across a sequence of bursts with compute gaps between them, that
+// arrival order changes no record, consumer-feed entry or fault event
+// either (TestBurstLedgerIndependentOfRankOrder,
+// TestBurstSequenceIndependentOfRankOrder): this is what lets a writer
+// price a burst rank-major. Every quantity derived from the ledger
+// (BurstStats, Characterize, the campaign figures) is therefore
+// bit-reproducible across runs, and a parallel campaign's ledgers are
+// byte-identical to a serial one's. Records carry Start timestamps for
+// callers that want time ordering instead. Jitter is a pure function of
+// (Seed, rank, path) — an inline FNV-1a hash, no shared RNG state — so
+// it does not depend on the order of writes either.
 //
 // # Per-link contention model
 //
@@ -84,11 +83,11 @@
 //   - A model may snapshot cross-rank contention state only at
 //     BeginBurst (which must be idempotent for repeated calls with the
 //     same writer count).
-//   - Price runs with the writing rank's shard lock held; per-write
-//     state must be a function of (rank, rank's clock, write size) so
-//     ledgers are independent of the order ranks' writes arrive in. The burst
-//     buffer achieves this by statically partitioning each node's
-//     capacity, fill bandwidth, and drain bandwidth across its ranks.
+//   - Per-write state must be a function of (rank, rank's clock, write
+//     size) so ledgers are independent of the order ranks' writes
+//     arrive in. The burst buffer achieves this by statically
+//     partitioning each node's capacity, fill bandwidth, and drain
+//     bandwidth across its ranks.
 //   - Retarget layers over tiers the same way it layers over the
 //     configured TargetMap: the FileSystem validates and installs the
 //     override map (between bursts only), then tells the model to drop
@@ -139,7 +138,7 @@
 // Attach(consumer) registers a LedgerConsumer; every EndBurst drains
 // the just-completed burst to the consumers — rank-ascending, each
 // rank's records in its own program order — and, by default, drops the
-// records from the shards. The stream-order contract is deliberately
+// records from the per-rank segments. The stream-order contract is deliberately
 // weaker than Ledger()'s whole-run order (the stream is burst-major,
 // the merged ledger rank-major) but every per-step subsequence of the
 // two is identical, which is exactly what the folds key on: BurstFold
@@ -153,7 +152,7 @@
 // value) keeps records only while no consumer is attached, RetainAll
 // keeps them regardless (consumers still stream; nothing is delivered
 // twice), RetainNone always drops. TotalBytes and Clock survive
-// dropping — they read per-shard counters, not records. Fold state is
+// dropping — they read per-rank counters, not records. Fold state is
 // O(steps x ranks) aggregates instead of O(writes) records, which is
 // the memory bound the campaign service layer depends on; the
 // ledgerretain analyzer keeps Ledger() calls out of the streaming

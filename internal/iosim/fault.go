@@ -10,11 +10,11 @@ package iosim
 // ledger byte — identical to the fault-free model (property-test-pinned by
 // internal/faults).
 //
-// Determinism contract: the injector is called under rank's shard lock
-// with rank's own simulated clock, and must resolve its schedule purely
-// against (rank, start, the BeginBurst snapshot) — never wall clock and
-// never another rank's progress — so ledgers and fault-event streams are
-// reproducible under any goroutine interleaving.
+// Determinism contract: the injector is called with rank's own simulated
+// clock, and must resolve its schedule purely against (rank, start, the
+// BeginBurst snapshot) — never wall clock and never another rank's
+// progress — so ledgers and fault-event streams are reproducible in any
+// order of the ranks' calls within a burst.
 
 // FaultEvent records one injected-fault action taken on the write path.
 // Events live beside the write ledger (FileSystem.FaultEvents) with the
@@ -51,8 +51,7 @@ type FaultEvent struct {
 // and are installed via Config.Faults; nil disables injection with zero
 // overhead. The calling contract matches StorageModel's: within a burst
 // the result may not depend on the order different ranks' calls arrive
-// in, Price runs under rank's shard lock, EndBurst/Reset only run
-// between bursts.
+// in, and EndBurst/Reset only run between bursts.
 type FaultInjector interface {
 	// BeginBurst mirrors StorageModel.BeginBurst (called right after it).
 	BeginBurst(n int)
@@ -78,10 +77,8 @@ type FaultInjector interface {
 // the breaker closes again; an empty or nil map clears every breaker.
 //
 // Determinism contract: Quarantine must only be called between bursts
-// (like Retarget and Reset) — installing a breaker while writes are in
-// flight would make which writes it covers depend on goroutine
-// scheduling. The installed map is consulted from the Price hot path, so
-// implementations publish it atomically.
+// (like Retarget and Reset) — installing a breaker mid-burst would make
+// which writes it covers depend on the order of the ranks' calls.
 type Quarantiner interface {
 	Quarantine(until map[int]float64)
 }
@@ -89,8 +86,8 @@ type Quarantiner interface {
 // BufferFaults is the optional StorageModel extension the fault injector
 // uses to model burst-buffer partition loss. The "bb"/"bb+gpfs" stacks
 // implement it; single-tier stacks do not, so buffer-loss events are
-// no-ops against them. Both methods follow the Price locking contract:
-// they run under rank's shard lock and touch only rank-private state.
+// no-ops against them. Both methods follow the Price contract: they
+// touch only rank-private state.
 type BufferFaults interface {
 	// DropBuffer discards rank's buffered bytes as of start on rank's
 	// clock (the partition's contents are lost), returning the seconds
@@ -103,7 +100,7 @@ type BufferFaults interface {
 
 // price runs one transfer through the fault seam when an injector is
 // installed, recording the fault event on rank's shard; the nil-injector
-// path is exactly the historical model call. Callers hold s.mu.
+// path is exactly the historical model call.
 func (fs *FileSystem) price(s *shard, rank int, start float64, nbytes int64, node int, target *int) WriteCost {
 	inj := fs.cfg.Faults
 	if inj == nil {
@@ -124,18 +121,13 @@ func (fs *FileSystem) price(s *shard, rank int, start float64, nbytes int64, nod
 // program order. Empty (never nil-vs-non-nil observable) without an
 // installed injector.
 func (fs *FileSystem) FaultEvents() []FaultEvent {
-	shards := *fs.shards.Load()
 	var total int
-	for _, s := range shards {
-		s.mu.Lock()
-		total += len(s.faults)
-		s.mu.Unlock()
+	for i := range fs.shards {
+		total += len(fs.shards[i].faults)
 	}
 	out := make([]FaultEvent, 0, total)
-	for _, s := range shards {
-		s.mu.Lock()
-		out = append(out, s.faults...)
-		s.mu.Unlock()
+	for i := range fs.shards {
+		out = append(out, fs.shards[i].faults...)
 	}
 	return out
 }

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 )
 
 // Backend selects whether writes are materialized on the host filesystem.
@@ -152,12 +150,9 @@ type WriteRecord struct {
 	OpenSeconds float64
 }
 
-// shard is one rank's private slice of the filesystem state. Its mutex is
-// uncontended on the hot path (the burst writers issue every rank's
-// writes from one goroutine); it exists so concurrent writers, merges and
-// cross-rank reads are race-free.
+// shard is one rank's segment of the filesystem state: its ledger
+// records, fault events, byte total and clock.
 type shard struct {
-	mu      sync.Mutex
 	records []WriteRecord
 	faults  []FaultEvent
 	bytes   int64
@@ -168,9 +163,9 @@ type shard struct {
 	fed int
 }
 
-// FileSystem is the simulated parallel filesystem. It is safe for
-// concurrent use by many rank goroutines; see the package comment for the
-// sharding design.
+// FileSystem is the simulated parallel filesystem. Like bytes.Buffer it
+// has a single writer: one goroutine calls its methods, and separate
+// filesystems are independent (see the package comment).
 type FileSystem struct {
 	cfg  Config
 	root string
@@ -183,34 +178,33 @@ type FileSystem struct {
 	// rpn is the most recently resolved ranks-per-node packing, used to
 	// label ledger records with their node between bursts. Updated at
 	// BeginBurst; meaningful only when cfg.Topology is enabled.
-	rpn atomic.Int64
+	rpn int
 
 	// burstN is the writer count of the most recent BeginBurst; Retarget
 	// validates override maps against it once a burst has been declared.
-	burstN atomic.Int64
+	burstN int
 
 	// retarget is the dynamically installed rank→target override
 	// (Retarget / amr.RemapToTargets); nil selects cfg.Topology's own
-	// placement. It layers over the configured TargetMap, so an
-	// inter-burst reorganization can be undone with Retarget(nil).
-	retarget atomic.Pointer[[]int]
+	// placement, while a non-nil empty map overrides it with an empty
+	// one. It layers over the configured TargetMap, so an inter-burst
+	// reorganization can be undone with Retarget(nil).
+	retarget []int
 
 	// agg is the current burst's two-phase aggregation schedule
 	// (aggregation.go); nil when Config.Aggregation is disabled. A pure
 	// function of (topology, spec, writer count), rebuilt lazily at
 	// BeginBurst and invalidated by Retarget/Reset, whose placement
 	// changes move the aggregators' targets.
-	agg atomic.Pointer[aggPlan]
+	agg *aggPlan
 
-	// shards[rank] is rank's ledger segment. The slice only grows;
-	// growth happens under growMu with copy-on-write publication so the
-	// hot path is a single atomic pointer load.
-	shards atomic.Pointer[[]*shard]
-	growMu sync.Mutex
+	// shards[rank] is rank's ledger segment. The slice only grows
+	// (until Reset), so Ledger's rank-major merge is a walk over it.
+	shards []shard
 
-	// consumers is the streaming-fold subscription state (consumer.go);
-	// drained at EndBurst and FlushConsumers.
-	consumers consumerState
+	// subs are the attached streaming consumers (consumer.go), fed at
+	// EndBurst and FlushConsumers.
+	subs []LedgerConsumer
 }
 
 // New creates a filesystem with the given model configuration. root is the
@@ -224,10 +218,7 @@ func New(cfg Config, root string) *FileSystem {
 			panic(fmt.Sprintf("iosim: invalid aggregation spec (validate configs with AggregationSpec.Validate): %v", err))
 		}
 	}
-	fs := &FileSystem{cfg: cfg, root: root}
-	empty := []*shard{}
-	fs.shards.Store(&empty)
-	fs.rpn.Store(int64(cfg.Topology.ranksPerNode(0)))
+	fs := &FileSystem{cfg: cfg, root: root, rpn: cfg.Topology.ranksPerNode(0)}
 	fs.model = newStorageModel(cfg, fs)
 	return fs
 }
@@ -252,8 +243,8 @@ func snapshotBandwidth(cfg Config, writers int) float64 {
 // dynamically installed TargetMap override applied.
 func (fs *FileSystem) topology() Topology {
 	t := fs.cfg.Topology
-	if m := fs.retarget.Load(); m != nil {
-		t.TargetMap = *m
+	if fs.retarget != nil {
+		t.TargetMap = fs.retarget
 	}
 	return t
 }
@@ -269,19 +260,19 @@ func (fs *FileSystem) topology() Topology {
 // map would silently mislabel ledger records and index fan-in tables out
 // of bounds, so it is rejected with an error instead.
 //
-// Like Reset, Retarget must not race with an in-flight burst: call it
-// between bursts, which is when layout reorganization happens.
+// Like Reset, Retarget belongs between bursts, which is when layout
+// reorganization happens.
 func (fs *FileSystem) Retarget(m []int) error {
 	if !fs.cfg.Topology.Enabled() || fs.cfg.Topology.Targets <= 0 {
 		return nil
 	}
 	if m == nil {
-		fs.retarget.Store(nil)
-		fs.agg.Store(nil)   // member target labels follow the aggregator's placement
+		fs.retarget = nil
+		fs.agg = nil        // member target labels follow the aggregator's placement
 		fs.model.Retarget() // next BeginBurst rebuilds the per-link snapshot
 		return nil
 	}
-	if n := int(fs.burstN.Load()); n > 0 && len(m) != n {
+	if n := fs.burstN; n > 0 && len(m) != n {
 		return fmt.Errorf("iosim: retarget map covers %d ranks, burst declares %d", len(m), n)
 	}
 	for r, tgt := range m {
@@ -290,10 +281,8 @@ func (fs *FileSystem) Retarget(m []int) error {
 				r, tgt, fs.cfg.Topology.Targets)
 		}
 	}
-	cp := make([]int, len(m))
-	copy(cp, m)
-	fs.retarget.Store(&cp)
-	fs.agg.Store(nil)
+	fs.retarget = append([]int{}, m...) // non-nil even when m is empty
+	fs.agg = nil
 	fs.model.Retarget()
 	return nil
 }
@@ -302,12 +291,10 @@ func (fs *FileSystem) Retarget(m []int) error {
 // rebuilding it when the writer count or placement changed. Only called
 // with Config.Aggregation enabled.
 func (fs *FileSystem) aggPlanFor(n int) *aggPlan {
-	if p := fs.agg.Load(); p != nil && p.n == n {
-		return p
+	if fs.agg == nil || fs.agg.n != n {
+		fs.agg = fs.cfg.Aggregation.plan(fs.topology(), n)
 	}
-	p := fs.cfg.Aggregation.plan(fs.topology(), n)
-	fs.agg.Store(p)
-	return p
+	return fs.agg
 }
 
 // Root returns the host root directory.
@@ -320,10 +307,10 @@ func (fs *FileSystem) Config() Config { return fs.cfg }
 // and delegates the contention snapshot to the installed StorageModel:
 // the default models divide the aggregate bandwidth (or the per-link
 // topology shares) among the writers, the burst-buffer models
-// additionally resolve each rank's NVMe partition. The snapshot is read
-// atomically by every write until EndBurst, so no write takes a shared
-// lock. The plotfile and MACSio writers call this once per dump with the
-// number of ranks that will write. EndBurst resets to uncontended mode.
+// additionally resolve each rank's NVMe partition. Every write reads the
+// snapshot until EndBurst. The plotfile and MACSio writers call this once
+// per dump with the number of ranks that will write. EndBurst resets to
+// uncontended mode.
 func (fs *FileSystem) BeginBurst(n int) {
 	if fs.cfg.Aggregation.Enabled() && n > 0 {
 		// Publish the two-phase schedule before the model snapshots:
@@ -336,9 +323,9 @@ func (fs *FileSystem) BeginBurst(n int) {
 		inj.BeginBurst(n)
 	}
 	if n > 0 {
-		fs.burstN.Store(int64(n))
+		fs.burstN = n
+		fs.shardFor(n - 1) // grow once per burst, not from the write path
 	}
-	fs.ensureShards(n)
 }
 
 // EndBurst marks the end of the current burst. It is also the streaming
@@ -364,43 +351,16 @@ func (fs *FileSystem) linkOf(rank int) (node, target int) {
 	if !t.Enabled() {
 		return -1, -1
 	}
-	return t.nodeOf(rank, int(fs.rpn.Load())), t.TargetOf(rank)
+	return t.nodeOf(rank, fs.rpn), t.TargetOf(rank)
 }
 
-// shardFor returns rank's shard, growing the shard table if needed.
+// shardFor returns rank's shard, growing the table if needed. The pointer
+// is valid until the next growth.
 func (fs *FileSystem) shardFor(rank int) *shard {
-	if s := *fs.shards.Load(); rank < len(s) {
-		return s[rank]
+	if rank >= len(fs.shards) {
+		fs.shards = append(fs.shards, make([]shard, rank+1-len(fs.shards))...)
 	}
-	return fs.growShards(rank)
-}
-
-// ensureShards pre-grows the table so an n-rank burst never grows it from
-// the write path.
-func (fs *FileSystem) ensureShards(n int) {
-	if n > 0 {
-		fs.shardFor(n - 1)
-	}
-}
-
-func (fs *FileSystem) growShards(rank int) *shard {
-	fs.growMu.Lock()
-	defer fs.growMu.Unlock()
-	cur := *fs.shards.Load()
-	if rank < len(cur) {
-		return cur[rank]
-	}
-	n := 2 * len(cur)
-	if n <= rank {
-		n = rank + 1
-	}
-	next := make([]*shard, n)
-	copy(next, cur)
-	for i := len(cur); i < n; i++ {
-		next[i] = &shard{}
-	}
-	fs.shards.Store(&next)
-	return next[rank]
+	return &fs.shards[rank]
 }
 
 // jitter returns the deterministic lognormal factor for (rank, path). The
@@ -473,20 +433,18 @@ func (fs *FileSystem) write(rank int, path string, nbytes int64, data []byte, la
 	// Without a plan every factor is the identity, keeping the direct
 	// path byte-identical.
 	gather, openScale := 0.0, 1.0
-	if p := fs.agg.Load(); p != nil && rank < p.n {
+	if p := fs.agg; p != nil && rank < p.n {
 		gather, openScale = p.gather(rank, nbytes), p.openScale[rank]
 		if t := p.tgt[rank]; t >= 0 {
 			target = t
 		}
 	}
 	s := fs.shardFor(rank)
-	s.mu.Lock()
 	start := s.clock
-	// Price under the shard lock: the model may keep per-rank state
-	// (burst-buffer occupancy) keyed on rank's clock, and the lock
-	// serializes exactly this rank's transfers. The fault seam wraps the
-	// model call and may relabel the target on failover; the write phase
-	// begins after the gather, so the fault schedule sees start+gather.
+	// The model may keep per-rank state (burst-buffer occupancy) keyed on
+	// rank's clock. The fault seam wraps the model call and may relabel
+	// the target on failover; the write phase begins after the gather, so
+	// the fault schedule sees start+gather.
 	cost := fs.price(s, rank, start+gather, nbytes, node, &target)
 	j := fs.jitter(rank, path)
 	open := cost.OpenSeconds
@@ -508,7 +466,6 @@ func (fs *FileSystem) write(rank int, path string, nbytes int64, data []byte, la
 		OpenSeconds:   open * openScale * j,
 	})
 	s.bytes += nbytes
-	s.mu.Unlock()
 	return dur, nil
 }
 
@@ -526,7 +483,6 @@ func (fs *FileSystem) Mkdir(rank int, path string, labels Labels) error {
 	}
 	node, _ := fs.linkOf(rank)
 	s := fs.shardFor(rank)
-	s.mu.Lock()
 	start := s.clock
 	s.clock = start + fs.cfg.OpenLatency
 	s.records = append(s.records, WriteRecord{
@@ -536,7 +492,6 @@ func (fs *FileSystem) Mkdir(rank int, path string, labels Labels) error {
 		Node: node, Target: -1,
 		OpenSeconds: fs.cfg.OpenLatency,
 	})
-	s.mu.Unlock()
 	return nil
 }
 
@@ -547,70 +502,50 @@ func (fs *FileSystem) AdvanceClock(rank int, dt float64) {
 	if rank < 0 {
 		return
 	}
-	s := fs.shardFor(rank)
-	s.mu.Lock()
-	s.clock += dt
-	s.mu.Unlock()
+	fs.shardFor(rank).clock += dt
 }
 
 // Clock returns rank's current simulated time.
 func (fs *FileSystem) Clock(rank int) float64 {
-	shards := *fs.shards.Load()
-	if rank < 0 || rank >= len(shards) {
+	if rank < 0 || rank >= len(fs.shards) {
 		return 0
 	}
-	s := shards[rank]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.clock
+	return fs.shards[rank].clock
 }
 
-// Ledger returns a merged copy of all write records. The order is
-// deterministic regardless of goroutine scheduling: ascending rank, then
-// each rank's own program order. (Records carry Start timestamps for
-// callers that want time ordering instead.)
+// Ledger returns a merged copy of all write records in a deterministic
+// order: ascending rank, then each rank's own program order. (Records
+// carry Start timestamps for callers that want time ordering instead.)
 func (fs *FileSystem) Ledger() []WriteRecord {
-	shards := *fs.shards.Load()
 	var total int
-	for _, s := range shards {
-		s.mu.Lock()
-		total += len(s.records)
-		s.mu.Unlock()
+	for i := range fs.shards {
+		total += len(fs.shards[i].records)
 	}
 	out := make([]WriteRecord, 0, total)
-	for _, s := range shards {
-		s.mu.Lock()
-		out = append(out, s.records...)
-		s.mu.Unlock()
+	for i := range fs.shards {
+		out = append(out, fs.shards[i].records...)
 	}
 	return out
 }
 
-// Reset clears the ledger and all rank clocks. It must not race with
-// in-flight writers (call it between runs, not during one).
+// Reset clears the ledger and all rank clocks. Call it between runs.
 func (fs *FileSystem) Reset() {
-	fs.growMu.Lock()
-	empty := []*shard{}
-	fs.shards.Store(&empty)
-	fs.growMu.Unlock()
+	fs.shards = nil
 	fs.model.Reset()
 	if inj := fs.cfg.Faults; inj != nil {
 		inj.Reset()
 	}
-	fs.retarget.Store(nil)
-	fs.agg.Store(nil)
-	fs.burstN.Store(0)
-	fs.rpn.Store(int64(fs.cfg.Topology.ranksPerNode(0)))
+	fs.retarget = nil
+	fs.agg = nil
+	fs.burstN = 0
+	fs.rpn = fs.cfg.Topology.ranksPerNode(0)
 }
 
 // TotalBytes sums all recorded writes from the per-shard running totals.
 func (fs *FileSystem) TotalBytes() int64 {
-	shards := *fs.shards.Load()
 	var total int64
-	for _, s := range shards {
-		s.mu.Lock()
-		total += s.bytes
-		s.mu.Unlock()
+	for i := range fs.shards {
+		total += fs.shards[i].bytes
 	}
 	return total
 }

@@ -1,10 +1,11 @@
 package iosim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
@@ -260,23 +261,99 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestConcurrentWritesSafe(t *testing.T) {
-	fs := modelFS()
-	var wg sync.WaitGroup
-	for r := 0; r < 16; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				fs.WriteSize(rank, "f", 10, Labels{Step: i})
+// seedJitter is the original implementation (hash/fnv + fmt.Fprintf); the
+// inline FNV-1a rewrite must reproduce it bit for bit, since jittered
+// durations are part of the deterministic model output.
+func seedJitter(cfg Config, rank int, path string) float64 {
+	if cfg.JitterSigma == 0 {
+		return 1
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%d|%s", cfg.Seed, rank, path)
+	u := h.Sum64()
+	u1 := (float64(u>>11) + 0.5) / float64(1<<53)
+	h.Write([]byte{0xA5})
+	u2 := (float64(h.Sum64()>>11) + 0.5) / float64(1<<53)
+	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	return math.Exp(cfg.JitterSigma * z)
+}
+
+func TestJitterMatchesSeedImplementation(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.JitterSigma = 0.3
+	for _, seed := range []int64{1, 42, -7} {
+		cfg.Seed = seed
+		fs := New(cfg, "")
+		for _, rank := range []int{0, 1, 31, 1023} {
+			for _, path := range []string{"plt00000/Header", "plt00040/Level_2/Cell_D_00031", "x"} {
+				got := fs.jitter(rank, path)
+				want := seedJitter(cfg, rank, path)
+				if got != want {
+					t.Errorf("seed %d rank %d path %q: jitter %g != seed %g", seed, rank, path, got, want)
+				}
 			}
-		}(r)
+		}
 	}
-	wg.Wait()
-	if got := len(fs.Ledger()); got != 16*50 {
-		t.Errorf("ledger len = %d", got)
+}
+
+// TestWriteHotPathAllocations pins the per-write cost: one ledger record
+// append amortized, no per-write map/hash/fmt garbage.
+func TestWriteHotPathAllocations(t *testing.T) {
+	cfg := DefaultConfig() // jitter on: the inline FNV must not allocate
+	fs := New(cfg, "")
+	fs.BeginBurst(4)
+	// Warm the shard and the record slice so append growth is excluded.
+	for i := 0; i < 4096; i++ {
+		fs.WriteSize(0, "warm", 8, Labels{})
 	}
-	if fs.TotalBytes() != 16*50*10 {
-		t.Errorf("TotalBytes = %d", fs.TotalBytes())
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := fs.WriteSize(0, "plt00000/Level_0/Cell_D_00000", 1<<20, Labels{Step: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Slice doubling still happens occasionally across 1000 appends.
+	if allocs > 0.5 {
+		t.Errorf("WriteSize allocates %.2f objects per op, want amortized ~0", allocs)
+	}
+}
+
+func TestNegativeRankRejected(t *testing.T) {
+	fs := modelFS()
+	if _, err := fs.WriteSize(-1, "x", 10, Labels{}); err == nil {
+		t.Error("negative rank accepted by WriteSize")
+	}
+	if err := fs.Mkdir(-2, "d", Labels{}); err == nil {
+		t.Error("negative rank accepted by Mkdir")
+	}
+	if got := fs.Clock(-3); got != 0 {
+		t.Errorf("Clock(-3) = %g, want 0", got)
+	}
+	fs.AdvanceClock(-1, 1.5) // must be a no-op, not a panic
+	if len(fs.Ledger()) != 0 {
+		t.Error("rejected operations left ledger entries")
+	}
+}
+
+// TestBurstSnapshotSemantics verifies the BeginBurst bandwidth snapshot:
+// contention applies to writes issued between BeginBurst and EndBurst,
+// and sparse rank ids well beyond the declared burst size still work.
+func TestBurstSnapshotSemantics(t *testing.T) {
+	cfg := Config{
+		AggregateBandwidth: 1e9,
+		PerWriterBandwidth: 1e9,
+	}
+	fs := New(cfg, "")
+	fs.BeginBurst(100) // share = 1e7
+	d, err := fs.WriteSize(512, "sparse-rank", 1e6, Labels{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1e6 / 1e7; math.Abs(d-want) > 1e-12 {
+		t.Errorf("contended duration = %g, want %g", d, want)
+	}
+	fs.EndBurst()
+	d, _ = fs.WriteSize(512, "sparse-rank-2", 1e6, Labels{})
+	if want := 1e6 / 1e9; math.Abs(d-want) > 1e-12 {
+		t.Errorf("uncontended duration = %g, want %g", d, want)
 	}
 }

@@ -1,17 +1,12 @@
 package iosim
 
-import (
-	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Pluggable storage-tier models. The paper characterizes AMReX/MACSio
 // bursts against two very different backends — Summit's node-local NVMe
 // burst buffers and the Alpine GPFS — so the pricing math cannot live
 // welded inside FileSystem. A StorageModel prices data transfers; the
-// FileSystem keeps the sharded ledger, clocks, open latency, and jitter,
+// FileSystem keeps the per-rank ledger, clocks, open latency, and jitter,
 // and delegates BeginBurst/EndBurst/Price to the installed model.
 //
 // Four stacks are selectable by Config.Storage name:
@@ -82,7 +77,7 @@ const (
 // BurstBuffer parameterizes the "bb" and "bb+gpfs" storage models. All
 // quantities are per compute node; the model splits them evenly across
 // the ranks packed on a node, so per-rank behavior is deterministic
-// under any goroutine interleaving.
+// in any order of the ranks' writes.
 type BurstBuffer struct {
 	// NodeCapacity is the NVMe bytes one node can buffer
 	// (0 selects SummitBBNodeCapacity).
@@ -179,16 +174,16 @@ type WriteCost struct {
 	Mitigated string
 }
 
-// StorageModel prices data transfers for a FileSystem. Within a burst,
-// calls for different ranks may arrive in any order — rank by rank on
-// one goroutine, as the plotfile and MACSio writers issue them, or
-// interleaved from many goroutines — and the ledger, the consumer feed
+// StorageModel prices data transfers for a FileSystem, on the
+// FileSystem's single writer. Within a burst, calls for different ranks
+// may arrive in any order — rank by rank, as the plotfile and MACSio
+// writers issue them, or interleaved — and the ledger, the consumer feed
 // and the fault events must come out the same for every order that
 // keeps each rank's own calls in program order
-// (TestBurstLedgerIndependentOfRankOrder pins this for every stack).
-// Price runs with rank's shard lock held, so per-rank state needs no
-// further ordering; BeginBurst must be idempotent for repeated calls with
-// the same writer count; EndBurst/Retarget/Reset only run between bursts.
+// (TestBurstLedgerIndependentOfRankOrder and
+// TestBurstSequenceIndependentOfRankOrder pin this for every stack).
+// BeginBurst must be idempotent for repeated calls with the same writer
+// count; EndBurst/Retarget/Reset only run between bursts.
 type StorageModel interface {
 	// Name returns the selection name the model was built from.
 	Name() string
@@ -242,34 +237,25 @@ func newStorageModel(cfg Config, fs *FileSystem) StorageModel {
 
 // aggregateModel is the historical shared-bandwidth-pool pricing,
 // extracted verbatim from the pre-StorageModel FileSystem: BeginBurst
-// snapshots one per-writer share of Config.AggregateBandwidth, read
-// atomically by every write.
+// snapshots one per-writer share of Config.AggregateBandwidth, read by
+// every write.
 type aggregateModel struct {
 	cfg Config
-	// bw holds math.Float64bits of the per-writer bandwidth under the
-	// current contention state.
-	bw atomic.Uint64
+	// bw is the per-writer bandwidth under the current contention state.
+	bw float64
 }
 
 func newAggregateModel(cfg Config) *aggregateModel {
-	m := &aggregateModel{cfg: cfg}
-	m.bw.Store(math.Float64bits(snapshotBandwidth(cfg, 0)))
-	return m
+	return &aggregateModel{cfg: cfg, bw: snapshotBandwidth(cfg, 0)}
 }
 
 func (m *aggregateModel) Name() string { return StorageGPFS }
 
-func (m *aggregateModel) BeginBurst(n int) {
-	m.bw.Store(math.Float64bits(snapshotBandwidth(m.cfg, n)))
-}
+func (m *aggregateModel) BeginBurst(n int) { m.bw = snapshotBandwidth(m.cfg, n) }
 
-func (m *aggregateModel) EndBurst() {
-	m.bw.Store(math.Float64bits(snapshotBandwidth(m.cfg, 0)))
-}
+func (m *aggregateModel) EndBurst() { m.bw = snapshotBandwidth(m.cfg, 0) }
 
-func (m *aggregateModel) Bandwidth(rank int) float64 {
-	return math.Float64frombits(m.bw.Load())
-}
+func (m *aggregateModel) Bandwidth(rank int) float64 { return m.bw }
 
 func (m *aggregateModel) Price(rank int, start float64, nbytes int64) WriteCost {
 	return WriteCost{Seconds: float64(nbytes) / m.Bandwidth(rank)}
@@ -291,14 +277,11 @@ type topologyModel struct {
 	fs *FileSystem
 	// link is the per-rank bandwidth table for the current burst; nil
 	// between bursts, in which case the scalar snapshot applies.
-	link atomic.Pointer[linkSnapshot]
+	link *linkSnapshot
 }
 
 func newTopologyModel(cfg Config, fs *FileSystem) *topologyModel {
-	m := &topologyModel{fs: fs}
-	m.cfg = cfg
-	m.bw.Store(math.Float64bits(snapshotBandwidth(cfg, 0)))
-	return m
+	return &topologyModel{aggregateModel: *newAggregateModel(cfg), fs: fs}
 }
 
 func (m *topologyModel) BeginBurst(n int) {
@@ -308,21 +291,21 @@ func (m *topologyModel) BeginBurst(n int) {
 		// invalidates it — so repeated BeginBurst(n) calls, one per
 		// burst of the same width, reuse the published table instead of
 		// recomputing the O(n) shares.
-		if snap := m.link.Load(); snap == nil || len(snap.perRank) != n {
-			m.fs.rpn.Store(int64(t.ranksPerNode(n)))
-			m.link.Store(t.snapshot(m.cfg, n))
+		if m.link == nil || len(m.link.perRank) != n {
+			m.fs.rpn = t.ranksPerNode(n)
+			m.link = t.snapshot(m.cfg, n)
 		}
 	}
 }
 
 func (m *topologyModel) EndBurst() {
 	m.aggregateModel.EndBurst()
-	m.link.Store(nil)
+	m.link = nil
 }
 
 func (m *topologyModel) Bandwidth(rank int) float64 {
-	if snap := m.link.Load(); snap != nil && rank < len(snap.perRank) {
-		return snap.perRank[rank]
+	if m.link != nil && rank < len(m.link.perRank) {
+		return m.link.perRank[rank]
 	}
 	return m.aggregateModel.Bandwidth(rank)
 }
@@ -331,11 +314,11 @@ func (m *topologyModel) Price(rank int, start float64, nbytes int64) WriteCost {
 	return WriteCost{Seconds: float64(nbytes) / m.Bandwidth(rank)}
 }
 
-func (m *topologyModel) Retarget() { m.link.Store(nil) }
+func (m *topologyModel) Retarget() { m.link = nil }
 
 func (m *topologyModel) Reset() {
 	m.aggregateModel.Reset()
-	m.link.Store(nil)
+	m.link = nil
 }
 
 // bbRank is one rank's private slice of the burst buffer: its partition
@@ -344,6 +327,17 @@ func (m *topologyModel) Reset() {
 type bbRank struct {
 	occ  float64
 	last float64
+}
+
+// rankState returns rank's entry in ranks, creating it on first use. No
+// other rank touches it (static partitioning).
+func rankState(ranks map[int]*bbRank, rank int) *bbRank {
+	st := ranks[rank]
+	if st == nil {
+		st = &bbRank{}
+		ranks[rank] = st
+	}
+	return st
 }
 
 // bbModel is the node-local burst-buffer tier, optionally stacked over
@@ -359,7 +353,6 @@ type bbModel struct {
 	backing StorageModel // the GPFS tier: drain coupling (tiered) + labels
 	tiered  bool
 
-	mu     sync.Mutex
 	ranks  map[int]*bbRank
 	burstN int
 	// Per-rank shares for the current packing.
@@ -399,7 +392,6 @@ func newBBModel(name string, cfg Config, backing StorageModel) *bbModel {
 }
 
 // setShares resolves the per-rank partition for an n-writer burst.
-// Callers hold mu (or have exclusive access during construction).
 func (m *bbModel) setShares(n int) {
 	rpn := m.spec.RanksPerNode
 	if rpn <= 0 {
@@ -418,44 +410,32 @@ func (m *bbModel) Name() string { return m.name }
 
 func (m *bbModel) BeginBurst(n int) {
 	m.backing.BeginBurst(n)
-	if n <= 0 {
-		return
-	}
-	m.mu.Lock()
-	if n != m.burstN {
+	if n > 0 && n != m.burstN {
 		m.setShares(n)
 	}
-	m.mu.Unlock()
 }
 
 // EndBurst keeps the burst's shares (occupancy keeps draining at the
 // same per-rank rate between bursts) and only resets the backing tier.
 func (m *bbModel) EndBurst() { m.backing.EndBurst() }
 
-func (m *bbModel) Bandwidth(rank int) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bwR
-}
+func (m *bbModel) Bandwidth(rank int) float64 { return m.bwR }
 
-func (m *bbModel) Price(rank int, start float64, nbytes int64) WriteCost {
-	m.mu.Lock()
-	st := m.ranks[rank]
-	if st == nil {
-		st = &bbRank{}
-		m.ranks[rank] = st
-	}
-	capR, b, d := m.capR, m.bwR, m.drainR
-	m.mu.Unlock()
-	// The tiered stack drains through the GPFS tier: its contention
-	// snapshot caps the drain stream.
+// drainRate is rank's drain stream: the tiered stack drains through the
+// GPFS tier, whose contention snapshot caps it.
+func (m *bbModel) drainRate(rank int) float64 {
+	d := m.drainR
 	if m.tiered {
 		if bw := m.backing.Bandwidth(rank); bw < d {
 			d = bw
 		}
 	}
-	// st is rank-private from here on: Price runs under rank's shard
-	// lock, and no other rank touches this state (static partitioning).
+	return d
+}
+
+func (m *bbModel) Price(rank int, start float64, nbytes int64) WriteCost {
+	st := rankState(m.ranks, rank)
+	capR, b, d := m.capR, m.bwR, m.drainRate(rank)
 	if dt := start - st.last; dt > 0 {
 		st.occ -= dt * d
 		if st.occ < 0 {
@@ -535,22 +515,10 @@ func bbFill(occ, cap, b, d float64, nbytes int64) (sec, stall, end float64) {
 // DropBuffer implements BufferFaults: a buffer-loss fault discards rank's
 // partition contents as of start on rank's clock. The lost backlog must be
 // rewritten through the backing tier, so the replay cost is the drained
-// occupancy over the rank's drain stream. Runs under rank's shard lock and
-// touches only rank-private state (static partitioning), matching Price.
+// occupancy over the rank's drain stream. Touches only rank-private state
+// (static partitioning), matching Price.
 func (m *bbModel) DropBuffer(rank int, start float64) float64 {
-	m.mu.Lock()
-	st := m.ranks[rank]
-	if st == nil {
-		st = &bbRank{}
-		m.ranks[rank] = st
-	}
-	d := m.drainR
-	m.mu.Unlock()
-	if m.tiered {
-		if bw := m.backing.Bandwidth(rank); bw < d {
-			d = bw
-		}
-	}
+	st, d := rankState(m.ranks, rank), m.drainRate(rank)
 	if dt := start - st.last; dt > 0 {
 		st.occ -= dt * d
 		if st.occ < 0 {
@@ -576,8 +544,6 @@ func (m *bbModel) Retarget() { m.backing.Retarget() }
 
 func (m *bbModel) Reset() {
 	m.backing.Reset()
-	m.mu.Lock()
 	m.ranks = map[int]*bbRank{}
 	m.setShares(0)
-	m.mu.Unlock()
 }

@@ -8,8 +8,7 @@ import (
 // BenchmarkStorageWrite prices one N-rank burst (one 1 MB write per
 // rank) under each storage stack at two paper scales, so the cost of the
 // pluggable pricing layer — and the burst-buffer bookkeeping on top of
-// it — stays visible in CI's bench smoke next to the sharded-filesystem
-// numbers.
+// it — stays visible in CI's bench smoke.
 func BenchmarkStorageWrite(b *testing.B) {
 	for _, kind := range StorageKinds() {
 		for _, ranks := range []int{64, 512} {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -399,41 +398,6 @@ func TestTieredDrainThrottledByGPFS(t *testing.T) {
 	fast := run(StorageTiered, 1e12)
 	if fast.BBFill != 0.5 || math.Abs(fast.DrainSeconds-10) > 1e-12 {
 		t.Errorf("uncongested tiered record = %+v, want the bb numbers", fast)
-	}
-}
-
-// TestBBConcurrentDeterministic drives many rank goroutines through a
-// burst-buffer filesystem concurrently: the ledger (occupancies, stalls,
-// drain tails included) must be identical across runs — the static
-// per-rank partitioning is what makes the tier deterministic.
-func TestBBConcurrentDeterministic(t *testing.T) {
-	run := func() []WriteRecord {
-		cfg := bbTestConfig(StorageTiered)
-		cfg.BurstBuffer.RanksPerNode = 0
-		fs := New(cfg, "")
-		const ranks = 8
-		for step := 0; step < 3; step++ {
-			fs.BeginBurst(ranks)
-			var wg sync.WaitGroup
-			for r := 0; r < ranks; r++ {
-				wg.Add(1)
-				go func(rank int) {
-					defer wg.Done()
-					for i := 0; i < 10; i++ {
-						if _, err := fs.WriteSize(rank, "w", int64(3+rank+i), Labels{Step: step}); err != nil {
-							t.Error(err)
-						}
-					}
-				}(r)
-			}
-			wg.Wait()
-			fs.EndBurst()
-		}
-		return fs.Ledger()
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("burst-buffer ledger differs across concurrent runs")
 	}
 }
 

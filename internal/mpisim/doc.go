@@ -4,13 +4,13 @@
 // tagged point-to-point messages and collectives (barrier, broadcast,
 // reduce, gather, scan).
 //
-// Its user in the library is amr.FillBoundaryDistributed, the ghost-cell
-// exchange whose messages really move between ranks. The burst writers
-// (plotfile, checkpoint, MACSio) do not use it: an I/O burst moves no
+// No library package uses it. The burst writers (plotfile, checkpoint,
+// MACSio) price a burst in one rank-major loop: an I/O burst moves no
 // message between ranks, and iosim prices each rank's writes from that
-// rank's clock alone, so they price a burst in one rank-major loop. The
-// benchmark harness (cmd/amrio-bench) still times an mpisim world per
-// burst from outside.
+// rank's clock alone. The mesh exchange is priced analytically from the
+// box lists (amr.FillBoundaryTraffic). Its only remaining reader is the
+// benchmark harness (cmd/amrio-bench), which still times an mpisim world
+// per burst from outside.
 //
 // # Semantics
 //
@@ -37,9 +37,8 @@
 //
 // # Traffic accounting
 //
-// A World accumulates per-run message and byte counts (Stats), which the
-// exchange tests use to assert the communication volume of distributed
-// ghost fills. For topology-aware contention modeling, the amr package
+// A World accumulates per-run message and byte counts (Stats). For
+// topology-aware contention modeling, the amr package
 // derives per-rank-pair volumes from its cached communication plans
 // (amr.FillBoundaryTraffic) and prices them with iosim.Topology — the
 // same model the write ledger uses. The same division of labor holds

@@ -32,11 +32,10 @@
 // under iosim's snapshot-at-BeginBurst contract. The engine only acts
 // between bursts: breaker maps are recomputed from scratch from a
 // chronologically sorted copy of the stream (never from incremental
-// observation order) and published atomically before the next burst's
-// first write. Mitigated runs therefore replay byte-identically under
-// -race and any goroutine interleaving, and a zero Policy builds no
-// engine at all, keeping the policy-free path property-test-pinned
-// byte-identical to pre-mitigation behavior.
+// observation order) and installed before the next burst's first write.
+// Mitigated runs therefore replay byte-identically, and a zero Policy
+// builds no engine at all, keeping the policy-free path
+// property-test-pinned byte-identical to pre-mitigation behavior.
 //
 // Evaluate condenses a finished run into an Outcome — retry-storm
 // seconds, critical-path fault time, and a forward-progress rate whose

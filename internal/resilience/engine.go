@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"sort"
-	"sync"
 
 	"amrproxyio/internal/faults"
 	"amrproxyio/internal/iosim"
@@ -14,14 +13,14 @@ import (
 // target circuit breakers, and shedding plot bursts.
 //
 // Determinism contract: every Engine method must be called between
-// bursts (never while rank goroutines are writing), from one goroutine
-// at a time per decision point. Decisions are pure functions of
-// (policy, plan, the merged FaultEvents stream, rank clocks) — all of
-// which are themselves deterministic under the iosim snapshot
-// contract — so mitigated runs replay identically under -race and any
-// goroutine interleaving. The engine never mutates injector state
-// mid-burst: quarantine maps are installed through iosim.Quarantiner
-// only from Observe, which the run loops call between bursts.
+// bursts, by the goroutine that writes the engine's FileSystem (an
+// Engine, like a FileSystem, has a single user). Decisions are pure
+// functions of (policy, plan, the merged FaultEvents stream, rank
+// clocks) — all of which are themselves deterministic under the iosim
+// snapshot contract — so mitigated runs replay identically. The engine
+// never mutates injector state mid-burst: quarantine maps are installed
+// through iosim.Quarantiner only from Observe, which the run loops call
+// between bursts.
 //
 // All methods are safe on a nil receiver (no-ops returning zero
 // values), so run loops call them unconditionally and the zero-policy
@@ -32,7 +31,6 @@ type Engine struct {
 	nprocs int
 	quar   iosim.Quarantiner
 
-	mu  sync.Mutex
 	est faults.MTBFEstimator
 
 	// lastNow / lastFaultMax / pressure implement the sliding fault-
@@ -102,10 +100,6 @@ func (e *Engine) Clock(fs *iosim.FileSystem) float64 {
 	if e == nil {
 		return 0
 	}
-	return e.clock(fs)
-}
-
-func (e *Engine) clock(fs *iosim.FileSystem) float64 {
 	var now float64
 	for r := 0; r < e.nprocs; r++ {
 		if c := fs.Clock(r); c > now {
@@ -124,14 +118,7 @@ func (e *Engine) Observe(fs *iosim.FileSystem) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.observe(fs)
-}
-
-// observe does the work of Observe; callers hold e.mu.
-func (e *Engine) observe(fs *iosim.FileSystem) {
-	now := e.clock(fs)
+	now := e.Clock(fs)
 
 	// Online MTBF: replay the prefix-stable interrupt schedule up to
 	// now. Recomputed from scratch so the estimate is a pure function of
@@ -212,9 +199,7 @@ func (e *Engine) ShedPlot(fs *iosim.FileSystem, nominalBytes int64) bool {
 	if e == nil {
 		return false
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.observe(fs)
+	e.Observe(fs)
 	if !e.policy.DegradedOutput {
 		return false
 	}
@@ -239,9 +224,7 @@ func (e *Engine) CheckpointDue(fs *iosim.FileSystem) bool {
 	if e == nil {
 		return false
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.observe(fs)
+	e.Observe(fs)
 	if !e.policy.AdaptiveCheckpoint {
 		return false
 	}
@@ -268,9 +251,7 @@ func (e *Engine) BurstWritten(fs *iosim.FileSystem, startedAt float64, checkpoin
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	now := e.clock(fs)
+	now := e.Clock(fs)
 	if wall := now - startedAt; wall > 0 {
 		e.dumpWallSum += wall
 		e.dumpWalls++
@@ -283,7 +264,7 @@ func (e *Engine) BurstWritten(fs *iosim.FileSystem, startedAt float64, checkpoin
 	} else {
 		e.shedStreak = 0
 	}
-	e.observe(fs)
+	e.Observe(fs)
 }
 
 // Adaptive reports whether the engine owns the checkpoint cadence
@@ -300,8 +281,6 @@ func (e *Engine) AvoidTargets() map[int]bool {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	avoid := map[int]bool{}
 	for tgt, until := range e.open {
 		if until > e.lastNow {
@@ -323,12 +302,6 @@ func (e *Engine) NodeFactor(node int) float64 {
 	if e == nil {
 		return 1
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.nodeFactor(node)
-}
-
-func (e *Engine) nodeFactor(node int) float64 {
 	f := 1.0
 	for _, ev := range e.plan.Events {
 		if ev.Kind != faults.KindNICDegrade || !ev.Active(e.lastNow) {
@@ -353,8 +326,6 @@ func (e *Engine) ScaleLoads(topo iosim.Topology, nprocs int, owner []int, loads 
 	if e == nil || !topo.Enabled() {
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	factors := map[int]float64{}
 	for i, o := range owner {
 		if o < 0 || i >= len(loads) {
@@ -363,7 +334,7 @@ func (e *Engine) ScaleLoads(topo iosim.Topology, nprocs int, owner []int, loads 
 		node := topo.NodeOf(o, nprocs)
 		f, ok := factors[node]
 		if !ok {
-			f = e.nodeFactor(node)
+			f = e.NodeFactor(node)
 			factors[node] = f
 		}
 		if f > 0 && f < 1 {
@@ -378,8 +349,6 @@ func (e *Engine) Stats() *Stats {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	s := e.stats
 	s.QuarantinedTargets = len(e.everOpened)
 	s.ObservedMTBFSeconds = e.est.Estimate()

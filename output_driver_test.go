@@ -1,8 +1,9 @@
 // Structural invariant: the output sequence (shed → remap → burst →
 // observe → compute-phase clocks → adaptive checkpoint) lives once, in
 // internal/driver. These tests parse the engines' source so a second
-// copy cannot grow back in either of them unnoticed, and the burst
-// writers' source so an SPMD world cannot come back into a burst.
+// copy cannot grow back in either of them unnoticed, the burst writers'
+// source so an SPMD world cannot come back into a burst, and the I/O
+// model's source so its single-writer design cannot grow locks back.
 package amrproxyio_test
 
 import (
@@ -55,13 +56,27 @@ func parseDirs(t *testing.T, min int, dirs ...string) map[string]*ast.File {
 }
 
 // TestBurstWritersRunNoSPMDWorld: the plotfile, checkpoint and MACSio
-// writers price a burst rank by rank on the caller's goroutine, so
-// neither package may import the SPMD runtime back.
+// writers price a burst rank by rank on the caller's goroutine, and the
+// mesh exchange is priced analytically from the box lists, so none of
+// these packages may import the SPMD runtime back.
 func TestBurstWritersRunNoSPMDWorld(t *testing.T) {
-	for path, f := range parseDirs(t, 5, "internal/plotfile", "internal/macsio") {
+	for path, f := range parseDirs(t, 5, "internal/plotfile", "internal/macsio", "internal/amr") {
 		for _, imp := range f.Imports {
 			if imp.Path.Value == `"amrproxyio/internal/mpisim"` {
-				t.Errorf("%s imports internal/mpisim; a burst is one rank-major loop", path)
+				t.Errorf("%s imports internal/mpisim; bursts and exchanges need no SPMD world", path)
+			}
+		}
+	}
+}
+
+// TestIOModelTakesNoLocks: an iosim.FileSystem has a single writer, and
+// the fault injector and resilience engine are driven by that writer, so
+// none of the three packages needs sync or sync/atomic.
+func TestIOModelTakesNoLocks(t *testing.T) {
+	for path, f := range parseDirs(t, 15, "internal/iosim", "internal/faults", "internal/resilience") {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"sync"` || imp.Path.Value == `"sync/atomic"` {
+				t.Errorf("%s imports %s; a FileSystem has one writer and takes no locks", path, imp.Path.Value)
 			}
 		}
 	}
