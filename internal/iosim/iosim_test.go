@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -258,6 +259,74 @@ func TestReset(t *testing.T) {
 	fs.Reset()
 	if len(fs.Ledger()) != 0 || fs.TotalBytes() != 0 || fs.Clock(0) != 0 {
 		t.Error("reset incomplete")
+	}
+}
+
+// TestMergedLedgerOrderDeterministic issues one burst of many ranks'
+// writes and mkdirs in seeded interleavings that keep each rank's own
+// program order, and checks that the merged ledger comes out in the
+// documented deterministic order — ascending rank, then each rank's
+// program order — identically for every interleaving.
+func TestMergedLedgerOrderDeterministic(t *testing.T) {
+	const ranks, writes = 32, 40
+	run := func(seed int64) []WriteRecord {
+		var order []int
+		for r := 0; r < ranks; r++ {
+			for i := 0; i < writes; i++ {
+				order = append(order, r)
+			}
+		}
+		rand.New(rand.NewSource(seed)).Shuffle(len(order), func(i, j int) {
+			order[i], order[j] = order[j], order[i]
+		})
+		fs := modelFS()
+		fs.BeginBurst(ranks)
+		next := make([]int, ranks)
+		for _, rank := range order {
+			i := next[rank]
+			next[rank]++
+			path := fmt.Sprintf("plt%05d/Cell_D_%05d", i, rank)
+			if i%10 == 0 {
+				if err := fs.Mkdir(rank, path+".dir", Labels{Step: i}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := fs.WriteSize(rank, path, int64(rank*1000+i), Labels{Step: i, Level: rank % 3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs.EndBurst()
+		return fs.Ledger()
+	}
+
+	first := run(1)
+	if len(first) != ranks*(writes+writes/10) {
+		t.Fatalf("ledger len = %d, want %d", len(first), ranks*(writes+writes/10))
+	}
+	// Rank-major, program order within a rank.
+	pos := 0
+	for r := 0; r < ranks; r++ {
+		step := -1
+		for ; pos < len(first) && first[pos].Rank == r; pos++ {
+			if first[pos].Labels.Step < step {
+				t.Fatalf("rank %d program order broken at %d: step %d after %d",
+					r, pos, first[pos].Labels.Step, step)
+			}
+			step = first[pos].Labels.Step
+		}
+	}
+	if pos != len(first) {
+		t.Fatalf("ledger not rank-major: stranded records from position %d", pos)
+	}
+	// A different interleaving merges identically, record for record.
+	second := run(2)
+	if len(second) != len(first) {
+		t.Fatalf("run lengths differ: %d vs %d", len(first), len(second))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("record %d differs across interleavings:\n%+v\n%+v", i, first[i], second[i])
+		}
 	}
 }
 
