@@ -9,6 +9,7 @@
 package amrproxyio_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -198,7 +199,7 @@ func BenchmarkFig4_SedovSolution(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.Run(); err != nil {
+		if err := s.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		spec := s.PlotSpec()

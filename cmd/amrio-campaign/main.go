@@ -155,7 +155,7 @@ func run(args []string, stdout io.Writer) error {
 	serveAddr := flags.String("serve", "",
 		"serve mode: listen on this address (e.g. :8080) for JSON case batches instead of running a sweep")
 	caseTimeout := flags.Duration("case-timeout", 0,
-		"serve mode: per-case wall-clock bound (0 = unbounded)")
+		"serve mode: per-case wall-clock bound; a case past it stops and reports a timeout error (0 = unbounded)")
 	cacheSize := flags.Int("cache", 0,
 		"serve mode: memoization LRU capacity (0 = default)")
 	if err := flags.Parse(args); err != nil {

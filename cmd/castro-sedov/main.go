@@ -13,8 +13,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"amrproxyio/internal/amr"
@@ -25,42 +28,41 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "castro-sedov:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	inputsPath := flag.String("inputs", "", "AMReX-style inputs file (default: Listing 2 baseline)")
-	outdir := flag.String("outdir", "", "write real plotfiles under this directory")
-	dist := flag.String("dist", "knapsack", "distribution mapping: roundrobin|knapsack|sfc")
-	nprocs := flag.Int("nprocs", 0, "override number of simulated MPI tasks")
-	verbose := flag.Bool("v", false, "print the plotfile tree and burst report")
-	flag.Parse()
+// run parses args, runs the simulation, and writes its reports to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("castro-sedov", flag.ContinueOnError)
+	inputsPath := flags.String("inputs", "", "AMReX-style inputs file (default: Listing 2 baseline)")
+	outdir := flags.String("outdir", "", "write real plotfiles under this directory")
+	dist := flags.String("dist", "knapsack", "distribution mapping: roundrobin|knapsack|sfc")
+	nprocs := flags.Int("nprocs", 0, "override number of simulated MPI tasks")
+	verbose := flags.Bool("v", false, "print the plotfile tree and burst report")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
+	opts := sim.DefaultOptions()
+	var err error
+	if opts.Dist, err = amr.ParseDistStrategy(*dist); err != nil {
+		return err
+	}
 
 	cfg := inputs.DefaultCastroInputs()
 	if *inputsPath != "" {
-		var err error
-		cfg, err = inputs.LoadCastro(*inputsPath)
-		if err != nil {
+		if cfg, err = inputs.LoadCastro(*inputsPath); err != nil {
 			return err
 		}
 	}
 	if *nprocs > 0 {
 		cfg.NProcs = *nprocs
-	}
-
-	opts := sim.DefaultOptions()
-	switch *dist {
-	case "roundrobin":
-		opts.Dist = amr.DistRoundRobin
-	case "knapsack":
-		opts.Dist = amr.DistKnapsack
-	case "sfc":
-		opts.Dist = amr.DistSFC
-	default:
-		return fmt.Errorf("unknown -dist %q", *dist)
 	}
 
 	fsCfg := iosim.DefaultConfig()
@@ -73,13 +75,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("castro-sedov: %dx%d cells, max_level %d, %d tasks, cfl %.2f, plot_int %d\n",
+	fmt.Fprintf(stdout, "castro-sedov: %dx%d cells, max_level %d, %d tasks, cfl %.2f, plot_int %d\n",
 		cfg.NCell[0], cfg.NCell[1], cfg.MaxLevel, cfg.NProcs, cfg.CFL, cfg.PlotInt)
-	if err := s.Run(); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		return err
 	}
 
-	fmt.Printf("completed: %d steps, t = %.6g, %d plotfiles, finest level %d\n",
+	fmt.Fprintf(stdout, "completed: %d steps, t = %.6g, %d plotfiles, finest level %d\n",
 		s.Step, s.Time, s.NPlots(), s.FinestLevel())
 
 	recs := s.Records()
@@ -89,21 +91,21 @@ func run() error {
 		perStep[r.Step] += r.Bytes
 		perLevel[r.Level] += r.Bytes
 	}
-	fmt.Println("\nbytes per plot step:")
+	fmt.Fprintln(stdout, "\nbytes per plot step:")
 	for _, step := range report.SortedIntKeys(perStep) {
-		fmt.Printf("  step %6d  %s\n", step, report.HumanBytes(perStep[step]))
+		fmt.Fprintf(stdout, "  step %6d  %s\n", step, report.HumanBytes(perStep[step]))
 	}
-	fmt.Println("bytes per level:")
+	fmt.Fprintln(stdout, "bytes per level:")
 	for _, l := range report.SortedIntKeys(perLevel) {
-		fmt.Printf("  L%d  %s\n", l, report.HumanBytes(perLevel[l]))
+		fmt.Fprintf(stdout, "  L%d  %s\n", l, report.HumanBytes(perLevel[l]))
 	}
-	fmt.Printf("total: %s in %d records\n", report.HumanBytes(fs.TotalBytes()), len(recs))
+	fmt.Fprintf(stdout, "total: %s in %d records\n", report.HumanBytes(fs.TotalBytes()), len(recs))
 
 	if *verbose {
-		fmt.Println()
-		fmt.Println(report.Fig2(fs.Ledger()))
-		fmt.Println(report.BurstReport(fs.Ledger()))
-		fmt.Println(iosim.Characterize(fs.Ledger()).Render())
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, report.Fig2(fs.Ledger()))
+		fmt.Fprintln(stdout, report.BurstReport(fs.Ledger()))
+		fmt.Fprintln(stdout, iosim.Characterize(fs.Ledger()).Render())
 	}
 	return nil
 }

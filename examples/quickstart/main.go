@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -45,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("ran %d steps to t=%.4g, wrote %d plotfiles under %s\n",
@@ -96,7 +97,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := bbSim.Run(); err != nil {
+	if err := bbSim.Run(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsame run on %q (per-job bb allocation %s/node):\n",

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -31,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Sedov blast after %d steps (t = %.5g), finest level %d\n\n",

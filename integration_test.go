@@ -5,6 +5,7 @@
 package amrproxyio_test
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -45,7 +46,7 @@ func TestHydroAndSurrogateAgreeAtLevelZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,7 +55,7 @@ func TestHydroAndSurrogateAgreeAtLevelZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Run(); err != nil {
+	if err := r.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -135,7 +136,7 @@ func TestPlotfileOnDiskMatchesLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range fs.Ledger() {

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"amrproxyio/internal/core"
@@ -245,10 +245,6 @@ type Result struct {
 	// Mitigation carries the policy engine's action counters when
 	// Case.Mitigate ran one; nil otherwise.
 	Mitigation *resilience.Stats `json:"mitigation,omitempty"`
-	// Abandoned marks a WithCaseTimeout result whose work goroutine was
-	// left running in the background (Go cannot preempt it); see
-	// AbandonedInFlight for the live count.
-	Abandoned bool `json:"abandoned,omitempty"`
 }
 
 // TotalBytes sums the ledger.
@@ -259,6 +255,12 @@ func (r Result) TotalBytes() int64 {
 // Run executes a case through the given filesystem model (which may be
 // shared across cases; pass a fresh one to isolate ledgers).
 func Run(c Case, fs *iosim.FileSystem) (Result, error) {
+	return run(context.Background(), c, fs)
+}
+
+// run is Run under ctx: a case whose ctx ends before its run does stops
+// at the next step and returns the context's error.
+func run(ctx context.Context, c Case, fs *iosim.FileSystem) (Result, error) {
 	start := time.Now()
 	res := Result{Case: c, Engine: c.engineFor()}
 	if err := c.Validate(); err != nil {
@@ -285,7 +287,7 @@ func Run(c Case, fs *iosim.FileSystem) (Result, error) {
 		}
 	}
 	if err == nil {
-		err = d.Run()
+		err = d.Run(ctx)
 	}
 	if err != nil {
 		return res, fmt.Errorf("campaign %s: %w", c.Name, err)
@@ -318,27 +320,12 @@ func WithOutputs(fn func(i int, out CaseOutput, red *Reduction, err error)) RunO
 }
 
 // WithCaseTimeout bounds each case's wall-clock run time: a case still
-// running after d returns a timeout-error Result (Result.Abandoned set)
-// while the pool moves on. The abandoned case's goroutine finishes (and
-// is discarded) in the background — Go cannot preempt it — so timeouts
-// are for surfacing stuck sweeps, not reclaiming their work. The
-// abandoned work is no longer invisible: AbandonedInFlight counts the
-// goroutines still running. d <= 0 disables the bound.
+// running after d stops at its next step and returns a timeout error
+// while the pool moves on, so nothing of it outlives the call. The
+// deadline only decides complete or error: a timed-out case yields no
+// partial result and is never cached. d <= 0 disables the bound.
 func WithCaseTimeout(d time.Duration) RunOption {
 	return func(o *runOptions) { o.caseTimeout = d }
-}
-
-// abandonedInFlight counts case goroutines abandoned by WithCaseTimeout
-// that are still running. Incremented when a timeout fires, decremented
-// by a per-case drainer when the abandoned goroutine finally finishes.
-var abandonedInFlight atomic.Int64
-
-// AbandonedInFlight reports how many timed-out case goroutines are
-// still running in the background across all RunAll pools — leak
-// telemetry for long-lived sweep services (and the leak-detection
-// test). 0 when every abandoned case has since finished.
-func AbandonedInFlight() int {
-	return int(abandonedInFlight.Load())
 }
 
 // RunAll executes cases concurrently on up to parallelism workers,

@@ -70,12 +70,13 @@
 // filesystem from Case.FSConfig and streams into one
 // iosim.CharacterizeFold — the executor never materializes a ledger —
 // under a defensive envelope (Validate, panic recovery, an optional
-// timeout that abandons the stuck goroutine and counts it in
-// AbandonedInFlight). A caching executor adds an LRU memo keyed by
-// fingerprint: RunCase(c, timeout) returns a cached CaseOutput (result,
-// burst stats, and I/O profile, Cached=true) for a repeated
-// configuration, and coalesces concurrent identical cases into a single
-// simulation (single-flight; joiners get the same output). Errors are
+// timeout whose context the driver checks once per step, so a case past
+// its deadline stops and returns an error instead of running on). A
+// caching executor adds an LRU memo keyed by fingerprint: RunCase(c,
+// timeout) returns a cached CaseOutput (result, burst stats, and I/O
+// profile, Cached=true) for a repeated configuration, and coalesces
+// concurrent identical cases into a single simulation (single-flight;
+// joiners get the same output). Errors are
 // never cached; capacity 0 caches nothing. RunAll runs its worker pool
 // on an executor, and WithOutputs hands each case's CaseOutput — plus,
 // for a fresh simulation, its finished fold and fault events (the

@@ -7,6 +7,7 @@ package campaign
 // injected plan).
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -56,11 +57,11 @@ func TestRunAllRecoversPanics(t *testing.T) {
 	cases := runAllCases()[:3]
 	// An executor whose simulation panics for one case.
 	e := NewExecutor(0, false)
-	e.run = func(c Case, fs *iosim.FileSystem) (Result, error) {
+	e.run = func(ctx context.Context, c Case, fs *iosim.FileSystem) (Result, error) {
 		if c.Name == cases[1].Name {
 			panic("poisoned case")
 		}
-		return Run(c, fs)
+		return run(ctx, c, fs)
 	}
 	results, err := RunAll(cases, 2, e)
 	if err == nil || !strings.Contains(err.Error(), "panic") {
@@ -87,14 +88,17 @@ func TestRunAllCaseTimeout(t *testing.T) {
 		{Name: "to_stall", NCell: 1024, MaxLevel: 2, MaxStep: 4, PlotInt: 2, CFL: 0.5, NProcs: 4, Engine: EngineSurrogate},
 		{Name: "to_fast", NCell: 1024, MaxLevel: 2, MaxStep: 4, PlotInt: 2, CFL: 0.5, NProcs: 4, Engine: EngineSurrogate},
 	}
-	// Stall one case's simulation past the timeout; the sibling must
-	// still finish.
+	// Stall one case's simulation past the timeout, waking at the
+	// deadline; the sibling must still finish.
 	e := NewExecutor(0, false)
-	e.run = func(c Case, fs *iosim.FileSystem) (Result, error) {
+	e.run = func(ctx context.Context, c Case, fs *iosim.FileSystem) (Result, error) {
 		if c.Name == cases[0].Name {
-			time.Sleep(2 * time.Second)
+			select {
+			case <-time.After(2 * time.Second):
+			case <-ctx.Done():
+			}
 		}
-		return Run(c, fs)
+		return run(ctx, c, fs)
 	}
 	results, err := RunAll(cases, 2, e, WithCaseTimeout(250*time.Millisecond))
 	if err == nil || !strings.Contains(err.Error(), "timed out") {

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"container/list"
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -36,13 +38,12 @@ type CaseOutput struct {
 
 // ExecStats is a point-in-time snapshot of the executor's counters.
 type ExecStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Errors    uint64 `json:"errors"`
-	Abandoned uint64 `json:"abandoned"`
-	InFlight  int    `json:"in_flight"`
-	Size      int    `json:"cache_size"`
-	Cap       int    `json:"cache_cap"`
+	Hits     uint64 `json:"hits"`
+	Misses   uint64 `json:"misses"`
+	Errors   uint64 `json:"errors"`
+	InFlight int    `json:"in_flight"`
+	Size     int    `json:"cache_size"`
+	Cap      int    `json:"cache_cap"`
 }
 
 // HitRate is hits over lookups; 0 before the first lookup.
@@ -88,14 +89,14 @@ type Executor struct {
 	byFP    map[string]*list.Element
 	flights map[string]*flight
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	errs      atomic.Uint64
-	abandoned atomic.Uint64
-	inFlight  atomic.Int64
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+	errs     atomic.Uint64
+	inFlight atomic.Int64
 
-	// run is Run unless a test injects a panicking or stalling stand-in.
-	run func(Case, *iosim.FileSystem) (Result, error)
+	// run is the package-level run unless a test injects a panicking or
+	// stalling stand-in.
+	run func(context.Context, Case, *iosim.FileSystem) (Result, error)
 }
 
 // NewExecutor returns an executor caching up to capacity outputs;
@@ -109,7 +110,7 @@ func NewExecutor(capacity int, withTopology bool) *Executor {
 		lru:     list.New(),
 		byFP:    map[string]*list.Element{},
 		flights: map[string]*flight{},
-		run:     Run,
+		run:     run,
 	}
 }
 
@@ -119,13 +120,12 @@ func (e *Executor) Stats() ExecStats {
 	size := e.lru.Len()
 	e.mu.Unlock()
 	return ExecStats{
-		Hits:      e.hits.Load(),
-		Misses:    e.misses.Load(),
-		Errors:    e.errs.Load(),
-		Abandoned: e.abandoned.Load(),
-		InFlight:  int(e.inFlight.Load()),
-		Size:      size,
-		Cap:       e.cap,
+		Hits:     e.hits.Load(),
+		Misses:   e.misses.Load(),
+		Errors:   e.errs.Load(),
+		InFlight: int(e.inFlight.Load()),
+		Size:     size,
+		Cap:      e.cap,
 	}
 }
 
@@ -163,15 +163,15 @@ func (e *Executor) execute(c Case, timeout time.Duration) (CaseOutput, *Reductio
 	if f, ok := e.flights[fp]; ok {
 		e.mu.Unlock()
 		<-f.done
+		out := f.out
+		out.Result.Case.Name = c.Name
 		if f.err != nil {
 			// The computing caller reported the failure; joiners surface
 			// it too but don't double-count it in the error stats.
-			return f.out, nil, f.err
+			return out, nil, f.err
 		}
 		e.hits.Add(1)
-		out := f.out
 		out.Cached = true
-		out.Result.Case.Name = c.Name
 		return out, nil, nil
 	}
 	f := &flight{done: make(chan struct{})}
@@ -197,9 +197,6 @@ func (e *Executor) execute(c Case, timeout time.Duration) (CaseOutput, *Reductio
 	close(f.done)
 
 	if err != nil {
-		if out.Result.Abandoned {
-			e.abandoned.Add(1)
-		}
 		e.errs.Add(1)
 	}
 	return out, red, err
@@ -208,59 +205,34 @@ func (e *Executor) execute(c Case, timeout time.Duration) (CaseOutput, *Reductio
 // simulate is the uncached path: one fresh filesystem with the
 // characterization fold attached, run inside the defensive envelope. A
 // panic is recovered into an error output; with timeout > 0 a case still
-// running after the deadline returns an Abandoned error output while its
-// goroutine, which Go cannot preempt, is counted in AbandonedInFlight
-// until it finishes.
-func (e *Executor) simulate(c Case, fp string, timeout time.Duration) (CaseOutput, *Reduction, error) {
+// running at the deadline stops at its next step and returns a timeout
+// error output, so the case's work ends with the call.
+func (e *Executor) simulate(c Case, fp string, timeout time.Duration) (out CaseOutput, red *Reduction, err error) {
 	failed := CaseOutput{Result: Result{Case: c, Engine: c.engineFor()}, Fingerprint: fp}
-	type outcome struct {
-		out CaseOutput
-		red *Reduction
-		err error
-	}
-	work := func() (o outcome) {
-		defer func() {
-			if r := recover(); r != nil {
-				o = outcome{failed, nil, fmt.Errorf("campaign %s: panic: %v", c.Name, r)}
-			}
-		}()
-		fold := iosim.NewCharacterizeFold()
-		fs := iosim.New(c.FSConfig(e.topo), "")
-		fs.Attach(fold) // RetainAuto + consumer: records drop burst by burst
-		res, err := e.run(c, fs)
-		if err != nil {
-			return outcome{CaseOutput{Result: res, Fingerprint: fp}, nil, err}
+	defer func() {
+		if r := recover(); r != nil {
+			out, red, err = failed, nil, fmt.Errorf("campaign %s: panic: %v", c.Name, r)
 		}
-		fs.FlushConsumers()
-		out := CaseOutput{Result: res, Bursts: fold.Bursts(), Profile: fold.Profile(), Fingerprint: fp}
-		return outcome{out, &Reduction{Fold: fold, Faults: fs.FaultEvents()}, nil}
+	}()
+	ctx := context.Background()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	if timeout <= 0 {
-		o := work()
-		return o.out, o.red, o.err
-	}
-	// The outcome travels through a buffered channel rather than shared
-	// variables: after a timeout the abandoned goroutine's send must not
-	// race the caller.
-	done := make(chan outcome, 1)
-	go func() { done <- work() }()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case o := <-done:
-		return o.out, o.red, o.err
-	case <-timer.C:
-		// Count the goroutine we are abandoning, and drain its (exactly
-		// one, buffered) send when it eventually finishes so the count
-		// returns to zero instead of leaking silently.
-		abandonedInFlight.Add(1)
-		go func() {
-			<-done
-			abandonedInFlight.Add(-1)
-		}()
-		failed.Result.Abandoned = true
+	fold := iosim.NewCharacterizeFold()
+	fs := iosim.New(c.FSConfig(e.topo), "")
+	fs.Attach(fold) // RetainAuto + consumer: records drop burst by burst
+	res, err := e.run(ctx, c, fs)
+	if errors.Is(err, context.DeadlineExceeded) {
 		return failed, nil, fmt.Errorf("campaign %s: case timed out after %s", c.Name, timeout)
 	}
+	if err != nil {
+		return CaseOutput{Result: res, Fingerprint: fp}, nil, err
+	}
+	fs.FlushConsumers()
+	out = CaseOutput{Result: res, Bursts: fold.Bursts(), Profile: fold.Profile(), Fingerprint: fp}
+	return out, &Reduction{Fold: fold, Faults: fs.FaultEvents()}, nil
 }
 
 // insert stores an output, evicting from the LRU tail. Caller holds mu.

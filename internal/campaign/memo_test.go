@@ -1,9 +1,13 @@
 package campaign
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,36 +168,76 @@ func TestExecutorErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestExecutorTimeoutAbandonAccounting: a timed-out case has stopped by
+// the time RunCase returns, so the executor's counters are settled at
+// once — one error, nothing in flight, nothing cached.
 func TestExecutorTimeoutAbandonAccounting(t *testing.T) {
 	e := NewExecutor(4, false)
-	// Same shape as the abandon_test case: outlives a 1 ms timeout by
-	// orders of magnitude, finishes (and drains) within the test.
-	slow := Case{
-		Name: "slow", NCell: 4096, MaxLevel: 2, MaxStep: 40, PlotInt: 2,
-		CFL: 0.5, NProcs: 256, Nodes: 64, Engine: EngineSurrogate,
-		ComputeSeconds: 0.1,
-	}
-	out, err := e.RunCase(slow, time.Millisecond)
+	_, err := e.RunCase(streamSlowCase(), 100*time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("err = %v, want timeout", err)
 	}
-	if !out.Result.Abandoned {
-		t.Error("timeout output not marked Abandoned")
+	if st := e.Stats(); st.Errors != 1 || st.InFlight != 0 || st.Size != 0 {
+		t.Errorf("stats = %+v, want 1 error, 0 in flight, 0 cached", st)
 	}
-	st := e.Stats()
-	if st.Abandoned != 1 || st.Errors != 1 {
-		t.Errorf("stats = %+v, want 1 abandoned / 1 error", st)
+}
+
+// waitForJoiner returns once some goroutine is parked in execute on
+// another caller's flight: its stack is blocked on a channel receive
+// with execute as the innermost frame.
+func waitForJoiner(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			state, frames, _ := strings.Cut(g, "\n")
+			if strings.Contains(state, "[chan receive") && strings.HasPrefix(frames, "amrproxyio/internal/campaign.(*Executor).execute(") {
+				return
+			}
+		}
 	}
-	if st.Size != 0 {
-		t.Error("abandoned result was cached")
+	t.Fatal("no caller joined the flight within 10s")
+}
+
+// TestExecutorJoinedFailureKeepsCallerName: a caller that joins a
+// failed flight gets the failure under its own row label, as hits and
+// successful joins do.
+func TestExecutorJoinedFailureKeepsCallerName(t *testing.T) {
+	e := NewExecutor(4, false)
+	var calls atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	e.run = func(ctx context.Context, c Case, fs *iosim.FileSystem) (Result, error) {
+		calls.Add(1)
+		close(started)
+		<-release
+		return Result{Case: c, Engine: c.engineFor()}, errors.New("injected failure")
 	}
-	// The abandoned goroutine drains and the global gauge returns to 0.
-	deadline := time.Now().Add(30 * time.Second)
-	for AbandonedInFlight() != 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	a, b := memoCase("owner", 1), memoCase("joiner", 1) // one fingerprint
+	names := make(chan string, 2)
+	var wg sync.WaitGroup
+	runCase := func(c Case) {
+		defer wg.Done()
+		out, err := e.RunCase(c, 0)
+		if err == nil {
+			t.Errorf("%s: injected failure not reported", c.Name)
+		}
+		names <- c.Name + "=" + out.Result.Case.Name
 	}
-	if got := AbandonedInFlight(); got != 0 {
-		t.Errorf("AbandonedInFlight = %d after drain, want 0", got)
+	wg.Add(2)
+	go runCase(a)
+	<-started
+	go runCase(b)
+	waitForJoiner(t)
+	close(release)
+	wg.Wait()
+	close(names)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("stand-in ran %d times, want 1 (the joiner must share the flight)", n)
+	}
+	for got := range names {
+		if name, label, _ := strings.Cut(got, "="); name != label {
+			t.Errorf("RunCase(%s) returned row label %q", name, label)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@
 package driver
 
 import (
+	"context"
 	"errors"
 
 	"amrproxyio/internal/amr"
@@ -107,11 +108,18 @@ func (d *Driver) Mitigation() *resilience.Stats { return d.engine.Stats() }
 // filesystem clocks, a regrid every regrid_int steps (when refinement is
 // enabled), a plot every plot_int steps, and a checkpoint whenever the
 // adaptive cadence calls for one.
-func (d *Driver) Run() error {
+//
+// ctx is checked once per step, before Advance: a cancelled run stops
+// there and returns ctx.Err(), leaving the driver part-way through the
+// run. Nothing a completed run produces depends on ctx.
+func (d *Driver) Run(ctx context.Context) error {
 	if err := d.maybePlot(); err != nil {
 		return err
 	}
 	for d.running() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		d.m.Advance()
 		d.advanceClocks()
 		if step, _ := d.m.Progress(); d.cfg.RegridInt > 0 && step%d.cfg.RegridInt == 0 && d.cfg.MaxLevel > 0 {

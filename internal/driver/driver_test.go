@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"context"
 	"testing"
 
 	"amrproxyio/internal/amr"
@@ -92,7 +93,7 @@ func TestRunWithoutBurstsDoesNotAllocate(t *testing.T) {
 		d := New(m, cfg, Options{StepSeconds: 0.5}, fs)
 		allocs := testing.AllocsPerRun(5, func() {
 			*m = counter{}
-			if err := d.Run(); err != nil {
+			if err := d.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -22,7 +22,7 @@
 //
 //	GET /healthz — liveness
 //	GET /statz   — executor counters (hits, misses, hit rate, errors,
-//	               abandoned), cases completed, cases/sec, in-flight
+//	               in-flight), cases completed, cases/sec, in-flight
 //	               cases and batches, uptime
 //
 // The package wires handlers, limits, and stats; process concerns —

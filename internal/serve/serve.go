@@ -22,7 +22,8 @@ type Options struct {
 	// semantics: <1 selects all cores).
 	Parallel int
 	// CaseTimeout bounds each case's wall clock (campaign.WithCaseTimeout
-	// semantics: <=0 disables the bound).
+	// semantics): a case past it stops at its next step and streams a
+	// timeout error line. <=0 disables the bound.
 	CaseTimeout time.Duration
 	// MaxCases rejects larger batches with 400; <1 selects DefaultMaxCases.
 	MaxCases int

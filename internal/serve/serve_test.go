@@ -345,3 +345,47 @@ func TestServeBatchSemaphore(t *testing.T) {
 		t.Errorf("in-flight batches = %d after drain", st.InFlightBatches)
 	}
 }
+
+// TestServeCaseTimeout: Options.CaseTimeout reaches every case. The CI
+// smoke pair — a fast surrogate case and a multi-second hydro case —
+// under a 200 ms bound streams the fast case's output and the slow
+// case's timeout error, and the stopped case leaves nothing in flight.
+func TestServeCaseTimeout(t *testing.T) {
+	s := New(Options{Parallel: 2, CaseTimeout: 200 * time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	fast := campaign.Case{
+		Name: "stream-fast", NCell: 512, MaxLevel: 1, MaxStep: 4, PlotInt: 2,
+		CFL: 0.5, NProcs: 8, Nodes: 2, Engine: campaign.EngineSurrogate,
+	}
+	slow := campaign.Case{
+		Name: "stream-slow", NCell: 64, MaxLevel: 2, MaxStep: 600, PlotInt: 100,
+		CFL: 0.5, NProcs: 4, Nodes: 1, Engine: campaign.EngineHydro,
+	}
+	resp := postBatch(t, ts.URL, []campaign.Case{fast, slow})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	lines := readLines(t, resp)
+	if len(lines) != 2 {
+		t.Fatalf("got %d NDJSON lines, want 2", len(lines))
+	}
+	for _, l := range lines {
+		switch l.Name {
+		case fast.Name:
+			if l.Error != "" || l.Output == nil {
+				t.Errorf("fast case: error %q, output %v", l.Error, l.Output)
+			}
+		case slow.Name:
+			if !strings.Contains(l.Error, "timed out") {
+				t.Errorf("slow case error = %q, want a timeout", l.Error)
+			}
+		default:
+			t.Errorf("unexpected line %+v", l)
+		}
+	}
+	if st := s.Stats(); st.Errors != 1 || st.InFlight != 0 || st.InFlightCases != 0 {
+		t.Errorf("stats = %+v, want 1 error and nothing in flight", st)
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -120,7 +121,7 @@ func TestCheckpointBytesMirrorNtoN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := plotfile.WriteCheckpoint(fs, s.CheckpointSpec())

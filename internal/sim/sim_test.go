@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestBlastExpandsAndLevelsTrackIt(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells0 := s.Levels[1].BA.NumPts()
-	if err := s.Run(); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s.Step != 30 {
@@ -162,7 +163,7 @@ func TestRunPlotCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Plots at steps 0, 5, 10.
@@ -192,7 +193,7 @@ func TestRecordsHaveEq2Structure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	recs := s.Records()
@@ -229,7 +230,7 @@ func TestL0BytesConstantAcrossSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	perStepL0 := map[int]int64{}
@@ -290,7 +291,7 @@ func TestStopTimeHonored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s.Time > cfg.StopTime+1e-15 {
@@ -318,7 +319,7 @@ func TestMaxLevelZeroRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
+	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s.FinestLevel() != 0 {
@@ -343,7 +344,7 @@ func TestHigherCFLProducesFewerOutputEventsPerTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(); err != nil {
+		if err := s.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return s.Time, s.Step
@@ -384,7 +385,7 @@ func TestStepSecondsSeparatesBursts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Run(); err != nil {
+		if err := s.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return fs

@@ -1,6 +1,7 @@
 package surrogate
 
 import (
+	"context"
 	"testing"
 
 	"amrproxyio/internal/inputs"
@@ -75,7 +76,7 @@ func TestRunProducesPlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Run(); err != nil {
+	if err := r.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if r.NPlots() != 5 { // steps 0,5,10,15,20
@@ -102,7 +103,7 @@ func TestL0BytesMatchCellCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Run(); err != nil {
+	if err := r.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var l0 int64
