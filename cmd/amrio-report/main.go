@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,27 +25,35 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "amrio-report:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	resultsDir := flag.String("results", "", "directory of saved campaign result JSONs")
-	csv := flag.Bool("csv", false, "emit figure data as CSV instead of ASCII plots")
-	exhibit := flag.String("exhibit", "", "render only the named exhibit (table1..3, fig2..11, listing1)")
-	div := flag.Int("scale", 8, "scale divisor for on-the-fly runs")
-	flag.Parse()
+// run parses args and writes the selected exhibits to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("amrio-report", flag.ContinueOnError)
+	resultsDir := flags.String("results", "", "directory of saved campaign result JSONs")
+	csv := flags.Bool("csv", false, "emit figure data as CSV instead of ASCII plots")
+	exhibit := flags.String("exhibit", "", "render only the named exhibit (table1..3, fig2..11, listing1)")
+	div := flags.Int("scale", 8, "scale divisor for on-the-fly runs")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	want := func(name string) bool {
 		return *exhibit == "" || strings.EqualFold(*exhibit, name)
 	}
 	emit := func(p *report.Plot) {
 		if *csv {
-			fmt.Println(p.CSV())
+			fmt.Fprintln(stdout, p.CSV())
 		} else {
-			fmt.Println(p.Render())
+			fmt.Fprintln(stdout, p.Render())
 		}
 	}
 
@@ -77,10 +87,10 @@ func run() error {
 	}
 
 	if want("table1") {
-		fmt.Println(report.TableI())
+		fmt.Fprintln(stdout, report.TableI())
 	}
 	if want("table2") {
-		fmt.Println(report.TableII())
+		fmt.Fprintln(stdout, report.TableII())
 	}
 
 	// Fig. 2 / Fig. 3: structural exhibits from fresh small runs.
@@ -91,7 +101,7 @@ func run() error {
 		if _, err := campaign.Run(c, fs); err != nil {
 			return err
 		}
-		fmt.Println(report.Fig2(fs.Ledger()))
+		fmt.Fprintln(stdout, report.Fig2(fs.Ledger()))
 	}
 	if want("fig3") {
 		fs := iosim.New(iosim.DefaultConfig(), "")
@@ -101,13 +111,15 @@ func run() error {
 		if _, err := macsio.Run(fs, mcfg); err != nil {
 			return err
 		}
-		fmt.Println(report.Fig3(fs.Ledger()))
+		fmt.Fprintln(stdout, report.Fig3(fs.Ledger()))
 	}
 
 	// Pivot runs used by several figures.
 	var pivotResults []campaign.Result
 	var pivotTranslations []core.Translation
-	needPivot := want("fig6") || want("fig7") || want("fig9") || want("fig10") || want("listing1")
+	// Table III falls back to the pivot runs when no results were loaded.
+	needPivot := want("fig6") || want("fig7") || want("fig9") || want("fig10") || want("listing1") ||
+		(want("table3") && len(results) == 0)
 	if needPivot {
 		for _, v := range []struct {
 			cfl float64
@@ -132,7 +144,7 @@ func run() error {
 		if len(set) == 0 {
 			set = pivotResults
 		}
-		fmt.Println(report.TableIII(set))
+		fmt.Fprintln(stdout, report.TableIII(set))
 	}
 	if want("fig5") {
 		set := results
@@ -167,7 +179,7 @@ func run() error {
 		for level := 0; level <= 1; level++ {
 			p, imbalance := report.Fig8(res, level)
 			emit(p)
-			fmt.Printf("level %d per-task imbalance (max/mean): %.2f\n\n", level, imbalance)
+			fmt.Fprintf(stdout, "level %d per-task imbalance (max/mean): %.2f\n\n", level, imbalance)
 		}
 	}
 	if want("fig9") {
@@ -179,9 +191,9 @@ func run() error {
 		p, mapes := report.Fig10(pivotResults, pivotTranslations)
 		emit(p)
 		for i, m := range mapes {
-			fmt.Printf("%s model MAPE: %.2f%%\n", pivotResults[i].Case.Name, m)
+			fmt.Fprintf(stdout, "%s model MAPE: %.2f%%\n", pivotResults[i].Case.Name, m)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if want("fig11") {
 		res, err := runCase(campaign.LargeCase())
@@ -194,10 +206,10 @@ func run() error {
 		}
 		p, mape := report.Fig11(res, tr.Kernel)
 		emit(p)
-		fmt.Printf("large-case kernel MAPE: %.2f%%\n\n", mape)
+		fmt.Fprintf(stdout, "large-case kernel MAPE: %.2f%%\n\n", mape)
 	}
 	if want("listing1") {
-		fmt.Println(report.Listing1(pivotTranslations[3], pivotResults[3].Case.NProcs))
+		fmt.Fprintln(stdout, report.Listing1(pivotTranslations[3], pivotResults[3].Case.NProcs))
 	}
 	return nil
 }

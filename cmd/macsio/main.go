@@ -29,10 +29,11 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
+	"strings"
 
 	"amrproxyio/internal/faults"
 	"amrproxyio/internal/iosim"
@@ -42,75 +43,50 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "macsio:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	// Split our own flags (before "--") from MACSio flags.
-	var outdir, storage, aggregation, faultsArg, mitigateArg string
+// run splits this command's own flags (-outdir, -storage, -aggregation,
+// -faults, -mitigate, -nodes, -targets, each with one or two dashes, and
+// -v) from the MACSio flags, runs the dumps, and writes the report to
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	var outdir, storage, aggregation, faultsArg, mitigateArg, nodesArg, targetsArg string
 	var verbose bool
-	var nodes, targets int
-	fl := flag.NewFlagSet("macsio", flag.ContinueOnError)
-	fl.StringVar(&outdir, "outdir", "", "write real files under this directory")
-	fl.BoolVar(&verbose, "v", false, "print the output layout and burst report")
-
-	args := os.Args[1:]
+	values := map[string]*string{
+		"outdir": &outdir, "storage": &storage, "aggregation": &aggregation,
+		"faults": &faultsArg, "mitigate": &mitigateArg,
+		"nodes": &nodesArg, "targets": &targetsArg,
+	}
 	var macsioArgs []string
 	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "-outdir", "--outdir":
-			if i+1 < len(args) {
-				outdir = args[i+1]
-				i++
-			}
-		case "-storage", "--storage":
-			if i+1 < len(args) {
-				storage = args[i+1]
-				i++
-			}
-		case "-aggregation", "--aggregation":
-			if i+1 < len(args) {
-				aggregation = args[i+1]
-				i++
-			}
-		case "-faults", "--faults":
-			if i+1 < len(args) {
-				faultsArg = args[i+1]
-				i++
-			}
-		case "-mitigate", "--mitigate":
-			if i+1 < len(args) {
-				mitigateArg = args[i+1]
-				i++
-			}
-		case "-nodes", "--nodes":
-			if i+1 < len(args) {
-				n, err := strconv.Atoi(args[i+1])
-				if err != nil {
-					return fmt.Errorf("-nodes %q: %w", args[i+1], err)
-				}
-				nodes = n
-				i++
-			}
-		case "-targets", "--targets":
-			if i+1 < len(args) {
-				n, err := strconv.Atoi(args[i+1])
-				if err != nil {
-					return fmt.Errorf("-targets %q: %w", args[i+1], err)
-				}
-				targets = n
-				i++
-			}
-		case "-v":
+		arg := args[i]
+		if arg == "-v" {
 			verbose = true
-		default:
-			macsioArgs = append(macsioArgs, args[i])
+			continue
 		}
+		dst, ok := values[strings.TrimPrefix(strings.TrimPrefix(arg, "-"), "-")]
+		if !ok || !strings.HasPrefix(arg, "-") {
+			macsioArgs = append(macsioArgs, arg)
+			continue
+		}
+		if i+1 == len(args) {
+			return fmt.Errorf("flag %s needs a value", arg)
+		}
+		i++
+		*dst = args[i]
 	}
-	_ = fl
+	nodes, err := intFlag("-nodes", nodesArg)
+	if err != nil {
+		return err
+	}
+	targets, err := intFlag("-targets", targetsArg)
+	if err != nil {
+		return err
+	}
 
 	cfg, err := macsio.ParseArgs(macsioArgs)
 	if err != nil {
@@ -182,42 +158,54 @@ func run() error {
 	fs := iosim.New(fsCfg, outdir)
 	eng := resilience.ForFileSystem(policy, fs, cfg.NProcs)
 
-	fmt.Printf("macsio: %s\n", cfg.CommandLine())
+	fmt.Fprintf(stdout, "macsio: %s\n", cfg.CommandLine())
 	recs, err := macsio.RunMitigated(fs, cfg, eng)
 	if err != nil {
 		return err
 	}
 	per := macsio.BytesPerStep(recs)
-	fmt.Println("bytes per dump step:")
+	fmt.Fprintln(stdout, "bytes per dump step:")
 	for _, step := range report.SortedIntKeys(per) {
-		fmt.Printf("  dump %3d  %s\n", step, report.HumanBytes(per[step]))
+		fmt.Fprintf(stdout, "  dump %3d  %s\n", step, report.HumanBytes(per[step]))
 	}
-	fmt.Printf("total: %s across %d dump records\n",
+	fmt.Fprintf(stdout, "total: %s across %d dump records\n",
 		report.HumanBytes(macsio.TotalBytes(recs)), len(recs))
 
 	if verbose {
 		ledger := fs.Ledger()
 		fold := iosim.Fold(ledger)
-		fmt.Println()
-		fmt.Println(report.Fig3(ledger))
-		fmt.Println(report.BurstReport(ledger))
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, report.Fig3(ledger))
+		fmt.Fprintln(stdout, report.BurstReport(ledger))
 		if nodes > 0 {
-			fmt.Println(report.TopologyReport(fold))
+			fmt.Fprintln(stdout, report.TopologyReport(fold))
 		}
-		fmt.Println(fold.Profile().Render())
+		fmt.Fprintln(stdout, fold.Profile().Render())
 		if plan != nil {
 			sum := report.ResilienceSummary{
 				Name:       "macsio",
 				Resilience: faults.Analyze(plan, fold, fs.FaultEvents()),
 			}
-			fmt.Printf("resilience under injected faults:\n%s",
+			fmt.Fprintf(stdout, "resilience under injected faults:\n%s",
 				report.ResilienceReport([]report.ResilienceSummary{sum}))
 		}
 		if eng != nil {
 			out := resilience.Evaluate("macsio", plan, fold, fs.FaultEvents(), eng.Stats())
-			fmt.Printf("mitigation summary:\n%s",
+			fmt.Fprintf(stdout, "mitigation summary:\n%s",
 				report.MitigationTable([]report.MitigationSummary{{Name: "macsio", Outcome: out}}))
 		}
 	}
 	return nil
+}
+
+// intFlag parses the value of an integer flag; an absent flag is 0.
+func intFlag(name, value string) (int, error) {
+	if value == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(value)
+	if err != nil {
+		return 0, fmt.Errorf("%s %q: %w", name, value, err)
+	}
+	return n, nil
 }

@@ -4,7 +4,7 @@
 //
 // The repository builds every substrate the paper depends on — a
 // block-structured AMR hydrodynamics code standing in for AMReX/Castro, a
-// simulated MPI runtime, a parallel-filesystem model standing in for
+// parallel-filesystem model standing in for
 // Summit's GPFS, the AMReX plotfile format, and a port of the MACSio proxy
 // I/O application — plus the paper's contribution: the analytical model
 // translating Castro inputs into MACSio parameters (Eq. 3 and the
@@ -39,10 +39,9 @@
 // ranks on compute nodes (per-node NIC caps) and fans their files into
 // GPFS NSD-style storage targets, so BeginBurst snapshots bandwidth per
 // (rank, target) link rather than one aggregate pool — packed writers
-// contend, spread writers don't. The cached communication plans extend
-// to per-rank-pair traffic volumes (amr.FillBoundaryTraffic), letting
-// mesh exchange and checkpoint/plot bursts share one contention model;
-// the zero Topology keeps the historical aggregate model byte-identical.
+// contend, spread writers don't. The zero Topology keeps the historical
+// aggregate model byte-identical. Like the paper's model, it prices I/O
+// only: communication between ranks has no cost term.
 //
 // Storage is multi-tier: all pricing goes through iosim's pluggable
 // StorageModel interface, selectable per campaign case ("gpfs" | "bb" |
@@ -58,8 +57,8 @@
 //
 //	internal/grid      index-space geometry (boxes, Morton codes,
 //	                   BoxIndex spatial hash)
-//	internal/mpisim    simulated MPI (SPMD ranks, collectives), used
-//	                   only by the benchmark harness
+//	internal/mpisim    an SPMD world of rank goroutines that meet at
+//	                   barriers, used only by the benchmark harness
 //	internal/iosim     parallel filesystem model + write ledger
 //	internal/inputs    AMReX inputs-file parser, Castro configuration
 //	internal/stats     OLS, golden-section minimization, error metrics

@@ -8,9 +8,7 @@
 // Each scale runs twice: once against the aggregate bandwidth pool and
 // once against the per-link topology model (ranks packed onto Summit
 // nodes, per-node NIC caps, Alpine NSD fan-in), showing how placement
-// stretches the same byte volume into longer bursts. The surrogate's
-// mesh-exchange traffic is priced on the same topology, so compute and
-// I/O traffic share one contention model.
+// stretches the same byte volume into longer bursts.
 //
 // The closing sections are the experiment sweeps, each a campaign.Axis
 // expanded by campaign.Cross: one Summit-scale case swept across
@@ -40,19 +38,7 @@ import (
 	"amrproxyio/internal/iosim"
 	"amrproxyio/internal/report"
 	"amrproxyio/internal/resilience"
-	"amrproxyio/internal/surrogate"
 )
-
-// totalCross sums the cross-rank traffic volume of an exchange.
-func totalCross(pairs []iosim.PairBytes) int64 {
-	var n int64
-	for _, p := range pairs {
-		if p.Src != p.Dst {
-			n += p.Bytes
-		}
-	}
-	return n
-}
 
 func main() {
 	fmt.Println("Summit-scale AMR I/O scaling study (surrogate engine, metadata only)")
@@ -93,28 +79,16 @@ func main() {
 		}
 	}
 
-	// The mesh side of the same contention model: the surrogate's ghost
-	// exchange priced per-node (solver stencil: 2 ghosts, 4 components).
 	large := campaign.LargeCase()
-	topo := large.Topology()
-	runner, err := surrogate.New(large.Inputs(), surrogate.DefaultOptions(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	traffic := runner.ExchangeTraffic(2, 4)
-	fmt.Printf("\nMesh exchange on %d nodes (%s): %s/step cross-rank, %.4gs at the NICs\n",
-		topo.Nodes, large.Name,
-		report.HumanBytes(totalCross(traffic)),
-		topo.ExchangeTime(traffic, large.NProcs, 0))
-
 	topoCfg := iosim.DefaultConfig()
-	topoCfg.Topology = topo
+	topoCfg.Topology = large.Topology()
 	tfs := iosim.New(topoCfg, "")
 	res, err := campaign.Run(large, tfs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("I/O bursts on the same topology: %s\n", report.LinkSummary(iosim.BurstStats(tfs.Ledger())))
+	fmt.Printf("\nI/O bursts on %d nodes (%s): %s\n",
+		topoCfg.Topology.Nodes, large.Name, report.LinkSummary(iosim.BurstStats(tfs.Ledger())))
 
 	// Fig. 11: the 8192^2 per-step series against the calibrated kernel.
 	fmt.Println("\nFig. 11 comparison (8192^2, kernel model vs surrogate measurement):")

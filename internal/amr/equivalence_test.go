@@ -271,22 +271,69 @@ func TestExchangePlanMatchesNaive(t *testing.T) {
 	}
 }
 
+// exchangeVolume is the off-rank byte volume of one ghost exchange on
+// (ba, dm): every cached FillBoundary copy whose source and destination
+// boxes have different owners.
+func exchangeVolume(ba BoxArray, dm DistributionMapping, nghost, ncomp int) int64 {
+	var v int64
+	for _, p := range fillBoundaryPlan(ba, nghost).pairs {
+		if dm.Owner[p.srcIdx] != dm.Owner[p.dstIdx] {
+			v += p.region.NumPts() * int64(ncomp) * 8
+		}
+	}
+	return v
+}
+
+// naiveExchangeVolume is exchangeVolume over the naive all-pairs list.
+func naiveExchangeVolume(mf *MultiFab) int64 {
+	var v int64
+	for _, p := range naiveExchangePairs(mf) {
+		if mf.DM.Owner[p.srcIdx] != mf.DM.Owner[p.dstIdx] {
+			v += p.region.NumPts() * int64(mf.NComp) * 8
+		}
+	}
+	return v
+}
+
+func TestExchangeVolume(t *testing.T) {
+	dom := grid.NewBox(grid.IV(0, 0), grid.IV(15, 15))
+	ba := SingleBoxArray(dom, 8, 8)
+	// All boxes on one rank: zero off-rank volume.
+	if v := exchangeVolume(ba, MustDistribute(ba, 1, DistRoundRobin), 2, 2); v != 0 {
+		t.Errorf("single-rank volume = %d", v)
+	}
+	// Spread over 4 ranks: every neighbor overlap crosses ranks, and the
+	// volume is the naive all-pairs reference's off-rank total.
+	dm := MustDistribute(ba, 4, DistRoundRobin)
+	want := naiveExchangeVolume(NewMultiFab(ba, dm, 2, 2))
+	if v := exchangeVolume(ba, dm, 2, 2); v <= 0 || v != want {
+		t.Errorf("4-rank volume = %d, naive %d", v, want)
+	}
+}
+
+func TestExchangeVolumeDependsOnMapping(t *testing.T) {
+	// SFC keeps neighbors on the same rank more often than round-robin on
+	// a regular grid, so its off-rank exchange volume must not exceed
+	// round-robin's.
+	dom := grid.NewBox(grid.IV(0, 0), grid.IV(63, 63))
+	ba := SingleBoxArray(dom, 8, 8) // 64 boxes
+	rr := exchangeVolume(ba, MustDistribute(ba, 8, DistRoundRobin), 1, 1)
+	sfc := exchangeVolume(ba, MustDistribute(ba, 8, DistSFC), 1, 1)
+	if sfc > rr {
+		t.Errorf("SFC volume %d > round-robin volume %d", sfc, rr)
+	}
+}
+
 // TestExchangeVolumeAndDistributedMatchNaive: on random tilings
-// distributed over 1-4 ranks, the off-rank volume of the analytic
-// exchange traffic equals the naive pair list's.
+// distributed over 1-4 ranks, the off-rank volume of the cached exchange
+// plan equals the naive pair list's.
 func TestExchangeVolumeAndDistributedMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dom := grid.NewBox(grid.IV(0, 0), grid.IV(63, 63))
 	for iter := 0; iter < 10; iter++ {
 		ba := randomTiling(rng, dom, 0.85)
 		dm := MustDistribute(ba, rng.Intn(4)+1, DistKnapsack)
-		mf := NewMultiFab(ba, dm, 2, 2)
-		var want int64
-		for _, p := range naiveExchangePairs(mf) {
-			if dm.Owner[p.srcIdx] != dm.Owner[p.dstIdx] {
-				want += p.region.NumPts() * int64(mf.NComp) * 8
-			}
-		}
+		want := naiveExchangeVolume(NewMultiFab(ba, dm, 2, 2))
 		if got := exchangeVolume(ba, dm, 2, 2); got != want {
 			t.Fatalf("iter %d: exchange volume %d, naive %d", iter, got, want)
 		}

@@ -23,16 +23,15 @@ const (
 	opCopyInto
 	opAverageDown
 	opFillPatchCoarse
-	opPairTraffic
 )
 
-// planKey identifies one cached plan. aFP/bFP are BoxArray fingerprints;
-// p1/p2 carry the scalar parameters (ghost width, refinement ratio, or a
-// hashed domain box).
+// planKey identifies one cached plan. aFP/bFP are BoxArray fingerprints
+// (or a hashed domain box); p1 carries the scalar parameter (ghost width
+// or refinement ratio).
 type planKey struct {
 	op       planOp
 	aFP, bFP uint64
-	p1, p2   uint64
+	p1       uint64
 }
 
 // copyPair is one region copy: FABs[dstIdx] receives src data over region.
@@ -42,8 +41,7 @@ type copyPair struct {
 }
 
 // copyPlan is a reusable copy schedule. pairs is sorted by (srcIdx,
-// dstIdx) — the deterministic wire order of the distributed exchange —
-// while byDst groups the same pairs per destination FAB in ascending
+// dstIdx) while byDst groups the same pairs per destination FAB in ascending
 // source order, the layout the shared-memory consumers replay in parallel.
 type copyPlan struct {
 	pairs []copyPair
@@ -100,9 +98,9 @@ func PlanCacheStats() (hits, misses uint64) {
 }
 
 // finishCopyPlan builds the per-destination view of pairs. The builders
-// append in src-major, ascending-dst order — already the deterministic
-// (srcIdx, dstIdx) wire order of the distributed exchange, since each
-// src/dst box pair overlaps in at most one rectangle — so grouping
+// append in src-major, ascending-dst order — already sorted by (srcIdx,
+// dstIdx), since each src/dst box pair overlaps in at most one
+// rectangle — so grouping
 // preserves ascending srcIdx within each destination and no sort is
 // needed. The groups are a counting sort into one backing array, each
 // capped at its own length, rather than one growing slice per FAB.

@@ -18,8 +18,7 @@ import (
 //
 //  1. Gather: non-aggregator ranks ship their share over the intra-node
 //     plane to their node's aggregator(s), priced against the spec's
-//     gather bandwidth split across the node's concurrent senders (the
-//     same intra-node bandwidth vocabulary as Topology.ExchangeTime).
+//     gather bandwidth split across the node's concurrent senders.
 //  2. Write: only aggregator ranks open files and drive the storage
 //     stack, so the NIC/NSD contention snapshot is taken over the
 //     aggregator set — lower fan-in, fewer opens — and each member's

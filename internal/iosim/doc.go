@@ -61,9 +61,8 @@
 // labels, and BurstStats/Characterize gain per-node and per-link skew
 // aggregations. The zero Topology keeps the historical aggregate model
 // byte-identical — durations, records, statistics and renderings are
-// pinned by a property test. Topology.ExchangeTime prices rank-pair
-// traffic (e.g. amr mesh-exchange volumes) on the same node/NIC
-// vocabulary, so compute and I/O traffic share one contention model.
+// pinned by a property test. Only I/O is priced: like the paper's model,
+// the package has no communication term.
 //
 // # Storage-tier models
 //

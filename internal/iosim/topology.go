@@ -1,7 +1,5 @@
 package iosim
 
-import "math"
-
 // Distribution-mapping-aware per-link contention model.
 //
 // The aggregate model (Config.AggregateBandwidth shared by all writers)
@@ -179,59 +177,4 @@ func (t Topology) snapshot(cfg Config, n int) *linkSnapshot {
 		perRank[r] = bw
 	}
 	return &linkSnapshot{perRank: perRank}
-}
-
-// PairBytes attributes a traffic volume to a (source rank, destination
-// rank) pair. The AMR layer produces these from its cached communication
-// plans (amr.FillBoundaryTraffic), so mesh-exchange traffic and the
-// checkpoint/plot bursts recorded in the ledger share one contention
-// vocabulary.
-type PairBytes struct {
-	Src   int
-	Dst   int
-	Bytes int64
-}
-
-// ExchangeTime estimates the wall time of a bulk-synchronous exchange of
-// the given rank-pair volumes on this topology for a job of nprocs ranks.
-// Cross-node pairs load the source node's transmit side and the
-// destination node's receive side of the NIC (full duplex: a node's cost
-// is max(tx, rx)/NICBandwidth); same-node pairs move at intraNodeBW
-// (0 = free, the shared-memory assumption). The burst completes when the
-// busiest node finishes, so the result is the max over nodes. A disabled
-// topology, or one without a NIC cap, prices cross-node traffic at zero.
-func (t Topology) ExchangeTime(pairs []PairBytes, nprocs int, intraNodeBW float64) float64 {
-	if !t.Enabled() {
-		return 0
-	}
-	rpn := t.ranksPerNode(nprocs)
-	tx := make([]float64, t.Nodes)
-	rx := make([]float64, t.Nodes)
-	intra := make([]float64, t.Nodes)
-	for _, p := range pairs {
-		if p.Src < 0 || p.Dst < 0 || p.Bytes <= 0 {
-			continue
-		}
-		sn, dn := t.nodeOf(p.Src, rpn), t.nodeOf(p.Dst, rpn)
-		if sn == dn {
-			intra[sn] += float64(p.Bytes)
-			continue
-		}
-		tx[sn] += float64(p.Bytes)
-		rx[dn] += float64(p.Bytes)
-	}
-	var wall float64
-	for n := 0; n < t.Nodes; n++ {
-		var tn float64
-		if t.NICBandwidth > 0 {
-			tn = math.Max(tx[n], rx[n]) / t.NICBandwidth
-		}
-		if intraNodeBW > 0 {
-			tn += intra[n] / intraNodeBW
-		}
-		if tn > wall {
-			wall = tn
-		}
-	}
-	return wall
 }

@@ -341,33 +341,6 @@ func TestTopologyAggregations(t *testing.T) {
 	}
 }
 
-// TestExchangeTime checks the mesh-traffic side of the contention model.
-func TestExchangeTime(t *testing.T) {
-	topo := Topology{Nodes: 2, RanksPerNode: 1, NICBandwidth: 1e9}
-	pairs := []PairBytes{
-		{Src: 0, Dst: 1, Bytes: 2e9}, // cross-node: 2s at 1 GB/s
-		{Src: 1, Dst: 0, Bytes: 1e9}, // reverse direction, full duplex
-	}
-	// Node 0: tx 2e9, rx 1e9 -> max 2e9 -> 2s. Node 1 mirrors.
-	if got := topo.ExchangeTime(pairs, 2, 0); math.Abs(got-2) > 1e-12 {
-		t.Errorf("ExchangeTime = %g, want 2", got)
-	}
-	// Same-node traffic is free without an intra-node bandwidth...
-	intra := []PairBytes{{Src: 0, Dst: 1, Bytes: 4e9}}
-	packed := Topology{Nodes: 2, RanksPerNode: 2, NICBandwidth: 1e9}
-	if got := packed.ExchangeTime(intra, 2, 0); got != 0 {
-		t.Errorf("intra-node ExchangeTime = %g, want 0 (free)", got)
-	}
-	// ...and moves at intraNodeBW when one is given.
-	if got := packed.ExchangeTime(intra, 2, 2e9); math.Abs(got-2) > 1e-12 {
-		t.Errorf("intra-node ExchangeTime = %g, want 2", got)
-	}
-	// Disabled topology prices everything at zero.
-	if got := (Topology{}).ExchangeTime(pairs, 2, 1); got != 0 {
-		t.Errorf("disabled ExchangeTime = %g, want 0", got)
-	}
-}
-
 // TestTopologyForCase pins the Summit-derived helper.
 func TestTopologyForCase(t *testing.T) {
 	topo := TopologyForCase(2, 32)

@@ -3,168 +3,41 @@ package mpisim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
-// AnySource can be passed to Recv to match a message from any rank.
-// Library code in this repository always names its source so that runs
-// remain deterministic; AnySource exists for tests and experimentation.
-const AnySource = -1
-
-// Message tags used by the built-in collectives. User tags must be >= 0.
-const (
-	tagBarrier = -100 - iota
-	tagBcast
-	tagReduce
-	tagGather
-	tagScan
-)
-
-// message is a single point-to-point payload. seq is the mailbox arrival
-// stamp; AnySource matching uses it to preserve arrival order across
-// senders.
-type message struct {
-	src, tag int
-	seq      uint64
-	data     interface{}
-}
-
-// mkey buckets pending messages by their full match key.
-type mkey struct{ src, tag int }
-
-// msgQueue is a FIFO of matching messages. Pops advance head instead of
-// re-slicing so delivery is O(1); the backing array is reset when drained.
-type msgQueue struct {
-	msgs []message
-	head int
-}
-
-func (q *msgQueue) empty() bool { return q.head == len(q.msgs) }
-
-func (q *msgQueue) push(msg message) { q.msgs = append(q.msgs, msg) }
-
-func (q *msgQueue) pop() message {
-	msg := q.msgs[q.head]
-	q.msgs[q.head].data = nil // drop the payload reference
-	q.head++
-	switch {
-	case q.empty():
-		q.msgs = q.msgs[:0]
-		q.head = 0
-	case q.head > 32 && q.head*2 >= len(q.msgs):
-		// Compact the dead prefix so a bucket that never fully drains
-		// (steady producer one message ahead of the consumer) stays
-		// bounded by its live depth instead of its lifetime volume.
-		n := copy(q.msgs, q.msgs[q.head:])
-		q.msgs = q.msgs[:n]
-		q.head = 0
-	}
-	return msg
-}
-
-// mailbox is the per-rank receive queue. Pending messages are bucketed by
-// (src, tag) so a Recv with a named source matches in O(1) map lookups
-// instead of scanning one flat queue per wakeup — under a cond.Broadcast
-// storm during a large burst the old O(n) scan made matching quadratic.
-// AnySource receives scan only the bucket heads for the tag (bounded by
-// the number of distinct senders) and take the earliest arrival.
-type mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	buckets map[mkey]*msgQueue
-	seq     uint64
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{buckets: map[mkey]*msgQueue{}}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func (m *mailbox) put(msg message) {
-	m.mu.Lock()
-	k := mkey{src: msg.src, tag: msg.tag}
-	q := m.buckets[k]
-	if q == nil {
-		q = &msgQueue{}
-		m.buckets[k] = q
-	}
-	msg.seq = m.seq
-	m.seq++
-	q.push(msg)
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-func (m *mailbox) get(src, tag int) message {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if src != AnySource {
-			if q := m.buckets[mkey{src: src, tag: tag}]; q != nil && !q.empty() {
-				return q.pop()
-			}
-		} else {
-			var best *msgQueue
-			for k, q := range m.buckets {
-				if k.tag != tag || q.empty() {
-					continue
-				}
-				if best == nil || q.msgs[q.head].seq < best.msgs[best.head].seq {
-					best = q
-				}
-			}
-			if best != nil {
-				return best.pop()
-			}
-		}
-		m.cond.Wait()
-	}
-}
-
-// World owns the mailboxes for a fixed number of ranks.
+// World is a fixed set of ranks that meet at barriers.
 type World struct {
-	size      int
-	mailboxes []*mailbox
-
-	statsMu sync.Mutex
-	stats   TrafficStats
+	size int
+	// arrive[r] is rank 0's mailbox for rank r's barrier arrival, and
+	// release[r] is rank r's mailbox for rank 0's release. One slot each
+	// is enough: a rank cannot reach its next barrier before the previous
+	// one released it.
+	arrive, release []chan struct{}
+	messages        atomic.Int64
 }
 
-// TrafficStats aggregates message-passing volume across a run; the I/O
-// study uses it to confirm communication is not the bottleneck being
-// modeled.
+// TrafficStats counts the messages a world's ranks have sent.
 type TrafficStats struct {
 	Messages int64
-	Bytes    int64
 }
 
-// NewWorld creates a communicator world with n ranks.
+// NewWorld creates a world of n ranks. It panics unless n is positive.
 func NewWorld(n int) *World {
 	if n <= 0 {
 		panic(fmt.Sprintf("mpisim: world size %d must be positive", n))
 	}
-	w := &World{size: n, mailboxes: make([]*mailbox, n)}
-	for i := range w.mailboxes {
-		w.mailboxes[i] = newMailbox()
+	w := &World{size: n, arrive: make([]chan struct{}, n), release: make([]chan struct{}, n)}
+	for r := 0; r < n; r++ {
+		w.arrive[r] = make(chan struct{}, 1)
+		w.release[r] = make(chan struct{}, 1)
 	}
 	return w
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
-// Stats returns a snapshot of cumulative traffic statistics.
+// Stats returns the cumulative message count.
 func (w *World) Stats() TrafficStats {
-	w.statsMu.Lock()
-	defer w.statsMu.Unlock()
-	return w.stats
-}
-
-func (w *World) record(bytes int) {
-	w.statsMu.Lock()
-	w.stats.Messages++
-	w.stats.Bytes += int64(bytes)
-	w.statsMu.Unlock()
+	return TrafficStats{Messages: w.messages.Load()}
 }
 
 // Comm is a rank's handle onto the world.
@@ -173,25 +46,10 @@ type Comm struct {
 	rank  int
 }
 
-// Rank returns this rank's id in [0, Size).
-func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the world size.
-func (c *Comm) Size() int { return c.world.size }
-
-// World returns the underlying world (for stats inspection).
-func (c *Comm) World() *World { return c.world }
-
-// Run executes fn as an SPMD program on n ranks and blocks until every rank
-// returns. A panic on any rank is captured and returned as an error after
-// all surviving ranks finish or the panicking rank's absence deadlocks them
-// — callers should treat an error as fatal for the whole run.
-func Run(n int, fn func(c *Comm) error) error {
-	w := NewWorld(n)
-	return w.Run(fn)
-}
-
-// Run executes fn on every rank of an existing world.
+// Run executes fn on every rank, one goroutine each, and blocks until
+// every rank returns. A panic on a rank becomes that rank's error, and the
+// first error in rank order is returned. A rank that exits while others
+// wait for it at a barrier leaves them, and Run, blocked for good.
 func (w *World) Run(fn func(c *Comm) error) error {
 	errs := make([]error, w.size)
 	var wg sync.WaitGroup
@@ -216,50 +74,25 @@ func (w *World) Run(fn func(c *Comm) error) error {
 	return nil
 }
 
-// Send delivers data to rank dst with the given tag. It never blocks.
-func (c *Comm) Send(dst, tag int, data interface{}) {
-	if dst < 0 || dst >= c.world.size {
-		panic(fmt.Sprintf("mpisim: send to invalid rank %d (size %d)", dst, c.world.size))
+// Barrier blocks until every rank has entered it: each rank sends rank 0
+// an arrival, and rank 0, once it has them all, sends each a release —
+// 2(P-1) messages.
+func (c *Comm) Barrier() {
+	w := c.world
+	if c.rank != 0 {
+		w.send(w.arrive[c.rank])
+		<-w.release[c.rank]
+		return
 	}
-	c.world.record(payloadBytes(data))
-	c.world.mailboxes[dst].put(message{src: c.rank, tag: tag, data: data})
-}
-
-// Recv blocks until a message with matching source and tag arrives and
-// returns its payload and actual source.
-func (c *Comm) Recv(src, tag int) (data interface{}, from int) {
-	msg := c.world.mailboxes[c.rank].get(src, tag)
-	return msg.data, msg.src
-}
-
-// Sizer lets custom payload types report their wire size for traffic
-// statistics.
-type Sizer interface {
-	WireBytes() int
-}
-
-// payloadBytes estimates the wire size of a payload for traffic stats.
-func payloadBytes(data interface{}) int {
-	switch v := data.(type) {
-	case nil:
-		return 0
-	case Sizer:
-		return v.WireBytes()
-	case []byte:
-		return len(v)
-	case []float64:
-		return 8 * len(v)
-	case []int64:
-		return 8 * len(v)
-	case []int:
-		return 8 * len(v)
-	case float64:
-		return 8
-	case int64, int:
-		return 8
-	case string:
-		return len(v)
-	default:
-		return 8
+	for r := 1; r < w.size; r++ {
+		<-w.arrive[r]
 	}
+	for r := 1; r < w.size; r++ {
+		w.send(w.release[r])
+	}
+}
+
+func (w *World) send(mailbox chan struct{}) {
+	w.messages.Add(1)
+	mailbox <- struct{}{}
 }

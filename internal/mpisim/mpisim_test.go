@@ -6,198 +6,43 @@ import (
 	"testing"
 )
 
-func TestSendRecvOrdering(t *testing.T) {
-	// Messages between one (src,dst,tag) triple arrive in send order.
-	err := Run(2, func(c *Comm) error {
-		const n = 100
-		if c.Rank() == 0 {
-			for i := 0; i < n; i++ {
-				c.Send(1, 7, []int64{int64(i)})
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				got, from := c.Recv(0, 7)
-				if from != 0 {
-					return errors.New("wrong source")
-				}
-				if got.([]int64)[0] != int64(i) {
-					t.Errorf("out of order: got %d want %d", got.([]int64)[0], i)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvMatchesTag(t *testing.T) {
-	// A receiver waiting on tag B is not woken by tag A.
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 1, "first-tag1")
-			c.Send(1, 2, "first-tag2")
-			c.Send(1, 1, "second-tag1")
-		} else {
-			got, _ := c.Recv(0, 2)
-			if got.(string) != "first-tag2" {
-				t.Errorf("tag 2 recv = %v", got)
-			}
-			got, _ = c.Recv(0, 1)
-			if got.(string) != "first-tag1" {
-				t.Errorf("tag 1 first recv = %v", got)
-			}
-			got, _ = c.Recv(0, 1)
-			if got.(string) != "second-tag1" {
-				t.Errorf("tag 1 second recv = %v", got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAnySource(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
-		if c.Rank() == 0 {
-			seen := map[int]bool{}
-			for i := 0; i < 3; i++ {
-				_, from := c.Recv(AnySource, 5)
-				seen[from] = true
-			}
-			if len(seen) != 3 {
-				t.Errorf("expected 3 distinct senders, got %v", seen)
-			}
-		} else {
-			c.Send(0, 5, c.Rank())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBarrier(t *testing.T) {
+	const ranks, rounds = 8, 3
 	var phase atomic.Int64
-	err := Run(8, func(c *Comm) error {
-		phase.Add(1)
-		c.Barrier()
-		// After the barrier every rank must observe all 8 arrivals.
-		if got := phase.Load(); got != 8 {
-			t.Errorf("rank %d saw phase %d after barrier", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcast(t *testing.T) {
-	err := Run(5, func(c *Comm) error {
-		var v interface{}
-		if c.Rank() == 2 {
-			v = []float64{3.5, 4.5}
-		}
-		got := c.Bcast(2, v).([]float64)
-		if got[0] != 3.5 || got[1] != 4.5 {
-			t.Errorf("rank %d bcast got %v", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllreduce(t *testing.T) {
-	err := Run(6, func(c *Comm) error {
-		sum := c.Allreduce(float64(c.Rank()+1), OpSum)
-		if sum != 21 {
-			t.Errorf("sum = %g", sum)
-		}
-		mn := c.Allreduce(float64(c.Rank()+1), OpMin)
-		if mn != 1 {
-			t.Errorf("min = %g", mn)
-		}
-		mx := c.Allreduce(float64(c.Rank()+1), OpMax)
-		if mx != 6 {
-			t.Errorf("max = %g", mx)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceNonRootGetsZero(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
-		v := c.Reduce(1, 10, OpSum)
-		if c.Rank() == 1 && v != 30 {
-			t.Errorf("root reduce = %g", v)
-		}
-		if c.Rank() != 1 && v != 0 {
-			t.Errorf("non-root reduce = %g", v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherAllgather(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
-		all := c.Allgather(int64(c.Rank() * 10))
-		if len(all) != 4 {
-			t.Fatalf("allgather len = %d", len(all))
-		}
-		for r, v := range all {
-			if v.(int64) != int64(r*10) {
-				t.Errorf("allgather[%d] = %v", r, v)
+	w := NewWorld(ranks)
+	err := w.Run(func(c *Comm) error {
+		for i := 1; i <= rounds; i++ {
+			phase.Add(1)
+			c.Barrier()
+			// After barrier i every rank must observe all 8 arrivals at it.
+			if got := phase.Load(); got != int64(i*ranks) {
+				t.Errorf("rank %d saw phase %d after barrier %d", c.rank, got, i)
 			}
-		}
-		rooted := c.Gather(2, c.Rank())
-		if c.Rank() == 2 {
-			for r := 0; r < 4; r++ {
-				if rooted[r].(int) != r {
-					t.Errorf("gather[%d] = %v", r, rooted[r])
-				}
-			}
-		} else if rooted != nil {
-			t.Error("non-root gather should be nil")
+			c.Barrier() // nobody starts round i+1 before all have checked
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-}
+	// 2 barriers a round, each 2(P-1) messages.
+	if got, want := w.Stats().Messages, int64(rounds*2*2*(ranks-1)); got != want {
+		t.Errorf("messages = %d, want %d", got, want)
+	}
 
-func TestExclusiveScan(t *testing.T) {
-	err := Run(5, func(c *Comm) error {
-		// Each rank contributes rank+1; prefix on rank r is r(r+1)/2.
-		got := c.ExclusiveScanInt64(int64(c.Rank() + 1))
-		want := int64(c.Rank() * (c.Rank() + 1) / 2)
-		if got != want {
-			t.Errorf("rank %d scan = %d, want %d", c.Rank(), got, want)
-		}
-		return nil
-	})
-	if err != nil {
+	one := NewWorld(1)
+	if err := one.Run(func(c *Comm) error { c.Barrier(); return nil }); err != nil {
 		t.Fatal(err)
+	}
+	if got := one.Stats().Messages; got != 0 {
+		t.Errorf("single-rank barrier sent %d messages, want 0", got)
 	}
 }
 
 func TestRunPropagatesError(t *testing.T) {
 	sentinel := errors.New("rank failure")
-	err := Run(3, func(c *Comm) error {
-		if c.Rank() == 2 {
+	err := NewWorld(3).Run(func(c *Comm) error {
+		if c.rank == 2 {
 			return sentinel
 		}
 		return nil
@@ -208,55 +53,14 @@ func TestRunPropagatesError(t *testing.T) {
 }
 
 func TestRunRecoversPanic(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 1 {
+	err := NewWorld(2).Run(func(c *Comm) error {
+		if c.rank == 1 {
 			panic("boom")
 		}
 		return nil
 	})
 	if err == nil {
 		t.Fatal("panic not converted to error")
-	}
-}
-
-func TestSingleRankCollectives(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		c.Barrier()
-		if v := c.Allreduce(42, OpSum); v != 42 {
-			t.Errorf("allreduce = %g", v)
-		}
-		if got := c.Bcast(0, "x").(string); got != "x" {
-			t.Errorf("bcast = %q", got)
-		}
-		if all := c.Allgather(7); len(all) != 1 || all[0].(int) != 7 {
-			t.Errorf("allgather = %v", all)
-		}
-		if s := c.ExclusiveScanInt64(9); s != 0 {
-			t.Errorf("scan = %d", s)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTrafficStats(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, 0, []byte{1, 2, 3, 4})
-		} else {
-			c.Recv(0, 0)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := w.Stats()
-	if st.Messages != 1 || st.Bytes != 4 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -267,106 +71,4 @@ func TestInvalidWorldSizePanics(t *testing.T) {
 		}
 	}()
 	NewWorld(0)
-}
-
-func TestSendInvalidRankPanicsAndIsRecovered(t *testing.T) {
-	err := Run(1, func(c *Comm) error {
-		c.Send(5, 0, nil)
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected error from invalid send")
-	}
-}
-
-func TestManyRanksStress(t *testing.T) {
-	// Ring exchange on 64 ranks: each rank sends to the next and receives
-	// from the previous, followed by a barrier, many times.
-	const ranks, rounds = 64, 20
-	err := Run(ranks, func(c *Comm) error {
-		next := (c.Rank() + 1) % ranks
-		prev := (c.Rank() + ranks - 1) % ranks
-		token := int64(c.Rank())
-		for i := 0; i < rounds; i++ {
-			c.Send(next, 9, token)
-			got, _ := c.Recv(prev, 9)
-			token = got.(int64)
-			c.Barrier()
-		}
-		// After `rounds` hops the token originated `rounds` ranks back.
-		want := int64((c.Rank() + ranks - rounds%ranks) % ranks)
-		if token != want {
-			t.Errorf("rank %d token = %d, want %d", c.Rank(), token, want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBucketedMatchingManySourcesAndTags floods one receiver with
-// interleaved (src, tag) streams and checks per-pair FIFO order plus
-// arrival-order AnySource draining — the properties the (src, tag)
-// bucketed mailbox must preserve over the old flat-queue scan.
-func TestBucketedMatchingManySourcesAndTags(t *testing.T) {
-	const ranks, perTag = 8, 25
-	err := Run(ranks, func(c *Comm) error {
-		if c.Rank() != 0 {
-			for i := 0; i < perTag; i++ {
-				for tag := 0; tag < 3; tag++ {
-					c.Send(0, tag, []int{c.Rank(), tag, i})
-				}
-			}
-			return nil
-		}
-		// Drain tag 2 first, then tag 0, then tag 1 — each out of send
-		// order relative to the others, in order within a (src, tag) pair.
-		for _, tag := range []int{2, 0, 1} {
-			next := map[int]int{}
-			for n := 0; n < (ranks-1)*perTag; n++ {
-				got, from := c.Recv(AnySource, tag)
-				v := got.([]int)
-				if v[0] != from || v[1] != tag {
-					t.Errorf("mismatched envelope: %v from %d tag %d", v, from, tag)
-				}
-				if v[2] != next[from] {
-					t.Errorf("src %d tag %d: got seq %d, want %d", from, tag, v[2], next[from])
-				}
-				next[from]++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAnySourceArrivalOrder pins the bucket-scan tie-break: AnySource
-// must deliver in mailbox arrival order even across different senders.
-func TestAnySourceArrivalOrder(t *testing.T) {
-	err := Run(3, func(c *Comm) error {
-		switch c.Rank() {
-		case 1:
-			c.Send(0, 9, "from-1")
-			c.Send(2, 0, nil) // let rank 2 send second
-		case 2:
-			c.Recv(1, 0)
-			c.Send(0, 9, "from-2")
-			c.Send(0, 0, nil) // release the receiver
-		case 0:
-			c.Recv(2, 0) // both tag-9 messages are now enqueued, 1 before 2
-			if got, from := c.Recv(AnySource, 9); from != 1 || got.(string) != "from-1" {
-				t.Errorf("first AnySource recv = %v from %d, want from-1", got, from)
-			}
-			if got, from := c.Recv(AnySource, 9); from != 2 || got.(string) != "from-2" {
-				t.Errorf("second AnySource recv = %v from %d, want from-2", got, from)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

@@ -120,22 +120,6 @@ func (r *Runner) FinestLevel() int { return len(r.BAs) - 1 }
 // use.
 func (r *Runner) Rebuild() error { return r.Regrid() }
 
-// ExchangeTraffic returns the per-rank-pair ghost-exchange volume the
-// current hierarchy would generate with the given stencil width and
-// component count (the solver uses nghost=2 and 4 conserved components).
-// Like the size-only plotfile path, it needs no field data: the cached
-// communication plans plus the distribution mappings determine the
-// volumes, so Summit-scale what-if placement studies stay cheap. Feed the
-// result to iosim.Topology.ExchangeTime alongside the write ledger to
-// price mesh and I/O traffic with one contention model.
-func (r *Runner) ExchangeTraffic(nghost, ncomp int) []iosim.PairBytes {
-	var perLevel [][]amr.PairTraffic
-	for l := range r.BAs {
-		perLevel = append(perLevel, amr.FillBoundaryTraffic(r.BAs[l], r.DMs[l], nghost, ncomp))
-	}
-	return sim.MergeExchangeTraffic(perLevel)
-}
-
 // Regrid regenerates every level's BoxArray for the current time. The
 // only error source is an unknown distribution strategy, which New
 // already rejects, so a validated Runner never fails here.

@@ -1,8 +1,8 @@
 // Structural invariant: the output sequence (shed → remap → burst →
 // observe → compute-phase clocks → adaptive checkpoint) lives once, in
 // internal/driver. These tests parse the engines' source so a second
-// copy cannot grow back in either of them unnoticed, the burst writers'
-// source so an SPMD world cannot come back into a burst, and the I/O
+// copy cannot grow back in either of them unnoticed, every package but
+// the benchmark harness so an SPMD world cannot come back, and the I/O
 // model's source so its single-writer design cannot grow locks back.
 package amrproxyio_test
 
@@ -57,13 +57,29 @@ func parseDirs(t *testing.T, min int, dirs ...string) map[string]*ast.File {
 
 // TestBurstWritersRunNoSPMDWorld: the plotfile, checkpoint and MACSio
 // writers price a burst rank by rank on the caller's goroutine, and the
-// mesh exchange is priced analytically from the box lists, so none of
-// these packages may import the SPMD runtime back.
+// model prices no communication, so only the benchmark harness, which
+// times a world from outside, may import the SPMD runtime.
 func TestBurstWritersRunNoSPMDWorld(t *testing.T) {
-	for path, f := range parseDirs(t, 5, "internal/plotfile", "internal/macsio", "internal/amr") {
+	var dirs []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		switch {
+		case d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case path != "cmd/amrio-bench" && path != "internal/mpisim":
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, f := range parseDirs(t, 90, dirs...) {
 		for _, imp := range f.Imports {
 			if imp.Path.Value == `"amrproxyio/internal/mpisim"` {
-				t.Errorf("%s imports internal/mpisim; bursts and exchanges need no SPMD world", path)
+				t.Errorf("%s imports internal/mpisim; only cmd/amrio-bench may start an SPMD world", path)
 			}
 		}
 	}
