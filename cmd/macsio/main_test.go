@@ -32,14 +32,16 @@ func TestRunRejectsTrailingValueFlag(t *testing.T) {
 		"-outdir", "-storage", "-aggregation", "-faults", "-mitigate", "-nodes", "-targets",
 		"--storage", "--nodes",
 	} {
-		var out bytes.Buffer
-		err := run(append(append([]string(nil), small...), flag), &out)
-		if err == nil || !strings.Contains(err.Error(), flag+" needs a value") {
-			t.Errorf("%s: err = %v, want it named as missing its value", flag, err)
-		}
-		if out.Len() != 0 {
-			t.Errorf("%s: ran and printed\n%s", flag, out.String())
-		}
+		t.Run(flag, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(append(append([]string(nil), small...), flag), &out)
+			if err == nil || !strings.Contains(err.Error(), flag+" needs a value") {
+				t.Errorf("err = %v, want %s named as missing its value", err, flag)
+			}
+			if out.Len() != 0 {
+				t.Errorf("ran and printed\n%s", out.String())
+			}
+		})
 	}
 }
 
