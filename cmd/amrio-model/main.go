@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"amrproxyio/internal/campaign"
@@ -27,16 +29,24 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "amrio-model:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	resultPath := flag.String("result", "", "measured run JSON (default: run a quick case4 now)")
-	csv := flag.Bool("csv", false, "emit the Fig. 9 series as CSV")
-	flag.Parse()
+// run parses args and writes the methodology loop's report to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("amrio-model", flag.ContinueOnError)
+	resultPath := flags.String("result", "", "measured run JSON (default: run a quick case4 now)")
+	csv := flags.Bool("csv", false, "emit the Fig. 9 series as CSV")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	var res campaign.Result
 	if *resultPath != "" {
@@ -46,7 +56,7 @@ func run() error {
 			return err
 		}
 	} else {
-		fmt.Println("no -result given; running a scaled case4 pivot now...")
+		fmt.Fprintln(stdout, "no -result given; running a scaled case4 pivot now...")
 		out, err := campaign.NewExecutor(0, false).RunCase(campaign.Case4().Scaled(8), 0)
 		if err != nil {
 			return err
@@ -60,26 +70,26 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("measured run: %s (%s engine, %d plot events, %s total)\n",
+	fmt.Fprintf(stdout, "measured run: %s (%s engine, %d plot events, %s total)\n",
 		res.Case.Name, res.Engine, res.NPlots, report.HumanBytes(res.TotalBytes()))
-	fmt.Printf("Eq. 3 fit: f = %.3f -> part_size = %d bytes\n", tr.F, tr.MACSio.PartSize)
-	fmt.Printf("calibrated dataset_growth = %.6f (MAPE %.2f%%, Pearson %.4f)\n",
+	fmt.Fprintf(stdout, "Eq. 3 fit: f = %.3f -> part_size = %d bytes\n", tr.F, tr.MACSio.PartSize)
+	fmt.Fprintf(stdout, "calibrated dataset_growth = %.6f (MAPE %.2f%%, Pearson %.4f)\n",
 		tr.Kernel.Growth, tr.MAPE, tr.Pearson)
-	fmt.Printf("growth guess from cfl/levels table: %.4f\n",
+	fmt.Fprintf(stdout, "growth guess from cfl/levels table: %.4f\n",
 		core.GrowthGuess(cfg.CFL, cfg.MaxLevel))
-	fmt.Println()
-	fmt.Println(report.Listing1(tr, cfg.NProcs))
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, report.Listing1(tr, cfg.NProcs))
 
 	_, perStep := core.PerStepBytes(res.Records)
-	if err := replay(cfg, res, perStep); err != nil {
+	if err := replay(stdout, cfg, res, perStep); err != nil {
 		return err
 	}
 
 	fig9 := report.Fig9(perStep, tr.Trace, tr.Kernel.Base)
 	if *csv {
-		fmt.Println(fig9.CSV())
+		fmt.Fprintln(stdout, fig9.CSV())
 	} else {
-		fmt.Println(fig9.Render())
+		fmt.Fprintln(stdout, fig9.Render())
 	}
 	return nil
 }
@@ -89,7 +99,7 @@ func run() error {
 // (core.MatchFileBytes divides out MACSio's JSON textual inflation), so
 // the proxy's files match the run's in aggregate; the paper's own
 // f ≈ 23-25 above uses the nominal part_size semantics instead.
-func replay(cfg inputs.CastroInputs, res campaign.Result, measured []int64) error {
+func replay(stdout io.Writer, cfg inputs.CastroInputs, res campaign.Result, measured []int64) error {
 	opts := core.DefaultTranslateOptions()
 	opts.Match = core.MatchFileBytes
 	tr, err := core.Translate(cfg, res.Records, opts)
@@ -101,17 +111,17 @@ func replay(cfg inputs.CastroInputs, res campaign.Result, measured []int64) erro
 		return err
 	}
 	proxy := macsio.BytesPerStep(recs)
-	fmt.Printf("proxy replay (f = %.2f fitted to file bytes, part_size = %d), AMReX measured vs MACSio proxy:\n",
+	fmt.Fprintf(stdout, "proxy replay (f = %.2f fitted to file bytes, part_size = %d), AMReX measured vs MACSio proxy:\n",
 		tr.F, tr.MACSio.PartSize)
 	var meas, prox []float64
 	for k := 0; k < len(measured) && k < len(proxy); k++ {
 		meas = append(meas, float64(measured[k]))
 		prox = append(prox, float64(proxy[k]))
-		fmt.Printf("  step %2d  castro %10s   macsio %10s   ratio %.3f\n",
+		fmt.Fprintf(stdout, "  step %2d  castro %10s   macsio %10s   ratio %.3f\n",
 			k, report.HumanBytes(measured[k]), report.HumanBytes(proxy[k]),
 			float64(proxy[k])/float64(measured[k]))
 	}
-	fmt.Printf("proxy fidelity: MAPE %.2f%%  Pearson %.4f\n\n",
+	fmt.Fprintf(stdout, "proxy fidelity: MAPE %.2f%%  Pearson %.4f\n\n",
 		stats.MAPE(meas, prox), stats.Pearson(meas, prox))
 	return nil
 }

@@ -43,12 +43,14 @@
 // aggregate model byte-identical. Like the paper's model, it prices I/O
 // only: communication between ranks has no cost term.
 //
-// Storage is multi-tier: all pricing goes through iosim's pluggable
-// StorageModel interface, selectable per campaign case ("gpfs" | "bb" |
-// "bb+gpfs"). The burst-buffer models give each compute node a Summit
-// NVMe partition that absorbs bursts at local speed and drains
-// asynchronously to GPFS between them — filling mid-burst stalls a
-// writer to the drain rate — so the campaign can sweep the same
+// Storage is multi-tier: all pricing goes through iosim's StorageModel
+// interface, selectable per campaign case ("gpfs" | "bb" | "bb+gpfs").
+// Every stack is one GPFS tier — the aggregate pool, the per-link table
+// and the two-phase aggregator set priced from one contention snapshot —
+// under an optional burst buffer. The burst buffer gives each compute
+// node a Summit NVMe partition that absorbs bursts at local speed and
+// drains asynchronously to GPFS between them — filling mid-burst stalls
+// a writer to the drain rate — so the campaign can sweep the same
 // workload across backends and compare per-tier bytes, buffer
 // occupancy, drain-compute overlap, and stall stragglers
 // (report.StorageReport, amrio-campaign -storage).

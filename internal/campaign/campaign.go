@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -401,7 +402,8 @@ func (r Result) Save(path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// LoadResult reads a previously saved result.
+// LoadResult reads a previously saved result. Unknown fields and data
+// after the result are rejected.
 func LoadResult(path string) (Result, error) {
 	var r Result
 	data, err := os.ReadFile(path)
@@ -412,6 +414,9 @@ func LoadResult(path string) (Result, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&r); err != nil {
 		return r, fmt.Errorf("campaign: unmarshal %s: %w", path, err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return r, fmt.Errorf("campaign: unmarshal %s: trailing data after the result", path)
 	}
 	return r, nil
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -190,6 +191,18 @@ func TestResultSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadResult(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file accepted")
+	}
+	// Data after the result is rejected, not silently dropped.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailing := filepath.Join(t.TempDir(), "trailing.json")
+	if err := os.WriteFile(trailing, append(data, " {}"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadResult(trailing); err == nil {
+		t.Error("trailing data accepted")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"sort"
@@ -204,13 +205,17 @@ func (p *Plan) Validate() error {
 
 // Parse decodes and validates a JSON plan. Unknown fields are rejected
 // so typos ("targets" for "target") fail loudly instead of injecting
-// nothing.
+// nothing, and so is data after the plan, which would otherwise be
+// dropped unread.
 func Parse(data []byte) (*Plan, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var p Plan
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("faults: malformed plan JSON: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return nil, fmt.Errorf("faults: malformed plan JSON: trailing data after the plan")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

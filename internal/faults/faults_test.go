@@ -87,6 +87,8 @@ func TestParseRejectsMalformedJSON(t *testing.T) {
 		`{"events": [{"kind": 3}]}`, // wrong type
 		`{"evnets": []}`,            // typo'd field
 		`{"events":[{"kind":"bogus","start":0}]}`, // unknown kind
+		// A trailing plan must not be dropped unread.
+		`{"events":[]} {"events":[{"kind":"target-outage","start":0,"end":1,"target":0}]}`,
 	} {
 		if _, err := Parse([]byte(bad)); err == nil {
 			t.Errorf("Parse(%q) accepted malformed input", bad)

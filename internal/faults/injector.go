@@ -56,20 +56,10 @@ func (in *Injector) BeginBurst(n int) {}
 // EndBurst implements iosim.FaultInjector.
 func (in *Injector) EndBurst() {}
 
-// Reset implements iosim.FaultInjector: lost partitions become lossable
-// again and installed quarantines are cleared.
-func (in *Injector) Reset() {
-	in.dropped = map[dropKey]bool{}
-	in.quar = nil
-}
-
 // Plan returns a copy of the injector's validated fault plan. The
 // resilience engine reads it back through iosim.Config.Faults so the
 // online view replays exactly the schedule the write path prices.
 func (in *Injector) Plan() Plan { return in.plan }
-
-// Targets returns the failover pool size the injector was built with.
-func (in *Injector) Targets() int { return in.targets }
 
 // Quarantine implements iosim.Quarantiner: install the circuit-breaker
 // map (target → open-until second). Must only be called between bursts;

@@ -229,8 +229,8 @@ func (a AggregationSpec) AggregatorMap(t Topology, n int) []int {
 
 // aggPlan is the per-burst two-phase schedule: a pure function of
 // (topology, spec, writer count), built at BeginBurst, reused while the
-// writer count holds, and invalidated by Retarget/Reset (member target
-// labels follow the aggregator's placement).
+// writer count holds, and invalidated by Retarget (member target labels
+// follow the aggregator's placement).
 type aggPlan struct {
 	n    int
 	aggs int // number of aggregator ranks
@@ -327,191 +327,4 @@ func (p *aggPlan) gather(rank int, nbytes int64) float64 {
 		return float64(nbytes) / bw
 	}
 	return 0
-}
-
-// aggSnapshot is the aggregator-set contention table one burst writes
-// against: write[r] is r's effective phase-two bandwidth (its aggregator's
-// link share time-shared across the gather group). stageCap/absorb are the
-// async staging shares, nil in sync mode.
-type aggSnapshot struct {
-	write    []float64
-	stageCap []float64
-	absorb   []float64
-}
-
-// aggModel prices the write phase of the two-phase collective. It wraps
-// the single-tier GPFS pricing (aggregate or per-link) and re-takes the
-// contention snapshot over the aggregator set only: A aggregators
-// contending beat n ranks contending exactly where fan-in was the
-// bottleneck, and lose where the per-writer stream cap was, because each
-// member time-shares 1/group of its aggregator's stream. The burst-buffer
-// stacks wrap this model as their backing tier, so a tiered drain is
-// capped by the aggregator-set snapshot too.
-type aggModel struct {
-	cfg  Config
-	fs   *FileSystem
-	base StorageModel
-	spec AggregationSpec
-
-	snap *aggSnapshot
-
-	// Async staging state, mirroring bbModel: each entry is rank-private.
-	ranks map[int]*bbRank
-}
-
-func newAggModel(cfg Config, fs *FileSystem, base StorageModel) *aggModel {
-	return &aggModel{
-		cfg:   cfg,
-		fs:    fs,
-		base:  base,
-		spec:  cfg.Aggregation,
-		ranks: map[int]*bbRank{},
-	}
-}
-
-// Name keeps the base stack's selection name: aggregation is an output
-// strategy layered on a stack, not a stack of its own.
-func (m *aggModel) Name() string { return m.base.Name() }
-
-func (m *aggModel) BeginBurst(n int) {
-	m.base.BeginBurst(n)
-	if n <= 0 {
-		return
-	}
-	// Pure function of (topology, spec, n), like the per-link snapshot:
-	// repeated BeginBurst(n) calls reuse the published table.
-	if m.snap != nil && len(m.snap.write) == n {
-		return
-	}
-	p := m.fs.aggPlanFor(n)
-	snap := &aggSnapshot{write: make([]float64, n)}
-	t := m.fs.topology()
-	base := snapshotBandwidth(m.cfg, p.aggs)
-	var perAgg []float64
-	if t.Enabled() {
-		// The aggregator-set refinement of Topology.snapshot: NIC and
-		// fan-in shares are divided among the node's/target's writing
-		// aggregators instead of all its ranks. At the all-ranks
-		// identity this reproduces Topology.snapshot exactly.
-		rpn := t.ranksPerNode(n)
-		nodeAggs := make([]int, t.Nodes)
-		var targetAggs []int
-		if t.Targets > 0 {
-			targetAggs = make([]int, t.Targets)
-		}
-		for r := 0; r < n; r++ {
-			if p.agg[r] != r {
-				continue
-			}
-			nodeAggs[t.nodeOf(r, rpn)]++
-			if targetAggs != nil {
-				targetAggs[t.targetOf(r)]++
-			}
-		}
-		perAgg = make([]float64, n)
-		for r := 0; r < n; r++ {
-			if p.agg[r] != r {
-				continue
-			}
-			bw := base
-			if t.NICBandwidth > 0 {
-				if share := t.NICBandwidth / float64(nodeAggs[t.nodeOf(r, rpn)]); share < bw {
-					bw = share
-				}
-			}
-			if targetAggs != nil && t.TargetBandwidth > 0 {
-				if share := t.TargetBandwidth / float64(targetAggs[t.targetOf(r)]); share < bw {
-					bw = share
-				}
-			}
-			if bw <= 0 {
-				bw = 1
-			}
-			perAgg[r] = bw
-		}
-	}
-	for r := 0; r < n; r++ {
-		bw := base
-		if perAgg != nil {
-			bw = perAgg[p.agg[r]]
-		}
-		snap.write[r] = bw / float64(p.group[r])
-	}
-	if m.spec.Async {
-		snap.stageCap = make([]float64, n)
-		snap.absorb = make([]float64, n)
-		capA, plane := m.spec.stagingCap(), m.spec.gatherPlane()
-		for r := 0; r < n; r++ {
-			g := float64(p.group[r])
-			snap.stageCap[r] = capA / g
-			snap.absorb[r] = plane / g
-		}
-	}
-	m.snap = snap
-}
-
-func (m *aggModel) EndBurst() {
-	m.base.EndBurst()
-	m.snap = nil
-}
-
-func (m *aggModel) Bandwidth(rank int) float64 {
-	if m.snap != nil && rank < len(m.snap.write) {
-		return m.snap.write[rank]
-	}
-	return m.base.Bandwidth(rank)
-}
-
-func (m *aggModel) Price(rank int, start float64, nbytes int64) WriteCost {
-	snap := m.snap
-	if snap == nil || rank >= len(snap.write) {
-		// Writers outside the declared burst fall back to the base
-		// stack, matching the per-link snapshot's semantics.
-		return m.base.Price(rank, start, nbytes)
-	}
-	if m.spec.Async {
-		return m.stage(snap, rank, start, nbytes)
-	}
-	return WriteCost{Seconds: float64(nbytes) / snap.write[rank]}
-}
-
-// stage prices one transfer through the async staging buffer: the rank's
-// share absorbs at gather-plane speed and drains at the aggregator-set
-// write bandwidth, reusing the burst-buffer fluid model. A full buffer
-// stalls the writer through to the storage stack (TierGPFS), which is
-// what bounds staging memory.
-func (m *aggModel) stage(snap *aggSnapshot, rank int, start float64, nbytes int64) WriteCost {
-	st := rankState(m.ranks, rank)
-	capR, b, d := snap.stageCap[rank], snap.absorb[rank], snap.write[rank]
-	if dt := start - st.last; dt > 0 {
-		st.occ -= dt * d
-		if st.occ < 0 {
-			st.occ = 0
-		}
-	}
-	sec, stall, end := bbFill(st.occ, capR, b, d, nbytes)
-	st.occ = end
-	st.last = start + sec
-	cost := WriteCost{Seconds: sec, Tier: TierStage, StallSeconds: stall}
-	if stall > 0 {
-		cost.Tier = TierGPFS
-	}
-	if d > 0 {
-		cost.DrainSeconds = end / d
-	}
-	if capR > 0 {
-		cost.BBFill = end / capR
-	}
-	return cost
-}
-
-func (m *aggModel) Retarget() {
-	m.base.Retarget()
-	m.snap = nil
-}
-
-func (m *aggModel) Reset() {
-	m.base.Reset()
-	m.snap = nil
-	m.ranks = map[int]*bbRank{}
 }

@@ -361,6 +361,7 @@ func BenchmarkAggregatedWrite(b *testing.B) {
 				cfg := DefaultConfig()
 				cfg.Topology = TopologyForCase(ranks/4, ranks)
 				cfg.Aggregation = AggregationSpec{Aggregators: agg}
+				cfg.RetainLedger = RetainNone // bound ledger memory on long -benchtime runs
 				fs := New(cfg, "")
 				b.SetBytes(int64(ranks) << 20)
 				b.ResetTimer()
@@ -372,11 +373,6 @@ func BenchmarkAggregatedWrite(b *testing.B) {
 						}
 					}
 					fs.EndBurst()
-					if i%1024 == 1023 {
-						b.StopTimer()
-						fs.Reset() // bound ledger memory on long -benchtime runs
-						b.StartTimer()
-					}
 				}
 			})
 		}

@@ -188,24 +188,3 @@ func TestCharacterizeFoldMatchesBatch(t *testing.T) {
 		t.Error("fold bursts != batch bursts")
 	}
 }
-
-func TestResetClearsConsumerWatermarks(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.JitterSigma = 0
-	cfg.RetainLedger = RetainAll
-	fs := New(cfg, "")
-	rec := &recordingConsumer{}
-	fs.Attach(rec)
-	burstWrite(t, fs, 0, 2)
-	fs.Reset()
-	burstWrite(t, fs, 0, 2)
-	fs.FlushConsumers()
-	// 2 before the reset + 2 after: Reset must rewind the fed watermark
-	// along with the records, or the post-reset drain re-reads stale state.
-	if len(rec.records) != 4 {
-		t.Errorf("consumer saw %d records across a Reset, want 4", len(rec.records))
-	}
-	if got := len(fs.Ledger()); got != 2 {
-		t.Errorf("ledger holds %d records after Reset+burst, want 2", got)
-	}
-}

@@ -55,7 +55,8 @@
 // compute nodes (block placement), each node's NIC bandwidth is split
 // across the writers placed on it, and each storage target's (GPFS NSD
 // server's) bandwidth is split across the writers fanned into it.
-// BeginBurst snapshots one effective bandwidth per (rank, target) link,
+// BeginBurst snapshots one effective bandwidth per (rank, target) link
+// (ranks past the declared burst keep the scalar pool share),
 // so two writers packed on one node contend even when the backend is
 // idle, while spread placements don't. Ledger records gain (Node, Target)
 // labels, and BurstStats/Characterize gain per-node and per-link skew
@@ -66,16 +67,19 @@
 //
 // # Storage-tier models
 //
-// All pricing goes through the pluggable StorageModel interface
-// (storage.go), selected by Config.Storage name: "" / "gpfs" installs
-// the aggregate/per-link models above, "bb" the node-local burst-buffer
-// tier (per-node NVMe capacity and bandwidth split across the ranks
-// packed on a node, asynchronous drain to a GPFS tier, stall at the
-// drain rate when a partition fills mid-burst), and "bb+gpfs" the tiered
-// composition whose drain is throttled by the GPFS tier's contention
-// snapshot. Multi-tier records carry Tier / StallSeconds / DrainSeconds
-// / BBFill fields, aggregated by BurstStats and Characterize into
-// per-tier bytes, buffer occupancy, drain tails, and stall stragglers.
+// All pricing goes through the StorageModel interface (storage.go):
+// BeginBurst, EndBurst, Price and Bandwidth. Every stack bottoms out in
+// one GPFS tier — the aggregate pool, refined by the per-link model
+// above and by the two-phase aggregator set below, all read from one
+// contention snapshot taken at BeginBurst. Config.Storage selects what
+// sits on top of it: "" / "gpfs" nothing, "bb" the node-local
+// burst-buffer tier (per-node NVMe capacity and bandwidth split across
+// the ranks packed on a node, asynchronous drain, stall at the drain
+// rate when a partition fills mid-burst), and "bb+gpfs" the same buffer
+// with each rank's drain capped by its GPFS-tier bandwidth. Multi-tier
+// records carry Tier / StallSeconds / DrainSeconds / BBFill fields,
+// aggregated by BurstStats and Characterize into per-tier bytes, buffer
+// occupancy, drain tails, and stall stragglers.
 //
 // The StorageModel contract extends the determinism guarantee above:
 //
@@ -87,13 +91,12 @@
 //     arrive in. The burst buffer achieves this by statically
 //     partitioning each node's capacity, fill bandwidth, and drain
 //     bandwidth across its ranks.
-//   - Retarget layers over tiers the same way it layers over the
-//     configured TargetMap: the FileSystem validates and installs the
-//     override map (between bursts only), then tells the model to drop
-//     placement-dependent snapshots; the next BeginBurst re-snapshots
-//     under the new placement. Tiered models forward the invalidation
-//     to their backing GPFS tier, so a drain throttled by a contended
-//     target follows the reorganized fan-in.
+//   - EndBurst drops every placement-dependent table. Retarget layers
+//     over tiers the same way it layers over the configured TargetMap:
+//     the FileSystem validates and installs the override map between
+//     bursts, and the next BeginBurst snapshots the new placement, so a
+//     tiered drain throttled by a contended target follows the
+//     reorganized fan-in.
 //
 // The default "" / "gpfs" stack is property-test-pinned byte-identical
 // (durations, ledger, BurstStats, Characterize, Render) to the
@@ -120,12 +123,13 @@
 // their aggregator over the node-internal gather plane (GatherBandwidth
 // split across the node's senders, snapshotted at BeginBurst) and pay no
 // file open; aggregator ranks pay a layout-scaled open (MIF: A/n of the
-// direct open storm; SIF: lock-serialized (1+2(A-1))/n) and write
-// through the installed StorageModel stack. The async option stages the
-// gathered payload through a per-aggregator fluid buffer
+// direct open storm; SIF: lock-serialized (1+2(A-1))/n). The GPFS tier
+// takes its contention snapshot over the aggregator set, and each
+// member time-shares its aggregator's stream. The async option stages
+// the gathered payload through a per-aggregator fluid buffer
 // (StagingCapacity, Tier "stage") that drains at the write rate and
-// stalls to the backing tier when full — the same fill/drain machinery
-// as the burst-buffer models. The aggregation plan is a pure function of
+// stalls to GPFS when full — the same fluid-buffer step as the burst
+// buffer. The aggregation plan is a pure function of
 // (Topology, spec, writer count), so aggregated ledgers obey the same
 // determinism guarantee; the "all" spec is the identity and is pinned
 // byte-identical to the direct path across all storage stacks. The

@@ -51,7 +51,7 @@ type FaultEvent struct {
 // and are installed via Config.Faults; nil disables injection with zero
 // overhead. The calling contract matches StorageModel's: within a burst
 // the result may not depend on the order different ranks' calls arrive
-// in, and EndBurst/Reset only run between bursts.
+// in, and EndBurst only runs between bursts.
 type FaultInjector interface {
 	// BeginBurst mirrors StorageModel.BeginBurst (called right after it).
 	BeginBurst(n int)
@@ -65,8 +65,6 @@ type FaultInjector interface {
 	// event describes it and faulted is true; a FailoverTarget >= 0
 	// relabels the ledger record's Target.
 	Price(model StorageModel, rank int, start float64, nbytes int64, node, target int) (cost WriteCost, ev FaultEvent, faulted bool)
-	// Reset restores the post-construction zero state (FileSystem.Reset).
-	Reset()
 }
 
 // Quarantiner is the optional FaultInjector extension a between-burst
@@ -77,7 +75,7 @@ type FaultInjector interface {
 // the breaker closes again; an empty or nil map clears every breaker.
 //
 // Determinism contract: Quarantine must only be called between bursts
-// (like Retarget and Reset) — installing a breaker mid-burst would make
+// (like Retarget) — installing a breaker mid-burst would make
 // which writes it covers depend on the order of the ranks' calls.
 type Quarantiner interface {
 	Quarantine(until map[int]float64)

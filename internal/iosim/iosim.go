@@ -176,7 +176,7 @@ type FileSystem struct {
 	model StorageModel
 
 	// rpn is the most recently resolved ranks-per-node packing, used to
-	// label ledger records with their node between bursts. Updated at
+	// label ledger records with their node between bursts. Set by
 	// BeginBurst; meaningful only when cfg.Topology is enabled.
 	rpn int
 
@@ -194,12 +194,12 @@ type FileSystem struct {
 	// agg is the current burst's two-phase aggregation schedule
 	// (aggregation.go); nil when Config.Aggregation is disabled. A pure
 	// function of (topology, spec, writer count), rebuilt lazily at
-	// BeginBurst and invalidated by Retarget/Reset, whose placement
-	// changes move the aggregators' targets.
+	// BeginBurst and invalidated by Retarget, whose placement changes
+	// move the aggregators' targets.
 	agg *aggPlan
 
-	// shards[rank] is rank's ledger segment. The slice only grows
-	// (until Reset), so Ledger's rank-major merge is a walk over it.
+	// shards[rank] is rank's ledger segment. The slice only grows, so
+	// Ledger's rank-major merge is a walk over it.
 	shards []shard
 
 	// subs are the attached streaming consumers (consumer.go), fed at
@@ -260,16 +260,16 @@ func (fs *FileSystem) topology() Topology {
 // map would silently mislabel ledger records and index fan-in tables out
 // of bounds, so it is rejected with an error instead.
 //
-// Like Reset, Retarget belongs between bursts, which is when layout
-// reorganization happens.
+// Retarget belongs between bursts, which is when layout reorganization
+// happens: the storage model drops its contention table at EndBurst, so
+// the next BeginBurst snapshots the new placement.
 func (fs *FileSystem) Retarget(m []int) error {
 	if !fs.cfg.Topology.Enabled() || fs.cfg.Topology.Targets <= 0 {
 		return nil
 	}
 	if m == nil {
 		fs.retarget = nil
-		fs.agg = nil        // member target labels follow the aggregator's placement
-		fs.model.Retarget() // next BeginBurst rebuilds the per-link snapshot
+		fs.agg = nil // member target labels follow the aggregator's placement
 		return nil
 	}
 	if n := fs.burstN; n > 0 && len(m) != n {
@@ -283,7 +283,6 @@ func (fs *FileSystem) Retarget(m []int) error {
 	}
 	fs.retarget = append([]int{}, m...) // non-nil even when m is empty
 	fs.agg = nil
-	fs.model.Retarget()
 	return nil
 }
 
@@ -297,34 +296,28 @@ func (fs *FileSystem) aggPlanFor(n int) *aggPlan {
 	return fs.agg
 }
 
-// Root returns the host root directory.
-func (fs *FileSystem) Root() string { return fs.root }
-
 // Config returns the model configuration.
 func (fs *FileSystem) Config() Config { return fs.cfg }
 
 // BeginBurst declares that n writers participate in the upcoming I/O burst
 // and delegates the contention snapshot to the installed StorageModel:
-// the default models divide the aggregate bandwidth (or the per-link
-// topology shares) among the writers, the burst-buffer models
-// additionally resolve each rank's NVMe partition. Every write reads the
+// the GPFS tier divides the aggregate bandwidth (or the per-link
+// topology shares) among the burst's writers, the burst buffer
+// additionally resolves each rank's NVMe partition. Every write reads the
 // snapshot until EndBurst. The plotfile and MACSio writers call this once
 // per dump with the number of ranks that will write. EndBurst resets to
 // uncontended mode.
 func (fs *FileSystem) BeginBurst(n int) {
-	if fs.cfg.Aggregation.Enabled() && n > 0 {
-		// Publish the two-phase schedule before the model snapshots:
-		// the aggregation-aware stack reads it to take its contention
-		// snapshot over the aggregator set.
-		fs.aggPlanFor(n)
+	if n > 0 {
+		fs.burstN = n
+		fs.shardFor(n - 1) // grow once per burst, not from the write path
+		if t := fs.cfg.Topology; t.Enabled() {
+			fs.rpn = t.ranksPerNode(n) // node labels follow the burst's packing
+		}
 	}
 	fs.model.BeginBurst(n)
 	if inj := fs.cfg.Faults; inj != nil {
 		inj.BeginBurst(n)
-	}
-	if n > 0 {
-		fs.burstN = n
-		fs.shardFor(n - 1) // grow once per burst, not from the write path
 	}
 }
 
@@ -340,9 +333,6 @@ func (fs *FileSystem) EndBurst() {
 	}
 	fs.drainConsumers()
 }
-
-// Storage returns the installed storage-tier pricing model.
-func (fs *FileSystem) Storage() StorageModel { return fs.model }
 
 // linkOf returns the (node, target) labels for a data write by rank, or
 // (-1, -1) under the aggregate model.
@@ -526,19 +516,6 @@ func (fs *FileSystem) Ledger() []WriteRecord {
 		out = append(out, fs.shards[i].records...)
 	}
 	return out
-}
-
-// Reset clears the ledger and all rank clocks. Call it between runs.
-func (fs *FileSystem) Reset() {
-	fs.shards = nil
-	fs.model.Reset()
-	if inj := fs.cfg.Faults; inj != nil {
-		inj.Reset()
-	}
-	fs.retarget = nil
-	fs.agg = nil
-	fs.burstN = 0
-	fs.rpn = fs.cfg.Topology.ranksPerNode(0)
 }
 
 // TotalBytes sums all recorded writes from the per-shard running totals.

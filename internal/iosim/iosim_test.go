@@ -253,15 +253,6 @@ func TestBurstStats(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	fs := modelFS()
-	fs.WriteSize(0, "a", 10, Labels{})
-	fs.Reset()
-	if len(fs.Ledger()) != 0 || fs.TotalBytes() != 0 || fs.Clock(0) != 0 {
-		t.Error("reset incomplete")
-	}
-}
-
 // TestMergedLedgerOrderDeterministic issues one burst of many ranks'
 // writes and mkdirs in seeded interleavings that keep each rank's own
 // program order, and checks that the merged ledger comes out in the
@@ -365,24 +356,54 @@ func TestJitterMatchesSeedImplementation(t *testing.T) {
 	}
 }
 
-// TestWriteHotPathAllocations pins the per-write cost: one ledger record
-// append amortized, no per-write map/hash/fmt garbage.
+// TestWriteHotPathAllocations pins the per-write cost on every GPFS-tier
+// snapshot and the burst buffer over it: one ledger record append
+// amortized, no per-write map/hash/fmt garbage. Rank 0 aggregates and
+// rank 1 gathers to it under "1/node".
 func TestWriteHotPathAllocations(t *testing.T) {
-	cfg := DefaultConfig() // jitter on: the inline FNV must not allocate
-	fs := New(cfg, "")
-	fs.BeginBurst(4)
-	// Warm the shard and the record slice so append growth is excluded.
-	for i := 0; i < 4096; i++ {
-		fs.WriteSize(0, "warm", 8, Labels{})
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := fs.WriteSize(0, "plt00000/Level_0/Cell_D_00000", 1<<20, Labels{Step: 1}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// Slice doubling still happens occasionally across 1000 appends.
-	if allocs > 0.5 {
-		t.Errorf("WriteSize allocates %.2f objects per op, want amortized ~0", allocs)
+	topo := Topology{Nodes: 2, NICBandwidth: 4e9, Targets: 2, TargetBandwidth: 1e10}
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"aggregate", func(*Config) {}},
+		{"topology", func(c *Config) { c.Topology = topo }},
+		{"1/node", func(c *Config) {
+			c.Topology = topo
+			c.Aggregation = AggregationSpec{Aggregators: "1/node"}
+		}},
+		{"1/node+async", func(c *Config) {
+			c.Topology = topo
+			c.Aggregation = AggregationSpec{Aggregators: "1/node", Async: true}
+		}},
+		{"topology+bb+gpfs", func(c *Config) {
+			c.Topology = topo
+			c.Storage = StorageTiered
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig() // jitter on: the inline FNV must not allocate
+			tc.edit(&cfg)
+			fs := New(cfg, "")
+			fs.BeginBurst(4)
+			// Warm the shards, the buffers and the record slices so
+			// append growth is excluded.
+			for i := 0; i < 4096; i++ {
+				fs.WriteSize(0, "warm", 8, Labels{})
+				fs.WriteSize(1, "warm", 8, Labels{})
+			}
+			allocs := testing.AllocsPerRun(1000, func() {
+				for rank := 0; rank < 2; rank++ {
+					if _, err := fs.WriteSize(rank, "plt00000/Level_0/Cell_D_00000", 1<<20, Labels{Step: 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			// Slice doubling still happens occasionally across 1000 appends.
+			if perWrite := allocs / 2; perWrite > 0.5 {
+				t.Errorf("WriteSize allocates %.2f objects per op, want amortized ~0", perWrite)
+			}
+		})
 	}
 }
 
@@ -403,26 +424,44 @@ func TestNegativeRankRejected(t *testing.T) {
 	}
 }
 
-// TestBurstSnapshotSemantics verifies the BeginBurst bandwidth snapshot:
-// contention applies to writes issued between BeginBurst and EndBurst,
-// and sparse rank ids well beyond the declared burst size still work.
+// TestBurstSnapshotSemantics verifies the BeginBurst bandwidth snapshot
+// on every GPFS-tier shape: contention applies to writes issued between
+// BeginBurst and EndBurst, and a sparse rank id well beyond the declared
+// burst size prices at the scalar pool share inside the burst (no table
+// entry, no gather, no staging) and uncontended after EndBurst.
 func TestBurstSnapshotSemantics(t *testing.T) {
-	cfg := Config{
-		AggregateBandwidth: 1e9,
-		PerWriterBandwidth: 1e9,
-	}
-	fs := New(cfg, "")
-	fs.BeginBurst(100) // share = 1e7
-	d, err := fs.WriteSize(512, "sparse-rank", 1e6, Labels{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 1e6 / 1e7; math.Abs(d-want) > 1e-12 {
-		t.Errorf("contended duration = %g, want %g", d, want)
-	}
-	fs.EndBurst()
-	d, _ = fs.WriteSize(512, "sparse-rank-2", 1e6, Labels{})
-	if want := 1e6 / 1e9; math.Abs(d-want) > 1e-12 {
-		t.Errorf("uncontended duration = %g, want %g", d, want)
+	topo := Topology{Nodes: 4, NICBandwidth: 1e12, Targets: 2, TargetBandwidth: 1e12}
+	for _, tc := range []struct {
+		name string
+		topo Topology
+		agg  AggregationSpec
+	}{
+		{name: "aggregate"},
+		{name: "topology", topo: topo},
+		{name: "1/node", topo: topo, agg: AggregationSpec{Aggregators: "1/node"}},
+		{name: "1/node+async", topo: topo, agg: AggregationSpec{Aggregators: "1/node", Async: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				AggregateBandwidth: 1e9,
+				PerWriterBandwidth: 1e9,
+				Topology:           tc.topo,
+				Aggregation:        tc.agg,
+			}
+			fs := New(cfg, "")
+			fs.BeginBurst(100) // share = 1e7
+			d, err := fs.WriteSize(512, "sparse-rank", 1e6, Labels{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 1e6 / 1e7; math.Abs(d-want) > 1e-12 {
+				t.Errorf("contended duration = %g, want %g", d, want)
+			}
+			fs.EndBurst()
+			d, _ = fs.WriteSize(512, "sparse-rank-2", 1e6, Labels{})
+			if want := 1e6 / 1e9; math.Abs(d-want) > 1e-12 {
+				t.Errorf("uncontended duration = %g, want %g", d, want)
+			}
+		})
 	}
 }

@@ -2,32 +2,39 @@ package iosim
 
 import "fmt"
 
-// Pluggable storage-tier models. The paper characterizes AMReX/MACSio
-// bursts against two very different backends — Summit's node-local NVMe
-// burst buffers and the Alpine GPFS — so the pricing math cannot live
-// welded inside FileSystem. A StorageModel prices data transfers; the
+// Storage-tier models. The paper characterizes AMReX/MACSio bursts
+// against two very different backends — Summit's node-local NVMe burst
+// buffers and the Alpine GPFS — so the pricing math cannot live welded
+// inside FileSystem. A StorageModel prices data transfers; the
 // FileSystem keeps the per-rank ledger, clocks, open latency, and jitter,
 // and delegates BeginBurst/EndBurst/Price to the installed model.
 //
-// Four stacks are selectable by Config.Storage name:
+// Every stack bottoms out in one GPFS tier (gpfsModel), with the
+// optional burst buffer on top. Config.Storage selects the stack:
 //
-//   - "" / "gpfs": the historical single-tier pricing — the aggregate
-//     bandwidth pool, refined per (rank, target) link when a Topology is
-//     configured. Byte-identical to the pre-StorageModel FileSystem
-//     (property-test-pinned).
-//   - "bb": node-local burst buffer. Each compute node owns an NVMe
-//     partition (capacity + write bandwidth, split evenly across the
-//     ranks packed on the node) that drains asynchronously to a GPFS
-//     tier at a configured per-node rate. A write that fills the
-//     partition mid-burst stalls: the remainder moves at the drain rate.
-//   - "bb+gpfs": the tiered composition. Same buffer, but the drain is
-//     priced against the GPFS tier's contention snapshot, so a congested
-//     file system slows the drain and produces more stalls.
+//   - "" / "gpfs": the GPFS tier alone. Without a Topology or an
+//     AggregationSpec it is the aggregate bandwidth pool; with either,
+//     BeginBurst takes one contention snapshot over the burst's writers
+//     (every rank, or the aggregators of the two-phase plan) and prices
+//     each rank at its writer's NIC/fan-in share. Byte-identical to the
+//     pre-StorageModel FileSystem (property-test-pinned).
+//   - "bb": node-local burst buffer over the GPFS tier. Each compute
+//     node owns an NVMe partition (capacity + write bandwidth, split
+//     evenly across the ranks packed on the node) that drains
+//     asynchronously at a configured per-node rate. A write that fills
+//     the partition mid-burst stalls: the remainder moves at the drain
+//     rate.
+//   - "bb+gpfs": the same buffer, but each rank's drain is also capped by
+//     its GPFS-tier bandwidth, so a congested file system slows the drain
+//     and produces more stalls.
+//
+// The burst buffer and async aggregation staging share one fluid-buffer
+// step (fluid.step).
 //
 // Determinism contract: a model may snapshot cross-rank contention state
 // only at BeginBurst; per-write state must be a function of (rank, the
 // rank's clock, the write size) so ledgers are reproducible no matter
-// in which order the ranks' writes arrive. The burst-buffer models honor this by
+// in which order the ranks' writes arrive. The buffers honor this by
 // statically partitioning each node's capacity, fill bandwidth, and
 // drain bandwidth across its ranks — rank r's occupancy never depends on
 // when rank s wrote.
@@ -37,7 +44,7 @@ import "fmt"
 const (
 	// StorageDefault selects the same stack as StorageGPFS.
 	StorageDefault = ""
-	// StorageGPFS is the historical aggregate/per-link single-tier model.
+	// StorageGPFS is the GPFS tier alone.
 	StorageGPFS = "gpfs"
 	// StorageBB is the node-local burst-buffer tier with a fixed-rate
 	// asynchronous drain.
@@ -183,10 +190,10 @@ type WriteCost struct {
 // (TestBurstLedgerIndependentOfRankOrder and
 // TestBurstSequenceIndependentOfRankOrder pin this for every stack).
 // BeginBurst must be idempotent for repeated calls with the same writer
-// count; EndBurst/Retarget/Reset only run between bursts.
+// count; EndBurst only runs between bursts, and drops every
+// placement-dependent table, so the next BeginBurst sees the placement a
+// FileSystem.Retarget installed in between.
 type StorageModel interface {
-	// Name returns the selection name the model was built from.
-	Name() string
 	// BeginBurst snapshots contention state for an n-writer burst.
 	BeginBurst(n int)
 	// EndBurst restores the uncontended between-bursts state.
@@ -197,163 +204,251 @@ type StorageModel interface {
 	// Bandwidth reports rank's per-writer bandwidth under the current
 	// snapshot — the drain-coupling hook for tiered models.
 	Bandwidth(rank int) float64
-	// Retarget invalidates placement-dependent snapshots after a
-	// FileSystem.Retarget between bursts.
-	Retarget()
-	// Reset restores the post-New zero state.
-	Reset()
 }
 
-// newStorageModel builds the configured stack. Unknown names panic: the
+// newStorageModel builds the configured stack: the GPFS tier, wrapped
+// by the burst buffer for "bb" and "bb+gpfs". Unknown names panic: the
 // campaign and CLI layers reject them with errors first (ParseStorage /
 // campaign.Case.Validate), so reaching here is a programming error.
 func newStorageModel(cfg Config, fs *FileSystem) StorageModel {
-	gpfs := func() StorageModel {
-		var m StorageModel
-		if cfg.Topology.Enabled() {
-			m = newTopologyModel(cfg, fs)
-		} else {
-			m = newAggregateModel(cfg)
-		}
-		if cfg.Aggregation.Enabled() {
-			// Two-phase aggregation re-takes the GPFS contention
-			// snapshot over the aggregator set (aggregation.go). The
-			// burst-buffer stacks wrap this as their backing tier, so
-			// tiered drains see aggregator-set contention too.
-			m = newAggModel(cfg, fs, m)
-		}
-		return m
-	}
+	gpfs := &gpfsModel{cfg: cfg, fs: fs, bw: snapshotBandwidth(cfg, 0)}
 	switch cfg.Storage {
 	case StorageDefault, StorageGPFS:
-		return gpfs()
-	case StorageBB:
-		return newBBModel(StorageBB, cfg, gpfs())
-	case StorageTiered:
-		return newBBModel(StorageTiered, cfg, gpfs())
+		return gpfs
+	case StorageBB, StorageTiered:
+		return newBBModel(cfg, gpfs)
 	}
 	panic(fmt.Sprintf("iosim: unknown storage model %q (validate configs with ParseStorage)", cfg.Storage))
 }
 
-// aggregateModel is the historical shared-bandwidth-pool pricing,
-// extracted verbatim from the pre-StorageModel FileSystem: BeginBurst
-// snapshots one per-writer share of Config.AggregateBandwidth, read by
-// every write.
-type aggregateModel struct {
+// gpfsModel is the GPFS tier every stack bottoms out in. Without a
+// topology or aggregation it is the aggregate pool: every write moves at
+// one per-writer share of Config.AggregateBandwidth. Otherwise
+// BeginBurst takes one contention snapshot over the burst's writers —
+// every rank, or the aggregators of the two-phase plan — and publishes
+// one bandwidth per rank: its writer's share of the pool, capped by the
+// writer's share of its node's NIC and of its target's fan-in, divided
+// by the rank's gather-group size (members time-share their
+// aggregator's stream). Ranks past the declared burst price at the
+// scalar share. Under async aggregation a rank's writes land in its
+// share of the aggregator's staging buffer instead (fluid.step).
+type gpfsModel struct {
 	cfg Config
-	// bw is the per-writer bandwidth under the current contention state.
+	fs  *FileSystem
+	// bw is the scalar per-writer share of the pool for the declared
+	// writer count.
 	bw float64
+	// write[r] is rank r's bandwidth for the current burst; nil between
+	// bursts and whenever neither a topology nor aggregation is
+	// configured, in which case bw applies.
+	write []float64
+	// plan is the two-phase schedule write was snapshotted over; nil
+	// without aggregation.
+	plan *aggPlan
+	// stage holds each rank's async staging buffer. Occupancy persists
+	// across bursts and drains through the compute gaps.
+	stage buffers
 }
 
-func newAggregateModel(cfg Config) *aggregateModel {
-	return &aggregateModel{cfg: cfg, bw: snapshotBandwidth(cfg, 0)}
-}
-
-func (m *aggregateModel) Name() string { return StorageGPFS }
-
-func (m *aggregateModel) BeginBurst(n int) { m.bw = snapshotBandwidth(m.cfg, n) }
-
-func (m *aggregateModel) EndBurst() { m.bw = snapshotBandwidth(m.cfg, 0) }
-
-func (m *aggregateModel) Bandwidth(rank int) float64 { return m.bw }
-
-func (m *aggregateModel) Price(rank int, start float64, nbytes int64) WriteCost {
-	return WriteCost{Seconds: float64(nbytes) / m.Bandwidth(rank)}
-}
-
-func (m *aggregateModel) Retarget() {}
-
-func (m *aggregateModel) Reset() { m.EndBurst() }
-
-// topologyModel refines the aggregate pool into the per-(rank, target)
-// link pricing: BeginBurst publishes one bandwidth per rank (NIC share
-// on its node, fan-in share on its target), ranks outside the declared
-// burst fall back to the scalar snapshot. Extracted verbatim from the
-// PR-3 FileSystem, including the snapshot-reuse semantics (a pure
-// function of (topology, n), invalidated by Retarget) and the
-// ranks-per-node label coupling.
-type topologyModel struct {
-	aggregateModel
-	fs *FileSystem
-	// link is the per-rank bandwidth table for the current burst; nil
-	// between bursts, in which case the scalar snapshot applies.
-	link *linkSnapshot
-}
-
-func newTopologyModel(cfg Config, fs *FileSystem) *topologyModel {
-	return &topologyModel{aggregateModel: *newAggregateModel(cfg), fs: fs}
-}
-
-func (m *topologyModel) BeginBurst(n int) {
-	m.aggregateModel.BeginBurst(n)
-	if t := m.fs.topology(); t.Enabled() && n > 0 {
-		// The snapshot is a pure function of (topology, n) — Retarget
-		// invalidates it — so repeated BeginBurst(n) calls, one per
-		// burst of the same width, reuse the published table instead of
-		// recomputing the O(n) shares.
-		if m.link == nil || len(m.link.perRank) != n {
-			m.fs.rpn = t.ranksPerNode(n)
-			m.link = t.snapshot(m.cfg, n)
+func (m *gpfsModel) BeginBurst(n int) {
+	m.bw = snapshotBandwidth(m.cfg, n)
+	t := m.fs.topology()
+	if n <= 0 || len(m.write) == n || (!t.Enabled() && !m.cfg.Aggregation.Enabled()) {
+		return // the aggregate pool, or a repeated BeginBurst(n)
+	}
+	writers := n
+	m.plan = nil
+	if m.cfg.Aggregation.Enabled() {
+		m.plan = m.fs.aggPlanFor(n)
+		writers = m.plan.aggs
+	}
+	writes := func(r int) bool { return m.plan == nil || m.plan.agg[r] == r }
+	var rpn int
+	var nodeW, targetW []int
+	if t.Enabled() {
+		rpn = t.ranksPerNode(n)
+		nodeW = make([]int, t.Nodes)
+		if t.Targets > 0 {
+			targetW = make([]int, t.Targets)
+		}
+		for r := 0; r < n; r++ {
+			if writes(r) {
+				nodeW[t.nodeOf(r, rpn)]++
+				if targetW != nil {
+					targetW[t.targetOf(r)]++
+				}
+			}
+		}
+	}
+	base := snapshotBandwidth(m.cfg, writers)
+	m.write = make([]float64, n)
+	for r := 0; r < n; r++ {
+		if !writes(r) {
+			continue
+		}
+		bw := base
+		if nodeW != nil && t.NICBandwidth > 0 {
+			if share := t.NICBandwidth / float64(nodeW[t.nodeOf(r, rpn)]); share < bw {
+				bw = share
+			}
+		}
+		if targetW != nil && t.TargetBandwidth > 0 {
+			if share := t.TargetBandwidth / float64(targetW[t.targetOf(r)]); share < bw {
+				bw = share
+			}
+		}
+		if bw <= 0 {
+			bw = 1
+		}
+		m.write[r] = bw
+	}
+	if p := m.plan; p != nil {
+		// agg[r] <= r, so a descending walk reads each aggregator's own
+		// share before its group divides it.
+		for r := n - 1; r >= 0; r-- {
+			m.write[r] = m.write[p.agg[r]] / float64(p.group[r])
 		}
 	}
 }
 
-func (m *topologyModel) EndBurst() {
-	m.aggregateModel.EndBurst()
-	m.link = nil
+func (m *gpfsModel) EndBurst() {
+	m.bw = snapshotBandwidth(m.cfg, 0)
+	m.write, m.plan = nil, nil
 }
 
-func (m *topologyModel) Bandwidth(rank int) float64 {
-	if m.link != nil && rank < len(m.link.perRank) {
-		return m.link.perRank[rank]
+func (m *gpfsModel) Bandwidth(rank int) float64 {
+	if rank < len(m.write) {
+		return m.write[rank]
 	}
-	return m.aggregateModel.Bandwidth(rank)
+	return m.bw
 }
 
-func (m *topologyModel) Price(rank int, start float64, nbytes int64) WriteCost {
+func (m *gpfsModel) Price(rank int, start float64, nbytes int64) WriteCost {
+	if m.cfg.Aggregation.Async && rank < len(m.write) {
+		// The rank's share of its aggregator's staging buffer absorbs at
+		// gather-plane speed and drains at the write bandwidth; a full
+		// buffer stalls the writer through to GPFS, which is what bounds
+		// staging memory.
+		a, g := &m.cfg.Aggregation, float64(m.plan.group[rank])
+		return m.stage.at(rank).step(start, a.stagingCap()/g, a.gatherPlane()/g, m.write[rank], nbytes, TierStage)
+	}
 	return WriteCost{Seconds: float64(nbytes) / m.Bandwidth(rank)}
 }
 
-func (m *topologyModel) Retarget() { m.link = nil }
+// fluid is one rank's private slice of a buffer — a burst-buffer
+// partition or an async staging share: its occupancy and the clock time
+// its last transfer ended. No other rank touches it (static
+// partitioning), which is what keeps buffered ledgers independent of the
+// order the ranks' writes arrive in.
+type fluid struct{ occ, last float64 }
 
-func (m *topologyModel) Reset() {
-	m.aggregateModel.Reset()
-	m.link = nil
-}
+// buffers holds each rank's fluid, indexed by rank.
+type buffers []fluid
 
-// bbRank is one rank's private slice of the burst buffer: its partition
-// occupancy and the clock time of its last transfer's end (drain decays
-// occupancy over the gap between transfers).
-type bbRank struct {
-	occ  float64
-	last float64
-}
-
-// rankState returns rank's entry in ranks, creating it on first use. No
-// other rank touches it (static partitioning).
-func rankState(ranks map[int]*bbRank, rank int) *bbRank {
-	st := ranks[rank]
-	if st == nil {
-		st = &bbRank{}
-		ranks[rank] = st
+// at returns rank's fluid, growing the table on first use. The pointer
+// is valid until the next growth.
+func (b *buffers) at(rank int) *fluid {
+	if rank >= len(*b) {
+		*b = append(*b, make([]fluid, rank+1-len(*b))...)
 	}
-	return st
+	return &(*b)[rank]
 }
 
-// bbModel is the node-local burst-buffer tier, optionally stacked over
-// the GPFS tier ("bb+gpfs"). Writes fill the rank's NVMe partition at
-// the partition's fill bandwidth while the drain empties it
-// concurrently; a write that fills the partition stalls, moving its
-// remainder at the drain rate. Occupancy persists across bursts and
-// drains through compute gaps (AdvanceClock / inter-burst clock time),
-// which is what makes drain-compute overlap visible in the ledger.
+// drain empties the buffer at rate d over the gap between its last
+// transfer and start.
+func (f *fluid) drain(start, d float64) {
+	if dt := start - f.last; dt > 0 {
+		f.occ -= dt * d
+		if f.occ < 0 {
+			f.occ = 0
+		}
+	}
+}
+
+// step moves nbytes through the buffer starting at start: capR is the
+// capacity, b the fill bandwidth and d the concurrent drain bandwidth. A
+// write that fits is labelled tier; one that fills the buffer stalls,
+// moves its remainder at the drain rate and is labelled TierGPFS.
+func (f *fluid) step(start, capR, b, d float64, nbytes int64, tier Tier) WriteCost {
+	f.drain(start, d)
+	sec, stall, end := fluidFill(f.occ, capR, b, d, nbytes)
+	f.occ, f.last = end, start+sec
+	cost := WriteCost{Seconds: sec, Tier: tier, StallSeconds: stall}
+	if stall > 0 {
+		cost.Tier = TierGPFS
+	}
+	if d > 0 {
+		cost.DrainSeconds = end / d
+	}
+	if capR > 0 {
+		cost.BBFill = end / capR
+	}
+	return cost
+}
+
+// fluidFill advances one rank's buffer through a write: occ bytes
+// buffered at the start, cap capacity, b fill bandwidth, d concurrent
+// drain bandwidth. Returns the transfer time, the stall time (the excess
+// over full-speed caused by a filled buffer), and the end occupancy. occ
+// may exceed cap when a re-packed burst shrank the rank's share after
+// bytes were buffered; the surplus is preserved — write-through consumes
+// the whole drain, so the backlog only shrinks between transfers —
+// never silently dropped.
+func fluidFill(occ, cap, b, d float64, nbytes int64) (sec, stall, end float64) {
+	bytes := float64(nbytes)
+	if bytes <= 0 {
+		return 0, 0, occ
+	}
+	if b <= 0 {
+		b = 1 // degenerate-config guard, mirroring snapshotBandwidth
+	}
+	if d <= 0 {
+		d = 1
+	}
+	if b <= d {
+		// The drain keeps up: the buffer never grows while writing.
+		sec = bytes / b
+		end = occ + bytes - d*sec
+		if end < 0 {
+			end = 0
+		}
+		return sec, 0, end
+	}
+	free := cap - occ
+	if free < 0 {
+		free = 0
+	}
+	net := b - d // buffer growth rate while writing at full speed
+	if grow := bytes * net / b; grow <= free {
+		return bytes / b, 0, occ + grow
+	}
+	// Phase 1 fills the remaining headroom at full speed; phase 2 moves
+	// the remainder write-through at the drain rate, leaving the buffer
+	// at capacity (or at the inherited surplus above it).
+	tFill := free / net
+	rest := bytes - b*tFill
+	sec = tFill + rest/d
+	end = cap
+	if occ > cap {
+		end = occ
+	}
+	return sec, sec - bytes/b, end
+}
+
+// bbModel is the node-local burst-buffer tier over the GPFS tier. Writes
+// fill the rank's NVMe partition at the partition's fill bandwidth while
+// the drain empties it concurrently; a write that fills the partition
+// stalls, moving its remainder at the drain rate. Occupancy persists
+// across bursts and drains through compute gaps (AdvanceClock /
+// inter-burst clock time), which is what makes drain-compute overlap
+// visible in the ledger. "bb+gpfs" additionally caps each rank's drain
+// by its GPFS-tier bandwidth.
 type bbModel struct {
-	name    string
 	spec    BurstBuffer
-	backing StorageModel // the GPFS tier: drain coupling (tiered) + labels
+	backing *gpfsModel
 	tiered  bool
 
-	ranks  map[int]*bbRank
+	ranks  buffers
 	burstN int
 	// Per-rank shares for the current packing.
 	capR, bwR, drainR float64
@@ -362,7 +457,7 @@ type bbModel struct {
 // newBBModel normalizes the spec (zero fields take the Summit defaults,
 // the node count falls back to the topology's) and seeds the
 // single-writer-per-node shares.
-func newBBModel(name string, cfg Config, backing StorageModel) *bbModel {
+func newBBModel(cfg Config, backing *gpfsModel) *bbModel {
 	spec := cfg.BurstBuffer
 	if spec.NodeCapacity <= 0 {
 		spec.NodeCapacity = SummitBBNodeCapacity
@@ -380,13 +475,7 @@ func newBBModel(name string, cfg Config, backing StorageModel) *bbModel {
 			spec.Nodes = 1
 		}
 	}
-	m := &bbModel{
-		name:    name,
-		spec:    spec,
-		backing: backing,
-		tiered:  name == StorageTiered,
-		ranks:   map[int]*bbRank{},
-	}
+	m := &bbModel{spec: spec, backing: backing, tiered: cfg.Storage == StorageTiered}
 	m.setShares(0)
 	return m
 }
@@ -405,8 +494,6 @@ func (m *bbModel) setShares(n int) {
 	m.bwR = m.spec.NodeBandwidth / float64(rpn)
 	m.drainR = m.spec.DrainBandwidth / float64(rpn)
 }
-
-func (m *bbModel) Name() string { return m.name }
 
 func (m *bbModel) BeginBurst(n int) {
 	m.backing.BeginBurst(n)
@@ -434,82 +521,14 @@ func (m *bbModel) drainRate(rank int) float64 {
 }
 
 func (m *bbModel) Price(rank int, start float64, nbytes int64) WriteCost {
-	st := rankState(m.ranks, rank)
-	capR, b, d := m.capR, m.bwR, m.drainRate(rank)
-	if dt := start - st.last; dt > 0 {
-		st.occ -= dt * d
-		if st.occ < 0 {
-			st.occ = 0
-		}
-	}
-	sec, stall, end := bbFill(st.occ, capR, b, d, nbytes)
-	st.occ = end
-	st.last = start + sec
-	cost := WriteCost{Seconds: sec, Tier: TierBB, StallSeconds: stall}
-	if stall > 0 {
-		cost.Tier = TierGPFS
-	} else if m.spec.OpenLatency > 0 {
+	cost := m.ranks.at(rank).step(start, m.capR, m.bwR, m.drainRate(rank), nbytes, TierBB)
+	if cost.Tier == TierBB && m.spec.OpenLatency > 0 {
 		// Fully buffer-absorbed writes open against the NVMe tier;
 		// stalled writes went through to GPFS and pay its open (the
 		// zero value, resolved by the FileSystem).
 		cost.OpenSeconds = m.spec.OpenLatency
 	}
-	if d > 0 {
-		cost.DrainSeconds = end / d
-	}
-	if capR > 0 {
-		cost.BBFill = end / capR
-	}
 	return cost
-}
-
-// bbFill advances one rank's buffer partition through a write: occ bytes
-// buffered at the start, cap partition capacity, b fill bandwidth, d
-// concurrent drain bandwidth. Returns the transfer time, the stall time
-// (the excess over full-speed caused by a filled partition), and the end
-// occupancy. occ may exceed cap when a re-packed burst shrank the
-// rank's share after bytes were buffered; the surplus is preserved —
-// write-through consumes the whole drain, so the backlog only shrinks
-// between transfers — never silently dropped.
-func bbFill(occ, cap, b, d float64, nbytes int64) (sec, stall, end float64) {
-	bytes := float64(nbytes)
-	if bytes <= 0 {
-		return 0, 0, occ
-	}
-	if b <= 0 {
-		b = 1 // degenerate-config guard, mirroring snapshotBandwidth
-	}
-	if d <= 0 {
-		d = 1
-	}
-	if b <= d {
-		// The drain keeps up: the partition never grows while writing.
-		sec = bytes / b
-		end = occ + bytes - d*sec
-		if end < 0 {
-			end = 0
-		}
-		return sec, 0, end
-	}
-	free := cap - occ
-	if free < 0 {
-		free = 0
-	}
-	net := b - d // partition growth rate while writing at full speed
-	if grow := bytes * net / b; grow <= free {
-		return bytes / b, 0, occ + grow
-	}
-	// Phase 1 fills the remaining headroom at full speed; phase 2 moves
-	// the remainder write-through at the drain rate, leaving the
-	// partition at capacity (or at the inherited surplus above it).
-	tFill := free / net
-	rest := bytes - b*tFill
-	sec = tFill + rest/d
-	end = cap
-	if occ > cap {
-		end = occ
-	}
-	return sec, sec - bytes/b, end
 }
 
 // DropBuffer implements BufferFaults: a buffer-loss fault discards rank's
@@ -518,16 +537,10 @@ func bbFill(occ, cap, b, d float64, nbytes int64) (sec, stall, end float64) {
 // occupancy over the rank's drain stream. Touches only rank-private state
 // (static partitioning), matching Price.
 func (m *bbModel) DropBuffer(rank int, start float64) float64 {
-	st, d := rankState(m.ranks, rank), m.drainRate(rank)
-	if dt := start - st.last; dt > 0 {
-		st.occ -= dt * d
-		if st.occ < 0 {
-			st.occ = 0
-		}
-	}
-	occ := st.occ
-	st.occ = 0
-	st.last = start
+	f, d := m.ranks.at(rank), m.drainRate(rank)
+	f.drain(start, d)
+	occ := f.occ
+	f.occ, f.last = 0, start
 	if d <= 0 || occ <= 0 {
 		return 0
 	}
@@ -538,12 +551,4 @@ func (m *bbModel) DropBuffer(rank int, start float64) float64 {
 // bandwidth rank writes at while its buffer partition is out.
 func (m *bbModel) FallbackBandwidth(rank int) float64 {
 	return m.backing.Bandwidth(rank)
-}
-
-func (m *bbModel) Retarget() { m.backing.Retarget() }
-
-func (m *bbModel) Reset() {
-	m.backing.Reset()
-	m.ranks = map[int]*bbRank{}
-	m.setShares(0)
 }

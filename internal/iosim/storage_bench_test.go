@@ -17,6 +17,7 @@ func BenchmarkStorageWrite(b *testing.B) {
 				cfg.Storage = kind
 				cfg.Topology = TopologyForCase(ranks/4, ranks)
 				cfg.BurstBuffer = DefaultBurstBuffer(ranks / 4)
+				cfg.RetainLedger = RetainNone // bound ledger memory on long -benchtime runs
 				fs := New(cfg, "")
 				b.SetBytes(int64(ranks) << 20)
 				b.ResetTimer()
@@ -28,11 +29,6 @@ func BenchmarkStorageWrite(b *testing.B) {
 						}
 					}
 					fs.EndBurst()
-					if i%1024 == 1023 {
-						b.StopTimer()
-						fs.Reset() // bound ledger memory on long -benchtime runs
-						b.StartTimer()
-					}
 				}
 			})
 		}

@@ -10,8 +10,9 @@ package iosim
 // servers, each with its own service rate. Two writers packed onto one
 // node contend for that node's NIC even when the backend is idle; a
 // thousand writers striped across 77 NSD servers contend per server, not
-// per file system. A Topology describes that placement so BeginBurst can
-// snapshot a per-(rank, target) link bandwidth instead of one global rate.
+// per file system. A Topology describes that placement so the GPFS tier's
+// BeginBurst (storage.go) can snapshot a per-(rank, target) link
+// bandwidth instead of one global rate.
 //
 // The zero Topology disables the model entirely: every duration, ledger
 // record, burst statistic and characterization is byte-identical to the
@@ -131,50 +132,4 @@ func (t Topology) targetOf(rank int) int {
 		}
 	}
 	return rank % t.Targets
-}
-
-// linkSnapshot is the per-burst bandwidth table BeginBurst publishes when
-// the topology is enabled: perRank[r] is rank r's effective per-link
-// bandwidth under the declared contention (NIC sharing on its node, fan-in
-// sharing on its target, and the aggregate/per-writer baseline). Ranks at
-// or beyond len(perRank) — writers outside the declared burst — fall back
-// to the scalar snapshot, matching the aggregate model's semantics.
-type linkSnapshot struct {
-	perRank []float64
-}
-
-// snapshot computes the per-rank link bandwidths for an n-writer burst.
-func (t Topology) snapshot(cfg Config, n int) *linkSnapshot {
-	rpn := t.ranksPerNode(n)
-	nodeWriters := make([]int, t.Nodes)
-	var targetWriters []int
-	if t.Targets > 0 {
-		targetWriters = make([]int, t.Targets)
-	}
-	for r := 0; r < n; r++ {
-		nodeWriters[t.nodeOf(r, rpn)]++
-		if targetWriters != nil {
-			targetWriters[t.targetOf(r)]++
-		}
-	}
-	base := snapshotBandwidth(cfg, n)
-	perRank := make([]float64, n)
-	for r := range perRank {
-		bw := base
-		if t.NICBandwidth > 0 {
-			if share := t.NICBandwidth / float64(nodeWriters[t.nodeOf(r, rpn)]); share < bw {
-				bw = share
-			}
-		}
-		if targetWriters != nil && t.TargetBandwidth > 0 {
-			if share := t.TargetBandwidth / float64(targetWriters[t.targetOf(r)]); share < bw {
-				bw = share
-			}
-		}
-		if bw <= 0 {
-			bw = 1
-		}
-		perRank[r] = bw
-	}
-	return &linkSnapshot{perRank: perRank}
 }

@@ -471,4 +471,57 @@ func TestRetargetChangesContention(t *testing.T) {
 	if math.Abs(d0-1) > 1e-9 || math.Abs(d1-1) > 1e-9 {
 		t.Fatalf("restored durations = %g, %g, want 1", d0, d1)
 	}
+
+	// Every other stack reads the new placement at the next BeginBurst
+	// too. Under "1/node" (3 ranks per node) aggregators 0 and 3 carry
+	// three ranks' bytes each through round-robin targets 0 and 1;
+	// members first gather at 50 GB/s over 2 senders (0.04 s). A
+	// one-byte staging buffer, or a one-byte burst buffer draining
+	// through the GPFS tier, stalls every write through at the rank's
+	// GPFS bandwidth, so the collision doubles the transfer there too.
+	for _, tc := range []struct {
+		name     string
+		rpn      int
+		agg      AggregationSpec
+		bb       BurstBuffer
+		storage  string
+		gather   []float64 // per-rank gather seconds
+		transfer float64   // per-rank transfer seconds, round-robin
+	}{
+		{name: "1/node", rpn: 3, agg: AggregationSpec{Aggregators: "1/node"},
+			gather: []float64{0, .04, .04, 0, .04, .04}, transfer: 3},
+		{name: "1/node+async", rpn: 3, agg: AggregationSpec{Aggregators: "1/node", Async: true, StagingCapacity: 1},
+			gather: []float64{0, .04, .04, 0, .04, .04}, transfer: 3},
+		{name: "bb+gpfs", rpn: 1, storage: StorageTiered,
+			bb:     BurstBuffer{NodeCapacity: 1, NodeBandwidth: 1e12, DrainBandwidth: 1e12},
+			gather: []float64{0, 0}, transfer: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cfg
+			c.Topology.RanksPerNode = tc.rpn
+			c.Aggregation, c.BurstBuffer, c.Storage = tc.agg, tc.bb, tc.storage
+			fs := New(c, "")
+			n := len(tc.gather)
+			burst := func(label string, scale float64) {
+				fs.BeginBurst(n)
+				for r := 0; r < n; r++ {
+					d, err := fs.WriteSize(r, "a", 1e9, Labels{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := tc.gather[r] + scale*tc.transfer; math.Abs(d-want) > 1e-6*want {
+						t.Errorf("%s: rank %d duration = %g, want %g", label, r, d, want)
+					}
+				}
+				fs.EndBurst()
+			}
+			burst("round-robin", 1)
+			if err := fs.Retarget(make([]int, n)); err != nil { // every rank on target 0
+				t.Fatal(err)
+			}
+			burst("collided", 2)
+			fs.Retarget(nil)
+			burst("restored", 1)
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -127,13 +128,17 @@ func (p *Policy) Validate() error {
 
 // Parse decodes and validates a JSON policy. Unknown fields are
 // rejected so typos ("treshold") fail loudly instead of mitigating
-// nothing.
+// nothing, and so is data after the policy, which would otherwise be
+// dropped unread.
 func Parse(data []byte) (*Policy, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var p Policy
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("resilience: malformed policy JSON: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return nil, fmt.Errorf("resilience: malformed policy JSON: trailing data after the policy")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

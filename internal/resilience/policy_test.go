@@ -57,6 +57,9 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	if _, err := Parse([]byte(`{"bogus": true}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
+	if _, err := Parse([]byte(`{"quarantine": true} {"quarantine": false}`)); err == nil {
+		t.Error("trailing policy accepted")
+	}
 	p, err := Parse([]byte(`{"quarantine": true, "quarantine_threshold": 3}`))
 	if err != nil {
 		t.Fatal(err)

@@ -111,13 +111,17 @@ type CaseLine struct {
 
 // decodeBatch reads a strict JSON case batch. DisallowUnknownFields is
 // the service's input contract (and the jsonstrict vet gate's): a typo
-// in a case field must 400, not silently run a default.
+// in a case field must 400, not silently run a default. So must data
+// after the batch: a second batch would otherwise be dropped unrun.
 func decodeBatch(body io.Reader) ([]campaign.Case, error) {
 	var cases []campaign.Case
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cases); err != nil {
 		return nil, fmt.Errorf("decode batch: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return nil, fmt.Errorf("decode batch: trailing data after the batch")
 	}
 	return cases, nil
 }

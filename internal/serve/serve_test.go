@@ -144,6 +144,11 @@ func TestServeRejectsBadBatches(t *testing.T) {
 	if resp := post(`[]`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch: status = %d, want 400", resp.StatusCode)
 	}
+	// A second batch after the first must not be dropped unrun.
+	one := `[{"name":"x","n_cell":32,"max_step":1,"plot_int":1,"cfl":0.5,"nprocs":1}]`
+	if resp := post(one + " " + one); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing batch: status = %d, want 400", resp.StatusCode)
+	}
 	if resp := post(`[{"name":"x","n_cell":32,"max_step":1,"plot_int":1,"cfl":0.5,"nprocs":1,"engine":"bogus"}]`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid case: status = %d, want 400", resp.StatusCode)
 	}
@@ -227,6 +232,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		`[]`, `null`, `{not json`, `[{"name":"x","bogus_field":1}]`,
 		`[{"name":"e","faults":{"events":[]}}]`,
 		`[{"aggregation":{"aggregators":"all","writers":3}}]`,
+		string(valid) + " " + string(valid), string(valid) + "]",
 	} {
 		f.Add([]byte(seed))
 	}
