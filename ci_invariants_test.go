@@ -2,8 +2,8 @@
 // sees, so these tests pin its load-bearing properties — the race gate
 // covers the whole module (no enumerated package list to rot), the
 // amrio-vet gate exists and runs through the real vet protocol, the
-// benchmark's exact outputs are verified, and the third-party gates stay
-// version-pinned.
+// benchmark's exact outputs are verified, the module type-checks for a
+// 32-bit target, and the third-party gates stay version-pinned.
 package amrproxyio_test
 
 import (
@@ -101,5 +101,13 @@ func TestBenchVerifyPresent(t *testing.T) {
 	}
 	if strings.Contains(ci, "amrio-bench -compare") {
 		t.Error("CI runs the timing -compare; hosted runners are not the baseline host")
+	}
+}
+
+// TestThirtyTwoBitVetPresent: the module must keep type-checking for a
+// 32-bit target, where an int constant above MaxInt32 is a compile error.
+func TestThirtyTwoBitVetPresent(t *testing.T) {
+	if !strings.Contains(readCI(t), "run: GOARCH=386 go vet ./...") {
+		t.Error("CI does not run `GOARCH=386 go vet ./...`")
 	}
 }

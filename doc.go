@@ -79,5 +79,9 @@
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation section, and cmd/amrio-report renders them from
 // saved or fresh campaign runs. ARCHITECTURE.md maps the package graph
-// and the load-bearing designs. Start with examples/quickstart.
+// and the load-bearing designs. Start with this package's Example in
+// example_test.go: a small Sedov run on real disk, its per-(step, level,
+// task) ledger, a plotfile read back, and the Darshan-style profile on
+// GPFS and on the burst-buffer stack; internal/sim's Example renders
+// the paper's Fig. 4. go test checks the output of both.
 package amrproxyio

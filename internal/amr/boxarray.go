@@ -87,19 +87,6 @@ func (ba BoxArray) NumPts() int64 {
 	return n
 }
 
-// MinimalBox is the bounding box of the array.
-func (ba BoxArray) MinimalBox() grid.Box {
-	if len(ba.Boxes) == 0 {
-		return grid.Empty()
-	}
-	out := ba.Boxes[0]
-	for _, b := range ba.Boxes[1:] {
-		out.Lo = out.Lo.Min(b.Lo)
-		out.Hi = out.Hi.Max(b.Hi)
-	}
-	return out
-}
-
 // Contains reports whether cell p is covered by any box.
 func (ba BoxArray) Contains(p grid.IntVect) bool {
 	return ba.Index().Contains(p)

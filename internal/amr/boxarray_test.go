@@ -33,20 +33,6 @@ func TestSingleBoxArrayCoversDomain(t *testing.T) {
 	}
 }
 
-func TestBoxArrayMinimalBox(t *testing.T) {
-	ba := NewBoxArray([]grid.Box{
-		grid.NewBox(grid.IV(0, 0), grid.IV(3, 3)),
-		grid.NewBox(grid.IV(10, 12), grid.IV(15, 20)),
-	})
-	mb := ba.MinimalBox()
-	if !mb.Equal(grid.NewBox(grid.IV(0, 0), grid.IV(15, 20))) {
-		t.Errorf("MinimalBox = %v", mb)
-	}
-	if !NewBoxArray(nil).MinimalBox().IsEmpty() {
-		t.Error("empty array MinimalBox should be empty")
-	}
-}
-
 func TestBoxArrayContains(t *testing.T) {
 	ba := NewBoxArray([]grid.Box{
 		grid.NewBox(grid.IV(0, 0), grid.IV(3, 3)),

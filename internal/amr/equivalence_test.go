@@ -109,7 +109,7 @@ func naiveClampedLookup(mf *MultiFab) coarseLookup {
 				return f.At(i, j, comp)
 			}
 		}
-		best := math.MaxInt64
+		best := math.MaxInt
 		var bi, bj int
 		var bf *FAB
 		for _, f := range mf.FABs {

@@ -130,10 +130,3 @@ func (f *FAB) Sum(comp int) float64 {
 	}
 	return s
 }
-
-// ValidBytes returns the serialized size of the valid region: the quantity
-// the plotfile writer puts on disk (no ghosts are written, matching
-// AMReX's WriteMultiLevelPlotfile).
-func (f *FAB) ValidBytes() int64 {
-	return f.ValidBox.NumPts() * int64(f.NComp) * 8
-}

@@ -172,7 +172,7 @@ func makeClampedLookup(mf *MultiFab) coarseLookup {
 			return mf.FABs[fi].At(i, j, comp)
 		}
 		// Clamp to the nearest valid cell of the nearest box.
-		best := math.MaxInt64
+		best := math.MaxInt
 		var bi, bj int
 		var bf *FAB
 		for _, f := range mf.FABs {

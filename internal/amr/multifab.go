@@ -189,13 +189,3 @@ func (mf *MultiFab) CopyInto(dst *MultiFab) {
 		}
 	})
 }
-
-// BytesPerRank returns the plotfile-serialized valid bytes owned by each
-// of nprocs ranks — the per-task quantity behind the paper's Fig. 8.
-func (mf *MultiFab) BytesPerRank(nprocs int) []int64 {
-	out := make([]int64, nprocs)
-	for i, f := range mf.FABs {
-		out[mf.DM.Owner[i]] += f.ValidBytes()
-	}
-	return out
-}

@@ -41,9 +41,6 @@ func TestFABFillConstAndStats(t *testing.T) {
 	if got := f.Sum(0); got != 2.5*16 {
 		t.Errorf("Sum = %g", got)
 	}
-	if got := f.ValidBytes(); got != 16*2*8 {
-		t.Errorf("ValidBytes = %d", got)
-	}
 }
 
 func TestFABCopyFrom(t *testing.T) {
@@ -149,24 +146,6 @@ func TestMultiFabCopyInto(t *testing.T) {
 	src.CopyInto(dst)
 	if v, _ := dst.ValueAt(grid.IV(9, 9), 0); v != 5 {
 		t.Errorf("copied value = %g", v)
-	}
-}
-
-func TestBytesPerRank(t *testing.T) {
-	dom := grid.NewBox(grid.IV(0, 0), grid.IV(15, 15))
-	ba := SingleBoxArray(dom, 8, 8) // 4 boxes of 64 cells
-	dm := MustDistribute(ba, 2, DistRoundRobin)
-	mf := NewMultiFab(ba, dm, 4, 0)
-	per := mf.BytesPerRank(2)
-	if per[0] != 2*64*4*8 || per[1] != 2*64*4*8 {
-		t.Errorf("BytesPerRank = %v", per)
-	}
-	var sum int64
-	for _, b := range per {
-		sum += b
-	}
-	if sum != 16*16*4*8 {
-		t.Errorf("total bytes = %d", sum)
 	}
 }
 

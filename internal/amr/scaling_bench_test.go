@@ -15,14 +15,18 @@ import (
 //	go test ./internal/amr -bench 'FillBoundary|ExchangePlan|FillPatch' -benchtime 1x
 func scalingSizes() []int { return []int{64, 256, 1024} }
 
-// scalingBA tiles a square domain into exactly nboxes 16x16 boxes.
+// scalingBA tiles scalingDomain(nboxes) into exactly nboxes 16x16 boxes.
 func scalingBA(nboxes int) BoxArray {
+	return SingleBoxArray(scalingDomain(nboxes), 16, 16)
+}
+
+// scalingDomain is the square domain of nboxes 16x16 tiles.
+func scalingDomain(nboxes int) grid.Box {
 	side := 1
 	for side*side < nboxes {
 		side *= 2
 	}
-	dom := grid.NewBox(grid.IV(0, 0), grid.IV(side*16-1, side*16-1))
-	return SingleBoxArray(dom, 16, 16)
+	return grid.NewBox(grid.IV(0, 0), grid.IV(side*16-1, side*16-1))
 }
 
 func scalingMF(nboxes, ncomp, nghost int) *MultiFab {
@@ -98,7 +102,7 @@ func BenchmarkFillPatch(b *testing.B) {
 	for _, n := range scalingSizes() {
 		b.Run(fmt.Sprintf("boxes=%d", n), func(b *testing.B) {
 			ba := scalingBA(n)
-			dom := ba.MinimalBox()
+			dom := scalingDomain(n)
 			ba.Index()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -113,7 +117,7 @@ func BenchmarkFillPatchNaive(b *testing.B) {
 	for _, n := range scalingSizes() {
 		b.Run(fmt.Sprintf("boxes=%d", n), func(b *testing.B) {
 			ba := scalingBA(n)
-			dom := ba.MinimalBox()
+			dom := scalingDomain(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, db := range ba.Boxes {

@@ -93,7 +93,7 @@ func TestSweepDist(t *testing.T) {
 				"case27_roundrobin", "case27_knapsack", "case27_sfc"},
 			check: func(i int, c Case) bool {
 				b := []Case{Case4(), Case27()}[i/3]
-				return c.Dist == AllDists()[i%3] && c.Nodes == b.Nodes && c.NProcs == b.NProcs && c.NCell == b.NCell
+				return c.Dist == []Dist{DistRoundRobin, DistKnapsack, DistSFC}[i%3] && c.Nodes == b.Nodes && c.NProcs == b.NProcs && c.NCell == b.NCell
 			},
 		},
 		{
@@ -118,7 +118,7 @@ func TestSweepStorage(t *testing.T) {
 				"case27_gpfs", "case27_bb", "case27_bb+gpfs"},
 			check: func(i int, c Case) bool {
 				b := []Case{Case4(), Case27()}[i/3]
-				return c.Storage == AllStorages()[i%3] && c.NCell == b.NCell && c.Nodes == b.Nodes
+				return c.Storage == []Storage{StorageGPFS, StorageBB, StorageTiered}[i%3] && c.NCell == b.NCell && c.Nodes == b.Nodes
 			},
 		},
 		{

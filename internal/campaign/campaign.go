@@ -116,8 +116,21 @@ func (c Case) Validate() error {
 	if _, err := iosim.ParseStorage(string(c.Storage)); err != nil {
 		return fmt.Errorf("campaign %s: %w", c.Name, err)
 	}
-	if c.ComputeSeconds < 0 {
+	switch {
+	case c.NCell < 1:
+		return fmt.Errorf("campaign %s: n_cell %d must be >= 1", c.Name, c.NCell)
+	case c.NProcs < 1:
+		return fmt.Errorf("campaign %s: nprocs %d must be >= 1", c.Name, c.NProcs)
+	case c.MaxStep < 0:
+		return fmt.Errorf("campaign %s: max_step %d must be >= 0", c.Name, c.MaxStep)
+	case c.MaxLevel < 0:
+		return fmt.Errorf("campaign %s: max_level %d must be >= 0", c.Name, c.MaxLevel)
+	case !(c.CFL > 0 && c.CFL < 1):
+		return fmt.Errorf("campaign %s: cfl %g must be in (0,1)", c.Name, c.CFL)
+	case c.ComputeSeconds < 0:
 		return fmt.Errorf("campaign %s: negative compute_seconds %g", c.Name, c.ComputeSeconds)
+	case math.IsNaN(c.ComputeSeconds) || math.IsInf(c.ComputeSeconds, 1):
+		return fmt.Errorf("campaign %s: compute_seconds %g must be finite", c.Name, c.ComputeSeconds)
 	}
 	if !(c.BBCapacity >= 0) || math.IsInf(c.BBCapacity, 1) {
 		return fmt.Errorf("campaign %s: bb_capacity %g must be a finite number of bytes >= 0", c.Name, c.BBCapacity)

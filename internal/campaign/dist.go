@@ -24,15 +24,6 @@ const (
 	DistSFC        Dist = "sfc"
 )
 
-// AllDists returns the full sweep set, in amr declaration order.
-func AllDists() []Dist {
-	out := make([]Dist, 0, len(amr.DistStrategies()))
-	for _, s := range amr.DistStrategies() {
-		out = append(out, Dist(s.String()))
-	}
-	return out
-}
-
 // ParseDist validates a strategy name, rejecting unknown names the same
 // way unknown engines are rejected.
 func ParseDist(name string) (Dist, error) {

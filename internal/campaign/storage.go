@@ -24,15 +24,6 @@ const (
 	StorageTiered  Storage = iosim.StorageTiered
 )
 
-// AllStorages returns the full sweep set, in iosim declaration order.
-func AllStorages() []Storage {
-	out := make([]Storage, 0, len(iosim.StorageKinds()))
-	for _, k := range iosim.StorageKinds() {
-		out = append(out, Storage(k))
-	}
-	return out
-}
-
 // ParseStorage validates a storage name, rejecting unknown names the
 // same way unknown engines and dists are rejected.
 func ParseStorage(name string) (Storage, error) {

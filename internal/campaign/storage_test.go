@@ -3,7 +3,6 @@ package campaign
 import (
 	"encoding/json"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -34,6 +33,16 @@ func TestCaseValidateTable(t *testing.T) {
 		{"negative bb capacity", func(c *Case) { c.BBCapacity = -1 }, "bb_capacity -1"},
 		{"NaN bb capacity", func(c *Case) { c.BBCapacity = math.NaN() }, "bb_capacity NaN"},
 		{"infinite bb capacity", func(c *Case) { c.BBCapacity = math.Inf(1) }, "bb_capacity +Inf"},
+		{"zero n_cell", func(c *Case) { c.NCell = 0 }, "n_cell 0"},
+		{"negative n_cell", func(c *Case) { c.NCell = -32 }, "n_cell -32"},
+		{"zero nprocs", func(c *Case) { c.NProcs = 0 }, "nprocs 0"},
+		{"negative max_step", func(c *Case) { c.MaxStep = -1 }, "max_step -1"},
+		{"negative max_level", func(c *Case) { c.MaxLevel = -1 }, "max_level -1"},
+		{"zero cfl", func(c *Case) { c.CFL = 0 }, "cfl 0"},
+		{"cfl 1", func(c *Case) { c.CFL = 1 }, "cfl 1"},
+		{"NaN cfl", func(c *Case) { c.CFL = math.NaN() }, "cfl NaN"},
+		{"NaN compute_seconds", func(c *Case) { c.ComputeSeconds = math.NaN() }, "compute_seconds NaN"},
+		{"infinite compute_seconds", func(c *Case) { c.ComputeSeconds = math.Inf(1) }, "compute_seconds +Inf"},
 	}
 	for _, tc := range tests {
 		c := valid
@@ -99,9 +108,6 @@ func TestParseStorageNames(t *testing.T) {
 	}
 	if _, err := ParseStorage("lustre"); err == nil {
 		t.Error("unknown name accepted")
-	}
-	if got := AllStorages(); !reflect.DeepEqual(got, []Storage{StorageGPFS, StorageBB, StorageTiered}) {
-		t.Errorf("AllStorages = %v", got)
 	}
 }
 

@@ -314,20 +314,3 @@ func Translate(cfg inputs.CastroInputs, measured []plotfile.OutputRecord, opts T
 		Pearson: stats.Pearson(meas, pred),
 	}, nil
 }
-
-// PredictMACSioStepBytes returns the actual file bytes (data + root
-// metadata) a MACSio run with cfg would write at dump step k — the
-// closed-form predictor used when comparing the proxy against a measured
-// AMReX series without executing the dump loop.
-func PredictMACSioStepBytes(cfg macsio.Config, step int) int64 {
-	var total int64
-	for r := 0; r < cfg.NProcs; r++ {
-		nvals := int(cfg.NominalBytes(r, step) / 8)
-		if nvals < 1 {
-			nvals = 1
-		}
-		total += macsio.DataFileSize(cfg.Interface, nvals, cfg.VarsPerPart, cfg.MetaSize)
-	}
-	total += int64(len(macsio.EncodeRootMeta(cfg, step)))
-	return total
-}

@@ -254,33 +254,3 @@ func TestTranslateErrors(t *testing.T) {
 		t.Error("empty ledger accepted")
 	}
 }
-
-func TestPredictMACSioStepBytesMatchesRun(t *testing.T) {
-	cfg := macsio.DefaultConfig()
-	cfg.NProcs = 3
-	cfg.NumDumps = 4
-	cfg.PartSize = 20000
-	cfg.DatasetGrowth = 1.05
-	cfg.SizeOnly = true
-	fsRecs := runMACSio(t, cfg)
-	per := macsio.BytesPerStep(fsRecs)
-	for k := 0; k < 4; k++ {
-		pred := PredictMACSioStepBytes(cfg, k)
-		// The run's DumpRecords exclude the root metadata file; the
-		// predictor includes it, so compare with that correction.
-		root := int64(len(macsio.EncodeRootMeta(cfg, k)))
-		if per[k]+root != pred {
-			t.Errorf("step %d: run %d + root %d != predicted %d", k, per[k], root, pred)
-		}
-	}
-}
-
-func runMACSio(t *testing.T, cfg macsio.Config) []macsio.DumpRecord {
-	t.Helper()
-	fs := newModelFS()
-	recs, err := macsio.Run(fs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return recs
-}

@@ -33,9 +33,6 @@ func (e *MTBFEstimator) AdvanceTo(now float64) {
 	}
 }
 
-// Count returns the number of interrupts observed.
-func (e *MTBFEstimator) Count() int { return e.n }
-
 // Estimate returns the censored-MLE mean time between failures, or 0
 // before the first interrupt (no estimate — callers must not retime
 // checkpoints on zero evidence).

@@ -10,14 +10,14 @@ func TestMTBFEstimatorCensoredMLE(t *testing.T) {
 	if e.Estimate() != 0 {
 		t.Error("zero-evidence estimate != 0")
 	}
-	if e.Count() != 0 {
+	if e.n != 0 {
 		t.Error("fresh estimator counts interrupts")
 	}
 	e.Observe(2)
 	e.Observe(5)
 	e.Observe(9)
-	if e.Count() != 3 {
-		t.Errorf("count = %d, want 3", e.Count())
+	if e.n != 3 {
+		t.Errorf("count = %d, want 3", e.n)
 	}
 	// Horizon 9, 3 deaths: censored MLE is 3, not the mean closed gap.
 	if got := e.Estimate(); got != 3 {
@@ -99,7 +99,7 @@ func TestInterruptsMatchAnalyze(t *testing.T) {
 		e.Observe(x)
 	}
 	e.AdvanceTo(horizon)
-	want := horizon / float64(e.Count())
+	want := horizon / float64(e.n)
 	if math.Abs(e.Estimate()-want) > 1e-12 {
 		t.Errorf("estimate = %g, want %g", e.Estimate(), want)
 	}

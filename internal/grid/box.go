@@ -70,11 +70,6 @@ func (b Box) Grow(n int) Box {
 	return Box{Lo: IntVect{b.Lo.X - n, b.Lo.Y - n}, Hi: IntVect{b.Hi.X + n, b.Hi.Y + n}}
 }
 
-// Shift translates the box by v.
-func (b Box) Shift(v IntVect) Box {
-	return Box{Lo: b.Lo.Add(v), Hi: b.Hi.Add(v)}
-}
-
 // Refine maps the box to the index space that is ratio times finer. A
 // cell-centered box [lo,hi] refines to [lo*r, (hi+1)*r - 1].
 func (b Box) Refine(ratio int) Box {
@@ -110,15 +105,6 @@ func (b Box) ChopY(j int) (bottom, top Box) {
 	bottom = Box{Lo: b.Lo, Hi: IntVect{b.Hi.X, j - 1}}
 	top = Box{Lo: IntVect{b.Lo.X, j}, Hi: b.Hi}
 	return
-}
-
-// LongDir returns 0 if the box is at least as long in X as in Y, else 1.
-func (b Box) LongDir() int {
-	s := b.Size()
-	if s.X >= s.Y {
-		return 0
-	}
-	return 1
 }
 
 func (b Box) String() string {

@@ -91,7 +91,7 @@ func TestBoxIntersect(t *testing.T) {
 	}
 }
 
-func TestBoxGrowShift(t *testing.T) {
+func TestBoxGrow(t *testing.T) {
 	b := NewBox(IV(2, 2), IV(5, 5))
 	g := b.Grow(2)
 	if !g.Equal(NewBox(IV(0, 0), IV(7, 7))) {
@@ -99,10 +99,6 @@ func TestBoxGrowShift(t *testing.T) {
 	}
 	if !g.Grow(-2).Equal(b) {
 		t.Error("Grow(-n) does not invert Grow(n)")
-	}
-	s := b.Shift(IV(-2, 3))
-	if !s.Equal(NewBox(IV(0, 5), IV(3, 8))) {
-		t.Errorf("Shift = %v", s)
 	}
 }
 
@@ -305,9 +301,8 @@ func TestGeom(t *testing.T) {
 		t.Errorf("refined dx = %g", fine.CellSize[0])
 	}
 	// Physical extent preserved.
-	xl, yl := fine.CellLo(0, 0)
-	if xl != 0 || yl != 0 {
-		t.Errorf("CellLo = %g,%g", xl, yl)
+	if x, y := fine.CellCenter(0, 0); x != 0.5/64 || y != 0.5/64 {
+		t.Errorf("refined CellCenter(0,0) = %g,%g", x, y)
 	}
 }
 

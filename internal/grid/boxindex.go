@@ -89,9 +89,6 @@ func (idx *BoxIndex) bucketOf(p IntVect) (bx, by int) {
 	return
 }
 
-// Len returns the number of indexed boxes (including empty ones).
-func (idx *BoxIndex) Len() int { return len(idx.boxes) }
-
 // Intersecting appends the indices of all boxes intersecting b to out and
 // returns it, in ascending index order with no duplicates. Passing a
 // reusable out slice (sliced to zero length) avoids per-query allocation.

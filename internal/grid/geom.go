@@ -39,13 +39,6 @@ func (g Geom) CellCenter(i, j int) (x, y float64) {
 	return
 }
 
-// CellLo returns the physical coordinates of the lower-left corner of cell (i,j).
-func (g Geom) CellLo(i, j int) (x, y float64) {
-	x = g.ProbLo[0] + float64(i-g.Domain.Lo.X)*g.CellSize[0]
-	y = g.ProbLo[1] + float64(j-g.Domain.Lo.Y)*g.CellSize[1]
-	return
-}
-
 func (g Geom) String() string {
 	return fmt.Sprintf("Geom{domain=%s dx=(%g,%g)}", g.Domain, g.CellSize[0], g.CellSize[1])
 }

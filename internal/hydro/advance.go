@@ -219,20 +219,6 @@ func inDeposit(x, y float64, center [2]float64, r float64) bool {
 	return dx*dx+dy*dy <= r*r
 }
 
-// DeriveMach fills a single-component MultiFab with the Mach number
-// computed from the state.
-func DeriveMach(dst *amr.MultiFab, state *amr.MultiFab, gamma float64) {
-	for idx, df := range dst.FABs {
-		sf := state.FABs[idx]
-		for j := df.ValidBox.Lo.Y; j <= df.ValidBox.Hi.Y; j++ {
-			for i := df.ValidBox.Lo.X; i <= df.ValidBox.Hi.X; i++ {
-				w := ToPrim(consAt(sf, i, j), gamma)
-				df.Set(i, j, 0, Mach(w, gamma))
-			}
-		}
-	}
-}
-
 // TotalEnergy integrates the energy density over the valid region of a
 // level (cells * cell area), for conservation checks.
 func TotalEnergy(state *amr.MultiFab, geom grid.Geom) float64 {

@@ -254,30 +254,6 @@ func TestMaxSignalSpeed(t *testing.T) {
 	}
 }
 
-func TestDeriveMach(t *testing.T) {
-	dom := grid.NewBox(grid.IV(0, 0), grid.IV(3, 3))
-	ba := amr.SingleBoxArray(dom, 4, 1)
-	dm := amr.MustDistribute(ba, 1, amr.DistRoundRobin)
-	state := amr.NewMultiFab(ba, dm, NCons, 0)
-	mach := amr.NewMultiFab(ba, dm, 1, 0)
-	w := Prim{Rho: 1, U: 2 * math.Sqrt(1.4), V: 0, P: 1} // Mach 2
-	c := ToCons(w, gamma)
-	state.ForEachFAB(func(_ int, f *amr.FAB) {
-		for j := f.ValidBox.Lo.Y; j <= f.ValidBox.Hi.Y; j++ {
-			for i := f.ValidBox.Lo.X; i <= f.ValidBox.Hi.X; i++ {
-				f.Set(i, j, IRho, c.Rho)
-				f.Set(i, j, IMx, c.Mx)
-				f.Set(i, j, IMy, c.My)
-				f.Set(i, j, IEner, c.E)
-			}
-		}
-	})
-	DeriveMach(mach, state, gamma)
-	if v, _ := mach.ValueAt(grid.IV(1, 1), 0); math.Abs(v-2) > 1e-12 {
-		t.Errorf("Mach = %g", v)
-	}
-}
-
 func TestEnforceFloorsRecoversBadState(t *testing.T) {
 	c := enforceFloors(Cons{Rho: -5, Mx: 1, My: 1, E: -10}, gamma)
 	if c.Rho <= 0 {

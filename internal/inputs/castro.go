@@ -175,7 +175,7 @@ func (c CastroInputs) Validate() error {
 	if c.MaxStep < 0 {
 		return fmt.Errorf("inputs: amr.max_step must be >= 0, got %d", c.MaxStep)
 	}
-	if c.CFL <= 0 || c.CFL >= 1 {
+	if !(c.CFL > 0 && c.CFL < 1) {
 		return fmt.Errorf("inputs: castro.cfl must be in (0,1), got %g", c.CFL)
 	}
 	if c.BlockingFactor < 1 {
@@ -216,12 +216,6 @@ func (c CastroInputs) RefRatioAt(l int) int {
 	}
 	return c.RefRatio[len(c.RefRatio)-1]
 }
-
-// TotalLevels returns the number of mesh levels including level 0. The
-// paper's Table III "max_level 2 - 4 (1 to 3 levels)" counts this as
-// max_level with (max_level - 1) refined levels; here we use the AMReX
-// convention: levels 0..MaxLevel inclusive.
-func (c CastroInputs) TotalLevels() int { return c.MaxLevel + 1 }
 
 // ToFile serializes the typed config back to the Listing-2 key set.
 func (c CastroInputs) ToFile() *File {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -192,19 +191,6 @@ func (f *File) String(key, def string) string {
 func (f *File) Keys() []string {
 	out := make([]string, len(f.order))
 	copy(out, f.order)
-	return out
-}
-
-// KeysWithPrefix returns the sorted keys sharing a namespace prefix such as
-// "amr." or "castro.".
-func (f *File) KeysWithPrefix(prefix string) []string {
-	var out []string
-	for _, k := range f.order {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package inputs
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -126,19 +127,6 @@ func TestLastAssignmentWins(t *testing.T) {
 	}
 }
 
-func TestKeysWithPrefix(t *testing.T) {
-	f, _ := ParseString(listing2)
-	amr := f.KeysWithPrefix("amr.")
-	if len(amr) == 0 {
-		t.Fatal("no amr keys found")
-	}
-	for _, k := range amr {
-		if !strings.HasPrefix(k, "amr.") {
-			t.Errorf("unexpected key %q", k)
-		}
-	}
-}
-
 func TestRoundTrip(t *testing.T) {
 	f, _ := ParseString(listing2)
 	encoded := f.Encode()
@@ -180,9 +168,6 @@ func TestFromFileListing2(t *testing.T) {
 	if !c.DoHydro {
 		t.Error("DoHydro should be true")
 	}
-	if c.TotalLevels() != 4 {
-		t.Errorf("TotalLevels = %d", c.TotalLevels())
-	}
 }
 
 func TestAmrMaxStepOverride(t *testing.T) {
@@ -210,6 +195,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"negative level", func(c *CastroInputs) { c.MaxLevel = -1 }},
 		{"cfl too big", func(c *CastroInputs) { c.CFL = 1.5 }},
 		{"cfl zero", func(c *CastroInputs) { c.CFL = 0 }},
+		{"cfl NaN", func(c *CastroInputs) { c.CFL = math.NaN() }},
 		{"blocking zero", func(c *CastroInputs) { c.BlockingFactor = 0 }},
 		{"maxgrid < blocking", func(c *CastroInputs) { c.MaxGridSize = 4; c.BlockingFactor = 8 }},
 		{"maxgrid unaligned", func(c *CastroInputs) { c.MaxGridSize = 100; c.BlockingFactor = 8 }},

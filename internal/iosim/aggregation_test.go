@@ -16,7 +16,7 @@ import (
 // path, for all four storage stacks, with and without a topology (the
 // PR-5/PR-7 zero-config pin idiom).
 func TestAggregationAllRanksByteIdenticalToDirect(t *testing.T) {
-	stacks := append([]string{StorageDefault}, StorageKinds()...)
+	stacks := []string{StorageDefault, StorageGPFS, StorageBB, StorageTiered}
 	for _, storage := range stacks {
 		for _, topo := range []Topology{
 			{},

@@ -75,7 +75,6 @@ func orderTestConfig(t *testing.T, storage, agg string, extra ...faults.Event) i
 		t.Fatal(err)
 	}
 	cfg.Faults = plan.Injector(cfg.Topology)
-	cfg.RetainLedger = iosim.RetainAll
 	return cfg
 }
 
@@ -95,12 +94,26 @@ type burstResult struct {
 // runBurstInOrder issues ops once in each of bursts consecutive bursts
 // (steps 10, 11, ...), taking each call from the rank order yields next;
 // each rank's own calls keep their program order. Between bursts every
-// rank computes for a rank-dependent AdvanceClock gap.
-func runBurstInOrder(t *testing.T, cfg iosim.Config, ops [][]burstOp, order []int, bursts int) burstResult {
+// rank computes for a rank-dependent AdvanceClock gap. A filesystem
+// drops the records it feeds to a consumer, so the feed and the fault
+// events come from one run with a consumer attached and the ledger from
+// a second run, on a fresh config, without one.
+func runBurstInOrder(t *testing.T, config func() iosim.Config, ops [][]burstOp, order []int, bursts int) burstResult {
+	t.Helper()
+	rec := &feedRecorder{}
+	fed := issueBursts(t, config(), rec, ops, order, bursts)
+	retained := issueBursts(t, config(), nil, ops, order, bursts)
+	return burstResult{ledger: retained.Ledger(), feed: rec.recs, faults: fed.FaultEvents()}
+}
+
+// issueBursts runs the bursts of runBurstInOrder on a new filesystem,
+// with rec attached unless it is nil.
+func issueBursts(t *testing.T, cfg iosim.Config, rec *feedRecorder, ops [][]burstOp, order []int, bursts int) *iosim.FileSystem {
 	t.Helper()
 	fs := iosim.New(cfg, "")
-	rec := &feedRecorder{}
-	fs.Attach(rec)
+	if rec != nil {
+		fs.Attach(rec)
+	}
 	for b := 0; b < bursts; b++ {
 		if b > 0 {
 			for r := range ops {
@@ -129,7 +142,7 @@ func runBurstInOrder(t *testing.T, cfg iosim.Config, ops [][]burstOp, order []in
 		fs.EndBurst()
 	}
 	fs.FlushConsumers()
-	return burstResult{ledger: fs.Ledger(), feed: rec.recs, faults: fs.FaultEvents()}
+	return fs
 }
 
 // rankOrders returns the rank-major call order of ops, its reverse by
@@ -169,8 +182,8 @@ func TestBurstLedgerIndependentOfRankOrder(t *testing.T) {
 	for _, storage := range []string{iosim.StorageDefault, iosim.StorageGPFS, iosim.StorageBB, iosim.StorageTiered} {
 		for _, agg := range []string{"", "1/node+sif"} {
 			t.Run(fmt.Sprintf("storage=%q/agg=%q", storage, agg), func(t *testing.T) {
-				cfg := orderTestConfig(t, storage, agg)
-				want := runBurstInOrder(t, cfg, ops, rankMajor, 1)
+				config := func() iosim.Config { return orderTestConfig(t, storage, agg) }
+				want := runBurstInOrder(t, config, ops, rankMajor, 1)
 				kinds := map[string]bool{}
 				for _, ev := range want.faults {
 					kinds[ev.Kind] = true
@@ -184,7 +197,7 @@ func TestBurstLedgerIndependentOfRankOrder(t *testing.T) {
 					t.Fatalf("burst misses a mechanism: fault kinds %v, stalled %v", kinds, stalled)
 				}
 				for name, order := range map[string][]int{"reversed": reversed, "shuffled": shuffled} {
-					got := runBurstInOrder(t, orderTestConfig(t, storage, agg), ops, order, 1)
+					got := runBurstInOrder(t, config, ops, order, 1)
 					if !reflect.DeepEqual(got.ledger, want.ledger) {
 						t.Errorf("%s: Ledger() differs from rank-major", name)
 					}
@@ -224,7 +237,7 @@ func TestBurstSequenceIndependentOfRankOrder(t *testing.T) {
 					cfg.Aggregation = spec
 					return cfg
 				}
-				want := runBurstInOrder(t, config(), ops, rankMajor, bursts)
+				want := runBurstInOrder(t, config, ops, rankMajor, bursts)
 				kinds := map[string]bool{}
 				for _, ev := range want.faults {
 					kinds[ev.Kind] = true
@@ -247,7 +260,7 @@ func TestBurstSequenceIndependentOfRankOrder(t *testing.T) {
 					t.Fatalf("consumer feed has %d records, want %d", n, bursts*len(rankMajor))
 				}
 				for name, order := range map[string][]int{"reversed": reversed, "shuffled": shuffled} {
-					got := runBurstInOrder(t, config(), ops, order, bursts)
+					got := runBurstInOrder(t, config, ops, order, bursts)
 					if !reflect.DeepEqual(got.ledger, want.ledger) {
 						t.Errorf("%s: Ledger() differs from rank-major", name)
 					}

@@ -35,9 +35,6 @@ const (
 	// consumers are attached: historical batch behavior for every
 	// existing caller, O(bursts) memory as soon as a fold subscribes.
 	RetainAuto Retention = iota
-	// RetainAll always keeps the full ledger, even while streaming —
-	// for callers that want both the folds and a post-hoc Ledger().
-	RetainAll
 	// RetainNone drops records at every drain point, with or without
 	// consumers. TotalBytes and the rank clocks survive; Ledger()
 	// returns only what has not yet been drained.
@@ -52,40 +49,22 @@ func (fs *FileSystem) Attach(consumers ...LedgerConsumer) {
 	fs.subs = append(fs.subs, consumers...)
 }
 
-// retains reports whether drained records stay in the shards.
-func (fs *FileSystem) retains(haveConsumers bool) bool {
-	switch fs.cfg.RetainLedger {
-	case RetainAll:
-		return true
-	case RetainNone:
-		return false
-	default:
-		return !haveConsumers
-	}
-}
-
 // drainConsumers feeds every record produced since the previous drain to
 // the attached consumers straight from the shards, ascending rank,
-// program order within a rank, then advances each shard's watermark or
-// truncates it.
+// program order within a rank, then truncates each shard. Records are
+// kept only under RetainAuto with no consumer attached.
 func (fs *FileSystem) drainConsumers() {
-	retain := fs.retains(len(fs.subs) > 0)
-	if len(fs.subs) == 0 && retain {
+	if len(fs.subs) == 0 && fs.cfg.RetainLedger == RetainAuto {
 		return // nothing to feed, nothing to drop
 	}
 	for i := range fs.shards {
 		s := &fs.shards[i]
-		for _, r := range s.records[s.fed:] {
+		for _, r := range s.records {
 			for _, c := range fs.subs {
 				c.Consume(r)
 			}
 		}
-		if retain {
-			s.fed = len(s.records)
-		} else {
-			s.records = s.records[:0]
-			s.fed = 0
-		}
+		s.records = s.records[:0]
 	}
 }
 

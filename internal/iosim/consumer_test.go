@@ -90,31 +90,6 @@ func TestRetainAutoKeepsWithoutConsumers(t *testing.T) {
 	}
 }
 
-func TestRetainAllKeepsWhileStreaming(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.JitterSigma = 0
-	cfg.RetainLedger = RetainAll
-	fs := New(cfg, "")
-	rec := &recordingConsumer{}
-	fs.Attach(rec)
-	for step := 0; step < 2; step++ {
-		burstWrite(t, fs, step, 3)
-	}
-	fs.FlushConsumers()
-	led := fs.Ledger()
-	if len(led) != 6 {
-		t.Fatalf("ledger holds %d records under RetainAll, want 6", len(led))
-	}
-	if !reflect.DeepEqual(byStep(rec.records), byStep(led)) {
-		t.Error("RetainAll: stream and retained ledger disagree per step")
-	}
-	// No double-feeding: a second flush delivers nothing new.
-	fs.FlushConsumers()
-	if len(rec.records) != 6 {
-		t.Errorf("re-flush re-fed records: %d, want 6", len(rec.records))
-	}
-}
-
 func TestRetainNoneDropsWithoutConsumers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterSigma = 0

@@ -152,12 +152,11 @@
 // reduction code path, exercised both ways.
 //
 // Config.RetainLedger picks the retention policy: RetainAuto (the zero
-// value) keeps records only while no consumer is attached, RetainAll
-// keeps them regardless (consumers still stream; nothing is delivered
-// twice), RetainNone always drops. TotalBytes and Clock survive
-// dropping — they read per-rank counters, not records. Fold state is
-// O(steps x ranks) aggregates instead of O(writes) records, which is
-// the memory bound the campaign service layer depends on; the
-// ledgerretain analyzer keeps Ledger() calls out of the streaming
-// paths so the bound cannot silently regress.
+// value) keeps records only while no consumer is attached, RetainNone
+// always drops. TotalBytes and Clock survive dropping — they read
+// per-rank counters, not records. Fold state is O(steps x ranks)
+// aggregates instead of O(writes) records, which is the memory bound
+// the campaign service layer depends on; the ledgerretain analyzer
+// keeps Ledger() calls out of the streaming paths so the bound cannot
+// silently regress.
 package iosim

@@ -157,10 +157,6 @@ type shard struct {
 	faults  []FaultEvent
 	bytes   int64
 	clock   float64
-	// fed is the drain watermark: records[:fed] have been delivered to
-	// the streaming consumers (consumer.go). Always 0 when records are
-	// dropped after feeding (non-retaining modes).
-	fed int
 }
 
 // FileSystem is the simulated parallel filesystem. Like bytes.Buffer it

@@ -54,11 +54,6 @@ const (
 	StorageTiered = "bb+gpfs"
 )
 
-// StorageKinds returns the non-empty storage model names, in sweep order.
-func StorageKinds() []string {
-	return []string{StorageGPFS, StorageBB, StorageTiered}
-}
-
 // ParseStorage validates a storage model name, rejecting unknown names
 // the way unknown engines and distribution strategies are rejected. The
 // empty string is the default ("gpfs") stack.

@@ -10,7 +10,7 @@ import (
 // pluggable pricing layer — and the burst-buffer bookkeeping on top of
 // it — stays visible in CI's bench smoke.
 func BenchmarkStorageWrite(b *testing.B) {
-	for _, kind := range StorageKinds() {
+	for _, kind := range []string{StorageGPFS, StorageBB, StorageTiered} {
 		for _, ranks := range []int{64, 512} {
 			b.Run(fmt.Sprintf("%s/%dranks", kind, ranks), func(b *testing.B) {
 				cfg := DefaultConfig()

@@ -136,9 +136,6 @@ func TestParseStorage(t *testing.T) {
 			t.Errorf("ParseStorage(%q) err = %v, want error naming it", bad, err)
 		}
 	}
-	if len(StorageKinds()) != 3 {
-		t.Errorf("StorageKinds = %v", StorageKinds())
-	}
 }
 
 func TestNewPanicsOnUnknownStorage(t *testing.T) {

@@ -57,7 +57,7 @@ type Config struct {
 	MetaSize      int64   // --meta_size: extra metadata bytes per task
 	DatasetGrowth float64 // --dataset_growth: per-dump multiplier
 	NProcs        int     // jsrun -n
-	SizeOnly      bool    // model sizes without materializing payloads
+	SizeOnly      bool    // model sizes without encoding payloads (implied unless the fs is RealDisk)
 }
 
 // DefaultConfig mirrors MACSio's defaults for the parameters the paper
@@ -183,12 +183,15 @@ func RunMitigated(fs *iosim.FileSystem, cfg Config, eng *resilience.Engine) ([]D
 }
 
 // writeDump writes one dump step as a single burst and appends each
-// rank's record to out.
+// rank's record to out. A filesystem that does not materialize keeps no
+// bytes, so its data files are priced by size without encoding them:
+// the ledger is the same either way.
 func writeDump(fs *iosim.FileSystem, cfg Config, step int, out []DumpRecord) ([]DumpRecord, error) {
+	sizeOnly := cfg.SizeOnly || fs.Config().Backend != iosim.RealDisk
 	fs.BeginBurst(cfg.NProcs)
 	defer fs.EndBurst()
 	for rank := 0; rank < cfg.NProcs; rank++ {
-		nbytes, err := writeRankDump(fs, cfg, rank, step)
+		nbytes, err := writeRankDump(fs, cfg, rank, step, sizeOnly)
 		if err != nil {
 			return nil, err
 		}
@@ -202,9 +205,9 @@ func writeDump(fs *iosim.FileSystem, cfg Config, step int, out []DumpRecord) ([]
 	return out, nil
 }
 
-// writeRankDump writes one rank's data file for one step and returns the
-// file bytes attributed to this rank.
-func writeRankDump(fs *iosim.FileSystem, cfg Config, rank, step int) (int64, error) {
+// writeRankDump writes one rank's data file for one step, encoded unless
+// sizeOnly, and returns the file bytes attributed to this rank.
+func writeRankDump(fs *iosim.FileSystem, cfg Config, rank, step int, sizeOnly bool) (int64, error) {
 	path := dataPath(cfg, rank, step)
 	labels := iosim.Labels{Step: step, Level: 0}
 	nvals := int(cfg.NominalBytes(rank, step) / 8)
@@ -212,7 +215,7 @@ func writeRankDump(fs *iosim.FileSystem, cfg Config, rank, step int) (int64, err
 		nvals = 1
 	}
 	size := DataFileSize(cfg.Interface, nvals, cfg.VarsPerPart, cfg.MetaSize)
-	if cfg.SizeOnly {
+	if sizeOnly {
 		if _, err := fs.WriteSize(rank, path, size, labels); err != nil {
 			return 0, err
 		}

@@ -178,9 +178,15 @@ func TestAvgNumPartsFractional(t *testing.T) {
 	}
 }
 
+// TestSizeOnlyMatchesDataPath runs on RealDisk, the one backend on which
+// the data path encodes payloads, so the size-only records are checked
+// against the encoder's.
 func TestSizeOnlyMatchesDataPath(t *testing.T) {
 	run := func(sizeOnly bool) []DumpRecord {
-		fs := modelFS()
+		fsCfg := iosim.DefaultConfig()
+		fsCfg.JitterSigma = 0
+		fsCfg.Backend = iosim.RealDisk
+		fs := iosim.New(fsCfg, t.TempDir())
 		cfg := DefaultConfig()
 		cfg.NProcs = 3
 		cfg.NumDumps = 4
@@ -334,30 +340,35 @@ func TestCommandLineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMacsioDumpAllocations is the allocation gate for a size-only MACSio
-// run: about one allocation per dump record — its data-file path — plus
-// the root metadata file per dump, and nothing that scales with a
-// goroutine or a message per rank.
+// TestMacsioDumpAllocations is the allocation gate for a MACSio run on a
+// model-only filesystem, with and without --size_only: about one
+// allocation per dump record — its data-file path — plus the root
+// metadata file per dump, and nothing that scales with a goroutine, a
+// message or an encoded payload per rank.
 func TestMacsioDumpAllocations(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NProcs = 512
-	cfg.NumDumps = 4
-	cfg.SizeOnly = true
-	fsCfg := iosim.DefaultConfig()
-	fsCfg.RetainLedger = iosim.RetainNone
-	fs := iosim.New(fsCfg, "")
-	recs, err := Run(fs, cfg) // grows the shard table once
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := Run(fs, cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perRecord := allocs / float64(len(recs))
-	t.Logf("%.0f allocations for %d records (%.2f per record)", allocs, len(recs), perRecord)
-	if perRecord > 2 {
-		t.Errorf("size-only Run allocates %.2f objects per record, want <= 2", perRecord)
+	for _, sizeOnly := range []bool{true, false} {
+		t.Run(fmt.Sprintf("size_only=%v", sizeOnly), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.NProcs = 512
+			cfg.NumDumps = 4
+			cfg.SizeOnly = sizeOnly
+			fsCfg := iosim.DefaultConfig()
+			fsCfg.RetainLedger = iosim.RetainNone
+			fs := iosim.New(fsCfg, "")
+			recs, err := Run(fs, cfg) // grows the shard table once
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := Run(fs, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			perRecord := allocs / float64(len(recs))
+			t.Logf("%.0f allocations for %d records (%.2f per record)", allocs, len(recs), perRecord)
+			if perRecord > 2 {
+				t.Errorf("Run allocates %.2f objects per record, want <= 2", perRecord)
+			}
+		})
 	}
 }

@@ -117,25 +117,3 @@ func DistReport(sums []DistSummary) string {
 	}
 	return out
 }
-
-// FigDistSkew plots the per-burst link skew of each strategy — the
-// placement-driven tail the aggregate bandwidth number hides. series[i]
-// is strategy labels[i]'s burst stats; bursts are indexed in step order
-// on the x axis.
-func FigDistSkew(labels []string, series [][]iosim.BurstStat) *Plot {
-	p := NewPlot("Per-burst link skew by distribution mapping", "burst", "link-skew")
-	for s, bursts := range series {
-		var xs, ys []float64
-		i := 0
-		for _, b := range bursts {
-			if b.Nodes == 0 {
-				continue
-			}
-			xs = append(xs, float64(i))
-			ys = append(ys, b.LinkSkew)
-			i++
-		}
-		p.Add(labels[s], xs, ys)
-	}
-	return p
-}

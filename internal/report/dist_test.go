@@ -83,27 +83,3 @@ func TestDistReport(t *testing.T) {
 		t.Error("empty report")
 	}
 }
-
-// TestDistReportRunsAndFig renders one sweep's runs as the comparison
-// table and as the per-burst skew figure.
-func TestDistReportRunsAndFig(t *testing.T) {
-	labels := []string{"roundrobin", "knapsack"}
-	ledgers := [][]iosim.WriteRecord{distLedger(4), distLedger(1)}
-	var sums []DistSummary
-	var series [][]iosim.BurstStat
-	for i, l := range ledgers {
-		sums = append(sums, SummarizeDist(labels[i], iosim.Fold(l)))
-		series = append(series, iosim.BurstStats(l))
-	}
-	out := DistReport(sums)
-	if !strings.Contains(out, "knapsack") {
-		t.Errorf("runs report:\n%s", out)
-	}
-	fig := FigDistSkew(labels, series)
-	render := fig.Render()
-	for _, want := range []string{"link skew", "roundrobin", "knapsack"} {
-		if !strings.Contains(render, want) {
-			t.Errorf("figure missing %q:\n%s", want, render)
-		}
-	}
-}

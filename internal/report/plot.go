@@ -202,15 +202,6 @@ func Int64s(xs []int64) []float64 {
 	return out
 }
 
-// Ints converts to float64 for plotting.
-func Ints(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, v := range xs {
-		out[i] = float64(v)
-	}
-	return out
-}
-
 // SortedIntKeys returns the sorted keys of a map keyed by int.
 func SortedIntKeys[V any](m map[int]V) []int {
 	keys := make([]int, 0, len(m))

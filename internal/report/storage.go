@@ -109,25 +109,3 @@ func StorageReport(sums []StorageSummary) string {
 	}
 	return out
 }
-
-// FigBBFill plots each stack's per-burst peak buffer occupancy — the
-// fill-and-drain sawtooth the single-tier wall number hides. series[i]
-// is stack labels[i]'s burst stats; bursts are indexed in step order on
-// the x axis.
-func FigBBFill(labels []string, series [][]iosim.BurstStat) *Plot {
-	p := NewPlot("Per-burst burst-buffer occupancy by storage stack", "burst", "peak fill")
-	for s, bursts := range series {
-		var xs, ys []float64
-		i := 0
-		for _, b := range bursts {
-			if b.BBBytes == 0 && b.SpillBytes == 0 {
-				continue
-			}
-			xs = append(xs, float64(i))
-			ys = append(ys, b.MaxBBFill)
-			i++
-		}
-		p.Add(labels[s], xs, ys)
-	}
-	return p
-}

@@ -80,11 +80,8 @@ func TestSummarizeStorage(t *testing.T) {
 func TestStorageReport(t *testing.T) {
 	labels := []string{"gpfs", "bb", "bb+gpfs"}
 	var sums []StorageSummary
-	var series [][]iosim.BurstStat
 	for _, s := range labels {
-		ledger := storageLedger(t, s)
-		sums = append(sums, SummarizeStorage(s, iosim.Fold(ledger)))
-		series = append(series, iosim.BurstStats(ledger))
+		sums = append(sums, SummarizeStorage(s, iosim.Fold(storageLedger(t, s))))
 	}
 	out := StorageReport(sums)
 	for _, want := range []string{"storage", "bb-bytes", "spill", "stall-ranks", "drain", "overlap",
@@ -107,10 +104,5 @@ func TestStorageReport(t *testing.T) {
 	}
 	if StorageReport(nil) != "storage report: no runs\n" {
 		t.Error("empty report text changed")
-	}
-
-	fig := FigBBFill(labels, series)
-	if fig == nil || !strings.Contains(fig.Render(), "occupancy") {
-		t.Error("FigBBFill render missing")
 	}
 }

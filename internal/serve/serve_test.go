@@ -152,6 +152,11 @@ func TestServeRejectsBadBatches(t *testing.T) {
 	if resp := post(`[{"name":"x","n_cell":32,"max_step":1,"plot_int":1,"cfl":0.5,"nprocs":1,"engine":"bogus"}]`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid case: status = %d, want 400", resp.StatusCode)
 	}
+	// A mesh with no cells is refused by Validate before the stream
+	// starts, not reported as an NDJSON error line under 200.
+	if resp := post(`[{"name":"x","n_cell":0,"max_step":1,"plot_int":1,"cfl":0.5,"nprocs":1}]`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("n_cell 0: status = %d, want 400", resp.StatusCode)
+	}
 	// Same name, different configuration: the CheckBatch rejection.
 	conflict := `[{"name":"x","n_cell":32,"max_step":1,"plot_int":1,"cfl":0.5,"nprocs":1},
 	              {"name":"x","n_cell":32,"max_step":2,"plot_int":1,"cfl":0.5,"nprocs":1}]`

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // LinearFit is the result of a simple OLS regression y = Intercept + Slope*x.
@@ -228,19 +227,6 @@ func GridThenGolden(f func(float64) float64, a, b float64, coarse int, tol float
 	return GoldenSection(f, lo, hi, tol)
 }
 
-// RMSE is the root mean squared error between two equal-length series.
-func RMSE(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(a)))
-}
-
 // MAPE is the mean absolute percentage error (in percent) of b against
 // reference a; entries with a[i] == 0 are skipped.
 func MAPE(a, b []float64) float64 {
@@ -298,47 +284,6 @@ func Pearson(a, b []float64) float64 {
 		return math.NaN()
 	}
 	return sab / math.Sqrt(saa*sbb)
-}
-
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N                int
-	Min, Max         float64
-	Mean, Std        float64
-	Median, P90, P99 float64
-}
-
-// Summarize computes order statistics; it copies the input.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	var sum float64
-	for _, v := range s {
-		sum += v
-	}
-	mean := sum / float64(len(s))
-	var varSum float64
-	for _, v := range s {
-		varSum += (v - mean) * (v - mean)
-	}
-	q := func(p float64) float64 {
-		idx := p * float64(len(s)-1)
-		lo := int(idx)
-		if lo >= len(s)-1 {
-			return s[len(s)-1]
-		}
-		frac := idx - float64(lo)
-		return s[lo]*(1-frac) + s[lo+1]*frac
-	}
-	return Summary{
-		N: len(s), Min: s[0], Max: s[len(s)-1],
-		Mean: mean, Std: math.Sqrt(varSum / float64(len(s))),
-		Median: q(0.5), P90: q(0.9), P99: q(0.99),
-	}
 }
 
 // ImbalanceRatio is max/mean of a positive sample — the load-balance metric

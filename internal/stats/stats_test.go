@@ -133,16 +133,13 @@ func TestGridThenGolden(t *testing.T) {
 func TestErrorMetrics(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	b := []float64{1, 2, 3, 4}
-	if RMSE(a, b) != 0 || SSE(a, b) != 0 {
+	if SSE(a, b) != 0 {
 		t.Error("identical series should have zero error")
 	}
 	if MAPE(a, b) != 0 {
 		t.Error("identical series MAPE nonzero")
 	}
 	c := []float64{2, 3, 4, 5}
-	if !almost(RMSE(a, c), 1, 1e-12) {
-		t.Errorf("RMSE = %g", RMSE(a, c))
-	}
 	if !almost(SSE(a, c), 4, 1e-12) {
 		t.Errorf("SSE = %g", SSE(a, c))
 	}
@@ -151,8 +148,8 @@ func TestErrorMetrics(t *testing.T) {
 	if !almost(MAPE(a, c), want, 1e-9) {
 		t.Errorf("MAPE = %g want %g", MAPE(a, c), want)
 	}
-	if !math.IsNaN(RMSE(a, []float64{1})) {
-		t.Error("mismatched RMSE should be NaN")
+	if !math.IsNaN(SSE(a, []float64{1})) {
+		t.Error("mismatched SSE should be NaN")
 	}
 	if !math.IsNaN(MAPE([]float64{0}, []float64{1})) {
 		t.Error("all-zero reference MAPE should be NaN")
@@ -171,19 +168,6 @@ func TestPearson(t *testing.T) {
 	}
 	if !math.IsNaN(Pearson(a, []float64{1, 1, 1, 1, 1})) {
 		t.Error("constant series should give NaN")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || !almost(s.Mean, 3, 1e-12) || s.Median != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-	if !almost(s.Std, math.Sqrt(2), 1e-12) {
-		t.Errorf("std = %g", s.Std)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Error("empty summary should be zero")
 	}
 }
 
