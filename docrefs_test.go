@@ -1,6 +1,7 @@
 package amrproxyio_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -51,27 +52,56 @@ func TestDocReferencesResolve(t *testing.T) {
 	}
 	decls := internalDecls(t)
 	for _, doc := range docs {
-		text := docText(t, doc)
-		for _, m := range fileRef.FindAllStringSubmatch(text, -1) {
-			ref := m[1]
-			if !fileExists(ref) && !fileExists(filepath.Join(filepath.Dir(doc), ref)) &&
-				(strings.Contains(ref, "/") || !baseNames[ref]) {
-				t.Errorf("%s: `%s` names a file that does not exist", doc, ref)
-			}
-		}
-		for _, m := range identRef.FindAllStringSubmatch(text, -1) {
-			names, ok := decls[m[1]]
-			if !ok {
-				continue
-			}
-			ref := m[1] + "." + m[2]
-			if !names[m[2]] {
-				t.Errorf("%s: `%s` is not declared in package %s", doc, ref, m[1])
-			} else if m[3] != "" && names[m[2]+"."] && !names[m[2]+"."+m[3]] {
-				t.Errorf("%s: `%s.%s` is neither a method nor a field of %s", doc, ref, m[3], ref)
-			}
+		for _, e := range unresolvedRefs(doc, docText(t, doc), baseNames, decls) {
+			t.Error(e)
 		}
 	}
+}
+
+// TestDocReferencesFlagDeleted feeds the checker a doc that names a
+// deleted example program, a deleted exported name and a deleted method
+// beside a file, a name, a method and a field that exist, and expects
+// exactly the three deleted ones.
+func TestDocReferencesFlagDeleted(t *testing.T) {
+	text := strings.Join([]string{
+		"examples/scalingstudy/main.go", "report.FigDistSkew", "amr.BoxArray.MinimalBox",
+		"doc.go", "report.DistReport", "amr.BoxArray.Len", "amr.BoxArray.Boxes", "fmt.Sprintf",
+	}, "\n")
+	got := unresolvedRefs("README.md", text, map[string]bool{"doc.go": true}, internalDecls(t))
+	if len(got) != 3 {
+		t.Fatalf("flagged %d references, want 3:\n%s", len(got), strings.Join(got, "\n"))
+	}
+	for i, want := range []string{"examples/scalingstudy/main.go", "report.FigDistSkew", "amr.BoxArray.MinimalBox"} {
+		if !strings.Contains(got[i], "`"+want+"`") {
+			t.Errorf("finding %d = %q, want one naming %s", i, got[i], want)
+		}
+	}
+}
+
+// unresolvedRefs lists the file and internal pkg.Ident references in
+// doc's text that the tree does not declare, files first.
+func unresolvedRefs(doc, text string, baseNames map[string]bool, decls map[string]map[string]bool) []string {
+	var errs []string
+	for _, m := range fileRef.FindAllStringSubmatch(text, -1) {
+		ref := m[1]
+		if !fileExists(ref) && !fileExists(filepath.Join(filepath.Dir(doc), ref)) &&
+			(strings.Contains(ref, "/") || !baseNames[ref]) {
+			errs = append(errs, fmt.Sprintf("%s: `%s` names a file that does not exist", doc, ref))
+		}
+	}
+	for _, m := range identRef.FindAllStringSubmatch(text, -1) {
+		names, ok := decls[m[1]]
+		if !ok {
+			continue
+		}
+		ref := m[1] + "." + m[2]
+		if !names[m[2]] {
+			errs = append(errs, fmt.Sprintf("%s: `%s` is not declared in package %s", doc, ref, m[1]))
+		} else if m[3] != "" && names[m[2]+"."] && !names[m[2]+"."+m[3]] {
+			errs = append(errs, fmt.Sprintf("%s: `%s.%s` is neither a method nor a field of %s", doc, ref, m[3], ref))
+		}
+	}
+	return errs
 }
 
 // docText returns the reference-bearing text of one doc: the package

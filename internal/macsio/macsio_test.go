@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -207,6 +208,37 @@ func TestSizeOnlyMatchesDataPath(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("record %d differs: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestModelOnlyPricesLikeDataPath pins the implied size-only path: a run
+// without --size_only on a model-only filesystem, which prices data
+// files by size, leaves the same dump records and the same simulated
+// write ledger as the encoder path on RealDisk.
+func TestModelOnlyPricesLikeDataPath(t *testing.T) {
+	run := func(backend iosim.Backend, dir string) ([]DumpRecord, []iosim.WriteRecord) {
+		fsCfg := iosim.DefaultConfig()
+		fsCfg.JitterSigma = 0
+		fsCfg.Backend = backend
+		fs := iosim.New(fsCfg, dir)
+		cfg := DefaultConfig()
+		cfg.NProcs = 3
+		cfg.NumDumps = 4
+		cfg.PartSize = 16000
+		cfg.DatasetGrowth = 1.0131
+		recs, err := Run(fs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs, fs.Ledger()
+	}
+	modelRecs, modelLedger := run(iosim.ModelOnly, "")
+	diskRecs, diskLedger := run(iosim.RealDisk, t.TempDir())
+	if !reflect.DeepEqual(modelRecs, diskRecs) {
+		t.Errorf("dump records differ:\nmodel-only %+v\nRealDisk   %+v", modelRecs, diskRecs)
+	}
+	if len(modelLedger) == 0 || !reflect.DeepEqual(modelLedger, diskLedger) {
+		t.Errorf("write ledgers differ: %d model-only records vs %d RealDisk", len(modelLedger), len(diskLedger))
 	}
 }
 
