@@ -3,7 +3,8 @@
 // covers the whole module (no enumerated package list to rot), the
 // amrio-vet gate exists and runs through the real vet protocol, the
 // benchmark's exact outputs are verified, the module type-checks for a
-// 32-bit target, and the third-party gates stay version-pinned.
+// 32-bit target, castro-sedov's -v reports are smoke-tested, and the
+// third-party gates stay version-pinned.
 package amrproxyio_test
 
 import (
@@ -109,5 +110,19 @@ func TestBenchVerifyPresent(t *testing.T) {
 func TestThirtyTwoBitVetPresent(t *testing.T) {
 	if !strings.Contains(readCI(t), "run: GOARCH=386 go vet ./...") {
 		t.Error("CI does not run `GOARCH=386 go vet ./...`")
+	}
+}
+
+// TestCastroSedovVerboseSmokePresent: CI runs castro-sedov -v and checks
+// that both ledger reports it renders are printed.
+func TestCastroSedovVerboseSmokePresent(t *testing.T) {
+	ci := readCI(t)
+	if !strings.Contains(ci, "out=$(go run ./cmd/castro-sedov -v)") {
+		t.Error("CI does not run `go run ./cmd/castro-sedov -v`")
+	}
+	for _, section := range []string{"I/O burst timeline", "I/O characterization (Darshan-style)"} {
+		if !strings.Contains(ci, `grep -q "`+section+`"`) {
+			t.Errorf("CI does not check castro-sedov -v for %q", section)
+		}
 	}
 }

@@ -76,14 +76,15 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
+	executor := campaign.NewExecutor(0, false)
 	runCase := func(c campaign.Case) (campaign.Result, error) {
 		for _, r := range results {
 			if r.Case.Name == c.Name {
 				return r, nil
 			}
 		}
-		fs := iosim.New(iosim.DefaultConfig(), "")
-		return campaign.Run(c, fs)
+		out, err := executor.RunCase(c, 0)
+		return out.Result, err
 	}
 
 	if want("table1") {

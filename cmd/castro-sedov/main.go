@@ -69,6 +69,11 @@ func run(args []string, stdout io.Writer) error {
 	if *outdir != "" {
 		fsCfg.Backend = iosim.RealDisk
 	}
+	// Only -v reads the write ledger; without it each burst's records
+	// are dropped as the burst ends.
+	if !*verbose {
+		fsCfg.RetainLedger = iosim.RetainNone
+	}
 	fs := iosim.New(fsCfg, *outdir)
 
 	s, err := sim.New(cfg, opts, fs)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -40,5 +42,25 @@ func TestRunRejectsUnknownDist(t *testing.T) {
 	err := run([]string{"-dist", "bogus"}, new(bytes.Buffer))
 	if err == nil || !strings.Contains(err.Error(), `amr: unknown distribution strategy "bogus"`) {
 		t.Fatalf("err = %v, want amr's unknown-strategy error", err)
+	}
+}
+
+// TestVerboseOutputPinned pins the default Listing 2 deck's -v stdout,
+// byte for byte: the Fig. 2 tree, the burst timeline and the Darshan-style
+// characterization are all read off the write ledger, so any drift in the
+// ledger or in the folds that reduce it changes the digest.
+func TestVerboseOutputPinned(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-v"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, section := range []string{"I/O burst timeline", "I/O characterization (Darshan-style)"} {
+		if !strings.Contains(out.String(), section) {
+			t.Errorf("-v output lacks %q", section)
+		}
+	}
+	sum := sha256.Sum256(out.Bytes())
+	if got, want := hex.EncodeToString(sum[:]), "d8767413133e6e9659ba90367330b5ae0103d413086911a3be425eaa21b1bdff"; got != want {
+		t.Errorf("castro-sedov -v stdout digest = %s, want %s\n%s", got, want, out.String())
 	}
 }

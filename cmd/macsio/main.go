@@ -155,6 +155,11 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Only -v reads the write ledger; without it each burst's records
+	// are dropped as the burst ends.
+	if !verbose {
+		fsCfg.RetainLedger = iosim.RetainNone
+	}
 	fs := iosim.New(fsCfg, outdir)
 	eng := resilience.ForFileSystem(policy, fs, cfg.NProcs)
 

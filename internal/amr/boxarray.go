@@ -87,11 +87,6 @@ func (ba BoxArray) NumPts() int64 {
 	return n
 }
 
-// Contains reports whether cell p is covered by any box.
-func (ba BoxArray) Contains(p grid.IntVect) bool {
-	return ba.Index().Contains(p)
-}
-
 // Owner returns the lowest index of a box covering cell p, or -1.
 func (ba BoxArray) Owner(p grid.IntVect) int {
 	return ba.Index().Owner(p)

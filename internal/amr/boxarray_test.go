@@ -38,12 +38,6 @@ func TestBoxArrayContains(t *testing.T) {
 		grid.NewBox(grid.IV(0, 0), grid.IV(3, 3)),
 		grid.NewBox(grid.IV(8, 8), grid.IV(11, 11)),
 	})
-	if !ba.Contains(grid.IV(2, 2)) || !ba.Contains(grid.IV(9, 10)) {
-		t.Error("Contains false negative")
-	}
-	if ba.Contains(grid.IV(5, 5)) {
-		t.Error("Contains false positive")
-	}
 	if ba.ContainsBox(grid.NewBox(grid.IV(0, 0), grid.IV(5, 5))) {
 		t.Error("ContainsBox false positive across gap")
 	}

@@ -224,7 +224,7 @@ func TestMakeFineBoxArray(t *testing.T) {
 	// Every buffered tag, refined, must be covered.
 	for _, p := range tags.Buffer(1, dom).Points() {
 		fp := grid.IV(p.X*2, p.Y*2)
-		if !ba.Contains(fp) {
+		if ba.Owner(fp) < 0 {
 			t.Errorf("refined tag %v not covered", fp)
 		}
 	}
@@ -298,8 +298,10 @@ func TestTagGradient(t *testing.T) {
 		}
 	}
 	// Smooth field: no tags.
-	mf.FillConst(0, 1.0)
-	mf.FillConst(1, 1.0)
+	mf.ForEachFAB(func(_ int, f *FAB) {
+		f.FillConst(0, 1.0)
+		f.FillConst(1, 1.0)
+	})
 	if got := TagGradient(mf, []int{0, 1}, 0.3); got.Len() != 0 {
 		t.Errorf("constant field tagged %d cells", got.Len())
 	}

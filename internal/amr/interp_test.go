@@ -78,7 +78,7 @@ func TestAverageDown(t *testing.T) {
 	cdom := grid.NewBox(grid.IV(0, 0), grid.IV(7, 7))
 	cba := SingleBoxArray(cdom, 8, 1)
 	crse := NewMultiFab(cba, MustDistribute(cba, 1, DistRoundRobin), 1, 0)
-	crse.FillConst(0, -1)
+	crse.ForEachFAB(func(_ int, f *FAB) { f.FillConst(0, -1) })
 
 	fba := NewBoxArray([]grid.Box{grid.NewBox(grid.IV(4, 4), grid.IV(11, 11))})
 	fine := NewMultiFab(fba, MustDistribute(fba, 1, DistRoundRobin), 1, 0)
@@ -134,7 +134,7 @@ func TestFillPatchCombinesSameLevelAndCoarse(t *testing.T) {
 	cdom := grid.NewBox(grid.IV(0, 0), grid.IV(15, 15))
 	cba := SingleBoxArray(cdom, 16, 1)
 	crse := NewMultiFab(cba, MustDistribute(cba, 1, DistRoundRobin), 1, 1)
-	crse.FillConst(0, 7)
+	crse.ForEachFAB(func(_ int, f *FAB) { f.FillConst(0, 7) })
 
 	fdom := cdom.Refine(2)
 	fba := NewBoxArray([]grid.Box{

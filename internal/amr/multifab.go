@@ -97,11 +97,6 @@ func (mf *MultiFab) ForEachFAB(fn func(idx int, fab *FAB)) {
 	wg.Wait()
 }
 
-// FillConst sets a component to v everywhere (ghosts included).
-func (mf *MultiFab) FillConst(comp int, v float64) {
-	mf.ForEachFAB(func(_ int, f *FAB) { f.FillConst(comp, v) })
-}
-
 // FillBoundary copies valid data into the ghost cells of neighboring FABs
 // on the same level. Ghost regions not covered by any valid box (physical
 // boundaries or coarse-fine boundaries) are left untouched; FillPatch and

@@ -140,7 +140,7 @@ func TestMultiFabReductionsAndValueAt(t *testing.T) {
 func TestMultiFabCopyInto(t *testing.T) {
 	dom := grid.NewBox(grid.IV(0, 0), grid.IV(15, 15))
 	src := NewMultiFab(SingleBoxArray(dom, 8, 8), MustDistribute(SingleBoxArray(dom, 8, 8), 1, DistRoundRobin), 1, 0)
-	src.FillConst(0, 5)
+	src.ForEachFAB(func(_ int, f *FAB) { f.FillConst(0, 5) })
 	dstBA := SingleBoxArray(dom, 16, 8) // different layout: one box
 	dst := NewMultiFab(dstBA, MustDistribute(dstBA, 1, DistRoundRobin), 1, 1)
 	src.CopyInto(dst)

@@ -42,7 +42,7 @@ func TestMakeFineBoxArrayProperty(t *testing.T) {
 			}
 		}
 		for _, p := range tags.Buffer(buffer, dom).Points() {
-			if !ba.Contains(grid.IV(p.X*ratio, p.Y*ratio)) {
+			if ba.Owner(grid.IV(p.X*ratio, p.Y*ratio)) < 0 {
 				t.Fatalf("iter %d: buffered tag %v not covered", iter, p)
 			}
 		}

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"amrproxyio/internal/core"
 	"amrproxyio/internal/driver"
 	"amrproxyio/internal/faults"
 	"amrproxyio/internal/inputs"
@@ -390,20 +389,6 @@ func RunAll(cases []Case, parallelism int, e *Executor, opts ...RunOption) ([]Re
 	close(next)
 	wg.Wait()
 	return results, errors.Join(errs...)
-}
-
-// Observation reduces a result to the feature tuple the predictive-sizing
-// model (core.FitSizePredictor) trains on.
-func (r Result) Observation() core.RunObservation {
-	return core.RunObservation{
-		NCellX:     r.Case.NCell,
-		NCellY:     r.Case.NCell,
-		MaxLevel:   r.Case.MaxLevel,
-		CFL:        r.Case.CFL,
-		NProcs:     r.Case.NProcs,
-		PlotEvents: r.NPlots,
-		TotalBytes: r.TotalBytes(),
-	}
 }
 
 // Save writes a result to a JSON file.

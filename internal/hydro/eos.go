@@ -26,10 +26,6 @@ const (
 	NCons        // number of conserved components
 )
 
-// VarNames are the plotfile names of the conserved components (Castro
-// spelling).
-var VarNames = [NCons]string{"density", "xmom", "ymom", "rho_E"}
-
 // Floors applied to keep the EOS well-defined through strong rarefactions.
 const (
 	smallDens = 1e-12

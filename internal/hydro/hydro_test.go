@@ -264,12 +264,3 @@ func TestEnforceFloorsRecoversBadState(t *testing.T) {
 		t.Error("pressure floor failed")
 	}
 }
-
-func TestVarNames(t *testing.T) {
-	if len(VarNames) != NCons {
-		t.Error("VarNames length mismatch")
-	}
-	if VarNames[IRho] != "density" || VarNames[IEner] != "rho_E" {
-		t.Errorf("VarNames = %v", VarNames)
-	}
-}

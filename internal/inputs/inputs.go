@@ -112,12 +112,6 @@ func (f *File) Has(key string) bool {
 	return ok
 }
 
-// Strings returns the raw token list for key.
-func (f *File) Strings(key string) ([]string, bool) {
-	v, ok := f.values[key]
-	return v, ok
-}
-
 // Int returns the first token of key as an int, or def if absent.
 func (f *File) Int(key string, def int) (int, error) {
 	v, ok := f.values[key]

@@ -135,8 +135,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range f.Keys() {
-		a, _ := f.Strings(k)
-		b, ok := f2.Strings(k)
+		a := f.values[k]
+		b, ok := f2.values[k]
 		if !ok {
 			t.Errorf("key %q lost in round trip", k)
 			continue

@@ -2,7 +2,6 @@ package iosim
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strings"
@@ -87,20 +86,32 @@ type Characterization struct {
 	FaultSeconds float64 // sum over bursts of the max-rank fault time
 }
 
-// CharacterizeFold is the streaming form of Characterize: a
-// LedgerConsumer that accumulates the profile as records arrive and
-// finalizes it on Profile(). State is O(steps + ranks + distinct write
-// sizes), never O(writes) — the exact percentiles come from a size
-// multiset (size → count), and every order-sensitive float accumulator
-// (gather/open/write time, node busy time) is keyed per rank and
-// finalized in sorted-rank order so stream order and batch order produce
-// bit-identical results.
+// CharacterizeFold is the streaming form of Characterize and of
+// BurstStats: a LedgerConsumer that accumulates the profile and the
+// per-step burst aggregates as records arrive, and finalizes them on
+// Profile() and Bursts(). It is also the one per-run reduction every
+// report reads: the placement, storage, aggregation, topology and
+// recovery rows come from Bursts, StepSpan, TargetBytes, Nodes and
+// DurationSplit.
 //
-// It is also the one per-run reduction every report reads: besides the
-// profile and the bursts it keeps the per-step span, per-target bytes
-// and per-node load that the placement, storage, aggregation, topology
-// and recovery rows are computed from (StepSpan, TargetBytes, Nodes,
-// DurationSplit).
+// State is O(steps x ranks + distinct write sizes), never O(writes):
+// each fact lives in one table keyed by what it describes — a step, a
+// (step, rank), a rank, a link, a size — and per-node and per-target
+// totals are derived from those at finalization. That derivation rests
+// on three ledger facts (pinned by the campaign package's
+// TestLedgerFactsHold): a record with Target >= 0 is a data record with
+// Node >= 0, all of a rank's records carry the same Node, and directory
+// records carry no bytes. Rank tables are slices indexed by rank, as the
+// FileSystem's shards are (the ledger carries no negative rank), so
+// walking them is walking ranks in sorted order.
+//
+// Every float accumulator is keyed per (step, rank), per rank or per
+// link, never a bare running sum: per-key subsequences are
+// order-identical between the stream and the batch ledger (the
+// stream-order contract in consumer.go), and finalization walks keys in
+// sorted order, so stream and batch feeds produce bit-identical results
+// (the maprangefloat lesson). The exact percentiles come from the size
+// multiset (size -> count).
 type CharacterizeFold struct {
 	n int // records consumed (0 distinguishes the zero profile)
 	c Characterization
@@ -113,34 +124,46 @@ type CharacterizeFold struct {
 	// (odds ~1e-8 even at a million files) would only undercount
 	// UniqueFiles by one.
 	files     map[uint64]struct{}
-	ranks     map[int]int64
-	split     map[int]*rankSplit
-	nodes     map[int]int64
-	targets   map[int]int64
-	links     map[burstLink]int64
 	sizeCount map[int64]int // write-size multiset for exact percentiles
-
-	// targetBytes counts every record carrying a target label and
-	// nodeBusy every record carrying a node label, directory records
-	// included: the per-link report rows.
-	targetBytes map[int]int64
-	nodeBusy    map[nodeRank]float64
-
-	endMax float64
-	steps  map[int]*StepSpan
-
-	bursts *BurstFold
+	links     map[burstLink]int64
+	ranks     []rankRun // by rank
+	steps     map[int]*stepAcc
+	endMax    float64
 }
 
-// rankSplit is one rank's data-record duration split and whether it
-// paid a file open.
-type rankSplit struct {
-	gather, open, write float64
-	writer              bool
+// rankRun is one rank's run-long totals.
+type rankRun struct {
+	seen                bool    // carried at least one record
+	node                int     // the rank's compute node (-1 without topology)
+	data                bool    // wrote at least one data record
+	bytes               int64   // data bytes
+	gather, open, write float64 // data-record duration split
+	writer              bool    // paid a file open
+	busy                float64 // record seconds on its node, directory records included
 }
 
-// nodeRank keys one rank's records on one node.
-type nodeRank struct{ node, rank int }
+// stepAcc is one step's span and burst aggregates.
+type stepAcc struct {
+	span                StepSpan
+	bytes               int64
+	files, dirs         int
+	bbBytes, spillBytes int64
+	maxFill             float64
+	faultWrites         int
+	retries             int
+	ranks               []rankStep            // by rank
+	links               map[burstLink]float64 // data-record seconds per link
+}
+
+// rankStep is one rank's share of one step.
+type rankStep struct {
+	seen    bool // carried at least one record in the step
+	bytes   int64
+	seconds float64 // record seconds, directory records included
+	stall   float64 // drain-stall seconds
+	drain   float64 // last tiered write's drain tail (program order)
+	fault   float64 // injected-fault seconds
+}
 
 // StepSpan is one step's simulated extent: the earliest record start
 // and the latest record end.
@@ -155,19 +178,11 @@ type NodeLoad struct {
 // NewCharacterizeFold returns an empty fold.
 func NewCharacterizeFold() *CharacterizeFold {
 	f := &CharacterizeFold{
-		files:       map[uint64]struct{}{},
-		ranks:       map[int]int64{},
-		split:       map[int]*rankSplit{},
-		nodes:       map[int]int64{},
-		targets:     map[int]int64{},
-		links:       map[burstLink]int64{},
-		sizeCount:   map[int64]int{},
-		targetBytes: map[int]int64{},
-		nodeBusy:    map[nodeRank]float64{},
-		steps:       map[int]*StepSpan{},
-		bursts:      NewBurstFold(),
+		files:     map[uint64]struct{}{},
+		sizeCount: map[int64]int{},
+		links:     map[burstLink]int64{},
+		steps:     map[int]*stepAcc{},
 	}
-	f.c.SizeHistogram = map[int]int{}
 	f.c.MinWrite = math.MaxInt64
 	return f
 }
@@ -182,59 +197,90 @@ func Fold(records []WriteRecord) *CharacterizeFold {
 	return f
 }
 
-// Consume folds one record into the profile.
+// Consume folds one record into the profile and its step's aggregates.
 func (f *CharacterizeFold) Consume(r WriteRecord) {
 	f.n++
 	end := r.Start + r.Duration
 	if end > f.endMax {
 		f.endMax = end
 	}
-	if sp := f.steps[r.Labels.Step]; sp == nil {
-		f.steps[r.Labels.Step] = &StepSpan{Start: r.Start, End: end}
+	st := f.steps[r.Labels.Step]
+	if st == nil {
+		st = &stepAcc{span: StepSpan{Start: r.Start, End: end}}
+		f.steps[r.Labels.Step] = st
 	} else {
-		if r.Start < sp.Start {
-			sp.Start = r.Start
+		if r.Start < st.span.Start {
+			st.span.Start = r.Start
 		}
-		if end > sp.End {
-			sp.End = end
+		if end > st.span.End {
+			st.span.End = end
 		}
 	}
-	f.bursts.Consume(r)
-	if r.Target >= 0 {
-		f.targetBytes[r.Target] += r.Bytes
+	st.ranks = grow(st.ranks, r.Rank)
+	rs := &st.ranks[r.Rank]
+	rs.seen = true
+	f.ranks = grow(f.ranks, r.Rank)
+	rr := &f.ranks[r.Rank]
+	if !rr.seen {
+		rr.seen = true
+		rr.node = r.Node
 	}
+	st.bytes += r.Bytes
+	rs.bytes += r.Bytes
+	rs.seconds += r.Duration
 	if r.Node >= 0 {
-		f.nodeBusy[nodeRank{r.Node, r.Rank}] += r.Duration
+		rr.busy += r.Duration
+	}
+	if r.Tier != "" {
+		switch r.Tier {
+		case TierBB:
+			st.bbBytes += r.Bytes
+		case TierGPFS:
+			st.spillBytes += r.Bytes
+		}
+		if r.BBFill > st.maxFill {
+			st.maxFill = r.BBFill
+		}
+		rs.stall += r.StallSeconds
+		rs.drain = r.DrainSeconds // program order: last write wins
+	}
+	if r.Fault != "" {
+		st.faultWrites++
+		st.retries += r.Retries
+		rs.fault += r.FaultSeconds
 	}
 	if r.Dir {
+		st.dirs++
 		f.c.DirOps++
 		return
 	}
+
+	st.files++
 	f.c.TotalBytes += r.Bytes
 	f.c.TotalWrites++
-	h := fnv.New64a()
-	h.Write([]byte(r.Path))
-	f.files[h.Sum64()] = struct{}{}
-	f.ranks[r.Rank] += r.Bytes
-	sp := f.split[r.Rank]
-	if sp == nil {
-		sp = &rankSplit{}
-		f.split[r.Rank] = sp
+	h := uint64(14695981039346656037) // FNV-1a, as hash/fnv's New64a
+	for i := 0; i < len(r.Path); i++ {
+		h ^= uint64(r.Path[i])
+		h *= 1099511628211
 	}
-	sp.gather += r.GatherSeconds
-	sp.open += r.OpenSeconds
+	f.files[h] = struct{}{}
+	rr.data = true
+	rr.bytes += r.Bytes
+	rr.gather += r.GatherSeconds
+	rr.open += r.OpenSeconds
 	if rest := r.Duration - r.GatherSeconds - r.OpenSeconds; rest > 0 {
-		sp.write += rest
+		rr.write += rest
 	}
 	if r.OpenSeconds > 0 {
-		sp.writer = true
+		rr.writer = true
 	}
 	if r.Node >= 0 {
-		f.nodes[r.Node] += r.Bytes
-		if r.Target >= 0 {
-			f.targets[r.Target] += r.Bytes
+		l := burstLink{r.Node, r.Target}
+		f.links[l] += r.Bytes
+		if st.links == nil {
+			st.links = map[burstLink]float64{}
 		}
-		f.links[burstLink{r.Node, r.Target}] += r.Bytes
+		st.links[l] += r.Duration
 	}
 	f.sizeCount[r.Bytes]++
 	if r.Bytes < f.c.MinWrite {
@@ -243,39 +289,120 @@ func (f *CharacterizeFold) Consume(r WriteRecord) {
 	if r.Bytes > f.c.MaxWrite {
 		f.c.MaxWrite = r.Bytes
 	}
-	f.c.SizeHistogram[sizeBucket(r.Bytes)]++
 }
 
 // Flush implements LedgerConsumer; the fold keeps no buffered state, so
-// it is a no-op — Profile stays callable before and after.
+// it is a no-op — Profile and Bursts stay callable before and after.
 func (f *CharacterizeFold) Flush() {}
 
-// Bursts finalizes the embedded burst fold — the same []BurstStat that
-// BurstStats would compute from the materialized ledger.
+// Bursts finalizes the per-step aggregates into BurstStats sorted by
+// step: the same []BurstStat that BurstStats computes from the
+// materialized ledger. It does not reset the fold: calling it mid-run
+// yields the bursts seen so far.
 func (f *CharacterizeFold) Bursts() []BurstStat {
-	return f.bursts.Stats()
+	steps := make([]int, 0, len(f.steps))
+	for s := range f.steps {
+		steps = append(steps, s)
+	}
+	sort.Ints(steps)
+	out := make([]BurstStat, 0, len(steps))
+	for _, s := range steps {
+		a := f.steps[s]
+		st := BurstStat{
+			Step: s, Bytes: a.bytes, Files: a.files, Dirs: a.dirs,
+			BBBytes: a.bbBytes, SpillBytes: a.spillBytes, MaxBBFill: a.maxFill,
+			FaultWrites: a.faultWrites, Retries: a.retries,
+		}
+		var sum float64
+		nodeBytes := map[int]int64{}
+		for r := range a.ranks {
+			rs := &a.ranks[r]
+			if !rs.seen {
+				continue
+			}
+			st.Participants++
+			st.WallSeconds = max(st.WallSeconds, rs.seconds)
+			sum += rs.seconds
+			st.StallSeconds = max(st.StallSeconds, rs.stall)
+			if rs.stall > 0 {
+				st.StallRanks++
+			}
+			st.DrainSeconds = max(st.DrainSeconds, rs.drain)
+			st.FaultSeconds = max(st.FaultSeconds, rs.fault)
+			if node := f.ranks[r].node; node >= 0 {
+				nodeBytes[node] += rs.bytes
+			}
+		}
+		if st.Participants > 0 {
+			st.MeanSeconds = sum / float64(st.Participants)
+			for _, rs := range a.ranks {
+				if rs.seen && rs.seconds > 1.5*st.MeanSeconds {
+					st.Stragglers++
+				}
+			}
+		}
+		if st.WallSeconds > 0 {
+			st.EffectiveBW = float64(a.bytes) / st.WallSeconds
+		}
+		if len(nodeBytes) > 0 {
+			st.Nodes = len(nodeBytes)
+			st.NodeSkew = bytesImbalance(nodeBytes)
+		}
+		if len(a.links) > 0 {
+			st.Links = len(a.links)
+			links := make([]burstLink, 0, len(a.links))
+			for l := range a.links {
+				links = append(links, l)
+			}
+			sort.Slice(links, func(i, j int) bool {
+				if links[i].node != links[j].node {
+					return links[i].node < links[j].node
+				}
+				return links[i].target < links[j].target
+			})
+			var linkSum float64
+			for _, l := range links {
+				st.MaxLinkSeconds = max(st.MaxLinkSeconds, a.links[l])
+				linkSum += a.links[l]
+			}
+			st.MeanLinkSeconds = linkSum / float64(len(a.links))
+			if st.MeanLinkSeconds > 0 {
+				st.LinkSkew = st.MaxLinkSeconds / st.MeanLinkSeconds
+			}
+		}
+		out = append(out, st)
+	}
+	return out
 }
 
 // Profile finalizes the fold into the profile of everything consumed so
-// far. It does not reset the fold. The returned SizeHistogram shares the
-// fold's map; treat it as read-only if the fold keeps consuming.
+// far. It does not reset the fold.
 func (f *CharacterizeFold) Profile() Characterization {
 	if f.n == 0 {
 		return Characterization{}
 	}
 	c := f.c
 	c.UniqueFiles = len(f.files)
-	c.Ranks = len(f.ranks)
-	for _, sp := range f.split {
-		if sp.writer {
+	rankBytes := map[int]int64{}
+	for r, rr := range f.ranks {
+		if rr.data {
+			rankBytes[r] = rr.bytes
+		}
+		if rr.writer {
 			c.Writers++
 		}
 	}
-	c.NodesUsed = len(f.nodes)
-	c.TargetsUsed = len(f.targets)
+	c.Ranks = len(rankBytes)
+	nodeBytes := f.nodeBytes()
+	c.NodesUsed = len(nodeBytes)
+	c.TargetsUsed = len(f.TargetBytes())
 	c.LinksUsed = len(f.links)
-	c.NodeImbalance = bytesImbalance(f.nodes)
+	c.NodeImbalance = bytesImbalance(nodeBytes)
 	c.LinkImbalance = bytesImbalance(f.links)
+	c.SizeHistogram = map[int]int{}
+	for size, n := range f.sizeCount {
+		c.SizeHistogram[sizeBucket(size)] += n
+	}
 	if c.TotalWrites == 0 {
 		c.MinWrite = 0
 		return c
@@ -284,10 +411,10 @@ func (f *CharacterizeFold) Profile() Characterization {
 	c.P50Write = f.percentile(c.TotalWrites / 2)
 	c.P95Write = f.percentile((c.TotalWrites * 95) / 100)
 
-	c.RankImbalance = bytesImbalance(f.ranks)
+	c.RankImbalance = bytesImbalance(rankBytes)
 	c.GatherSeconds, c.OpenSeconds, _ = f.DurationSplit()
 
-	bursts := f.bursts.Stats()
+	bursts := f.Bursts()
 	c.Bursts = len(bursts)
 	if len(bursts) > 0 {
 		var bb float64
@@ -295,9 +422,7 @@ func (f *CharacterizeFold) Profile() Characterization {
 			bb += float64(b.Bytes)
 			c.BBBytes += b.BBBytes
 			c.SpillBytes += b.SpillBytes
-			if b.MaxBBFill > c.MaxBBFill {
-				c.MaxBBFill = b.MaxBBFill
-			}
+			c.MaxBBFill = max(c.MaxBBFill, b.MaxBBFill)
 			c.StallRanks += b.StallRanks
 			c.StallSeconds += b.StallSeconds
 			c.DrainSeconds += b.DrainSeconds
@@ -311,7 +436,7 @@ func (f *CharacterizeFold) Profile() Characterization {
 		// Inter-arrival from the earliest record start per burst step.
 		var ordered []float64
 		for _, b := range bursts {
-			ordered = append(ordered, f.steps[b.Step].Start)
+			ordered = append(ordered, f.steps[b.Step].span.Start)
 		}
 		sort.Float64s(ordered)
 		var gaps float64
@@ -333,16 +458,10 @@ func (f *CharacterizeFold) Profile() Characterization {
 // between stream and batch feeds, so the totals are too (see the
 // maprangefloat analyzer for why an unordered float sum would not be).
 func (f *CharacterizeFold) DurationSplit() (gather, open, write float64) {
-	ranks := make([]int, 0, len(f.split))
-	for r := range f.split {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
-		sp := f.split[r]
-		gather += sp.gather
-		open += sp.open
-		write += sp.write
+	for _, rr := range f.ranks {
+		gather += rr.gather
+		open += rr.open
+		write += rr.write
 	}
 	return gather, open, write
 }
@@ -350,17 +469,23 @@ func (f *CharacterizeFold) DurationSplit() (gather, open, write float64) {
 // StepSpan returns step's simulated extent (the zero span for a step no
 // record carried).
 func (f *CharacterizeFold) StepSpan(step int) StepSpan {
-	if sp := f.steps[step]; sp != nil {
-		return *sp
+	if a := f.steps[step]; a != nil {
+		return a.span
 	}
 	return StepSpan{}
 }
 
-// TargetBytes returns the bytes per storage target over every record
-// carrying a target label. The map is the fold's own; treat it as
-// read-only.
+// TargetBytes returns the data bytes per storage target, summed over
+// the links that end at it (every record with a target is a data record
+// on a node, so the links hold all of them).
 func (f *CharacterizeFold) TargetBytes() map[int]int64 {
-	return f.targetBytes
+	out := map[int]int64{}
+	for l, b := range f.links {
+		if l.target >= 0 {
+			out[l.target] += b
+		}
+	}
+	return out
 }
 
 // Nodes returns the load of every compute node a record was labeled
@@ -368,22 +493,27 @@ func (f *CharacterizeFold) TargetBytes() map[int]int64 {
 // seconds are summed over its ranks in sorted order, so stream and batch
 // feeds agree bit for bit.
 func (f *CharacterizeFold) Nodes() map[int]NodeLoad {
-	keys := make([]nodeRank, 0, len(f.nodeBusy))
-	for k := range f.nodeBusy {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].node != keys[j].node {
-			return keys[i].node < keys[j].node
-		}
-		return keys[i].rank < keys[j].rank
-	})
+	bytes := f.nodeBytes()
 	out := map[int]NodeLoad{}
-	for _, k := range keys {
-		l := out[k.node]
-		l.Bytes = f.nodes[k.node]
-		l.BusySeconds += f.nodeBusy[k]
-		out[k.node] = l
+	for _, rr := range f.ranks {
+		if rr.seen && rr.node >= 0 {
+			l := out[rr.node]
+			l.Bytes = bytes[rr.node]
+			l.BusySeconds += rr.busy
+			out[rr.node] = l
+		}
+	}
+	return out
+}
+
+// nodeBytes returns the data bytes per compute node, over the nodes
+// whose ranks wrote data.
+func (f *CharacterizeFold) nodeBytes() map[int]int64 {
+	out := map[int]int64{}
+	for _, rr := range f.ranks {
+		if rr.data && rr.node >= 0 {
+			out[rr.node] += rr.bytes
+		}
 	}
 	return out
 }
@@ -408,6 +538,14 @@ func (f *CharacterizeFold) percentile(idx int) int64 {
 		return sizes[n-1]
 	}
 	return 0
+}
+
+// grow extends s with zero entries until index i exists.
+func grow[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
 }
 
 // Characterize computes the profile from ledger records: the streaming

@@ -89,3 +89,21 @@ func TestCharacterizationRender(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldConsumeAllocations: once a record's step, rank, link, size and
+// path are in the fold's tables, folding another such record allocates
+// nothing — every table is updated in place.
+func TestFoldConsumeAllocations(t *testing.T) {
+	r := WriteRecord{
+		Rank: 3, Path: "plt00010/Level_0/Cell_D_00003", Bytes: 1 << 20,
+		Start: 1, Duration: 0.5, Labels: Labels{Step: 10},
+		Node: 1, Target: 2, Tier: TierBB, StallSeconds: 0.1, DrainSeconds: 0.2, BBFill: 0.3,
+		Fault: "nic-degrade", Retries: 1, FaultSeconds: 0.05,
+		GatherSeconds: 0.01, OpenSeconds: 0.02,
+	}
+	f := NewCharacterizeFold()
+	f.Consume(r)
+	if allocs := testing.AllocsPerRun(100, func() { f.Consume(r) }); allocs != 0 {
+		t.Errorf("Consume of a known record made %.1f allocations, want 0", allocs)
+	}
+}

@@ -127,18 +127,18 @@ func TestLedgerReturnsUnfedTailOnly(t *testing.T) {
 	}
 }
 
-func TestBurstStatsIsBurstFoldFedFromSlice(t *testing.T) {
+func TestBurstStatsIsFoldFedFromSlice(t *testing.T) {
 	fs := modelFS()
 	for step := 0; step < 3; step++ {
 		burstWrite(t, fs, step, 4)
 	}
 	led := fs.Ledger()
-	f := NewBurstFold()
+	f := NewCharacterizeFold()
 	for _, r := range led {
 		f.Consume(r)
 	}
-	if !reflect.DeepEqual(f.Stats(), BurstStats(led)) {
-		t.Error("BurstFold.Stats != BurstStats over the same ledger")
+	if !reflect.DeepEqual(f.Bursts(), BurstStats(led)) {
+		t.Error("CharacterizeFold.Bursts != BurstStats over the same ledger")
 	}
 }
 

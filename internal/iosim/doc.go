@@ -144,12 +144,17 @@
 // records from the per-rank segments. The stream-order contract is deliberately
 // weaker than Ledger()'s whole-run order (the stream is burst-major,
 // the merged ledger rank-major) but every per-step subsequence of the
-// two is identical, which is exactly what the folds key on: BurstFold
-// and CharacterizeFold accumulate per-step/per-rank state and finalize
-// in sorted-key order, so a fold fed from the stream is bit-identical
-// to the same fold fed from a materialized ledger. BurstStats and
-// Characterize are literally those folds fed from a slice — one
-// reduction code path, exercised both ways.
+// two is identical, which is exactly what the fold keys on:
+// CharacterizeFold keeps one table per key — per step, per (step, rank),
+// per rank, per link, per write size — sums floats per key in arrival
+// order and finalizes in sorted-key order, so a fold fed from the stream
+// is bit-identical to the same fold fed from a materialized ledger.
+// Per-node and per-target totals are derived from the rank and link
+// tables, which rests on three ledger facts: a record with a target is a
+// data record on a node, a rank's records all carry the same node, and
+// directory records carry no bytes. BurstStats, Characterize and Fold are
+// that one fold fed from a slice — one reduction code path, exercised
+// both ways.
 //
 // Config.RetainLedger picks the retention policy: RetainAuto (the zero
 // value) keeps records only while no consumer is attached, RetainNone

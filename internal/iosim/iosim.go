@@ -612,9 +612,5 @@ type burstLink struct{ node, target int }
 // tail relies on the Ledger contract that a rank's records appear in
 // program order.
 func BurstStats(records []WriteRecord) []BurstStat {
-	f := NewBurstFold()
-	for _, r := range records {
-		f.Consume(r)
-	}
-	return f.Stats()
+	return Fold(records).Bursts()
 }

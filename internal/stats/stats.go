@@ -54,127 +54,6 @@ func OLS(x, y []float64) (LinearFit, error) {
 	return fit, nil
 }
 
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
-
-// MultiFit is the result of multiple linear regression via normal
-// equations: y = Coef[0]*x0 + ... + Coef[k-1]*x_{k-1} (+ intercept if the
-// caller appended a constant column).
-type MultiFit struct {
-	Coef []float64
-	R2   float64
-	N    int
-}
-
-// OLSMulti solves min ||X*beta - y||^2 through the normal equations with
-// Gaussian elimination and partial pivoting. X is row-major: X[i] is the
-// feature vector of observation i.
-func OLSMulti(X [][]float64, y []float64) (MultiFit, error) {
-	n := len(X)
-	if n == 0 || n != len(y) {
-		return MultiFit{}, fmt.Errorf("stats: OLSMulti bad shapes n=%d len(y)=%d", n, len(y))
-	}
-	k := len(X[0])
-	if k == 0 || n < k {
-		return MultiFit{}, fmt.Errorf("stats: OLSMulti needs n>=k, got n=%d k=%d", n, k)
-	}
-	// Build XtX (k x k) and Xty (k).
-	xtx := make([][]float64, k)
-	for i := range xtx {
-		xtx[i] = make([]float64, k+1)
-	}
-	for _, row := range X {
-		if len(row) != k {
-			return MultiFit{}, errors.New("stats: OLSMulti ragged X")
-		}
-	}
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			var s float64
-			for r := 0; r < n; r++ {
-				s += X[r][i] * X[r][j]
-			}
-			xtx[i][j] = s
-		}
-		var s float64
-		for r := 0; r < n; r++ {
-			s += X[r][i] * y[r]
-		}
-		xtx[i][k] = s
-	}
-	beta, err := solveGauss(xtx)
-	if err != nil {
-		return MultiFit{}, err
-	}
-	// R^2 against the mean model.
-	var my float64
-	for _, v := range y {
-		my += v
-	}
-	my /= float64(n)
-	var ssRes, ssTot float64
-	for r := 0; r < n; r++ {
-		var pred float64
-		for j := 0; j < k; j++ {
-			pred += beta[j] * X[r][j]
-		}
-		ssRes += (y[r] - pred) * (y[r] - pred)
-		ssTot += (y[r] - my) * (y[r] - my)
-	}
-	fit := MultiFit{Coef: beta, N: n}
-	if ssTot > 0 {
-		fit.R2 = 1 - ssRes/ssTot
-	} else {
-		fit.R2 = 1
-	}
-	return fit, nil
-}
-
-// Predict evaluates the multiple regression at feature vector x.
-func (f MultiFit) Predict(x []float64) float64 {
-	var s float64
-	for i, c := range f.Coef {
-		s += c * x[i]
-	}
-	return s
-}
-
-// solveGauss solves the augmented system a (k x k+1) in place.
-func solveGauss(a [][]float64) ([]float64, error) {
-	k := len(a)
-	for col := 0; col < k; col++ {
-		// Partial pivot.
-		p := col
-		for r := col + 1; r < k; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[p][col]) {
-				p = r
-			}
-		}
-		if math.Abs(a[p][col]) < 1e-300 {
-			return nil, errors.New("stats: singular normal equations")
-		}
-		a[col], a[p] = a[p], a[col]
-		piv := a[col][col]
-		for j := col; j <= k; j++ {
-			a[col][j] /= piv
-		}
-		for r := 0; r < k; r++ {
-			if r == col || a[r][col] == 0 {
-				continue
-			}
-			f := a[r][col]
-			for j := col; j <= k; j++ {
-				a[r][j] -= f * a[col][j]
-			}
-		}
-	}
-	out := make([]float64, k)
-	for i := range out {
-		out[i] = a[i][k]
-	}
-	return out, nil
-}
-
 // GoldenSection minimizes a unimodal function f on [a, b] to the given
 // x-tolerance and returns the minimizing x and f(x). It is the workhorse
 // behind the dataset_growth calibration: a 1-D search over the growth

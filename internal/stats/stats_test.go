@@ -25,9 +25,6 @@ func TestOLSExactLine(t *testing.T) {
 	if !almost(fit.R2, 1, 1e-12) {
 		t.Errorf("R2 = %g", fit.R2)
 	}
-	if !almost(fit.Predict(10), 23, 1e-12) {
-		t.Errorf("Predict(10) = %g", fit.Predict(10))
-	}
 }
 
 func TestOLSNoisy(t *testing.T) {
@@ -59,48 +56,6 @@ func TestOLSErrors(t *testing.T) {
 	}
 	if _, err := OLS([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
 		t.Error("zero-variance x accepted")
-	}
-}
-
-func TestOLSMulti(t *testing.T) {
-	// y = 1 + 2*a + 3*b with a constant column appended.
-	var X [][]float64
-	var y []float64
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 100; i++ {
-		a, b := rng.Float64()*10, rng.Float64()*10
-		X = append(X, []float64{1, a, b})
-		y = append(y, 1+2*a+3*b)
-	}
-	fit, err := OLSMulti(X, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, 3}
-	for i, c := range fit.Coef {
-		if !almost(c, want[i], 1e-8) {
-			t.Errorf("coef[%d] = %g, want %g", i, c, want[i])
-		}
-	}
-	if !almost(fit.R2, 1, 1e-10) {
-		t.Errorf("R2 = %g", fit.R2)
-	}
-	if !almost(fit.Predict([]float64{1, 2, 3}), 1+4+9, 1e-8) {
-		t.Errorf("Predict = %g", fit.Predict([]float64{1, 2, 3}))
-	}
-}
-
-func TestOLSMultiErrors(t *testing.T) {
-	if _, err := OLSMulti(nil, nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := OLSMulti([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Error("n < k accepted")
-	}
-	// Collinear columns -> singular normal equations.
-	X := [][]float64{{1, 2}, {2, 4}, {3, 6}}
-	if _, err := OLSMulti(X, []float64{1, 2, 3}); err == nil {
-		t.Error("singular system accepted")
 	}
 }
 

@@ -113,9 +113,6 @@ func New(cfg inputs.CastroInputs, opts Options, fs *iosim.FileSystem) (*Runner, 
 	return r, nil
 }
 
-// FinestLevel returns the highest level index with grids.
-func (r *Runner) FinestLevel() int { return len(r.BAs) - 1 }
-
 // Rebuild is Regrid under the name callers driving the runner by hand
 // use.
 func (r *Runner) Rebuild() error { return r.Regrid() }

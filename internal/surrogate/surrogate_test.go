@@ -33,8 +33,8 @@ func TestNewBuildsNestedHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.FinestLevel() < 1 {
-		t.Fatalf("no refinement at start, finest = %d", r.FinestLevel())
+	if finest := len(r.BAs) - 1; finest < 1 {
+		t.Fatalf("no refinement at start, finest = %d", finest)
 	}
 	for l := 1; l < len(r.BAs); l++ {
 		if !r.BAs[l].IsDisjoint() {

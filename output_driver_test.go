@@ -76,7 +76,7 @@ func TestBurstWritersRunNoSPMDWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for path, f := range parseDirs(t, 90, dirs...) {
+	for path, f := range parseDirs(t, 80, dirs...) {
 		for _, imp := range f.Imports {
 			if imp.Path.Value == `"amrproxyio/internal/mpisim"` {
 				t.Errorf("%s imports internal/mpisim; only cmd/amrio-bench may start an SPMD world", path)
