@@ -610,7 +610,7 @@ func BenchmarkAblationIOContention(b *testing.B) {
 			if _, err := macsio.Run(fs, mcfg); err != nil {
 				b.Fatal(err)
 			}
-			stats := iosim.BurstStats(fs.Ledger())
+			stats := iosim.Fold(fs.Ledger()).Bursts()
 			walls[contended] = stats[0].WallSeconds
 		}
 		ratio := walls[true] / walls[false]
@@ -868,7 +868,7 @@ func BenchmarkCampaignLedgerPeakHeap(b *testing.B) {
 				} else {
 					ledger = fs.Ledger()
 					records = len(ledger)
-					prof = iosim.Characterize(ledger)
+					prof = iosim.Fold(ledger).Profile()
 				}
 				if prof.TotalBytes == 0 {
 					b.Fatal("empty profile")
@@ -917,7 +917,7 @@ func BenchmarkCampaignSweep1000(b *testing.B) {
 			if _, err := campaign.Run(c, fs); err != nil {
 				b.Fatal(err)
 			}
-			if prof := iosim.Characterize(fs.Ledger()); prof.TotalBytes == 0 {
+			if prof := iosim.Fold(fs.Ledger()).Profile(); prof.TotalBytes == 0 {
 				b.Fatal("empty profile")
 			}
 		})

@@ -3,8 +3,8 @@
 // covers the whole module (no enumerated package list to rot), the
 // amrio-vet gate exists and runs through the real vet protocol, the
 // benchmark's exact outputs are verified, the module type-checks for a
-// 32-bit target, castro-sedov's -v reports are smoke-tested, and the
-// third-party gates stay version-pinned.
+// 32-bit target, castro-sedov's -v reports and amrio-report's structural
+// figures are smoke-tested, and the third-party gates stay version-pinned.
 package amrproxyio_test
 
 import (
@@ -123,6 +123,20 @@ func TestCastroSedovVerboseSmokePresent(t *testing.T) {
 	for _, section := range []string{"I/O burst timeline", "I/O characterization (Darshan-style)"} {
 		if !strings.Contains(ci, `grep -q "`+section+`"`) {
 			t.Errorf("CI does not check castro-sedov -v for %q", section)
+		}
+	}
+}
+
+// TestStructuralFiguresSmokePresent: CI runs amrio-report -exhibit fig2
+// and fig3 and checks each figure's title.
+func TestStructuralFiguresSmokePresent(t *testing.T) {
+	ci := readCI(t)
+	for _, fig := range []struct{ exhibit, title string }{{"fig2", "Fig. 2:"}, {"fig3", "Fig. 3:"}} {
+		if !strings.Contains(ci, "out=$(go run ./cmd/amrio-report -exhibit "+fig.exhibit+")") {
+			t.Errorf("CI does not run `go run ./cmd/amrio-report -exhibit %s`", fig.exhibit)
+		}
+		if !strings.Contains(ci, `grep -q "`+fig.title+`"`) {
+			t.Errorf("CI does not check amrio-report's output for %q", fig.title)
 		}
 	}
 }

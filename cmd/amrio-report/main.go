@@ -96,23 +96,27 @@ func run(args []string, stdout io.Writer) error {
 
 	// Fig. 2 / Fig. 3: structural exhibits from fresh small runs.
 	if want("fig2") {
-		fs := iosim.New(iosim.DefaultConfig(), "")
+		fs, paths := iosim.New(iosim.DefaultConfig(), ""), new(report.PathLog)
+		fs.Attach(paths)
 		c := campaign.Case{Name: "fig2", NCell: 32, MaxLevel: 2, MaxStep: 4, PlotInt: 4,
 			CFL: 0.5, NProcs: 4, Engine: campaign.EngineHydro}
 		if _, err := campaign.Run(c, fs); err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, report.Fig2(fs.Ledger()))
+		fs.FlushConsumers()
+		fmt.Fprintln(stdout, report.Fig2(paths.Paths()))
 	}
 	if want("fig3") {
-		fs := iosim.New(iosim.DefaultConfig(), "")
+		fs, paths := iosim.New(iosim.DefaultConfig(), ""), new(report.PathLog)
+		fs.Attach(paths)
 		mcfg := macsio.DefaultConfig()
 		mcfg.NProcs = 4
 		mcfg.NumDumps = 3
 		if _, err := macsio.Run(fs, mcfg); err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, report.Fig3(fs.Ledger()))
+		fs.FlushConsumers()
+		fmt.Fprintln(stdout, report.Fig3(paths.Paths()))
 	}
 
 	// Pivot runs used by several figures.

@@ -69,12 +69,14 @@ func run(args []string, stdout io.Writer) error {
 	if *outdir != "" {
 		fsCfg.Backend = iosim.RealDisk
 	}
-	// Only -v reads the write ledger; without it each burst's records
-	// are dropped as the burst ends.
-	if !*verbose {
-		fsCfg.RetainLedger = iosim.RetainNone
-	}
+	// The ledger is never kept: each burst's records are dropped as the
+	// burst ends, after -v's fold and path log have read them.
+	fsCfg.RetainLedger = iosim.RetainNone
 	fs := iosim.New(fsCfg, *outdir)
+	fold, paths := iosim.NewCharacterizeFold(), new(report.PathLog)
+	if *verbose {
+		fs.Attach(fold, paths)
+	}
 
 	s, err := sim.New(cfg, opts, fs)
 	if err != nil {
@@ -85,6 +87,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := s.Run(context.Background()); err != nil {
 		return err
 	}
+	fs.FlushConsumers()
 
 	fmt.Fprintf(stdout, "completed: %d steps, t = %.6g, %d plotfiles, finest level %d\n",
 		s.Step, s.Time, s.NPlots(), s.FinestLevel())
@@ -108,9 +111,9 @@ func run(args []string, stdout io.Writer) error {
 
 	if *verbose {
 		fmt.Fprintln(stdout)
-		fmt.Fprintln(stdout, report.Fig2(fs.Ledger()))
-		fmt.Fprintln(stdout, report.BurstReport(fs.Ledger()))
-		fmt.Fprintln(stdout, iosim.Characterize(fs.Ledger()).Render())
+		fmt.Fprintln(stdout, report.Fig2(paths.Paths()))
+		fmt.Fprintln(stdout, report.BurstReport(fold.Bursts()))
+		fmt.Fprintln(stdout, fold.Profile().Render())
 	}
 	return nil
 }

@@ -47,8 +47,9 @@ func TestRunRejectsUnknownDist(t *testing.T) {
 
 // TestVerboseOutputPinned pins the default Listing 2 deck's -v stdout,
 // byte for byte: the Fig. 2 tree, the burst timeline and the Darshan-style
-// characterization are all read off the write ledger, so any drift in the
-// ledger or in the folds that reduce it changes the digest.
+// characterization are all read off the path log and fold attached
+// before the run, so any drift in the write stream or in what reduces it
+// changes the digest.
 func TestVerboseOutputPinned(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-v"}, &out); err != nil {

@@ -155,12 +155,14 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Only -v reads the write ledger; without it each burst's records
-	// are dropped as the burst ends.
-	if !verbose {
-		fsCfg.RetainLedger = iosim.RetainNone
-	}
+	// The ledger is never kept: each dump's records are dropped as the
+	// dump ends, after -v's fold and path log have read them.
+	fsCfg.RetainLedger = iosim.RetainNone
 	fs := iosim.New(fsCfg, outdir)
+	fold, paths := iosim.NewCharacterizeFold(), new(report.PathLog)
+	if verbose {
+		fs.Attach(fold, paths)
+	}
 	eng := resilience.ForFileSystem(policy, fs, cfg.NProcs)
 
 	fmt.Fprintf(stdout, "macsio: %s\n", cfg.CommandLine())
@@ -168,6 +170,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	fs.FlushConsumers()
 	per := macsio.BytesPerStep(recs)
 	fmt.Fprintln(stdout, "bytes per dump step:")
 	for _, step := range report.SortedIntKeys(per) {
@@ -177,11 +180,9 @@ func run(args []string, stdout io.Writer) error {
 		report.HumanBytes(macsio.TotalBytes(recs)), len(recs))
 
 	if verbose {
-		ledger := fs.Ledger()
-		fold := iosim.Fold(ledger)
 		fmt.Fprintln(stdout)
-		fmt.Fprintln(stdout, report.Fig3(ledger))
-		fmt.Fprintln(stdout, report.BurstReport(ledger))
+		fmt.Fprintln(stdout, report.Fig3(paths.Paths()))
+		fmt.Fprintln(stdout, report.BurstReport(fold.Bursts()))
 		if nodes > 0 {
 			fmt.Fprintln(stdout, report.TopologyReport(fold))
 		}

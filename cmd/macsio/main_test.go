@@ -57,7 +57,8 @@ func TestRunTargetsRequiresNodes(t *testing.T) {
 // TestVerboseOutputPinned pins -v stdout, byte for byte, for the storage,
 // fault, mitigation and aggregation invocations CI smoke-tests: Fig. 3,
 // the burst timeline, the topology report, the characterization and the
-// resilience and mitigation summaries are all read off the write ledger.
+// resilience and mitigation summaries are all read off the path log and
+// fold attached before the run.
 func TestVerboseOutputPinned(t *testing.T) {
 	tiered := []string{"-storage", "bb+gpfs", "-nodes", "2", "-v", "--interface", "miftmpl",
 		"--parallel_file_mode", "MIF", "8", "--num_dumps", "3", "--part_size", "1M",

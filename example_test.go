@@ -38,6 +38,8 @@ func Example() {
 	fsCfg := iosim.DefaultConfig()
 	fsCfg.Backend = iosim.RealDisk
 	fs := iosim.New(fsCfg, dir)
+	fold := iosim.NewCharacterizeFold() // reduces the write stream as it is produced
+	fs.Attach(fold)
 
 	// 3. Run.
 	s, err := sim.New(cfg, sim.DefaultOptions(), fs)
@@ -47,6 +49,7 @@ func Example() {
 	if err := s.Run(context.Background()); err != nil {
 		panic(err)
 	}
+	fs.FlushConsumers()
 	fmt.Printf("ran %d steps to t=%.4g, wrote %d plotfiles\n", s.Step, s.Time, s.NPlots())
 
 	// 4. The ledger: bytes per (step, level, rank).
@@ -72,10 +75,11 @@ func Example() {
 		len(level0.Boxes), level0.Boxes[0], len(level0.Data[0]))
 
 	// 6. The Darshan-style profile of everything the run wrote: operation
-	//    counts, size percentiles, burst cadence. The filesystem ledger
-	//    also counts the plotfile directory creations (metadata ops).
+	//    counts, size percentiles, burst cadence, read off the fold
+	//    attached in step 2. It also counts the plotfile directory
+	//    creations (metadata ops).
 	fmt.Println()
-	fmt.Print(iosim.Characterize(fs.Ledger()).Render())
+	fmt.Print(fold.Profile().Render())
 
 	// 7. The same run against the tiered burst-buffer stack (the
 	//    -storage sweep the campaign CLI exposes): a small DataWarp-style
@@ -87,7 +91,8 @@ func Example() {
 	bbCfg.BurstBuffer = iosim.DefaultBurstBuffer(1)
 	bbCfg.BurstBuffer.NodeCapacity = 4e5 // per-job allocation, not the full 1.6 TB NVMe
 	bbCfg.BurstBuffer.DrainBandwidth = 2e8
-	bbfs := iosim.New(bbCfg, "")
+	bbfs, bbFold := iosim.New(bbCfg, ""), iosim.NewCharacterizeFold()
+	bbfs.Attach(bbFold)
 	opts := sim.DefaultOptions()
 	opts.StepSeconds = 0.01
 	bbSim, err := sim.New(cfg, opts, bbfs)
@@ -97,9 +102,10 @@ func Example() {
 	if err := bbSim.Run(context.Background()); err != nil {
 		panic(err)
 	}
+	bbfs.FlushConsumers()
 	fmt.Printf("\nsame run on %q (per-job bb allocation %s/node):\n",
 		bbCfg.Storage, report.HumanBytes(int64(bbCfg.BurstBuffer.NodeCapacity)))
-	fmt.Print(iosim.Characterize(bbfs.Ledger()).Render())
+	fmt.Print(bbFold.Profile().Render())
 	// Output:
 	// ran 60 steps to t=0.0008075, wrote 4 plotfiles
 	//

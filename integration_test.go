@@ -59,8 +59,15 @@ func TestHydroAndSurrogateAgreeAtLevelZero(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hBytes := iosim.BytesByLevel(hfs.Ledger())[0]
-	sBytes := iosim.BytesByLevel(sfs.Ledger())[0]
+	l0Bytes := func(fs *iosim.FileSystem) (n int64) {
+		for _, r := range fs.Ledger() {
+			if r.Labels.Level == 0 {
+				n += r.Bytes
+			}
+		}
+		return n
+	}
+	hBytes, sBytes := l0Bytes(hfs), l0Bytes(sfs)
 	// Both wrote 3 plots of the same L0 box layout; the Cell_D payloads
 	// are byte-identical by construction. Headers can differ by a few
 	// bytes (different time stamps widths), so compare to 0.1%.
@@ -224,8 +231,8 @@ func TestCharacterizationAcrossEngines(t *testing.T) {
 	if _, err := macsio.Run(proxyFS, tr.MACSio); err != nil {
 		t.Fatal(err)
 	}
-	app := iosim.Characterize(appFS.Ledger())
-	proxy := iosim.Characterize(proxyFS.Ledger())
+	app := iosim.Fold(appFS.Ledger()).Profile()
+	proxy := iosim.Fold(proxyFS.Ledger()).Profile()
 	if app.Bursts != proxy.Bursts {
 		t.Errorf("burst counts differ: app %d vs proxy %d", app.Bursts, proxy.Bursts)
 	}

@@ -13,7 +13,7 @@
 // ranges over a map and accumulates floats — or appends map-derived
 // elements to an order-bearing slice — therefore produces run-to-run
 // nondeterminism, which breaks the repo's byte-identical pinning tests
-// (plotfile encoders, zero-Topology property pins). The BurstStats
+// (plotfile encoders, zero-Topology property pins). The per-burst statistics
 // aggregation shipped exactly this bug. Such loops must iterate over
 // sorted keys; the analyzer's suggested fix emits the canonical
 // sorted-keys header.

@@ -3,6 +3,7 @@ package ledgerretain_test
 import (
 	"testing"
 
+	"amrproxyio/internal/analysis"
 	"amrproxyio/internal/analysis/analysistest"
 	"amrproxyio/internal/analysis/ledgerretain"
 )
@@ -18,20 +19,22 @@ func TestFlaggedAndAllowedCases(t *testing.T) {
 }
 
 func TestScopeCoversStreamingPaths(t *testing.T) {
-	// The scope is part of the contract: serve, the campaign executor and
-	// the sweep CLI must never materialize a ledger.
+	// The scope is part of the contract: serve, the campaign executor,
+	// the reports and every command but the benchmark harness must never
+	// materialize a ledger.
 	for _, pkg := range []string{
 		"amrproxyio/internal/serve", "amrproxyio/internal/campaign",
 		"amrproxyio/internal/report", "amrproxyio/cmd/amrio-campaign",
+		"amrproxyio/cmd/castro-sedov", "amrproxyio/cmd/macsio", "amrproxyio/cmd/amrio-report",
+		"amrproxyio/internal/iosimulator", // a sibling of iosim, not a subpackage
 	} {
-		found := false
-		for _, p := range ledgerretain.Packages {
-			if p == pkg {
-				found = true
-			}
+		if analysis.PackageMatch(pkg, ledgerretain.Exempt) {
+			t.Errorf("package %s exempt from ledgerretain", pkg)
 		}
-		if !found {
-			t.Errorf("package %s missing from ledgerretain scope", pkg)
+	}
+	for _, pkg := range []string{"amrproxyio/internal/iosim", "amrproxyio/cmd/amrio-bench"} {
+		if !analysis.PackageMatch(pkg, ledgerretain.Exempt) {
+			t.Errorf("package %s in ledgerretain scope, want exempt", pkg)
 		}
 	}
 }

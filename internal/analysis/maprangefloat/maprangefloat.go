@@ -6,7 +6,7 @@
 // pins. The same goes for appending anything but the range key to a
 // slice that outlives the loop — the slice's element order becomes
 // schedule-dependent. The fix is always the same sorted-keys loop
-// BurstStats now uses, and the analyzer emits it as a suggested rewrite
+// the characterization fold now uses, and the analyzer emits it as a suggested rewrite
 // for int-keyed maps.
 package maprangefloat
 

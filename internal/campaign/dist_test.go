@@ -90,7 +90,11 @@ func TestEnginesHonorDist(t *testing.T) {
 			if _, err := Run(c, fs); err != nil {
 				t.Fatal(err)
 			}
-			return iosim.BytesByRank(fs.Ledger())
+			byRank := map[int]int64{}
+			for _, r := range fs.Ledger() {
+				byRank[r.Rank] += r.Bytes
+			}
+			return byRank
 		}
 		rr := perRank(DistRoundRobin)
 		sfc := perRank(DistSFC)

@@ -116,10 +116,10 @@ func runBoth(t *testing.T, c campaign.Case, topo bool) (batch, stream, exec run,
 // from the slice.
 func checkRows(t *testing.T, c campaign.Case, batch, stream, exec run, ledger []iosim.WriteRecord) {
 	t.Helper()
-	if got, want := stream.fold.Profile(), iosim.Characterize(ledger); !reflect.DeepEqual(got, want) {
+	if got, want := stream.fold.Profile(), iosim.Fold(ledger).Profile(); !reflect.DeepEqual(got, want) {
 		t.Errorf("characterization fold != batch\nfold:  %+v\nbatch: %+v", got, want)
 	}
-	if got, want := stream.fold.Bursts(), iosim.BurstStats(ledger); !reflect.DeepEqual(got, want) {
+	if got, want := stream.fold.Bursts(), iosim.Fold(ledger).Bursts(); !reflect.DeepEqual(got, want) {
 		t.Errorf("burst stats fold != batch\nfold:  %+v\nbatch: %+v", got, want)
 	}
 	rows := func(r run) map[string]any {

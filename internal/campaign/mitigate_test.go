@@ -34,7 +34,7 @@ func TestZeroPolicyByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return fs.Ledger(), fs.FaultEvents(), iosim.BurstStats(fs.Ledger()), res.Mitigation
+			return fs.Ledger(), fs.FaultEvents(), iosim.Fold(fs.Ledger()).Bursts(), res.Mitigation
 		}
 		ledNil, evNil, bsNil, mitNil := run(nil)
 		ledZero, evZero, bsZero, mitZero := run(&resilience.Policy{})

@@ -164,8 +164,8 @@ func TestOutputSequencePinned(t *testing.T) {
 			}{
 				{"plot-records", res.Records},
 				{"checkpoint-records", checkpoints},
-				{"burst-stats", iosim.BurstStats(ledger)},
-				{"profile", iosim.Characterize(ledger)},
+				{"burst-stats", iosim.Fold(ledger).Bursts()},
+				{"profile", iosim.Fold(ledger).Profile()},
 				{"mitigation", res.Mitigation},
 				{"sim-time", res.SimTime},
 			} {

@@ -295,13 +295,13 @@ func TestZeroPlanByteIdentical(t *testing.T) {
 			if !reflect.DeepEqual(base, pinned) {
 				t.Fatal("dormant-injector ledger differs from fault-free baseline")
 			}
-			// BurstStats/Characterize reduce per-rank maps, so float
+			// Bursts/Profile reduce per-rank maps, so float
 			// sums carry iteration-order round-off (the storage pins'
 			// approx() caveat); everything else must match exactly.
-			if !approxDeepEqual(reflect.ValueOf(iosim.BurstStats(base)), reflect.ValueOf(iosim.BurstStats(pinned))) {
-				t.Fatal("dormant-injector BurstStats differ")
+			if !approxDeepEqual(reflect.ValueOf(iosim.Fold(base).Bursts()), reflect.ValueOf(iosim.Fold(pinned).Bursts())) {
+				t.Fatal("dormant-injector bursts differ")
 			}
-			if !approxDeepEqual(reflect.ValueOf(iosim.Characterize(base)), reflect.ValueOf(iosim.Characterize(pinned))) {
+			if !approxDeepEqual(reflect.ValueOf(iosim.Fold(base).Profile()), reflect.ValueOf(iosim.Fold(pinned).Profile())) {
 				t.Fatal("dormant-injector Characterization differs")
 			}
 		})

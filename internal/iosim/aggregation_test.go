@@ -44,7 +44,7 @@ func TestAggregationAllRanksByteIdenticalToDirect(t *testing.T) {
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("storage %q topology %+v: all-ranks aggregation ledger differs from direct", storage, topo)
 			}
-			sa, sb := BurstStats(a), BurstStats(b)
+			sa, sb := Fold(a).Bursts(), Fold(b).Bursts()
 			if len(sa) != len(sb) {
 				t.Fatalf("storage %q topology %+v: burst counts differ", storage, topo)
 			}
@@ -58,7 +58,7 @@ func TestAggregationAllRanksByteIdenticalToDirect(t *testing.T) {
 					t.Fatalf("storage %q topology %+v: burst %d differs:\n%+v\n%+v", storage, topo, i, x, y)
 				}
 			}
-			ca, cb := Characterize(a), Characterize(b)
+			ca, cb := Fold(a).Profile(), Fold(b).Profile()
 			approx(t, "RankImbalance", &ca.RankImbalance, &cb.RankImbalance)
 			approx(t, "NodeImbalance", &ca.NodeImbalance, &cb.NodeImbalance)
 			approx(t, "LinkImbalance", &ca.LinkImbalance, &cb.LinkImbalance)

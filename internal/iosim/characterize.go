@@ -17,9 +17,9 @@ import (
 //
 // Since Design 10 the computation is a streaming fold (CharacterizeFold,
 // a LedgerConsumer): the profile accumulates as records are produced, so
-// no caller needs the materialized ledger. Characterize is the batch
-// wrapper — the same fold fed from a slice — which makes fold and batch
-// results identical by construction.
+// no caller needs the materialized ledger. Fold is the batch form — the
+// same fold fed from a slice — which makes fold and batch results
+// identical by construction.
 
 // Characterization is a compact I/O profile of a run.
 type Characterization struct {
@@ -86,13 +86,12 @@ type Characterization struct {
 	FaultSeconds float64 // sum over bursts of the max-rank fault time
 }
 
-// CharacterizeFold is the streaming form of Characterize and of
-// BurstStats: a LedgerConsumer that accumulates the profile and the
-// per-step burst aggregates as records arrive, and finalizes them on
-// Profile() and Bursts(). It is also the one per-run reduction every
-// report reads: the placement, storage, aggregation, topology and
-// recovery rows come from Bursts, StepSpan, TargetBytes, Nodes and
-// DurationSplit.
+// CharacterizeFold is a LedgerConsumer that accumulates the profile and
+// the per-step burst aggregates as records arrive, and finalizes them on
+// Profile() and Bursts(). It is the one per-run reduction every report
+// reads: the characterization, the burst timeline and the placement,
+// storage, aggregation, topology and recovery rows come from Profile,
+// Bursts, StepSpan, TargetBytes, Nodes and DurationSplit.
 //
 // State is O(steps x ranks + distinct write sizes), never O(writes):
 // each fact lives in one table keyed by what it describes — a step, a
@@ -129,6 +128,12 @@ type CharacterizeFold struct {
 	ranks     []rankRun // by rank
 	steps     map[int]*stepAcc
 	endMax    float64
+
+	// bursts caches the last finalization, taken after burstsAt
+	// records: Profile reads the bursts too, so a caller that wants both
+	// pays for one sort of each step's links, not two.
+	bursts   []BurstStat
+	burstsAt int
 }
 
 // rankRun is one rank's run-long totals.
@@ -296,10 +301,18 @@ func (f *CharacterizeFold) Consume(r WriteRecord) {
 func (f *CharacterizeFold) Flush() {}
 
 // Bursts finalizes the per-step aggregates into BurstStats sorted by
-// step: the same []BurstStat that BurstStats computes from the
-// materialized ledger. It does not reset the fold: calling it mid-run
-// yields the bursts seen so far.
+// step. Directory records add their metadata latency to a rank's burst
+// time but are counted apart from data files; topology labels add the
+// per-node and per-link skews, tier labels the byte split, buffer fill,
+// drain tails and stall stragglers (the drain tail relies on each rank's
+// records arriving in program order), and fault labels the retries and
+// fault time. It does not reset the fold: calling it mid-run yields the
+// bursts seen so far. The result is shared with every call until the
+// next Consume; callers read it and do not modify it.
 func (f *CharacterizeFold) Bursts() []BurstStat {
+	if f.bursts != nil && f.burstsAt == f.n {
+		return f.bursts
+	}
 	steps := make([]int, 0, len(f.steps))
 	for s := range f.steps {
 		steps = append(steps, s)
@@ -372,6 +385,7 @@ func (f *CharacterizeFold) Bursts() []BurstStat {
 		}
 		out = append(out, st)
 	}
+	f.bursts, f.burstsAt = out, f.n
 	return out
 }
 
@@ -546,12 +560,6 @@ func grow[T any](s []T, i int) []T {
 		return s
 	}
 	return append(s, make([]T, i+1-len(s))...)
-}
-
-// Characterize computes the profile from ledger records: the streaming
-// fold fed from a slice.
-func Characterize(records []WriteRecord) Characterization {
-	return Fold(records).Profile()
 }
 
 // bytesImbalance returns max/mean over a byte-count map (0 when empty).

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCharacterizeEmpty(t *testing.T) {
-	c := Characterize(nil)
+	c := Fold(nil).Profile()
 	if c.TotalBytes != 0 || c.TotalWrites != 0 {
 		t.Errorf("empty characterization = %+v", c)
 	}
@@ -18,7 +18,7 @@ func TestCharacterizeBasics(t *testing.T) {
 	fs.WriteSize(0, "a", 1024, Labels{Step: 0})
 	fs.WriteSize(1, "b", 2048, Labels{Step: 0})
 	fs.WriteSize(0, "c", 4096, Labels{Step: 10})
-	c := Characterize(fs.Ledger())
+	c := Fold(fs.Ledger()).Profile()
 	if c.TotalBytes != 7168 || c.TotalWrites != 3 || c.UniqueFiles != 3 || c.Ranks != 2 {
 		t.Errorf("characterization = %+v", c)
 	}
@@ -44,7 +44,7 @@ func TestCharacterizeSizeHistogram(t *testing.T) {
 	fs.WriteSize(0, "b", 2, Labels{})    // bucket 1
 	fs.WriteSize(0, "c", 3, Labels{})    // bucket 1 (floor log2)
 	fs.WriteSize(0, "d", 4096, Labels{}) // bucket 12
-	c := Characterize(fs.Ledger())
+	c := Fold(fs.Ledger()).Profile()
 	if c.SizeHistogram[0] != 1 || c.SizeHistogram[1] != 2 || c.SizeHistogram[12] != 1 {
 		t.Errorf("histogram = %v", c.SizeHistogram)
 	}
@@ -66,7 +66,7 @@ func TestCharacterizeInterArrival(t *testing.T) {
 		fs.AdvanceClock(0, 1.0)
 		fs.WriteSize(0, "f", 100, Labels{Step: step})
 	}
-	c := Characterize(fs.Ledger())
+	c := Fold(fs.Ledger()).Profile()
 	if c.Bursts != 3 {
 		t.Fatalf("bursts = %d", c.Bursts)
 	}
@@ -82,7 +82,7 @@ func TestCharacterizationRender(t *testing.T) {
 	fs := modelFS()
 	fs.WriteSize(0, "a", 1024, Labels{Step: 0})
 	fs.WriteSize(1, "b", 2048, Labels{Step: 1})
-	out := Characterize(fs.Ledger()).Render()
+	out := Fold(fs.Ledger()).Profile().Render()
 	for _, want := range []string{"total bytes", "write ops", "rank imbalance", "size histogram", "bursts"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
@@ -105,5 +105,29 @@ func TestFoldConsumeAllocations(t *testing.T) {
 	f.Consume(r)
 	if allocs := testing.AllocsPerRun(100, func() { f.Consume(r) }); allocs != 0 {
 		t.Errorf("Consume of a known record made %.1f allocations, want 0", allocs)
+	}
+}
+
+// TestBurstsFinalizeOnce: a caller that reads bursts and profile sorts
+// each step once — Profile reuses the bursts Bursts finalized, and the
+// other way round — until the next record, which the next call sees.
+func TestBurstsFinalizeOnce(t *testing.T) {
+	f := NewCharacterizeFold()
+	f.Consume(WriteRecord{Rank: 0, Path: "a", Bytes: 100, Duration: 1, Node: 0, Target: 0})
+	f.Consume(WriteRecord{Rank: 1, Path: "b", Bytes: 300, Duration: 2, Node: 0, Target: 1})
+	first := f.Bursts()
+	if allocs := testing.AllocsPerRun(10, func() { f.Bursts() }); allocs != 0 {
+		t.Errorf("Bursts after Bursts made %.1f allocations, want 0 (finalized once)", allocs)
+	}
+	f.Profile()
+	if again := f.Bursts(); &again[0] != &first[0] {
+		t.Error("Profile finalized the bursts again")
+	}
+	f.Consume(WriteRecord{Rank: 0, Path: "c", Bytes: 50, Duration: 1, Labels: Labels{Step: 1}, Node: 0, Target: 0})
+	if got := f.Bursts(); len(got) != 2 || got[1].Bytes != 50 || f.Profile().Bursts != 2 {
+		t.Errorf("after a new record Bursts() = %+v, want it finalized again with step 1", got)
+	}
+	if first[0].Bytes != 400 || len(first) != 1 {
+		t.Errorf("a later finalization changed an earlier result: %+v", first)
 	}
 }

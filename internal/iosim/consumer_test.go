@@ -137,13 +137,13 @@ func TestBurstStatsIsFoldFedFromSlice(t *testing.T) {
 	for _, r := range led {
 		f.Consume(r)
 	}
-	if !reflect.DeepEqual(f.Bursts(), BurstStats(led)) {
-		t.Error("CharacterizeFold.Bursts != BurstStats over the same ledger")
+	if !reflect.DeepEqual(f.Bursts(), Fold(led).Bursts()) {
+		t.Error("CharacterizeFold.Bursts != Fold(ledger).Bursts over the same ledger")
 	}
 }
 
 func TestCharacterizeFoldMatchesBatch(t *testing.T) {
-	// Streamed fold over live bursts == batch Characterize over the
+	// Streamed fold over live bursts == batch Fold over the
 	// retained ledger of an identical run.
 	batch := modelFS()
 	stream := modelFS()
@@ -155,11 +155,11 @@ func TestCharacterizeFoldMatchesBatch(t *testing.T) {
 	}
 	stream.FlushConsumers()
 	got := fold.Profile()
-	want := Characterize(batch.Ledger())
+	want := Fold(batch.Ledger()).Profile()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("fold profile != batch profile\nfold:  %+v\nbatch: %+v", got, want)
 	}
-	if !reflect.DeepEqual(fold.Bursts(), BurstStats(batch.Ledger())) {
+	if !reflect.DeepEqual(fold.Bursts(), Fold(batch.Ledger()).Bursts()) {
 		t.Error("fold bursts != batch bursts")
 	}
 }

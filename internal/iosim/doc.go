@@ -38,8 +38,8 @@
 // arrival order changes no record, consumer-feed entry or fault event
 // either (TestBurstLedgerIndependentOfRankOrder,
 // TestBurstSequenceIndependentOfRankOrder): this is what lets a writer
-// price a burst rank-major. Every quantity derived from the ledger
-// (BurstStats, Characterize, the campaign figures) is therefore
+// price a burst rank-major. Every quantity derived from the write stream
+// (CharacterizeFold's bursts and profile, the campaign figures) is therefore
 // bit-reproducible across runs, and a parallel campaign's ledgers are
 // byte-identical to a serial one's. Records carry Start timestamps for
 // callers that want time ordering instead. Jitter is a pure function of
@@ -59,8 +59,8 @@
 // (ranks past the declared burst keep the scalar pool share),
 // so two writers packed on one node contend even when the backend is
 // idle, while spread placements don't. Ledger records gain (Node, Target)
-// labels, and BurstStats/Characterize gain per-node and per-link skew
-// aggregations. The zero Topology keeps the historical aggregate model
+// labels, and CharacterizeFold's bursts and profile gain per-node and
+// per-link skew aggregations. The zero Topology keeps the historical aggregate model
 // byte-identical — durations, records, statistics and renderings are
 // pinned by a property test. Only I/O is priced: like the paper's model,
 // the package has no communication term.
@@ -78,8 +78,8 @@
 // rate when a partition fills mid-burst), and "bb+gpfs" the same buffer
 // with each rank's drain capped by its GPFS-tier bandwidth. Multi-tier
 // records carry Tier / StallSeconds / DrainSeconds / BBFill fields,
-// aggregated by BurstStats and Characterize into per-tier bytes, buffer
-// occupancy, drain tails, and stall stragglers.
+// aggregated by CharacterizeFold into per-tier bytes, buffer occupancy,
+// drain tails, and stall stragglers.
 //
 // The StorageModel contract extends the determinism guarantee above:
 //
@@ -99,7 +99,7 @@
 //     reorganized fan-in.
 //
 // The default "" / "gpfs" stack is property-test-pinned byte-identical
-// (durations, ledger, BurstStats, Characterize, Render) to the
+// (durations, ledger, bursts, profile, Render) to the
 // pre-StorageModel FileSystem, with and without a Topology.
 //
 // # Open latency contract
@@ -152,16 +152,18 @@
 // Per-node and per-target totals are derived from the rank and link
 // tables, which rests on three ledger facts: a record with a target is a
 // data record on a node, a rank's records all carry the same node, and
-// directory records carry no bytes. BurstStats, Characterize and Fold are
-// that one fold fed from a slice — one reduction code path, exercised
-// both ways.
+// directory records carry no bytes. Fold is that one fold fed from a
+// slice — one reduction code path, exercised both ways; tests use it as
+// the batch side of the fold == stream pins.
 //
 // Config.RetainLedger picks the retention policy: RetainAuto (the zero
 // value) keeps records only while no consumer is attached, RetainNone
 // always drops. TotalBytes and Clock survive dropping — they read
 // per-rank counters, not records. Fold state is O(steps x ranks)
 // aggregates instead of O(writes) records, which is the memory bound
-// the campaign service layer depends on; the ledgerretain analyzer
-// keeps Ledger() calls out of the streaming paths so the bound cannot
-// silently regress.
+// every command and the campaign service layer depend on: each attaches
+// its folds (and, for the Fig. 2 / Fig. 3 path listings, a log of path
+// strings) before the run, and the ledgerretain analyzer keeps Ledger()
+// calls out of every package but this one and the benchmark harness,
+// so the bound cannot silently regress.
 package iosim

@@ -37,21 +37,22 @@ func ExampleTopology() {
 	// spread: 0.5s
 }
 
-// ExampleBurstStats summarizes an I/O burst from the write ledger: bytes,
-// file counts, and the bulk-synchronous wall time set by the slowest
-// rank.
-func ExampleBurstStats() {
+// ExampleCharacterizeFold_Bursts summarizes an I/O burst with a fold
+// attached before the writes: bytes, file counts, and the
+// bulk-synchronous wall time set by the slowest rank.
+func ExampleCharacterizeFold_Bursts() {
 	cfg := iosim.Config{
 		AggregateBandwidth: 1e9,
 		PerWriterBandwidth: 1e9,
 	}
-	fs := iosim.New(cfg, "")
+	fs, fold := iosim.New(cfg, ""), iosim.NewCharacterizeFold()
+	fs.Attach(fold)
 	fs.BeginBurst(2) // fair share: 0.5 GB/s per writer
 	fs.WriteSize(0, "plt00010/Cell_D_00000", 5e8, iosim.Labels{Step: 10})
 	fs.WriteSize(1, "plt00010/Cell_D_00001", 1e9, iosim.Labels{Step: 10})
 	fs.EndBurst()
 
-	for _, b := range iosim.BurstStats(fs.Ledger()) {
+	for _, b := range fold.Bursts() {
 		fmt.Printf("step %d: %d bytes in %d files, wall %.1fs, %d writers\n",
 			b.Step, b.Bytes, b.Files, b.WallSeconds, b.Participants)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 )
 
@@ -523,41 +522,9 @@ func (fs *FileSystem) TotalBytes() int64 {
 	return total
 }
 
-// BytesBy aggregates ledger bytes by an arbitrary key function.
-func BytesBy(records []WriteRecord, key func(WriteRecord) int) map[int]int64 {
-	out := map[int]int64{}
-	for _, r := range records {
-		out[key(r)] += r.Bytes
-	}
-	return out
-}
-
-// BytesByStep aggregates bytes per Labels.Step.
-func BytesByStep(records []WriteRecord) map[int]int64 {
-	return BytesBy(records, func(r WriteRecord) int { return r.Labels.Step })
-}
-
-// BytesByLevel aggregates bytes per Labels.Level.
-func BytesByLevel(records []WriteRecord) map[int]int64 {
-	return BytesBy(records, func(r WriteRecord) int { return r.Labels.Level })
-}
-
-// BytesByRank aggregates bytes per writing rank.
-func BytesByRank(records []WriteRecord) map[int]int64 {
-	return BytesBy(records, func(r WriteRecord) int { return r.Rank })
-}
-
-// SortedKeys returns the sorted keys of an aggregation map.
-func SortedKeys(m map[int]int64) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// BurstStat summarizes one I/O burst (one dump step).
+// BurstStat summarizes one I/O burst (one dump step), modeling the
+// bulk-synchronous "compute then burst" pattern the paper describes.
+// CharacterizeFold.Bursts computes them from the write stream.
 type BurstStat struct {
 	Step         int
 	Bytes        int64
@@ -600,17 +567,3 @@ type BurstStat struct {
 
 // burstLink keys one (node, target) link of a burst.
 type burstLink struct{ node, target int }
-
-// BurstStats computes per-step burst summaries from the ledger, modeling
-// the bulk-synchronous "compute then burst" pattern the paper describes.
-// Directory records contribute their metadata latency to the per-rank
-// burst time but are counted separately from data files. Records labeled
-// by the topology model additionally produce the per-node and per-link
-// skew fields, which expose where a burst is NIC- or fan-in-bound.
-// Records labeled by the burst-buffer models produce the per-tier byte
-// split, buffer occupancy, drain tails, and stall stragglers; the drain
-// tail relies on the Ledger contract that a rank's records appear in
-// program order.
-func BurstStats(records []WriteRecord) []BurstStat {
-	return Fold(records).Bursts()
-}

@@ -207,35 +207,12 @@ func TestAdvanceClock(t *testing.T) {
 	}
 }
 
-func TestAggregations(t *testing.T) {
-	fs := modelFS()
-	fs.WriteSize(0, "a", 100, Labels{Step: 0, Level: 0})
-	fs.WriteSize(1, "b", 200, Labels{Step: 0, Level: 1})
-	fs.WriteSize(0, "c", 400, Labels{Step: 1, Level: 0})
-	rec := fs.Ledger()
-	byStep := BytesByStep(rec)
-	if byStep[0] != 300 || byStep[1] != 400 {
-		t.Errorf("byStep = %v", byStep)
-	}
-	byLevel := BytesByLevel(rec)
-	if byLevel[0] != 500 || byLevel[1] != 200 {
-		t.Errorf("byLevel = %v", byLevel)
-	}
-	byRank := BytesByRank(rec)
-	if byRank[0] != 500 || byRank[1] != 200 {
-		t.Errorf("byRank = %v", byRank)
-	}
-	if keys := SortedKeys(byStep); len(keys) != 2 || keys[0] != 0 || keys[1] != 1 {
-		t.Errorf("SortedKeys = %v", keys)
-	}
-}
-
 func TestBurstStats(t *testing.T) {
 	fs := modelFS()
 	fs.WriteSize(0, "a", 1000, Labels{Step: 0})
 	fs.WriteSize(1, "b", 3000, Labels{Step: 0})
 	fs.WriteSize(0, "c", 500, Labels{Step: 5})
-	stats := BurstStats(fs.Ledger())
+	stats := Fold(fs.Ledger()).Bursts()
 	if len(stats) != 2 {
 		t.Fatalf("stats len = %d", len(stats))
 	}

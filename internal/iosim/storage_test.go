@@ -71,11 +71,11 @@ func TestStorageGPFSByteIdenticalToDefault(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("topology %+v: %q ledger differs from default", topo, StorageGPFS)
 		}
-		// BurstStats/Characterize accumulate a few float means in map
+		// Bursts/Profile accumulate a few float means in map
 		// iteration order, so identical ledgers can differ in the last
 		// ulp across calls; compare those fields with a tolerance and
 		// everything else exactly.
-		sa, sb := BurstStats(a), BurstStats(b)
+		sa, sb := Fold(a).Bursts(), Fold(b).Bursts()
 		if len(sa) != len(sb) {
 			t.Fatalf("topology %+v: burst counts differ", topo)
 		}
@@ -89,7 +89,7 @@ func TestStorageGPFSByteIdenticalToDefault(t *testing.T) {
 				t.Fatalf("topology %+v: burst %d differs:\n%+v\n%+v", topo, i, x, y)
 			}
 		}
-		ca, cb := Characterize(a), Characterize(b)
+		ca, cb := Fold(a).Profile(), Fold(b).Profile()
 		approx(t, "RankImbalance", &ca.RankImbalance, &cb.RankImbalance)
 		approx(t, "NodeImbalance", &ca.NodeImbalance, &cb.NodeImbalance)
 		approx(t, "LinkImbalance", &ca.LinkImbalance, &cb.LinkImbalance)
@@ -226,7 +226,7 @@ func TestBBFillAndStall(t *testing.T) {
 	}
 
 	// The burst aggregations see the stall straggler and the drain tail.
-	stats := BurstStats(rec)
+	stats := Fold(rec).Bursts()
 	if len(stats) != 3 {
 		t.Fatalf("bursts = %d", len(stats))
 	}
@@ -237,7 +237,7 @@ func TestBBFillAndStall(t *testing.T) {
 		math.Abs(stats[1].StallSeconds-10) > 1e-12 || math.Abs(stats[1].DrainSeconds-20) > 1e-12 {
 		t.Errorf("burst 1 = %+v", stats[1])
 	}
-	c := Characterize(rec)
+	c := Fold(rec).Profile()
 	if c.BBBytes != 110 || c.SpillBytes != 200 || c.MaxBBFill != 1 || c.StallRanks != 1 {
 		t.Errorf("characterization tiers = %+v", c)
 	}

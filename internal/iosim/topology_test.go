@@ -110,13 +110,13 @@ func TestTopologyUnsetByteIdenticalToAggregate(t *testing.T) {
 		t.Fatal("ledger differs from the aggregate-model reference")
 	}
 
-	for _, b := range BurstStats(ledger) {
+	for _, b := range Fold(ledger).Bursts() {
 		if b.Nodes != 0 || b.Links != 0 || b.LinkSkew != 0 || b.NodeSkew != 0 ||
 			b.MaxLinkSeconds != 0 || b.MeanLinkSeconds != 0 {
 			t.Fatalf("aggregate-model burst carries topology fields: %+v", b)
 		}
 	}
-	c := Characterize(ledger)
+	c := Fold(ledger).Profile()
 	if c.NodesUsed != 0 || c.TargetsUsed != 0 || c.LinksUsed != 0 ||
 		c.NodeImbalance != 0 || c.LinkImbalance != 0 {
 		t.Fatalf("aggregate-model characterization carries topology fields: %+v", c)
@@ -291,7 +291,7 @@ func TestZeroByteOpsOnCappedLink(t *testing.T) {
 }
 
 // TestTopologyAggregations drives a labeled burst and checks the per-link
-// fields of BurstStats and Characterize.
+// fields of the fold's bursts and profile.
 func TestTopologyAggregations(t *testing.T) {
 	cfg := Config{
 		AggregateBandwidth: 1e12,
@@ -310,7 +310,7 @@ func TestTopologyAggregations(t *testing.T) {
 	fs.WriteSize(3, "d", 1e6, Labels{Step: 1}) // node 1, target 1
 	fs.EndBurst()
 
-	stats := BurstStats(fs.Ledger())
+	stats := Fold(fs.Ledger()).Bursts()
 	if len(stats) != 1 {
 		t.Fatalf("stats len = %d", len(stats))
 	}
@@ -328,7 +328,7 @@ func TestTopologyAggregations(t *testing.T) {
 		t.Error("MaxLinkSeconds < MeanLinkSeconds")
 	}
 
-	c := Characterize(fs.Ledger())
+	c := Fold(fs.Ledger()).Profile()
 	if c.NodesUsed != 2 || c.TargetsUsed != 2 || c.LinksUsed != 4 {
 		t.Errorf("characterize topology = %d nodes, %d targets, %d links",
 			c.NodesUsed, c.TargetsUsed, c.LinksUsed)

@@ -269,11 +269,14 @@ func TestLedgerLabels(t *testing.T) {
 	if _, err := Write(fs, spec); err != nil {
 		t.Fatal(err)
 	}
-	byLevel := iosim.BytesByLevel(fs.Ledger())
+	byLevel, byStep := map[int]int64{}, map[int]int64{}
+	for _, r := range fs.Ledger() {
+		byLevel[r.Labels.Level] += r.Bytes
+		byStep[r.Labels.Step] += r.Bytes
+	}
 	if len(byLevel) != 2 {
 		t.Errorf("levels in ledger = %v", byLevel)
 	}
-	byStep := iosim.BytesByStep(fs.Ledger())
 	if _, ok := byStep[40]; !ok || len(byStep) != 1 {
 		t.Errorf("steps in ledger = %v", byStep)
 	}

@@ -70,17 +70,45 @@ func TableIII(results []campaign.Result) string {
 		Table([]string{"case", "n_cell", "maxlev", "steps", "plot_int", "cfl", "nprocs", "engine", "plots", "bytes"}, rows)
 }
 
-// Fig2 renders the plotfile directory tree from an iosim ledger, the
-// paper's Fig. 2 structure.
-func Fig2(ledger []iosim.WriteRecord) string {
+// PathLog is a LedgerConsumer that keeps the data-file paths of a write
+// stream, the only part of a record the structural figures (Fig2, Fig3)
+// read. The stream arrives burst by burst; the log keeps each rank's
+// paths in program order and Paths lists them rank by rank, the order
+// FileSystem.Ledger() gives.
+type PathLog struct{ byRank [][]string }
+
+// Consume logs a data record's path; directory records are skipped.
+func (l *PathLog) Consume(r iosim.WriteRecord) {
+	if r.Dir {
+		return
+	}
+	for len(l.byRank) <= r.Rank {
+		l.byRank = append(l.byRank, nil)
+	}
+	l.byRank[r.Rank] = append(l.byRank[r.Rank], r.Path)
+}
+
+// Flush implements LedgerConsumer; the log buffers nothing.
+func (l *PathLog) Flush() {}
+
+// Paths returns the logged paths: ascending rank, each rank's paths in
+// program order.
+func (l *PathLog) Paths() []string {
+	var out []string
+	for _, paths := range l.byRank {
+		out = append(out, paths...)
+	}
+	return out
+}
+
+// Fig2 renders the plotfile directory tree from a run's data-file paths
+// (PathLog.Paths), the paper's Fig. 2 structure.
+func Fig2(paths []string) string {
 	tree := map[string][]string{}
 	var roots []string
 	seenRoot := map[string]bool{}
-	for _, r := range ledger {
-		if r.Dir {
-			continue // directory metadata records are not tree leaves
-		}
-		parts := strings.SplitN(r.Path, "/", 2)
+	for _, path := range paths {
+		parts := strings.SplitN(path, "/", 2)
 		root := parts[0]
 		if !seenRoot[root] {
 			seenRoot[root] = true
@@ -234,14 +262,15 @@ func Fig11(r campaign.Result, model core.KernelModel) (*Plot, float64) {
 	return p, stats.MAPE(meas, pred)
 }
 
-// Fig3 renders the MACSio output layout from its ledger (paper Fig. 3).
-func Fig3(ledger []iosim.WriteRecord) string {
+// Fig3 renders the MACSio output layout from a run's data-file paths
+// (PathLog.Paths), the paper's Fig. 3.
+func Fig3(paths []string) string {
 	var data, meta []string
-	for _, r := range ledger {
-		if strings.Contains(r.Path, "root") {
-			meta = append(meta, r.Path)
+	for _, path := range paths {
+		if strings.Contains(path, "root") {
+			meta = append(meta, path)
 		} else {
-			data = append(data, r.Path)
+			data = append(data, path)
 		}
 	}
 	var sb strings.Builder
@@ -264,12 +293,11 @@ func Listing1(tr core.Translation, nprocs int) string {
 		nprocs, tr.MACSio.CommandLine(), tr.F, tr.Kernel.Growth, tr.MAPE)
 }
 
-// BurstReport summarizes I/O burst behavior from a filesystem ledger (the
-// "dynamic" studies the paper motivates).
-func BurstReport(ledger []iosim.WriteRecord) string {
-	stats := iosim.BurstStats(ledger)
+// BurstReport renders a run's burst timeline (CharacterizeFold.Bursts),
+// the "dynamic" studies the paper motivates.
+func BurstReport(bursts []iosim.BurstStat) string {
 	var rows [][]string
-	for _, s := range stats {
+	for _, s := range bursts {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", s.Step),
 			HumanBytes(s.Bytes),

@@ -1,7 +1,9 @@
 package report
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -183,18 +185,53 @@ func TestFig9Fig10Fig11(t *testing.T) {
 	}
 }
 
-func TestFig2Fig3FromLedger(t *testing.T) {
-	fs := iosim.New(iosim.DefaultConfig(), "")
+// TestPathLogListsRankMajor: the stream arrives burst by burst, but the
+// log lists each rank's data paths in program order, rank by rank — the
+// order a retained ledger lists the same run in — and skips directories.
+func TestPathLogListsRankMajor(t *testing.T) {
+	write := func(fs *iosim.FileSystem) {
+		for step := 0; step < 2; step++ {
+			fs.BeginBurst(2)
+			dir := fmt.Sprintf("plt%05d", step)
+			fs.Mkdir(0, dir, iosim.Labels{Step: step})
+			for rank := 1; rank >= 0; rank-- {
+				fs.WriteSize(rank, fmt.Sprintf("%s/Cell_D_%05d", dir, rank), 100, iosim.Labels{Step: step})
+			}
+			fs.EndBurst()
+		}
+		fs.FlushConsumers()
+	}
+	streamed, log := iosim.New(iosim.DefaultConfig(), ""), new(PathLog)
+	streamed.Attach(log)
+	write(streamed)
+	retained := iosim.New(iosim.DefaultConfig(), "")
+	write(retained)
+	var want []string
+	for _, r := range retained.Ledger() {
+		if !r.Dir {
+			want = append(want, r.Path)
+		}
+	}
+	if got := log.Paths(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Paths() = %q, want the ledger's %q", got, want)
+	}
+	if want[0] != "plt00000/Cell_D_00000" || want[1] != "plt00001/Cell_D_00000" {
+		t.Errorf("ledger order %q is not rank-major", want)
+	}
+}
+
+func TestFig2Fig3FromPathLog(t *testing.T) {
+	fs, log := iosim.New(iosim.DefaultConfig(), ""), new(PathLog)
+	fs.Attach(log)
+	fs.Mkdir(0, "plt00000", iosim.Labels{})
 	fs.WriteSize(0, "plt00000/Header", 100, iosim.Labels{})
 	fs.WriteSize(0, "plt00000/Level_0/Cell_D_00000", 1000, iosim.Labels{})
-	out := Fig2(fs.Ledger())
+	fs.FlushConsumers()
+	out := Fig2(log.Paths())
 	if !strings.Contains(out, "plt00000") || !strings.Contains(out, "Level_0/Cell_D_00000") {
 		t.Errorf("Fig2:\n%s", out)
 	}
-	fs2 := iosim.New(iosim.DefaultConfig(), "")
-	fs2.WriteSize(0, "macsio_json_00000_000.json", 100, iosim.Labels{})
-	fs2.WriteSize(0, "macsio_json_root_000.json", 10, iosim.Labels{})
-	out3 := Fig3(fs2.Ledger())
+	out3 := Fig3([]string{"macsio_json_00000_000.json", "macsio_json_root_000.json"})
 	if !strings.Contains(out3, "data") || !strings.Contains(out3, "metadata") {
 		t.Errorf("Fig3:\n%s", out3)
 	}
@@ -221,10 +258,12 @@ func TestListing1AndBurstReport(t *testing.T) {
 	if !strings.Contains(out, "jsrun -n 32") || !strings.Contains(out, "--dataset_growth") {
 		t.Errorf("Listing1:\n%s", out)
 	}
-	fs := iosim.New(iosim.DefaultConfig(), "")
+	fs, fold := iosim.New(iosim.DefaultConfig(), ""), iosim.NewCharacterizeFold()
+	fs.Attach(fold)
 	fs.WriteSize(0, "a", 1e6, iosim.Labels{Step: 0})
 	fs.WriteSize(1, "b", 2e6, iosim.Labels{Step: 0})
-	br := BurstReport(fs.Ledger())
+	fs.FlushConsumers()
+	br := BurstReport(fold.Bursts())
 	if !strings.Contains(br, "step") || !strings.Contains(br, "3 MB") {
 		t.Errorf("BurstReport:\n%s", br)
 	}
