@@ -48,3 +48,28 @@ func TestStructuralFiguresPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestCalibrationExhibitsPinned pins the Fig. 9 calibration trace and
+// Table III of the scaled pivot set, byte for byte. Neither depends on
+// what the Eq. 3 factor is fitted against: Fig. 9 plots the kernel fit,
+// whose base is the first plot's measured bytes, and Table III lists
+// the runs themselves.
+func TestCalibrationExhibitsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		exhibit, want string
+	}{
+		{"fig9", "6120206400fde3f69661a20dc588fb0fa902ce80f30cbbde9bf39d12dfcce6ff"},
+		{"table3", "b570c88a3927051f3d588ece7ce97d614b7f42b2ea3e9383c9d9cd30a968ae00"},
+	} {
+		t.Run(tc.exhibit, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run([]string{"-exhibit", tc.exhibit, "-scale", "64"}, &out); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(out.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != tc.want {
+				t.Errorf("-exhibit %s -scale 64 stdout digest = %s, want %s\n%s", tc.exhibit, got, tc.want, out.String())
+			}
+		})
+	}
+}
