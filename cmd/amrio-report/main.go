@@ -1,11 +1,20 @@
-// Command amrio-report regenerates every table and figure in the paper's
-// evaluation section. With -results it reads saved campaign JSONs; without
-// it, it executes the scaled pivot cases on the spot (about a minute) and
-// renders everything end to end.
+// Command amrio-report is the paper command: it regenerates every table
+// and figure in the paper's evaluation section, and runs the paper's
+// methodology loop (its Fig. 1). Listing 1 prints the MACSio command a
+// measured run translates into; Fig. 10 replays that same command
+// through the MACSio proxy and compares the bytes each dump writes with
+// the bytes each plot wrote; Fig. 9 shows the dataset_growth calibration
+// converge.
+//
+// Without -results it executes the scaled pivot cases on the spot (about
+// a minute) and renders everything end to end. -results names either a
+// directory of saved campaign result JSONs or one result JSON: given one
+// run, Listing 1 and Figs. 9 and 10 calibrate against that run instead
+// of the pivot set.
 //
 // Usage:
 //
-//	amrio-report [-results results/] [-csv] [-exhibit fig10]
+//	amrio-report [-results results/ | -results results/case4.json] [-csv] [-exhibit fig10]
 package main
 
 import (
@@ -15,6 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"amrproxyio/internal/campaign"
@@ -35,19 +45,27 @@ func main() {
 	}
 }
 
+// exhibits are the names -exhibit accepts.
+var exhibits = []string{"table1", "table2", "table3", "fig2", "fig3", "fig5", "fig6", "fig7",
+	"fig8", "fig9", "fig10", "fig11", "listing1"}
+
 // run parses args and writes the selected exhibits to stdout.
 func run(args []string, stdout io.Writer) error {
 	flags := flag.NewFlagSet("amrio-report", flag.ContinueOnError)
-	resultsDir := flags.String("results", "", "directory of saved campaign result JSONs")
+	resultsPath := flags.String("results", "", "directory of saved campaign result JSONs, or one result JSON to run the paper loop on")
 	csv := flags.Bool("csv", false, "emit figure data as CSV instead of ASCII plots")
-	exhibit := flags.String("exhibit", "", "render only the named exhibit (table1..3, fig2..11, listing1)")
+	exhibit := flags.String("exhibit", "", "render only the named exhibit ("+strings.Join(exhibits, ", ")+")")
 	div := flags.Int("scale", 8, "scale divisor for on-the-fly runs")
 	if err := flags.Parse(args); err != nil {
 		return err
 	}
 
+	only := strings.ToLower(*exhibit)
+	if only != "" && !slices.Contains(exhibits, only) {
+		return fmt.Errorf("unknown -exhibit %q; valid names: %s", *exhibit, strings.Join(exhibits, ", "))
+	}
 	want := func(name string) bool {
-		return *exhibit == "" || strings.EqualFold(*exhibit, name)
+		return only == "" || only == name
 	}
 	emit := func(p *report.Plot) {
 		if *csv {
@@ -59,10 +77,19 @@ func run(args []string, stdout io.Writer) error {
 
 	// Load or generate the result set.
 	var results []campaign.Result
-	if *resultsDir != "" {
-		paths, err := filepath.Glob(filepath.Join(*resultsDir, "*.json"))
+	single := false
+	if *resultsPath != "" {
+		info, err := os.Stat(*resultsPath)
 		if err != nil {
 			return err
+		}
+		paths := []string{*resultsPath}
+		if info.IsDir() {
+			if paths, err = filepath.Glob(filepath.Join(*resultsPath, "*.json")); err != nil {
+				return err
+			}
+		} else {
+			single = true
 		}
 		for _, p := range paths {
 			r, err := campaign.LoadResult(p)
@@ -72,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 			results = append(results, r)
 		}
 		if len(results) == 0 {
-			return fmt.Errorf("no result JSONs in %s", *resultsDir)
+			return fmt.Errorf("no result JSONs in %s", *resultsPath)
 		}
 	}
 
@@ -121,26 +148,37 @@ func run(args []string, stdout io.Writer) error {
 
 	// Pivot runs used by several figures.
 	var pivotResults []campaign.Result
-	var pivotTranslations []core.Translation
+	wantLoop := want("fig9") || want("fig10") || want("listing1")
 	// Table III falls back to the pivot runs when no results were loaded.
-	needPivot := want("fig6") || want("fig7") || want("fig9") || want("fig10") || want("listing1") ||
+	needPivot := want("fig6") || want("fig7") || (wantLoop && !single) ||
 		(want("table3") && len(results) == 0)
 	if needPivot {
 		for _, v := range []struct {
 			cfl float64
 			ml  int
 		}{{0.3, 2}, {0.3, 4}, {0.6, 2}, {0.6, 4}} {
-			c := campaign.Case4Variant(v.cfl, v.ml).Scaled(*div)
-			res, err := runCase(c)
-			if err != nil {
-				return err
-			}
-			tr, err := core.Translate(res.Case.Inputs(), res.Records, core.DefaultTranslateOptions())
+			res, err := runCase(campaign.Case4Variant(v.cfl, v.ml).Scaled(*div))
 			if err != nil {
 				return err
 			}
 			pivotResults = append(pivotResults, res)
-			pivotTranslations = append(pivotTranslations, tr)
+		}
+	}
+	// The paper loop (Listing 1, Figs. 9 and 10) runs on the one run
+	// -results names, or else on the pivot set: Fig. 9 traces cfl 0.3
+	// maxl 4 (any pivot works) and Listing 1 lists cfl 0.6 maxl 4.
+	loop, traced, listed := pivotResults, 1, 3
+	if single {
+		loop, traced, listed = results, 0, 0
+	}
+	var replays []core.Replay
+	if wantLoop {
+		for _, res := range loop {
+			rp, err := core.ReplayRun(res.Case.Inputs(), res.Records)
+			if err != nil {
+				return fmt.Errorf("%s: %w", res.Case.Name, err)
+			}
+			replays = append(replays, rp)
 		}
 	}
 
@@ -188,15 +226,14 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	if want("fig9") {
-		tr := pivotTranslations[1] // cfl 0.3 maxl 4 — any pivot works
-		_, perStep := core.PerStepBytes(pivotResults[1].Records)
-		emit(report.Fig9(perStep, tr.Trace, tr.Kernel.Base))
+		tr := replays[traced].Translation
+		emit(report.Fig9(replays[traced].Measured, tr.Trace, tr.Kernel.Base))
 	}
 	if want("fig10") {
-		p, mapes := report.Fig10(pivotResults, pivotTranslations)
-		emit(p)
-		for i, m := range mapes {
-			fmt.Fprintf(stdout, "%s model MAPE: %.2f%%\n", pivotResults[i].Case.Name, m)
+		emit(report.Fig10(loop, replays))
+		for i, rp := range replays {
+			fmt.Fprintf(stdout, "%s kernel MAPE %.2f%%; proxy fidelity: MAPE %.2f%%  Pearson %.4f\n",
+				loop[i].Case.Name, rp.Translation.MAPE, rp.MAPE, rp.Pearson)
 		}
 		fmt.Fprintln(stdout)
 	}
@@ -214,7 +251,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "large-case kernel MAPE: %.2f%%\n\n", mape)
 	}
 	if want("listing1") {
-		fmt.Fprintln(stdout, report.Listing1(pivotTranslations[3], pivotResults[3].Case.NProcs))
+		fmt.Fprintln(stdout, report.Listing1(loop[listed], replays[listed]))
 	}
 	return nil
 }

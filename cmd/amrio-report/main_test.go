@@ -4,9 +4,16 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
+	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"amrproxyio/internal/campaign"
+	"amrproxyio/internal/iosim"
+	"amrproxyio/internal/macsio"
 )
 
 // TestTable3WithoutResults: with no saved results, Table III lists the
@@ -71,5 +78,105 @@ func TestCalibrationExhibitsPinned(t *testing.T) {
 				t.Errorf("-exhibit %s -scale 64 stdout digest = %s, want %s\n%s", tc.exhibit, got, tc.want, out.String())
 			}
 		})
+	}
+}
+
+// TestRunRejectsUnknownExhibit: a name that is not an exhibit, or a
+// typo of one, fails naming the valid names instead of printing nothing.
+func TestRunRejectsUnknownExhibit(t *testing.T) {
+	for _, name := range []string{"bogus", "listing", "fig4"} {
+		t.Run(name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run([]string{"-exhibit", name}, &out)
+			if err == nil || !strings.Contains(err.Error(), "valid names: table1") || !strings.Contains(err.Error(), "listing1") {
+				t.Errorf("err = %v, want the unknown name rejected with the valid names listed", err)
+			}
+			if out.Len() != 0 {
+				t.Errorf("printed\n%s", out.String())
+			}
+		})
+	}
+}
+
+// TestRunFromSavedResult: -results naming one result JSON runs the
+// paper loop on that run, not on the pivot set: Listing 1 prints the
+// command it translates into, and Fig. 10 replays it and prints the
+// proxy's fidelity.
+func TestRunFromSavedResult(t *testing.T) {
+	out, err := campaign.NewExecutor(0, false).RunCase(campaign.Case4().Scaled(64), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "case4.json")
+	if err := out.Result.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		exhibit string
+		want    *regexp.Regexp
+	}{
+		{"listing1", regexp.MustCompile(`(?m)^Listing 1: jsrun -n \d+ macsio .* --part_size \d+ `)},
+		{"fig10", regexp.MustCompile(`(?m)^case4_div64 kernel MAPE \d+\.\d\d%; proxy fidelity: MAPE \d+\.\d\d%  Pearson \d\.\d{4}$`)},
+	} {
+		t.Run(tc.exhibit, func(t *testing.T) {
+			var stdout bytes.Buffer
+			if err := run([]string{"-results", path, "-exhibit", tc.exhibit}, &stdout); err != nil {
+				t.Fatal(err)
+			}
+			got := stdout.String()
+			if !tc.want.MatchString(got) {
+				t.Errorf("no %v line in:\n%s", tc.want, got)
+			}
+			if strings.Contains(got, "case4_cfl") {
+				t.Errorf("calibrated against the pivot set despite -results naming one run:\n%s", got)
+			}
+		})
+	}
+}
+
+func TestRunMissingResult(t *testing.T) {
+	var stdout bytes.Buffer
+	if err := run([]string{"-results", filepath.Join(t.TempDir(), "missing.json")}, &stdout); err == nil {
+		t.Error("missing -results file accepted")
+	}
+}
+
+// TestListing1ExhibitWritesWhatTheRunWrote: the command -exhibit
+// listing1 prints, parsed and run through MACSio on a model-only
+// filesystem, writes a total that differs from the listed run's by no
+// more than the proxy MAPE printed beside it, and that MAPE is itself
+// within 25%.
+func TestListing1ExhibitWritesWhatTheRunWrote(t *testing.T) {
+	var stdout bytes.Buffer
+	if err := run([]string{"-exhibit", "listing1", "-scale", "64"}, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	listing := stdout.String()
+	c := campaign.Case4Variant(0.6, 4).Scaled(64)
+	cmd := regexp.MustCompile(`(?m)^Listing 1: jsrun -n \d+ macsio (.*)$`).FindStringSubmatch(listing)
+	mape := regexp.MustCompile(`proxy MAPE (\d+\.\d+)%`).FindStringSubmatch(listing)
+	if cmd == nil || mape == nil || !strings.Contains(listing, c.Name+" (hydro engine) wrote") {
+		t.Fatalf("no %s command or proxy MAPE in:\n%s", c.Name, listing)
+	}
+	cfg, err := macsio.ParseArgs(strings.Fields(cmd[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := macsio.Run(iosim.New(iosim.DefaultConfig(), ""), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := campaign.NewExecutor(0, false).RunCase(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, _ := strconv.ParseFloat(mape[1], 64)
+	if bound > 25 {
+		t.Errorf("printed proxy MAPE %.2f%% is beyond the 25%% the paper calls close enough:\n%s", bound, listing)
+	}
+	wrote, app := macsio.TotalBytes(recs), out.Result.TotalBytes()
+	if off := 100 * math.Abs(float64(wrote-app)) / float64(app); off > bound {
+		t.Errorf("the command writes %d bytes, %.2f%% off the application's %d, beyond the printed proxy MAPE %.2f%%:\n%s",
+			wrote, off, app, bound, listing)
 	}
 }

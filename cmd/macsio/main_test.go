@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
+	"time"
 )
 
 // small is a four-rank, two-dump run that prices in milliseconds.
@@ -24,6 +25,27 @@ total: 25.4 KB across 8 dump records
 `
 	if got := out.String(); got != want {
 		t.Errorf("stdout =\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestRunPaperListing1 runs the paper's Listing 1 command line. The
+// model-only filesystem prices its 3.57 GB of data files by size
+// instead of encoding them, so the run takes well under a second; the
+// wall bound is loose enough for a race-instrumented build and still
+// trips if the payloads get encoded.
+func TestRunPaperListing1(t *testing.T) {
+	args := strings.Fields("--interface miftmpl --parallel_file_mode MIF 32 --num_dumps 21 " +
+		"--part_size 1550000 --avg_num_parts 1 --vars_per_part 1 --dataset_growth 1.013075 --nprocs 32")
+	var out bytes.Buffer
+	start := time.Now()
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	if wall := time.Since(start); wall > 10*time.Second {
+		t.Errorf("Listing 1 took %v, want well under 10s", wall)
+	}
+	if !strings.Contains(out.String(), "\ntotal: 3.57 GB across 672 dump records\n") {
+		t.Errorf("Listing 1 totals changed:\n%s", out.String())
 	}
 }
 

@@ -72,13 +72,15 @@
 //	internal/surrogate Summit-scale workload generator (analytic front)
 //	internal/plotfile  AMReX plotfile N-to-N writer/reader
 //	internal/macsio    MACSio proxy port (miftmpl JSON, MIF/SIF)
-//	internal/core      the paper's model: Eq. 1-3, Listing 1, calibration
+//	internal/core      the paper's model: Eq. 1-3, Listing 1, calibration,
+//	                   the MACSio replay that closes the loop
 //	internal/campaign  the Table III 47-run study
 //	internal/report    table/figure renderers
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation section, and cmd/amrio-report renders them from
-// saved or fresh campaign runs. ARCHITECTURE.md maps the package graph
+// saved or fresh campaign runs; its Listing 1 is the command its Fig. 10
+// replays. ARCHITECTURE.md maps the package graph
 // and the load-bearing designs. Start with this package's Example in
 // example_test.go: a small Sedov run on real disk, its per-(step, level,
 // task) ledger, a plotfile read back, and the Darshan-style profile on

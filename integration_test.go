@@ -85,42 +85,24 @@ func TestPaperLoopEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.DefaultTranslateOptions()
-	opts.Match = core.MatchFileBytes
-	tr, err := core.Translate(pivot.Inputs(), res.Records, opts)
+	// The printed command must be runnable as-is.
+	rp, err := core.ReplayRun(pivot.Inputs(), res.Records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The translated config must be runnable as-is.
-	proxyFS := testFS()
-	proxyRecs, err := macsio.Run(proxyFS, tr.MACSio)
-	if err != nil {
-		t.Fatal(err)
+	// Aggregate totals within 15%.
+	var mSum, pSum int64
+	for k := range rp.Measured {
+		mSum += rp.Measured[k]
+		pSum += rp.Proxy[k]
 	}
-	_, measured := core.PerStepBytes(res.Records)
-	proxyPerStep := macsio.BytesPerStep(proxyRecs)
-	if len(proxyPerStep) != len(measured) {
-		t.Fatalf("dump counts differ: %d vs %d", len(proxyPerStep), len(measured))
-	}
-	var meas, prox []float64
-	for k, m := range measured {
-		meas = append(meas, float64(m))
-		prox = append(prox, float64(proxyPerStep[k]))
-	}
-	// Aggregate totals within 15%, per-step correlation strong.
-	var mSum, pSum float64
-	for i := range meas {
-		mSum += meas[i]
-		pSum += prox[i]
-	}
-	if rel := math.Abs(pSum-mSum) / mSum; rel > 0.15 {
+	if rel := math.Abs(float64(pSum-mSum)) / float64(mSum); rel > 0.15 {
 		t.Errorf("total bytes mismatch: %.1f%%", rel*100)
 	}
 	// The proxy's growth trend must correlate with the measurement.
-	if len(meas) > 3 && meas[len(meas)-1] > meas[0] {
-		if prox[len(prox)-1] <= prox[0] {
-			t.Error("proxy lost the growth trend")
-		}
+	n := len(rp.Measured)
+	if n > 3 && rp.Measured[n-1] > rp.Measured[0] && rp.Proxy[n-1] <= rp.Proxy[0] {
+		t.Error("proxy lost the growth trend")
 	}
 }
 
@@ -190,22 +172,21 @@ func TestReportsRenderFromLiveRuns(t *testing.T) {
 	if out := p8.Render(); !strings.Contains(out, "Fig. 8") {
 		t.Error("Fig8 broken")
 	}
-	tr, err := core.Translate(pivot.Inputs(), res.Records, core.DefaultTranslateOptions())
+	rp, err := core.ReplayRun(pivot.Inputs(), res.Records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, measured := core.PerStepBytes(res.Records)
-	if out := report.Fig9(measured, tr.Trace, tr.Kernel.Base).Render(); !strings.Contains(out, "measured") {
+	tr := rp.Translation
+	if out := report.Fig9(rp.Measured, tr.Trace, tr.Kernel.Base).Render(); !strings.Contains(out, "measured") {
 		t.Error("Fig9 broken")
 	}
-	p10, mapes := report.Fig10(results, []core.Translation{tr})
-	if !strings.Contains(p10.Render(), "model") || len(mapes) != 1 {
+	if out := report.Fig10(results, []core.Replay{rp}).Render(); !strings.Contains(out, "model") || !strings.Contains(out, "proxy") {
 		t.Error("Fig10 broken")
 	}
 	if out := report.TableIII(results); !strings.Contains(out, pivot.Name) {
 		t.Error("TableIII broken")
 	}
-	if out := report.Listing1(tr, pivot.NProcs); !strings.Contains(out, "jsrun") {
+	if out := report.Listing1(res, rp); !strings.Contains(out, "jsrun") {
 		t.Error("Listing1 broken")
 	}
 }
@@ -221,9 +202,7 @@ func TestCharacterizationAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.DefaultTranslateOptions()
-	opts.Match = core.MatchFileBytes
-	tr, err := core.Translate(pivot.Inputs(), res.Records, opts)
+	tr, err := core.Translate(pivot.Inputs(), res.Records, core.DefaultTranslateOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

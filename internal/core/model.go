@@ -11,6 +11,9 @@
 //     with dataset_growth calibrated against the measured per-step series
 //     by single-parameter minimization (the paper's Fig. 9 procedure) or,
 //     alternatively, by log-linear regression.
+//   - Figs. 1 and 10: ReplayRun closes the loop, running the printed
+//     MACSio command line and comparing its per-dump bytes with the
+//     measured run's.
 package core
 
 import (
@@ -125,9 +128,14 @@ const (
 	// MatchFileBytes fits f so MACSio's actual on-disk bytes at the first
 	// dump match the measured AMReX bytes (what an external observer of
 	// the filesystem sees). The JSON textual inflation is divided out.
+	// It is the zero value and the default: a command fitted this way
+	// writes what the application wrote.
 	MatchFileBytes FMatch = iota
 	// MatchNominal fits f against MACSio's nominal request size, the
-	// paper's part_size semantics.
+	// paper's part_size semantics. MACSio's JSON files inflate every
+	// requested byte about threefold, so a command fitted this way writes
+	// about three times the application's bytes; Listing 1 prints this f
+	// only to compare with the paper's.
 	MatchNominal
 )
 
@@ -136,7 +144,8 @@ const (
 // 8-byte words MACSio must request per L0 cell to reproduce the AMReX
 // step; the paper's f ≈ 23-25 for Castro's derive_plot_vars=ALL output
 // (~20+ variables); this implementation writes 10 plot variables, so the
-// same fit lands proportionally lower.
+// same fit lands proportionally lower. MatchFileBytes divides that f by
+// the JSON inflation.
 func FitF(step0Bytes int64, nx, ny int, match FMatch) float64 {
 	denom := 8 * float64(nx) * float64(ny)
 	f := float64(step0Bytes) / denom
@@ -258,12 +267,14 @@ type TranslateOptions struct {
 	ComputeTime float64 // seconds between dumps for dynamic studies
 }
 
-// DefaultTranslateOptions returns the paper-flavored defaults. The growth
-// bracket is wider than the paper's reported ≈[1.0, 1.02] operating range:
-// scaled-down meshes (where refined levels dominate L0) legitimately
-// calibrate to larger factors, and the search must be able to reach them.
+// DefaultTranslateOptions returns the defaults: Eq. 3 fitted on file
+// bytes (MatchFileBytes, the zero Match), so the translated command
+// writes what the measured run wrote. The growth bracket is wider than
+// the paper's reported ≈[1.0, 1.02] operating range: scaled-down meshes
+// (where refined levels dominate L0) legitimately calibrate to larger
+// factors, and the search must be able to reach them.
 func DefaultTranslateOptions() TranslateOptions {
-	return TranslateOptions{Match: MatchNominal, GrowthLo: 1.0, GrowthHi: 1.15}
+	return TranslateOptions{GrowthLo: 1.0, GrowthHi: 1.15}
 }
 
 // Translate performs the full Listing-1 mapping: structural parameters

@@ -219,29 +219,28 @@ func Fig9(measured []int64, trace []core.CalibrationIter, base float64) *Plot {
 	return p
 }
 
-// Fig10 compares measured per-step bytes against the calibrated MACSio
-// kernel for each pivot variant; returns the plot and per-variant MAPE.
-func Fig10(variants []campaign.Result, translations []core.Translation) (*Plot, []float64) {
-	p := NewPlot("Fig. 10: measured Castro outputs vs MACSio model (case4 variants)",
+// Fig10 plots, for each pivot variant, the measured per-step bytes
+// beside the calibrated kernel (_model) and the bytes the MACSio run of
+// the printed Listing 1 command wrote per dump (_proxy): the paper's
+// Fig. 10 procedure. Each replay's MAPE and Pearson rate the proxy; its
+// Translation's rate the kernel.
+func Fig10(variants []campaign.Result, replays []core.Replay) *Plot {
+	p := NewPlot("Fig. 10: measured Castro outputs vs MACSio model and proxy (case4 variants)",
 		"output step", "bytes per step")
-	var mapes []float64
-	for i, r := range variants {
-		_, perStep := core.PerStepBytes(r.Records)
-		xs := make([]float64, len(perStep))
-		meas := make([]float64, len(perStep))
-		for k, b := range perStep {
-			xs[k] = float64(k)
-			meas[k] = float64(b)
+	for i, rp := range replays {
+		xs := make([]float64, len(rp.Measured))
+		meas := make([]float64, len(rp.Measured))
+		prox := make([]float64, len(rp.Measured))
+		for k, b := range rp.Measured {
+			xs[k], meas[k], prox[k] = float64(k), float64(b), float64(rp.Proxy[k])
 		}
-		name := fmt.Sprintf("cfl%.1f_maxl%d", r.Case.CFL, r.Case.MaxLevel)
+		c := variants[i].Case
+		name := fmt.Sprintf("cfl%.1f_maxl%d", c.CFL, c.MaxLevel)
 		p.Add(name+"_measured", xs, meas)
-		if i < len(translations) {
-			pred := translations[i].Kernel.PredictSeries(len(perStep))
-			p.Add(name+"_model", xs, pred)
-			mapes = append(mapes, stats.MAPE(meas, pred))
-		}
+		p.Add(name+"_model", xs, rp.Translation.Kernel.PredictSeries(len(xs)))
+		p.Add(name+"_proxy", xs, prox)
 	}
-	return p, mapes
+	return p
 }
 
 // Fig11 compares a large-scale run's per-step output against the kernel
@@ -286,11 +285,31 @@ func Fig3(paths []string) string {
 	return sb.String()
 }
 
-// Listing1 renders the translated MACSio invocation, the paper's
-// Listing 1.
-func Listing1(tr core.Translation, nprocs int) string {
-	return fmt.Sprintf("Listing 1: jsrun -n %d %s\n  (Eq.3 f = %.3f, dataset_growth = %.6f, fit MAPE = %.2f%%)\n",
-		nprocs, tr.MACSio.CommandLine(), tr.F, tr.Kernel.Growth, tr.MAPE)
+// Listing1 renders the MACSio invocation a run translates into, the
+// paper's Listing 1, with the fits behind it: Eq. 3's f as fitted (on
+// file bytes) and as the paper's nominal request size would fit it,
+// dataset_growth beside its Appendix A guess, and the bytes the command
+// writes beside the bytes the run wrote.
+func Listing1(r campaign.Result, rp core.Replay) string {
+	tr := rp.Translation
+	c := r.Case
+	nominal := core.FitF(rp.Measured[0], c.NCell, c.NCell, core.MatchNominal)
+	var proxy, measured int64
+	for k := range rp.Measured {
+		proxy += rp.Proxy[k]
+		measured += rp.Measured[k]
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "Listing 1: jsrun -n %d %s\n", c.NProcs, rp.Command)
+	fmt.Fprintf(&sb, "  Eq. 3 f = %.3f fitted to file bytes (the paper fits the nominal request size: f = %.3f here, 23-25 there)\n",
+		tr.F, nominal)
+	fmt.Fprintf(&sb, "  dataset_growth = %.6f (Appendix A guess %.4f), kernel fit MAPE %.2f%%, Pearson %.4f\n",
+		tr.Kernel.Growth, core.GrowthGuess(c.CFL, c.MaxLevel), tr.MAPE, tr.Pearson)
+	fmt.Fprintf(&sb, "  writes %s in %d dumps; %s (%s engine) wrote %s in %d plot events\n",
+		HumanBytes(proxy), len(rp.Proxy), c.Name, r.Engine, HumanBytes(measured), len(rp.Measured))
+	fmt.Fprintf(&sb, "  total off by %+.2f%%; proxy MAPE %.2f%%, Pearson %.4f\n",
+		100*float64(proxy-measured)/float64(measured), rp.MAPE, rp.Pearson)
+	return sb.String()
 }
 
 // BurstReport renders a run's burst timeline (CharacterizeFold.Bursts),

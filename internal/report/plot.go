@@ -39,8 +39,8 @@ func (p *Plot) Add(name string, x, y []float64) *Plot {
 	return p
 }
 
-// markers cycle per series.
-var markers = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&'}
+// markers cycle per series; there are enough for Fig. 10's twelve.
+var markers = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&', '=', '$', '^', '~'}
 
 func (p *Plot) transform(x, y float64) (float64, float64, bool) {
 	if p.LogX {

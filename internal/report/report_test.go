@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"amrproxyio/internal/campaign"
 	"amrproxyio/internal/core"
 	"amrproxyio/internal/iosim"
+	"amrproxyio/internal/macsio"
 	"amrproxyio/internal/plotfile"
 )
 
@@ -111,7 +114,7 @@ func TestStaticTables(t *testing.T) {
 // fakeResult builds a Result with a synthetic growing ledger.
 func fakeResult(name string, ncell, nprocs, nsteps, levels int, growth float64) campaign.Result {
 	c := campaign.Case{Name: name, NCell: ncell, NProcs: nprocs, MaxLevel: levels - 1,
-		MaxStep: nsteps * 10, PlotInt: 10, CFL: 0.4}
+		MaxStep: (nsteps - 1) * 10, PlotInt: 10, CFL: 0.4}
 	var recs []plotfile.OutputRecord
 	for k := 0; k < nsteps; k++ {
 		for l := 0; l < levels; l++ {
@@ -163,17 +166,18 @@ func TestFig9Fig10Fig11(t *testing.T) {
 	}
 
 	r := fakeResult("case4_cfl4_maxl4", 512, 4, 8, 3, 1.013)
-	cfg := r.Case.Inputs()
-	tr, err := core.Translate(cfg, r.Records, core.DefaultTranslateOptions())
+	rp, err := core.ReplayRun(r.Case.Inputs(), r.Records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plot, mapes := Fig10([]campaign.Result{r}, []core.Translation{tr})
-	if !strings.Contains(plot.Render(), "model") {
-		t.Error("Fig10 missing model series")
+	out := Fig10([]campaign.Result{r}, []core.Replay{rp}).Render()
+	for _, series := range []string{"cfl0.4_maxl2_measured", "cfl0.4_maxl2_model", "cfl0.4_maxl2_proxy"} {
+		if !strings.Contains(out, series) {
+			t.Errorf("Fig10 missing series %s:\n%s", series, out)
+		}
 	}
-	if len(mapes) != 1 || mapes[0] > 5 {
-		t.Errorf("Fig10 MAPE = %v, expected tight fit on synthetic growth", mapes)
+	if rp.Translation.MAPE > 5 {
+		t.Errorf("kernel MAPE = %.2f%%, expected tight fit on synthetic growth", rp.Translation.MAPE)
 	}
 
 	p11, mape := Fig11(r, model)
@@ -250,13 +254,16 @@ func TestTableIIIRendersResults(t *testing.T) {
 
 func TestListing1AndBurstReport(t *testing.T) {
 	r := fakeResult("case4", 512, 4, 8, 3, 1.012)
-	tr, err := core.Translate(r.Case.Inputs(), r.Records, core.DefaultTranslateOptions())
+	rp, err := core.ReplayRun(r.Case.Inputs(), r.Records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Listing1(tr, 32)
-	if !strings.Contains(out, "jsrun -n 32") || !strings.Contains(out, "--dataset_growth") {
-		t.Errorf("Listing1:\n%s", out)
+	out := Listing1(r, rp)
+	for _, want := range []string{"jsrun -n 4 macsio ", "--dataset_growth", "fitted to file bytes",
+		"nominal request size: f = ", "case4 (hydro engine) wrote", "proxy MAPE"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Listing1 lacks %q:\n%s", want, out)
+		}
 	}
 	fs, fold := iosim.New(iosim.DefaultConfig(), ""), iosim.NewCharacterizeFold()
 	fs.Attach(fold)
@@ -266,5 +273,60 @@ func TestListing1AndBurstReport(t *testing.T) {
 	br := BurstReport(fold.Bursts())
 	if !strings.Contains(br, "step") || !strings.Contains(br, "3 MB") {
 		t.Errorf("BurstReport:\n%s", br)
+	}
+}
+
+var (
+	listing1Command = regexp.MustCompile(`(?m)^Listing 1: jsrun -n \d+ macsio (.*)$`)
+	listing1MAPE    = regexp.MustCompile(`proxy MAPE (\d+\.\d+)%`)
+)
+
+// TestListing1CommandWritesWhatTheRunWrote is Listing 1's oracle: for
+// each case4 pivot variant at two scales, the command the rendering
+// prints, parsed and run through MACSio on a model-only filesystem,
+// writes a total that differs from the application's by no more than
+// the proxy MAPE printed beside it, and that MAPE is itself within the
+// 25% bench_test.go holds Fig. 10's kernel to.
+func TestListing1CommandWritesWhatTheRunWrote(t *testing.T) {
+	executor := campaign.NewExecutor(0, false)
+	for _, div := range []int{8, 64} {
+		for _, v := range []struct {
+			cfl float64
+			ml  int
+		}{{0.3, 2}, {0.3, 4}, {0.6, 2}, {0.6, 4}} {
+			c := campaign.Case4Variant(v.cfl, v.ml).Scaled(div)
+			t.Run(c.Name, func(t *testing.T) {
+				out, err := executor.RunCase(c, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rp, err := core.ReplayRun(c.Inputs(), out.Result.Records)
+				if err != nil {
+					t.Fatal(err)
+				}
+				listing := Listing1(out.Result, rp)
+				cmd, mape := listing1Command.FindStringSubmatch(listing), listing1MAPE.FindStringSubmatch(listing)
+				if cmd == nil || mape == nil {
+					t.Fatalf("no command or proxy MAPE in:\n%s", listing)
+				}
+				cfg, err := macsio.ParseArgs(strings.Fields(cmd[1]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs, err := macsio.Run(iosim.New(iosim.DefaultConfig(), ""), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound, _ := strconv.ParseFloat(mape[1], 64)
+				if bound > 25 {
+					t.Errorf("printed proxy MAPE %.2f%% is beyond the 25%% the paper calls close enough:\n%s", bound, listing)
+				}
+				wrote, app := macsio.TotalBytes(recs), out.Result.TotalBytes()
+				if off := 100 * math.Abs(float64(wrote-app)) / float64(app); off > bound {
+					t.Errorf("the command writes %d bytes, %.2f%% off the application's %d, beyond the printed proxy MAPE %.2f%%:\n%s",
+						wrote, off, app, bound, listing)
+				}
+			})
+		}
 	}
 }
