@@ -180,3 +180,29 @@ func TestCLIOutputPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestRunRejectsBadSweepSpecs: an unknown storage stack, fault kind,
+// policy field or aggregation spec fails the run before any case runs,
+// so nothing reaches stdout.
+func TestRunRejectsBadSweepSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"unknown storage", []string{"-filter", "case4_div8", "-storage", "lustre"}},
+		{"unknown fault kind", []string{"-filter", "case10", "-faults", `{"events":[{"kind":"bogus","start":0}]}`}},
+		{"unknown policy field", []string{"-filter", "case10", "-mitigate", `{"bogus":true}`}},
+		{"unknown aggregation", []string{"-filter", "case10", "-aggregation", "bogus"}},
+		{"zero aggregators", []string{"-filter", "case10", "-aggregation", "0/node"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			if err := run(append([]string{"-quick"}, tc.args...), &out); err == nil {
+				t.Error("accepted")
+			}
+			if out.Len() != 0 {
+				t.Errorf("ran and printed\n%s", out.String())
+			}
+		})
+	}
+}

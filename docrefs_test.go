@@ -78,6 +78,25 @@ func TestDocReferencesFlagDeleted(t *testing.T) {
 	}
 }
 
+// TestArchitectureNamesEveryInternalPackage: ARCHITECTURE.md is the map
+// of the codebase, so each directory under internal/ must be named in
+// it as a whole word ("sim" does not pass via "simulated").
+func TestArchitectureNamesEveryInternalPackage(t *testing.T) {
+	doc, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if d.IsDir() && !regexp.MustCompile(`\b`+regexp.QuoteMeta(d.Name())+`\b`).Match(doc) {
+			t.Errorf("ARCHITECTURE.md does not mention internal/%s", d.Name())
+		}
+	}
+}
+
 // unresolvedRefs lists the file and internal pkg.Ident references in
 // doc's text that the tree does not declare, files first.
 func unresolvedRefs(doc, text string, baseNames map[string]bool, decls map[string]map[string]bool) []string {

@@ -14,8 +14,8 @@ import (
 // becomes available; this container builds offline from the standard
 // library only.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and CLI flags. It must
-	// be a valid identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid
+	// identifier.
 	Name string
 	// Doc is the one-paragraph contract: what the analyzer forbids and
 	// which shipped bug motivated it.
@@ -47,7 +47,7 @@ type Diagnostic struct {
 	// diagnostic (maprangefloat and jsonstrict emit them).
 	Fix *SuggestedFix
 
-	// Position is resolved by the driver for sorting and rendering.
+	// Position is resolved when reported, for sorting and rendering.
 	Position token.Position
 }
 

@@ -32,7 +32,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) []analysis.Diagnostic {
 	}
 	// Tests are included so fixtures can pin test-file exemptions
 	// (nondeterm skips _test.go; jsonstrict's contract is non-test code).
-	pkgs, err := analysis.Load(filepath.Dir(abs), true, []string{"./" + filepath.Base(abs)})
+	pkgs, err := analysis.Load(filepath.Dir(abs), []string{"./" + filepath.Base(abs)})
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}

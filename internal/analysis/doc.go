@@ -41,13 +41,12 @@
 //
 // # Running the suite
 //
-// The analyzers ship as cmd/amrio-vet, which speaks the `go vet
-// -vettool` unit-checker protocol and also runs standalone:
+// The root test TestAnalyzerSuiteClean (analyzers_test.go) runs the
+// suite over the whole module, test files included, so `go test ./...`
+// fails on any finding and prints its position and suggested fix:
 //
-//	go build -o /tmp/amrio-vet ./cmd/amrio-vet
-//	go vet -vettool=/tmp/amrio-vet ./...
+//	go test -run TestAnalyzerSuiteClean .
 //
-// CI runs this as a blocking gate; it must pass clean on the tree.
 // Each analyzer has golden-file coverage under its testdata/src
 // directory with both flagged and allowed cases, loaded through the
 // offline go/types loader in load.go (go list -export + the gc

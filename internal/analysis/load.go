@@ -47,14 +47,10 @@ type listPkg struct {
 
 const listFields = "-json=Dir,ImportPath,Name,Export,Standard,DepOnly,ForTest,GoFiles,ImportMap"
 
-// goList runs `go list -export -deps` in dir over patterns and decodes
-// the JSON stream.
-func goList(dir string, includeTests bool, patterns []string) ([]*listPkg, error) {
-	args := []string{"list", "-e", "-export", "-deps", listFields}
-	if includeTests {
-		args = append(args, "-test")
-	}
-	args = append(args, patterns...)
+// goList runs `go list -export -deps -test` in dir over patterns and
+// decodes the JSON stream.
+func goList(dir string, patterns []string) ([]*listPkg, error) {
+	args := append([]string{"list", "-e", "-export", "-deps", "-test", listFields}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -79,15 +75,15 @@ func goList(dir string, includeTests bool, patterns []string) ([]*listPkg, error
 }
 
 // Load lists patterns (relative to dir), type-checks every non-dependency
-// package in the module, and returns them ready for analysis. With
-// includeTests set, in-package test variants replace their plain package
-// (they are a superset of its files) and external _test packages are
-// loaded too, mirroring what `go vet` analyzes.
-func Load(dir string, includeTests bool, patterns []string) ([]*Package, error) {
+// package in the module, and returns them ready for analysis. In-package
+// test variants replace their plain package (they are a superset of its
+// files) and external _test packages are loaded too, mirroring what
+// `go vet` analyzes.
+func Load(dir string, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := goList(dir, includeTests, patterns)
+	pkgs, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -126,40 +122,29 @@ func Load(dir string, includeTests bool, patterns []string) ([]*Package, error) 
 }
 
 // checkPackage parses and type-checks one listed package against the
-// export data of its dependency closure.
+// export data of its dependency closure. The package's ImportMap
+// translates source import paths to go list package IDs (identity when
+// absent); exports maps those IDs to export-data files.
 func checkPackage(p *listPkg, exports map[string]string) (*Package, error) {
-	var files []string
+	fset := token.NewFileSet()
+	var asts []*ast.File
 	for _, f := range p.GoFiles {
 		if !filepath.IsAbs(f) {
 			f = filepath.Join(p.Dir, f)
 		}
-		files = append(files, f)
-	}
-	return CheckFiles(p.ImportPath, files, p.ImportMap, exports)
-}
-
-// CheckFiles parses and type-checks the given files as one package.
-// importMap translates source import paths to build-system package IDs
-// (identity when absent); exports maps package IDs to export-data files.
-// Both the standalone driver and the unitchecker protocol funnel through
-// here.
-func CheckFiles(path string, files []string, importMap, exports map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	var asts []*ast.File
-	for _, f := range files {
 		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %v", err)
 		}
 		asts = append(asts, af)
 	}
-	lookup := func(p string) (io.ReadCloser, error) {
-		if m, ok := importMap[p]; ok {
-			p = m
+	lookup := func(path string) (io.ReadCloser, error) {
+		if m, ok := p.ImportMap[path]; ok {
+			path = m
 		}
-		e, ok := exports[p]
+		e, ok := exports[path]
 		if !ok {
-			return nil, fmt.Errorf("no export data for %q", p)
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(e)
 	}
@@ -175,9 +160,9 @@ func CheckFiles(path string, files []string, importMap, exports map[string]strin
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	tpkg, err := conf.Check(StripTestVariant(path), fset, asts, info)
+	tpkg, err := conf.Check(StripTestVariant(p.ImportPath), fset, asts, info)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %v", path, err)
+		return nil, fmt.Errorf("analysis: type-checking %s: %v", p.ImportPath, err)
 	}
-	return &Package{Path: path, Fset: fset, Files: asts, Types: tpkg, Info: info}, nil
+	return &Package{Path: p.ImportPath, Fset: fset, Files: asts, Types: tpkg, Info: info}, nil
 }

@@ -1,5 +1,5 @@
-// Package bad is the known-bad smoke fixture for the amrio-vet driver
-// tests: it violates three different analyzers (nondeterm, boxarraylit,
+// Package bad is the known-bad fixture for vet.Check's tests: it
+// violates three different analyzers (nondeterm, boxarraylit,
 // ledgerretain) so a passing run proves the suite is actually wired in.
 package bad
 

@@ -1,17 +1,9 @@
-// Package vet assembles the amrio-vet analyzer suite and implements its
-// command-line driver. The logic lives here (not in cmd/amrio-vet) so
-// the driver is testable in-process; the cmd wrapper only forwards
-// os.Args and exits.
+// Package vet assembles the amrio-vet analyzer suite and runs it over
+// a tree. The repository's root test (TestAnalyzerSuiteClean) calls
+// Check on ./..., so `go test ./...` is where the suite gates the tree.
 package vet
 
 import (
-	"crypto/sha256"
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"strings"
-
 	"amrproxyio/internal/analysis"
 	"amrproxyio/internal/analysis/boxarraylit"
 	"amrproxyio/internal/analysis/jsonstrict"
@@ -21,7 +13,7 @@ import (
 )
 
 // Analyzers returns the full suite, in reporting order. Adding an
-// analyzer here is all it takes to ship it through go vet and CI.
+// analyzer here is all it takes to run it over the tree in tier-1.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		boxarraylit.Analyzer,
@@ -32,85 +24,25 @@ func Analyzers() []*analysis.Analyzer {
 	}
 }
 
-// Main is the amrio-vet entry point. It speaks three protocols:
-//
-//   - `amrio-vet -flags` and `amrio-vet -V=full`: the go vet handshake
-//     (flag inventory, then a version line hashed into build cache keys).
-//   - `amrio-vet <unit>.cfg`: one vet compilation unit, as invoked per
-//     package by `go vet -vettool=amrio-vet`.
-//   - `amrio-vet [-tests=false] [patterns]`: standalone mode; loads the
-//     patterns (default ./...) via go list and checks them directly.
-//
-// Exit codes: 0 clean, 1 driver error, 2 diagnostics reported.
-func Main(args []string, stdout, stderr io.Writer) int {
-	for _, a := range args {
-		switch {
-		case a == "-flags" || a == "--flags":
-			// No analyzer exposes flags; an empty JSON array completes the
-			// handshake.
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case a == "-V=full" || a == "--V=full" || a == "-V" || a == "--V":
-			fmt.Fprintln(stdout, versionLine())
-			return 0
-		case strings.HasSuffix(a, ".cfg"):
-			n, err := analysis.RunUnit(a, Analyzers(), stderr)
-			if err != nil {
-				fmt.Fprintf(stderr, "amrio-vet: %v\n", err)
-				return 1
-			}
-			if n > 0 {
-				return 2
-			}
-			return 0
-		}
-	}
-	return standalone(args, stdout, stderr)
-}
-
-func standalone(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("amrio-vet", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	tests := fs.Bool("tests", true, "also check _test.go files and test-only packages")
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := analysis.Load(".", *tests, patterns)
+// Check loads patterns relative to dir, test files and test-only
+// packages included, and runs the suite over every package. It returns
+// the diagnostics sorted by position and the import paths it checked,
+// test variants bracketed as go list names them.
+func Check(dir string, patterns ...string) ([]analysis.Diagnostic, []string, error) {
+	pkgs, err := analysis.Load(dir, patterns)
 	if err != nil {
-		fmt.Fprintf(stderr, "amrio-vet: %v\n", err)
-		return 1
+		return nil, nil, err
 	}
-	var all []analysis.Diagnostic
+	var diags []analysis.Diagnostic
+	var paths []string
 	for _, pkg := range pkgs {
-		diags, err := analysis.RunPackage(pkg, Analyzers())
+		d, err := analysis.RunPackage(pkg, Analyzers())
 		if err != nil {
-			fmt.Fprintf(stderr, "amrio-vet: %s: %v\n", pkg.Path, err)
-			return 1
+			return nil, nil, err
 		}
-		all = append(all, diags...)
+		diags = append(diags, d...)
+		paths = append(paths, pkg.Path)
 	}
-	analysis.SortDiagnostics(all)
-	analysis.Print(stdout, all)
-	if len(all) > 0 {
-		fmt.Fprintf(stderr, "amrio-vet: %d finding(s)\n", len(all))
-		return 2
-	}
-	return 0
-}
-
-// versionLine mimics the x/tools unitchecker convention: the go command
-// hashes this line into its action cache, so it must change when the
-// tool binary changes.
-func versionLine() string {
-	h := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			h = fmt.Sprintf("%x", sha256.Sum256(data))
-		}
-	}
-	return fmt.Sprintf("amrio-vet version devel buildID=%s", h)
+	analysis.SortDiagnostics(diags)
+	return diags, paths, nil
 }

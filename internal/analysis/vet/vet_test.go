@@ -5,11 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"amrproxyio/internal/analysis"
 	"amrproxyio/internal/analysis/vet"
 )
 
 // TestSuiteRegistersAllAnalyzers pins the suite roster: every invariant
-// analyzer must be wired into the driver, with unique names.
+// analyzer must be wired into the suite, with unique names.
 func TestSuiteRegistersAllAnalyzers(t *testing.T) {
 	want := []string{"boxarraylit", "jsonstrict", "ledgerretain", "maprangefloat", "nondeterm"}
 	got := vet.Analyzers()
@@ -31,53 +32,41 @@ func TestSuiteRegistersAllAnalyzers(t *testing.T) {
 	}
 }
 
-// TestHandshakeModes covers the go vet -vettool protocol endpoints.
-func TestHandshakeModes(t *testing.T) {
-	var out, errw bytes.Buffer
-	if code := vet.Main([]string{"-flags"}, &out, &errw); code != 0 {
-		t.Fatalf("-flags exited %d: %s", code, errw.String())
+// TestCheckFlagsKnownBadFixture runs the suite against the
+// seeded-violation package and checks all seeded analyzers fire.
+func TestCheckFlagsKnownBadFixture(t *testing.T) {
+	diags, paths, err := vet.Check(".", "./testdata/src/bad")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if strings.TrimSpace(out.String()) != "[]" {
-		t.Errorf("-flags printed %q, want []", out.String())
+	if want := "amrproxyio/internal/analysis/vet/testdata/src/bad"; len(paths) != 1 || paths[0] != want {
+		t.Errorf("checked %q, want [%s]", paths, want)
 	}
-
-	out.Reset()
-	if code := vet.Main([]string{"-V=full"}, &out, &errw); code != 0 {
-		t.Fatalf("-V=full exited %d: %s", code, errw.String())
-	}
-	if !strings.HasPrefix(out.String(), "amrio-vet version") {
-		t.Errorf("-V=full printed %q, want amrio-vet version prefix", out.String())
-	}
-}
-
-// TestStandaloneFlagsKnownBadFixture runs the driver end to end against
-// the seeded-violation package and checks all seeded analyzers fire.
-func TestStandaloneFlagsKnownBadFixture(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := vet.Main([]string{"./testdata/src/bad"}, &out, &errw)
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2 (diagnostics)\nstdout:\n%s\nstderr:\n%s", code, out.String(), errw.String())
-	}
+	var out bytes.Buffer
+	analysis.Print(&out, diags)
 	text := out.String()
-	if !strings.Contains(text, "time.Now") {
-		t.Errorf("nondeterm diagnostic missing from output:\n%s", text)
+	if len(diags) != 3 {
+		t.Errorf("%d diagnostics, want 3:\n%s", len(diags), text)
 	}
-	if !strings.Contains(text, "BoxArray") {
-		t.Errorf("boxarraylit diagnostic missing from output:\n%s", text)
-	}
-	if !strings.Contains(text, "Ledger()") {
-		t.Errorf("ledgerretain diagnostic missing from output:\n%s", text)
+	for _, want := range []string{"time.Now", "BoxArray", "Ledger()"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("no diagnostic names %s:\n%s", want, text)
+		}
 	}
 }
 
-// TestStandaloneCleanPackage: a clean package exits 0 with no output.
-func TestStandaloneCleanPackage(t *testing.T) {
-	var out, errw bytes.Buffer
-	code := vet.Main([]string{"amrproxyio/internal/grid"}, &out, &errw)
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errw.String())
+// TestCheckCleanPackage: a clean package yields no diagnostics.
+func TestCheckCleanPackage(t *testing.T) {
+	diags, paths, err := vet.Check(".", "amrproxyio/internal/grid")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(paths) == 0 {
+		t.Fatal("checked no package")
+	}
+	var out bytes.Buffer
+	analysis.Print(&out, diags)
 	if out.Len() != 0 {
-		t.Errorf("clean run printed diagnostics:\n%s", out.String())
+		t.Errorf("clean package has diagnostics:\n%s", out.String())
 	}
 }

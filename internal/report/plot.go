@@ -42,6 +42,10 @@ func (p *Plot) Add(name string, x, y []float64) *Plot {
 // markers cycle per series; there are enough for Fig. 10's twelve.
 var markers = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&', '=', '$', '^', '~'}
 
+// collision marks a cell that two or more series share, so a later
+// series cannot hide an earlier one.
+const collision = '!'
+
 func (p *Plot) transform(x, y float64) (float64, float64, bool) {
 	if p.LogX {
 		if x <= 0 {
@@ -93,6 +97,8 @@ func (p *Plot) Render() string {
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(" ", p.Width))
 	}
+	owner := make([]int, p.Width*p.Height) // 1 + the series drawn in a cell; 0 is empty
+	collided := false
 	for si, s := range p.series {
 		mark := markers[si%len(markers)]
 		for i := range s.X {
@@ -102,8 +108,15 @@ func (p *Plot) Render() string {
 			}
 			col := int((x - xmin) / (xmax - xmin) * float64(p.Width-1))
 			row := p.Height - 1 - int((y-ymin)/(ymax-ymin)*float64(p.Height-1))
-			if row >= 0 && row < p.Height && col >= 0 && col < p.Width {
-				grid[row][col] = mark
+			if row < 0 || row >= p.Height || col < 0 || col >= p.Width {
+				continue
+			}
+			switch cell := &owner[row*p.Width+col]; *cell {
+			case 0:
+				*cell, grid[row][col] = si+1, mark
+			case si + 1:
+			default:
+				grid[row][col], collided = collision, true
 			}
 		}
 	}
@@ -130,6 +143,9 @@ func (p *Plot) Render() string {
 	fmt.Fprintf(&sb, "           x: %s   y: %s\n", p.XLabel, p.YLabel)
 	for si, s := range p.series {
 		fmt.Fprintf(&sb, "           %c %s\n", markers[si%len(markers)], s.Name)
+	}
+	if collided {
+		fmt.Fprintf(&sb, "           %c two or more series\n", collision)
 	}
 	return sb.String()
 }

@@ -3,6 +3,7 @@ package report
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -53,6 +54,59 @@ func TestPlotEmptyAndConstant(t *testing.T) {
 	c.Add("s", []float64{1, 2}, []float64{5, 5})
 	if strings.Contains(c.Render(), "(no data)") {
 		t.Error("constant series must render")
+	}
+}
+
+// TestPlotRenderShowsEverySeries: on random series, every point's cell
+// shows its own series' marker or the collision marker, and the legend
+// names the collision marker exactly when two series share a cell. A
+// 65x17 grid with points at integer coordinates spanning it maps each
+// point to its cell exactly.
+func TestPlotRenderShowsEverySeries(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const w, h = 65, 17
+	for trial := 0; trial < 200; trial++ {
+		p := NewPlot("t", "x", "y")
+		p.Width, p.Height = w, h
+		owners := map[[2]int]map[int]bool{}
+		nseries := 1 + rng.Intn(14)
+		for si := 0; si < nseries; si++ {
+			var xs, ys []float64
+			for i := rng.Intn(12); i >= 0; i-- {
+				xs, ys = append(xs, float64(rng.Intn(w))), append(ys, float64(rng.Intn(h)))
+			}
+			if si == 0 { // span the grid so the axes run 0..w-1 and 0..h-1
+				xs, ys = append(xs, 0, w-1), append(ys, 0, h-1)
+			}
+			for i := range xs {
+				cell := [2]int{int(xs[i]), int(ys[i])}
+				if owners[cell] == nil {
+					owners[cell] = map[int]bool{}
+				}
+				owners[cell][si] = true
+			}
+			p.Add(fmt.Sprintf("s%d", si), xs, ys)
+		}
+		out := p.Render()
+		rows := strings.Split(out, "\n")[1 : 1+h]
+		shared := false
+		for cell, series := range owners {
+			got := rows[h-1-cell[1]][11+cell[0]]
+			for si := range series {
+				if got != markers[si%len(markers)] && got != collision {
+					t.Fatalf("trial %d: cell %v of series %d shows %q\n%s", trial, cell, si, got, out)
+				}
+			}
+			if len(series) > 1 {
+				shared = true
+				if got != collision {
+					t.Fatalf("trial %d: cell %v shared by %d series shows %q\n%s", trial, cell, len(series), got, out)
+				}
+			}
+		}
+		if legend := strings.Contains(out, "! two or more series"); legend != shared {
+			t.Fatalf("trial %d: collision legend printed = %v, want %v\n%s", trial, legend, shared, out)
+		}
 	}
 }
 
