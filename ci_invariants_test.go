@@ -66,6 +66,7 @@ func TestFuzzSmokePresent(t *testing.T) {
 	for _, want := range []string{
 		"-fuzz=FuzzParse -fuzztime=20s -run '^$' ./internal/faults/",
 		"-fuzz=FuzzParse -fuzztime=20s -run '^$' ./internal/resilience/",
+		"-fuzz=FuzzObserveMatchesRebuild -fuzztime=20s -run '^$' ./internal/resilience/",
 		"-fuzz=FuzzParseAggregation -fuzztime=20s -run '^$' ./internal/iosim/",
 		"-fuzz=FuzzDecodeBatch -fuzztime=20s -run '^$' ./internal/serve/",
 	} {

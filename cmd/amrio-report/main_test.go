@@ -56,18 +56,22 @@ func TestStructuralFiguresPinned(t *testing.T) {
 	}
 }
 
-// TestCalibrationExhibitsPinned pins the Fig. 9 calibration trace and
-// Table III of the scaled pivot set, byte for byte. Neither depends on
-// what the Eq. 3 factor is fitted against: Fig. 9 plots the kernel fit,
+// TestCalibrationExhibitsPinned pins the Fig. 9 calibration trace,
+// Fig. 10's measured/model/proxy panels and Table III of the scaled
+// pivot set, byte for byte. Fig. 9 and Table III do not depend on what
+// the Eq. 3 factor is fitted against: Fig. 9 plots the kernel fit,
 // whose base is the first plot's measured bytes, and Table III lists
 // the runs themselves. The fig9 digest was re-recorded when a plot cell
 // shared by two series began to show the collision marker '!' instead
-// of the last series drawn there.
+// of the last series drawn there. The fig10 digest was recorded when
+// each pivot variant got a panel of its own; the single twelve-series
+// grid it replaced read 3b66662a0d5b8a9f9c5496a5e2b8a671f10028dc5bf53bd7901847f1a7aa6d39.
 func TestCalibrationExhibitsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		exhibit, want string
 	}{
 		{"fig9", "df7349a10c11931b6f668215f11224f9229de60e5ec9ead19411653b52f6d7e4"},
+		{"fig10", "7ac5cc230bc1fdfcb412dd19fde96a252eb840e70571dd5fcc1fbfa45607fb82"},
 		{"table3", "b570c88a3927051f3d588ece7ce97d614b7f42b2ea3e9383c9d9cd30a968ae00"},
 	} {
 		t.Run(tc.exhibit, func(t *testing.T) {

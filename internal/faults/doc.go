@@ -30,10 +30,11 @@
 // the full interrupt schedule up to a horizon, prefix-stable: growing
 // the horizon only appends draws, never reshuffles earlier ones, so an
 // online consumer (the resilience engine) and the post-hoc Analyze see
-// the same prefix. MTBFEstimator is the shared online counterpart: a
-// censored-exponential MLE (horizon / interrupts-so-far) that both
-// Analyze's report and resilience's adaptive checkpoint cadence feed
-// into YoungInterval.
+// the same prefix; Plan.Schedule is its lazily drawn form for a reader
+// that asks again at later horizons. MTBFEstimator is the shared online
+// counterpart: a censored-exponential MLE (horizon / interrupts-so-far)
+// that both Analyze's report and resilience's adaptive checkpoint
+// cadence feed into YoungInterval.
 //
 // Determinism contract: Plan.Injector implements iosim.FaultInjector,
 // which the FileSystem's single writer consults with each rank's own

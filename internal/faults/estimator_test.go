@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -102,5 +103,42 @@ func TestInterruptsMatchAnalyze(t *testing.T) {
 	want := horizon / float64(e.n)
 	if math.Abs(e.Estimate()-want) > 1e-12 {
 		t.Errorf("estimate = %g, want %g", e.Estimate(), want)
+	}
+}
+
+// TestScheduleEstimatorMatchesReplay: the lazily drawn schedule's
+// estimator at now equals the one fed every interrupt of Interrupts(now)
+// at or before now, at horizons that rise, repeat and fall.
+func TestScheduleEstimatorMatchesReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		p := &Plan{MTBFSeconds: 0.5 + 5*rng.Float64(), Seed: rng.Int63()}
+		for i := rng.Intn(4); i > 0; i-- {
+			p.Events = append(p.Events, Event{Kind: KindRankInterrupt, Start: 30 * rng.Float64()})
+		}
+		if rng.Intn(4) == 0 {
+			p.MTBFSeconds = 0
+		}
+		s := p.Schedule()
+		now := 0.0
+		for step := 0; step < 40; step++ {
+			switch rng.Intn(4) {
+			case 0: // ask again at the same horizon
+			case 1:
+				now = 40 * rng.Float64() // may fall
+			default:
+				now += 3 * rng.Float64()
+			}
+			var want MTBFEstimator
+			for _, x := range p.Interrupts(now) {
+				if x <= now {
+					want.Observe(x)
+				}
+			}
+			want.AdvanceTo(now)
+			if got := s.Estimator(now); got != want {
+				t.Fatalf("trial %d, now %g: estimator %+v, replay %+v", trial, now, got, want)
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"sort"
 	"strings"
@@ -148,18 +147,11 @@ func (p *Plan) Interrupts(horizon float64) []float64 {
 	if p == nil {
 		return nil
 	}
+	s := p.Schedule()
+	s.extend(horizon)
 	var interrupts []float64
-	for _, e := range p.Events {
-		if e.Kind == KindRankInterrupt {
-			interrupts = append(interrupts, e.Start)
-		}
-	}
-	if p.MTBFSeconds > 0 && horizon > 0 {
-		rng := rand.New(rand.NewSource(p.Seed))
-		for t := rng.ExpFloat64() * p.MTBFSeconds; t <= horizon; t += rng.ExpFloat64() * p.MTBFSeconds {
-			interrupts = append(interrupts, t)
-		}
-	}
+	interrupts = append(interrupts, s.explicit...)
+	interrupts = append(interrupts, s.draws...)
 	sort.Float64s(interrupts)
 	return interrupts
 }

@@ -1,5 +1,7 @@
 package iosim
 
+import "fmt"
+
 // The fault-injection seam. The paper prices checkpoint bursts because
 // checkpoints exist to survive failures, so the filesystem model carries
 // a hook for deterministic failure injection: a FaultInjector (implemented
@@ -128,4 +130,30 @@ func (fs *FileSystem) FaultEvents() []FaultEvent {
 		out = append(out, fs.shards[i].faults...)
 	}
 	return out
+}
+
+// AppendFaultEvents appends to dst the fault events each rank recorded
+// past cursor[rank], in FaultEvents' order (ascending rank, then program
+// order), and returns dst with the cursor advanced to the end of every
+// rank's events. A nil cursor reads from the start; the returned cursor
+// has one entry per rank shard. A reader that keeps the cursor between
+// bursts reads each event once. It panics when a rank holds fewer events
+// than its cursor, or the cursor covers more ranks than the filesystem
+// has: the cursor was not read from this filesystem.
+func (fs *FileSystem) AppendFaultEvents(dst []FaultEvent, cursor []int) ([]FaultEvent, []int) {
+	if len(cursor) > len(fs.shards) {
+		panic(fmt.Sprintf("iosim: fault cursor covers %d ranks, filesystem has %d", len(cursor), len(fs.shards)))
+	}
+	for len(cursor) < len(fs.shards) {
+		cursor = append(cursor, 0)
+	}
+	for r := range fs.shards {
+		evs := fs.shards[r].faults
+		if len(evs) < cursor[r] {
+			panic(fmt.Sprintf("iosim: rank %d holds %d fault events, cursor is at %d", r, len(evs), cursor[r]))
+		}
+		dst = append(dst, evs[cursor[r]:]...)
+		cursor[r] = len(evs)
+	}
+	return dst, cursor
 }

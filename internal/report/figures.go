@@ -222,8 +222,9 @@ func Fig9(measured []int64, trace []core.CalibrationIter, base float64) *Plot {
 // Fig10 plots, for each pivot variant, the measured per-step bytes
 // beside the calibrated kernel (_model) and the bytes the MACSio run of
 // the printed Listing 1 command wrote per dump (_proxy): the paper's
-// Fig. 10 procedure. Each replay's MAPE and Pearson rate the proxy; its
-// Translation's rate the kernel.
+// Fig. 10 procedure. Each variant gets a panel of its own, so its three
+// series are not drawn over another variant's. Each replay's MAPE and
+// Pearson rate the proxy; its Translation's rate the kernel.
 func Fig10(variants []campaign.Result, replays []core.Replay) *Plot {
 	p := NewPlot("Fig. 10: measured Castro outputs vs MACSio model and proxy (case4 variants)",
 		"output step", "bytes per step")
@@ -236,6 +237,7 @@ func Fig10(variants []campaign.Result, replays []core.Replay) *Plot {
 		}
 		c := variants[i].Case
 		name := fmt.Sprintf("cfl%.1f_maxl%d", c.CFL, c.MaxLevel)
+		p.Panel(fmt.Sprintf("(%c) %s", 'a'+i, name))
 		p.Add(name+"_measured", xs, meas)
 		p.Add(name+"_model", xs, rp.Translation.Kernel.PredictSeries(len(xs)))
 		p.Add(name+"_proxy", xs, prox)

@@ -17,7 +17,8 @@ type Series struct {
 	X, Y []float64
 }
 
-// Plot accumulates series and renders them as an ASCII grid.
+// Plot accumulates series and renders them as an ASCII grid, or as one
+// grid per panel once Panel has been called.
 type Plot struct {
 	Title      string
 	XLabel     string
@@ -26,6 +27,14 @@ type Plot struct {
 	Width      int
 	Height     int
 	series     []Series
+	panels     []panel
+}
+
+// panel is a titled group of consecutive series, from series[first] up
+// to the next panel's first.
+type panel struct {
+	title string
+	first int
 }
 
 // NewPlot returns a plot with terminal-friendly dimensions.
@@ -39,7 +48,16 @@ func (p *Plot) Add(name string, x, y []float64) *Plot {
 	return p
 }
 
-// markers cycle per series; there are enough for Fig. 10's twelve.
+// Panel starts a new panel titled title: the series added after it are
+// drawn on a grid of their own, with their own axes, markers and
+// legend, below the previous panel's. Series added before the first
+// Panel call share an untitled grid. CSV is unaffected.
+func (p *Plot) Panel(title string) *Plot {
+	p.panels = append(p.panels, panel{title: title, first: len(p.series)})
+	return p
+}
+
+// markers cycle per series within one grid.
 var markers = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&', '=', '$', '^', '~'}
 
 // collision marks a cell that two or more series share, so a later
@@ -62,13 +80,42 @@ func (p *Plot) transform(x, y float64) (float64, float64, bool) {
 	return x, y, true
 }
 
-// Render draws the plot.
+// Render draws the plot: its title, then one grid per panel (a single
+// grid without panels).
 func (p *Plot) Render() string {
+	var sb strings.Builder
+	if p.Title != "" {
+		fmt.Fprintf(&sb, "%s\n", p.Title)
+	}
+	end := len(p.series)
+	if len(p.panels) > 0 {
+		end = p.panels[0].first
+	}
+	if len(p.panels) == 0 || end > 0 {
+		p.renderGrid(&sb, p.series[:end])
+	}
+	for i, pn := range p.panels {
+		end := len(p.series)
+		if i+1 < len(p.panels) {
+			end = p.panels[i+1].first
+		}
+		if i > 0 || pn.first > 0 {
+			sb.WriteByte('\n')
+		}
+		fmt.Fprintf(&sb, "%s\n", pn.title)
+		p.renderGrid(&sb, p.series[pn.first:end])
+	}
+	return sb.String()
+}
+
+// renderGrid draws series on one grid scaled to their own ranges, with
+// the axes and the legend below it.
+func (p *Plot) renderGrid(sb *strings.Builder, series []Series) {
 	var xmin, xmax, ymin, ymax float64
 	xmin, ymin = math.Inf(1), math.Inf(1)
 	xmax, ymax = math.Inf(-1), math.Inf(-1)
 	any := false
-	for _, s := range p.series {
+	for _, s := range series {
 		for i := range s.X {
 			x, y, ok := p.transform(s.X[i], s.Y[i])
 			if !ok {
@@ -79,13 +126,9 @@ func (p *Plot) Render() string {
 			ymin, ymax = math.Min(ymin, y), math.Max(ymax, y)
 		}
 	}
-	var sb strings.Builder
-	if p.Title != "" {
-		fmt.Fprintf(&sb, "%s\n", p.Title)
-	}
 	if !any {
 		sb.WriteString("(no data)\n")
-		return sb.String()
+		return
 	}
 	if xmax == xmin {
 		xmax = xmin + 1
@@ -99,7 +142,7 @@ func (p *Plot) Render() string {
 	}
 	owner := make([]int, p.Width*p.Height) // 1 + the series drawn in a cell; 0 is empty
 	collided := false
-	for si, s := range p.series {
+	for si, s := range series {
 		mark := markers[si%len(markers)]
 		for i := range s.X {
 			x, y, ok := p.transform(s.X[i], s.Y[i])
@@ -138,16 +181,15 @@ func (p *Plot) Render() string {
 		sb.WriteByte('\n')
 	}
 	sb.WriteString("          +" + strings.Repeat("-", p.Width) + "\n")
-	fmt.Fprintf(&sb, "           %-20s%*s\n",
+	fmt.Fprintf(sb, "           %-20s%*s\n",
 		axisLabel(xmin, p.LogX), p.Width-20, axisLabel(xmax, p.LogX))
-	fmt.Fprintf(&sb, "           x: %s   y: %s\n", p.XLabel, p.YLabel)
-	for si, s := range p.series {
-		fmt.Fprintf(&sb, "           %c %s\n", markers[si%len(markers)], s.Name)
+	fmt.Fprintf(sb, "           x: %s   y: %s\n", p.XLabel, p.YLabel)
+	for si, s := range series {
+		fmt.Fprintf(sb, "           %c %s\n", markers[si%len(markers)], s.Name)
 	}
 	if collided {
-		fmt.Fprintf(&sb, "           %c two or more series\n", collision)
+		fmt.Fprintf(sb, "           %c two or more series\n", collision)
 	}
-	return sb.String()
 }
 
 // CSV renders every series as long-form CSV: series,x,y.

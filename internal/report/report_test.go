@@ -110,6 +110,38 @@ func TestPlotRenderShowsEverySeries(t *testing.T) {
 	}
 }
 
+// TestPlotPanels: a paneled plot renders its title, then for each panel
+// the panel's title and exactly the grid a plot of that panel's series
+// alone draws (series added before the first Panel call come first,
+// untitled), and its CSV is the CSV of the same series without panels.
+func TestPlotPanels(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	paneled, flat := NewPlot("T", "x", "y"), NewPlot("T", "x", "y")
+	want := "T\n"
+	for pi := 0; pi < 3; pi++ {
+		alone := NewPlot("", "x", "y")
+		if pi > 0 {
+			title := fmt.Sprintf("(%c) panel", 'a'+pi)
+			paneled.Panel(title)
+			want += "\n" + title + "\n"
+		}
+		for si := 0; si < 1+rng.Intn(3); si++ {
+			xs, ys := []float64{0, 1, 2}, []float64{rng.Float64(), rng.Float64(), 10 * rng.Float64()}
+			name := fmt.Sprintf("p%d_s%d", pi, si)
+			paneled.Add(name, xs, ys)
+			flat.Add(name, xs, ys)
+			alone.Add(name, xs, ys)
+		}
+		want += alone.Render()
+	}
+	if got := paneled.Render(); got != want {
+		t.Errorf("paneled render:\n%s\nwant:\n%s", got, want)
+	}
+	if paneled.CSV() != flat.CSV() {
+		t.Errorf("panels changed the CSV:\n%s\nwant:\n%s", paneled.CSV(), flat.CSV())
+	}
+}
+
 func TestPlotCSV(t *testing.T) {
 	p := NewPlot("t", "x", "y")
 	p.Add("a", []float64{1}, []float64{2})
@@ -225,7 +257,7 @@ func TestFig9Fig10Fig11(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := Fig10([]campaign.Result{r}, []core.Replay{rp}).Render()
-	for _, series := range []string{"cfl0.4_maxl2_measured", "cfl0.4_maxl2_model", "cfl0.4_maxl2_proxy"} {
+	for _, series := range []string{"(a) cfl0.4_maxl2\n", "cfl0.4_maxl2_measured", "cfl0.4_maxl2_model", "cfl0.4_maxl2_proxy"} {
 		if !strings.Contains(out, series) {
 			t.Errorf("Fig10 missing series %s:\n%s", series, out)
 		}

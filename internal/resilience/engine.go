@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"slices"
 	"sort"
 
 	"amrproxyio/internal/faults"
@@ -31,7 +32,20 @@ type Engine struct {
 	nprocs int
 	quar   iosim.Quarantiner
 
-	est faults.MTBFEstimator
+	// sched is the plan's interrupt schedule, drawn lazily; est is its
+	// estimator as of the last observation.
+	sched *faults.Schedule
+	est   faults.MTBFEstimator
+
+	// cursor marks how far each rank's fault events have been read, and
+	// events is the reused read buffer, so an observation reads only the
+	// events recorded since the last one. rankFault[r] is rank r's
+	// cumulative fault seconds and faultMax the largest value any rank's
+	// running sum has reached: the critical path's fault time.
+	cursor    []int
+	events    []iosim.FaultEvent
+	rankFault []float64
+	faultMax  float64
 
 	// lastNow / lastFaultMax / pressure implement the sliding fault-
 	// pressure window: pressure is Δ(max-rank cumulative fault seconds)
@@ -40,12 +54,18 @@ type Engine struct {
 	lastFaultMax float64
 	pressure     float64
 
-	// open maps target → breaker-open-until, rebuilt from scratch from
-	// the event stream on every observation (a pure function of the
-	// stream, so order of observations cannot matter). everOpened
-	// accumulates targets that ever tripped, for Stats.
-	open       map[int]float64
-	everOpened map[int]bool
+	// Circuit breakers. starts[T] holds, ascending, the Start of every
+	// eligible event on target T: an unmitigated target-outage with
+	// T >= 0. A target's trip counter resets after each trip, so in time
+	// order T trips at its k-th, 2k-th, … eligible event, and open[T] is
+	// the ⌊n/k⌋·k-th smallest of its n starts plus the cooldown: an
+	// order statistic of the stream, the same whatever order or cadence
+	// the events were read in. open's keys only grow, so they are also
+	// every target that ever tripped. installed is the active set last
+	// handed to quar.
+	starts    [][]float64
+	open      map[int]float64
+	installed map[int]float64
 
 	// dumpWallSum/dumpWalls average observed burst wall times — the C
 	// in Young's sqrt(2·C·MTBF). lastCheckpointEnd anchors the adaptive
@@ -64,18 +84,19 @@ type Engine struct {
 // plan. Returns nil for a zero policy so callers can thread the result
 // unconditionally. q receives quarantine maps (usually the
 // *faults.Injector); nil disables the breaker installs while keeping
-// the rest of the engine live.
+// the rest of the engine live. The engine assumes it is q's only
+// installer, so it starts from no open breakers.
 func New(p *Policy, plan faults.Plan, nprocs int, q iosim.Quarantiner) *Engine {
 	if p.Zero() {
 		return nil
 	}
 	return &Engine{
-		policy:     *p,
-		plan:       plan,
-		nprocs:     nprocs,
-		quar:       q,
-		open:       map[int]float64{},
-		everOpened: map[int]bool{},
+		policy: *p,
+		plan:   plan,
+		nprocs: nprocs,
+		quar:   q,
+		sched:  plan.Schedule(),
+		open:   map[int]float64{},
 	}
 }
 
@@ -111,84 +132,90 @@ func (e *Engine) Clock(fs *iosim.FileSystem) float64 {
 
 // Observe ingests the run's state between bursts: refreshes the online
 // MTBF estimate, the fault-pressure window, and the circuit breakers
-// (installing the active quarantine set into the injector). No-op on a
-// nil engine. The run loops call it implicitly through ShedPlot /
-// CheckpointDue / BurstWritten; macsio's rank 0 calls it directly.
+// (installing the active quarantine set into the injector when it
+// changed). No-op on a nil engine. The run loops call it implicitly
+// through ShedPlot / CheckpointDue / BurstWritten; macsio's rank 0
+// calls it directly.
+//
+// An engine observes one filesystem for its whole life: it reads each
+// fault event once, through a cursor per rank, so an observation costs
+// the events recorded since the last one, not the stream.
 func (e *Engine) Observe(fs *iosim.FileSystem) {
 	if e == nil {
 		return
 	}
 	now := e.Clock(fs)
 
-	// Online MTBF: replay the prefix-stable interrupt schedule up to
-	// now. Recomputed from scratch so the estimate is a pure function of
-	// (plan, now) — no drift across observation cadences.
-	e.est = faults.MTBFEstimator{}
-	for _, t := range e.plan.Interrupts(now) {
-		if t <= now {
-			e.est.Observe(t)
-		}
-	}
-	e.est.AdvanceTo(now)
-
-	events := fs.FaultEvents()
+	// Online MTBF: the interrupts of the plan's schedule at or before
+	// now, a pure function of (plan, now) whatever the cadence.
+	e.est = e.sched.Estimator(now)
 
 	// Fault-pressure window: critical-path (max over ranks) cumulative
-	// fault seconds, differenced against the last observation.
-	perRank := map[int]float64{}
-	var faultMax float64
-	for _, ev := range events {
-		perRank[ev.Rank] += ev.Seconds
-		if perRank[ev.Rank] > faultMax {
-			faultMax = perRank[ev.Rank]
+	// fault seconds, differenced against the last observation. Each
+	// rank's sum grows in its own program order, as a full pass over
+	// the rank-major stream would add it.
+	breakers := e.policy.Quarantine && e.quar != nil
+	e.events, e.cursor = fs.AppendFaultEvents(e.events[:0], e.cursor)
+	for _, ev := range e.events {
+		for ev.Rank >= len(e.rankFault) {
+			e.rankFault = append(e.rankFault, 0)
+		}
+		e.rankFault[ev.Rank] += ev.Seconds
+		if e.rankFault[ev.Rank] > e.faultMax {
+			e.faultMax = e.rankFault[ev.Rank]
+		}
+		if breakers && ev.Kind == faults.KindTargetOutage && ev.Target >= 0 && !ev.Mitigated {
+			e.trip(ev.Target, ev.Start) // mitigated writes neither count nor reset
 		}
 	}
 	if now > e.lastNow {
-		e.pressure = (faultMax - e.lastFaultMax) / (now - e.lastNow)
-		e.lastFaultMax = faultMax
+		e.pressure = (e.faultMax - e.lastFaultMax) / (now - e.lastNow)
+		e.lastFaultMax = e.faultMax
 		e.lastNow = now
 	}
-
-	// Circuit breakers: rebuild per-target trip state from a
-	// chronologically sorted copy of the stream (the rank-major merge
-	// order is deterministic but not chronological). Every
-	// quarantineThreshold-th observed unmitigated retry storm on a
-	// target opens its breaker for the cooldown window, anchored at the
-	// tripping event's own start time — a pure function of the stream,
-	// never of when the engine happened to look.
-	if e.policy.Quarantine && e.quar != nil {
-		sorted := make([]iosim.FaultEvent, len(events))
-		copy(sorted, events)
-		sort.SliceStable(sorted, func(i, j int) bool {
-			if sorted[i].Start != sorted[j].Start {
-				return sorted[i].Start < sorted[j].Start
-			}
-			return sorted[i].Rank < sorted[j].Rank
-		})
-		k := e.policy.quarantineThreshold()
-		cooldown := e.policy.quarantineCooldown()
-		counts := map[int]int{}
-		open := map[int]float64{}
-		for _, ev := range sorted {
-			if ev.Kind != faults.KindTargetOutage || ev.Target < 0 || ev.Mitigated {
-				continue // mitigated writes neither count nor reset
-			}
-			counts[ev.Target]++
-			if counts[ev.Target] >= k {
-				open[ev.Target] = ev.Start + cooldown
-				counts[ev.Target] = 0
-			}
-		}
-		e.open = open
-		active := map[int]float64{}
-		for tgt, until := range open {
-			e.everOpened[tgt] = true
-			if until > now {
-				active[tgt] = until
-			}
-		}
-		e.quar.Quarantine(active)
+	if breakers {
+		e.install(now)
 	}
+}
+
+// trip counts one eligible retry storm on target at start. Nothing
+// synchronizes rank clocks between bursts, so a new event may start
+// before one already counted: the start is inserted by binary search,
+// and the target's breaker re-read from its tripping order statistic —
+// anchored at that event's own start, never at when the engine looked.
+func (e *Engine) trip(target int, start float64) {
+	for target >= len(e.starts) {
+		e.starts = append(e.starts, nil)
+	}
+	s := slices.Insert(e.starts[target], sort.SearchFloat64s(e.starts[target], start), start)
+	e.starts[target] = s
+	if k := e.policy.quarantineThreshold(); len(s) >= k {
+		e.open[target] = s[len(s)/k*k-1] + e.policy.quarantineCooldown()
+	}
+}
+
+// install hands the quarantiner the breakers open at now, when that set
+// differs from the one installed last.
+func (e *Engine) install(now float64) {
+	active, same := 0, true
+	for tgt, until := range e.open {
+		if until > now {
+			active++
+			if inst, ok := e.installed[tgt]; !ok || inst != until {
+				same = false
+			}
+		}
+	}
+	if same && active == len(e.installed) {
+		return
+	}
+	e.installed = make(map[int]float64, active)
+	for tgt, until := range e.open {
+		if until > now {
+			e.installed[tgt] = until
+		}
+	}
+	e.quar.Quarantine(e.installed)
 }
 
 // ShedPlot decides whether to shed the upcoming plot burst under
@@ -350,7 +377,7 @@ func (e *Engine) Stats() *Stats {
 		return nil
 	}
 	s := e.stats
-	s.QuarantinedTargets = len(e.everOpened)
+	s.QuarantinedTargets = len(e.open)
 	s.ObservedMTBFSeconds = e.est.Estimate()
 	return &s
 }
