@@ -757,25 +757,36 @@ func BenchmarkCampaignExecutor(b *testing.B) {
 }
 
 // BenchmarkDistribute sweeps the three distribution strategies over a
-// 1024-box level — the per-regrid cost of every placement experiment.
+// 1024-box level onto 64 ranks — the per-regrid cost of every placement
+// experiment — and over Table III case 46's level 0: 131072² split at
+// max_grid_size 256 into 262,144 boxes onto 1024 ranks.
 func BenchmarkDistribute(b *testing.B) {
-	dom := grid.NewBox(grid.IV(0, 0), grid.IV(1023, 1023))
-	ba := amr.SingleBoxArray(dom, 32, 8) // 32x32 grid of boxes = 1024
-	if ba.Len() != 1024 {
-		b.Fatalf("setup: %d boxes", ba.Len())
-	}
-	for _, strat := range amr.DistStrategies() {
-		b.Run(strat.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dm, err := amr.Distribute(ba, 64, strat)
-				if err != nil {
-					b.Fatal(err)
+	for _, shape := range []struct {
+		name          string
+		n, mgs, ranks int
+		boxes         int
+	}{
+		{"1024box", 1024, 32, 64, 1024},
+		{"case46", 131072, 256, 1024, 262144},
+	} {
+		dom := grid.NewBox(grid.IV(0, 0), grid.IV(shape.n-1, shape.n-1))
+		ba := amr.SingleBoxArray(dom, shape.mgs, 8)
+		if ba.Len() != shape.boxes {
+			b.Fatalf("setup %s: %d boxes", shape.name, ba.Len())
+		}
+		for _, strat := range amr.DistStrategies() {
+			b.Run(shape.name+"/"+strat.String(), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					dm, err := amr.Distribute(ba, shape.ranks, strat)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(dm.Owner) != shape.boxes {
+						b.Fatal("bad mapping")
+					}
 				}
-				if len(dm.Owner) != 1024 {
-					b.Fatal("bad mapping")
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -69,6 +69,37 @@ func TestRunRejectsTrailingValueFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadValues: a value Config.Validate or ParseArgs refuses
+// fails the run with the flag named, before anything is priced.
+func TestRunRejectsBadValues(t *testing.T) {
+	for _, tc := range []struct{ flag, value, want string }{
+		{"--dataset_growth", "NaN", "dataset_growth = NaN"},
+		{"--dataset_growth", "+Inf", "dataset_growth = +Inf"},
+		{"--dataset_growth", "-Inf", "dataset_growth = -Inf"},
+		{"--avg_num_parts", "NaN", "avg_num_parts = NaN"},
+		{"--avg_num_parts", "+Inf", "avg_num_parts = +Inf"},
+		{"--avg_num_parts", "-Inf", "avg_num_parts = -Inf"},
+		{"--compute_time", "NaN", "compute_time = NaN"},
+		{"--compute_time", "+Inf", "compute_time = +Inf"},
+		{"--compute_time", "-Inf", "negative compute_time"},
+		{"--parallel_file_mode", "MIF 0", "parallel_file_mode count = 0"},
+		{"--parallel_file_mode", "MIF -2", "parallel_file_mode count = -2"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			args := append(append([]string(nil), small...), tc.flag)
+			args = append(args, strings.Fields(tc.value)...)
+			var out bytes.Buffer
+			err := run(args, &out)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want it to say %q", err, tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("ran and printed\n%s", out.String())
+			}
+		})
+	}
+}
+
 func TestRunTargetsRequiresNodes(t *testing.T) {
 	err := run(append([]string{"-targets", "3"}, small...), new(bytes.Buffer))
 	if err == nil || !strings.Contains(err.Error(), "-targets requires -nodes") {

@@ -11,8 +11,9 @@
 package amr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"amrproxyio/internal/grid"
@@ -262,29 +263,19 @@ func Distribute(ba BoxArray, nprocs int, strategy DistStrategy) (DistributionMap
 		for i, b := range ba.Boxes {
 			items[i] = item{idx: i, pts: b.NumPts()}
 		}
-		sort.Slice(items, func(a, b int) bool {
-			if items[a].pts != items[b].pts {
-				return items[a].pts > items[b].pts
+		slices.SortFunc(items, func(a, b item) int {
+			if c := cmp.Compare(b.pts, a.pts); c != 0 {
+				return c
 			}
-			return items[a].idx < items[b].idx // deterministic tie-break
+			return cmp.Compare(a.idx, b.idx) // deterministic tie-break
 		})
-		load := make([]int64, nprocs)
-		count := make([]int, nprocs)
+		// Least-loaded rank; ties go to the rank with fewer boxes (then
+		// the lower index), so degenerate zero-cell boxes still spread
+		// instead of piling onto one rank and every rank owns a box
+		// whenever there are enough boxes.
+		ranks := newLeastLoaded(nprocs, nil)
 		for _, it := range items {
-			// Least-loaded rank; ties go to the rank with fewer boxes
-			// (then the lower index), so degenerate zero-cell boxes still
-			// spread instead of piling onto one rank and every rank owns
-			// a box whenever there are enough boxes.
-			best := 0
-			for r := 1; r < nprocs; r++ {
-				if load[r] < load[best] ||
-					(load[r] == load[best] && count[r] < count[best]) {
-					best = r
-				}
-			}
-			owner[it.idx] = best
-			load[best] += it.pts
-			count[best]++
+			owner[it.idx] = ranks.place(it.pts)
 		}
 	case DistSFC:
 		type item struct {
@@ -299,11 +290,11 @@ func Distribute(ba BoxArray, nprocs int, strategy DistStrategy) (DistributionMap
 			items[i] = item{idx: i, code: grid.Morton(c.X, c.Y), pts: b.NumPts()}
 			total += b.NumPts()
 		}
-		sort.Slice(items, func(a, b int) bool {
-			if items[a].code != items[b].code {
-				return items[a].code < items[b].code
+		slices.SortFunc(items, func(a, b item) int {
+			if c := cmp.Compare(a.code, b.code); c != 0 {
+				return c
 			}
-			return items[a].idx < items[b].idx
+			return cmp.Compare(a.idx, b.idx)
 		})
 		// Zero-cell degeneracy: with total == 0 every load cut fires at
 		// once (perRank is 0), so weight boxes equally instead and the

@@ -1,7 +1,9 @@
 package amr
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"amrproxyio/internal/grid"
 )
@@ -11,65 +13,209 @@ import (
 // blocking-factor / max-grid-size post-processing that turns raw clusters
 // into a legal BoxArray for the next finer level.
 
-// TagSet is a deduplicated set of tagged cells in a level's index space.
+// TagSet is a deduplicated set of tagged cells in a level's index space,
+// stored as row buckets: rows[j] holds the X coordinates of the tags at
+// Y = y0+j. Add appends to its row, skipping an X equal to the row's last
+// one, so a row filled in increasing X is already sorted and unique; a
+// row that got an out-of-order X is sorted and compacted on the first
+// read. Points therefore come out in (Y, X) order without a global sort,
+// with no hashing anywhere. Memory is O(Y extent of the tags + tags):
+// the rows cover the Y range the tags touch, plus growth headroom.
+// Because reads settle rows in place, a TagSet is not safe for
+// concurrent use, even by readers only.
 type TagSet struct {
-	cells map[grid.IntVect]struct{}
+	y0    int
+	rows  [][]int
+	slab  []int // backing store rows are carved from
+	n     int   // tags; exact when !dirty
+	dirty bool  // some row may hold out-of-order or repeated X
 }
 
 // NewTagSet returns an empty tag set.
-func NewTagSet() *TagSet {
-	return &TagSet{cells: map[grid.IntVect]struct{}{}}
-}
+func NewTagSet() *TagSet { return &TagSet{} }
 
 // Add tags a cell.
-func (t *TagSet) Add(p grid.IntVect) { t.cells[p] = struct{}{} }
+func (t *TagSet) Add(p grid.IntVect) {
+	j := p.Y - t.y0
+	if j < 0 || j >= len(t.rows) {
+		t.grow(p.Y)
+		j = p.Y - t.y0
+	}
+	row := t.rows[j]
+	if k := len(row); k > 0 {
+		if p.X == row[k-1] {
+			return
+		}
+		if p.X < row[k-1] {
+			t.dirty = true
+		}
+	}
+	if len(row) == cap(row) {
+		row = t.regrow(row)
+	}
+	t.rows[j] = append(row, p.X)
+	t.n++
+}
+
+// regrow moves a full row to a segment of twice its capacity carved from
+// the slab, so a set allocates O(log tags) times rather than once per
+// row growth; abandoned segments total less than the live rows.
+func (t *TagSet) regrow(row []int) []int {
+	n := max(2*cap(row), 4)
+	if cap(t.slab)-len(t.slab) < n {
+		t.slab = make([]int, 0, max(2*cap(t.slab), n, 256))
+	}
+	k := len(t.slab)
+	t.slab = t.slab[:k+n]
+	return append(t.slab[k:k:k+n], row...)
+}
+
+// grow widens the row range to cover y, with headroom of half the new
+// span on the side it grew, so a stream of Adds moving away from the
+// first one regrows O(log span) times.
+func (t *TagSet) grow(y int) {
+	if len(t.rows) == 0 {
+		t.y0, t.rows = y, make([][]int, 1)
+		return
+	}
+	lo, hi := min(t.y0, y), max(t.y0+len(t.rows), y+1)
+	pad := (hi-lo)/2 + 1
+	if y < t.y0 {
+		lo -= pad
+	} else {
+		hi += pad
+	}
+	rows := make([][]int, hi-lo)
+	copy(rows[t.y0-lo:], t.rows)
+	t.y0, t.rows = lo, rows
+}
+
+// settle sorts and compacts every row that took an out-of-order X.
+func (t *TagSet) settle() {
+	if !t.dirty {
+		return
+	}
+	t.n = 0
+	for j, row := range t.rows {
+		for k := 1; k < len(row); k++ {
+			if row[k] <= row[k-1] {
+				slices.Sort(row)
+				row = slices.Compact(row)
+				t.rows[j] = row
+				break
+			}
+		}
+		t.n += len(row)
+	}
+	t.dirty = false
+}
 
 // Len returns the number of tagged cells.
-func (t *TagSet) Len() int { return len(t.cells) }
+func (t *TagSet) Len() int {
+	t.settle()
+	return t.n
+}
 
-// Points returns the tags in deterministic (sorted) order.
+// Points returns the tags in (Y, X) order.
 func (t *TagSet) Points() []grid.IntVect {
-	out := make([]grid.IntVect, 0, len(t.cells))
-	for p := range t.cells {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Y != out[j].Y {
-			return out[i].Y < out[j].Y
+	t.settle()
+	out := make([]grid.IntVect, 0, t.n)
+	for j, row := range t.rows {
+		for _, x := range row {
+			out = append(out, grid.IntVect{X: x, Y: t.y0 + j})
 		}
-		return out[i].X < out[j].X
-	})
+	}
 	return out
 }
 
 // Buffer expands every tag by n cells in each direction (the AMReX
-// n_error_buf safety margin), clipped to domain.
+// n_error_buf safety margin), clipped to domain. Each row's tags widen
+// into merged X intervals, and each output row is the union of the
+// intervals of the 2n+1 rows around it, so output rows are built
+// sorted and unique.
 func (t *TagSet) Buffer(n int, domain grid.Box) *TagSet {
 	if n <= 0 {
 		return t
 	}
+	t.settle()
 	out := NewTagSet()
-	for p := range t.cells {
-		for dj := -n; dj <= n; dj++ {
-			for di := -n; di <= n; di++ {
-				q := grid.IntVect{X: p.X + di, Y: p.Y + dj}
-				if domain.Contains(q) {
-					out.Add(q)
-				}
+	lo := max(t.y0-n, domain.Lo.Y)
+	hi := min(t.y0+len(t.rows)-1+n, domain.Hi.Y)
+	if t.n == 0 || lo > hi {
+		return out
+	}
+	// Rows widen into X intervals back to back: row j's intervals are
+	// spans[first[j]:first[j+1]], so the rows around y are one run.
+	var spans []xSpan
+	first := make([]int, len(t.rows)+1)
+	for j, row := range t.rows {
+		spans = widen(spans, row, n, domain.Lo.X, domain.Hi.X)
+		first[j+1] = len(spans)
+	}
+	// Output rows are built back to back in one array, then sliced out
+	// with cap = len, so a later Add to one moves it rather than
+	// overwriting its neighbor.
+	var xs, ends []int
+	var near []xSpan
+	for y := lo; y <= hi; y++ {
+		j0, j1 := max(y-n-t.y0, 0), min(y+n-t.y0, len(t.rows)-1)
+		near = append(near[:0], spans[first[j0]:first[j1+1]]...)
+		slices.SortFunc(near, func(a, b xSpan) int { return cmp.Compare(a.lo, b.lo) })
+		next := math.MinInt // first X not yet emitted
+		for _, s := range near {
+			for x := max(s.lo, next); x <= s.hi; x++ {
+				xs = append(xs, x)
 			}
+			next = max(next, s.hi+1)
 		}
+		ends = append(ends, len(xs))
+	}
+	out.y0, out.rows, out.n = lo, make([][]int, len(ends)), len(xs)
+	start := 0
+	for j, end := range ends {
+		out.rows[j] = xs[start:end:end]
+		start = end
 	}
 	return out
 }
 
-// Coarsen maps tags to a coarser index space (deduplicating).
+// xSpan is an inclusive run of X coordinates.
+type xSpan struct{ lo, hi int }
+
+// widen appends the merged intervals [x-n, x+n] of a sorted, unique row,
+// clipped to [xlo, xhi], to dst.
+func widen(dst []xSpan, row []int, n, xlo, xhi int) []xSpan {
+	start := len(dst)
+	for _, x := range row {
+		s := xSpan{max(x-n, xlo), min(x+n, xhi)}
+		if s.lo > s.hi {
+			continue
+		}
+		if k := len(dst) - 1; k >= start && s.lo <= dst[k].hi+1 {
+			dst[k].hi = s.hi
+			continue
+		}
+		dst = append(dst, s)
+	}
+	return dst
+}
+
+// Coarsen maps tags to a coarser index space (deduplicating). Rows are
+// walked in order, so each coarse row receives ratio sorted runs.
 func (t *TagSet) Coarsen(ratio int) *TagSet {
 	if ratio <= 1 {
 		return t
 	}
+	t.settle()
 	out := NewTagSet()
-	for p := range t.cells {
-		out.Add(p.Coarsen(ratio))
+	for j, row := range t.rows {
+		if len(row) == 0 {
+			continue
+		}
+		y := t.y0 + j
+		for _, x := range row {
+			out.Add(grid.IntVect{X: x, Y: y}.Coarsen(ratio))
+		}
 	}
 	return out
 }

@@ -1,7 +1,8 @@
 package amr
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"amrproxyio/internal/iosim"
 )
@@ -33,50 +34,15 @@ import (
 // Topology.TargetMap). Ranks beyond the map fall back to round-robin
 // there.
 func RemapToTargets(dm DistributionMapping, topo iosim.Topology, loads []int64) []int {
-	if !topo.Enabled() || topo.Targets <= 0 || len(dm.Owner) == 0 {
+	if !topo.Enabled() || topo.Targets <= 0 {
 		return nil
 	}
-	nprocs := 0
-	for _, o := range dm.Owner {
-		if o+1 > nprocs {
-			nprocs = o + 1
-		}
-	}
-	if nprocs == 0 {
+	perRank := rankLoads(dm, loads)
+	if perRank == nil {
 		return nil
 	}
-	perRank := make([]int64, nprocs)
-	for i, o := range dm.Owner {
-		if o >= 0 && i < len(loads) {
-			perRank[o] += loads[i]
-		}
-	}
-	// LPT order: load descending, rank ascending on ties (the stable sort
-	// keeps rank order, which is what makes uniform loads reproduce the
-	// round-robin identity).
-	order := make([]int, nprocs)
-	for r := range order {
-		order[r] = r
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return perRank[order[a]] > perRank[order[b]]
-	})
-	targetLoad := make([]int64, topo.Targets)
-	targetRanks := make([]int, topo.Targets)
-	out := make([]int, nprocs)
-	for _, r := range order {
-		best := 0
-		for tgt := 1; tgt < topo.Targets; tgt++ {
-			if targetLoad[tgt] < targetLoad[best] ||
-				(targetLoad[tgt] == targetLoad[best] && targetRanks[tgt] < targetRanks[best]) {
-				best = tgt
-			}
-		}
-		out[r] = best
-		targetLoad[best] += perRank[r]
-		targetRanks[best]++
-	}
-	if maxLoad(targetLoad) >= maxLoad(FanInLoads(perRank, nil, topo.Targets)) {
+	out := lpt(perRank, newLeastLoaded(topo.Targets, nil))
+	if maxLoad(FanInLoads(perRank, out, topo.Targets)) >= maxLoad(FanInLoads(perRank, nil, topo.Targets)) {
 		return nil // LPT did not beat the incumbent round-robin layout
 	}
 	return out
@@ -96,23 +62,26 @@ func RemapToTargetsAvoiding(dm DistributionMapping, topo iosim.Topology, loads [
 	if len(avoid) == 0 {
 		return RemapToTargets(dm, topo, loads)
 	}
-	if !topo.Enabled() || topo.Targets <= 0 || len(dm.Owner) == 0 {
+	if !topo.Enabled() || topo.Targets <= 0 {
 		return nil
 	}
-	var healthy []int
-	for tgt := 0; tgt < topo.Targets; tgt++ {
-		if !avoid[tgt] {
-			healthy = append(healthy, tgt)
-		}
-	}
+	healthy := newLeastLoaded(topo.Targets, avoid)
 	if len(healthy) == 0 {
 		return RemapToTargets(dm, topo, loads)
 	}
+	perRank := rankLoads(dm, loads)
+	if perRank == nil {
+		return nil
+	}
+	return lpt(perRank, healthy)
+}
+
+// rankLoads sums loads by owning rank over ranks 0..max owner, or
+// returns nil when no box has an owner.
+func rankLoads(dm DistributionMapping, loads []int64) []int64 {
 	nprocs := 0
 	for _, o := range dm.Owner {
-		if o+1 > nprocs {
-			nprocs = o + 1
-		}
+		nprocs = max(nprocs, o+1)
 	}
 	if nprocs == 0 {
 		return nil
@@ -123,27 +92,27 @@ func RemapToTargetsAvoiding(dm DistributionMapping, topo iosim.Topology, loads [
 			perRank[o] += loads[i]
 		}
 	}
-	order := make([]int, nprocs)
+	return perRank
+}
+
+// lpt places ranks onto targets heaviest first (load descending, rank
+// ascending on ties, which is what makes uniform loads reproduce the
+// round-robin identity), each onto the least-loaded target, ties to the
+// one holding fewer ranks and then the lowest index.
+func lpt(perRank []int64, targets leastLoaded) []int {
+	order := make([]int, len(perRank))
 	for r := range order {
 		order[r] = r
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return perRank[order[a]] > perRank[order[b]]
-	})
-	targetLoad := make([]int64, topo.Targets)
-	targetRanks := make([]int, topo.Targets)
-	out := make([]int, nprocs)
-	for _, r := range order {
-		best := healthy[0]
-		for _, tgt := range healthy[1:] {
-			if targetLoad[tgt] < targetLoad[best] ||
-				(targetLoad[tgt] == targetLoad[best] && targetRanks[tgt] < targetRanks[best]) {
-				best = tgt
-			}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(perRank[b], perRank[a]); c != 0 {
+			return c
 		}
-		out[r] = best
-		targetLoad[best] += perRank[r]
-		targetRanks[best]++
+		return cmp.Compare(a, b)
+	})
+	out := make([]int, len(perRank))
+	for _, r := range order {
+		out[r] = targets.place(perRank[r])
 	}
 	return out
 }

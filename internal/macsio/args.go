@@ -50,6 +50,10 @@ func ParseArgs(args []string) (Config, error) {
 				if err != nil {
 					return cfg, fmt.Errorf("macsio: parallel_file_mode count: %w", err)
 				}
+				// 0 is Config's "one file per task", not a count.
+				if n < 1 {
+					return cfg, fmt.Errorf("macsio: parallel_file_mode count = %d (need >= 1)", n)
+				}
 				cfg.MIFFiles = n
 				i++
 			}

@@ -95,13 +95,13 @@ func (c Config) Validate() error {
 	if c.PartSize < 8 {
 		return fmt.Errorf("macsio: part_size = %d (need >= 8)", c.PartSize)
 	}
-	if c.AvgNumParts <= 0 {
+	if !(c.AvgNumParts > 0) || math.IsInf(c.AvgNumParts, 0) {
 		return fmt.Errorf("macsio: avg_num_parts = %g", c.AvgNumParts)
 	}
 	if c.VarsPerPart < 1 {
 		return fmt.Errorf("macsio: vars_per_part = %d", c.VarsPerPart)
 	}
-	if c.DatasetGrowth <= 0 {
+	if !(c.DatasetGrowth > 0) || math.IsInf(c.DatasetGrowth, 0) {
 		return fmt.Errorf("macsio: dataset_growth = %g", c.DatasetGrowth)
 	}
 	if c.NProcs < 1 {
@@ -109,6 +109,12 @@ func (c Config) Validate() error {
 	}
 	if c.ComputeTime < 0 || c.MetaSize < 0 {
 		return fmt.Errorf("macsio: negative compute_time or meta_size")
+	}
+	if math.IsNaN(c.ComputeTime) || math.IsInf(c.ComputeTime, 0) {
+		return fmt.Errorf("macsio: compute_time = %g", c.ComputeTime)
+	}
+	if c.MIFFiles < 0 {
+		return fmt.Errorf("macsio: parallel_file_mode file count = %d", c.MIFFiles)
 	}
 	return nil
 }

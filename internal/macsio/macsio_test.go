@@ -32,6 +32,13 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.DatasetGrowth = 0 },
 		func(c *Config) { c.NProcs = 0 },
 		func(c *Config) { c.ComputeTime = -1 },
+		func(c *Config) { c.AvgNumParts = math.NaN() },
+		func(c *Config) { c.AvgNumParts = math.Inf(1) },
+		func(c *Config) { c.DatasetGrowth = math.NaN() },
+		func(c *Config) { c.DatasetGrowth = math.Inf(1) },
+		func(c *Config) { c.ComputeTime = math.NaN() },
+		func(c *Config) { c.ComputeTime = math.Inf(1) },
+		func(c *Config) { c.MIFFiles = -1 },
 	}
 	for i, mut := range cases {
 		c := DefaultConfig()

@@ -22,6 +22,13 @@
 // plotfile.CellDBytes computes exact FAB record sizes without rendering
 // headers — which is what keeps 17-billion-cell dumps cheap enough to
 // fan out across a worker pool.
+//
+// A regrid costs what the moving front costs. Level 0 and its
+// distribution mapping depend only on the config, so New builds them
+// once and every Regrid shares them; the tags are the annulus's cells in
+// an amr.TagSet of row buckets, and knapsack placement takes its rank
+// from a heap, so Table III's 262,144-box level 0 on 1024 ranks is
+// neither re-split nor re-placed per step.
 package surrogate
 
 import (
@@ -83,6 +90,11 @@ type Runner struct {
 	BAs   []amr.BoxArray
 	DMs   []amr.DistributionMapping
 
+	// Level 0 depends only on the config, so New builds it once and
+	// every Regrid shares it (its Owner slice is never written).
+	ba0 amr.BoxArray
+	dm0 amr.DistributionMapping
+
 	Step   int
 	Time   float64
 	LastDt float64
@@ -99,6 +111,12 @@ func New(cfg inputs.CastroInputs, opts Options, fs *iosim.FileSystem) (*Runner, 
 	dom := grid.NewBox(grid.IV(0, 0), grid.IV(cfg.NCell[0]-1, cfg.NCell[1]-1))
 	g := grid.NewGeom(dom, cfg.ProbLo, cfg.ProbHi)
 	r.Geoms = []grid.Geom{g}
+	r.ba0 = amr.SingleBoxArray(dom, cfg.MaxGridSize, cfg.BlockingFactor)
+	dm0, err := amr.Distribute(r.ba0, cfg.NProcs, opts.Dist)
+	if err != nil {
+		return nil, err
+	}
+	r.dm0 = dm0
 	for l := 0; l < cfg.MaxLevel; l++ {
 		g = g.Refine(cfg.RefRatioAt(l))
 		r.Geoms = append(r.Geoms, g)
@@ -117,19 +135,15 @@ func New(cfg inputs.CastroInputs, opts Options, fs *iosim.FileSystem) (*Runner, 
 // use.
 func (r *Runner) Rebuild() error { return r.Regrid() }
 
-// Regrid regenerates every level's BoxArray for the current time. The
-// only error source is an unknown distribution strategy, which New
-// already rejects, so a validated Runner never fails here.
+// Regrid regenerates every refined level's BoxArray for the current
+// time on top of the shared level 0, so its cost follows the front's
+// circumference, not the mesh. The only error source is an unknown
+// distribution strategy, which New already rejects, so a validated
+// Runner never fails here.
 func (r *Runner) Regrid() error {
 	cfg := r.Cfg
-	dom0 := r.Geoms[0].Domain
-	ba0 := amr.SingleBoxArray(dom0, cfg.MaxGridSize, cfg.BlockingFactor)
-	dm0, err := amr.Distribute(ba0, cfg.NProcs, r.Opts.Dist)
-	if err != nil {
-		return err
-	}
-	r.BAs = []amr.BoxArray{ba0}
-	r.DMs = []amr.DistributionMapping{dm0}
+	r.BAs = []amr.BoxArray{r.ba0}
+	r.DMs = []amr.DistributionMapping{r.dm0}
 	for l := 0; l < cfg.MaxLevel; l++ {
 		tags := r.annulusTags(l)
 		if tags.Len() == 0 {
