@@ -69,6 +69,7 @@ func TestFuzzSmokePresent(t *testing.T) {
 		"-fuzz=FuzzObserveMatchesRebuild -fuzztime=20s -run '^$' ./internal/resilience/",
 		"-fuzz=FuzzParseAggregation -fuzztime=20s -run '^$' ./internal/iosim/",
 		"-fuzz=FuzzDecodeBatch -fuzztime=20s -run '^$' ./internal/serve/",
+		"-fuzz=FuzzParseArgs -fuzztime=20s -run '^$' ./internal/macsio/",
 	} {
 		if !strings.Contains(ci, want) {
 			t.Errorf("CI fuzz smoke missing %q", want)

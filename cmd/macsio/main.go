@@ -44,9 +44,20 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "macsio:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the stderr line for a failed run: the command's prefix
+// once, whether the macsio package's error already carries it or the
+// error is this command's own.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "macsio: ") {
+		msg = "macsio: " + msg
+	}
+	return msg
 }
 
 // run splits this command's own flags (-outdir, -storage, -aggregation,

@@ -84,6 +84,8 @@ func TestRunRejectsBadValues(t *testing.T) {
 		{"--compute_time", "-Inf", "negative compute_time"},
 		{"--parallel_file_mode", "MIF 0", "parallel_file_mode count = 0"},
 		{"--parallel_file_mode", "MIF -2", "parallel_file_mode count = -2"},
+		{"--part_size", "9007199254740993K", "part_size: 9007199254740993 times 1024 overflows int64"},
+		{"--meta_size", "-9007199254740993K", "meta_size: -9007199254740993 times 1024 overflows int64"},
 	} {
 		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
 			args := append(append([]string(nil), small...), tc.flag)
@@ -104,6 +106,28 @@ func TestRunTargetsRequiresNodes(t *testing.T) {
 	err := run(append([]string{"-targets", "3"}, small...), new(bytes.Buffer))
 	if err == nil || !strings.Contains(err.Error(), "-targets requires -nodes") {
 		t.Fatalf("err = %v, want -targets to require -nodes", err)
+	}
+}
+
+// TestErrorLinePrefixOnce pins the stderr line of a failed run: one
+// "macsio:" prefix, both for the macsio package's errors (which carry
+// it) and for this command's own (which do not).
+func TestErrorLinePrefixOnce(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{append([]string{"--dataset_growth", "NaN"}, small...), "macsio: dataset_growth = NaN"},
+		{append([]string{"-targets", "3"}, small...),
+			"macsio: -targets requires -nodes (the topology model needs a rank placement)"},
+	} {
+		err := run(tc.args, new(bytes.Buffer))
+		if err == nil {
+			t.Fatalf("run(%q) succeeded, want %q", tc.args, tc.want)
+		}
+		if got := errorLine(err); got != tc.want {
+			t.Errorf("run(%q) prints %q, want %q", tc.args, got, tc.want)
+		}
 	}
 }
 

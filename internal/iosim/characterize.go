@@ -1,8 +1,11 @@
 package iosim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -93,16 +96,28 @@ type Characterization struct {
 // storage, aggregation, topology and recovery rows come from Profile,
 // Bursts, StepSpan, TargetBytes, Nodes and DurationSplit.
 //
-// State is O(steps x ranks + distinct write sizes), never O(writes):
-// each fact lives in one table keyed by what it describes — a step, a
-// (step, rank), a rank, a link, a size — and per-node and per-target
-// totals are derived from those at finalization. That derivation rests
+// State is O(steps x (ranks + links) + distinct paths + distinct write
+// sizes) — the path set, one 8-byte digest per file, is the only table
+// that grows with the files a run writes. Each fact lives in one table
+// keyed by what it describes — a step, a (step, rank), a rank, a link,
+// a size, a path digest — and per-node and per-target totals are
+// derived from those at finalization. That derivation rests
 // on three ledger facts (pinned by the campaign package's
 // TestLedgerFactsHold): a record with Target >= 0 is a data record with
 // Node >= 0, all of a rank's records carry the same Node, and directory
 // records carry no bytes. Rank tables are slices indexed by rank, as the
 // FileSystem's shards are (the ledger carries no negative rank), so
 // walking them is walking ranks in sorted order.
+//
+// A record touches no struct-keyed map on the common path. Records
+// arrive burst by burst, so the fold caches the current step's
+// accumulator and looks a step up only when the step changes. Each
+// (node, target) link gets a dense id in first-seen order; every rank
+// caches the id of its last link and looks it up again only when its
+// target changes (failover, retarget). Link totals — run-long bytes and
+// each step's seconds — are slices indexed by link id, and finalization
+// walks them in sorted (node, target) order through one id permutation,
+// re-sorted only when a new link appears.
 //
 // Every float accumulator is keyed per (step, rank), per rank or per
 // link, never a bare running sum: per-key subsequences are
@@ -115,23 +130,37 @@ type CharacterizeFold struct {
 	n int // records consumed (0 distinguishes the zero profile)
 	c Characterization
 
-	// files counts distinct paths by 64-bit FNV-1a hash rather than by
-	// retained string: UniqueFiles only needs the cardinality, and a
-	// campaign case touches O(ranks x dumps) paths — storing them would
-	// be the largest O(writes) term left in the fold. FNV is
+	// files counts distinct paths by 64-bit digest (pathDigest) rather
+	// than by retained string: UniqueFiles only needs the cardinality,
+	// and a campaign case touches O(ranks x dumps) paths — storing them
+	// would be the largest term left in the fold. The digest is
 	// deterministic, so fold == batch is unaffected; a 64-bit collision
 	// (odds ~1e-8 even at a million files) would only undercount
 	// UniqueFiles by one.
 	files     map[uint64]struct{}
 	sizeCount map[int64]int // write-size multiset for exact percentiles
-	links     map[burstLink]int64
-	ranks     []rankRun // by rank
+	ranks     []rankRun     // by rank
 	steps     map[int]*stepAcc
+	stepKeys  []int    // the keys of steps, ascending
+	cur       *stepAcc // the last record's step accumulator
+	curStep   int
 	endMax    float64
+
+	// Links by dense id, in first-seen order.
+	linkIDs   map[burstLink]int
+	links     []burstLink
+	linkBytes []int64 // data bytes per link
+	linkOrder []int   // link ids in sorted (node, target) order
+
+	// Bursts' reusable per-step node table, by node: a node's entry
+	// counts for the step being finalized when its gen matches.
+	nodeTab  []nodeTally
+	nodeSeen []int // nodes in nodeTab touched by the current step
+	gen      int
 
 	// bursts caches the last finalization, taken after burstsAt
 	// records: Profile reads the bursts too, so a caller that wants both
-	// pays for one sort of each step's links, not two.
+	// pays for one finalization of each step, not two.
 	bursts   []BurstStat
 	burstsAt int
 }
@@ -145,6 +174,7 @@ type rankRun struct {
 	gather, open, write float64 // data-record duration split
 	writer              bool    // paid a file open
 	busy                float64 // record seconds on its node, directory records included
+	link                int     // 1 + id of the link of its last data record; 0 before one
 }
 
 // stepAcc is one step's span and burst aggregates.
@@ -156,8 +186,9 @@ type stepAcc struct {
 	maxFill             float64
 	faultWrites         int
 	retries             int
-	ranks               []rankStep            // by rank
-	links               map[burstLink]float64 // data-record seconds per link
+	ranks               []rankStep // by rank
+	links               []stepLink // by link id
+	nlinks              int        // links the step used
 }
 
 // rankStep is one rank's share of one step.
@@ -168,6 +199,18 @@ type rankStep struct {
 	stall   float64 // drain-stall seconds
 	drain   float64 // last tiered write's drain tail (program order)
 	fault   float64 // injected-fault seconds
+}
+
+// stepLink is one link's share of one step.
+type stepLink struct {
+	used    bool    // carried at least one data record in the step
+	seconds float64 // data-record seconds
+}
+
+// nodeTally is one node's data bytes in the step Bursts is finalizing.
+type nodeTally struct {
+	gen   int
+	bytes int64
 }
 
 // StepSpan is one step's simulated extent: the earliest record start
@@ -185,8 +228,8 @@ func NewCharacterizeFold() *CharacterizeFold {
 	f := &CharacterizeFold{
 		files:     map[uint64]struct{}{},
 		sizeCount: map[int64]int{},
-		links:     map[burstLink]int64{},
 		steps:     map[int]*stepAcc{},
+		linkIDs:   map[burstLink]int{},
 	}
 	f.c.MinWrite = math.MaxInt64
 	return f
@@ -209,17 +252,16 @@ func (f *CharacterizeFold) Consume(r WriteRecord) {
 	if end > f.endMax {
 		f.endMax = end
 	}
-	st := f.steps[r.Labels.Step]
-	if st == nil {
-		st = &stepAcc{span: StepSpan{Start: r.Start, End: end}}
-		f.steps[r.Labels.Step] = st
-	} else {
-		if r.Start < st.span.Start {
-			st.span.Start = r.Start
-		}
-		if end > st.span.End {
-			st.span.End = end
-		}
+	st := f.cur
+	if st == nil || r.Labels.Step != f.curStep {
+		st = f.step(r.Labels.Step, StepSpan{Start: r.Start, End: end})
+		f.cur, f.curStep = st, r.Labels.Step
+	}
+	if r.Start < st.span.Start {
+		st.span.Start = r.Start
+	}
+	if end > st.span.End {
+		st.span.End = end
 	}
 	st.ranks = grow(st.ranks, r.Rank)
 	rs := &st.ranks[r.Rank]
@@ -263,12 +305,7 @@ func (f *CharacterizeFold) Consume(r WriteRecord) {
 	st.files++
 	f.c.TotalBytes += r.Bytes
 	f.c.TotalWrites++
-	h := uint64(14695981039346656037) // FNV-1a, as hash/fnv's New64a
-	for i := 0; i < len(r.Path); i++ {
-		h ^= uint64(r.Path[i])
-		h *= 1099511628211
-	}
-	f.files[h] = struct{}{}
+	f.files[pathDigest(r.Path)] = struct{}{}
 	rr.data = true
 	rr.bytes += r.Bytes
 	rr.gather += r.GatherSeconds
@@ -280,12 +317,15 @@ func (f *CharacterizeFold) Consume(r WriteRecord) {
 		rr.writer = true
 	}
 	if r.Node >= 0 {
-		l := burstLink{r.Node, r.Target}
-		f.links[l] += r.Bytes
-		if st.links == nil {
-			st.links = map[burstLink]float64{}
+		id := f.linkOf(rr, r.Node, r.Target)
+		f.linkBytes[id] += r.Bytes
+		st.links = grow(st.links, id)
+		sl := &st.links[id]
+		if !sl.used {
+			sl.used = true
+			st.nlinks++
 		}
-		st.links[l] += r.Duration
+		sl.seconds += r.Duration
 	}
 	f.sizeCount[r.Bytes]++
 	if r.Bytes < f.c.MinWrite {
@@ -294,6 +334,43 @@ func (f *CharacterizeFold) Consume(r WriteRecord) {
 	if r.Bytes > f.c.MaxWrite {
 		f.c.MaxWrite = r.Bytes
 	}
+}
+
+// step returns step's accumulator, creating it with span when the step
+// is new.
+func (f *CharacterizeFold) step(step int, span StepSpan) *stepAcc {
+	if st := f.steps[step]; st != nil {
+		return st
+	}
+	// Sized for the ranks and links seen so far: a step is usually
+	// another burst over the same ones.
+	st := &stepAcc{
+		span:  span,
+		ranks: make([]rankStep, 0, len(f.ranks)),
+		links: make([]stepLink, 0, len(f.links)),
+	}
+	f.steps[step] = st
+	i, _ := slices.BinarySearch(f.stepKeys, step)
+	f.stepKeys = slices.Insert(f.stepKeys, i, step)
+	return st
+}
+
+// linkOf returns the dense id of the (node, target) link, from rr's
+// cached last link when it is the same one.
+func (f *CharacterizeFold) linkOf(rr *rankRun, node, target int) int {
+	l := burstLink{node, target}
+	if id := rr.link - 1; id >= 0 && f.links[id] == l {
+		return id
+	}
+	id, ok := f.linkIDs[l]
+	if !ok {
+		id = len(f.links)
+		f.linkIDs[l] = id
+		f.links = append(f.links, l)
+		f.linkBytes = append(f.linkBytes, 0)
+	}
+	rr.link = id + 1
+	return id
 }
 
 // Flush implements LedgerConsumer; the fold keeps no buffered state, so
@@ -313,13 +390,20 @@ func (f *CharacterizeFold) Bursts() []BurstStat {
 	if f.bursts != nil && f.burstsAt == f.n {
 		return f.bursts
 	}
-	steps := make([]int, 0, len(f.steps))
-	for s := range f.steps {
-		steps = append(steps, s)
+	if len(f.linkOrder) != len(f.links) {
+		f.linkOrder = f.linkOrder[:0]
+		for id := range f.links {
+			f.linkOrder = append(f.linkOrder, id)
+		}
+		slices.SortFunc(f.linkOrder, func(a, b int) int {
+			if c := cmp.Compare(f.links[a].node, f.links[b].node); c != 0 {
+				return c
+			}
+			return cmp.Compare(f.links[a].target, f.links[b].target)
+		})
 	}
-	sort.Ints(steps)
-	out := make([]BurstStat, 0, len(steps))
-	for _, s := range steps {
+	out := make([]BurstStat, 0, len(f.stepKeys))
+	for _, s := range f.stepKeys {
 		a := f.steps[s]
 		st := BurstStat{
 			Step: s, Bytes: a.bytes, Files: a.files, Dirs: a.dirs,
@@ -327,7 +411,8 @@ func (f *CharacterizeFold) Bursts() []BurstStat {
 			FaultWrites: a.faultWrites, Retries: a.retries,
 		}
 		var sum float64
-		nodeBytes := map[int]int64{}
+		f.gen++
+		f.nodeSeen = f.nodeSeen[:0]
 		for r := range a.ranks {
 			rs := &a.ranks[r]
 			if !rs.seen {
@@ -343,7 +428,13 @@ func (f *CharacterizeFold) Bursts() []BurstStat {
 			st.DrainSeconds = max(st.DrainSeconds, rs.drain)
 			st.FaultSeconds = max(st.FaultSeconds, rs.fault)
 			if node := f.ranks[r].node; node >= 0 {
-				nodeBytes[node] += rs.bytes
+				f.nodeTab = grow(f.nodeTab, node)
+				t := &f.nodeTab[node]
+				if t.gen != f.gen {
+					*t = nodeTally{gen: f.gen}
+					f.nodeSeen = append(f.nodeSeen, node)
+				}
+				t.bytes += rs.bytes
 			}
 		}
 		if st.Participants > 0 {
@@ -357,28 +448,24 @@ func (f *CharacterizeFold) Bursts() []BurstStat {
 		if st.WallSeconds > 0 {
 			st.EffectiveBW = float64(a.bytes) / st.WallSeconds
 		}
-		if len(nodeBytes) > 0 {
-			st.Nodes = len(nodeBytes)
-			st.NodeSkew = bytesImbalance(nodeBytes)
+		if len(f.nodeSeen) > 0 {
+			var nodes spread
+			for _, node := range f.nodeSeen {
+				nodes.add(f.nodeTab[node].bytes)
+			}
+			st.Nodes = nodes.n
+			st.NodeSkew = nodes.imbalance()
 		}
-		if len(a.links) > 0 {
-			st.Links = len(a.links)
-			links := make([]burstLink, 0, len(a.links))
-			for l := range a.links {
-				links = append(links, l)
-			}
-			sort.Slice(links, func(i, j int) bool {
-				if links[i].node != links[j].node {
-					return links[i].node < links[j].node
-				}
-				return links[i].target < links[j].target
-			})
+		if a.nlinks > 0 {
+			st.Links = a.nlinks
 			var linkSum float64
-			for _, l := range links {
-				st.MaxLinkSeconds = max(st.MaxLinkSeconds, a.links[l])
-				linkSum += a.links[l]
+			for _, id := range f.linkOrder {
+				if id < len(a.links) && a.links[id].used {
+					st.MaxLinkSeconds = max(st.MaxLinkSeconds, a.links[id].seconds)
+					linkSum += a.links[id].seconds
+				}
 			}
-			st.MeanLinkSeconds = linkSum / float64(len(a.links))
+			st.MeanLinkSeconds = linkSum / float64(a.nlinks)
 			if st.MeanLinkSeconds > 0 {
 				st.LinkSkew = st.MaxLinkSeconds / st.MeanLinkSeconds
 			}
@@ -397,22 +484,25 @@ func (f *CharacterizeFold) Profile() Characterization {
 	}
 	c := f.c
 	c.UniqueFiles = len(f.files)
-	rankBytes := map[int]int64{}
-	for r, rr := range f.ranks {
+	var ranks, links spread
+	for _, rr := range f.ranks {
 		if rr.data {
-			rankBytes[r] = rr.bytes
+			ranks.add(rr.bytes)
 		}
 		if rr.writer {
 			c.Writers++
 		}
 	}
-	c.Ranks = len(rankBytes)
+	c.Ranks = ranks.n
 	nodeBytes := f.nodeBytes()
 	c.NodesUsed = len(nodeBytes)
 	c.TargetsUsed = len(f.TargetBytes())
-	c.LinksUsed = len(f.links)
+	for _, b := range f.linkBytes {
+		links.add(b)
+	}
+	c.LinksUsed = links.n
 	c.NodeImbalance = bytesImbalance(nodeBytes)
-	c.LinkImbalance = bytesImbalance(f.links)
+	c.LinkImbalance = links.imbalance()
 	c.SizeHistogram = map[int]int{}
 	for size, n := range f.sizeCount {
 		c.SizeHistogram[sizeBucket(size)] += n
@@ -425,7 +515,7 @@ func (f *CharacterizeFold) Profile() Characterization {
 	c.P50Write = f.percentile(c.TotalWrites / 2)
 	c.P95Write = f.percentile((c.TotalWrites * 95) / 100)
 
-	c.RankImbalance = bytesImbalance(rankBytes)
+	c.RankImbalance = ranks.imbalance()
 	c.GatherSeconds, c.OpenSeconds, _ = f.DurationSplit()
 
 	bursts := f.Bursts()
@@ -494,9 +584,9 @@ func (f *CharacterizeFold) StepSpan(step int) StepSpan {
 // on a node, so the links hold all of them).
 func (f *CharacterizeFold) TargetBytes() map[int]int64 {
 	out := map[int]int64{}
-	for l, b := range f.links {
+	for id, l := range f.links {
 		if l.target >= 0 {
-			out[l.target] += b
+			out[l.target] += f.linkBytes[id]
 		}
 	}
 	return out
@@ -554,6 +644,28 @@ func (f *CharacterizeFold) percentile(idx int) int64 {
 	return 0
 }
 
+// pathDigest is the 64-bit digest files counts paths by. It folds the
+// path in eight bytes at a time, each word through a 64x64->128-bit
+// multiply whose halves are xored (wyhash's mix), so a 60-byte path
+// costs eight multiplies rather than FNV-1a's sixty serial ones.
+func pathDigest(s string) uint64 {
+	const seed, prime = 0xa0761d6478bd642f, 0xe7037ed1a0b428db
+	mix := func(x uint64) uint64 {
+		hi, lo := bits.Mul64(x, prime)
+		return hi ^ lo
+	}
+	h := uint64(len(s)) ^ seed
+	for ; len(s) >= 8; s = s[8:] {
+		h = mix(h ^ (uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56))
+	}
+	var tail uint64
+	for i := 0; i < len(s); i++ {
+		tail |= uint64(s[i]) << (8 * i)
+	}
+	return mix(h ^ tail ^ seed)
+}
+
 // grow extends s with zero entries until index i exists.
 func grow[T any](s []T, i int) []T {
 	if i < len(s) {
@@ -562,25 +674,38 @@ func grow[T any](s []T, i int) []T {
 	return append(s, make([]T, i+1-len(s))...)
 }
 
-// bytesImbalance returns max/mean over a byte-count map (0 when empty).
-// Sums accumulate in int64 — exact and order-independent — so the result
-// does not depend on map iteration order (float addition is not
-// associative; see the maprangefloat analyzer).
-func bytesImbalance[K comparable](m map[K]int64) float64 {
-	if len(m) == 0 {
-		return 0
+// spread accumulates byte counts for their max/mean imbalance. Sums
+// accumulate in int64 — exact and order-independent — so the result
+// does not depend on the order counts are added in (float addition is
+// not associative; see the maprangefloat analyzer).
+type spread struct {
+	n        int
+	sum, max int64
+}
+
+func (s *spread) add(b int64) {
+	s.n++
+	s.sum += b
+	if b > s.max {
+		s.max = b
 	}
-	var sum, max int64
-	for _, b := range m {
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum > 0 {
-		return float64(max) / (float64(sum) / float64(len(m)))
+}
+
+// imbalance returns max/mean (0 when empty or all zero).
+func (s spread) imbalance() float64 {
+	if s.sum > 0 {
+		return float64(s.max) / (float64(s.sum) / float64(s.n))
 	}
 	return 0
+}
+
+// bytesImbalance returns max/mean over a byte-count map (0 when empty).
+func bytesImbalance[K comparable](m map[K]int64) float64 {
+	var s spread
+	for _, b := range m {
+		s.add(b)
+	}
+	return s.imbalance()
 }
 
 // sizeBucket returns floor(log2(bytes)) with zero-size writes in bucket 0.

@@ -59,9 +59,9 @@ func (fs *FileSystem) drainConsumers() {
 	}
 	for i := range fs.shards {
 		s := &fs.shards[i]
-		for _, r := range s.records {
+		for j := range s.records {
 			for _, c := range fs.subs {
-				c.Consume(r)
+				c.Consume(s.records[j])
 			}
 		}
 		s.records = s.records[:0]

@@ -149,6 +149,12 @@
 // per rank, per link, per write size — sums floats per key in arrival
 // order and finalizes in sorted-key order, so a fold fed from the stream
 // is bit-identical to the same fold fed from a materialized ledger.
+// Links are a dense table: each (node, target) pair gets an id in
+// first-seen order, each rank caches the id of its last link (looked up
+// again only when failover or a retarget moves it), link totals are
+// slices indexed by id, and finalization walks them through one id
+// permutation sorted by (node, target). With the current step's
+// accumulator cached too, a record touches no struct-keyed map.
 // Per-node and per-target totals are derived from the rank and link
 // tables, which rests on three ledger facts: a record with a target is a
 // data record on a node, a rank's records all carry the same node, and
@@ -159,8 +165,9 @@
 // Config.RetainLedger picks the retention policy: RetainAuto (the zero
 // value) keeps records only while no consumer is attached, RetainNone
 // always drops. TotalBytes and Clock survive dropping — they read
-// per-rank counters, not records. Fold state is O(steps x ranks)
-// aggregates instead of O(writes) records, which is the memory bound
+// per-rank counters, not records. Fold state is O(steps x (ranks +
+// links)) aggregates plus one digest per distinct path, instead of
+// O(writes) records, which is the memory bound
 // every command and the campaign service layer depend on: each attaches
 // its folds (and, for the Fig. 2 / Fig. 3 path listings, a log of path
 // strings) before the run, and the ledgerretain analyzer keeps Ledger()

@@ -2,6 +2,7 @@ package macsio
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -162,11 +163,20 @@ func parseBytes(s string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	if n > math.MaxInt64/mult || n < math.MinInt64/mult {
+		return 0, fmt.Errorf("%s times %d overflows int64", s, mult)
+	}
 	return n * mult, nil
 }
 
 // CommandLine renders the config back into the Listing-1 flag form, for
-// the model's "emit the MACSio invocation" feature.
+// the model's "emit the MACSio invocation" feature. ParseArgs reads the
+// line back to the same config, up to dataset_growth's six printed
+// decimals, with these readings of what the line leaves out: a MIF
+// count of 0 prints as nprocs (one file per task either way), a SIF
+// config prints no count (SIF writes one file), and --size_only is not
+// printed (a model-only filesystem implies it). A growth that six
+// decimals would round to an invalid 0 prints in full instead.
 func (c Config) CommandLine() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "macsio --interface %s --parallel_file_mode %s", c.Interface, c.FileMode)
@@ -185,6 +195,10 @@ func (c Config) CommandLine() string {
 	if c.MetaSize > 0 {
 		fmt.Fprintf(&sb, " --meta_size %d", c.MetaSize)
 	}
-	fmt.Fprintf(&sb, " --dataset_growth %.6f --nprocs %d", c.DatasetGrowth, c.NProcs)
+	growth := strconv.FormatFloat(c.DatasetGrowth, 'f', 6, 64)
+	if v, _ := strconv.ParseFloat(growth, 64); !(v > 0) && c.DatasetGrowth > 0 {
+		growth = strconv.FormatFloat(c.DatasetGrowth, 'g', -1, 64)
+	}
+	fmt.Fprintf(&sb, " --dataset_growth %s --nprocs %d", growth, c.NProcs)
 	return sb.String()
 }

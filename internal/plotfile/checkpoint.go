@@ -63,7 +63,13 @@ func WriteCheckpoint(fs *iosim.FileSystem, spec CheckpointSpec) ([]OutputRecord,
 	if err := fs.Mkdir(0, spec.Root, labels); err != nil {
 		return nil, err
 	}
-	if _, err := fs.Write(0, spec.Root+"/Header", []byte(encodeCheckpointHeader(spec)), labels); err != nil {
+	var err error
+	if fs.Config().Backend == iosim.ModelOnly { // priced by size, as writePlotMeta's files
+		_, err = fs.WriteSize(0, spec.Root+"/Header", int64(checkpointHeaderLen(spec)), labels)
+	} else {
+		_, err = fs.Write(0, spec.Root+"/Header", []byte(encodeCheckpointHeader(spec)), labels)
+	}
+	if err != nil {
 		return nil, err
 	}
 	for l := range spec.Levels {
@@ -119,6 +125,23 @@ func encodeCheckpointHeader(spec CheckpointSpec) string {
 		}
 	}
 	return string(b)
+}
+
+// checkpointHeaderLen is len(encodeCheckpointHeader(spec)), line by line.
+func checkpointHeaderLen(spec CheckpointSpec) int {
+	n := len(CheckpointFormatVersion) + 1 + intLen(spec.Step) + 1 +
+		float17Len(spec.Time) + 1 + float17Len(spec.LastDt) + 1 +
+		intLen(spec.NComp) + 1 + intLen(spec.NProcs) + 1 + intLen(len(spec.Levels)) + 1
+	for _, lev := range spec.Levels {
+		g := lev.Geom
+		n += boxLen(g.Domain) + 4 + float17Len(g.ProbLo[0]) + float17Len(g.ProbLo[1]) +
+			float17Len(g.ProbHi[0]) + float17Len(g.ProbHi[1]) +
+			1 + intLen(lev.RefRatio) + 1 + intLen(lev.BA.Len()) + 1
+		for i, bx := range lev.BA.Boxes {
+			n += boxLen(bx) + 1 + intLen(lev.DM.Owner[i]) + 1
+		}
+	}
+	return n
 }
 
 // RestartLevel is one level recovered from a checkpoint.

@@ -24,6 +24,14 @@
 // surrogate pipeline runs entirely on this path, which is why
 // 17-billion-cell dumps never allocate field memory.
 //
+// Metadata is priced by size on a ModelOnly filesystem, which keeps no
+// bytes: rank 0's Header, job_info, each Cell_H and the checkpoint
+// Header go through WriteSize at their rendered lengths, each a sum
+// over the lines its encoder would append (Cell_H's FabOnDisk offsets
+// from one per-rank slice), and are never encoded. RealDisk still
+// encodes and writes them. TestModelOnlyMetaSizeMatchesEncode pins
+// every length to len of its encoder over random specs.
+//
 // # The byte-identical encoder pin
 //
 // Encoders are allocation-frugal by design: encodeCellD preallocates the

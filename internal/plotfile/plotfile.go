@@ -78,24 +78,48 @@ func Write(fs *iosim.FileSystem, spec Spec) ([]OutputRecord, error) {
 }
 
 // writePlotMeta writes rank 0's share of a plotfile: the root and level
-// directories, Header, job_info and each level's Cell_H.
+// directories, Header, job_info and each level's Cell_H. A model-only
+// filesystem keeps no bytes, so there each file is priced through
+// WriteSize at its rendered length instead of being encoded.
 func writePlotMeta(fs *iosim.FileSystem, spec Spec) error {
 	labels := iosim.Labels{Step: spec.Step}
+	modelOnly := fs.Config().Backend == iosim.ModelOnly
 	if err := fs.Mkdir(0, spec.Root, labels); err != nil {
 		return err
 	}
-	if _, err := fs.Write(0, spec.Root+"/Header", []byte(EncodeHeader(spec)), labels); err != nil {
+	var err error
+	if modelOnly {
+		_, err = fs.WriteSize(0, spec.Root+"/Header", int64(headerLen(spec)), labels)
+	} else {
+		_, err = fs.Write(0, spec.Root+"/Header", []byte(EncodeHeader(spec)), labels)
+	}
+	if err != nil {
 		return err
 	}
-	if _, err := fs.Write(0, spec.Root+"/job_info", []byte(encodeJobInfo(spec)), labels); err != nil {
+	if modelOnly {
+		_, err = fs.WriteSize(0, spec.Root+"/job_info", int64(jobInfoLen(spec)), labels)
+	} else {
+		_, err = fs.Write(0, spec.Root+"/job_info", []byte(encodeJobInfo(spec)), labels)
+	}
+	if err != nil {
 		return err
+	}
+	var offsets []int64 // cellHLen's per-rank scratch
+	if modelOnly {
+		offsets = make([]int64, spec.NProcs)
 	}
 	for l := range spec.Levels {
 		labels.Level = l
-		if err := fs.Mkdir(0, levelDir(spec.Root, l), labels); err != nil {
+		dir := levelDir(spec.Root, l)
+		if err := fs.Mkdir(0, dir, labels); err != nil {
 			return err
 		}
-		if _, err := fs.Write(0, levelDir(spec.Root, l)+"/Cell_H", []byte(EncodeCellH(spec, l)), labels); err != nil {
+		if modelOnly {
+			_, err = fs.WriteSize(0, dir+"/Cell_H", int64(cellHLen(spec, l, offsets)), labels)
+		} else {
+			_, err = fs.Write(0, dir+"/Cell_H", []byte(EncodeCellH(spec, l)), labels)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -110,12 +134,20 @@ func writePlotMeta(fs *iosim.FileSystem, spec Spec) error {
 // the identical file is priced through WriteSize at its exact size.
 func writeCellDs(fs *iosim.FileSystem, root string, step int, levels []LevelSpec, nprocs, ncomp int, sizeOnly bool) ([]OutputRecord, error) {
 	sizes := make([][]int64, len(levels))
+	files := 0 // an upper bound on the records, exact for priced levels
 	for l, lev := range levels {
 		if sizeOnly || lev.State == nil {
 			sizes[l] = rankCellDBytes(lev, nprocs, ncomp)
+			for _, n := range sizes[l] {
+				if n > 0 {
+					files++
+				}
+			}
+		} else {
+			files += nprocs
 		}
 	}
-	out := make([]OutputRecord, 0, nprocs*len(levels))
+	out := make([]OutputRecord, 0, files)
 	for rank := 0; rank < nprocs; rank++ {
 		for l, lev := range levels {
 			labels := iosim.Labels{Step: step, Level: l}
@@ -191,7 +223,7 @@ func appendZeroPadded(dst []byte, v int64, width int) []byte {
 		v = -v
 		width--
 	}
-	for n := intLen(int(v)); n < width; n++ {
+	for n := intLen(v); n < width; n++ {
 		dst = append(dst, '0')
 	}
 	return strconv.AppendInt(dst, v, 10)
@@ -254,13 +286,15 @@ func EncodeHeader(spec Spec) string {
 	return string(b)
 }
 
+// jobInfoRule frames job_info's title.
+const jobInfoRule = "=============================================================================="
+
 func encodeJobInfo(spec Spec) string {
-	const rule = "=============================================================================="
-	b := make([]byte, 0, 4*len(rule))
-	b = append(b, rule...)
+	b := make([]byte, 0, 4*len(jobInfoRule))
+	b = append(b, jobInfoRule...)
 	b = append(b, '\n')
 	b = append(b, " amrproxyio Job Information\n"...)
-	b = append(b, rule...)
+	b = append(b, jobInfoRule...)
 	b = append(b, '\n')
 	b = append(b, "number of MPI processes: "...)
 	b = strconv.AppendInt(b, int64(spec.NProcs), 10)
@@ -316,6 +350,84 @@ func EncodeCellH(spec Spec, level int) string {
 	return string(b)
 }
 
+// Rendered lengths of the metadata files, for pricing them on a
+// model-only filesystem without encoding them. Each mirrors its encoder
+// line by line; TestModelOnlyMetaSizeMatchesEncode pins each equal to
+// len of the encoder's output.
+
+// headerLen is len(EncodeHeader(spec)).
+func headerLen(spec Spec) int {
+	n := len(FormatVersion) + 1 + intLen(spec.NComp()) + 1
+	for _, v := range spec.VarNames {
+		n += len(v) + 1
+	}
+	n += 2 + float17Len(spec.Time) + 1 + intLen(len(spec.Levels)-1) + 1
+	g0 := spec.Levels[0].Geom
+	n += float17Len(g0.ProbLo[0]) + 1 + float17Len(g0.ProbLo[1]) + 1
+	n += float17Len(g0.ProbHi[0]) + 1 + float17Len(g0.ProbHi[1]) + 1
+	for l, lev := range spec.Levels {
+		if l < len(spec.Levels)-1 {
+			n += intLen(lev.RefRatio) + 1 // the ratio, then a space or the newline
+		}
+		n += boxLen(lev.Geom.Domain) + 1 + intLen(spec.Step) + 1
+		n += float17Len(lev.Geom.CellSize[0]) + 1 + float17Len(lev.Geom.CellSize[1]) + 1
+	}
+	if len(spec.Levels) == 1 {
+		n++ // the empty ref-ratio line
+	}
+	return n + 4
+}
+
+// jobInfoLen is len(encodeJobInfo(spec)).
+func jobInfoLen(spec Spec) int {
+	n := 2*(len(jobInfoRule)+1) + len(" amrproxyio Job Information\n")
+	n += len("number of MPI processes: ") + intLen(spec.NProcs)
+	n += len("\nplot step: ") + intLen(spec.Step)
+	n += len("\nsimulation time: ") + float17Len(spec.Time)
+	n += len("\nlevels: ") + intLen(len(spec.Levels)) + 1
+	for l, lev := range spec.Levels {
+		n += len("level ") + intLen(l) + len(": ") + intLen(lev.BA.Len()) +
+			len(" grids, ") + intLen(lev.BA.NumPts()) + len(" cells\n")
+	}
+	return n
+}
+
+// cellHLen is len(EncodeCellH(spec, level)). Each box's FabOnDisk offset
+// comes from offsets, a scratch indexed by rank that it zeroes first.
+// An owner outside it is no rank of the dump; the length is then the
+// encoder's own.
+func cellHLen(spec Spec, level int, offsets []int64) int {
+	lev := spec.Levels[level]
+	nboxes, ncomp := lev.BA.Len(), spec.NComp()
+	n := 4 + intLen(ncomp) + 1 + 2 + 1 + intLen(nboxes) + 3
+	for _, bx := range lev.BA.Boxes {
+		n += boxLen(bx) + 1
+	}
+	n += 2 + intLen(nboxes) + 1
+	clear(offsets)
+	for i, bx := range lev.BA.Boxes {
+		rank := lev.DM.Owner[i]
+		if rank < 0 || rank >= len(offsets) {
+			return len(EncodeCellH(spec, level))
+		}
+		n += len("FabOnDisk: Cell_D_") + max(5, intLen(rank)) + 1 + intLen(offsets[rank]) + 1
+		offsets[rank] += fabBytes(bx, ncomp)
+	}
+	return n
+}
+
+// float17Len is len(appendFloat17(nil, v)), rendered on the stack.
+func float17Len(v float64) int {
+	var buf [32]byte
+	return len(appendFloat17(buf[:0], v))
+}
+
+// boxLen is the rendered length of appendBox(nil, b).
+func boxLen(b grid.Box) int {
+	return len("((") + intLen(b.Lo.X) + 1 + intLen(b.Lo.Y) +
+		len(") (") + intLen(b.Hi.X) + 1 + intLen(b.Hi.Y) + len(") (0,0))")
+}
+
 // appendBox appends a box the AMReX way: ((lox,loy) (hix,hiy) (0,0)).
 func appendBox(dst []byte, b grid.Box) []byte {
 	dst = append(dst, '(', '(')
@@ -349,16 +461,25 @@ func fabHeader(b grid.Box, ncomp int) string {
 	return string(appendFabHeader(make([]byte, 0, 56), b, ncomp))
 }
 
-// intLen returns the rendered decimal length of v (sign included).
-func intLen(v int) int {
+// intLen returns the rendered decimal length of v (sign included). Box
+// corners, ranks and counts mostly have at most four digits, which the
+// comparisons settle without a division.
+func intLen[T int | int64](v T) int {
 	n := 1
 	if v < 0 {
 		n++
 		v = -v
 	}
-	for v >= 10 {
-		n++
-		v /= 10
+	for ; v >= 10000; v /= 10000 {
+		n += 4
+	}
+	switch {
+	case v >= 1000:
+		return n + 3
+	case v >= 100:
+		return n + 2
+	case v >= 10:
+		return n + 1
 	}
 	return n
 }
@@ -367,10 +488,7 @@ func intLen(v int) int {
 // the size-only surrogate path calls it per box per dump.
 func fabHeaderLen(b grid.Box, ncomp int) int {
 	// "FAB " + "((lox,loy) (hix,hiy) (0,0))" + " " + ncomp + "\n"
-	return len("FAB ") +
-		len("((") + intLen(b.Lo.X) + 1 + intLen(b.Lo.Y) +
-		len(") (") + intLen(b.Hi.X) + 1 + intLen(b.Hi.Y) +
-		len(") (0,0))") + 1 + intLen(ncomp) + 1
+	return len("FAB ") + boxLen(b) + 1 + intLen(ncomp) + 1
 }
 
 // fabBytes is the exact on-disk size of one FAB record.
