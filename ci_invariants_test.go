@@ -70,6 +70,7 @@ func TestFuzzSmokePresent(t *testing.T) {
 		"-fuzz=FuzzParseAggregation -fuzztime=20s -run '^$' ./internal/iosim/",
 		"-fuzz=FuzzDecodeBatch -fuzztime=20s -run '^$' ./internal/serve/",
 		"-fuzz=FuzzParseArgs -fuzztime=20s -run '^$' ./internal/macsio/",
+		"-fuzz=FuzzCastroInputs -fuzztime=20s -run '^$' ./internal/inputs/",
 	} {
 		if !strings.Contains(ci, want) {
 			t.Errorf("CI fuzz smoke missing %q", want)

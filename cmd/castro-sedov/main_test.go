@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -42,6 +45,34 @@ func TestRunRejectsUnknownDist(t *testing.T) {
 	err := run([]string{"-dist", "bogus"}, new(bytes.Buffer))
 	if err == nil || !strings.Contains(err.Error(), `amr: unknown distribution strategy "bogus"`) {
 		t.Fatalf("err = %v, want amr's unknown-strategy error", err)
+	}
+}
+
+// TestNaNInitShrinkExitsNonZero runs the command in a child process on
+// a deck whose castro.init_shrink is NaN: validation must stop it with
+// exit status 1 before a step is taken, where it once completed a step
+// to t = NaN and exited 0. The child is this test binary, given main's
+// arguments after "--".
+func TestNaNInitShrinkExitsNonZero(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"castro-sedov"}, args...)
+		main()
+		os.Exit(0)
+	}
+	path := filepath.Join(t.TempDir(), "inputs.2d")
+	if err := os.WriteFile(path, []byte(smallDeck+"castro.init_shrink = NaN\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNaNInitShrinkExitsNonZero$", "--", "-inputs", path)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("err = %v, want exit status 1; stdout:\n%s", err, out)
+	}
+	if !strings.Contains(stderr.String(), "castro.init_shrink must be in (0,1]") || strings.Contains(string(out), "completed:") {
+		t.Errorf("stderr %q, stdout %q; want the init_shrink error and no run", stderr.String(), out)
 	}
 }
 

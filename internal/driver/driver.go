@@ -1,10 +1,12 @@
-// Package driver owns the output sequence both engines share: the run
-// loop (advance → compute-phase clocks → regrid → plot → adaptive
-// checkpoint) and everything around one output burst — degraded-mode
-// shedding, the inter-burst layout remap (Wan et al.), the N-to-N write,
-// and the mitigation engine's observation of it. The engines supply
-// only what differs between them through Model: the hydro solver
-// (internal/sim) or the analytic Sedov front (internal/surrogate).
+// Package driver owns what both engines share: the run loop (advance →
+// compute-phase clocks → regrid → plot → adaptive checkpoint),
+// everything around one output burst — degraded-mode shedding, the
+// inter-burst layout remap (Wan et al.), the N-to-N write, and the
+// mitigation engine's observation of it — and the hierarchy step that
+// lays out each level (Level0, FineLevel). The engines supply only what
+// differs between them, their physics, through Model and the tags they
+// pass FineLevel: the hydro solver (internal/sim) or the analytic Sedov
+// front (internal/surrogate).
 //
 // With a zero Options (no remap, no compute phase, no policy) every step
 // is the historical plot-only loop; each option adds its stage without

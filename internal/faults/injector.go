@@ -49,13 +49,6 @@ func (p *Plan) Injector(topo iosim.Topology) *Injector {
 	}
 }
 
-// BeginBurst implements iosim.FaultInjector. The schedule is resolved
-// per write against rank clocks, so there is no burst state to snapshot.
-func (in *Injector) BeginBurst(n int) {}
-
-// EndBurst implements iosim.FaultInjector.
-func (in *Injector) EndBurst() {}
-
 // Plan returns a copy of the injector's validated fault plan. The
 // resilience engine reads it back through iosim.Config.Faults so the
 // online view replays exactly the schedule the write path prices.

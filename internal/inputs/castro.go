@@ -3,6 +3,7 @@ package inputs
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // CastroInputs is the typed configuration for a Castro-like Sedov run. It
@@ -178,6 +179,15 @@ func (c CastroInputs) Validate() error {
 	if !(c.CFL > 0 && c.CFL < 1) {
 		return fmt.Errorf("inputs: castro.cfl must be in (0,1), got %g", c.CFL)
 	}
+	if !(c.InitShrink > 0 && c.InitShrink <= 1) {
+		return fmt.Errorf("inputs: castro.init_shrink must be in (0,1], got %g", c.InitShrink)
+	}
+	if !(c.ChangeMax >= 1) || math.IsInf(c.ChangeMax, 1) {
+		return fmt.Errorf("inputs: castro.change_max must be finite and >= 1, got %g", c.ChangeMax)
+	}
+	if math.IsNaN(c.StopTime) || math.IsInf(c.StopTime, 0) {
+		return fmt.Errorf("inputs: stop_time must be finite, got %g", c.StopTime)
+	}
 	if c.BlockingFactor < 1 {
 		return fmt.Errorf("inputs: amr.blocking_factor must be >= 1, got %d", c.BlockingFactor)
 	}
@@ -196,13 +206,32 @@ func (c CastroInputs) Validate() error {
 	if c.NProcs < 1 {
 		return fmt.Errorf("inputs: nprocs must be >= 1, got %d", c.NProcs)
 	}
-	if c.ProbHi[0] <= c.ProbLo[0] || c.ProbHi[1] <= c.ProbLo[1] {
-		return fmt.Errorf("inputs: geometry.prob_hi must exceed prob_lo")
+	// A finite positive width also rules out non-finite bounds.
+	for d := 0; d < 2; d++ {
+		if w := c.ProbHi[d] - c.ProbLo[d]; !(w > 0 && w <= math.MaxFloat64) {
+			return fmt.Errorf("inputs: geometry.prob_hi must exceed prob_lo by a finite width, got %v %v", c.ProbLo, c.ProbHi)
+		}
 	}
-	if c.GridEff <= 0 || c.GridEff > 1 {
+	if !(c.GridEff > 0 && c.GridEff <= 1) {
 		return fmt.Errorf("inputs: amr.grid_eff must be in (0,1], got %g", c.GridEff)
 	}
 	return nil
+}
+
+// ClampDt applies Castro's step controls to an engine's stable step dt
+// for the step after step (at time, after a step of lastDt): init_shrink
+// scales the first step, change_max caps the growth of every later one,
+// and no step overshoots a positive stop_time.
+func (c CastroInputs) ClampDt(dt float64, step int, time, lastDt float64) float64 {
+	if step == 0 {
+		dt *= c.InitShrink
+	} else if lastDt > 0 && dt > c.ChangeMax*lastDt {
+		dt = c.ChangeMax * lastDt
+	}
+	if c.StopTime > 0 && time+dt > c.StopTime {
+		dt = c.StopTime - time
+	}
+	return dt
 }
 
 // RefRatioAt returns the refinement ratio between level l and l+1,

@@ -204,6 +204,19 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"inverted geometry", func(c *CastroInputs) { c.ProbHi[0] = -1 }},
 		{"bad grid_eff", func(c *CastroInputs) { c.GridEff = 0 }},
 		{"negative max_step", func(c *CastroInputs) { c.MaxStep = -5 }},
+		{"init_shrink NaN", func(c *CastroInputs) { c.InitShrink = math.NaN() }},
+		{"init_shrink zero", func(c *CastroInputs) { c.InitShrink = 0 }},
+		{"init_shrink above 1", func(c *CastroInputs) { c.InitShrink = 1.5 }},
+		{"change_max negative", func(c *CastroInputs) { c.ChangeMax = -1 }},
+		{"change_max below 1", func(c *CastroInputs) { c.ChangeMax = 0.5 }},
+		{"change_max NaN", func(c *CastroInputs) { c.ChangeMax = math.NaN() }},
+		{"change_max Inf", func(c *CastroInputs) { c.ChangeMax = math.Inf(1) }},
+		{"stop_time NaN", func(c *CastroInputs) { c.StopTime = math.NaN() }},
+		{"stop_time Inf", func(c *CastroInputs) { c.StopTime = math.Inf(1) }},
+		{"grid_eff NaN", func(c *CastroInputs) { c.GridEff = math.NaN() }},
+		{"prob_hi NaN", func(c *CastroInputs) { c.ProbHi[0] = math.NaN() }},
+		{"prob_hi Inf", func(c *CastroInputs) { c.ProbHi[1] = math.Inf(1) }},
+		{"prob_lo -Inf", func(c *CastroInputs) { c.ProbLo[0] = math.Inf(-1) }},
 	}
 	for _, tc := range cases {
 		if err := mk(tc.mut); err == nil {

@@ -51,14 +51,11 @@ type FaultEvent struct {
 // FaultInjector prices writes on behalf of the installed StorageModel
 // when fault injection is enabled. Implementations live in internal/faults
 // and are installed via Config.Faults; nil disables injection with zero
-// overhead. The calling contract matches StorageModel's: within a burst
-// the result may not depend on the order different ranks' calls arrive
-// in, and EndBurst only runs between bursts.
+// overhead. The calling contract matches StorageModel.Price's: within a
+// burst the result may not depend on the order different ranks' calls
+// arrive in. An injector keeps no burst state — its schedule is resolved
+// per write against rank clocks — so it has no burst hooks.
 type FaultInjector interface {
-	// BeginBurst mirrors StorageModel.BeginBurst (called right after it).
-	BeginBurst(n int)
-	// EndBurst mirrors StorageModel.EndBurst.
-	EndBurst()
 	// Price prices one data transfer by rank starting at start on its
 	// simulated clock, moving over the (node, target) link the topology
 	// resolved (-1 labels under the aggregate model). model is the

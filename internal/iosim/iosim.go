@@ -311,9 +311,6 @@ func (fs *FileSystem) BeginBurst(n int) {
 		}
 	}
 	fs.model.BeginBurst(n)
-	if inj := fs.cfg.Faults; inj != nil {
-		inj.BeginBurst(n)
-	}
 }
 
 // EndBurst marks the end of the current burst. It is also the streaming
@@ -323,9 +320,6 @@ func (fs *FileSystem) BeginBurst(n int) {
 // whole bursts in deterministic rank-major order.
 func (fs *FileSystem) EndBurst() {
 	fs.model.EndBurst()
-	if inj := fs.cfg.Faults; inj != nil {
-		inj.EndBurst()
-	}
 	fs.drainConsumers()
 }
 

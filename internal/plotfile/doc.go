@@ -32,6 +32,17 @@
 // encodes and writes them. TestModelOnlyMetaSizeMatchesEncode pins
 // every length to len of its encoder over random specs.
 //
+// The length mirrors (headerLen, jobInfoLen, cellHLen,
+// checkpointHeaderLen) duplicate their encoders' line structure on
+// purpose; rendering instead is measurably slower. A prototype that
+// rendered Header, job_info and Cell_H into one reused buffer on every
+// backend kept every encoder pin and TestModelOnlyPlotMetaAllocations
+// green, but cost 7 % of the sweep-cold benchmark's cases per second
+// (1251 → 1161, slower in 8 of 8 paired runs) and 6 % of summit-stack's
+// (12.14 → 11.43, slower in 5 of 6). A single writer with a render and
+// a count mode sharing one definition per format saved only 21 lines,
+// and its speed was not measured.
+//
 // # The byte-identical encoder pin
 //
 // Encoders are allocation-frugal by design: encodeCellD preallocates the

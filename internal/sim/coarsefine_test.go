@@ -89,7 +89,7 @@ func randomTwoLevel(t *testing.T, rng *rand.Rand) (*Sim, float64) {
 			for j := vb.Lo.Y; j <= vb.Hi.Y; j++ {
 				for i := vb.Lo.X; i <= vb.Hi.X; i++ {
 					w := hydro.Prim{Rho: 0.5 + rng.Float64(), U: rng.Float64() - 0.5, V: rng.Float64() - 0.5, P: 0.5 + rng.Float64()}
-					c := hydro.ToCons(w, s.Opts.Blast.Gamma)
+					c := hydro.ToCons(w, blast.Gamma)
 					f.Set(i, j, hydro.IRho, c.Rho)
 					f.Set(i, j, hydro.IMx, c.Mx)
 					f.Set(i, j, hydro.IMy, c.My)
@@ -209,7 +209,7 @@ func TestRefluxFaceListMatchesScan(t *testing.T) {
 			if dir == 1 {
 				s.fillPatchAll()
 			}
-			s.sweepAll(dt, s.Opts.Blast.Gamma, dir)
+			s.sweepAll(dt, dir)
 			before := snapshot(crse)
 			scanReflux(s, 0, dir, dt)
 			want := snapshot(crse)

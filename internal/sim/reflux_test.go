@@ -108,7 +108,7 @@ func TestFluxSweepsMatchPlainSweeps(t *testing.T) {
 		return s
 	}
 	a, b := mk(), mk()
-	ga := a.Opts.Blast.Gamma
+	ga := blast.Gamma
 	dt := a.ComputeDt()
 	a.fillPatchAll()
 	b.fillPatchAll()
@@ -140,7 +140,7 @@ func TestFluxTelescoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := s.Opts.Blast.Gamma
+	g := blast.Gamma
 	dt := s.ComputeDt()
 	s.fillPatchAll()
 	lev := s.Levels[0]

@@ -1,8 +1,13 @@
-// Package sim is the Castro-like hydro engine: it owns the level
-// hierarchy, advances it with CFL control, and regrids it from gradient
-// tags. The embedded internal/driver runs the time-step loop and emits
-// plotfiles on the plot_int cadence — producing exactly the (timestep,
-// level, task) output hierarchy the paper measures (its Eq. 2).
+// Package sim is the Castro-like hydro engine. What is its own is the
+// physics: it tags density and energy gradients, advances every level
+// with hydro sweeps under a CFL step, and fills a new level from the
+// Sedov initial condition (at t=0) or from the old hierarchy plus
+// interpolation (on a regrid). Everything else it shares with the
+// surrogate: levels are laid out by driver.Level0 and driver.FineLevel,
+// the stable step is clamped by inputs.CastroInputs.ClampDt, and the
+// embedded internal/driver runs the time-step loop and emits plotfiles
+// on the plot_int cadence — producing exactly the (timestep, level,
+// task) output hierarchy the paper measures (its Eq. 2).
 //
 // The load-bearing difference from Castro is non-subcycled time stepping
 // (all levels advance with the finest stable dt), which leaves the
@@ -33,35 +38,35 @@ var PlotVarNames = []string{
 	"pressure", "x_velocity", "y_velocity", "MachNumber", "Temp", "soundspeed",
 }
 
+// The Castro Sedov problem setup: the blast, where and how wide it is
+// deposited, how it is tagged and how new fine data is interpolated.
+const (
+	tagThreshold = 0.5  // relative density-gradient refinement threshold
+	errorBuf     = 2    // tag buffer cells (amr.n_error_buf)
+	rInit        = 0.02 // initial deposit radius (physical units)
+	interp       = amr.InterpCellConsLinear
+)
+
+var (
+	blast  = sedov.Default()
+	center = [2]float64{0.5, 0.5} // blast center
+)
+
 // Options collects the knobs beyond the Castro inputs file; the embedded
 // driver.Options are the output-side ones (remap, compute phase,
 // mitigation policy).
 type Options struct {
 	driver.Options
-	Dist         amr.DistStrategy
-	TagThreshold float64 // relative density-gradient refinement threshold
-	ErrorBuf     int     // tag buffer cells (amr.n_error_buf)
-	Interp       amr.InterpKind
-	Blast        sedov.Params
-	RInit        float64    // initial deposit radius (physical units)
-	Center       [2]float64 // blast center
+	Dist amr.DistStrategy
 	// Reflux enables the Berger–Colella coarse-fine flux correction,
 	// keeping the composite solution conservative as Castro does.
 	Reflux bool
 }
 
-// DefaultOptions mirrors the Castro Sedov problem setup.
+// DefaultOptions mirrors the Castro Sedov run: knapsack placement and
+// refluxing on.
 func DefaultOptions() Options {
-	return Options{
-		Dist:         amr.DistKnapsack,
-		TagThreshold: 0.5,
-		ErrorBuf:     2,
-		Interp:       amr.InterpCellConsLinear,
-		Blast:        sedov.Default(),
-		RInit:        0.02,
-		Center:       [2]float64{0.5, 0.5},
-		Reflux:       true,
-	}
+	return Options{Dist: amr.DistKnapsack, Reflux: true}
 }
 
 // Level is one mesh level of the hierarchy.
@@ -78,6 +83,11 @@ type Level struct {
 	// faces is the coarse-fine face list refluxing this level's parent
 	// walks, made on first use (nil on level 0).
 	faces *faceList
+}
+
+// newLevel makes a level of the given layout with unfilled state.
+func newLevel(g grid.Geom, ba amr.BoxArray, dm amr.DistributionMapping) *Level {
+	return &Level{Geom: g, BA: ba, DM: dm, State: amr.NewMultiFab(ba, dm, hydro.NCons, nGhost)}
 }
 
 // workspaces returns the level's per-FAB Workspaces, made on first use.
@@ -104,55 +114,27 @@ type Sim struct {
 const nGhost = 2 // MUSCL-Hancock stencil width
 
 // New builds the initial hierarchy at t=0: level 0 from the inputs'
-// domain, then finer levels grown iteratively from gradient tags, each
-// re-initialized with the analytic initial condition. fs receives all
-// plotfile writes (it may be nil if the caller never plots).
+// domain, then finer levels grown from gradient tags, each initialized
+// with the analytic initial condition. The whole build runs twice so
+// refinement of refined data stabilizes, as AMReX's init_from_scratch
+// does. fs receives all plotfile writes (it may be nil if the caller
+// never plots).
 func New(cfg inputs.CastroInputs, opts Options, fs *iosim.FileSystem) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Sim{Cfg: cfg, Opts: opts}
 	s.Driver = driver.New(s, cfg, opts.Options, fs)
-	dom := grid.NewBox(grid.IV(0, 0), grid.IV(cfg.NCell[0]-1, cfg.NCell[1]-1))
-	g0 := grid.NewGeom(dom, cfg.ProbLo, cfg.ProbHi)
-	ba0 := amr.SingleBoxArray(dom, cfg.MaxGridSize, cfg.BlockingFactor)
-	dm0, err := amr.Distribute(ba0, cfg.NProcs, opts.Dist)
+	g0, ba0, dm0, err := driver.Level0(cfg, opts.Dist)
 	if err != nil {
 		return nil, err
 	}
-	l0 := &Level{Geom: g0, BA: ba0, DM: dm0, State: amr.NewMultiFab(ba0, dm0, hydro.NCons, nGhost)}
+	l0 := newLevel(g0, ba0, dm0)
 	s.Levels = []*Level{l0}
 	s.initLevelData(l0)
-
-	// Iteratively build finer levels at t=0. Repeat the whole build a few
-	// times so refinement of refined data stabilizes, as AMReX's
-	// init_from_scratch does.
-	for iter := 0; iter < 2; iter++ {
-		for l := 0; l < cfg.MaxLevel; l++ {
-			if l >= len(s.Levels) {
-				break
-			}
-			ba := s.makeFineBoxArray(l)
-			if ba.Len() == 0 {
-				s.Levels = s.Levels[:l+1]
-				break
-			}
-			dm, err := amr.Distribute(ba, cfg.NProcs, opts.Dist)
-			if err != nil {
-				return nil, err
-			}
-			fine := &Level{
-				Geom:  s.Levels[l].Geom.Refine(cfg.RefRatioAt(l)),
-				BA:    ba,
-				DM:    dm,
-				State: amr.NewMultiFab(ba, dm, hydro.NCons, nGhost),
-			}
-			if l+1 < len(s.Levels) {
-				s.Levels[l+1] = fine
-			} else {
-				s.Levels = append(s.Levels, fine)
-			}
-			s.initLevelData(fine)
+	for pass := 0; pass < 2; pass++ {
+		if _, err := s.regrid(true); err != nil {
+			return nil, err
 		}
 	}
 	s.averageDownAll()
@@ -161,8 +143,7 @@ func New(cfg inputs.CastroInputs, opts Options, fs *iosim.FileSystem) (*Sim, err
 
 // initLevelData applies the Sedov initial condition on a level.
 func (s *Sim) initLevelData(l *Level) {
-	b := s.Opts.Blast
-	hydro.SedovIC(l.State, l.Geom, b.Gamma, b.Rho0, b.P0, b.E, s.Opts.RInit, s.Opts.Center)
+	hydro.SedovIC(l.State, l.Geom, blast.Gamma, blast.Rho0, blast.P0, blast.E, rInit, center)
 }
 
 // FinestLevel returns the index of the finest active level.
@@ -173,10 +154,10 @@ func (s *Sim) FinestLevel() int { return len(s.Levels) - 1 }
 func (s *Sim) fillPatchLevel(l int) {
 	lev := s.Levels[l]
 	if l == 0 {
-		amr.FillPatch(lev.State, nil, lev.Geom.Domain, 1, s.Opts.Interp)
+		amr.FillPatch(lev.State, nil, lev.Geom.Domain, 1, interp)
 		return
 	}
-	amr.FillPatch(lev.State, s.Levels[l-1].State, lev.Geom.Domain, s.Cfg.RefRatioAt(l-1), s.Opts.Interp)
+	amr.FillPatch(lev.State, s.Levels[l-1].State, lev.Geom.Domain, s.Cfg.RefRatioAt(l-1), interp)
 }
 
 func (s *Sim) fillPatchAll() {
@@ -188,7 +169,6 @@ func (s *Sim) fillPatchAll() {
 // ComputeDt returns the global CFL-limited time step across all levels,
 // with Castro's init_shrink and change_max controls applied.
 func (s *Sim) ComputeDt() float64 {
-	g := s.Opts.Blast.Gamma
 	minDt := math.Inf(1)
 	for _, lev := range s.Levels {
 		dx, dy := lev.Geom.CellSize[0], lev.Geom.CellSize[1]
@@ -196,7 +176,7 @@ func (s *Sim) ComputeDt() float64 {
 		// serial in box order, so dt stays deterministic.
 		sums := make([]float64, len(lev.State.FABs))
 		lev.State.ForEachFAB(func(i int, f *amr.FAB) {
-			sx, sy := hydro.MaxSignalSpeed(f, dx, dy, g)
+			sx, sy := hydro.MaxSignalSpeed(f, dx, dy, blast.Gamma)
 			sums[i] = sx + sy
 		})
 		for _, sum := range sums {
@@ -210,15 +190,7 @@ func (s *Sim) ComputeDt() float64 {
 	if math.IsInf(minDt, 1) {
 		minDt = s.Cfg.StopTime / float64(max(s.Cfg.MaxStep, 1))
 	}
-	if s.Step == 0 {
-		minDt *= s.Cfg.InitShrink
-	} else if s.LastDt > 0 && minDt > s.Cfg.ChangeMax*s.LastDt {
-		minDt = s.Cfg.ChangeMax * s.LastDt
-	}
-	if s.Cfg.StopTime > 0 && s.Time+minDt > s.Cfg.StopTime {
-		minDt = s.Cfg.StopTime - s.Time
-	}
-	return minDt
+	return s.Cfg.ClampDt(minDt, s.Step, s.Time, s.LastDt)
 }
 
 // Advance takes one non-subcycled time step on every level: an x sweep on
@@ -227,10 +199,9 @@ func (s *Sim) ComputeDt() float64 {
 // refined regions.
 func (s *Sim) Advance() {
 	dt := s.ComputeDt()
-	g := s.Opts.Blast.Gamma
 
 	s.fillPatchAll()
-	s.sweepAll(dt, g, 0)
+	s.sweepAll(dt, 0)
 	if s.Opts.Reflux {
 		for l := 0; l < len(s.Levels)-1; l++ {
 			s.reflux(l, 0, dt)
@@ -238,7 +209,7 @@ func (s *Sim) Advance() {
 	}
 
 	s.fillPatchAll()
-	s.sweepAll(dt, g, 1)
+	s.sweepAll(dt, 1)
 	if s.Opts.Reflux {
 		for l := 0; l < len(s.Levels)-1; l++ {
 			s.reflux(l, 1, dt)
@@ -254,12 +225,12 @@ func (s *Sim) Advance() {
 // sweepAll advances every level in direction dir (0=x, 1=y) through the
 // levels' Workspaces, which capture the face fluxes when refluxing is
 // enabled.
-func (s *Sim) sweepAll(dt, gamma float64, dir int) {
+func (s *Sim) sweepAll(dt float64, dir int) {
 	for _, lev := range s.Levels {
 		h := lev.Geom.CellSize[dir]
 		work := lev.workspaces()
 		lev.State.ForEachFAB(func(idx int, f *amr.FAB) {
-			work[idx].Sweep(f, dir, dt, h, gamma, s.Opts.Reflux)
+			work[idx].Sweep(f, dir, dt, h, blast.Gamma, s.Opts.Reflux)
 		})
 	}
 }
@@ -270,19 +241,17 @@ func (s *Sim) averageDownAll() {
 	}
 }
 
-// makeFineBoxArray produces the BoxArray for level l+1 from tags on level
-// l, including tags that keep the current level l+2 nested, clipped for
-// proper nesting inside level l. It patches level l's ghosts for the
-// tagging stencil, and only level l: callers tag levels in order 0..l, so
-// each coarser level was patched by an earlier call and has not changed
-// since (FillPatch writes only ghost cells).
-func (s *Sim) makeFineBoxArray(l int) amr.BoxArray {
-	lev := s.Levels[l]
+// tags tags level l for refinement, including the cells that keep the
+// current level l+2 nested. It patches level l's ghosts for the tagging
+// stencil, and only level l: regrid tags levels in order 0..l, so each
+// coarser level was patched by an earlier call and has not changed since
+// (FillPatch writes only ghost cells).
+func (s *Sim) tags(l int) *amr.TagSet {
 	s.fillPatchLevel(l)
 	// Castro's Sedov setup tags on density and pressure gradients; the
 	// energy field stands in for pressure (they are proportional at rest,
 	// and both steepen at the shock).
-	tags := amr.TagGradient(lev.State, []int{hydro.IRho, hydro.IEner}, s.Opts.TagThreshold)
+	tags := amr.TagGradient(s.Levels[l].State, []int{hydro.IRho, hydro.IEner}, tagThreshold)
 	// Keep the existing grandchild level covered.
 	if l+2 < len(s.Levels) {
 		ratioProd := s.Cfg.RefRatioAt(l) * s.Cfg.RefRatioAt(l+1)
@@ -295,12 +264,7 @@ func (s *Sim) makeFineBoxArray(l int) amr.BoxArray {
 			}
 		}
 	}
-	ba := amr.MakeFineBoxArray(tags, lev.Geom.Domain, s.Cfg.RefRatioAt(l),
-		s.Cfg.BlockingFactor, s.Cfg.MaxGridSize, s.Cfg.GridEff, s.Opts.ErrorBuf)
-	if l > 0 {
-		ba = amr.EnforceNesting(ba, lev.BA, s.Cfg.RefRatioAt(l))
-	}
-	return ba
+	return tags
 }
 
 // Regrid rebuilds every level above 0 from fresh tags, carrying data over
@@ -309,28 +273,32 @@ func (s *Sim) makeFineBoxArray(l int) amr.BoxArray {
 // distribution strategy, which New already rejects, so a validated Sim
 // never fails here.
 func (s *Sim) Regrid() error {
+	if short, err := s.regrid(false); short || err != nil {
+		return err
+	}
+	s.averageDownAll()
+	return nil
+}
+
+// regrid rebuilds levels 1..max_level in order from each coarser level's
+// tags, filling a new level with the initial condition (fromIC) or from
+// the old hierarchy. It stops at the first level with no tagged boxes,
+// dropping it and every finer level, and reports that it stopped short.
+func (s *Sim) regrid(fromIC bool) (short bool, err error) {
 	for l := 0; l < s.Cfg.MaxLevel; l++ {
-		if l >= len(s.Levels) {
-			break
-		}
+		crse := s.Levels[l]
 		// Tagging patches level l, which is also what interpolating the
 		// new level l+1 from it needs.
-		ba := s.makeFineBoxArray(l)
+		ba, dm, err := driver.FineLevel(s.Cfg, s.Opts.Dist, l, s.tags(l), errorBuf, crse.Geom.Domain, crse.BA)
+		if err != nil {
+			return false, err
+		}
 		if ba.Len() == 0 {
 			s.Levels = s.Levels[:l+1]
-			return nil
-		}
-		dm, err := amr.Distribute(ba, s.Cfg.NProcs, s.Opts.Dist)
-		if err != nil {
-			return err
+			return true, nil
 		}
 		ratio := s.Cfg.RefRatioAt(l)
-		fine := &Level{
-			Geom:  s.Levels[l].Geom.Refine(ratio),
-			BA:    ba,
-			DM:    dm,
-			State: amr.NewMultiFab(ba, dm, hydro.NCons, nGhost),
-		}
+		fine := newLevel(crse.Geom.Refine(ratio), ba, dm)
 		var old *amr.MultiFab
 		if l+1 < len(s.Levels) {
 			old = s.Levels[l+1].State
@@ -338,10 +306,13 @@ func (s *Sim) Regrid() error {
 		} else {
 			s.Levels = append(s.Levels, fine)
 		}
-		fillRegridded(fine.State, s.Levels[l].State, old, ratio, s.Opts.Interp)
+		if fromIC {
+			s.initLevelData(fine)
+		} else {
+			fillRegridded(fine.State, crse.State, old, ratio, interp)
+		}
 	}
-	s.averageDownAll()
-	return nil
+	return false, nil
 }
 
 // fillRegridded fills a regridded level's state dst: old same-level data
@@ -397,7 +368,7 @@ func (s *Sim) PlotSpec() plotfile.Spec {
 // derivePlotData builds the 10-component plot MultiFab from the conserved
 // state.
 func (s *Sim) derivePlotData(lev *Level) *amr.MultiFab {
-	g := s.Opts.Blast.Gamma
+	g := blast.Gamma
 	out := amr.NewMultiFab(lev.BA, lev.DM, len(PlotVarNames), 0)
 	out.ForEachFAB(func(idx int, of *amr.FAB) {
 		sf := lev.State.FABs[idx]

@@ -5,11 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"amrproxyio/internal/amr"
 	"amrproxyio/internal/grid"
 	"amrproxyio/internal/hydro"
 	"amrproxyio/internal/inputs"
 	"amrproxyio/internal/iosim"
-	"amrproxyio/internal/sedov"
 )
 
 // smallCfg returns a fast configuration for tests.
@@ -358,10 +358,7 @@ func TestHigherCFLProducesFewerOutputEventsPerTime(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := DefaultOptions()
-	if o.Blast != sedov.Default() {
-		t.Error("blast params not defaulted")
-	}
-	if o.TagThreshold <= 0 || o.ErrorBuf < 0 {
+	if o.Dist != amr.DistKnapsack || !o.Reflux {
 		t.Errorf("bad defaults: %+v", o)
 	}
 	if len(PlotVarNames) != 10 {

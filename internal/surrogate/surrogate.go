@@ -2,12 +2,15 @@
 // (meshes up to 131072 x 131072 ≈ 17B cells on up to 1024 ranks) without
 // solving hydrodynamics. The analytic Sedov–Taylor front location drives
 // refinement tagging — a thin annulus of cells around the shock, like the
-// gradient tags the real solver produces — and the identical meshing
-// pipeline (Berger–Rigoutsos clustering, blocking-factor alignment,
-// max-grid-size splitting, proper nesting, distribution mapping) builds the
-// level hierarchy. Plotfiles then go through the same N-to-N writer in
-// size-only mode, so ledger entries are byte-exact for the structure the
-// hierarchy would produce, while no field memory is ever allocated.
+// gradient tags the real solver produces — and the solver's own
+// hierarchy step (driver.Level0 and driver.FineLevel: Berger–Rigoutsos
+// clustering, blocking-factor alignment, max-grid-size splitting, proper
+// nesting, distribution mapping) builds the levels. The front's speed
+// gives the stable step, clamped by the solver's Castro controls
+// (inputs.CastroInputs.ClampDt). Plotfiles then go through the same
+// N-to-N writer in size-only mode, so ledger entries are byte-exact for
+// the structure the hierarchy would produce, while no field memory is
+// ever allocated.
 //
 // This is the substitution for the paper's Summit runs: at these scales
 // the measured quantity (bytes per step/level/task) depends on grid
@@ -24,7 +27,7 @@
 // fan out across a worker pool.
 //
 // A regrid costs what the moving front costs. Level 0 and its
-// distribution mapping depend only on the config, so New builds them
+// distribution mapping depend only on the config, so New lays them out
 // once and every Regrid shares them; the tags are the annulus's cells in
 // an amr.TagSet of row buckets, and knapsack placement takes its rank
 // from a heap, so Table III's 262,144-box level 0 on 1024 ranks is
@@ -46,15 +49,18 @@ import (
 	"amrproxyio/internal/sim"
 )
 
+// The analytic Sedov blast whose front r(t) drives tagging and the time
+// step, centered as in the solver's problem setup.
+var (
+	blast  = sedov.Default()
+	center = [2]float64{0.5, 0.5}
+)
+
 // Options tunes the surrogate's tagging and time-step model; the
 // embedded driver.Options are the output-side knobs shared with sim.
 type Options struct {
 	driver.Options
 	Dist amr.DistStrategy
-	// Blast supplies the analytic front r(t).
-	Blast sedov.Params
-	// Center of the blast in physical coordinates.
-	Center [2]float64
 	// WidthCells is the half-width of the tagged annulus in cells of the
 	// level being tagged — mirroring gradient tags, which span a fixed
 	// number of cells at each resolution. The CFL number widens the band
@@ -71,8 +77,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		Dist:         amr.DistKnapsack,
-		Blast:        sedov.Default(),
-		Center:       [2]float64{0.5, 0.5},
 		WidthCells:   4,
 		SignalFactor: 2,
 	}
@@ -86,14 +90,12 @@ type Runner struct {
 	Cfg  inputs.CastroInputs
 	Opts Options
 
-	Geoms []grid.Geom // per level, 0..MaxLevel
+	// Geoms spans levels 0..MaxLevel; BAs and DMs the levels that exist.
+	// Level 0 depends only on the config, so New lays it out once and
+	// every Regrid keeps it (its Owner slice is never written).
+	Geoms []grid.Geom
 	BAs   []amr.BoxArray
 	DMs   []amr.DistributionMapping
-
-	// Level 0 depends only on the config, so New builds it once and
-	// every Regrid shares it (its Owner slice is never written).
-	ba0 amr.BoxArray
-	dm0 amr.DistributionMapping
 
 	Step   int
 	Time   float64
@@ -108,15 +110,12 @@ func New(cfg inputs.CastroInputs, opts Options, fs *iosim.FileSystem) (*Runner, 
 	}
 	r := &Runner{Cfg: cfg, Opts: opts}
 	r.Driver = driver.New(r, cfg, opts.Options, fs)
-	dom := grid.NewBox(grid.IV(0, 0), grid.IV(cfg.NCell[0]-1, cfg.NCell[1]-1))
-	g := grid.NewGeom(dom, cfg.ProbLo, cfg.ProbHi)
-	r.Geoms = []grid.Geom{g}
-	r.ba0 = amr.SingleBoxArray(dom, cfg.MaxGridSize, cfg.BlockingFactor)
-	dm0, err := amr.Distribute(r.ba0, cfg.NProcs, opts.Dist)
+	g, ba0, dm0, err := driver.Level0(cfg, opts.Dist)
 	if err != nil {
 		return nil, err
 	}
-	r.dm0 = dm0
+	r.Geoms = []grid.Geom{g}
+	r.BAs, r.DMs = []amr.BoxArray{ba0}, []amr.DistributionMapping{dm0}
 	for l := 0; l < cfg.MaxLevel; l++ {
 		g = g.Refine(cfg.RefRatioAt(l))
 		r.Geoms = append(r.Geoms, g)
@@ -124,7 +123,7 @@ func New(cfg inputs.CastroInputs, opts Options, fs *iosim.FileSystem) (*Runner, 
 	// Start when the front spans a few cells of the finest level so the
 	// initial hierarchy is non-trivial, as in the solver's t=0 state.
 	dxF := r.Geoms[len(r.Geoms)-1].CellSize[0]
-	r.Time = opts.Blast.TimeAtRadius(4 * dxF)
+	r.Time = blast.TimeAtRadius(4 * dxF)
 	if err := r.Regrid(); err != nil {
 		return nil, err
 	}
@@ -141,25 +140,16 @@ func (r *Runner) Rebuild() error { return r.Regrid() }
 // distribution strategy, which New already rejects, so a validated
 // Runner never fails here.
 func (r *Runner) Regrid() error {
-	cfg := r.Cfg
-	r.BAs = []amr.BoxArray{r.ba0}
-	r.DMs = []amr.DistributionMapping{r.dm0}
-	for l := 0; l < cfg.MaxLevel; l++ {
-		tags := r.annulusTags(l)
-		if tags.Len() == 0 {
-			break
-		}
-		ba := amr.MakeFineBoxArray(tags, r.Geoms[l].Domain, cfg.RefRatioAt(l),
-			cfg.BlockingFactor, cfg.MaxGridSize, cfg.GridEff, 0)
-		if l > 0 {
-			ba = amr.EnforceNesting(ba, r.BAs[l], cfg.RefRatioAt(l))
+	// Capped at level 0, so the appends copy and never overwrite the
+	// levels of a BAs or DMs a caller took before this Regrid.
+	r.BAs, r.DMs = r.BAs[:1:1], r.DMs[:1:1]
+	for l := 0; l < r.Cfg.MaxLevel; l++ {
+		ba, dm, err := driver.FineLevel(r.Cfg, r.Opts.Dist, l, r.annulusTags(l), 0, r.Geoms[l].Domain, r.BAs[l])
+		if err != nil {
+			return err
 		}
 		if ba.Len() == 0 {
 			break
-		}
-		dm, err := amr.Distribute(ba, cfg.NProcs, r.Opts.Dist)
-		if err != nil {
-			return err
 		}
 		r.BAs = append(r.BAs, ba)
 		r.DMs = append(r.DMs, dm)
@@ -176,7 +166,7 @@ func (r *Runner) annulusTags(l int) *amr.TagSet {
 	// The tag band: WidthCells cells behind and ahead of the front, with a
 	// CFL-proportional widening (see Options.WidthCells).
 	width := (r.Opts.WidthCells + 4*r.Cfg.CFL) * dx
-	rad := r.Opts.Blast.ShockRadius(r.Time)
+	rad := blast.ShockRadius(r.Time)
 	rInner := rad - width
 	if rInner < 0 {
 		rInner = 0
@@ -185,7 +175,7 @@ func (r *Runner) annulusTags(l int) *amr.TagSet {
 
 	tags := amr.NewTagSet()
 	dom := g.Domain
-	cx, cy := r.Opts.Center[0], r.Opts.Center[1]
+	cx, cy := center[0], center[1]
 	addAt := func(x, y float64) {
 		i := dom.Lo.X + int((x-g.ProbLo[0])/g.CellSize[0])
 		j := dom.Lo.Y + int((y-g.ProbLo[1])/g.CellSize[1])
@@ -228,17 +218,8 @@ func (r *Runner) annulusTags(l int) *amr.TagSet {
 // same way the real driver does.
 func (r *Runner) ComputeDt() float64 {
 	dxF := r.Geoms[len(r.Geoms)-1].CellSize[0]
-	signal := r.Opts.SignalFactor * r.Opts.Blast.ShockSpeed(r.Time)
-	dt := r.Cfg.CFL * dxF / signal
-	if r.Step == 0 {
-		dt *= r.Cfg.InitShrink
-	} else if r.LastDt > 0 && dt > r.Cfg.ChangeMax*r.LastDt {
-		dt = r.Cfg.ChangeMax * r.LastDt
-	}
-	if r.Cfg.StopTime > 0 && r.Time+dt > r.Cfg.StopTime {
-		dt = r.Cfg.StopTime - r.Time
-	}
-	return dt
+	signal := r.Opts.SignalFactor * blast.ShockSpeed(r.Time)
+	return r.Cfg.ClampDt(r.Cfg.CFL*dxF/signal, r.Step, r.Time, r.LastDt)
 }
 
 // Advance moves the front by one step.

@@ -1,7 +1,9 @@
 // Structural invariant: the output sequence (shed → remap → burst →
-// observe → compute-phase clocks → adaptive checkpoint) lives once, in
-// internal/driver. These tests parse the engines' source so a second
-// copy cannot grow back in either of them unnoticed, every package but
+// observe → compute-phase clocks → adaptive checkpoint) and the
+// hierarchy step (level 0, cluster → nest → place, and the dt controls)
+// live once, in internal/driver and internal/inputs. These tests parse
+// the engines' source so a second copy cannot grow back in either of
+// them unnoticed, every package but
 // the benchmark harness so an SPMD world cannot come back, and the I/O
 // model's source so its single-writer design cannot grow locks back.
 package amrproxyio_test
@@ -141,5 +143,33 @@ func TestEnginesDeclareNoOutputLoop(t *testing.T) {
 				t.Errorf("%s declares %s; the output sequence lives in internal/driver", path, fn.Name.Name)
 			}
 		}
+	}
+}
+
+// TestEnginesShareOneHierarchyStep: the engines tag, advance and fill;
+// laying out a level (driver.Level0, driver.FineLevel) and Castro's
+// init_shrink / change_max step controls (inputs.CastroInputs.ClampDt)
+// are shared, so neither engine calls the layout pipeline's stages or
+// reads those controls itself.
+func TestEnginesShareOneHierarchyStep(t *testing.T) {
+	layout := map[string]bool{
+		"amr.SingleBoxArray": true, "amr.MakeFineBoxArray": true, "amr.EnforceNesting": true,
+		"amr.Distribute": true, "amr.MustDistribute": true,
+	}
+	controls := map[string]bool{"InitShrink": true, "ChangeMax": true}
+	for path, f := range engineFiles(t) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			name := sel.Sel.Name
+			if pkg, ok := sel.X.(*ast.Ident); ok && layout[pkg.Name+"."+name] {
+				t.Errorf("%s uses amr.%s; levels are laid out by driver.Level0 and driver.FineLevel", path, name)
+			} else if controls[name] {
+				t.Errorf("%s reads .%s; the dt controls are applied by inputs.CastroInputs.ClampDt", path, name)
+			}
+			return true
+		})
 	}
 }
