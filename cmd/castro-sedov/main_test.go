@@ -48,22 +48,23 @@ func TestRunRejectsUnknownDist(t *testing.T) {
 	}
 }
 
-// TestNaNInitShrinkExitsNonZero runs the command in a child process on
-// a deck whose castro.init_shrink is NaN: validation must stop it with
-// exit status 1 before a step is taken, where it once completed a step
-// to t = NaN and exited 0. The child is this test binary, given main's
-// arguments after "--".
-func TestNaNInitShrinkExitsNonZero(t *testing.T) {
+// runBadDeck runs the command in a child process on smallDeck plus
+// extra and requires exit status 1 with want on stderr and no run on
+// stdout. The child is this test binary re-running the test named name,
+// given main's arguments after "--"; each such test calls runBadDeck
+// first, which in the child runs main instead.
+func runBadDeck(t *testing.T, name, extra, want string) {
+	t.Helper()
 	if args := flag.Args(); len(args) > 0 {
 		os.Args = append([]string{"castro-sedov"}, args...)
 		main()
 		os.Exit(0)
 	}
 	path := filepath.Join(t.TempDir(), "inputs.2d")
-	if err := os.WriteFile(path, []byte(smallDeck+"castro.init_shrink = NaN\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(smallDeck+extra), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestNaNInitShrinkExitsNonZero$", "--", "-inputs", path)
+	cmd := exec.Command(os.Args[0], "-test.run=^"+name+"$", "--", "-inputs", path)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -71,9 +72,25 @@ func TestNaNInitShrinkExitsNonZero(t *testing.T) {
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Fatalf("err = %v, want exit status 1; stdout:\n%s", err, out)
 	}
-	if !strings.Contains(stderr.String(), "castro.init_shrink must be in (0,1]") || strings.Contains(string(out), "completed:") {
-		t.Errorf("stderr %q, stdout %q; want the init_shrink error and no run", stderr.String(), out)
+	if !strings.Contains(stderr.String(), want) || strings.Contains(string(out), "completed:") {
+		t.Errorf("stderr %q, stdout %q; want %q and no run", stderr.String(), out, want)
 	}
+}
+
+// TestNaNInitShrinkExitsNonZero: a deck whose castro.init_shrink is NaN
+// stops at validation, before a step is taken, where it once completed
+// a step to t = NaN and exited 0.
+func TestNaNInitShrinkExitsNonZero(t *testing.T) {
+	runBadDeck(t, "TestNaNInitShrinkExitsNonZero", "castro.init_shrink = NaN\n",
+		"castro.init_shrink must be in (0,1]")
+}
+
+// TestOffGridNCellExitsNonZero: an amr.n_cell off the blocking-factor
+// grid stops at validation, as AMReX stops at startup, where a 36² deck
+// once ran to completion off the grid its fine levels align to.
+func TestOffGridNCellExitsNonZero(t *testing.T) {
+	runBadDeck(t, "TestOffGridNCellExitsNonZero", "amr.n_cell = 36 36\n",
+		"amr.n_cell [36 36] not a multiple of blocking_factor 8")
 }
 
 // TestVerboseOutputPinned pins the default Listing 2 deck's -v stdout,

@@ -8,16 +8,19 @@ import (
 	"context"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"amrproxyio/internal/campaign"
 	"amrproxyio/internal/core"
+	"amrproxyio/internal/faults"
 	"amrproxyio/internal/inputs"
 	"amrproxyio/internal/iosim"
 	"amrproxyio/internal/macsio"
 	"amrproxyio/internal/plotfile"
 	"amrproxyio/internal/report"
+	"amrproxyio/internal/resilience"
 	"amrproxyio/internal/sim"
 	"amrproxyio/internal/surrogate"
 )
@@ -147,6 +150,67 @@ func TestPlotfileOnDiskMatchesLedger(t *testing.T) {
 	}
 	if len(meta.VarNames) != len(sim.PlotVarNames) {
 		t.Errorf("plot vars = %d", len(meta.VarNames))
+	}
+}
+
+// TestHydroLedgerSameOnEveryBackend runs one small hydro case under a
+// fault plan and the default mitigation policy on a model-only and on a
+// RealDisk filesystem, jitter on. Only the RealDisk run encodes its
+// plotfiles and checkpoints; pricing reads sizes alone, so the merged
+// ledgers and the case records must be identical, and every file on
+// disk must be the size its record says.
+func TestHydroLedgerSameOnEveryBackend(t *testing.T) {
+	c := campaign.Case{
+		Name: "backends", NCell: 32, MaxLevel: 1, MaxStep: 24, PlotInt: 4,
+		CFL: 0.5, NProcs: 4, Nodes: 2, Engine: campaign.EngineHydro, ComputeSeconds: 0.5,
+		Faults: &faults.Plan{
+			Events:      []faults.Event{{Kind: faults.KindTargetOutage, Start: 1, End: 6, Target: 0}},
+			MTBFSeconds: 2,
+			Seed:        3,
+		},
+		Mitigate: resilience.DefaultPolicy(),
+	}
+	run := func(backend iosim.Backend, dir string) (campaign.Result, []iosim.WriteRecord) {
+		cfg := c.FSConfig(true)
+		cfg.Backend = backend
+		fs := iosim.New(cfg, dir)
+		res, err := campaign.Run(c, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fs.FaultEvents()) == 0 {
+			t.Fatal("the plan injected no faults")
+		}
+		return res, fs.Ledger()
+	}
+	dir := t.TempDir()
+	model, modelLedger := run(iosim.ModelOnly, "")
+	disk, diskLedger := run(iosim.RealDisk, dir)
+
+	if model.Mitigation == nil || model.Mitigation.AdaptiveCheckpoints < 1 {
+		t.Fatalf("mitigation stats %+v: the case wrote no checkpoint", model.Mitigation)
+	}
+	if !reflect.DeepEqual(model.Records, disk.Records) {
+		t.Errorf("case records differ: %d model-only vs %d RealDisk", len(model.Records), len(disk.Records))
+	}
+	if len(modelLedger) == 0 || !reflect.DeepEqual(modelLedger, diskLedger) {
+		t.Errorf("ledgers differ: %d model-only records vs %d RealDisk", len(modelLedger), len(diskLedger))
+	}
+	checkpoints := 0
+	for _, rec := range diskLedger {
+		if rec.Dir {
+			continue
+		}
+		if strings.HasSuffix(rec.Path, "/Header") && strings.Contains(rec.Path, "_chk") {
+			checkpoints++
+		}
+		if size, err := statFile(filepath.Join(dir, rec.Path)); err != nil || size != rec.Bytes {
+			t.Errorf("%s: disk %d bytes (%v), ledger %d", rec.Path, size, err, rec.Bytes)
+		}
+	}
+	t.Logf("%d records, %d checkpoints, %+v", len(diskLedger), checkpoints, *model.Mitigation)
+	if checkpoints != model.Mitigation.AdaptiveCheckpoints {
+		t.Errorf("%d checkpoint Headers on disk, %d adaptive checkpoints", checkpoints, model.Mitigation.AdaptiveCheckpoints)
 	}
 }
 

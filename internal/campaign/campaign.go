@@ -118,6 +118,8 @@ func (c Case) Validate() error {
 	switch {
 	case c.NCell < 1:
 		return fmt.Errorf("campaign %s: n_cell %d must be >= 1", c.Name, c.NCell)
+	case c.NCell%blockingFactor != 0:
+		return fmt.Errorf("campaign %s: n_cell %d must be a multiple of the blocking factor %d", c.Name, c.NCell, blockingFactor)
 	case c.NProcs < 1:
 		return fmt.Errorf("campaign %s: nprocs %d must be >= 1", c.Name, c.NProcs)
 	case c.MaxStep < 0:
@@ -148,6 +150,11 @@ func (c Case) Validate() error {
 	return nil
 }
 
+// blockingFactor is the amr.blocking_factor every case runs with (see
+// Inputs). Validate requires NCell to be a multiple of it, as AMReX
+// requires of amr.n_cell, and Scaled rounds down to it.
+const blockingFactor = 8
+
 // Inputs converts a case to the Castro configuration it runs with.
 func (c Case) Inputs() inputs.CastroInputs {
 	cfg := inputs.DefaultCastroInputs()
@@ -158,15 +165,14 @@ func (c Case) Inputs() inputs.CastroInputs {
 	cfg.CFL = c.CFL
 	cfg.NProcs = c.NProcs
 	cfg.StopTime = 10 // step-bounded, not time-bounded
-	if c.NCell <= 64 {
+	cfg.BlockingFactor = blockingFactor
+	switch {
+	case c.NCell <= 64:
 		cfg.MaxGridSize = 32
-		cfg.BlockingFactor = 8
-	} else if c.NCell <= 1024 {
+	case c.NCell <= 1024:
 		cfg.MaxGridSize = 64
-		cfg.BlockingFactor = 8
-	} else {
+	default:
 		cfg.MaxGridSize = 256
-		cfg.BlockingFactor = 8
 	}
 	return cfg
 }
@@ -226,20 +232,21 @@ func (c Case) engineFor() Engine {
 }
 
 // Scaled returns a reduced copy for fast benchmarking: the mesh edge
-// divides by div (with a floor) while cfl, levels, and rank counts are
-// preserved. Step counts shrink less aggressively — the Sedov spin-up
-// (castro.init_shrink damping plus the hot-center sound speed) consumes a
-// fixed number of early steps regardless of mesh size, which is exactly
-// why the paper's case4 runs 400 steps for 20 outputs. The scaled case
-// keeps at least 160 steps and re-derives plot_int to preserve the
-// original number of plot events.
+// divides by div, rounded down to the blocking factor with a floor of
+// 32, while cfl, levels, and rank counts are preserved. Step counts
+// shrink less aggressively — the Sedov spin-up (castro.init_shrink
+// damping plus the hot-center sound speed) consumes a fixed number of
+// early steps regardless of mesh size, which is exactly why the paper's
+// case4 runs 400 steps for 20 outputs. The scaled case keeps at least
+// 160 steps and re-derives plot_int to preserve the original number of
+// plot events.
 func (c Case) Scaled(div int) Case {
 	if div <= 1 {
 		return c
 	}
 	out := c
 	out.Name = fmt.Sprintf("%s_div%d", c.Name, div)
-	out.NCell = max(32, c.NCell/div)
+	out.NCell = max(32, c.NCell/div/blockingFactor*blockingFactor)
 	events := max(2, c.MaxStep/max(1, c.PlotInt))
 	out.MaxStep = max(160, c.MaxStep/div)
 	out.PlotInt = max(1, out.MaxStep/events)

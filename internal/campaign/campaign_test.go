@@ -127,6 +127,12 @@ func TestScaled(t *testing.T) {
 	if tiny.NCell < 32 || tiny.MaxStep < 8 || tiny.PlotInt < 1 {
 		t.Errorf("floors violated: %+v", tiny)
 	}
+	// An uneven divisor rounds down onto the blocking grid.
+	for div, want := range map[int]int{3: 168, 5: 96, 7: 72, 13: 32} {
+		if c := Case4().Scaled(div); c.NCell != want || c.Validate() != nil {
+			t.Errorf("Case4().Scaled(%d).NCell = %d (Validate: %v), want %d", div, c.NCell, c.Validate(), want)
+		}
+	}
 }
 
 func TestRunHydroCase(t *testing.T) {

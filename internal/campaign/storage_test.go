@@ -35,6 +35,7 @@ func TestCaseValidateTable(t *testing.T) {
 		{"infinite bb capacity", func(c *Case) { c.BBCapacity = math.Inf(1) }, "bb_capacity +Inf"},
 		{"zero n_cell", func(c *Case) { c.NCell = 0 }, "n_cell 0"},
 		{"negative n_cell", func(c *Case) { c.NCell = -32 }, "n_cell -32"},
+		{"n_cell off blocking grid", func(c *Case) { c.NCell = 36 }, "n_cell 36 must be a multiple of the blocking factor 8"},
 		{"zero nprocs", func(c *Case) { c.NProcs = 0 }, "nprocs 0"},
 		{"negative max_step", func(c *Case) { c.MaxStep = -1 }, "max_step -1"},
 		{"negative max_level", func(c *Case) { c.MaxLevel = -1 }, "max_level -1"},

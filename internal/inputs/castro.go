@@ -197,6 +197,9 @@ func (c CastroInputs) Validate() error {
 	if c.MaxGridSize%c.BlockingFactor != 0 {
 		return fmt.Errorf("inputs: amr.max_grid_size %d not a multiple of blocking_factor %d", c.MaxGridSize, c.BlockingFactor)
 	}
+	if c.NCell[0]%c.BlockingFactor != 0 || c.NCell[1]%c.BlockingFactor != 0 {
+		return fmt.Errorf("inputs: amr.n_cell %v not a multiple of blocking_factor %d", c.NCell, c.BlockingFactor)
+	}
 	for l := 0; l < c.MaxLevel; l++ {
 		r := c.RefRatioAt(l)
 		if r != 2 && r != 4 {

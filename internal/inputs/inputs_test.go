@@ -199,6 +199,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"blocking zero", func(c *CastroInputs) { c.BlockingFactor = 0 }},
 		{"maxgrid < blocking", func(c *CastroInputs) { c.MaxGridSize = 4; c.BlockingFactor = 8 }},
 		{"maxgrid unaligned", func(c *CastroInputs) { c.MaxGridSize = 100; c.BlockingFactor = 8 }},
+		{"n_cell x off blocking grid", func(c *CastroInputs) { c.NCell = [2]int{36, 32} }},
+		{"n_cell y off blocking grid", func(c *CastroInputs) { c.NCell = [2]int{32, 5} }},
 		{"bad ref ratio", func(c *CastroInputs) { c.RefRatio = []int{3} }},
 		{"zero procs", func(c *CastroInputs) { c.NProcs = 0 }},
 		{"inverted geometry", func(c *CastroInputs) { c.ProbHi[0] = -1 }},

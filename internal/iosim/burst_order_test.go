@@ -131,7 +131,7 @@ func issueBursts(t *testing.T, cfg iosim.Config, rec *feedRecorder, ops [][]burs
 			case op.dir:
 				err = fs.Mkdir(op.rank, op.path, labels)
 			case op.data:
-				_, err = fs.Write(op.rank, op.path, make([]byte, op.bytes), labels)
+				_, err = fs.Write(op.rank, op.path, op.bytes, func() []byte { return make([]byte, op.bytes) }, labels)
 			default:
 				_, err = fs.WriteSize(op.rank, op.path, op.bytes, labels)
 			}

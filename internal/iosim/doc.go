@@ -16,6 +16,14 @@
 //   - RealDisk: data is also written to the host filesystem so plotfile
 //     round-trip tests and external tooling can read it.
 //
+// Writers hand Write a size and an encoder, and the one rule lives there:
+// pricing reads only the size, so a ModelOnly filesystem, or a nil
+// encoder (WriteSize), prices the size and never encodes, while RealDisk
+// encodes once and fails the write, naming the path, when the encoding's
+// length is not the size. No writer asks which backend it has, and every
+// length function a writer prices with is checked on every RealDisk
+// write.
+//
 // # Single writer
 //
 // A FileSystem has a single writer, like bytes.Buffer: one goroutine

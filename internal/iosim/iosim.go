@@ -375,27 +375,24 @@ func (fs *FileSystem) jitter(rank int, path string) float64 {
 	return math.Exp(fs.cfg.JitterSigma * z)
 }
 
-// Write records (and, for RealDisk, materializes) a file written by rank.
-// It returns the simulated duration of the write.
-func (fs *FileSystem) Write(rank int, path string, data []byte, labels Labels) (float64, error) {
-	return fs.write(rank, path, int64(len(data)), data, labels)
-}
-
-// WriteSize records a write of nbytes without materializing data. The
-// surrogate (Summit-scale) pipeline uses this so that 17-billion-cell
-// meshes never allocate field memory.
-func (fs *FileSystem) WriteSize(rank int, path string, nbytes int64, labels Labels) (float64, error) {
-	return fs.write(rank, path, nbytes, nil, labels)
-}
-
-func (fs *FileSystem) write(rank int, path string, nbytes int64, data []byte, labels Labels) (float64, error) {
+// Write records a write of nbytes by rank and returns its simulated
+// duration. Pricing reads only nbytes, so encode is called — once — only
+// on a RealDisk filesystem, which writes what it returns to the host
+// filesystem: a ModelOnly filesystem, or a nil encode, prices the size
+// and never encodes. An encoding whose length is not nbytes fails the
+// write, naming the path, and nothing is written or recorded.
+func (fs *FileSystem) Write(rank int, path string, nbytes int64, encode func() []byte, labels Labels) (float64, error) {
 	if nbytes < 0 {
 		return 0, fmt.Errorf("iosim: negative write size %d for %s", nbytes, path)
 	}
 	if rank < 0 {
 		return 0, fmt.Errorf("iosim: negative rank %d for %s", rank, path)
 	}
-	if fs.cfg.Backend == RealDisk && data != nil {
+	if fs.cfg.Backend == RealDisk && encode != nil {
+		data := encode()
+		if int64(len(data)) != nbytes {
+			return 0, fmt.Errorf("iosim: %s encodes to %d bytes, priced at %d", path, len(data), nbytes)
+		}
 		full := filepath.Join(fs.root, path)
 		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
 			return 0, fmt.Errorf("iosim: mkdir for %s: %w", path, err)
@@ -446,6 +443,13 @@ func (fs *FileSystem) write(rank int, path string, nbytes int64, data []byte, la
 	})
 	s.bytes += nbytes
 	return dur, nil
+}
+
+// WriteSize is Write with no encoder: the write is priced by size on
+// every backend and nothing is materialized. The surrogate (Summit-scale)
+// pipeline's 17-billion-cell meshes never allocate field memory this way.
+func (fs *FileSystem) WriteSize(rank int, path string, nbytes int64, labels Labels) (float64, error) {
+	return fs.Write(rank, path, nbytes, nil, labels)
 }
 
 // Mkdir notes a directory creation (metadata op): it costs one open

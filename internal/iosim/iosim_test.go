@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -18,7 +19,7 @@ func modelFS() *FileSystem {
 
 func TestWriteRecordsLedger(t *testing.T) {
 	fs := modelFS()
-	if _, err := fs.Write(3, "a/b.dat", make([]byte, 1000), Labels{Step: 2, Level: 1}); err != nil {
+	if _, err := fs.Write(3, "a/b.dat", 1000, nil, Labels{Step: 2, Level: 1}); err != nil {
 		t.Fatal(err)
 	}
 	rec := fs.Ledger()
@@ -64,7 +65,7 @@ func TestDurationModel(t *testing.T) {
 		JitterSigma:        0,
 	}
 	fs := New(cfg, "")
-	d, err := fs.Write(0, "f", make([]byte, 1e6), Labels{})
+	d, err := fs.Write(0, "f", 1e6, nil, Labels{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +84,12 @@ func TestContentionSharesAggregate(t *testing.T) {
 	}
 	fs := New(cfg, "")
 	fs.BeginBurst(10) // fair share = 1e8
-	d, _ := fs.Write(0, "f", make([]byte, 1e6), Labels{})
+	d, _ := fs.Write(0, "f", 1e6, nil, Labels{})
 	if want := 1e6 / 1e8; math.Abs(d-want) > 1e-12 {
 		t.Errorf("contended duration = %g, want %g", d, want)
 	}
 	fs.EndBurst()
-	d, _ = fs.Write(0, "g", make([]byte, 1e6), Labels{})
+	d, _ = fs.Write(0, "g", 1e6, nil, Labels{})
 	if want := 1e6 / 1e9; math.Abs(d-want) > 1e-12 {
 		t.Errorf("uncontended duration = %g, want %g", d, want)
 	}
@@ -99,14 +100,14 @@ func TestJitterDeterministic(t *testing.T) {
 	cfg.JitterSigma = 0.3
 	a := New(cfg, "")
 	b := New(cfg, "")
-	da, _ := a.Write(1, "p", make([]byte, 1e6), Labels{})
-	db, _ := b.Write(1, "p", make([]byte, 1e6), Labels{})
+	da, _ := a.Write(1, "p", 1e6, nil, Labels{})
+	db, _ := b.Write(1, "p", 1e6, nil, Labels{})
 	if da != db {
 		t.Errorf("same seed gave different durations: %g vs %g", da, db)
 	}
 	cfg.Seed = 2
 	c := New(cfg, "")
-	dc, _ := c.Write(1, "p", make([]byte, 1e6), Labels{})
+	dc, _ := c.Write(1, "p", 1e6, nil, Labels{})
 	if dc == da {
 		t.Error("different seed gave identical duration (suspicious)")
 	}
@@ -134,7 +135,8 @@ func TestRealDiskBackend(t *testing.T) {
 	cfg.Backend = RealDisk
 	fs := New(cfg, dir)
 	payload := []byte("plotfile contents")
-	if _, err := fs.Write(0, "plt00000/Level_0/Cell_D_00000", payload, Labels{}); err != nil {
+	encode := func() []byte { return payload }
+	if _, err := fs.Write(0, "plt00000/Level_0/Cell_D_00000", int64(len(payload)), encode, Labels{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(filepath.Join(dir, "plt00000/Level_0/Cell_D_00000"))
@@ -143,6 +145,66 @@ func TestRealDiskBackend(t *testing.T) {
 	}
 	if string(got) != string(payload) {
 		t.Errorf("file contents = %q", got)
+	}
+}
+
+// TestWriteEncodeRule: pricing reads only the size, so only a RealDisk
+// write with an encoder encodes, once; a model-only write or a nil
+// encoder never does. An encoding of the wrong length fails the write by
+// path, leaving no file, record, bytes or clock advance behind.
+func TestWriteEncodeRule(t *testing.T) {
+	payload := []byte("0123456789")
+	for _, tc := range []struct {
+		name    string
+		backend Backend
+		nbytes  int64
+		nilEnc  bool
+		calls   int
+		wantErr bool
+	}{
+		{"model-only never encodes", ModelOnly, 10, false, 0, false},
+		{"model-only ignores a wrong size", ModelOnly, 7, false, 0, false},
+		{"real disk encodes once", RealDisk, 10, false, 1, false},
+		{"real disk without encoder prices only", RealDisk, 10, true, 0, false},
+		{"real disk rejects a short encoding", RealDisk, 11, false, 1, true},
+		{"real disk rejects a long encoding", RealDisk, 9, false, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := DefaultConfig()
+			cfg.Backend = tc.backend
+			fs := New(cfg, dir)
+			calls := 0
+			encode := func() []byte { calls++; return payload }
+			if tc.nilEnc {
+				encode = nil
+			}
+			_, err := fs.Write(1, "plt/Cell_D_00001", tc.nbytes, encode, Labels{})
+			if calls != tc.calls {
+				t.Errorf("encode called %d times, want %d", calls, tc.calls)
+			}
+			_, statErr := os.Stat(filepath.Join(dir, "plt/Cell_D_00001"))
+			onDisk := statErr == nil
+			if tc.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "plt/Cell_D_00001") {
+					t.Fatalf("err = %v, want a size mismatch naming the path", err)
+				}
+				if onDisk || len(fs.Ledger()) != 0 || fs.TotalBytes() != 0 || fs.Clock(1) != 0 {
+					t.Errorf("failed write left state: file %v, %d records, %d bytes, clock %g",
+						onDisk, len(fs.Ledger()), fs.TotalBytes(), fs.Clock(1))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tc.calls == 1; onDisk != want {
+				t.Errorf("file on disk = %v, want %v", onDisk, want)
+			}
+			if rec := fs.Ledger(); len(rec) != 1 || rec[0].Bytes != tc.nbytes {
+				t.Errorf("ledger = %+v, want one record of %d bytes", rec, tc.nbytes)
+			}
+		})
 	}
 }
 
@@ -181,9 +243,9 @@ func TestMkdirRealDisk(t *testing.T) {
 
 func TestRankClocksIndependent(t *testing.T) {
 	fs := modelFS()
-	fs.Write(0, "a", make([]byte, 1e6), Labels{})
-	fs.Write(0, "b", make([]byte, 1e6), Labels{})
-	fs.Write(1, "c", make([]byte, 1e6), Labels{})
+	fs.Write(0, "a", 1e6, nil, Labels{})
+	fs.Write(0, "b", 1e6, nil, Labels{})
+	fs.Write(1, "c", 1e6, nil, Labels{})
 	rec := fs.Ledger()
 	// Rank 0's second write starts after its first; rank 1 starts at 0.
 	if rec[1].Start <= rec[0].Start {
@@ -200,7 +262,7 @@ func TestAdvanceClock(t *testing.T) {
 	if got := fs.Clock(2); got != 1.5 {
 		t.Errorf("clock = %g", got)
 	}
-	fs.Write(2, "x", make([]byte, 10), Labels{})
+	fs.Write(2, "x", 10, nil, Labels{})
 	rec := fs.Ledger()
 	if rec[0].Start != 1.5 {
 		t.Errorf("write start = %g, want 1.5", rec[0].Start)

@@ -208,6 +208,24 @@ func EncodeRootMeta(cfg Config, step int) []byte {
 	return append(b, "]}}\n"...)
 }
 
+// rootMetaLen is len(EncodeRootMeta(cfg, step)), line by line, so the
+// root metadata is priced without rendering it.
+func rootMetaLen(cfg Config, step int) int64 {
+	var buf [32]byte
+	n := len(`{"macsio_root":{"step":"`) + max(3, decimalLen(step)) + len(`","nprocs":`) +
+		len(strconv.AppendInt(buf[:0], int64(cfg.NProcs), 10)) +
+		len(`,"interface":`) + len(strconv.AppendQuote(buf[:0], ifaceToken(cfg.Interface))) +
+		len(`,"mode":`) + len(strconv.AppendQuote(buf[:0], string(cfg.FileMode))) +
+		len(`,"dataset_growth":`) + len(strconv.AppendFloat(buf[:0], cfg.DatasetGrowth, 'f', 6, 64)) +
+		len(`,"tasks":[`) + max(cfg.NProcs-1, 0) + len("]}}\n")
+	for r := 0; r < cfg.NProcs; r++ {
+		n += len(`{"task":`) + len(strconv.AppendInt(buf[:0], int64(r), 10)) +
+			len(`,"parts":`) + len(strconv.AppendInt(buf[:0], int64(cfg.partsForRank(r)), 10)) +
+			len(`,"nominal_bytes":`) + len(strconv.AppendInt(buf[:0], cfg.NominalBytes(r, step), 10)) + 1
+	}
+	return int64(n)
+}
+
 // JSONInflation returns the measured ratio of encoded JSON bytes to the
 // nominal 8-byte-per-value payload — the textual factor the paper's f
 // absorbs (roughly 3.1 for the fixed-width encoding).

@@ -57,7 +57,7 @@ type Config struct {
 	MetaSize      int64   // --meta_size: extra metadata bytes per task
 	DatasetGrowth float64 // --dataset_growth: per-dump multiplier
 	NProcs        int     // jsrun -n
-	SizeOnly      bool    // model sizes without encoding payloads (implied unless the fs is RealDisk)
+	SizeOnly      bool    // price data files by size without encoding them; a no-op on a model-only filesystem, which never encodes
 }
 
 // DefaultConfig mirrors MACSio's defaults for the parameters the paper
@@ -189,20 +189,20 @@ func RunMitigated(fs *iosim.FileSystem, cfg Config, eng *resilience.Engine) ([]D
 }
 
 // writeDump writes one dump step as a single burst and appends each
-// rank's record to out. A filesystem that does not materialize keeps no
-// bytes, so its data files are priced by size without encoding them:
-// the ledger is the same either way.
+// rank's record to out. Every file is priced at its exact size and
+// encoded only if the filesystem materializes it, so the ledger is the
+// same on every backend.
 func writeDump(fs *iosim.FileSystem, cfg Config, step int, out []DumpRecord) ([]DumpRecord, error) {
-	sizeOnly := cfg.SizeOnly || fs.Config().Backend != iosim.RealDisk
 	fs.BeginBurst(cfg.NProcs)
 	defer fs.EndBurst()
 	for rank := 0; rank < cfg.NProcs; rank++ {
-		nbytes, err := writeRankDump(fs, cfg, rank, step, sizeOnly)
+		nbytes, err := writeRankDump(fs, cfg, rank, step)
 		if err != nil {
 			return nil, err
 		}
 		if rank == 0 { // the per-step root metadata file
-			if _, err := fs.Write(0, rootPath(cfg, step), EncodeRootMeta(cfg, step), iosim.Labels{Step: step}); err != nil {
+			if _, err := fs.Write(0, rootPath(cfg, step), rootMetaLen(cfg, step),
+				func() []byte { return EncodeRootMeta(cfg, step) }, iosim.Labels{Step: step}); err != nil {
 				return nil, err
 			}
 		}
@@ -211,30 +211,20 @@ func writeDump(fs *iosim.FileSystem, cfg Config, step int, out []DumpRecord) ([]
 	return out, nil
 }
 
-// writeRankDump writes one rank's data file for one step, encoded unless
-// sizeOnly, and returns the file bytes attributed to this rank.
-func writeRankDump(fs *iosim.FileSystem, cfg Config, rank, step int, sizeOnly bool) (int64, error) {
-	path := dataPath(cfg, rank, step)
-	labels := iosim.Labels{Step: step, Level: 0}
-	nvals := int(cfg.NominalBytes(rank, step) / 8)
-	if nvals < 1 {
-		nvals = 1
-	}
+// writeRankDump writes one rank's data file for one step, with its
+// encoder unless cfg.SizeOnly, and returns the file bytes attributed to
+// this rank.
+func writeRankDump(fs *iosim.FileSystem, cfg Config, rank, step int) (int64, error) {
+	nvals := max(int(cfg.NominalBytes(rank, step)/8), 1)
 	size := DataFileSize(cfg.Interface, nvals, cfg.VarsPerPart, cfg.MetaSize)
-	if sizeOnly {
-		if _, err := fs.WriteSize(rank, path, size, labels); err != nil {
-			return 0, err
+	var encode func() []byte
+	if !cfg.SizeOnly {
+		encode = func() []byte {
+			return EncodeDataFile(cfg.Interface, rank, step, nvals, cfg.VarsPerPart, cfg.MetaSize)
 		}
-		return size, nil
 	}
-	data := EncodeDataFile(cfg.Interface, rank, step, nvals, cfg.VarsPerPart, cfg.MetaSize)
-	if int64(len(data)) != size {
-		return 0, fmt.Errorf("macsio: encoder/size mismatch: %d vs %d", len(data), size)
-	}
-	if _, err := fs.Write(rank, path, data, labels); err != nil {
-		return 0, err
-	}
-	return int64(len(data)), nil
+	_, err := fs.Write(rank, dataPath(cfg, rank, step), size, encode, iosim.Labels{Step: step})
+	return size, err
 }
 
 // dataPath names a rank's data file following the paper's Fig. 3:

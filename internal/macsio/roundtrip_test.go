@@ -122,3 +122,23 @@ func FuzzParseArgs(f *testing.F) {
 		}
 	})
 }
+
+// TestRootMetaLenMatchesEncode: the size the root metadata file is
+// priced at is the length its encoder writes, at every step width. One
+// config in twenty keeps randomConfig's rank count of up to 200000; the
+// rest wrap it below 1000 to keep the test quick.
+func TestRootMetaLenMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	widths := []int{0, 9, 99, 999, 1000, 123456}
+	for i := 0; i < 200; i++ {
+		c := randomConfig(rng)
+		if i%20 != 0 {
+			c.NProcs = 1 + c.NProcs%1000
+		}
+		for _, step := range []int{rng.Intn(c.NumDumps), widths[i%len(widths)]} {
+			if got, want := rootMetaLen(c, step), int64(len(EncodeRootMeta(c, step))); got != want {
+				t.Fatalf("config %+v step %d: rootMetaLen = %d, len(EncodeRootMeta) = %d", c, step, got, want)
+			}
+		}
+	}
+}

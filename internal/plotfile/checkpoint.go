@@ -33,18 +33,19 @@ type CheckpointSpec struct {
 	NComp  int // conserved components
 	Levels []LevelSpec
 	NProcs int
-	// SizeOnly prices the checkpoint without materializing state — the
-	// exact Cell_D sizes through WriteSize, like a state-free plot
-	// level. A size-only checkpoint cannot restart (nothing round-trips)
-	// but produces the identical ledger: it exists for the surrogate
-	// engine, whose hierarchy carries no field memory.
+	// SizeOnly prices the checkpoint's Cell_D files by size on every
+	// backend, like a state-free plot level, so State may be nil. A
+	// size-only checkpoint cannot restart (nothing round-trips) but
+	// produces the identical ledger: it exists for the surrogate engine,
+	// whose hierarchy carries no field memory.
 	SizeOnly bool
 }
 
 // WriteCheckpoint emits the checkpoint through fs in the same plain
 // sequence as Write: rank 0's directories and Header, then every rank's
-// Cell_D files rank-major. Unless spec.SizeOnly, State must be non-nil
-// on every level — a restartable checkpoint always carries data.
+// Cell_D files rank-major. Every file is priced at its exact size and
+// serialized only on RealDisk. Unless spec.SizeOnly, State must be
+// non-nil on every level — a restartable checkpoint always carries data.
 func WriteCheckpoint(fs *iosim.FileSystem, spec CheckpointSpec) ([]OutputRecord, error) {
 	if spec.NProcs < 1 || len(spec.Levels) == 0 {
 		return nil, fmt.Errorf("plotfile: bad checkpoint spec (nprocs=%d levels=%d)", spec.NProcs, len(spec.Levels))
@@ -63,13 +64,8 @@ func WriteCheckpoint(fs *iosim.FileSystem, spec CheckpointSpec) ([]OutputRecord,
 	if err := fs.Mkdir(0, spec.Root, labels); err != nil {
 		return nil, err
 	}
-	var err error
-	if fs.Config().Backend == iosim.ModelOnly { // priced by size, as writePlotMeta's files
-		_, err = fs.WriteSize(0, spec.Root+"/Header", int64(checkpointHeaderLen(spec)), labels)
-	} else {
-		_, err = fs.Write(0, spec.Root+"/Header", []byte(encodeCheckpointHeader(spec)), labels)
-	}
-	if err != nil {
+	if _, err := fs.Write(0, spec.Root+"/Header", int64(checkpointHeaderLen(spec)),
+		func() []byte { return []byte(encodeCheckpointHeader(spec)) }, labels); err != nil {
 		return nil, err
 	}
 	for l := range spec.Levels {
@@ -78,7 +74,8 @@ func WriteCheckpoint(fs *iosim.FileSystem, spec CheckpointSpec) ([]OutputRecord,
 			return nil, err
 		}
 	}
-	return writeCellDs(fs, spec.Root, spec.Step, spec.Levels, spec.NProcs, spec.NComp, spec.SizeOnly)
+	sizes := rankCellDBytes(spec.Levels, spec.NProcs, spec.NComp)
+	return writeCellDs(fs, spec.Root, spec.Step, spec.Levels, spec.NProcs, sizes, spec.NComp, spec.SizeOnly)
 }
 
 // encodeCheckpointHeader writes everything restart needs: time state plus

@@ -18,19 +18,19 @@
 // hierarchy of output sizes. Checkpoint output (checkpoint.go) is the
 // same sequence for the conserved state and restarts exactly from it.
 //
-// A size-only path (a LevelSpec with nil State) produces byte-for-byte
-// identical ledger entries without materializing field data — CellDBytes
-// computes every FAB record size arithmetically. The Summit-scale
-// surrogate pipeline runs entirely on this path, which is why
-// 17-billion-cell dumps never allocate field memory.
-//
-// Metadata is priced by size on a ModelOnly filesystem, which keeps no
-// bytes: rank 0's Header, job_info, each Cell_H and the checkpoint
-// Header go through WriteSize at their rendered lengths, each a sum
-// over the lines its encoder would append (Cell_H's FabOnDisk offsets
-// from one per-rank slice), and are never encoded. RealDisk still
-// encodes and writes them. TestModelOnlyMetaSizeMatchesEncode pins
-// every length to len of its encoder over random specs.
+// Every file is priced at its exact size and serialized only on
+// RealDisk: each write hands iosim its size and its encoder, and iosim
+// alone decides whether to encode. The sizes are arithmetic — CellDBytes
+// per FAB record, and for rank 0's Header, job_info, each Cell_H and the
+// checkpoint Header a sum over the lines its encoder would append
+// (Cell_H's FabOnDisk offsets from one per-rank slice, whose totals are
+// then the Cell_D sizes). So a model-only dump never encodes, and a level
+// with nil State (or a SizeOnly checkpoint) is priced by size even on
+// RealDisk: the Summit-scale surrogate pipeline runs entirely on sizes,
+// which is why 17-billion-cell dumps never allocate field memory. A
+// RealDisk write fails if its encoding is not the priced length, and
+// TestModelOnlyMetaSizeMatchesEncode pins every metadata length to len
+// of its encoder over random specs.
 //
 // The length mirrors (headerLen, jobInfoLen, cellHLen,
 // checkpointHeaderLen) duplicate their encoders' line structure on

@@ -109,7 +109,7 @@ func TestModelOnlyPlotMetaAllocations(t *testing.T) {
 	fs := iosim.New(cfg, "")
 	burst := func() {
 		fs.BeginBurst(spec.NProcs)
-		if err := writePlotMeta(fs, spec); err != nil {
+		if _, err := writePlotMeta(fs, spec); err != nil {
 			t.Fatal(err)
 		}
 		fs.EndBurst()

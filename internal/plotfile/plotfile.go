@@ -48,8 +48,9 @@ type OutputRecord struct {
 }
 
 // Write emits the full plotfile through fs, returning the per-(level,rank)
-// records. If every LevelSpec has non-nil State the actual FAB data is
-// serialized; otherwise sizes are modeled exactly.
+// records. Every file is priced at its exact size and serialized only on
+// RealDisk: there a level with State has its FAB data encoded, and a
+// level without it is priced by size alone.
 //
 // The burst is one plain sequence on the caller's goroutine: rank 0's
 // metadata (the directories, Header, job_info and every Cell_H), then
@@ -66,10 +67,11 @@ func Write(fs *iosim.FileSystem, spec Spec) ([]OutputRecord, error) {
 	fs.BeginBurst(spec.NProcs)
 	defer fs.EndBurst()
 
-	if err := writePlotMeta(fs, spec); err != nil {
+	sizes, err := writePlotMeta(fs, spec)
+	if err != nil {
 		return nil, err
 	}
-	out, err := writeCellDs(fs, spec.Root, spec.Step, spec.Levels, spec.NProcs, spec.NComp(), false)
+	out, err := writeCellDs(fs, spec.Root, spec.Step, spec.Levels, spec.NProcs, sizes, spec.NComp(), false)
 	if err != nil {
 		return nil, err
 	}
@@ -78,96 +80,64 @@ func Write(fs *iosim.FileSystem, spec Spec) ([]OutputRecord, error) {
 }
 
 // writePlotMeta writes rank 0's share of a plotfile: the root and level
-// directories, Header, job_info and each level's Cell_H. A model-only
-// filesystem keeps no bytes, so there each file is priced through
-// WriteSize at its rendered length instead of being encoded.
-func writePlotMeta(fs *iosim.FileSystem, spec Spec) error {
+// directories, Header, job_info and each level's Cell_H, each priced at
+// its rendered length and encoded only if the filesystem materializes
+// it. It returns the per-rank totals Cell_H's FabOnDisk offsets sum to:
+// sizes[l*NProcs+rank] is rank's Cell_D size at level l.
+func writePlotMeta(fs *iosim.FileSystem, spec Spec) ([]int64, error) {
 	labels := iosim.Labels{Step: spec.Step}
-	modelOnly := fs.Config().Backend == iosim.ModelOnly
 	if err := fs.Mkdir(0, spec.Root, labels); err != nil {
-		return err
+		return nil, err
 	}
-	var err error
-	if modelOnly {
-		_, err = fs.WriteSize(0, spec.Root+"/Header", int64(headerLen(spec)), labels)
-	} else {
-		_, err = fs.Write(0, spec.Root+"/Header", []byte(EncodeHeader(spec)), labels)
+	if _, err := fs.Write(0, spec.Root+"/Header", int64(headerLen(spec)),
+		func() []byte { return []byte(EncodeHeader(spec)) }, labels); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return err
+	if _, err := fs.Write(0, spec.Root+"/job_info", int64(jobInfoLen(spec)),
+		func() []byte { return []byte(encodeJobInfo(spec)) }, labels); err != nil {
+		return nil, err
 	}
-	if modelOnly {
-		_, err = fs.WriteSize(0, spec.Root+"/job_info", int64(jobInfoLen(spec)), labels)
-	} else {
-		_, err = fs.Write(0, spec.Root+"/job_info", []byte(encodeJobInfo(spec)), labels)
-	}
-	if err != nil {
-		return err
-	}
-	var offsets []int64 // cellHLen's per-rank scratch
-	if modelOnly {
-		offsets = make([]int64, spec.NProcs)
-	}
+	n := spec.NProcs
+	sizes := make([]int64, len(spec.Levels)*n)
 	for l := range spec.Levels {
 		labels.Level = l
 		dir := levelDir(spec.Root, l)
 		if err := fs.Mkdir(0, dir, labels); err != nil {
-			return err
+			return nil, err
 		}
-		if modelOnly {
-			_, err = fs.WriteSize(0, dir+"/Cell_H", int64(cellHLen(spec, l, offsets)), labels)
-		} else {
-			_, err = fs.Write(0, dir+"/Cell_H", []byte(EncodeCellH(spec, l)), labels)
-		}
-		if err != nil {
-			return err
+		if _, err := fs.Write(0, dir+"/Cell_H", int64(cellHLen(spec, l, sizes[l*n:(l+1)*n])),
+			func() []byte { return []byte(EncodeCellH(spec, l)) }, labels); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return sizes, nil
 }
 
 // writeCellDs writes every rank's Cell_D files, rank-major and each
 // rank's levels in ascending order, and returns one record per file in
-// that order. A rank writes a level's file only when it owns boxes there
-// (the paper's "file only when the task has data"). A level is encoded
-// from its State unless sizeOnly is set or it has none, in which case
-// the identical file is priced through WriteSize at its exact size.
-func writeCellDs(fs *iosim.FileSystem, root string, step int, levels []LevelSpec, nprocs, ncomp int, sizeOnly bool) ([]OutputRecord, error) {
-	sizes := make([][]int64, len(levels))
-	files := 0 // an upper bound on the records, exact for priced levels
-	for l, lev := range levels {
-		if sizeOnly || lev.State == nil {
-			sizes[l] = rankCellDBytes(lev, nprocs, ncomp)
-			for _, n := range sizes[l] {
-				if n > 0 {
-					files++
-				}
-			}
-		} else {
-			files += nprocs
+// that order. sizes[l*nprocs+rank] is rank's file size at level l; a
+// rank writes a level's file only when it owns boxes there (the paper's
+// "file only when the task has data"), so a size of 0 writes nothing.
+// A level with State hands iosim its encoder unless sizeOnly is set.
+func writeCellDs(fs *iosim.FileSystem, root string, step int, levels []LevelSpec, nprocs int, sizes []int64, ncomp int, sizeOnly bool) ([]OutputRecord, error) {
+	files := 0
+	for _, n := range sizes {
+		if n > 0 {
+			files++
 		}
 	}
 	out := make([]OutputRecord, 0, files)
 	for rank := 0; rank < nprocs; rank++ {
 		for l, lev := range levels {
-			labels := iosim.Labels{Step: step, Level: l}
-			var nbytes int64
-			var err error
-			if sizes[l] != nil {
-				if nbytes = sizes[l][rank]; nbytes == 0 {
-					continue
-				}
-				_, err = fs.WriteSize(rank, CellDPath(root, l, rank), nbytes, labels)
-			} else {
-				owned := lev.DM.RankBoxes(rank)
-				if len(owned) == 0 {
-					continue
-				}
-				data := encodeCellD(lev, owned, ncomp)
-				nbytes = int64(len(data))
-				_, err = fs.Write(rank, CellDPath(root, l, rank), data, labels)
+			nbytes := sizes[l*nprocs+rank]
+			if nbytes == 0 {
+				continue
 			}
-			if err != nil {
+			var encode func() []byte
+			if lev.State != nil && !sizeOnly {
+				encode = func() []byte { return encodeCellD(lev, lev.DM.RankBoxes(rank), ncomp) }
+			}
+			if _, err := fs.Write(rank, CellDPath(root, l, rank), nbytes, encode, iosim.Labels{Step: step, Level: l}); err != nil {
 				return nil, err
 			}
 			out = append(out, OutputRecord{Step: step, Level: l, Rank: rank, Bytes: nbytes})
@@ -176,14 +146,17 @@ func writeCellDs(fs *iosim.FileSystem, root string, step int, levels []LevelSpec
 	return out, nil
 }
 
-// rankCellDBytes is CellDBytes for every rank's owned boxes at a level,
-// in one pass over the boxes instead of one per rank; 0 means the rank
-// owns nothing there (every FAB record has a header, so none is empty).
-func rankCellDBytes(lev LevelSpec, nprocs, ncomp int) []int64 {
-	out := make([]int64, nprocs)
-	for i, bx := range lev.BA.Boxes {
-		if o := lev.DM.Owner[i]; o >= 0 && o < nprocs {
-			out[o] += fabBytes(bx, ncomp)
+// rankCellDBytes sums each rank's FAB bytes per level in one pass over
+// the boxes, laid out as writeCellDs reads them: sizes[l*nprocs+rank],
+// 0 where the rank owns nothing (every FAB record has a header, so no
+// owned file is empty).
+func rankCellDBytes(levels []LevelSpec, nprocs, ncomp int) []int64 {
+	out := make([]int64, len(levels)*nprocs)
+	for l, lev := range levels {
+		for i, bx := range lev.BA.Boxes {
+			if o := lev.DM.Owner[i]; o >= 0 && o < nprocs {
+				out[l*nprocs+o] += fabBytes(bx, ncomp)
+			}
 		}
 	}
 	return out
@@ -350,9 +323,9 @@ func EncodeCellH(spec Spec, level int) string {
 	return string(b)
 }
 
-// Rendered lengths of the metadata files, for pricing them on a
-// model-only filesystem without encoding them. Each mirrors its encoder
-// line by line; TestModelOnlyMetaSizeMatchesEncode pins each equal to
+// Rendered lengths of the metadata files, which price them on every
+// backend and which a RealDisk write checks its encoding against. Each
+// mirrors its encoder line by line; TestModelOnlyMetaSizeMatchesEncode pins each equal to
 // len of the encoder's output.
 
 // headerLen is len(EncodeHeader(spec)).
@@ -393,9 +366,10 @@ func jobInfoLen(spec Spec) int {
 }
 
 // cellHLen is len(EncodeCellH(spec, level)). Each box's FabOnDisk offset
-// comes from offsets, a scratch indexed by rank that it zeroes first.
-// An owner outside it is no rank of the dump; the length is then the
-// encoder's own.
+// comes from offsets, indexed by rank and zeroed first, so on return it
+// holds each rank's total FAB bytes at the level: its Cell_D size. An
+// owner outside it is no rank of the dump and writes no Cell_D; the
+// length is then the encoder's own.
 func cellHLen(spec Spec, level int, offsets []int64) int {
 	lev := spec.Levels[level]
 	nboxes, ncomp := lev.BA.Len(), spec.NComp()
@@ -405,13 +379,18 @@ func cellHLen(spec Spec, level int, offsets []int64) int {
 	}
 	n += 2 + intLen(nboxes) + 1
 	clear(offsets)
+	foreign := false
 	for i, bx := range lev.BA.Boxes {
 		rank := lev.DM.Owner[i]
 		if rank < 0 || rank >= len(offsets) {
-			return len(EncodeCellH(spec, level))
+			foreign = true
+			continue
 		}
 		n += len("FabOnDisk: Cell_D_") + max(5, intLen(rank)) + 1 + intLen(offsets[rank]) + 1
 		offsets[rank] += fabBytes(bx, ncomp)
+	}
+	if foreign {
+		return len(EncodeCellH(spec, level))
 	}
 	return n
 }

@@ -86,8 +86,13 @@ func TestWriteProducesFig2Structure(t *testing.T) {
 	}
 }
 
+// TestSizeOnlyMatchesDataPath runs the data side on RealDisk, the one
+// backend on which a level with State is encoded, so the size-only
+// records are checked against the encoder's.
 func TestSizeOnlyMatchesDataPath(t *testing.T) {
-	fsData := iosim.New(iosim.DefaultConfig(), "")
+	diskCfg := iosim.DefaultConfig()
+	diskCfg.Backend = iosim.RealDisk
+	fsData := iosim.New(diskCfg, t.TempDir())
 	fsSize := iosim.New(iosim.DefaultConfig(), "")
 
 	withData := twoLevelSpec(3, true)

@@ -14,6 +14,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -57,11 +58,10 @@ func parseDirs(t *testing.T, min int, dirs ...string) map[string]*ast.File {
 	return files
 }
 
-// TestBurstWritersRunNoSPMDWorld: the plotfile, checkpoint and MACSio
-// writers price a burst rank by rank on the caller's goroutine, and the
-// model prices no communication, so only the benchmark harness, which
-// times a world from outside, may import the SPMD runtime.
-func TestBurstWritersRunNoSPMDWorld(t *testing.T) {
+// packageDirs lists the repository's directories other than except,
+// skipping testdata and hidden directories.
+func packageDirs(t *testing.T, except ...string) []string {
+	t.Helper()
 	var dirs []string
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -70,7 +70,7 @@ func TestBurstWritersRunNoSPMDWorld(t *testing.T) {
 		switch {
 		case d.Name() == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")):
 			return filepath.SkipDir
-		case path != "cmd/amrio-bench" && path != "internal/mpisim":
+		case !slices.Contains(except, path):
 			dirs = append(dirs, path)
 		}
 		return nil
@@ -78,12 +78,49 @@ func TestBurstWritersRunNoSPMDWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for path, f := range parseDirs(t, 80, dirs...) {
+	return dirs
+}
+
+// TestBurstWritersRunNoSPMDWorld: the plotfile, checkpoint and MACSio
+// writers price a burst rank by rank on the caller's goroutine, and the
+// model prices no communication, so only the benchmark harness, which
+// times a world from outside, may import the SPMD runtime.
+func TestBurstWritersRunNoSPMDWorld(t *testing.T) {
+	for path, f := range parseDirs(t, 80, packageDirs(t, "cmd/amrio-bench", "internal/mpisim")...) {
 		for _, imp := range f.Imports {
 			if imp.Path.Value == `"amrproxyio/internal/mpisim"` {
 				t.Errorf("%s imports internal/mpisim; only cmd/amrio-bench may start an SPMD world", path)
 			}
 		}
+	}
+}
+
+// TestOnlyIOSimReadsTheBackend: whether a write is encoded is decided
+// once, in iosim.FileSystem.Write, so no writer asks which backend it
+// has. No non-test file outside internal/iosim reads .Backend or names
+// iosim.ModelOnly or iosim.RealDisk, except that a command under cmd/
+// may set the field (fsCfg.Backend = iosim.RealDisk).
+func TestOnlyIOSimReadsTheBackend(t *testing.T) {
+	for path, f := range parseDirs(t, 80, packageDirs(t, "internal/iosim")...) {
+		command := strings.HasPrefix(filepath.ToSlash(path), "cmd/")
+		ast.Inspect(f, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok && command && len(as.Lhs) == 1 {
+				if sel, ok := as.Lhs[0].(*ast.SelectorExpr); ok && sel.Sel.Name == "Backend" {
+					return false // setting the field
+				}
+			}
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			name := sel.Sel.Name
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "iosim" && (name == "ModelOnly" || name == "RealDisk") {
+				t.Errorf("%s names iosim.%s; only iosim.FileSystem.Write decides what a backend encodes", path, name)
+			} else if name == "Backend" {
+				t.Errorf("%s reads .Backend; only iosim.FileSystem.Write decides what a backend encodes", path)
+			}
+			return true
+		})
 	}
 }
 
