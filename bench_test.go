@@ -203,7 +203,7 @@ func BenchmarkFig4_SedovSolution(b *testing.B) {
 			b.Fatal(err)
 		}
 		spec := s.PlotSpec()
-		mach := spec.Levels[len(spec.Levels)-1].State.Max(7)
+		mach := spec.Levels[len(spec.Levels)-1].State().Max(7)
 		b.ReportMetric(mach, "peak-mach")
 		b.ReportMetric(sedov.Default().ShockRadius(s.Time), "analytic-shock-radius")
 		b.ReportMetric(float64(s.Levels[s.FinestLevel()].BA.NumPts()), "finest-cells")

@@ -14,14 +14,16 @@
 // fill-patch, average-down, reflux, hierarchy swap) runs on two shared
 // pieces of spatial metadata rather than all-pairs box scans. A
 // grid.BoxIndex — a bucketed spatial hash attached lazily to each
-// amr.BoxArray — answers box/point intersection queries in ~O(1), and a
-// communication-plan cache keyed on BoxArray content fingerprints stores
-// the (src, dst, region) copy schedules so a plan is computed once per
-// grid generation and replayed every timestep until a regrid changes the
-// boxes (the same design as AMReX's hashed BoxArray lookup plus its
-// FillBoundary/copy comm-metadata caches). This is what lets simulated
-// campaigns scale to thousands-of-boxes Summit-class decompositions with
-// per-step cost linear, not quadratic, in box count.
+// amr.BoxArray — answers box/point intersection queries in ~O(1), and
+// each MultiFab keeps the (src, dst, region) copy schedules its own
+// FillBoundary, FillPatch and AverageDown calls replay, so a plan is
+// computed once per grid and replayed every timestep until a regrid
+// builds new MultiFabs (the same design as AMReX's hashed BoxArray lookup
+// plus its FillBoundary/copy comm-metadata caches, with no process-wide
+// table: concurrent cases share no amr state). Per-step cost is linear,
+// not quadratic, in box count. Campaigns run the hydro engine up to 192²
+// cells (campaign.HydroCellLimit); the thousands-of-boxes Summit-class
+// cases run on the surrogate, which builds no MultiFab.
 //
 // An iosim.FileSystem has a single writer: each simulated rank appends
 // to its own ledger segment and clock, and burst contention is a

@@ -22,10 +22,10 @@ import (
 // BoxArray is the set of boxes that tile a level's valid region.
 //
 // A BoxArray built through NewBoxArray (or any constructor that goes
-// through it) carries a lazily-built spatial index and content fingerprint
-// shared by all copies of the value. Boxes must not be mutated after the
-// first Index/Fingerprint call; AMR code never does — regrids build new
-// arrays — which is exactly the AMReX immutability contract.
+// through it) carries a lazily-built spatial index shared by all copies of
+// the value. Boxes must not be mutated after the first Index call; AMR
+// code never does — regrids build new arrays — which is exactly the AMReX
+// immutability contract.
 type BoxArray struct {
 	Boxes []grid.Box
 	h     *baHolder
@@ -35,8 +35,6 @@ type BoxArray struct {
 type baHolder struct {
 	idxOnce sync.Once
 	idx     *grid.BoxIndex
-	fpOnce  sync.Once
-	fp      uint64
 }
 
 // NewBoxArray wraps a box list.
@@ -55,18 +53,6 @@ func (ba BoxArray) Index() *grid.BoxIndex {
 	}
 	ba.h.idxOnce.Do(func() { ba.h.idx = grid.NewBoxIndex(ba.Boxes) })
 	return ba.h.idx
-}
-
-// Fingerprint returns the content hash identifying this exact box list.
-// Communication plans are keyed on fingerprints, so plans cached for one
-// grid generation can never be replayed against another (regrids produce
-// different boxes, hence different fingerprints).
-func (ba BoxArray) Fingerprint() uint64 {
-	if ba.h == nil {
-		return grid.FingerprintBoxes(ba.Boxes)
-	}
-	ba.h.fpOnce.Do(func() { ba.h.fp = grid.FingerprintBoxes(ba.Boxes) })
-	return ba.h.fp
 }
 
 // SingleBoxArray covers dom with one box, then splits it to respect

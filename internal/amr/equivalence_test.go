@@ -3,18 +3,20 @@ package amr
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"amrproxyio/internal/grid"
 )
 
 // Naive O(N^2) reference implementations of every indexed hot path. The
-// property tests below assert that the BoxIndex/plan-cache fast paths
+// property tests below assert that the BoxIndex and plan-replay fast paths
 // produce byte-identical field state on randomized BoxArrays, including
-// across regrid-style box-set changes (which exercises plan-cache
-// invalidation: a stale plan replayed against new grids would corrupt the
-// comparison immediately).
+// one fine MultiFab paired with coarse partners of changing boxes (a
+// stale plan replayed against new grids would corrupt the comparison
+// immediately).
 
 // naiveFillBoundary is the historical all-pairs ghost fill.
 func naiveFillBoundary(mf *MultiFab) {
@@ -398,43 +400,106 @@ func TestFillPatchMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSurvivesAndInvalidates drives the regrid scenario directly:
-// repeated FillBoundary calls on one grid generation reuse a cached plan
-// (hit counter moves, results stay right), and a new BoxArray — same
-// domain, different boxes, as a regrid produces — gets a fresh plan rather
-// than a stale replay.
-func TestPlanCacheSurvivesAndInvalidates(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	dom := grid.NewBox(grid.IV(0, 0), grid.IV(95, 95))
-	for iter := 0; iter < 10; iter++ {
-		ba1 := randomTiling(rng, dom, 0.9)
-		mfA := randomMultiFab(rng, ba1, 1, 2)
-		mfA.FillBoundary() // populate the cache for generation 1
-
-		// Steady state: a second exchange on the same generation is a pure
-		// cache hit.
-		h0, _ := PlanCacheStats()
-		mfB := cloneMultiFab(mfA)
-		refB := cloneMultiFab(mfA)
-		mfB.FillBoundary()
-		h1, _ := PlanCacheStats()
-		if h1 <= h0 {
-			t.Fatalf("iter %d: steady-state FillBoundary missed the plan cache", iter)
+// TestPlanReplayAllocations: FillBoundary, AverageDown and FillPatch keep
+// their plans on the fine MultiFab. Repeated calls with unchanged partners
+// replay the same plans and allocate a small count that does not grow
+// with the box count (a rebuilt plan costs several allocations, and
+// FillPatch's at least one per box). A changed partner, ratio or domain
+// gets a fresh plan: one fine MultiFab, averaged down onto and filled
+// from coarse partners with different boxes, matches the naive
+// references bit for bit.
+func TestPlanReplayAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // serial ForEachFAB: no worker goroutines
+	const bound = 3
+	for _, n := range []int{64, 1024} {
+		fine := scalingMF(n, 2, 2)
+		fdom := scalingDomain(n)
+		cba := SingleBoxArray(fdom.Coarsen(2), 16, 16)
+		crse := NewMultiFab(cba, MustDistribute(cba, 8, DistKnapsack), 2, 2)
+		calls := []struct {
+			name string
+			fn   func()
+		}{
+			{"FillBoundary", fine.FillBoundary},
+			{"AverageDown", func() { AverageDown(crse, fine, 2) }},
+			{"FillPatch", func() { FillPatch(fine, crse, fdom, 2, InterpCellConsLinear) }},
 		}
-		naiveFillBoundary(refB)
-		assertIdentical(t, iter, "cached FillBoundary", refB, mfB)
-
-		// "Regrid": new boxes over the same domain. The fingerprint-keyed
-		// cache must build a fresh plan for the new generation.
-		ba2 := randomTiling(rng, dom, 0.9)
-		if ba2.Fingerprint() == ba1.Fingerprint() {
-			continue // astronomically unlikely identical tiling; skip
+		for _, c := range calls {
+			c.fn()
 		}
-		fast := randomMultiFab(rng, ba2, 1, 2)
-		ref := cloneMultiFab(fast)
-		fast.FillBoundary()
-		naiveFillBoundary(ref)
-		assertIdentical(t, iter, "post-regrid FillBoundary", ref, fast)
+		exchange, restrict, patch := fine.exchangePlan(), fine.restrict.Load(), fine.patch.Load()
+		for _, c := range calls {
+			if a := testing.AllocsPerRun(5, c.fn); a > bound {
+				t.Errorf("%d boxes: a repeated %s allocates %v times, want at most %d", n, c.name, a, bound)
+			}
+		}
+		if fine.exchangePlan() != exchange || fine.restrict.Load() != restrict || fine.patch.Load() != patch {
+			t.Errorf("%d boxes: a repeated call with unchanged partners built a new plan", n)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(10))
+	cdom := grid.NewBox(grid.IV(0, 0), grid.IV(31, 31))
+	fdom := cdom.Refine(4)
+	// Ratio-4-aligned fine boxes are aligned for ratio 2 as well.
+	fine := randomMultiFab(rng, randomTiling(rng, cdom, 0.5).Refine(4), 2, 2)
+	for iter := 0; iter < 12; iter++ {
+		// Each ratio twice in a row, so a new partner alone must rebuild
+		// the restriction plan.
+		ratio := 2 << (iter / 2 % 2)
+		kind := InterpPiecewiseConstant
+		if rng.Intn(2) == 1 {
+			kind = InterpCellConsLinear
+		}
+		crse := randomMultiFab(rng, randomTiling(rng, fdom.Coarsen(ratio), 1.0), 2, 2)
+		fastCrse, refCrse := cloneMultiFab(crse), cloneMultiFab(crse)
+		// Then the other ratio onto the same partner: a new ratio alone
+		// must rebuild it too.
+		for _, r := range []int{ratio, 6 - ratio} {
+			AverageDown(fastCrse, fine, r)
+			naiveAverageDown(refCrse, fine, r)
+			assertIdentical(t, iter, "AverageDown onto a new partner or ratio", refCrse, fastCrse)
+		}
+
+		dom := fdom
+		if iter%3 == 2 {
+			dom = fdom.Grow(8)
+		}
+		ref := cloneMultiFab(fine)
+		FillPatch(fine, crse, dom, ratio, kind)
+		naiveFillPatch(ref, crse, dom, ratio, kind)
+		assertIdentical(t, iter, "FillPatch from a new partner", ref, fine)
+	}
+}
+
+// TestConcurrentAverageDownMatchesNaive: AverageDown only reads the fine
+// MultiFab, so goroutines may average one fine level onto different
+// coarse partners at once; the plan each keeps on the fine side must not
+// race or leak into another's call.
+func TestConcurrentAverageDownMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cdom := grid.NewBox(grid.IV(0, 0), grid.IV(31, 31))
+	fine := randomMultiFab(rng, randomTiling(rng, cdom, 0.5).Refine(2), 2, 0)
+	fast := make([]*MultiFab, 8)
+	ref := make([]*MultiFab, len(fast))
+	for i := range fast {
+		fast[i] = randomMultiFab(rng, randomTiling(rng, cdom, 1.0), 2, 1)
+		ref[i] = cloneMultiFab(fast[i])
+		naiveAverageDown(ref[i], fine, 2)
+	}
+	var wg sync.WaitGroup
+	for _, crse := range fast {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 4; k++ {
+				AverageDown(crse, fine, 2)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range fast {
+		assertIdentical(t, i, "concurrent AverageDown", ref[i], fast[i])
 	}
 }
 

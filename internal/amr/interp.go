@@ -203,10 +203,11 @@ func clamp(v, lo, hi int) int {
 // AverageDown restricts fine data onto the overlapping region of the
 // coarse MultiFab: each covered coarse cell becomes the mean of its
 // ratio x ratio fine children. This keeps coarse data consistent under
-// refined regions, as Castro does after each step.
+// refined regions, as Castro does after each step. The restriction plan
+// is kept on fine and rebuilt only when crse or ratio changes.
 func AverageDown(crse, fine *MultiFab, ratio int) {
 	inv := 1.0 / float64(ratio*ratio)
-	plan := averageDownPlan(crse.BA, fine.BA, ratio)
+	plan := fine.restrictPlan(crse, ratio)
 	crse.ForEachFAB(func(ci int, cf *FAB) {
 		for _, p := range plan.byDst[ci] {
 			ff := fine.FABs[p.srcIdx]
@@ -265,13 +266,13 @@ func FillOutflowBC(mf *MultiFab, domain grid.Box) {
 // no same-level data exists, and finally applies outflow physical BCs at
 // the domain edge. crse may be nil for level 0 (no interpolation source).
 // The coarse-region decomposition (data box minus every same-level valid
-// box) is plan-cached per grid generation instead of being recomputed by
-// an all-boxes subtraction on every call.
+// box) is kept on fine and rebuilt only when fineDomain changes, instead
+// of being recomputed by an all-boxes subtraction on every call.
 func FillPatch(fine *MultiFab, crse *MultiFab, fineDomain grid.Box, ratio int, kind InterpKind) {
 	// Same-level exchange covers the interior ghost regions.
 	fine.FillBoundary()
 	if crse != nil {
-		plan := fillPatchCoarsePlan(fine.BA, fine.NGhost, fineDomain)
+		plan := fine.patchPlan(fineDomain)
 		fine.ForEachFAB(func(di int, df *FAB) {
 			for _, r := range plan.byDst[di] {
 				InterpRegion(df, crse, r, ratio, kind)

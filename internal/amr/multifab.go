@@ -25,6 +25,15 @@ type MultiFab struct {
 	// (valid grown by NGhost); the valid-region index lives on BA itself.
 	dataIdxOnce sync.Once
 	dataIdx     *grid.BoxIndex
+
+	// The communication plans this MultiFab's calls replay, each built on
+	// first use (plan.go): the ghost exchange, FillPatch's coarse regions
+	// for the last domain, and AverageDown's restriction onto the last
+	// coarse partner and ratio, this MultiFab being the fine side.
+	exchangeOnce sync.Once
+	exchange     *copyPlan
+	patch        atomic.Pointer[keyedPlan[grid.Box, *regionPlan]]
+	restrict     atomic.Pointer[keyedPlan[restrictKey, *copyPlan]]
 }
 
 // NewMultiFab allocates one FAB per box.
@@ -100,11 +109,11 @@ func (mf *MultiFab) ForEachFAB(fn func(idx int, fab *FAB)) {
 // FillBoundary copies valid data into the ghost cells of neighboring FABs
 // on the same level. Ghost regions not covered by any valid box (physical
 // boundaries or coarse-fine boundaries) are left untouched; FillPatch and
-// the physical BC fill handle those. The copy schedule comes from the plan
-// cache, so after the first call per grid generation this is a pure replay
-// with no neighbor search at all.
+// the physical BC fill handle those. The copy schedule is built on the
+// first call and kept on mf, so every later call is a pure replay with no
+// neighbor search at all.
 func (mf *MultiFab) FillBoundary() {
-	plan := fillBoundaryPlan(mf.BA, mf.NGhost)
+	plan := mf.exchangePlan()
 	mf.ForEachFAB(func(di int, dst *FAB) {
 		for _, p := range plan.byDst[di] {
 			dst.CopyFrom(mf.FABs[p.srcIdx], p.region)
@@ -171,8 +180,7 @@ func (mf *MultiFab) ValueAt(p grid.IntVect, comp int) (v float64, ok bool) {
 
 // CopyInto copies the overlapping valid data of src (same index space)
 // into dst's valid+ghost regions. Used when swapping hierarchies after a
-// regrid. The overlap schedule is plan-cached on both arrays'
-// fingerprints.
+// regrid, so the overlap schedule is built for the call and not kept.
 func (mf *MultiFab) CopyInto(dst *MultiFab) {
 	if mf.NComp != dst.NComp {
 		panic("amr: CopyInto component mismatch")

@@ -7,7 +7,7 @@ import (
 	"amrproxyio/internal/grid"
 )
 
-// Scaling benchmarks for the BoxIndex/plan-cache subsystem. Each pair of
+// Scaling benchmarks for the BoxIndex and communication plans. Each pair of
 // benchmarks (indexed vs naive) runs the same work at 64, 256 and 1024
 // boxes so the O(N^2) -> O(N) change in scaling class is visible in the
 // bench trajectory, and reports boxes/sec for cross-size comparison:
@@ -44,7 +44,7 @@ func BenchmarkFillBoundary(b *testing.B) {
 	for _, n := range scalingSizes() {
 		b.Run(fmt.Sprintf("boxes=%d", n), func(b *testing.B) {
 			mf := scalingMF(n, 4, 2)
-			mf.FillBoundary() // warm the plan cache: steady-state replay
+			mf.FillBoundary() // build the kept plan: steady-state replay
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mf.FillBoundary()
@@ -76,7 +76,7 @@ func BenchmarkExchangePlan(b *testing.B) {
 			ba.Index() // isolate plan construction from index build
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				computeFillBoundaryPlan(ba, 2)
+				fillBoundaryPlan(ba, 2)
 			}
 			reportBoxesPerSec(b, n)
 		})
@@ -106,7 +106,7 @@ func BenchmarkFillPatch(b *testing.B) {
 			ba.Index()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				computeFillPatchCoarsePlan(ba, 2, dom)
+				fillPatchCoarsePlan(ba, 2, dom)
 			}
 			reportBoxesPerSec(b, n)
 		})
@@ -169,7 +169,7 @@ func TestScalingSpeedup(t *testing.T) {
 	}
 	// Same nghost=1 plan on both sides, matching mf's shape.
 	ba := mf.BA
-	fastPlan := timeIt(func() { computeFillBoundaryPlan(ba, 1) })
+	fastPlan := timeIt(func() { fillBoundaryPlan(ba, 1) })
 	slowPlan := timeIt(func() { naiveExchangePairs(mf) })
 	if slowPlan < 5*fastPlan {
 		t.Errorf("exchange-plan speedup %.1fx < 5x (fast %v, slow %v)", slowPlan/fastPlan, fastPlan, slowPlan)

@@ -1,9 +1,9 @@
 // Package boxarraylit enforces the ROADMAP's standing BoxArray
 // invariant: construction goes through amr.NewBoxArray so every copy of
-// the value shares the lazily-built spatial index and content
-// fingerprint. A bare amr.BoxArray{...} composite literal carries a nil
-// holder — correct but quietly O(N²) on every Index() call, and invisible
-// to benchmarks until box counts grow. PR 8's aggregation tests slipped
+// the value shares the lazily-built spatial index. A bare
+// amr.BoxArray{...} composite literal carries a nil holder — correct but
+// quietly O(N²) on every Index() call, and invisible to benchmarks until
+// box counts grow. PR 8's aggregation tests slipped
 // two such literals past review; this analyzer makes the invariant
 // compiler-grade, tests and benches included.
 package boxarraylit

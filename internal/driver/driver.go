@@ -16,6 +16,7 @@ package driver
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"amrproxyio/internal/amr"
 	"amrproxyio/internal/inputs"
@@ -72,8 +73,9 @@ type Driver struct {
 	// case) disables mitigation — its methods are nil-receiver no-ops.
 	engine *resilience.Engine
 
-	records []plotfile.OutputRecord
-	nPlots  int
+	// dumps holds each written plot's records, flattened by Records.
+	dumps  [][]plotfile.OutputRecord
+	nPlots int
 }
 
 // New builds the driver for m. fs receives every burst; it may be nil
@@ -88,8 +90,9 @@ func PlotStep(cfg inputs.CastroInputs, step int) bool {
 	return cfg.PlotInt > 0 && step%cfg.PlotInt == 0
 }
 
-// Records returns all plotfile output records accumulated so far.
-func (d *Driver) Records() []plotfile.OutputRecord { return d.records }
+// Records returns all plotfile output records accumulated so far, in
+// write order, as one new slice; nil before any plot record.
+func (d *Driver) Records() []plotfile.OutputRecord { return slices.Concat(d.dumps...) }
 
 // NPlots returns how many plotfiles have been written.
 func (d *Driver) NPlots() int { return d.nPlots }
@@ -161,7 +164,7 @@ func (d *Driver) writePlot(spec plotfile.Spec) error {
 	if err != nil {
 		return err
 	}
-	d.records = append(d.records, recs...)
+	d.dumps = append(d.dumps, recs)
 	d.nPlots++
 	return nil
 }

@@ -105,3 +105,48 @@ func TestRunWithoutBurstsDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// plotter is a counter whose plot is one 8² box, owned by rank 0 of 2.
+type plotter struct{ counter }
+
+func (p *plotter) PlotSpec() plotfile.Spec {
+	box := grid.NewBox(grid.IV(0, 0), grid.IV(7, 7))
+	return plotfile.Spec{
+		Root: "plt", VarNames: []string{"density"}, Step: p.step, NProcs: 2,
+		Levels: []plotfile.LevelSpec{{
+			Geom: grid.NewGeom(box, [2]float64{0, 0}, [2]float64{1, 1}),
+			BA:   amr.NewBoxArray([]grid.Box{box}),
+			DM:   amr.DistributionMapping{Owner: []int{0}},
+		}},
+	}
+}
+
+// TestRecordsFlattenDumpsInOrder: Records is every plot's records in
+// write order, and nil for a run that plotted nothing, so a plot-free
+// result still encodes its records as JSON null.
+func TestRecordsFlattenDumpsInOrder(t *testing.T) {
+	cfg := inputs.DefaultCastroInputs()
+	cfg.NProcs, cfg.MaxStep, cfg.StopTime, cfg.MaxLevel = 2, 6, 0, 0
+	for _, plotInt := range []int{0, 2} {
+		cfg.PlotInt = plotInt
+		d := New(&plotter{}, cfg, Options{}, iosim.New(iosim.DefaultConfig(), ""))
+		if err := d.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		recs := d.Records()
+		if plotInt == 0 {
+			if recs != nil || d.NPlots() != 0 {
+				t.Errorf("plot-free run: %d plots, records %#v, want 0 and nil", d.NPlots(), recs)
+			}
+			continue
+		}
+		if d.NPlots() != 4 || len(recs) != 4 {
+			t.Fatalf("plot_int %d: %d plots, %d records, want 4 and 4", plotInt, d.NPlots(), len(recs))
+		}
+		for i, r := range recs {
+			if want := (plotfile.OutputRecord{Step: 2 * i, Rank: 0, Bytes: r.Bytes}); r != want || r.Bytes <= 0 {
+				t.Errorf("record %d = %+v, want %+v with positive bytes", i, r, want)
+			}
+		}
+	}
+}

@@ -10,8 +10,8 @@ import "sort"
 //
 // The index is immutable after construction and safe for concurrent
 // queries. Callers that mutate the underlying box set must build a new
-// index; amr.BoxArray couples index lifetime to array identity via a
-// content fingerprint so stale indexes cannot survive a regrid.
+// index; amr.BoxArray builds its index once per array, and a regrid
+// builds new arrays, so a stale index cannot survive a regrid.
 type BoxIndex struct {
 	boxes   []Box
 	bounds  Box // bounding box of all indexed boxes
@@ -148,32 +148,3 @@ func (idx *BoxIndex) Owner(p IntVect) int {
 
 // Contains reports whether any indexed box covers cell p.
 func (idx *BoxIndex) Contains(p IntVect) bool { return idx.Owner(p) >= 0 }
-
-// FingerprintBoxes computes an FNV-1a content hash of a box list. Two
-// lists fingerprint equal iff they hold the same boxes in the same order
-// (up to hash collision, which is negligible at 64 bits). Plan caches key
-// on fingerprints so metadata computed for one grid generation can never
-// be applied to another.
-func FingerprintBoxes(boxes []Box) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v int) {
-		u := uint64(v)
-		for k := 0; k < 8; k++ {
-			h ^= u & 0xff
-			h *= prime64
-			u >>= 8
-		}
-	}
-	mix(len(boxes))
-	for _, b := range boxes {
-		mix(b.Lo.X)
-		mix(b.Lo.Y)
-		mix(b.Hi.X)
-		mix(b.Hi.Y)
-	}
-	return h
-}

@@ -124,24 +124,3 @@ func TestBoxIndexSparse(t *testing.T) {
 		}
 	}
 }
-
-func TestFingerprintBoxes(t *testing.T) {
-	a := []Box{NewBox(IV(0, 0), IV(7, 7)), NewBox(IV(8, 0), IV(15, 7))}
-	b := []Box{NewBox(IV(0, 0), IV(7, 7)), NewBox(IV(8, 0), IV(15, 7))}
-	if FingerprintBoxes(a) != FingerprintBoxes(b) {
-		t.Fatal("identical lists fingerprint differently")
-	}
-	// Order matters (plans replay by index).
-	c := []Box{b[1], b[0]}
-	if FingerprintBoxes(a) == FingerprintBoxes(c) {
-		t.Fatal("reordered list fingerprints equal")
-	}
-	// A one-cell shift changes the fingerprint.
-	d := []Box{NewBox(IV(0, 0), IV(7, 7)), NewBox(IV(8, 0), IV(15, 8))}
-	if FingerprintBoxes(a) == FingerprintBoxes(d) {
-		t.Fatal("shifted list fingerprints equal")
-	}
-	if FingerprintBoxes(nil) == FingerprintBoxes(a) {
-		t.Fatal("empty list collides with non-empty")
-	}
-}

@@ -26,7 +26,7 @@ func benchLevel(b *testing.B) (LevelSpec, []int, int) {
 			f.FillConst(c, float64(idx)*1.25+float64(c))
 		}
 	})
-	lev := LevelSpec{Geom: g, BA: ba, DM: dm, RefRatio: 2, State: mf}
+	lev := LevelSpec{Geom: g, BA: ba, DM: dm, RefRatio: 2, State: func() *amr.MultiFab { return mf }}
 	owned := dm.RankBoxes(0)
 	if len(owned) == 0 {
 		b.Fatal("rank 0 owns nothing")

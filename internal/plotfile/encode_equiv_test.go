@@ -96,7 +96,7 @@ func seedEncodeCellD(lev LevelSpec, owned []int, ncomp int) []byte {
 	for _, idx := range owned {
 		b := lev.BA.Boxes[idx]
 		buf.WriteString(seedFabHeader(b, ncomp))
-		f := lev.State.FABs[idx]
+		f := lev.State().FABs[idx]
 		vals := make([]float64, 0, b.NumPts())
 		for c := 0; c < ncomp; c++ {
 			vals = vals[:0]
@@ -171,7 +171,7 @@ func equivSpecs() []Spec {
 		Time:     1.0 / 3.0,
 		Step:     31415,
 		NProcs:   12,
-		Levels:   []LevelSpec{{Geom: g, BA: ba, DM: dm, RefRatio: 4, State: mf}},
+		Levels:   []LevelSpec{{Geom: g, BA: ba, DM: dm, RefRatio: 4, State: func() *amr.MultiFab { return mf }}},
 	})
 	return specs
 }

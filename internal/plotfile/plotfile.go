@@ -21,8 +21,10 @@ type LevelSpec struct {
 	BA       amr.BoxArray
 	DM       amr.DistributionMapping
 	RefRatio int // ratio to the next finer level (unused on the finest)
-	// State supplies field data; nil selects size-only accounting.
-	State *amr.MultiFab
+	// State supplies field data; nil selects size-only accounting. It
+	// is called only when a Cell_D file is encoded, so a producer may
+	// derive the data there.
+	State func() *amr.MultiFab
 }
 
 // Spec is a complete plot dump description.
@@ -494,10 +496,11 @@ func CellDBytes(ba amr.BoxArray, owned []int, ncomp int) int64 {
 // costs one allocation total.
 func encodeCellD(lev LevelSpec, owned []int, ncomp int) []byte {
 	buf := make([]byte, 0, CellDBytes(lev.BA, owned, ncomp))
+	state := lev.State()
 	for _, idx := range owned {
 		b := lev.BA.Boxes[idx]
 		buf = appendFabHeader(buf, b, ncomp)
-		f := lev.State.FABs[idx]
+		f := state.FABs[idx]
 		for c := 0; c < ncomp; c++ {
 			for j := b.Lo.Y; j <= b.Hi.Y; j++ {
 				for _, v := range f.Row(j, c) {

@@ -48,7 +48,7 @@ func twoLevelSpec(nprocs int, withState bool) Spec {
 					}
 				}
 			})
-			spec.Levels[l].State = mf
+			spec.Levels[l].State = func() *amr.MultiFab { return mf }
 		}
 	}
 	return spec
@@ -199,7 +199,7 @@ func TestDataRoundTrip(t *testing.T) {
 			if !b.Equal(spec.Levels[l].BA.Boxes[i]) {
 				t.Errorf("level %d box %d = %v", l, i, b)
 			}
-			want := FABValuesOf(spec.Levels[l].State, i)
+			want := FABValuesOf(spec.Levels[l].State(), i)
 			if len(want) != len(rl.Data[i]) {
 				t.Fatalf("level %d box %d data len %d != %d", l, i, len(rl.Data[i]), len(want))
 			}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"amrproxyio/internal/iosim"
@@ -47,17 +49,7 @@ func TestAdvanceAllocsIndependentOfCells(t *testing.T) {
 func TestModelOnlyHydroPlotAllocations(t *testing.T) {
 	const bound, byteBound = 16, 4 << 10
 	burst := func(n int) (allocs, bytes float64) {
-		cfg := smallCfg()
-		cfg.NCell = [2]int{n, n}
-		cfg.MaxGridSize = n / 2
-		cfg.MaxLevel = 0
-		fsCfg := iosim.DefaultConfig()
-		fsCfg.RetainLedger = iosim.RetainNone
-		fs := iosim.New(fsCfg, "")
-		s, err := New(cfg, DefaultOptions(), fs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s, fs := modelOnlySim(t, n)
 		spec := s.PlotSpec()
 		if len(spec.Levels[0].BA.Boxes) != 4 || spec.Levels[0].State == nil {
 			t.Fatalf("%d²: want 4 boxes with plot state", n)
@@ -67,15 +59,7 @@ func TestModelOnlyHydroPlotAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		write() // grows the shard table once
-		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			write()
-		}
-		runtime.ReadMemStats(&after)
-		return testing.AllocsPerRun(runs, write), float64(after.TotalAlloc-before.TotalAlloc) / runs
+		return allocsAndBytes(write)
 	}
 	small, smallBytes := burst(32)
 	big, bigBytes := burst(128)
@@ -85,5 +69,71 @@ func TestModelOnlyHydroPlotAllocations(t *testing.T) {
 	}
 	if bigBytes > byteBound || smallBytes > byteBound {
 		t.Errorf("a plot burst allocates %.0f B at 128² and %.0f B at 32², want at most %d: nothing is encoded", bigBytes, smallBytes, byteBound)
+	}
+}
+
+// TestModelOnlyPlotSpecAllocations: the plot variables are derived only
+// when a Cell_D file is encoded, so assembling a hydro plot's spec and
+// writing it to a model-only filesystem stays within the burst's own
+// bounds at 32² and 128². Deriving the 10-component plot MultiFab alone
+// is 83 KB at 32² and 1.3 MB at 128².
+func TestModelOnlyPlotSpecAllocations(t *testing.T) {
+	const bound, byteBound = 16, 4 << 10
+	for _, n := range []int{32, 128} {
+		s, fs := modelOnlySim(t, n)
+		plot := func() {
+			if _, err := plotfile.Write(fs, s.PlotSpec()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs, bytes := allocsAndBytes(plot)
+		t.Logf("%d²: %v allocations (%.0f B)", n, allocs, bytes)
+		if allocs > bound || bytes > byteBound {
+			t.Errorf("%d²: PlotSpec plus a model-only plot burst makes %v allocations (%.0f B), want at most %d (%d B)", n, allocs, bytes, bound, byteBound)
+		}
+	}
+}
+
+// modelOnlySim builds a one-level n² Sim of four FABs writing to a
+// model-only filesystem that retains no ledger.
+func modelOnlySim(t *testing.T, n int) (*Sim, *iosim.FileSystem) {
+	t.Helper()
+	cfg := smallCfg()
+	cfg.NCell = [2]int{n, n}
+	cfg.MaxGridSize = n / 2
+	cfg.MaxLevel = 0
+	fsCfg := iosim.DefaultConfig()
+	fsCfg.RetainLedger = iosim.RetainNone
+	fs := iosim.New(fsCfg, "")
+	s, err := New(cfg, DefaultOptions(), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, fs
+}
+
+// allocsAndBytes runs fn once to warm it (the first burst grows the
+// shard table), then reports its allocations and bytes per call.
+func allocsAndBytes(fn func()) (allocs, bytes float64) {
+	fn()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return testing.AllocsPerRun(runs, fn), float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestDumpRootMatchesSprintf: dumpRoot names directories exactly as
+// fmt's "%s%05d", past five digits and past its stack buffer too.
+func TestDumpRootMatchesSprintf(t *testing.T) {
+	for _, prefix := range []string{"", "plt", strings.Repeat("sedov_2d_cyl_in_cart_plt", 4)} {
+		for _, step := range []int{0, 7, 42, 500, 99999, 100000, 1234567} {
+			if got, want := dumpRoot(prefix, step), fmt.Sprintf("%s%05d", prefix, step); got != want {
+				t.Errorf("dumpRoot(%q, %d) = %q, want %q", prefix, step, got, want)
+			}
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // CheckpointSpec assembles the conserved state into a checkpoint spec.
 func (s *Sim) CheckpointSpec() plotfile.CheckpointSpec {
 	spec := plotfile.CheckpointSpec{
-		Root:   fmt.Sprintf("%s%05d", s.Cfg.CheckFile, s.Step),
+		Root:   dumpRoot(s.Cfg.CheckFile, s.Step),
 		Time:   s.Time,
 		Step:   s.Step,
 		LastDt: s.LastDt,
@@ -32,7 +32,7 @@ func (s *Sim) CheckpointSpec() plotfile.CheckpointSpec {
 			BA:       lev.BA,
 			DM:       lev.DM,
 			RefRatio: s.Cfg.RefRatioAt(l),
-			State:    lev.State,
+			State:    func() *amr.MultiFab { return lev.State },
 		})
 	}
 	return spec

@@ -34,21 +34,21 @@ type refluxFace struct {
 // faceList holds the coarse-fine faces between a fine level and its
 // coarser parent, per sweep direction, with the fine FAB owning each of
 // a face's ratio fine sub-faces resolved once. It lives on the fine Level
-// and is rebuilt when the parent's BoxArray changes; a regrid that
-// changes the fine BoxArray replaces the fine Level, list and all.
+// and is rebuilt when the parent's state MultiFab changes, which a regrid
+// of the parent does; a regrid that changes the fine BoxArray replaces
+// the fine Level, list and all.
 type faceList struct {
-	crse   uint64 // fingerprint of the parent BoxArray the list was built on
+	crse   *amr.MultiFab // the parent state the list was built on
 	byDir  [2][]refluxFace
 	owners []int
 }
 
 // refluxFaces returns the level's face list against its parent crse,
-// building it on first use and whenever crse's BoxArray changes.
+// building it on first use and whenever crse's state MultiFab changes.
 func (l *Level) refluxFaces(crse *Level, ratio int) *faceList {
-	fp := crse.State.BA.Fingerprint()
-	if l.faces == nil || l.faces.crse != fp {
+	if l.faces == nil || l.faces.crse != crse.State {
 		l.faces = buildFaceList(crse, l, ratio)
-		l.faces.crse = fp
+		l.faces.crse = crse.State
 	}
 	return l.faces
 }

@@ -16,8 +16,9 @@
 package sim
 
 import (
-	"fmt"
 	"math"
+	"strconv"
+	"sync"
 
 	"amrproxyio/internal/amr"
 	"amrproxyio/internal/driver"
@@ -342,32 +343,61 @@ func (s *Sim) ShouldPlot() bool { return driver.PlotStep(s.Cfg, s.Step) }
 // Progress reports the step count and simulated time (driver.Model).
 func (s *Sim) Progress() (int, float64) { return s.Step, s.Time }
 
-// PlotSpec assembles the current hierarchy into a plotfile spec with the
-// derived plot variables computed.
+// PlotSpec assembles the current hierarchy into a plotfile spec. A
+// level's derived plot variables are computed on the first State call,
+// which only a Cell_D encoder makes, and at most once per plot.
 func (s *Sim) PlotSpec() plotfile.Spec {
 	spec := plotfile.Spec{
-		Root:     fmt.Sprintf("%s%05d", s.Cfg.PlotFile, s.Step),
+		Root:     dumpRoot(s.Cfg.PlotFile, s.Step),
 		VarNames: PlotVarNames,
 		Time:     s.Time,
 		Step:     s.Step,
 		NProcs:   s.Cfg.NProcs,
+		Levels:   make([]plotfile.LevelSpec, len(s.Levels)),
 	}
+	plots := make([]plotState, len(s.Levels))
 	for l, lev := range s.Levels {
-		plotMF := s.derivePlotData(lev)
-		spec.Levels = append(spec.Levels, plotfile.LevelSpec{
+		plots[l].lev = lev
+		spec.Levels[l] = plotfile.LevelSpec{
 			Geom:     lev.Geom,
 			BA:       lev.BA,
 			DM:       lev.DM,
 			RefRatio: s.Cfg.RefRatioAt(l),
-			State:    plotMF,
-		})
+			State:    plots[l].get,
+		}
 	}
 	return spec
 }
 
+// dumpRoot names a plot or checkpoint directory as fmt's "%s%05d" would,
+// in one allocation. fmt's pooled printer is dropped at random under the
+// race detector, which would make PlotSpec's allocation count vary.
+func dumpRoot(prefix string, step int) string {
+	var buf [64]byte
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(step), 10)
+	b := append(buf[:0], prefix...)
+	for n := len(d); n < 5; n++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
+
+// plotState is one level's plot MultiFab, derived on first use.
+type plotState struct {
+	once sync.Once
+	lev  *Level
+	mf   *amr.MultiFab
+}
+
+func (p *plotState) get() *amr.MultiFab {
+	p.once.Do(func() { p.mf = derivePlotData(p.lev) })
+	return p.mf
+}
+
 // derivePlotData builds the 10-component plot MultiFab from the conserved
 // state.
-func (s *Sim) derivePlotData(lev *Level) *amr.MultiFab {
+func derivePlotData(lev *Level) *amr.MultiFab {
 	g := blast.Gamma
 	out := amr.NewMultiFab(lev.BA, lev.DM, len(PlotVarNames), 0)
 	out.ForEachFAB(func(idx int, of *amr.FAB) {

@@ -144,7 +144,7 @@ func TestBlastExpandsAndLevelsTrackIt(t *testing.T) {
 	// require a developing outward flow rather than the asymptotic
 	// post-shock Mach ~1.9.
 	lev := s.Levels[s.FinestLevel()]
-	plot := s.derivePlotData(lev)
+	plot := derivePlotData(lev)
 	if m := plot.Max(7); m < 0.3 {
 		t.Errorf("peak Mach = %g, expected a developing outward flow", m)
 	}

@@ -137,6 +137,19 @@ func TestIOModelTakesNoLocks(t *testing.T) {
 	}
 }
 
+// TestAMRSharesNoStateAcrossCases: the model shares no state across
+// cases, and communication plans live on the MultiFab they serve, so no
+// non-test file in internal/amr declares a package-level variable.
+func TestAMRSharesNoStateAcrossCases(t *testing.T) {
+	for path, f := range parseDirs(t, 8, "internal/amr") {
+		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				t.Errorf("%s declares a package-level var; amr state belongs on the objects that use it", path)
+			}
+		}
+	}
+}
+
 // TestEnginesDoNotEmitOutput: only the driver retargets, advances
 // clocks, builds a mitigation engine, or writes a burst.
 func TestEnginesDoNotEmitOutput(t *testing.T) {
