@@ -103,3 +103,12 @@ func TestThirtyTwoBitVetPresent(t *testing.T) {
 		t.Error("CI does not run `GOARCH=386 go vet ./...`")
 	}
 }
+
+// TestHydroPinsAtSeveralWorkerCounts: the hydro state and sweep-kernel
+// pins run at 1, 2 and 4 workers, so a pooled pass whose result depends
+// on the worker count fails CI even on a one-CPU runner.
+func TestHydroPinsAtSeveralWorkerCounts(t *testing.T) {
+	if !strings.Contains(readCI(t), "go test -cpu 1,2,4 -run 'TestHydroStatePinned|TestSweepKernelPinned' ./internal/sim/ ./internal/hydro/") {
+		t.Error("CI does not run the hydro pins at 1, 2 and 4 workers")
+	}
+}

@@ -234,18 +234,23 @@ func boundingBox(pts []grid.IntVect) grid.Box {
 // Cluster runs Berger–Rigoutsos on the tag points: recursively split the
 // bounding box at signature holes or Laplacian inflection points until
 // every cluster's fill efficiency (tags / box cells) reaches eff. The
-// returned boxes are disjoint and cover every tag.
+// returned boxes are disjoint and cover every tag. pts is not modified:
+// the recursion partitions one copy of it in place.
 func Cluster(pts []grid.IntVect, eff float64) []grid.Box {
 	if len(pts) == 0 {
 		return nil
 	}
 	var out []grid.Box
-	clusterRecurse(pts, eff, &out, 0)
+	clusterRecurse(slices.Clone(pts), eff, &out, 0)
 	return out
 }
 
 const maxClusterDepth = 48
 
+// clusterRecurse clusters pts, reordering it: each split partitions the
+// points in place, those below the split plane first. The order within
+// a half is not kept, which nothing reads: a cluster's bounding box and
+// signatures depend only on which points it holds.
 func clusterRecurse(pts []grid.IntVect, eff float64, out *[]grid.Box, depth int) {
 	bb := boundingBox(pts)
 	fill := float64(len(pts)) / float64(bb.NumPts())
@@ -258,24 +263,27 @@ func clusterRecurse(pts []grid.IntVect, eff float64, out *[]grid.Box, depth int)
 		*out = append(*out, bb)
 		return
 	}
-	var a, b []grid.IntVect
-	for _, p := range pts {
-		coord := p.X
+	below := func(p grid.IntVect) bool {
 		if dir == 1 {
-			coord = p.Y
+			return p.Y < split
 		}
-		if coord < split {
-			a = append(a, p)
+		return p.X < split
+	}
+	k, end := 0, len(pts)
+	for k < end {
+		if below(pts[k]) {
+			k++
 		} else {
-			b = append(b, p)
+			end--
+			pts[k], pts[end] = pts[end], pts[k]
 		}
 	}
-	if len(a) == 0 || len(b) == 0 { // degenerate split; accept the box
+	if k == 0 || k == len(pts) { // degenerate split; accept the box
 		*out = append(*out, bb)
 		return
 	}
-	clusterRecurse(a, eff, out, depth+1)
-	clusterRecurse(b, eff, out, depth+1)
+	clusterRecurse(pts[:k], eff, out, depth+1)
+	clusterRecurse(pts[k:], eff, out, depth+1)
 }
 
 // findSplit chooses the split plane. Preference order follows

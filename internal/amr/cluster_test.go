@@ -3,6 +3,8 @@ package amr
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"amrproxyio/internal/grid"
@@ -304,5 +306,57 @@ func TestTagGradient(t *testing.T) {
 	})
 	if got := TagGradient(mf, []int{0, 1}, 0.3); got.Len() != 0 {
 		t.Errorf("constant field tagged %d cells", got.Len())
+	}
+}
+
+// serialTagGradient is TagGradient as it stood before its FABs were
+// scanned in parallel, kept as the reference the pooled scan must match.
+func serialTagGradient(mf *MultiFab, comps []int, relThreshold float64) *TagSet {
+	tags := NewTagSet()
+	for _, f := range mf.FABs {
+		for j := f.ValidBox.Lo.Y; j <= f.ValidBox.Hi.Y; j++ {
+			for i := f.ValidBox.Lo.X; i <= f.ValidBox.Hi.X; i++ {
+				for _, comp := range comps {
+					if steepGradient(f, i, j, comp, relThreshold) {
+						tags.Add(grid.IntVect{X: i, Y: j})
+						break
+					}
+				}
+			}
+		}
+	}
+	return tags
+}
+
+// TestTagGradientMatchesSerial: the pooled scan tags exactly the cells
+// the serial loop tags, on random multi-FAB data at several worker
+// counts, for one component and for two.
+func TestTagGradientMatchesSerial(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	rng := rand.New(rand.NewSource(7))
+	dom := grid.NewBox(grid.IV(0, 0), grid.IV(95, 95))
+	for iter := 0; iter < 20; iter++ {
+		ba := randomTiling(rng, dom, 0.7)
+		mf := NewMultiFab(ba, MustDistribute(ba, 4, DistRoundRobin), 2, 1)
+		for _, f := range mf.FABs {
+			for k := range f.Data {
+				// Relative jumps up to ~0.5, so a threshold tags some
+				// cells and not others.
+				f.Data[k] = 1 + rng.Float64()/2
+			}
+		}
+		comps := [][]int{{0}, {1, 0}}[iter%2]
+		threshold := 0.2 + 0.2*rng.Float64()
+		want := serialTagGradient(mf, comps, threshold).Points()
+		if len(want) == 0 || len(want) == int(ba.NumPts()) {
+			t.Fatalf("iter %d: %d of %d cells tagged; the data does not discriminate", iter, len(want), ba.NumPts())
+		}
+		for _, workers := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(workers)
+			if got := TagGradient(mf, comps, threshold).Points(); !slices.Equal(got, want) {
+				t.Fatalf("iter %d, %d workers: %d tags, want the serial scan's %d", iter, workers, len(got), len(want))
+			}
+		}
 	}
 }

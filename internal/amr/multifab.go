@@ -67,14 +67,25 @@ func (mf *MultiFab) dataBoxIndex() *grid.BoxIndex {
 	return mf.dataIdx
 }
 
-// ForEachFAB runs fn over every FAB in parallel using a worker pool. fn
-// receives the box index and the FAB. This is the compute-parallelism
-// analogue of AMReX's MFIter loop. Workers, the caller among them, claim
-// FAB indices from a shared atomic counter: no per-FAB channel handoff,
-// so a loop over many small FABs does not stall on goroutine wakeups
-// when other processes hold the CPUs.
+// ForEachFAB runs fn over every FAB in parallel using ForEach's worker
+// pool. fn receives the box index and the FAB. This is the
+// compute-parallelism analogue of AMReX's MFIter loop over one level; a
+// pass over a whole hierarchy whose levels are independent calls ForEach
+// once on a flat list of every level's FABs instead, so fine levels with
+// few FABs leave no worker idle at a per-level barrier.
 func (mf *MultiFab) ForEachFAB(fn func(idx int, fab *FAB)) {
-	n := len(mf.FABs)
+	ForEach(mf.FABs, fn)
+}
+
+// ForEach runs fn over every item in parallel on GOMAXPROCS workers, the
+// caller among them, and returns when all are done. Workers claim item
+// indices from a shared atomic counter: no per-item channel handoff, so
+// a loop over many small items does not stall on goroutine wakeups when
+// other processes hold the CPUs. fn must touch only state of its own
+// item; any reduction over the items belongs after ForEach, serial and
+// in index order, so its result does not depend on the worker count.
+func ForEach[T any](items []T, fn func(i int, item T)) {
+	n := len(items)
 	if n == 0 {
 		return
 	}
@@ -83,15 +94,15 @@ func (mf *MultiFab) ForEachFAB(fn func(idx int, fab *FAB)) {
 		workers = n
 	}
 	if workers <= 1 {
-		for i, f := range mf.FABs {
-			fn(i, f)
+		for i, it := range items {
+			fn(i, it)
 		}
 		return
 	}
 	var next atomic.Int64
 	run := func() {
 		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-			fn(i, mf.FABs[i])
+			fn(i, items[i])
 		}
 	}
 	var wg sync.WaitGroup

@@ -13,19 +13,29 @@ import (
 // TagGradient tags every valid cell where the undivided gradient of any
 // of the components comps, relative to the local magnitude, exceeds
 // relThreshold, into one TagSet. The MultiFab's ghost cells must be
-// filled (FillPatch) so stencils at box edges see neighbor data.
+// filled (FillPatch) so stencils at box edges see neighbor data. The
+// FABs are scanned in parallel, each into its own list; the lists are
+// then added in box order, the same Add sequence a serial scan makes.
 func TagGradient(mf *MultiFab, comps []int, relThreshold float64) *TagSet {
-	tags := NewTagSet()
-	for _, f := range mf.FABs {
+	perFAB := make([][]grid.IntVect, len(mf.FABs))
+	mf.ForEachFAB(func(idx int, f *FAB) {
+		var pts []grid.IntVect
 		for j := f.ValidBox.Lo.Y; j <= f.ValidBox.Hi.Y; j++ {
 			for i := f.ValidBox.Lo.X; i <= f.ValidBox.Hi.X; i++ {
 				for _, comp := range comps {
 					if steepGradient(f, i, j, comp, relThreshold) {
-						tags.Add(grid.IntVect{X: i, Y: j})
+						pts = append(pts, grid.IntVect{X: i, Y: j})
 						break
 					}
 				}
 			}
+		}
+		perFAB[idx] = pts
+	})
+	tags := NewTagSet()
+	for _, pts := range perFAB {
+		for _, p := range pts {
+			tags.Add(p)
 		}
 	}
 	return tags

@@ -12,11 +12,19 @@
 // The load-bearing difference from Castro is non-subcycled time stepping
 // (all levels advance with the finest stable dt), which leaves the
 // plotfile structure and sizes untouched because plots are scheduled on
-// coarse-level step counts.
+// coarse-level step counts. It is also what makes the levels independent
+// within a sweep: once the ghosts are patched, a FAB's sweep reads and
+// writes only that FAB and its Workspace. So the sweeps and the dt scan
+// each run as one worker pool over every level's FABs (amr.ForEach), not
+// one pool per level with a barrier after each; the passes that move
+// data between levels (FillPatch coarse to fine, refluxing and
+// AverageDown fine to coarse) keep their per-level order. No output
+// depends on the worker count.
 package sim
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -91,14 +99,6 @@ func newLevel(g grid.Geom, ba amr.BoxArray, dm amr.DistributionMapping) *Level {
 	return &Level{Geom: g, BA: ba, DM: dm, State: amr.NewMultiFab(ba, dm, hydro.NCons, nGhost)}
 }
 
-// workspaces returns the level's per-FAB Workspaces, made on first use.
-func (l *Level) workspaces() []hydro.Workspace {
-	if len(l.work) != len(l.State.FABs) {
-		l.work = make([]hydro.Workspace, len(l.State.FABs))
-	}
-	return l.work
-}
-
 // Sim is the running simulation. The embedded driver runs it (Run) and
 // owns its output ledger (WritePlot, Records, NPlots, Mitigation).
 type Sim struct {
@@ -110,6 +110,44 @@ type Sim struct {
 	Step   int
 	Time   float64
 	LastDt float64
+
+	fabs hierFABs
+}
+
+// fabRef names one FAB of the hierarchy: its level and its box index.
+type fabRef struct {
+	lev *Level
+	idx int
+}
+
+// hierFABs is every level's FABs as one list in (level, box) order, the
+// items of the passes that run as one pool over the hierarchy, plus the
+// dt scan's per-FAB signal speeds. It lives until the hierarchy changes,
+// as the levels' Workspaces do.
+type hierFABs struct {
+	levels []*Level // the hierarchy refs lists
+	refs   []fabRef
+	speeds []float64
+}
+
+// allFABs returns every level's FABs in (level, box) order, listing them
+// again only when Levels has changed since the last call. It also makes
+// each listed level's Workspaces, so the pooled sweeps never do.
+func (s *Sim) allFABs() []fabRef {
+	if slices.Equal(s.fabs.levels, s.Levels) {
+		return s.fabs.refs
+	}
+	var refs []fabRef
+	for _, lev := range s.Levels {
+		if len(lev.work) != len(lev.State.FABs) {
+			lev.work = make([]hydro.Workspace, len(lev.State.FABs))
+		}
+		for i := range lev.State.FABs {
+			refs = append(refs, fabRef{lev, i})
+		}
+	}
+	s.fabs = hierFABs{levels: slices.Clone(s.Levels), refs: refs, speeds: make([]float64, len(refs))}
+	return refs
 }
 
 const nGhost = 2 // MUSCL-Hancock stencil width
@@ -170,21 +208,21 @@ func (s *Sim) fillPatchAll() {
 // ComputeDt returns the global CFL-limited time step across all levels,
 // with Castro's init_shrink and change_max controls applied.
 func (s *Sim) ComputeDt() float64 {
+	// The per-FAB signal-speed scans run as one pool over every level; the
+	// min-reduction is serial in (level, box) order, so dt stays the same
+	// bit for bit at any worker count.
+	refs := s.allFABs()
+	speeds := s.fabs.speeds
+	amr.ForEach(refs, func(i int, r fabRef) {
+		dx := r.lev.Geom.CellSize
+		sx, sy := hydro.MaxSignalSpeed(r.lev.State.FABs[r.idx], dx[0], dx[1], blast.Gamma)
+		speeds[i] = sx + sy
+	})
 	minDt := math.Inf(1)
-	for _, lev := range s.Levels {
-		dx, dy := lev.Geom.CellSize[0], lev.Geom.CellSize[1]
-		// Per-FAB signal-speed scans run in parallel; the min-reduction is
-		// serial in box order, so dt stays deterministic.
-		sums := make([]float64, len(lev.State.FABs))
-		lev.State.ForEachFAB(func(i int, f *amr.FAB) {
-			sx, sy := hydro.MaxSignalSpeed(f, dx, dy, blast.Gamma)
-			sums[i] = sx + sy
-		})
-		for _, sum := range sums {
-			if sum > 0 {
-				if dt := s.Cfg.CFL / sum; dt < minDt {
-					minDt = dt
-				}
+	for _, sum := range speeds {
+		if sum > 0 {
+			if dt := s.Cfg.CFL / sum; dt < minDt {
+				minDt = dt
 			}
 		}
 	}
@@ -225,15 +263,13 @@ func (s *Sim) Advance() {
 
 // sweepAll advances every level in direction dir (0=x, 1=y) through the
 // levels' Workspaces, which capture the face fluxes when refluxing is
-// enabled.
+// enabled. The ghosts are patched, so the levels are independent: every
+// level's FABs are claimed from one pool.
 func (s *Sim) sweepAll(dt float64, dir int) {
-	for _, lev := range s.Levels {
-		h := lev.Geom.CellSize[dir]
-		work := lev.workspaces()
-		lev.State.ForEachFAB(func(idx int, f *amr.FAB) {
-			work[idx].Sweep(f, dir, dt, h, blast.Gamma, s.Opts.Reflux)
-		})
-	}
+	amr.ForEach(s.allFABs(), func(_ int, r fabRef) {
+		lev := r.lev
+		lev.work[r.idx].Sweep(lev.State.FABs[r.idx], dir, dt, lev.Geom.CellSize[dir], blast.Gamma, s.Opts.Reflux)
+	})
 }
 
 func (s *Sim) averageDownAll() {
@@ -286,6 +322,9 @@ func (s *Sim) Regrid() error {
 // the old hierarchy. It stops at the first level with no tagged boxes,
 // dropping it and every finer level, and reports that it stopped short.
 func (s *Sim) regrid(fromIC bool) (short bool, err error) {
+	// The levels are about to be replaced: drop the list so it does not
+	// keep the old ones alive until the next step lists the new ones.
+	s.fabs = hierFABs{}
 	for l := 0; l < s.Cfg.MaxLevel; l++ {
 		crse := s.Levels[l]
 		// Tagging patches level l, which is also what interpolating the
